@@ -4,7 +4,7 @@
 // with array-of-structs SegmentEntry storage each candidate's endpoints are
 // strided 40 bytes apart and the compiler cannot vectorize the kernel. This
 // header holds the SoA mirror the indexes keep next to their entry storage:
-// geometry is packed into fixed-width lane blocks (ax/ay/bx/by plus the
+// geometry is packed into fixed-width lane blocks (start point ax/ay, the
 // precomputed direction dx/dy and reciprocal squared length), and
 // PointSegmentDistance2Batch evaluates one whole block per call with a
 // plain counted loop the compiler auto-vectorizes (8 doubles = one AVX-512
@@ -15,6 +15,10 @@
 // dot — so batched distances are bit-identical to the scalar path. Padded
 // tail lanes compute garbage that callers must ignore (they never read
 // lanes >= size()).
+//
+// Every block also carries a conservative bounding box of its live lanes,
+// so a search can skip a whole block whose box lies beyond its current
+// pruning threshold (BlockBeyond) without evaluating any lane.
 
 #ifndef FRT_GEO_SEGMENT_SOA_H_
 #define FRT_GEO_SEGMENT_SOA_H_
@@ -22,6 +26,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "geo/bbox.h"
 #include "geo/segment.h"
 
 namespace frt {
@@ -33,14 +38,34 @@ inline constexpr size_t kDistLanes = 8;
 struct SegmentGeomBlock {
   double ax[kDistLanes];
   double ay[kDistLanes];
-  double bx[kDistLanes];
-  double by[kDistLanes];
   // Precomputed once at insert: direction and reciprocal squared length,
   // so the hot loop performs no division.
   double dx[kDistLanes];
   double dy[kDistLanes];
   double inv_len2[kDistLanes];
+  /// Bounds every live lane's endpoints. Only ever grown while the block
+  /// holds lanes (reset when lane 0 is rewritten), so it may be stale-large
+  /// after removals but never too small. (The kernel reads no end point,
+  /// so blocks store none.)
+  BBox box;
 };
+
+/// \brief True when no live lane of `block` can have a kernel distance²
+/// from q at or below `thr2`, so the block may be skipped.
+///
+/// The box bound is exact geometry, but the kernel rounds: a lane at true
+/// distance g can come out a few ulps of (g + block extent) below g. The
+/// bound is therefore deflated relatively by 1e-12 and absolutely by
+/// 1e-17 x the squared box diagonal (together they cover that error with
+/// room to spare), so a lane that ties the threshold is never dropped.
+inline bool BlockBeyond(const Point& q, const SegmentGeomBlock& block,
+                        double thr2) {
+  const double w = block.box.max_x - block.box.min_x;
+  const double h = block.box.max_y - block.box.min_y;
+  return MinDist2PointBBox(q, block.box) * (1.0 - 1e-12) -
+             1e-17 * (w * w + h * h) >
+         thr2;
+}
 
 /// \brief Evaluates the squared distance from q to every lane of `block`,
 /// writing kDistLanes results into `out`. Lanes past the caller's live
@@ -73,11 +98,15 @@ inline void PointSegmentDistance2Batch(const Point& q,
 /// PushBack mirrors push_back, SwapRemove mirrors the swap-erase removal
 /// idiom, so geometry lane i always belongs to entry i. Blocks keep their
 /// capacity across clear() for the arena's free-list slot reuse.
+///
+/// Block boxes: PushBack extends the box of the block it writes (starting
+/// afresh at lane 0, when the block holds nothing live), SwapRemove
+/// extends the box of the block receiving the moved lane, and nothing
+/// shrinks a box — so each box always bounds its block's live lanes.
 class SegmentGeomSoA {
  public:
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  size_t num_blocks() const { return (size_ + kDistLanes - 1) / kDistLanes; }
   const SegmentGeomBlock& block(size_t b) const { return blocks_[b]; }
 
   void clear() { size_ = 0; }
@@ -85,15 +114,22 @@ class SegmentGeomSoA {
   void PushBack(const Segment& s) {
     const size_t b = size_ / kDistLanes;
     if (b == blocks_.size()) blocks_.emplace_back();
+    if (size_ % kDistLanes == 0) blocks_[b].box = BBox::Empty();
     Set(size_, s);
     ++size_;
   }
 
-  /// Removes lane i by moving the last lane into it (the swap-erase
-  /// mirror). Padded tail lanes keep stale values; they are never read.
-  void SwapRemove(size_t i) {
-    const size_t last = size_ - 1;
-    if (i != last) CopyLane(last, i);
+  /// Removes lane i by moving the last lane, whose segment is `last`,
+  /// into it (the swap-erase mirror). Padded tail lanes keep stale values;
+  /// they are never read.
+  void SwapRemove(size_t i, const Segment& last) {
+    const size_t end = size_ - 1;
+    if (i != end) {
+      CopyLane(end, i);
+      SegmentGeomBlock& dst = blocks_[i / kDistLanes];
+      dst.box.Extend(last.a);
+      dst.box.Extend(last.b);
+    }
     --size_;
   }
 
@@ -108,13 +144,13 @@ class SegmentGeomSoA {
     const size_t lane = i % kDistLanes;
     blk.ax[lane] = s.a.x;
     blk.ay[lane] = s.a.y;
-    blk.bx[lane] = s.b.x;
-    blk.by[lane] = s.b.y;
     const double dx = s.b.x - s.a.x;
     const double dy = s.b.y - s.a.y;
     blk.dx[lane] = dx;
     blk.dy[lane] = dy;
     blk.inv_len2[lane] = SegmentInvLen2(dx, dy);
+    blk.box.Extend(s.a);
+    blk.box.Extend(s.b);
   }
 
   void CopyLane(size_t from, size_t to) {
@@ -124,8 +160,6 @@ class SegmentGeomSoA {
     const size_t tl = to % kDistLanes;
     dst.ax[tl] = src.ax[fl];
     dst.ay[tl] = src.ay[fl];
-    dst.bx[tl] = src.bx[fl];
-    dst.by[tl] = src.by[fl];
     dst.dx[tl] = src.dx[fl];
     dst.dy[tl] = src.dy[fl];
     dst.inv_len2[tl] = src.inv_len2[fl];

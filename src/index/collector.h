@@ -106,13 +106,17 @@ class ResultCollector {
     out->clear();
     std::vector<Item>& held =
         group_by_ == GroupBy::kSegment ? heap_ : items_;
-    // The heap property is irrelevant from here on: sort the underlying
-    // storage directly instead of draining a copy of the queue.
-    std::sort(held.begin(), held.end(), [](const Item& a, const Item& b) {
-      if (a.dist2 != b.dist2) return a.dist2 < b.dist2;
-      return a.entry->handle < b.entry->handle;  // deterministic ties
-    });
+    // The heap property is irrelevant from here on: select in the
+    // underlying storage directly instead of draining a copy of the queue.
+    // Trajectory mode holds every trajectory seen, so only the top K are
+    // ordered; (dist², handle) is a total order, so the K selected are the
+    // K a full sort would put first.
     const size_t n = std::min(k_, held.size());
+    std::partial_sort(held.begin(), held.begin() + n, held.end(),
+                      [](const Item& a, const Item& b) {
+                        if (a.dist2 != b.dist2) return a.dist2 < b.dist2;
+                        return a.entry->handle < b.entry->handle;
+                      });
     out->reserve(n);
     for (size_t i = 0; i < n; ++i) {
       out->push_back(Neighbor{*held[i].entry, std::sqrt(held[i].dist2)});

@@ -129,7 +129,8 @@ Status HierarchicalGridIndex::Remove(SegmentHandle handle) {
                           [handle](const SegmentEntry& e) {
                             return e.handle == handle;
                           });
-  arena_[slot].geom.SwapRemove(static_cast<size_t>(sit - segs.begin()));
+  arena_[slot].geom.SwapRemove(static_cast<size_t>(sit - segs.begin()),
+                               segs.back().geom);
   *sit = segs.back();
   segs.pop_back();
   cell_of_.erase(it);
@@ -199,37 +200,52 @@ uint64_t HierarchicalGridIndex::SweepCell(const HgCell& cell, const Point& q,
                                           SearchContext* ctx) const {
   const std::vector<SegmentEntry>& segs = cell.segments;
   const size_t n = segs.size();
-  if (n == 0) return 0;
+  ResultCollector& collector = ctx->collector;
 
-  if (options.use_batched_kernel) {
-    // One kernel sweep over the cell's SoA blocks, then offer in entry
-    // order — the same order (and the same doubles) as the scalar loop.
-    // Filtered-out lanes have their distances computed (the sweep is
-    // branch-free) but are neither offered nor counted, matching the
-    // scalar path's distance_evaluations exactly.
-    double* d2 = ctx->Dist2Lanes(n);
-    for (size_t b = 0; b < cell.geom.num_blocks(); ++b) {
-      PointSegmentDistance2Batch(q, cell.geom.block(b),
-                                 d2 + b * kDistLanes);
-    }
-    if (!options.filter) {
-      ctx->collector.OfferBatch(segs.data(), d2, n);
-      return n;
-    }
-    uint64_t evals = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!options.filter(segs[i])) continue;
-      ++evals;
-      ctx->collector.Offer(segs[i], d2[i]);
-    }
-    return evals;
-  }
-
+  // Block by block, in entry order: a block whose box lies beyond theta_K
+  // holds nothing that could enter the final top-K in either grouping
+  // mode, so it is skipped without evaluating a lane (Theorem 4 applied
+  // to the block box). Both kernel paths make the same skip decisions
+  // against the same thresholds, so their distance_evaluations agree. The
+  // segment-mode threshold is a heap peek and is re-read per block; the
+  // trajectory-mode one runs a selection, so it is read once per cell —
+  // a stale threshold is only larger, which is conservative.
+  const bool per_block_threshold = options.group_by == GroupBy::kSegment;
+  double thr2 = collector.Threshold2();
   uint64_t evals = 0;
-  for (const SegmentEntry& e : segs) {
-    if (options.filter && !options.filter(e)) continue;
-    ++evals;
-    ctx->collector.Offer(e, PointSegmentDistance2(q, e.geom));
+  for (size_t b = 0, base = 0; base < n; ++b, base += kDistLanes) {
+    const SegmentGeomBlock& block = cell.geom.block(b);
+    if (per_block_threshold) thr2 = collector.Threshold2();
+    if (BlockBeyond(q, block, thr2)) continue;
+    const size_t lanes = std::min(kDistLanes, n - base);
+    const SegmentEntry* entries = segs.data() + base;
+
+    if (options.use_batched_kernel) {
+      // One kernel call per block, then offers in entry order — the same
+      // order (and the same doubles) as the scalar loop. Filtered-out
+      // lanes are computed (the kernel is branch-free) but neither
+      // offered nor counted.
+      double d2[kDistLanes];
+      PointSegmentDistance2Batch(q, block, d2);
+      if (!options.filter) {
+        collector.OfferBatch(entries, d2, lanes);
+        evals += lanes;
+        continue;
+      }
+      for (size_t i = 0; i < lanes; ++i) {
+        if (!options.filter(entries[i])) continue;
+        ++evals;
+        collector.Offer(entries[i], d2[i]);
+      }
+      continue;
+    }
+
+    for (size_t i = 0; i < lanes; ++i) {
+      const SegmentEntry& e = entries[i];
+      if (options.filter && !options.filter(e)) continue;
+      ++evals;
+      collector.Offer(e, PointSegmentDistance2(q, e.geom));
+    }
   }
   return evals;
 }

@@ -17,7 +17,10 @@
 // *inline* in their cell's segment vector, with the geometry mirrored into
 // fixed-width SoA lane blocks (geo/segment_soa.h) that the batched 8-lane
 // distance kernel sweeps, so the search loops touch no hash table and the
-// inner distance loop vectorizes.
+// inner distance loop vectorizes. Each block carries a conservative
+// bounding box; a sweep skips blocks whose box lies beyond the current
+// K-th distance, which matters for the coarse cells every query must
+// visit (every ancestor of q has MINdist 0).
 //
 // Concurrency. Searches are read-only: visited-cell marks live in the
 // caller's SearchContext (stamp vector keyed by arena slot), never on the
@@ -135,10 +138,11 @@ class HierarchicalGridIndex : public SegmentIndex {
   /// (Algorithm 3 line 1, LocatePoint).
   uint32_t LocateStart(const Point& q) const;
 
-  /// Evaluates every resident of `cell` against q and offers the eligible
+  /// Evaluates the residents of `cell` against q and offers the eligible
   /// ones to the collector, via the batched SoA kernel or the scalar
-  /// reference path per `options`. Returns the eligible-candidate count
-  /// (the distance_evaluations contribution).
+  /// reference path per `options`, skipping every lane block whose box
+  /// lies beyond the collector's threshold. Returns the evaluated
+  /// eligible-candidate count (the distance_evaluations contribution).
   uint64_t SweepCell(const HgCell& cell, const Point& q,
                      const SearchOptions& options, SearchContext* ctx) const;
 

@@ -2,11 +2,11 @@
 // concurrent-reader-safe KNearest calls (declared in index/segment_index.h).
 //
 // A context owns every buffer a search needs — the best-K collector, the
-// traversal frontier (stack + binary heap over arena slots), the batched
-// distance-kernel lane buffer, the visited-slot stamp vector, and the
-// result vector the returned span points into. Reusing one context across
-// queries means all of them keep their high-water-mark capacity, so a warm
-// context performs zero heap allocations per query.
+// traversal frontier (stack + binary heap over arena slots), the
+// visited-slot stamp vector, and the result vector the returned span
+// points into. Reusing one context across queries means all of them keep
+// their high-water-mark capacity, so a warm context performs zero heap
+// allocations per query.
 //
 // The visited stamps are the concurrency keystone: searches used to mark
 // visited cells with epoch stamps ON the shared arena, which made even
@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "geo/segment_soa.h"
 #include "index/collector.h"
 #include "index/segment_index.h"
 
@@ -64,9 +63,6 @@ class SearchContext {
   std::vector<CellCandidate> stack;  ///< S_g: bottom-up ascent (HGb/HG+)
   std::vector<CellCandidate> heap;   ///< Q_g: best-first frontier (binary heap)
   std::vector<Neighbor> results;     ///< storage behind the returned span
-  /// Squared-distance lane buffer the batched kernel writes into; sized to
-  /// the largest cell swept so far, rounded up to whole blocks.
-  std::vector<double> dist2;
 
   /// Rearms the visited stamps for a new search over an index with
   /// `slots` addressable slots and returns this search's stamp. Grows the
@@ -88,15 +84,6 @@ class SearchContext {
     return stamps_[slot] == visit_epoch_;
   }
   void MarkVisited(uint32_t slot) { stamps_[slot] = visit_epoch_; }
-
-  /// Ensures the lane buffer covers `lanes` entries rounded up to whole
-  /// kernel blocks, returning its base pointer.
-  double* Dist2Lanes(size_t lanes) {
-    const size_t padded =
-        (lanes + kDistLanes - 1) / kDistLanes * kDistLanes;
-    if (dist2.size() < padded) dist2.resize(padded);
-    return dist2.data();
-  }
 
  private:
   /// Per-slot visited stamps, keyed by arena/store slot; a slot is visited

@@ -60,8 +60,7 @@ struct BatchRunnerConfig {
   WorkStealingPool* pool = nullptr;
   /// Post-publish displacement audit (runtime/window_audit.h). When
   /// enabled, the batch builds one segment index over the window's input
-  /// and fans the pool out over it read-only (or rebuilds per range with
-  /// audit.shared_index = false, the A/B baseline).
+  /// and fans the pool out over it read-only.
   WindowAuditConfig audit;
 };
 

@@ -18,17 +18,74 @@ struct RangePartial {
   uint64_t points = 0;
   double sum = 0.0;
   double max = 0.0;
-  double build_seconds = 0.0;
-  uint64_t dist_evals = 0;
 };
 
-std::vector<SegmentEntry> CollectEntries(const Dataset& original) {
-  std::vector<SegmentEntry> entries;
-  SegmentHandle handle = 0;
-  for (const Trajectory& t : original.trajectories()) {
-    for (size_t i = 0; i < t.NumSegments(); ++i) {
-      entries.push_back(SegmentEntry{handle++, t.id(), t.SegmentAt(i)});
+/// Interleaves the low 16 bits of v with zeros (bit i -> bit 2i).
+uint32_t SpreadBits(uint32_t v) {
+  v &= 0xffffu;
+  v = (v | (v << 8)) & 0x00ff00ffu;
+  v = (v | (v << 4)) & 0x0f0f0f0fu;
+  v = (v | (v << 2)) & 0x33333333u;
+  v = (v | (v << 1)) & 0x55555555u;
+  return v;
+}
+
+/// Z-order key of a segment's midpoint on a 2^16 x 2^16 lattice over
+/// `region`.
+uint32_t MortonKey(const Segment& s, const BBox& region) {
+  const auto lattice = [](double v, double lo, double span) {
+    const double f = span > 0.0 ? (v - lo) / span : 0.0;
+    return static_cast<uint32_t>(std::clamp(f, 0.0, 1.0) * 65535.0);
+  };
+  const uint32_t x =
+      lattice(0.5 * (s.a.x + s.b.x), region.min_x, region.Width());
+  const uint32_t y =
+      lattice(0.5 * (s.a.y + s.b.y), region.min_y, region.Height());
+  return SpreadBits(x) | (SpreadBits(y) << 1);
+}
+
+/// Index entries for every segment of `original`, with handles numbered
+/// in input order but stored in Morton order of the segment midpoints, so
+/// the residents of a cell — and with them each 8-lane block — are
+/// spatially tight and block skipping prunes well. Only (key, handle)
+/// pairs are sorted; the entries are materialized once, already in order.
+/// Sets `*region` to the box of all segment endpoints.
+std::vector<SegmentEntry> CollectEntries(const Dataset& original,
+                                         BBox* region) {
+  const std::vector<Trajectory>& trajs = original.trajectories();
+  // first[t]: handle of trajectory t's first segment; first.back(): total.
+  std::vector<uint64_t> first(trajs.size() + 1, 0);
+  *region = BBox::Empty();
+  for (size_t t = 0; t < trajs.size(); ++t) {
+    const size_t segments = trajs[t].NumSegments();
+    first[t + 1] = first[t] + segments;
+    for (size_t i = 0; i < segments; ++i) {
+      const Segment s = trajs[t].SegmentAt(i);
+      region->Extend(s.a);
+      region->Extend(s.b);
     }
+  }
+  // (key << 32 | handle): one integer sort orders by key, then input
+  // order. Handles fit 32 bits (2^32 segments would be ~200 GB of input).
+  std::vector<uint64_t> order;
+  order.reserve(first.back());
+  for (size_t t = 0; t < trajs.size(); ++t) {
+    for (size_t i = 0; i < trajs[t].NumSegments(); ++i) {
+      const uint64_t key = MortonKey(trajs[t].SegmentAt(i), *region);
+      order.push_back((key << 32) | (first[t] + i));
+    }
+  }
+  std::sort(order.begin(), order.end());
+
+  std::vector<SegmentEntry> entries;
+  entries.reserve(order.size());
+  for (const uint64_t key : order) {
+    const SegmentHandle handle = key & 0xffffffffu;
+    const size_t t = static_cast<size_t>(
+        std::upper_bound(first.begin(), first.end(), handle) -
+        first.begin() - 1);
+    entries.push_back(SegmentEntry{
+        handle, trajs[t].id(), trajs[t].SegmentAt(handle - first[t])});
   }
   return entries;
 }
@@ -58,20 +115,20 @@ WindowAuditReport RunWindowAudit(const Dataset& original,
                                  const WindowAuditConfig& config,
                                  WorkStealingPool* pool) {
   WindowAuditReport report;
-  report.shared_index = config.shared_index;
   if (!config.enabled || original.empty() || published.empty()) {
     return report;
   }
 
-  const std::vector<SegmentEntry> entries = CollectEntries(original);
+  // One build, every worker reads it through its own context.
+  Stopwatch build_watch;
+  BBox region;
+  const std::vector<SegmentEntry> entries = CollectEntries(original, &region);
   if (entries.empty()) return report;
-
-  BBox region = BBox::Empty();
-  for (const SegmentEntry& e : entries) {
-    region.Extend(e.geom.a);
-    region.Extend(e.geom.b);
-  }
-  const GridSpec grid(region, config.index_levels);
+  std::unique_ptr<SegmentIndex> index =
+      MakeSegmentIndex(config.strategy, GridSpec(region, config.index_levels));
+  const Status built = index->Build(Span<const SegmentEntry>(entries));
+  report.build_seconds = build_watch.ElapsedSeconds();
+  if (!built.ok()) return report;
 
   // Fixed range split (independent of worker count): contiguous
   // trajectory ranges, remainder spread over the leading ranges.
@@ -81,63 +138,26 @@ WindowAuditReport RunWindowAudit(const Dataset& original,
   std::vector<RangePartial> partials(ranges);
   const size_t base = n / ranges;
   const size_t extra = n % ranges;
-  const auto range_bounds = [&](size_t r) {
+  const auto range_task = [&](size_t r) {
     const size_t begin = r * base + std::min(r, extra);
     const size_t end = begin + base + (r < extra ? 1 : 0);
-    return std::pair<size_t, size_t>(begin, end);
+    SearchContext ctx;
+    SweepRange(published, begin, end, *index, &ctx, &partials[r]);
   };
-
-  if (config.shared_index) {
-    // One build, every worker reads it through its own context.
-    Stopwatch build_watch;
-    std::unique_ptr<SegmentIndex> index =
-        MakeSegmentIndex(config.strategy, grid);
-    const Status built = index->Build(Span<const SegmentEntry>(entries));
-    report.build_seconds = build_watch.ElapsedSeconds();
-    if (!built.ok()) return report;
-    report.index_builds = 1;
-    const auto range_task = [&](size_t r) {
-      SearchContext ctx;
-      const auto [begin, end] = range_bounds(r);
-      SweepRange(published, begin, end, *index, &ctx, &partials[r]);
-    };
-    if (pool != nullptr) {
-      pool->Run(ranges, range_task);
-    } else {
-      for (size_t r = 0; r < ranges; ++r) range_task(r);
-    }
-    report.distance_evaluations = index->distance_evaluations();
+  if (pool != nullptr) {
+    pool->Run(ranges, range_task);
   } else {
-    // A/B baseline: every range rebuilds the same index privately.
-    const auto range_task = [&](size_t r) {
-      Stopwatch build_watch;
-      std::unique_ptr<SegmentIndex> index =
-          MakeSegmentIndex(config.strategy, grid);
-      const Status built = index->Build(Span<const SegmentEntry>(entries));
-      partials[r].build_seconds = build_watch.ElapsedSeconds();
-      if (!built.ok()) return;
-      SearchContext ctx;
-      const auto [begin, end] = range_bounds(r);
-      SweepRange(published, begin, end, *index, &ctx, &partials[r]);
-      partials[r].dist_evals = index->distance_evaluations();
-    };
-    if (pool != nullptr) {
-      pool->Run(ranges, range_task);
-    } else {
-      for (size_t r = 0; r < ranges; ++r) range_task(r);
-    }
-    report.index_builds = static_cast<int>(ranges);
+    for (size_t r = 0; r < ranges; ++r) range_task(r);
   }
 
   // Fixed-order merge: every aggregate below is independent of worker
-  // scheduling, so shared and private runs report identical displacement.
+  // scheduling.
   report.ran = true;
+  report.distance_evaluations = index->distance_evaluations();
   for (const RangePartial& p : partials) {
     report.points_audited += p.points;
     report.mean_displacement += p.sum;
     report.max_displacement = std::max(report.max_displacement, p.max);
-    report.build_seconds += p.build_seconds;
-    report.distance_evaluations += p.dist_evals;
   }
   if (report.points_audited > 0) {
     report.mean_displacement /= static_cast<double>(report.points_audited);

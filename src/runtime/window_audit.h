@@ -12,11 +12,14 @@
 // pool out over it — the published trajectories are split into fixed
 // ranges, each worker sweeps ranges with its own SearchContext against the
 // one shared index, and per-range partial aggregates are merged in range
-// order. The alternative it replaces (and which --no-shared-index restores
-// for A/B measurement) builds one private index per range: R builds of the
-// same N segments instead of 1. Both modes are bit-identical per point —
-// the indexes have identical contents and searches are deterministic — so
-// the A/B isolates the build cost and the memory-sharing benefit.
+// order.
+//
+// The index is bulk-built from entries stored in Morton (Z-order) order of
+// their segment midpoints, so each cell's 8-lane blocks are spatially
+// tight and the grid's block skipping (index/README.md) prunes most of the
+// coarse cells every query visits. Reordering cannot change the report:
+// the audit sums k=1 distances, and the minimum distance does not depend
+// on which of several tied segments wins. Only distance_evaluations moves.
 
 #ifndef FRT_RUNTIME_WINDOW_AUDIT_H_
 #define FRT_RUNTIME_WINDOW_AUDIT_H_
@@ -34,10 +37,6 @@ struct WindowAuditConfig {
   /// Audits run only when enabled (they cost one index build plus one
   /// k=1 query per published point).
   bool enabled = false;
-  /// One index shared by every worker (default) vs a private rebuild per
-  /// range (the A/B baseline). Published output is bit-identical either
-  /// way.
-  bool shared_index = true;
   /// kNN strategy of the audit index.
   SearchStrategy strategy = SearchStrategy::kBottomUpDown;
   /// Dyadic levels of the audit index grid (512x512 finest by default).
@@ -48,24 +47,21 @@ struct WindowAuditConfig {
   int ranges = 8;
 };
 
-/// Aggregates of one audit run. All fields are deterministic given the two
-/// datasets and the config — independent of thread count and of
-/// shared_index (except index_builds / build_seconds, which are exactly
-/// what the A/B measures).
+/// Aggregates of one audit run. All fields except build_seconds are
+/// deterministic given the two datasets and the config — independent of
+/// thread count.
 struct WindowAuditReport {
   bool ran = false;
-  bool shared_index = true;
   /// Published points measured (sum over trajectories of size()).
   uint64_t points_audited = 0;
-  /// Index constructions: 1 in shared mode, #ranges in private mode.
-  int index_builds = 0;
-  /// Wall seconds spent constructing indexes (summed across builds).
+  /// Wall seconds spent collecting, ordering and indexing the original
+  /// segments.
   double build_seconds = 0.0;
   /// Mean / max distance from a published point to the nearest original
   /// segment (meters in the paper's datasets). 0 when no points audited.
   double mean_displacement = 0.0;
   double max_displacement = 0.0;
-  /// Exact distance evaluations summed over every audit index.
+  /// Exact distance evaluations of the audit's queries.
   uint64_t distance_evaluations = 0;
 };
 

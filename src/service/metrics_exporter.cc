@@ -94,8 +94,19 @@ void MetricsExporter::Stop() {
 }
 
 void MetricsExporter::SetIntervalMs(int64_t ms) {
-  interval_ms_.store(std::max<int64_t>(ms, 1), std::memory_order_relaxed);
+  {
+    // Under mu_ so the generation bump cannot slip between the loop's
+    // predicate check and its wait (a lost wake-up).
+    std::lock_guard<std::mutex> lock(mu_);
+    interval_ms_.store(std::max<int64_t>(ms, 1), std::memory_order_relaxed);
+    ++interval_generation_;
+  }
   cv_.notify_all();
+}
+
+size_t MetricsExporter::waits_begun() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return waits_begun_;
 }
 
 size_t MetricsExporter::lines_written() const {
@@ -107,10 +118,16 @@ void MetricsExporter::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     // Re-read every iteration: /control may retune the cadence mid-run.
+    // A retune wakes the wait and restarts it with the new interval.
     const auto interval = std::chrono::milliseconds(
         interval_ms_.load(std::memory_order_relaxed));
-    cv_.wait_for(lock, interval, [this] { return stop_; });
+    const uint64_t generation = interval_generation_;
+    ++waits_begun_;
+    const bool woken = cv_.wait_for(lock, interval, [&] {
+      return stop_ || interval_generation_ != generation;
+    });
     if (stop_) return;  // the final line is emitted by Stop(), post-join
+    if (woken) continue;  // retuned: wait out the new interval instead
     if (has_snapshot_ && writable_) {
       // Copy under the lock, format/write outside it: a slow disk never
       // blocks Publish().

@@ -161,8 +161,8 @@ class MetricsExporter {
   }
 
   /// \brief Changes the emission interval at runtime (admin /control).
-  /// Takes effect after the wait already in progress — at most one stale
-  /// interval.
+  /// Cuts the wait in progress short: the next line comes one new
+  /// interval after the retune, not at the old deadline.
   void SetIntervalMs(int64_t ms);
 
   /// Whether per-feed `frt_feed` lines are emitted — publishers may skip
@@ -175,6 +175,10 @@ class MetricsExporter {
 
   /// Lines written so far (tests).
   size_t lines_written() const;
+
+  /// Interval waits the exporter thread has entered (tests: once this is
+  /// positive, the thread is asleep on — or past — its first interval).
+  size_t waits_begun() const;
 
  private:
   void Loop();
@@ -194,6 +198,8 @@ class MetricsExporter {
   MetricsSnapshot latest_;
   bool has_snapshot_ = false;
   bool stop_ = false;
+  uint64_t interval_generation_ = 0;  ///< bumped by SetIntervalMs
+  size_t waits_begun_ = 0;
   bool writable_ = true;  ///< cleared after the first write error
   size_t lines_written_ = 0;
 

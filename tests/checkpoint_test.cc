@@ -534,6 +534,13 @@ TEST(MetricsExporterTest, SetIntervalMsRetunesTheCadence) {
   MetricsSnapshot snapshot;
   snapshot.seq = 1;
   exporter.Publish(snapshot);
+  // Wait until the exporter thread is asleep on the 60 s interval, so the
+  // retune below always lands mid-wait (the case a lost wake-up breaks):
+  // waits_begun is bumped under the lock the wait then releases, and
+  // SetIntervalMs takes that lock.
+  while (exporter.waits_begun() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // Retune from one-a-minute to 5 ms: the sleeping loop must pick the
   // new cadence up and start emitting well before the old deadline.
   exporter.SetIntervalMs(5);

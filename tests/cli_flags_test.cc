@@ -77,29 +77,23 @@ TEST(CliFlagsTest, PipelineFlagsErrorInsteadOfSilentZero) {
   EXPECT_EQ(args.epsilon_global, 0.75);
 }
 
-TEST(CliFlagsTest, SharedIndexFlagPairTogglesAndPropagates) {
+TEST(CliFlagsTest, StreamConfigAlwaysRunsTheSharedIndexAudit) {
+  // The audit has one path (one shared index build); the former A/B
+  // switches are no longer pipeline flags.
   PipelineArgs args;
-  EXPECT_TRUE(args.shared_index);  // shared is the default
   EXPECT_EQ(ParseOne(ParsePipelineFlag, "--no-shared-index", "", &args),
-            FlagParse::kConsumed);
-  EXPECT_FALSE(args.shared_index);
+            FlagParse::kNotMine);
   EXPECT_EQ(ParseOne(ParsePipelineFlag, "--shared-index", "", &args),
-            FlagParse::kConsumed);
-  EXPECT_TRUE(args.shared_index);
+            FlagParse::kNotMine);
 
-  // The choice reaches the streaming batch config's window audit.
   FrequencyRandomizerConfig pipeline;
   ASSERT_TRUE(MakePipelineConfig(args, &pipeline));
   StreamArgs stream;
   StreamRunnerConfig stream_config;
-  args.shared_index = false;
   ASSERT_TRUE(MakeStreamConfig(stream, args, pipeline, &stream_config));
   EXPECT_TRUE(stream_config.batch.audit.enabled);
-  EXPECT_FALSE(stream_config.batch.audit.shared_index);
+  EXPECT_EQ(stream_config.batch.audit.strategy, pipeline.strategy);
   EXPECT_EQ(stream_config.batch.audit.index_levels, pipeline.index_levels);
-  args.shared_index = true;
-  ASSERT_TRUE(MakeStreamConfig(stream, args, pipeline, &stream_config));
-  EXPECT_TRUE(stream_config.batch.audit.shared_index);
 }
 
 TEST(CliFlagsTest, StreamFlagsErrorInsteadOfSilentZero) {

@@ -156,8 +156,8 @@ TEST_P(ConcurrentReaderTest, SharedIndexMatchesSerialBitIdentical) {
 }
 
 // Threads reading the shared index produce the same bits as threads that
-// each build a private copy — the shared-vs-private A/B the runtime's
-// window audit (and --no-shared-index) relies on.
+// each build a private copy — why the runtime's window audit builds its
+// index once and shares it.
 TEST_P(ConcurrentReaderTest, SharedMatchesPrivateCopies) {
   const auto entries = RandomEntries(3000, 31);
   const auto queries = RandomQueries(240, 37);

@@ -101,10 +101,6 @@ struct PipelineArgs {
   uint64_t seed = 42;
   int shards = 1;
   unsigned threads = 0;
-  /// One window-audit index shared by all workers (concurrent read-only
-  /// searches) vs a private rebuild per worker range. Output is
-  /// bit-identical either way; --no-shared-index exists for A/B timing.
-  bool shared_index = true;
 };
 
 /// Outcome of offering one argv slot to the shared parser.
@@ -172,10 +168,6 @@ inline FlagParse ParsePipelineFlag(int argc, char** argv, int* i,
       return FlagParse::kError;
     }
     args->threads = static_cast<unsigned>(threads);
-  } else if (std::strcmp(flag, "--shared-index") == 0) {
-    args->shared_index = true;
-  } else if (std::strcmp(flag, "--no-shared-index") == 0) {
-    args->shared_index = false;
   } else {
     return FlagParse::kNotMine;
   }
@@ -218,15 +210,7 @@ inline const char* PipelineUsageText() {
       "  --shards K           dataset partitions anonymized independently "
       "(default 1)\n"
       "  --threads N          worker threads; 0 = hardware concurrency "
-      "(default 0)\n"
-      "  --shared-index       window audit shares one segment index "
-      "across all\n"
-      "                       workers via concurrent read-only searches "
-      "(default)\n"
-      "  --no-shared-index    window audit rebuilds a private index per "
-      "worker\n"
-      "                       range (A/B baseline; same output, more "
-      "build work)\n";
+      "(default 0)\n";
 }
 
 // ---- Streaming flags (frt_stream; shared here so future streaming tools
@@ -356,7 +340,6 @@ inline bool MakeStreamConfig(const StreamArgs& args,
                                ? ShardDispatch::kStatic
                                : ShardDispatch::kWorkStealing;
   config->batch.audit.enabled = true;
-  config->batch.audit.shared_index = pipeline_args.shared_index;
   config->batch.audit.strategy = pipeline.strategy;
   config->batch.audit.index_levels = pipeline.index_levels;
   return true;
@@ -364,12 +347,13 @@ inline bool MakeStreamConfig(const StreamArgs& args,
 
 /// One-line per-run summary of a window audit, for the tools' stderr
 /// reports ("displacement" = published point to nearest original segment).
+/// The audit always shares one index build; the line keeps its
+/// "shared-index=on builds=1" fields so log parsers see a stable format.
 inline void PrintAuditReport(const WindowAuditReport& audit) {
   if (!audit.ran) return;
   std::fprintf(stderr,
-               "audit: shared-index=%s builds=%d build=%.3fs points=%llu "
+               "audit: shared-index=on builds=1 build=%.3fs points=%llu "
                "displacement mean/max %.3f/%.3f\n",
-               audit.shared_index ? "on" : "off", audit.index_builds,
                audit.build_seconds,
                static_cast<unsigned long long>(audit.points_audited),
                audit.mean_displacement, audit.max_displacement);

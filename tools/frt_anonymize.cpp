@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
   frt::RandomizerReport report;
   frt::WindowAuditConfig audit_config;
   audit_config.enabled = true;
-  audit_config.shared_index = args.pipeline.shared_index;
   audit_config.strategy = config.strategy;
   audit_config.index_levels = config.index_levels;
   if (args.pipeline.shards > 1) {

@@ -383,6 +383,10 @@ frt::Status IngestMultiFeedCsv(std::istream& in,
 
 int main(int argc, char** argv) {
   std::ios::sync_with_stdio(false);
+  // cin is tied to cout by default, so every read on the ingest thread
+  // would flush cout — racing the dispatcher writing published rows to it
+  // (--feeds - --output -) and tearing rows.
+  std::cin.tie(nullptr);
   // A peer vanishing mid-write must surface as an I/O error on that one
   // connection, never a process-wide SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);

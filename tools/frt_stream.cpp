@@ -151,6 +151,9 @@ int main(int argc, char** argv) {
   // Unsynced iostreams: with C-stdio sync on, cin's streambuf never
   // buffers, which degrades the incremental reader to byte-sized refills.
   std::ios::sync_with_stdio(false);
+  // Untied: the ingest thread reading cin must not flush cout while the
+  // publisher writes rows to it (--input - --output -).
+  std::cin.tie(nullptr);
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     Usage(argv[0]);
