@@ -1,22 +1,12 @@
-// bench_stream — streaming runtime study in two parts.
+// bench_stream — streaming runtime study in two parts, both on a one-feed
+// ServiceDispatcher: the configuration frt_stream runs.
 //
-// Part 1, dispatch A/B: static stride assignment (ParallelFor) vs the
-// work-stealing pool on a skewed-shard workload. The skew pattern is the
-// stride-resonance pathology work stealing exists to fix: one heavy shard
-// per fixed-size group (think "the downtown partition of every window"),
-// so with W workers and a heavy period sharing a divisor with W, static
-// dispatch piles several heavy shards onto one worker while the rest idle.
-// Work stealing re-balances at runtime and should win >= 1.3x. Shard
-// durations are emulated with timed sleeps, which isolates the scheduling
-// policy and makes the A/B machine-independent (a CPU-spin variant would
-// additionally need >= W free cores to show the same gap).
-//
-// Part 2, streaming throughput/latency: the full ingest -> window ->
+// Part 1, streaming throughput/latency: the full ingest -> window ->
 // anonymize -> emit service over an in-memory CSV feed, reporting
-// windows/s, trajectories/s, and per-window latency for both dispatch
-// policies.
+// windows/s, trajectories/s, and per-window latency. Each window's shards
+// and audit fan out over the service's shared pool.
 //
-// Part 3, budget-accountant A/B: wholesale ledger vs per-object ledgers on
+// Part 2, budget-accountant A/B: wholesale ledger vs per-object ledgers on
 // a feed whose object-ids recycle. With an identical feed, budget, and
 // seed, the wholesale ledger bills every window against one sum and runs
 // dry after budget/(eps_G+eps_L) windows; the per-object accountant caps
@@ -26,30 +16,24 @@
 //
 //   FRT_SCALE=full  -> 10,000-trajectory feed (default 2,000).
 //   FRT_SEED=<n>    -> master seed (default 42).
-//   FRT_THREADS=<n> -> worker threads for all parts (default 6).
+//   FRT_THREADS=<n> -> pool workers for both parts (default 6).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/parallel.h"
 #include "common/stopwatch.h"
-#include "runtime/work_stealing_pool.h"
+#include "service/dispatcher.h"
 #include "stream/ingest.h"
-#include "stream/stream_runner.h"
 #include "traj/io.h"
 
 namespace {
 
-// Workers for the part-1 scheduler study. Default 6: a worker count with a
-// common factor with the heavy-shard period (8) is the realistic bad case
-// for striding, and sleep-emulated shards do not need a core each.
+// Pool workers for both parts.
 unsigned StudyThreads() {
   const char* env = std::getenv("FRT_THREADS");
   if (env != nullptr) {
@@ -59,18 +43,35 @@ unsigned StudyThreads() {
   return 6;
 }
 
-// Emulates a shard that takes `ms` of wall time.
-void EmulateShard(double ms) {
-  std::this_thread::sleep_for(
-      std::chrono::microseconds(static_cast<long long>(ms * 1e3)));
-}
-
 double MedianSeconds(std::vector<double>& runs) {
   std::sort(runs.begin(), runs.end());
   return runs[runs.size() / 2];
 }
 
-// Part-3 feed: `arrivals` trajectories whose ids recycle modulo
+/// Streams `csv` through a one-feed dispatcher (feed "stream") the way
+/// frt_stream does; `sink` sees every published window. Returns the
+/// service report, or the first error.
+frt::Result<frt::ServiceReport> RunOneFeed(const frt::StreamConfig& stream,
+                                           unsigned threads,
+                                           const std::string& csv,
+                                           uint64_t seed,
+                                           frt::ServiceSink sink) {
+  frt::ServiceConfig config;
+  config.stream = stream;
+  config.pool_threads = threads;
+  config.arrival_queue_capacity = 2 * stream.window_size;
+  config.max_backlog_windows = 1;
+  frt::ServiceDispatcher service(config, std::move(sink));
+  FRT_RETURN_IF_ERROR(service.Start(seed));
+  std::istringstream in(csv);
+  frt::TrajectoryReader reader(in);
+  const frt::Status ingest = frt::OfferFeed(reader, "stream", service);
+  FRT_RETURN_IF_ERROR(service.Finish());
+  FRT_RETURN_IF_ERROR(ingest);
+  return service.report();
+}
+
+// Part-2 feed: `arrivals` trajectories whose ids recycle modulo
 // `distinct_ids`, so every object reappears arrivals/distinct_ids times
 // across the stream — the reappearance pattern that separates wholesale
 // from per-object accounting. Ids stay unique within any window of up to
@@ -102,46 +103,10 @@ int main() {
   const unsigned threads = StudyThreads();
 
   // ---------------------------------------------------------------- Part 1
-  // 64 shard-sized tasks, one heavy shard per group of 8. Durations are
-  // fixed, so static assignment (task i -> worker i % W) is reproducible.
-  const size_t kTasks = 64;
-  const double kHeavyMs = full ? 40.0 : 12.0;
-  const double kLightMs = full ? 2.0 : 0.6;
-  std::vector<double> duration_ms(kTasks);
-  for (size_t i = 0; i < kTasks; ++i) {
-    duration_ms[i] = (i % 8 == 0) ? kHeavyMs : kLightMs;
-  }
-  const auto task = [&](size_t i) { EmulateShard(duration_ms[i]); };
-
-  std::printf("bench_stream part 1: dispatch A/B, %zu emulated shards "
-              "(heavy %.1f ms every 8th, light %.1f ms), %u workers\n",
-              kTasks, kHeavyMs, kLightMs, threads);
-
-  const int kReps = 5;
-  std::vector<double> static_runs, steal_runs;
-  frt::WorkStealingPool pool(threads);
-  for (int rep = 0; rep < kReps; ++rep) {
-    frt::Stopwatch w1;
-    frt::ParallelFor(kTasks, task, threads);
-    static_runs.push_back(w1.ElapsedSeconds());
-    frt::Stopwatch w2;
-    pool.Run(kTasks, task);
-    steal_runs.push_back(w2.ElapsedSeconds());
-  }
-  const double static_s = MedianSeconds(static_runs);
-  const double steal_s = MedianSeconds(steal_runs);
-  const double speedup = steal_s > 0.0 ? static_s / steal_s : 0.0;
-  std::printf("  static dispatch (ParallelFor): %7.3f s median\n", static_s);
-  std::printf("  work stealing   (pool)       : %7.3f s median\n", steal_s);
-  std::printf("  work-stealing speedup on skewed shards: %.2fx %s\n\n",
-              speedup, speedup >= 1.3 ? "(>= 1.3x target met)"
-                                      : "(below 1.3x target)");
-
-  // ---------------------------------------------------------------- Part 2
   const int num_taxis = full ? 10000 : 2000;
   const size_t window = full ? 1000 : 250;
-  std::printf("bench_stream part 2: streaming service, |D|=%d, window=%zu, "
-              "shards=16, %u threads\n",
+  std::printf("bench_stream part 1: streaming service, |D|=%d, window=%zu, "
+              "shards=16, %u pool workers\n",
               num_taxis, window, threads);
 
   frt::Stopwatch gen_watch;
@@ -156,62 +121,55 @@ int main() {
               static_cast<double>(csv.str().size()) / 1e6,
               gen_watch.ElapsedSeconds());
 
-  std::printf("\n%10s %10s %10s %12s %14s %16s\n", "dispatch", "wall_s",
-              "windows", "windows/s", "trajs/s",
-              "win_lat med/max s");
-  for (const frt::ShardDispatch dispatch :
-       {frt::ShardDispatch::kStatic, frt::ShardDispatch::kWorkStealing}) {
-    std::istringstream in(csv.str());
-    frt::TrajectoryReader reader(in);
-    frt::StreamRunnerConfig config;
+  std::printf("\n%10s %10s %12s %14s %16s\n", "wall_s", "windows",
+              "windows/s", "trajs/s", "win_lat med/max s");
+  {
+    frt::StreamConfig config;
     config.window_size = window;
     config.batch.shards = 16;
-    config.batch.threads = threads;
-    config.batch.dispatch = dispatch;
     config.batch.pipeline.m = 5;
-    frt::StreamRunner runner(config);
-    frt::Rng rng(seed);
     std::vector<double> latencies;
-    auto sink = [&](const frt::Dataset&,
+    auto sink = [&](const std::string&, const frt::Dataset&,
                     const frt::WindowReport& w) -> frt::Status {
       latencies.push_back(w.batch.wall_seconds);
       return frt::Status::OK();
     };
-    if (auto st = runner.Run(reader, sink, rng); !st.ok()) {
-      std::fprintf(stderr, "stream run failed: %s\n", st.ToString().c_str());
+    auto report = RunOneFeed(config, threads, csv.str(), seed, sink);
+    if (!report.ok()) {
+      std::fprintf(stderr, "stream run failed: %s\n",
+                   report.status().ToString().c_str());
       return 1;
     }
-    const frt::StreamReport& report = runner.report();
     const double med = latencies.empty() ? 0.0 : MedianSeconds(latencies);
     const double worst =
         latencies.empty() ? 0.0
                           : *std::max_element(latencies.begin(),
                                               latencies.end());
-    std::printf("%10s %10.2f %10zu %12.2f %14.0f %8.3f/%.3f\n",
-                dispatch == frt::ShardDispatch::kStatic ? "static" : "steal",
-                report.wall_seconds, report.windows_published,
-                report.wall_seconds > 0.0
-                    ? static_cast<double>(report.windows_published) /
-                          report.wall_seconds
-                    : 0.0,
-                report.wall_seconds > 0.0
-                    ? static_cast<double>(report.trajectories_published) /
-                          report.wall_seconds
+    const double wall = report->wall_seconds;
+    std::printf("%10.2f %10zu %12.2f %14.0f %8.3f/%.3f\n", wall,
+                report->windows_published,
+                wall > 0.0 ? static_cast<double>(report->windows_published) /
+                                 wall
+                           : 0.0,
+                wall > 0.0
+                    ? static_cast<double>(report->trajectories_published) /
+                          wall
                     : 0.0,
                 med, worst);
   }
-  std::printf("\nwindows publish incrementally under a shared "
-              "work-stealing pool; the cross-window ledger composes "
-              "sequentially (here unbounded, so nothing was refused).\n");
+  std::printf("\nwindows publish incrementally; each fans its shards out "
+              "over the service's shared pool, and the cross-window ledger "
+              "composes sequentially (here unbounded, so nothing was "
+              "refused).\n");
 
-  // ---------------------------------------------------------------- Part 3
+  // ---------------------------------------------------------------- Part 2
   const int ab_arrivals = full ? 8000 : 2000;
   const int ab_distinct = full ? 2000 : 500;
   const size_t ab_window = full ? 1000 : 250;
   const double ab_budget = 6.0;  // per-window eps is 1.0 (0.5 + 0.5)
   const size_t ab_total_windows =
       static_cast<size_t>(ab_arrivals) / ab_window;
-  std::printf("\nbench_stream part 3: accountant A/B, %d arrivals over %d "
+  std::printf("\nbench_stream part 2: accountant A/B, %d arrivals over %d "
               "distinct object-ids (each reappears %dx), window=%zu, "
               "budget=%.1f, eps 1.0/window\n",
               ab_arrivals, ab_distinct, ab_arrivals / ab_distinct, ab_window,
@@ -226,9 +184,7 @@ int main() {
   for (const frt::BudgetAccounting accounting :
        {frt::BudgetAccounting::kWholesale,
         frt::BudgetAccounting::kPerObject}) {
-    std::istringstream in(ab_csv);
-    frt::TrajectoryReader reader(in);
-    frt::StreamRunnerConfig config;
+    frt::StreamConfig config;
     config.window_size = ab_window;
     config.accounting = accounting;
     if (accounting == frt::BudgetAccounting::kWholesale) {
@@ -237,28 +193,26 @@ int main() {
       config.per_object_budget = ab_budget;
     }
     config.batch.shards = 4;
-    config.batch.threads = threads;
     config.batch.pipeline.m = 3;
-    frt::StreamRunner runner(config);
-    frt::Rng rng(seed);
-    auto sink = [](const frt::Dataset&,
+    auto sink = [](const std::string&, const frt::Dataset&,
                    const frt::WindowReport&) -> frt::Status {
       return frt::Status::OK();
     };
-    if (auto st = runner.Run(reader, sink, rng); !st.ok()) {
-      std::fprintf(stderr, "A/B run failed: %s\n", st.ToString().c_str());
+    auto service_report = RunOneFeed(config, threads, ab_csv, seed, sink);
+    if (!service_report.ok()) {
+      std::fprintf(stderr, "A/B run failed: %s\n",
+                   service_report.status().ToString().c_str());
       return 1;
     }
-    const frt::StreamReport& report = runner.report();
+    const frt::StreamReport& report =
+        service_report->feeds_report.front().stream;
     const bool per_object = accounting == frt::BudgetAccounting::kPerObject;
     (per_object ? per_object_published : wholesale_published) =
         report.windows_published;
     std::printf("%12s %10zu %10zu %12zu %14.2f %12.2f\n",
                 per_object ? "per-object" : "wholesale",
                 report.windows_published, report.windows_refused,
-                report.trajectories_published,
-                per_object ? runner.object_accountant().max_spent()
-                           : report.epsilon_spent,
+                report.trajectories_published, report.epsilon_spent,
                 report.epsilon_wholesale_equivalent);
   }
   std::printf("\nper-object accounting published %zu of %zu windows vs "

@@ -50,8 +50,10 @@
 
 // Streaming runtime (windowed ingest-to-publish service)
 #include "common/bounded_queue.h"
+#include "service/dispatcher.h"
 #include "stream/ingest.h"
-#include "stream/stream_runner.h"
+#include "stream/stream_types.h"
+#include "stream/window_assembler.h"
 
 // Baselines
 #include "baselines/adatrace.h"

@@ -13,8 +13,9 @@
 //     mismatch, EOF mid-frame, disconnect without a kBye) mean the byte
 //     stream can no longer be trusted. The connection is torn down and
 //     every feed it had delivered is reported through QuarantineFn — the
-//     service quarantines those feeds (drops their backlog, refuses further
-//     arrivals) but keeps serving everyone else.
+//     service quarantines those feeds (their output stops at the fault:
+//     windows closed before it publish, the partial window is dropped,
+//     further arrivals are refused) but keeps serving everyone else.
 //   - Semantic faults (a CRC-clean kTrajectory payload that fails strict
 //     decoding) leave the stream aligned: only the feed named in the
 //     payload is quarantined and the connection keeps going. When even the

@@ -24,7 +24,8 @@ static_assert(sizeof(PackedEvent) == kSlotWords * sizeof(uint64_t),
 
 void CopyTruncated(char* dst, size_t cap, std::string_view src) {
   const size_t n = std::min(cap - 1, src.size());
-  std::memcpy(dst, src.data(), n);
+  // An empty view may carry a null data(), which memcpy must not see.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 
 namespace frt {
@@ -43,7 +42,7 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
   }
 
   // Per-shard result slots; written by distinct indices only, so the output
-  // is identical under either dispatch policy and any worker count.
+  // is identical at any worker count.
   std::vector<Result<Dataset>> shard_outputs(
       k, Result<Dataset>(Status::Internal("shard not executed")));
   std::vector<RandomizerReport> shard_reports(k);
@@ -58,8 +57,6 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
   };
   if (k == 1) {
     shard_task(0);  // no pool or thread spawn for a single shard
-  } else if (config_.dispatch == ShardDispatch::kStatic) {
-    ParallelFor(k, shard_task, config_.threads);
   } else if (config_.pool != nullptr) {
     config_.pool->Run(k, shard_task);
   } else {
@@ -109,10 +106,7 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
   if (config_.audit.enabled) {
     // The audit is read-only over (input, merged); it reuses the shared
     // pool when one is attached, else runs its ranges on this thread.
-    report_.audit = RunWindowAudit(input, merged, config_.audit,
-                                   config_.dispatch == ShardDispatch::kWorkStealing
-                                       ? config_.pool
-                                       : nullptr);
+    report_.audit = RunWindowAudit(input, merged, config_.audit, config_.pool);
   }
   report_.wall_seconds = wall.ElapsedSeconds();
   return merged;

@@ -33,34 +33,22 @@
 
 namespace frt {
 
-/// How shards are assigned to worker threads.
-enum class ShardDispatch {
-  /// Dynamic assignment via WorkStealingPool: idle workers steal queued
-  /// shards, so a skewed shard no longer serializes the tail of the batch.
-  kWorkStealing,
-  /// Static stride assignment (shard i on worker i % threads) via
-  /// ParallelFor. Kept for A/B measurement in bench_stream.
-  kStatic,
-};
-
 /// Configuration of the batch runtime.
 struct BatchRunnerConfig {
   /// Pipeline applied to every shard.
   FrequencyRandomizerConfig pipeline;
   /// Number of dataset partitions (clamped to [1, |D|]).
   int shards = 1;
-  /// Worker threads for shard execution; 0 means hardware concurrency.
+  /// Worker threads of the ephemeral per-call pool; 0 means hardware
+  /// concurrency. Ignored when `pool` is set.
   unsigned threads = 0;
-  /// Shard-to-thread assignment policy.
-  ShardDispatch dispatch = ShardDispatch::kWorkStealing;
   /// Optional externally owned pool reused across Anonymize calls (the
-  /// streaming runtime shares one pool across all windows). When null and
-  /// dispatch is kWorkStealing, an ephemeral pool is created per call.
-  /// Ignored under kStatic.
+  /// service shares one pool across all windows). When null, an ephemeral
+  /// pool is created per call.
   WorkStealingPool* pool = nullptr;
   /// Post-publish displacement audit (runtime/window_audit.h). When
   /// enabled, the batch builds one segment index over the window's input
-  /// and fans the pool out over it read-only.
+  /// and fans `pool` (when set) out over it read-only.
   WindowAuditConfig audit;
 };
 
@@ -84,7 +72,7 @@ struct BatchReport {
   /// accountant consumes this to charge exactly the ids a window released.
   std::vector<std::vector<TrajId>> shard_object_ids;
   /// Wall seconds of each shard's pipeline run, in shard order — the skew
-  /// profile that motivates work stealing.
+  /// profile the pool's dynamic index claiming absorbs.
   std::vector<double> shard_wall_seconds;
   /// Skew summary over shard_wall_seconds (all 0 when no shards ran).
   double shard_wall_min = 0.0;

@@ -1,20 +1,50 @@
 #include "runtime/work_stealing_pool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 
 #include "obs/trace.h"
 
 namespace frt {
 
+namespace {
+
+/// State of one Run call, shared by its caller and its helper tasks. A
+/// helper that starts after every index was claimed finds nothing to do
+/// and never dereferences `fn`, so the state may outlive the call.
+struct RunState {
+  const std::function<void(size_t)>* fn = nullptr;
+  size_t n = 0;
+  std::atomic<size_t> next{0};
+  std::atomic<size_t> done{0};
+  std::mutex mu;
+  std::condition_variable cv;
+};
+
+/// Claims and runs indices until none are left.
+void Drain(RunState& state) {
+  for (size_t i = state.next++; i < state.n; i = state.next++) {
+    (*state.fn)(i);
+    if (++state.done == state.n) {
+      std::lock_guard<std::mutex> lock(state.mu);
+      state.cv.notify_all();
+    }
+  }
+}
+
+}  // namespace
+
 WorkStealingPool::WorkStealingPool(unsigned num_threads) {
   num_workers_ =
       num_threads != 0 ? num_threads : std::thread::hardware_concurrency();
   if (num_workers_ == 0) num_workers_ = 1;
   if (num_workers_ == 1) return;  // inline execution, no threads
-  queues_.reserve(num_workers_);
+  idlers_.reserve(num_workers_);
   for (unsigned i = 0; i < num_workers_; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
+    idlers_.push_back(std::make_unique<Idler>());
   }
   threads_.reserve(num_workers_);
   for (unsigned i = 0; i < num_workers_; ++i) {
@@ -25,10 +55,10 @@ WorkStealingPool::WorkStealingPool(unsigned num_threads) {
 WorkStealingPool::~WorkStealingPool() {
   if (threads_.empty()) return;
   {
-    std::lock_guard<std::mutex> lock(run_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
+    WakeIdle(num_workers_);
   }
-  work_cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
@@ -38,104 +68,72 @@ void WorkStealingPool::Run(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Deal indices round-robin. No run is in flight, so the deques are idle;
-  // the locks are only taken to pair with the workers' accesses.
-  for (size_t i = 0; i < n; ++i) {
-    WorkerQueue& q = *queues_[i % num_workers_];
-    std::lock_guard<std::mutex> lock(q.mu);
-    q.tasks.push_back(i);
-  }
+  auto state = std::make_shared<RunState>();
+  state->fn = &fn;
+  state->n = n;
+  const size_t helpers = std::min<size_t>(n - 1, num_workers_);
   {
-    std::lock_guard<std::mutex> lock(run_mu_);
-    fn_ = &fn;
-    remaining_.store(n, std::memory_order_release);
-    ++epoch_;
+    std::lock_guard<std::mutex> lock(mu_);
+    // Ahead of queued jobs: finishing a started Run comes before
+    // starting new work.
+    for (size_t h = 0; h < helpers; ++h) {
+      tasks_.push_front([state] { Drain(*state); });
+    }
+    pending_ += helpers;
+    WakeIdle(helpers);
   }
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(run_mu_);
-  done_cv_.wait(lock, [this] {
-    return remaining_.load(std::memory_order_acquire) == 0 &&
-           active_workers_ == 0;
-  });
-  fn_ = nullptr;
+  Drain(*state);
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->cv.wait(lock, [&] { return state->done == n; });
 }
 
 void WorkStealingPool::Submit(std::function<void()> task) {
   if (threads_.empty()) {
-    // 1-worker pool: inline on the caller, matching Run's cost model.
-    task();
+    task();  // 1-worker pool: inline on the caller, like Run
     return;
   }
-  async_pending_.fetch_add(1, std::memory_order_acq_rel);
   {
-    std::lock_guard<std::mutex> lock(run_mu_);
-    async_.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
+    ++pending_;
+    WakeIdle(1);
   }
-  work_cv_.notify_one();
 }
 
 void WorkStealingPool::WaitIdle() {
-  if (threads_.empty()) return;
-  std::unique_lock<std::mutex> lock(run_mu_);
-  done_cv_.wait(lock, [this] {
-    return async_pending_.load(std::memory_order_acquire) == 0;
-  });
+  std::unique_lock<std::mutex> lock(mu_);
+  drained_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
-bool WorkStealingPool::TryAcquire(unsigned id, size_t* index) {
-  {
-    WorkerQueue& own = *queues_[id];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      *index = own.tasks.back();  // LIFO keeps the owner's cache warm
-      own.tasks.pop_back();
-      return true;
-    }
+void WorkStealingPool::WakeIdle(size_t n) {
+  for (; n > 0 && !idle_.empty(); --n) {
+    Idler& idler = *idlers_[idle_.back()];
+    idle_.pop_back();
+    idler.woken = true;
+    idler.cv.notify_one();
   }
-  for (unsigned step = 1; step < num_workers_; ++step) {
-    WorkerQueue& victim = *queues_[(id + step) % num_workers_];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      *index = victim.tasks.front();  // FIFO: steal the oldest, coldest task
-      victim.tasks.pop_front();
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::TraceEnabled()) {
-        // Instant marker: a steal has no meaningful duration, only a time.
-        const auto now = std::chrono::steady_clock::now();
-        obs::EmitSpan("steal", obs::SpanCategory::kPool, {}, now, now);
-      }
-      return true;
-    }
-  }
-  return false;
 }
 
 void WorkStealingPool::WorkerLoop(unsigned id) {
   obs::SetTraceThreadName("pool-worker-" + std::to_string(id));
-  uint64_t seen_epoch = 0;
   for (;;) {
-    std::function<void()> async_task;
-    const std::function<void(size_t)>* fn = nullptr;
+    std::function<void()> task;
     const bool tracing = obs::TraceEnabled();
     const auto idle_start = tracing ? std::chrono::steady_clock::now()
                                     : std::chrono::steady_clock::time_point{};
     {
-      std::unique_lock<std::mutex> lock(run_mu_);
-      work_cv_.wait(lock, [&] {
-        return shutdown_ || epoch_ != seen_epoch || !async_.empty();
-      });
-      if (!async_.empty()) {
-        // Submitted tasks drain first — including during shutdown, so the
-        // destructor never strands an accepted job.
-        async_task = std::move(async_.front());
-        async_.pop_front();
-      } else if (shutdown_) {
-        return;
-      } else {
-        seen_epoch = epoch_;
-        fn = fn_;
-        ++active_workers_;
+      std::unique_lock<std::mutex> lock(mu_);
+      Idler& idler = *idlers_[id];
+      while (!shutdown_ && tasks_.empty()) {
+        idle_.push_back(id);
+        idler.cv.wait(lock, [&] { return idler.woken; });
+        idler.woken = false;
       }
+      // Queued tasks drain before shutdown, so the destructor never
+      // strands an accepted job.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
     if (tracing && obs::TraceEnabled()) {
       // Only report waits long enough to matter; sub-10us wakeups would
@@ -146,41 +144,13 @@ void WorkStealingPool::WorkerLoop(unsigned id) {
                       idle_end);
       }
     }
-    if (async_task) {
-      {
-        obs::ScopedSpan task_span("pool_task", obs::SpanCategory::kPool);
-        async_task();
-      }
-      if (async_pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(run_mu_);
-        done_cv_.notify_all();
-      }
-      continue;
-    }
-    // fn_ is cleared (under run_mu_) when its run drains, so a null latch
-    // means this worker slept through the entire run it was woken for; it
-    // must not touch remaining_, which may already belong to the NEXT run.
-    if (fn != nullptr) {
-      while (remaining_.load(std::memory_order_acquire) > 0) {
-        size_t index = 0;
-        if (!TryAcquire(id, &index)) {
-          // Every deque is empty, and tasks are only dealt before the run
-          // starts — nothing will ever become stealable again. Leave the
-          // in-flight owners to drive remaining_ to zero rather than
-          // burning a core spinning on it.
-          break;
-        }
-        (*fn)(index);
-        if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> lock(run_mu_);
-          done_cv_.notify_all();
-        }
-      }
-    }
     {
-      std::lock_guard<std::mutex> lock(run_mu_);
-      if (--active_workers_ == 0) done_cv_.notify_all();
+      obs::ScopedSpan task_span("pool_task", obs::SpanCategory::kPool);
+      task();
     }
+    task = nullptr;  // release the task's captures before going idle
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--pending_ == 0) drained_cv_.notify_all();
   }
 }
 

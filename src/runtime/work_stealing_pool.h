@@ -1,19 +1,18 @@
-// Work-stealing task executor for shard-granularity parallelism.
+// Re-entrant task executor shared by the batch runtime and the multi-feed
+// service.
 //
-// ParallelFor (common/parallel.h) assigns index i to worker i % W up front,
-// so one heavy shard — or several colliding in the same stride class —
-// leaves every other worker idle while its owner straggles. The pool keeps
-// one deque per worker instead: indices are dealt round-robin, owners pop
-// their own deque LIFO, and a worker that runs dry steals FIFO from a
-// victim, so load follows the actual task durations rather than the initial
-// deal. Workers are persistent across Run() calls, which lets the streaming
-// runtime reuse one pool for every window instead of re-spawning threads.
-//
-// Beyond the fork-join Run(), the pool accepts fire-and-forget closures
-// via Submit(): the multi-feed serving layer schedules one whole-window
-// anonymization job per task, so many independent feeds multiplex onto one
-// set of workers. Submitted tasks drain ahead of Run() indices and ahead
-// of shutdown, and WaitIdle() is the end-of-service barrier.
+// The workers drain one queue of closures. Submit() enqueues a
+// fire-and-forget task: the serving layer schedules one whole-window
+// anonymization job per task, so many independent feeds multiplex onto
+// one set of workers. Run(n, fn) is a fork-join over the indices [0, n)
+// whose state — fn, an atomic next index, a done count — belongs to that
+// one call. The caller claims indices itself and enqueues up to
+// min(n - 1, workers) helper tasks that claim the rest, so whichever
+// thread is free takes the next index and one straggling index never
+// holds the others back. Because the caller always makes progress on its
+// own, Runs may nest inside Submit()ted tasks (a window job fans its
+// shards and its audit out over the pool that runs it) and any number of
+// Runs may be in flight at once; none can deadlock waiting for a worker.
 //
 // Determinism contract: the pool schedules *where* a task runs, never what
 // it computes. Callers that write results to pre-sized per-index slots and
@@ -23,10 +22,8 @@
 #ifndef FRT_RUNTIME_WORK_STEALING_POOL_H_
 #define FRT_RUNTIME_WORK_STEALING_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -36,16 +33,15 @@
 
 namespace frt {
 
-/// \brief Persistent pool of worker threads executing index tasks with
-/// work stealing.
+/// \brief Persistent pool of worker threads executing submitted tasks and
+/// re-entrant fork-join index runs.
 class WorkStealingPool {
  public:
   /// Spawns the workers; 0 means hardware concurrency. A 1-worker pool
   /// spawns no threads and runs every task inline on the caller.
   explicit WorkStealingPool(unsigned num_threads = 0);
 
-  /// Joins all workers. Must not be called while a Run is in flight on
-  /// another thread.
+  /// Runs every task still queued, then joins the workers.
   ~WorkStealingPool();
 
   WorkStealingPool(const WorkStealingPool&) = delete;
@@ -55,76 +51,51 @@ class WorkStealingPool {
   /// invocations have completed.
   ///
   /// `fn` must be safe to call concurrently for distinct indices and must
-  /// not throw. Runs must not be nested (fn must not call Run on the same
-  /// pool), and only one Run may be in flight at a time.
+  /// not throw. It may itself call Run or Submit on this pool, and Run may
+  /// be called from any thread, including a pool worker.
   void Run(size_t n, const std::function<void(size_t)>& fn);
 
   /// \brief Enqueues a fire-and-forget task for asynchronous execution on
-  /// the workers; returns immediately. The serving layer's unit of
-  /// submission: one whole-window anonymization job per task.
-  ///
-  /// Tasks run concurrently with each other and with an in-flight Run()
-  /// (workers prefer draining submitted tasks first); they must not throw
-  /// and must not call Run() or Submit() recursively into a 1-worker pool.
-  /// On a 1-worker pool the task runs inline on the caller. Destruction
-  /// drains all submitted tasks before joining the workers.
+  /// the workers; returns immediately. The task must not throw. On a
+  /// 1-worker pool it runs inline on the caller.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every Submit()ed task has finished. Callers that need
-  /// per-task completion signals should build them into the task (the
-  /// service's completion queue); this is the coarse end-of-run barrier.
+  /// Blocks until every queued task — Submit()ted ones and Run helpers —
+  /// has finished. The end-of-run barrier; not for use on a worker.
   void WaitIdle();
-
-  /// Tasks submitted via Submit() that have not yet finished. Racy read,
-  /// diagnostic only.
-  size_t submitted_pending() const {
-    return async_pending_.load(std::memory_order_relaxed);
-  }
 
   unsigned num_workers() const { return num_workers_; }
 
-  /// Total tasks obtained by stealing (vs. popped from the owner's deque)
-  /// since construction. Diagnostic only; racy reads are acceptable.
-  uint64_t steal_count() const { return steals_; }
-
  private:
-  // One mutex-guarded deque per worker. Shard tasks are milliseconds-plus,
-  // so a tiny critical section per pop is noise; a lock-free Chase-Lev
-  // deque would buy nothing here.
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<size_t> tasks;
-  };
-
   void WorkerLoop(unsigned id);
-  bool TryAcquire(unsigned id, size_t* index);
+  /// Wakes up to `n` idle workers, most recently idle first. Caller holds
+  /// mu_.
+  void WakeIdle(size_t n);
 
   unsigned num_workers_ = 1;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> threads_;
 
-  // Run lifecycle: the caller publishes (fn_, remaining_, ++epoch_) under
-  // run_mu_, workers wake on work_cv_, and the caller sleeps on done_cv_
-  // until the run has drained AND every worker has left its steal loop —
-  // the second condition keeps a slow waker of run N from picking up run
-  // N+1's tasks with run N's stale fn pointer.
-  std::mutex run_mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t epoch_ = 0;
-  unsigned active_workers_ = 0;
+  // Window jobs and shard tasks are milliseconds-plus, so one central
+  // queue under one mutex is noise next to the task bodies. `pending_`
+  // counts queued + executing tasks and gates WaitIdle.
+  //
+  // Idle workers wait on their own condition variable and are woken last
+  // idle first, so a feed's next window job tends to land on the worker
+  // that ran the previous one, whose cache and malloc arena still hold
+  // that window's memory. Woken in arrival order, the jobs would rotate
+  // over the workers and every worker's arena would keep a window's worth
+  // of freed memory (peak RSS growing with the worker count).
+  struct Idler {
+    std::condition_variable cv;
+    bool woken = false;
+  };
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Idler>> idlers_;
+  std::vector<unsigned> idle_;  ///< stack of idle worker ids
+  std::condition_variable drained_cv_;
+  std::deque<std::function<void()>> tasks_;
+  size_t pending_ = 0;
   bool shutdown_ = false;
-  const std::function<void(size_t)>* fn_ = nullptr;
-  std::atomic<size_t> remaining_{0};
-  std::atomic<uint64_t> steals_{0};
-
-  // Fire-and-forget tasks (Submit). Window jobs are tens of milliseconds,
-  // so one central deque under run_mu_ is noise next to the task bodies;
-  // per-worker deques would buy nothing at this granularity. Guarded by
-  // run_mu_; async_pending_ counts queued + executing tasks and gates
-  // WaitIdle and shutdown drain.
-  std::deque<std::function<void()>> async_;
-  std::atomic<size_t> async_pending_{0};
 };
 
 }  // namespace frt

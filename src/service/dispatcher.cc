@@ -54,8 +54,8 @@ bool ServiceHadRefusals(const ServiceReport& report) {
 
 ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
     : config_(std::move(config)), sink_(std::move(sink)) {
-  // Normalize the window geometry exactly as StreamRunner does, then the
-  // service-level knobs.
+  // Normalize the window geometry exactly as WindowAssembler does, then
+  // the service-level knobs.
   if (config_.stream.window_size == 0) config_.stream.window_size = 1;
   if (config_.stream.window_stride == 0 ||
       config_.stream.window_stride > config_.stream.window_size) {
@@ -73,12 +73,6 @@ ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
   }
   if (config_.max_backlog_windows == 0) {
     config_.max_backlog_windows = 4 * config_.max_in_flight;
-  }
-  if (config_.max_latency_samples != (size_t{1} << 14)) {
-    FRT_LOG(Warning)
-        << "ServiceConfig::max_latency_samples is deprecated and ignored: "
-           "latency aggregates use fixed-size histograms now (O(1) memory, "
-           "always on)";
   }
   metrics_interval_ms_.store(std::max<int64_t>(config_.metrics_interval_ms, 1),
                              std::memory_order_relaxed);
@@ -184,6 +178,11 @@ Status ServiceDispatcher::Start(uint64_t seed) {
   started_ = true;
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
   return Status::OK();
+}
+
+const FeedSession* ServiceDispatcher::session(const std::string& feed) const {
+  const auto it = feeds_.find(feed);
+  return it == feeds_.end() ? nullptr : it->second.session.get();
 }
 
 bool ServiceDispatcher::Offer(std::string feed, Trajectory t) {
@@ -319,11 +318,8 @@ void ServiceDispatcher::ProcessDueDeadlines(SteadyClock::time_point now) {
           continue;
         }
       }
-      if (slot.session->Drained()) {
-        EvictSession(&slot);
-      } else {
-        slot.session->set_evict_when_drained(true);
-      }
+      slot.session->set_evict_when_drained(true);
+      RetireIfDrained(&slot);
     }
     if (slot.session && !slot.quarantined) ArmDeadline(entry.feed, slot);
   }
@@ -334,7 +330,7 @@ bool ServiceDispatcher::CloseSessionWindow(const std::string& feed,
                                            WindowClose reason,
                                            SteadyClock::time_point now) {
   if (Status st = slot.session->CloseWindow(reason, now); !st.ok()) {
-    QuarantineFeed(feed, st.ToString());
+    QuarantineFeed(feed, st.ToString(), /*drain=*/false);
     return false;
   }
   ++backlog_windows_;
@@ -344,45 +340,61 @@ bool ServiceDispatcher::CloseSessionWindow(const std::string& feed,
 }
 
 void ServiceDispatcher::QuarantineFeed(const std::string& feed,
-                                       std::string reason) {
+                                       std::string reason, bool drain) {
   auto [it, inserted] = feeds_.try_emplace(feed);
   FeedSlot& slot = it->second;
   if (inserted) feed_order_.push_back(feed);
-  if (slot.quarantined) return;  // first fault wins
-  slot.quarantined = true;
-  slot.quarantine_reason = std::move(reason);
-  ctr_feeds_quarantined_->Inc();
-  slot.armed_deadline = SteadyClock::time_point::max();
-  live_order_dirty_ = true;
-  FRT_LOG(Warning) << "service: quarantined feed '" << feed
-                   << "': " << slot.quarantine_reason;
-  if (slot.session) {
-    // Tear the session down, keeping what it already did for the final
-    // report. The backlog is dropped (its windows never execute); spend
-    // already charged stays charged, same rule as every discard path. An
-    // in-flight job is self-contained and its completion is ignored.
-    backlog_windows_ -= slot.session->backlog_size();
-    MergeStreamReport(&slot.merged, slot.session->report(),
-                      config_.stream.max_window_reports);
-    slot.carry = slot.session->Carry();
-    slot.session.reset();
-    ledger_dirty_ = true;
-    --active_sessions_;
+  if (!slot.quarantined) {  // first fault wins
+    slot.quarantined = true;
+    slot.quarantine_reason = std::move(reason);
+    ctr_feeds_quarantined_->Inc();
+    slot.armed_deadline = SteadyClock::time_point::max();
+    FRT_LOG(Warning) << "service: quarantined feed '" << feed
+                     << "': " << slot.quarantine_reason;
   }
+  if (!slot.session) return;
+  if (drain) {
+    // The output stops at the fault: the partial window read ahead of it
+    // is dropped, the windows closed before it still run, and the session
+    // retires once they drained.
+    slot.session->DropUncovered();
+    RetireIfDrained(&slot);
+    return;
+  }
+  // A fault inside the feed's own pipeline: tear the session down now,
+  // keeping what it already did for the final report. The backlog is
+  // dropped (its windows never execute); spend already charged stays
+  // charged, same rule as every discard path. An in-flight job is
+  // self-contained and its completion is ignored.
+  backlog_windows_ -= slot.session->backlog_size();
+  RetireSession(&slot);
 }
 
-void ServiceDispatcher::EvictSession(FeedSlot* slot) {
+void ServiceDispatcher::RetireSession(FeedSlot* slot) {
   MergeStreamReport(&slot->merged, slot->session->report(),
                     config_.stream.max_window_reports);
   slot->carry = slot->session->Carry();
-  slot->ever_evicted = true;
   slot->session.reset();
   slot->armed_deadline = SteadyClock::time_point::max();
   live_order_dirty_ = true;
   ledger_dirty_ = true;
+  --active_sessions_;
+}
+
+void ServiceDispatcher::EvictSession(FeedSlot* slot) {
+  RetireSession(slot);
+  slot->ever_evicted = true;
   ++report_.sessions_evicted;
   ctr_sessions_evicted_->Inc();
-  --active_sessions_;
+}
+
+void ServiceDispatcher::RetireIfDrained(FeedSlot* slot) {
+  if (!slot->session || !slot->session->Drained()) return;
+  if (slot->quarantined) {
+    RetireSession(slot);
+  } else if (slot->session->evict_when_drained()) {
+    EvictSession(slot);
+  }
 }
 
 void ServiceDispatcher::SubmitReady() {
@@ -406,10 +418,9 @@ void ServiceDispatcher::SubmitReady() {
         std::remove_if(live_order_.begin(), live_order_.end(),
                        [this](const std::string& name) {
                          FeedSlot& slot = feeds_.at(name);
-                         const bool dead =
-                             !slot.session || slot.quarantined;
-                         if (dead) slot.in_live_order = false;
-                         return dead;
+                         if (slot.session) return false;
+                         slot.in_live_order = false;
+                         return true;
                        }),
         live_order_.end());
     live_order_dirty_ = false;
@@ -434,7 +445,7 @@ void ServiceDispatcher::SubmitReady() {
     const size_t pos = (submit_rr_ + k) % n;
     const std::string& name = live_order_[pos];
     FeedSlot& slot = feeds_.at(name);
-    if (!slot.session || slot.quarantined) continue;  // died mid-scan
+    if (!slot.session) continue;  // died mid-scan
     const size_t backlog_before = slot.session->backlog_size();
     std::optional<WindowJob> job = slot.session->NextSubmittable();
     // Admission refusals and the submission both shrink the backlog; the
@@ -449,18 +460,15 @@ void ServiceDispatcher::SubmitReady() {
     }
     if (config_.stream.stop_when_exhausted && !stopping_ &&
         slot.session->had_refusals()) {
-      // End service at the first refusal (mirrors StreamRunner's
-      // stop_when_exhausted): stop ingesting, drain what already closed,
-      // finish cleanly.
+      // End service at the first refusal: stop ingesting, drain what
+      // already closed, finish cleanly.
       stopping_ = true;
       arrivals_->Close();
     }
     if (!job.has_value()) {
       // The backlog may have just drained through admission refusals (no
-      // completion will fire): an eviction waiting on that drain runs now.
-      if (slot.session->evict_when_drained() && slot.session->Drained()) {
-        EvictSession(&slot);
-      }
+      // completion will fire): a retirement waiting on that drain runs now.
+      RetireIfDrained(&slot);
       continue;
     }
     ++in_flight_;
@@ -471,12 +479,9 @@ void ServiceDispatcher::SubmitReady() {
     // now, so it cannot drain before this completion lands).
     auto shared_job = std::make_shared<WindowJob>(std::move(*job));
     BatchRunnerConfig batch_config = config_.stream.batch;
-    // Window jobs run single-threaded: the service's parallelism is
-    // across windows of distinct feeds, not within one window. Sharding
-    // still applies (smaller per-shard candidate sets), executed inline.
-    batch_config.pool = nullptr;
-    batch_config.dispatch = ShardDispatch::kStatic;
-    batch_config.threads = 1;
+    // The job fans its shards and its audit out over the pool it runs on;
+    // output depends only on (rng, shard count), never on the workers.
+    batch_config.pool = pool_.get();
     BoundedQueue<std::unique_ptr<Completion>>* completions =
         completions_.get();
     pool_->Submit([shared_job, completions, batch_config] {
@@ -526,7 +531,8 @@ void ServiceDispatcher::AbsorbCompletion(
     // and keep serving the siblings.
     session.Abandon();
     QuarantineFeed(completion->job.feed,
-                   completion->published.status().ToString());
+                   completion->published.status().ToString(),
+                   /*drain=*/false);
     return;
   }
   const SteadyClock::time_point now = SteadyClock::now();
@@ -541,7 +547,8 @@ void ServiceDispatcher::AbsorbCompletion(
       completion->job, *completion->published, completion->batch,
       publish_ms);
   if (!window_report.ok()) {
-    QuarantineFeed(completion->job.feed, window_report.status().ToString());
+    QuarantineFeed(completion->job.feed, window_report.status().ToString(),
+                   /*drain=*/false);
     return;
   }
   ledger_dirty_ = true;  // Complete() charged the accountants
@@ -613,9 +620,7 @@ void ServiceDispatcher::FlushPublishes() {
     ctr_windows_published_->Inc();
     ctr_trajectories_published_->Inc(pending.report.trajectories);
     slot.session->RecordPublished(pending.report);
-    if (slot.session->evict_when_drained() && slot.session->Drained()) {
-      EvictSession(&slot);
-    }
+    RetireIfDrained(&slot);
   }
   pending_.clear();
 }
@@ -954,7 +959,8 @@ void ServiceDispatcher::DispatcherLoop() {
         // ingress is drained and discarded.
         if (!aborted_ && !stopping_) {
           if (arrival.quarantine) {
-            QuarantineFeed(arrival.feed, std::move(arrival.reason));
+            QuarantineFeed(arrival.feed, std::move(arrival.reason),
+                           /*drain=*/true);
           } else {
             Route(std::move(arrival), now);
           }
@@ -973,8 +979,7 @@ void ServiceDispatcher::DispatcherLoop() {
 
   // Ingress finished: flush every session's trailing partial window, then
   // drain the backlog and the in-flight jobs to zero. A stop_when_exhausted
-  // trip skips the flush — the run ends at the refusal, like the
-  // single-feed runner.
+  // trip skips the flush — the run ends at the refusal.
   if (!aborted_ && !stopping_) {
     const SteadyClock::time_point now = SteadyClock::now();
     for (const auto& name : feed_order_) {
@@ -1013,6 +1018,19 @@ void ServiceDispatcher::DispatcherLoop() {
   // the exporter's last line, and the final report all agree bit for bit.
   final_tick_ = true;
   PublishMetricsNow(SteadyClock::now());
+}
+
+Status OfferFeed(TrajectoryReader& reader, const std::string& feed,
+                 ServiceDispatcher& service) {
+  for (;;) {
+    Result<std::optional<Trajectory>> next = reader.Next();
+    if (!next.ok()) {
+      service.OfferQuarantine(feed, next.status().ToString());
+      return next.status();
+    }
+    if (!next->has_value()) return Status::OK();
+    if (!service.Offer(feed, std::move(**next))) return Status::OK();
+  }
 }
 
 }  // namespace frt

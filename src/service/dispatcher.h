@@ -22,8 +22,11 @@
 // accountants, reports), so budget accounting needs no locks; the only
 // work it delegates is the pure (window, rng) -> published-dataset batch
 // job, which runs on the shared pool with per-window state it owns
-// outright. Workers hand results back through the completion queue, whose
-// capacity equals the in-flight cap, so a worker never blocks on it.
+// outright. A job fans its shards and its audit out over that same pool
+// (WorkStealingPool::Run nests inside a submitted task), so one feed's
+// window uses every worker and many feeds' windows share them. Workers
+// hand results back through the completion queue, whose capacity equals
+// the in-flight cap, so a worker never blocks on it.
 //
 // Ordering and determinism. Windows of ONE feed execute strictly one at a
 // time, in close order: admission always sees the predecessor's recorded
@@ -41,6 +44,10 @@
 // for trickle feeds), and final (input finished). Idle sessions
 // (--evict-idle-ms) are flushed and torn down; their budget carries into
 // any successor session conservatively (see feed_session.h).
+//
+// One feed is a stream. frt_stream runs a one-feed dispatcher (feed key
+// "stream") with max_backlog_windows = 1, which bounds its buffering to
+// the window in flight, the next closed window, and the arrival queue.
 
 #ifndef FRT_SERVICE_DISPATCHER_H_
 #define FRT_SERVICE_DISPATCHER_H_
@@ -68,7 +75,8 @@
 #include "service/checkpoint.h"
 #include "service/feed_session.h"
 #include "service/metrics_exporter.h"
-#include "stream/stream_runner.h"
+#include "stream/ingest.h"
+#include "stream/stream_types.h"
 #include "traj/dataset.h"
 
 namespace frt {
@@ -77,10 +85,9 @@ namespace frt {
 struct ServiceConfig {
   /// Per-feed streaming behavior: window geometry, budgets/accounting,
   /// close_after_ms, batch pipeline. Every session applies this config to
-  /// its own feed; `stream.batch.pool`, threads and dispatch are managed
-  /// by the service (window jobs run single-threaded on the shared pool —
-  /// parallelism is across windows, not within one).
-  StreamRunnerConfig stream;
+  /// its own feed; `stream.batch.pool` and threads are managed by the
+  /// service (window jobs fan their shards out over the shared pool).
+  StreamConfig stream;
   /// Shared pool workers. 0 picks max(2, hardware concurrency): even on
   /// one core the service needs a worker besides the dispatcher so feeds
   /// overlap.
@@ -99,11 +106,6 @@ struct ServiceConfig {
   /// Sessions with no arrival for this long are flushed and evicted
   /// (budget state carries into any successor). 0 disables eviction.
   int64_t idle_evict_ms = 0;
-  /// DEPRECATED no-op. Latency aggregates moved from sorted sample rings
-  /// to fixed-size obs::Histogram instances (O(1) memory, always on), so
-  /// this cap no longer bounds anything. Setting it away from the default
-  /// logs one warning; the key is kept so existing configs keep parsing.
-  size_t max_latency_samples = 1 << 14;
   /// Durable budget ledgers: when non-empty, per-feed ledger snapshots are
   /// checkpointed into this directory and recovered from it on Start()
   /// through the conservative PreloadSpent/PreloadFloor carry path. The
@@ -183,9 +185,9 @@ struct FeedReport {
   /// True when the feed's session was idle-evicted and not re-opened.
   bool evicted = false;
   /// True when the feed was quarantined (malformed input, decode failure,
-  /// or a per-feed pipeline error): its session was torn down, its backlog
-  /// dropped, and further arrivals were refused — without failing the
-  /// sibling feeds.
+  /// or a per-feed pipeline error): further arrivals were refused and its
+  /// session torn down — without failing the sibling feeds. See
+  /// OfferQuarantine for what still publishes.
   bool quarantined = false;
   /// First fault that quarantined the feed (empty unless quarantined).
   std::string quarantine_reason;
@@ -268,12 +270,14 @@ class ServiceDispatcher {
   /// the service is finishing or aborted — the producer should stop.
   bool Offer(std::string feed, Trajectory t);
 
-  /// \brief Reports `feed` as untrustworthy (malformed frame, decode
-  /// failure): the dispatcher tears down its session, drops its backlog,
-  /// and refuses its further arrivals, leaving every other feed
-  /// untouched. Thread-safe and idempotent; ordered with Offer() calls
-  /// from the same producer thread (both ride the arrival queue). Returns
-  /// false once the service is finishing or aborted.
+  /// \brief Reports `feed` as untrustworthy (malformed frame, decode or
+  /// parse failure): the feed's output stops at the fault. Windows it
+  /// closed before the marker still run and publish; its uncovered
+  /// arrivals — a partial window read ahead of the fault — are dropped,
+  /// never published or charged; its further arrivals are refused. Every
+  /// other feed is untouched. Thread-safe and idempotent; ordered with
+  /// Offer() calls from the same producer thread (both ride the arrival
+  /// queue). Returns false once the service is finishing or aborted.
   bool OfferQuarantine(std::string feed, std::string reason);
 
   /// \brief Closes ingress, drains every session (final partial windows
@@ -284,6 +288,12 @@ class ServiceDispatcher {
 
   /// Aggregated diagnostics; valid after Finish().
   const ServiceReport& report() const { return report_; }
+
+  /// \brief The live session of `feed` — its accountants and report — or
+  /// nullptr when the feed was never seen, idle-evicted or quarantined.
+  /// Valid only after Finish(): the dispatcher thread owns every session
+  /// while the service runs.
+  const FeedSession* session(const std::string& feed) const;
 
   const ServiceConfig& config() const { return config_; }
 
@@ -327,8 +337,9 @@ class ServiceDispatcher {
     /// Counters merged out of evicted generations.
     StreamReport merged;
     bool ever_evicted = false;
-    /// The feed was declared untrustworthy: session gone, backlog
-    /// dropped, arrivals refused. Never revived.
+    /// The feed was declared untrustworthy: arrivals refused, session
+    /// retired (at once, or once its closed backlog drained). Never
+    /// revived.
     bool quarantined = false;
     std::string quarantine_reason;
     /// Membership flag for live_order_ (lazy compaction).
@@ -340,9 +351,7 @@ class ServiceDispatcher {
     /// re-arms from scratch.
     std::chrono::steady_clock::time_point armed_deadline =
         std::chrono::steady_clock::time_point::max();
-    /// Per-feed latency histograms, surviving across generations (the
-    /// fixed obs::Histogram footprint is what makes per-feed aggregates
-    /// affordable where the old sample rings were not).
+    /// Per-feed latency histograms, surviving across generations.
     obs::Histogram close_wait_hist;
     obs::Histogram publish_hist;
   };
@@ -392,10 +401,14 @@ class ServiceDispatcher {
   bool CloseSessionWindow(const std::string& feed, FeedSlot& slot,
                           WindowClose reason,
                           std::chrono::steady_clock::time_point now);
-  /// Declares `feed` untrustworthy: merges and tears down its session,
-  /// drops its backlog, marks the slot so arrivals and revivals are
-  /// refused. Idempotent. Never touches sibling feeds.
-  void QuarantineFeed(const std::string& feed, std::string reason);
+  /// Declares `feed` untrustworthy and marks the slot so arrivals and
+  /// revivals are refused. With `drain` (external reports, see
+  /// OfferQuarantine) the closed backlog still runs and the session is
+  /// retired once drained; without it (a fault inside the feed's own
+  /// pipeline) the session and its backlog are torn down at once.
+  /// Idempotent. Never touches sibling feeds.
+  void QuarantineFeed(const std::string& feed, std::string reason,
+                      bool drain);
   /// Submits admissible backlog windows while in-flight capacity lasts.
   void SubmitReady();
   /// Absorbs one finished job: charges budgets, samples latency, and
@@ -418,7 +431,12 @@ class ServiceDispatcher {
   /// Records a fatal error once and stops admitting new work.
   void Abort(Status status);
   /// Merges `session`'s report into its slot and tears the session down.
+  void RetireSession(FeedSlot* slot);
+  /// Idle-evicts a session (RetireSession plus the eviction counters).
   void EvictSession(FeedSlot* slot);
+  /// Retires a drained session that waited on its drain: an idle eviction
+  /// or a draining quarantine.
+  void RetireIfDrained(FeedSlot* slot);
   void BuildFinalReport();
 
   ServiceConfig config_;
@@ -521,6 +539,14 @@ class ServiceDispatcher {
   obs::HistogramCell* cell_checkpoint_ = nullptr;
   obs::HistogramCell* cell_sink_ = nullptr;
 };
+
+/// \brief Offers every trajectory `reader` yields to `service` as `feed`,
+/// until the input ends or the service stops accepting. A parse error
+/// quarantines `feed` before it is returned, so the partial window read
+/// ahead of the bad line is never published or charged (windows that
+/// closed before it still publish).
+Status OfferFeed(TrajectoryReader& reader, const std::string& feed,
+                 ServiceDispatcher& service);
 
 }  // namespace frt
 

@@ -6,7 +6,7 @@
 
 namespace frt {
 
-FeedSession::FeedSession(std::string feed, const StreamRunnerConfig& config,
+FeedSession::FeedSession(std::string feed, const StreamConfig& config,
                          uint64_t master_seed, uint64_t generation,
                          const FeedBudgetCarry& carry)
     : feed_(std::move(feed)),
@@ -99,8 +99,6 @@ std::optional<WindowJob> FeedSession::NextSubmittable() {
   while (!backlog_.empty()) {
     WindowJob job = std::move(backlog_.front());
     backlog_.pop_front();
-    // Shared admission control with the single-feed runner (see
-    // AdmitWindowOnBudget) — only the log prefix differs.
     const bool admitted = AdmitWindowOnBudget(
         &job.window, job.index, window_epsilon, config_.accounting,
         config_.evict_exhausted, accountant_, object_accountant_, &report_,
@@ -127,7 +125,7 @@ Result<WindowReport> FeedSession::Complete(const WindowJob& job,
   window_report.epsilon_spent = batch.epsilon_spent;
   window_report.batch = batch;
   // The id lists are consumed below; the bounded report history keeps only
-  // the scalar diagnostics (same policy as StreamRunner).
+  // the scalar diagnostics.
   window_report.batch.shard_object_ids.clear();
   if (window_report.epsilon_spent > 0.0) {
     if (config_.accounting == BudgetAccounting::kPerObject) {
@@ -160,8 +158,7 @@ Result<WindowReport> FeedSession::Complete(const WindowJob& job,
 
 void FeedSession::RecordPublished(const WindowReport& window_report) {
   // Split from Complete so the budget is spent either way but the window
-  // only counts as published once the sink accepted it — the same
-  // ordering StreamRunner::ProcessWindow has always had.
+  // only counts as published once the sink accepted it.
   ++report_.windows_published;
   report_.trajectories_published += window_report.trajectories;
   report_.windows.push_back(window_report);

@@ -4,8 +4,7 @@
 // independent datasets, so their budgets must never interact. A session
 // therefore owns everything whose sharing would couple feeds:
 //
-//   - its ring-buffer WindowAssembler (stream/window_assembler.h, the same
-//     geometry the single-feed StreamRunner uses),
+//   - its ring-buffer WindowAssembler (stream/window_assembler.h),
 //   - its PrivacyAccountant / ObjectBudgetAccountant pair (wholesale or
 //     per-object cross-window accounting, per feed),
 //   - its RNG stream, derived deterministically from (master seed, feed
@@ -44,7 +43,7 @@
 #include "common/rng.h"
 #include "dp/accountant.h"
 #include "dp/object_accountant.h"
-#include "stream/stream_runner.h"
+#include "stream/stream_types.h"
 #include "stream/window_assembler.h"
 #include "traj/dataset.h"
 
@@ -104,7 +103,7 @@ class FeedSession {
   /// the service (window geometry, budgets, batch pipeline). `carry` is
   /// zeroed for generation 0 and holds the evicted predecessor's budget
   /// state otherwise.
-  FeedSession(std::string feed, const StreamRunnerConfig& config,
+  FeedSession(std::string feed, const StreamConfig& config,
               uint64_t master_seed, uint64_t generation,
               const FeedBudgetCarry& carry);
 
@@ -143,9 +142,12 @@ class FeedSession {
 
   /// Counts a completed window as published and retains its report. The
   /// dispatcher calls this only after the sink accepted the window, so a
-  /// sink failure leaves the budget spent but the window unpublished —
-  /// the same ordering the single-feed runner enforces.
+  /// sink failure leaves the budget spent but the window unpublished.
   void RecordPublished(const WindowReport& window_report);
+
+  /// Discards the uncovered arrivals: the feed ends without a trailing
+  /// window, while windows already closed stay in the backlog.
+  void DropUncovered() { assembler_.Clear(); }
 
   /// Releases the busy latch without charging anything — the dispatcher's
   /// path for jobs whose results are discarded (failed pipeline, aborted
@@ -172,7 +174,7 @@ class FeedSession {
   bool evict_when_drained() const { return evict_when_drained_; }
   void set_evict_when_drained(bool v) { evict_when_drained_ = v; }
 
-  /// Session-local report (same shape as the single-feed runner's).
+  /// Session-local report.
   const StreamReport& report() const { return report_; }
   const ObjectBudgetAccountant& object_accountant() const {
     return object_accountant_;
@@ -182,7 +184,7 @@ class FeedSession {
 
  private:
   std::string feed_;
-  const StreamRunnerConfig& config_;
+  const StreamConfig& config_;
   uint64_t generation_ = 0;
   /// Windows closed by prior generations; added to every per-feed window
   /// index this session emits.

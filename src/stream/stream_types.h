@@ -1,31 +1,21 @@
-// StreamRunner: long-running windowed anonymization service.
+// Per-feed streaming vocabulary: the window configuration, the reports,
+// and the shared budget admission control every window passes through.
 //
-// Pipeline: an ingest thread pulls trajectories from a TrajectoryReader and
-// pushes them through a BoundedQueue (backpressure caps in-flight memory);
-// the caller's thread assembles windows of `window_size` trajectories from
-// a ring buffer of pending arrivals (stream/window_assembler.h, shared
-// with the multi-feed serving layer) and anonymizes each window with
-// BatchRunner, sharing one WorkStealingPool across every window so no
-// threads are re-spawned. Windows advance by `window_stride` arrivals:
-// stride == size gives the classic tumbling windows, stride < size gives
-// sliding (overlapping) windows where each trajectory is re-published with
-// `window_size / stride` windows' worth of fresh context. With
-// `close_after_ms` set, a window also closes when its oldest uncovered
-// arrival has waited that long — the wall-clock latency SLO for trickle
-// feeds. Each published window is handed to a sink callback immediately,
-// so output is emitted incrementally instead of after the whole stream.
+// Windows are executed by one path, the ServiceDispatcher
+// (service/dispatcher.h); frt_stream is a one-feed client of it. This
+// header holds the types that path shares with its callers, next to the
+// WindowAssembler ring buffer that gives windows their geometry.
 //
-// Privacy accounting (the part that differs from batch): within one window
-// every moving object appears in exactly one shard, so the window costs
-// eps_G + eps_L by parallel composition. Across windows the same object-id
-// space may reappear (the stream is a feed, not a partition), so an
-// object's releases compose SEQUENTIALLY. Two selectable accountants
-// enforce that:
+// Privacy accounting: within one window every moving object appears in
+// exactly one shard, so the window costs eps_G + eps_L by parallel
+// composition. Across windows the same object-id space may reappear (the
+// stream is a feed, not a partition), so an object's releases compose
+// SEQUENTIALLY. Two selectable accountants enforce that:
 //
-//   kWholesale  — the PR 2 ledger: every window's spend is summed against
-//                 `total_budget` regardless of which objects it contained.
-//                 Sound but pessimistic (objects that never reappear are
-//                 billed as if they did); kept as the A/B baseline.
+//   kWholesale  — every window's spend is summed against `total_budget`
+//                 regardless of which objects it contained. Sound but
+//                 pessimistic (objects that never reappear are billed as
+//                 if they did).
 //   kPerObject  — ObjectBudgetAccountant: a per-object-id ledger enforcing
 //                 `per_object_budget` on each object's own cumulative
 //                 spend, which is exactly the paper's per-object guarantee.
@@ -37,24 +27,19 @@
 // Refused windows (and evicted trajectories) are counted and dropped,
 // never published with a weaker guarantee.
 
-#ifndef FRT_STREAM_STREAM_RUNNER_H_
-#define FRT_STREAM_STREAM_RUNNER_H_
+#ifndef FRT_STREAM_STREAM_TYPES_H_
+#define FRT_STREAM_STREAM_TYPES_H_
 
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/result.h"
-#include "common/rng.h"
 #include "dp/accountant.h"
 #include "dp/object_accountant.h"
 #include "runtime/batch_runner.h"
-#include "stream/ingest.h"
-#include "stream/window_assembler.h"
 #include "traj/dataset.h"
 
 namespace frt {
@@ -82,14 +67,16 @@ inline std::chrono::steady_clock::duration CloseTimerDelay(
 
 /// Cross-window budget accounting mode (see file comment).
 enum class BudgetAccounting {
-  kWholesale,  ///< one sequential ledger over all windows (PR 2 baseline)
+  kWholesale,  ///< one sequential ledger over all windows
   kPerObject,  ///< per-object-id ledgers (paper's per-object guarantee)
 };
 
-/// Configuration of the streaming service.
-struct StreamRunnerConfig {
-  /// Per-window execution: pipeline budgets, shard count, threads,
-  /// dispatch. `batch.pool` is managed by the runner and ignored here.
+/// Per-feed streaming configuration: every session of a service applies
+/// it to its own feed.
+struct StreamConfig {
+  /// Per-window execution: pipeline budgets, shard count, audit. The
+  /// service runs every window on its shared pool, so `batch.pool` and
+  /// `batch.threads` are managed by it and ignored here.
   BatchRunnerConfig batch;
   /// Trajectories per window. The final window may be smaller.
   size_t window_size = 1000;
@@ -116,11 +103,9 @@ struct StreamRunnerConfig {
   /// ObjectBudgetAccountant). Bounds memory on unbounded id spaces.
   /// 0 tracks every id exactly.
   size_t max_tracked_objects = 1 << 20;
-  /// Capacity of the ingest queue, in trajectories; 0 means 2x window_size.
-  size_t queue_capacity = 0;
   /// Most recent per-window reports (and wholesale ledger entries)
-  /// retained; aggregate counters stay exact. Bounds the runner's memory
-  /// on unbounded feeds. 0 keeps every window's report.
+  /// retained; aggregate counters stay exact. Bounds memory on unbounded
+  /// feeds. 0 keeps every window's report.
   size_t max_window_reports = 64;
   /// End the run at the first refused window instead of draining (and
   /// counting) the rest of the feed. Under kWholesale the per-window cost
@@ -137,28 +122,20 @@ struct StreamRunnerConfig {
   /// timer is armed a small guard early, see CloseTimerDelay). This is the
   /// latency-SLO lever for trickle feeds, where count-based closure alone
   /// would hold arrivals hostage until the feed fills a window. 0
-  /// (default) disables: windows close on count or end of stream only, and
-  /// the ingest path is byte-identical to previous releases.
+  /// (default) disables: windows close on count or end of stream only.
   int64_t close_after_ms = 0;
-  /// Budget state recovered from a durable checkpoint of a previous run
-  /// (see service/checkpoint.h), preloaded before the first window: the
-  /// exact wholesale spend via PrivacyAccountant::PreloadSpent, and the
-  /// conservative per-object floor via
-  /// ObjectBudgetAccountant::PreloadFloor. 0 (default) starts fresh.
-  double preload_wholesale_spent = 0.0;
-  double preload_object_floor = 0.0;
 };
 
 /// Diagnostics of one published window.
 struct WindowReport {
-  /// 0-based index in arrival order (refused windows keep their index).
+  /// 0-based per-feed index in arrival order (refused windows keep their
+  /// index), continuing across session generations and restarts.
   size_t index = 0;
   /// What closed this window: a full count, the close_after_ms deadline,
   /// or the end of the stream.
   WindowClose close_reason = WindowClose::kCount;
-  /// Service diagnostics (multi-feed dispatcher only; 0 under the
-  /// single-feed runner): oldest uncovered arrival -> close, and close ->
-  /// publish. close_wait_ms is the latency --close-after-ms bounds.
+  /// Oldest uncovered arrival -> close, and close -> publish.
+  /// close_wait_ms is the latency --close-after-ms bounds.
   double close_wait_ms = 0.0;
   double publish_latency_ms = 0.0;
   size_t trajectories = 0;
@@ -174,7 +151,7 @@ struct WindowReport {
   BatchReport batch;
 };
 
-/// Aggregated diagnostics of one streaming run.
+/// Aggregated diagnostics of one feed's stream.
 struct StreamReport {
   size_t windows_closed = 0;     ///< assembled from the input
   size_t windows_published = 0;  ///< anonymized and emitted
@@ -195,24 +172,18 @@ struct StreamReport {
   /// kPerObject diagnostics: what the wholesale ledger would have charged
   /// (sum over published windows) — the pessimism gap versus epsilon_spent.
   double epsilon_wholesale_equivalent = 0.0;
-  /// End-to-end wall time, ingest included.
-  double wall_seconds = 0.0;
   /// Per-published-window diagnostics, in window order; bounded to the
   /// most recent `max_window_reports` when that is non-zero.
   std::vector<WindowReport> windows;
 };
 
-/// True when the run dropped anything on budget — a refused window or an
-/// evicted trajectory. frt_stream maps this to exit code 3, so tests can
-/// lock the CLI's exit behavior at the library layer.
+/// True when the feed dropped anything on budget — a refused window or an
+/// evicted trajectory. The CLIs map this to exit code 3.
 inline bool StreamHadRefusals(const StreamReport& report) {
   return report.windows_refused > 0 || report.trajectories_evicted > 0;
 }
 
-/// \brief Shared budget admission control for one closed window — the
-/// single implementation behind both the single-feed StreamRunner and the
-/// multi-feed FeedSession, so the two layers cannot drift on tolerance,
-/// eviction policy, or refusal accounting.
+/// \brief Budget admission control for one closed window.
 ///
 /// Under kWholesale the whole window is admitted or refused against
 /// `accountant`. Under kPerObject (with `evict_exhausted`) exhausted
@@ -228,67 +199,6 @@ bool AdmitWindowOnBudget(Dataset* window, size_t index,
                          StreamReport* report, size_t* evicted,
                          const std::string& log_prefix);
 
-/// Receives each published window right after anonymization. A non-OK
-/// return aborts the run. The Dataset holds only this window's
-/// trajectories; with sliding windows (stride < size) the same trajectory
-/// reappears in consecutive windows, and ids repeat across windows when
-/// objects reappear in the feed.
-using WindowSink =
-    std::function<Status(const Dataset& published, const WindowReport&)>;
-
-/// \brief Drives reader -> windows -> BatchRunner -> sink until the stream
-/// ends or the run fails.
-class StreamRunner {
- public:
-  explicit StreamRunner(StreamRunnerConfig config);
-
-  /// \brief Consumes the whole stream. Deterministic given `rng`'s state,
-  /// the window geometry, and the shard count — each window anonymizes on
-  /// its own fork of `rng`, in arrival order.
-  ///
-  /// Returns non-OK on ingest parse errors, duplicate ids within one
-  /// window, pipeline failures, or sink failures. Budget exhaustion is NOT
-  /// an error: remaining windows are counted as refused (with a logged
-  /// diagnostic) and the run completes — or, with stop_when_exhausted,
-  /// the run ends at the first refusal.
-  ///
-  /// Caveat for live feeds: the ingest thread uses blocking istream
-  /// reads, which cannot be interrupted. If the run ends early (error or
-  /// stop_when_exhausted) while the feed is silent, Run blocks until the
-  /// feed's next record or end of stream before returning.
-  Status Run(TrajectoryReader& reader, const WindowSink& sink, Rng& rng);
-
-  /// Diagnostics of the most recent Run call.
-  const StreamReport& report() const { return report_; }
-
-  /// Wholesale cross-window ledger of the most recent Run call. Under
-  /// kPerObject it still tracks (never refuses) so the pessimism gap is
-  /// observable.
-  const PrivacyAccountant& accountant() const { return accountant_; }
-
-  /// Per-object ledger of the most recent Run call (kPerObject mode; a
-  /// default-constructed tracker otherwise).
-  const ObjectBudgetAccountant& object_accountant() const {
-    return object_accountant_;
-  }
-
-  const StreamRunnerConfig& config() const { return config_; }
-
- private:
-  Status ProcessWindow(Dataset&& window, WindowClose reason,
-                       const WindowSink& sink, Rng& rng,
-                       WorkStealingPool* pool);
-
-  StreamRunnerConfig config_;
-  StreamReport report_;
-  PrivacyAccountant accountant_;
-  ObjectBudgetAccountant object_accountant_;
-  /// Latched by the first refused window. Under kWholesale refusal is
-  /// permanent (constant per-window cost); under kPerObject it only drives
-  /// stop_when_exhausted.
-  bool refused_ = false;
-};
-
 }  // namespace frt
 
-#endif  // FRT_STREAM_STREAM_RUNNER_H_
+#endif  // FRT_STREAM_STREAM_TYPES_H_

@@ -1,5 +1,7 @@
-// WindowAssembler: the ring-buffer window geometry shared by the
-// single-feed StreamRunner and the multi-feed serving layer's FeedSession.
+// WindowAssembler: the ring-buffer window geometry of every feed session
+// (service/feed_session.h). Its vocabulary — close reasons, the per-feed
+// config, reports, budget admission — lives next door in
+// stream/stream_types.h.
 //
 // Arrivals accumulate in a deque; a window "closes over" the whole buffer,
 // then the oldest `stride` arrivals retire. stride == window_size gives
@@ -11,9 +13,8 @@
 //
 // The assembler owns only the geometry. Policy — WHEN to close (count
 // full, wall-clock deadline, end of stream) and what to do with the closed
-// window (admission, anonymization, accounting) — stays with the caller,
-// which is exactly what lets StreamRunner and FeedSession share it without
-// sharing their very different execution models.
+// window (admission, anonymization, accounting) — stays with the session
+// and the dispatcher that drives it.
 
 #ifndef FRT_STREAM_WINDOW_ASSEMBLER_H_
 #define FRT_STREAM_WINDOW_ASSEMBLER_H_
@@ -31,8 +32,8 @@ namespace frt {
 /// \brief Assembles count/stride windows from a stream of arrivals.
 class WindowAssembler {
  public:
-  /// Geometry is clamped the way StreamRunner always has: window_size 0
-  /// becomes 1; stride 0 or > window_size becomes window_size (tumbling).
+  /// Geometry is clamped: window_size 0 becomes 1; stride 0 or
+  /// > window_size becomes window_size (tumbling).
   explicit WindowAssembler(size_t window_size, size_t stride = 0)
       : window_size_(window_size == 0 ? 1 : window_size),
         stride_(stride == 0 || stride > window_size_ ? window_size_
@@ -84,6 +85,13 @@ class WindowAssembler {
     }
     uncovered_ = 0;
     return window;
+  }
+
+  /// Discards every buffered arrival: the feed ends without a trailing
+  /// window (a quarantined feed's tail is never published).
+  void Clear() {
+    pending_.clear();
+    uncovered_ = 0;
   }
 
   /// \brief Closes the end-of-stream window over the uncovered tail.

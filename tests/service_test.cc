@@ -370,6 +370,31 @@ TEST(ServiceTest, OfferQuarantineTearsDownFeedAndKeepsSiblingsRunning) {
   EXPECT_EQ(capture.feeds.at("good").ids.size(), 20u);
 }
 
+TEST(ServiceTest, OfferQuarantinePublishesClosedWindowsAndDropsTheTail) {
+  // The output stops at the fault: the two windows the feed closed before
+  // the marker still publish (and are charged); the five uncovered
+  // arrivals read ahead of it are dropped — never published or charged.
+  const std::vector<Trajectory> trajs = SyntheticTrajectories(25);
+  ServiceCapture capture;
+  ServiceDispatcher service(SmallServiceConfig(10), capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("bad", t));
+  ASSERT_TRUE(service.OfferQuarantine("bad", "line 26: parse error"));
+  ASSERT_TRUE(service.Finish().ok());
+
+  ASSERT_EQ(service.report().feeds_report.size(), 1u);
+  const FeedReport& feed = service.report().feeds_report[0];
+  EXPECT_TRUE(feed.quarantined);
+  EXPECT_EQ(feed.stream.windows_closed, 2u);
+  EXPECT_EQ(feed.stream.windows_published, 2u);
+  EXPECT_NEAR(feed.stream.epsilon_spent, 2.0, 1e-9);
+  const ServiceCapture::Feed& published = capture.feeds.at("bad");
+  ASSERT_EQ(published.ids.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(published.ids[i], i);
+  // The drained session was retired.
+  EXPECT_EQ(service.session("bad"), nullptr);
+}
+
 TEST(ServiceTest, SubmitRotationStaysFairAcrossFeeds) {
   // With one worker and one in-flight slot, window submission is the
   // round-robin scan in SubmitReady. No feed may lap the others: at every
@@ -500,41 +525,34 @@ TEST(ServiceTest, FinishWithoutArrivalsIsCleanAndEmpty) {
   EXPECT_EQ(service.report().windows_published, 0u);
 }
 
-// ---- StreamRunner time-based closure (the single-feed --close-after-ms
-// path shares CloseTimerDelay and the WindowAssembler with the service).
+// ---- Single-feed time-based closure: frt_stream's --close-after-ms path,
+// a one-feed dispatcher fed by a reader thread.
 
 TEST(StreamDeadlineTest, DeadlineClosesPartialWindowOnTrickleFeed) {
   frt::testing::BlockingFeed feed;
   TrajectoryReader reader(feed.stream());
-  StreamRunnerConfig config;
+  StreamConfig config;
   config.window_size = 100;
   config.close_after_ms = 60;
   config.batch.pipeline.m = 3;
-  StreamRunner runner(config);
-  frt::testing::SinkCapture capture;
-  std::atomic<size_t> published{0};
-  WindowSink sink = [&](const Dataset& d, const WindowReport& w) -> Status {
-    Status st = capture.MakeSink()(d, w);
-    published.fetch_add(1);
-    return st;
-  };
-  Rng rng(kSeed);
-  std::thread run_thread([&] {
-    EXPECT_TRUE(runner.Run(reader, sink, rng).ok());
+  ServiceCapture capture;
+  ServiceDispatcher service(frt::testing::OneFeedConfig(config),
+                            capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  std::thread reader_thread([&] {
+    EXPECT_TRUE(OfferFeed(reader, "stream", service).ok());
   });
   // Two complete trajectories (the second id's first line completes the
   // first), then silence: only the deadline can publish them.
   feed.Append(SyntheticCsv(3));
-  const auto start = std::chrono::steady_clock::now();
-  while (published.load() == 0 &&
-         std::chrono::steady_clock::now() - start < milliseconds(5000)) {
-    std::this_thread::sleep_for(milliseconds(5));
-  }
-  EXPECT_GE(published.load(), 1u) << "deadline closure never fired";
+  EXPECT_TRUE(capture.WaitForWindows(1, milliseconds(5000)))
+      << "deadline closure never fired";
   feed.End();
-  run_thread.join();
+  reader_thread.join();
+  ASSERT_TRUE(service.Finish().ok());
 
-  const StreamReport& report = runner.report();
+  ASSERT_EQ(service.report().feeds_report.size(), 1u);
+  const StreamReport& report = service.report().feeds_report[0].stream;
   EXPECT_EQ(report.trajectories_in, 3u);
   EXPECT_EQ(report.trajectories_published, 3u);
   EXPECT_GE(report.windows_deadline_closed, 1u);
@@ -544,26 +562,21 @@ TEST(StreamDeadlineTest, DeadlineClosesPartialWindowOnTrickleFeed) {
 }
 
 TEST(StreamDeadlineTest, CountClosureStillWinsWhenFeedIsFast) {
-  // A fast finite feed with a generous deadline behaves exactly like the
-  // untimed runner: every window closes by count (plus the final tail).
-  const std::string csv = SyntheticCsv(250);
-  std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunnerConfig config;
+  // A fast finite feed with a generous deadline behaves exactly like an
+  // untimed one: every window closes by count (plus the final tail).
+  StreamConfig config;
   config.window_size = 100;
   config.close_after_ms = 60000;
   config.batch.pipeline.m = 3;
-  StreamRunner runner(config);
-  frt::testing::SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
-  const StreamReport& report = runner.report();
+  const frt::testing::OneFeedRun run = frt::testing::RunOneFeed(
+      frt::testing::OneFeedConfig(config), SyntheticCsv(250), kSeed);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  const StreamReport& report = run.report;
   EXPECT_EQ(report.windows_published, 3u);
   EXPECT_EQ(report.windows_deadline_closed, 0u);
   EXPECT_EQ(report.windows[0].close_reason, WindowClose::kCount);
   EXPECT_EQ(report.windows[2].close_reason, WindowClose::kFinal);
-  EXPECT_EQ(capture.ids.size(), 250u);
+  EXPECT_EQ(run.published.ids.size(), 250u);
 }
 
 }  // namespace

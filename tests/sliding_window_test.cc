@@ -4,9 +4,8 @@
 // (identical feed, budget, and seed — per-object publishes strictly more
 // windows while no object ever exceeds the budget, checked against a
 // brute-force per-object tally), and the refusal condition frt_stream maps
-// to exit code 3.
-
-#include "stream/stream_runner.h"
+// to exit code 3 — all through a one-feed ServiceDispatcher, the
+// configuration frt_stream runs.
 
 #include <gtest/gtest.h>
 
@@ -16,19 +15,21 @@
 #include <unordered_map>
 #include <vector>
 
-#include "stream/ingest.h"
+#include "service/dispatcher.h"
 #include "testing_util.h"
 
 namespace frt {
 namespace {
 
-using frt::testing::SinkCapture;
+using frt::testing::OneFeedConfig;
+using frt::testing::OneFeedRun;
+using frt::testing::RunOneFeed;
 using frt::testing::SyntheticCsv;
 
 constexpr uint64_t kSeed = 20260731;
 
-StreamRunnerConfig BaseConfig(size_t window, size_t stride) {
-  StreamRunnerConfig config;
+StreamConfig BaseConfig(size_t window, size_t stride) {
+  StreamConfig config;
   config.window_size = window;
   config.window_stride = stride;
   config.batch.shards = 4;
@@ -67,16 +68,12 @@ TEST(SlidingWindowTest, StrideSmallerThanWindowOverlaps) {
   // 33 arrivals, window 10, stride 5: closed windows cover arrivals
   // [0,10) [5,15) [10,20) [15,25) [20,30), then the trailing partial
   // window picks up the uncovered tail [25,33).
-  const std::string csv = SyntheticCsv(33);
-  std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunner runner(BaseConfig(10, 5));
-  SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
+  const OneFeedRun run =
+      RunOneFeed(OneFeedConfig(BaseConfig(10, 5)), SyntheticCsv(33), kSeed);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  const auto& capture = run.published;
 
-  const StreamReport& report = runner.report();
+  const StreamReport& report = run.report;
   EXPECT_EQ(report.trajectories_in, 33u);
   EXPECT_EQ(report.windows_closed, 6u);
   EXPECT_EQ(report.windows_published, 6u);
@@ -101,17 +98,13 @@ TEST(SlidingWindowTest, StrideSmallerThanWindowOverlaps) {
 TEST(SlidingWindowTest, StrideEqualToWindowMatchesTumblingDefault) {
   const std::string csv = SyntheticCsv(40);
   auto run = [&](size_t stride) {
-    std::istringstream in(csv);
-    TrajectoryReader reader(in);
-    StreamRunner runner(BaseConfig(10, stride));
-    SinkCapture capture;
-    Rng rng(kSeed);
-    auto sink = capture.MakeSink();
-    EXPECT_TRUE(runner.Run(reader, sink, rng).ok());
-    return capture;
+    const OneFeedRun result =
+        RunOneFeed(OneFeedConfig(BaseConfig(10, stride)), csv, kSeed);
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    return result.published;
   };
-  const SinkCapture explicit_stride = run(10);
-  const SinkCapture default_stride = run(0);  // 0 = tumbling default
+  const auto explicit_stride = run(10);
+  const auto default_stride = run(0);  // 0 = tumbling default
   ASSERT_EQ(explicit_stride.ids.size(), 40u);
   EXPECT_EQ(explicit_stride.ids, default_stride.ids);
   EXPECT_EQ(explicit_stride.points, default_stride.points);
@@ -120,17 +113,14 @@ TEST(SlidingWindowTest, StrideEqualToWindowMatchesTumblingDefault) {
 TEST(SlidingWindowTest, DuplicateIdInsideOverlappingWindowIsRejected) {
   // Ids recycle every 15 arrivals but the window spans 20, so the very
   // first window contains a duplicate — the ring buffer must reject it
-  // like the tumbling assembler always has.
-  const std::string csv = SyntheticCsv(30, 15);
-  std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunner runner(BaseConfig(20, 5));
-  SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  Status st = runner.Run(reader, sink, rng);
-  EXPECT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  // like the tumbling assembler always has: the feed is quarantined as
+  // invalid and nothing is published.
+  const OneFeedRun run = RunOneFeed(OneFeedConfig(BaseConfig(20, 5)),
+                                    SyntheticCsv(30, 15), kSeed);
+  EXPECT_TRUE(run.quarantined);
+  EXPECT_NE(run.quarantine_reason.find("InvalidArgument"), std::string::npos)
+      << run.quarantine_reason;
+  EXPECT_EQ(run.report.windows_published, 0u);
 }
 
 TEST(SlidingWindowTest, PerObjectPublishesStrictlyMoreWindowsThanWholesale) {
@@ -144,26 +134,24 @@ TEST(SlidingWindowTest, PerObjectPublishesStrictlyMoreWindowsThanWholesale) {
   const std::string csv = SyntheticCsv(1000, 200);
   const double kBudget = 3.0;
 
-  auto run = [&](BudgetAccounting accounting, SinkCapture* capture,
+  auto run = [&](BudgetAccounting accounting,
+                 frt::testing::ServiceCapture::Feed* capture,
                  StreamReport* report, double* max_object_eps) {
-    std::istringstream in(csv);
-    TrajectoryReader reader(in);
-    StreamRunnerConfig config = BaseConfig(100, 0);
+    StreamConfig config = BaseConfig(100, 0);
     config.accounting = accounting;
     if (accounting == BudgetAccounting::kWholesale) {
       config.total_budget = kBudget;
     } else {
       config.per_object_budget = kBudget;
     }
-    StreamRunner runner(config);
-    Rng rng(kSeed);
-    auto sink = capture->MakeSink();
-    ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
-    *report = runner.report();
-    *max_object_eps = runner.object_accountant().max_spent();
+    OneFeedRun result = RunOneFeed(OneFeedConfig(config), csv, kSeed);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    *capture = std::move(result.published);
+    *report = result.report;
+    *max_object_eps = result.object_accountant.max_spent();
   };
 
-  SinkCapture wholesale_capture, per_object_capture;
+  frt::testing::ServiceCapture::Feed wholesale_capture, per_object_capture;
   StreamReport wholesale_report, per_object_report;
   double wholesale_max = 0.0, per_object_max = 0.0;
   run(BudgetAccounting::kWholesale, &wholesale_capture, &wholesale_report,
@@ -210,24 +198,22 @@ TEST(SlidingWindowTest, EvictExhaustedDropsOnlyTheExhaustedObject) {
                                              /*fresh_per_window=*/9);
   const double kBudget = 2.0;
 
-  auto run = [&](bool evict, SinkCapture* capture, StreamReport* report,
-                 const char* label) {
-    std::istringstream in(csv);
-    TrajectoryReader reader(in);
-    StreamRunnerConfig config = BaseConfig(10, 0);
+  auto run = [&](bool evict, frt::testing::ServiceCapture::Feed* capture,
+                 StreamReport* report, const char* label) {
+    StreamConfig config = BaseConfig(10, 0);
     config.accounting = BudgetAccounting::kPerObject;
     config.per_object_budget = kBudget;
     config.evict_exhausted = evict;
-    StreamRunner runner(config);
-    Rng rng(kSeed);
-    auto sink = capture->MakeSink();
-    ASSERT_TRUE(runner.Run(reader, sink, rng).ok()) << label;
-    *report = runner.report();
+    OneFeedRun result = RunOneFeed(OneFeedConfig(config), csv, kSeed);
+    ASSERT_TRUE(result.status.ok()) << label << ": "
+                                    << result.status.ToString();
+    *capture = std::move(result.published);
+    *report = result.report;
     // Whatever the mode, object 0 never exceeds its budget.
-    EXPECT_LE(runner.object_accountant().spent(0), kBudget + 1e-9) << label;
+    EXPECT_LE(result.object_accountant.spent(0), kBudget + 1e-9) << label;
   };
 
-  SinkCapture refusing_capture, evicting_capture;
+  frt::testing::ServiceCapture::Feed refusing_capture, evicting_capture;
   StreamReport refusing_report, evicting_report;
   run(false, &refusing_capture, &refusing_report, "refusing");
   run(true, &evicting_capture, &evicting_report, "evicting");
@@ -265,28 +251,23 @@ TEST(SlidingWindowTest, SlidingWindowsChargePerAppearance) {
   // released by up to two windows, and the per-object ledger must bill
   // both appearances. 20 arrivals -> windows [0,10) [5,15) [10,20);
   // objects 5..9 appear twice.
-  const std::string csv = SyntheticCsv(20);
-  std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunnerConfig config = BaseConfig(10, 5);
+  StreamConfig config = BaseConfig(10, 5);
   config.accounting = BudgetAccounting::kPerObject;
   config.per_object_budget = 10.0;  // ample: nothing refused
-  StreamRunner runner(config);
-  SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
+  const OneFeedRun run =
+      RunOneFeed(OneFeedConfig(config), SyntheticCsv(20), kSeed);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
 
   std::unordered_map<TrajId, double> tally;
-  for (const auto& window : capture.window_ids) {
+  for (const auto& window : run.published.window_ids) {
     for (const TrajId id : window) tally[id] += 1.0;
   }
   for (const auto& [id, spent] : tally) {
-    EXPECT_NEAR(runner.object_accountant().spent(id), spent, 1e-9)
+    EXPECT_NEAR(run.object_accountant.spent(id), spent, 1e-9)
         << "object " << id;
   }
-  EXPECT_NEAR(runner.object_accountant().max_spent(), 2.0, 1e-9);
-  EXPECT_EQ(runner.report().windows_refused, 0u);
+  EXPECT_NEAR(run.object_accountant.max_spent(), 2.0, 1e-9);
+  EXPECT_EQ(run.report.windows_refused, 0u);
 }
 
 }  // namespace

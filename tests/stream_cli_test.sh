@@ -1,0 +1,88 @@
+#!/usr/bin/env bash
+# frt_stream is a one-feed service: its release must be byte-identical to
+# `frt_serve --input stream=RAW --output-dir D` (D/stream.csv), with the
+# same exit code, across the flag matrix below. And a malformed input line
+# publishes only the complete windows closed before it, in either CLI:
+# the partial window read ahead of the bad line is dropped and the run
+# exits 1.
+#
+# Usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve
+
+set -u
+
+STREAM="${1:?usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve}"
+SERVE="${2:?usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve}"
+WORK="$(mktemp -d "${TMPDIR:-/tmp}/frt_stream_cli_XXXXXX")"
+trap 'rm -rf "$WORK"' EXIT
+
+fail() {
+  echo "FAIL: $*" >&2
+  exit 1
+}
+
+# 400 arrivals whose ids recycle every 100: unique within any window of
+# 100, so every object reappears in 4 windows (per-object budgets bite).
+awk 'BEGIN { for (i = 0; i < 400; ++i) { id = i % 100; x = 200 + (i * 137) % 1700; y = 300 + (i * 251) % 1500; t = 1000 + i; for (j = 0; j < 30; ++j) { printf "%d,%.1f,%.1f,%d\n", id, x, y, t; x += 40; y += 30; t += 60 } } }' \
+  > "$WORK/raw.csv"
+
+run_pair() {
+  local name="$1"
+  shift
+  mkdir -p "$WORK/$name"
+  "$STREAM" --input "$WORK/raw.csv" --output "$WORK/$name/stream_cli.csv" \
+    --window 100 --m 3 --seed 7 "$@" 2> "$WORK/$name/stream.log"
+  local stream_code=$?
+  "$SERVE" --input "stream=$WORK/raw.csv" --output-dir "$WORK/$name" \
+    --window 100 --m 3 --seed 7 "$@" 2> "$WORK/$name/serve.log"
+  local serve_code=$?
+  [[ "$stream_code" == "$serve_code" ]] \
+    || fail "$name: frt_stream exited $stream_code, frt_serve $serve_code"
+  [[ -s "$WORK/$name/stream.csv" ]] || fail "$name: frt_serve published nothing"
+  cmp "$WORK/$name/stream_cli.csv" "$WORK/$name/stream.csv" \
+    || fail "$name: frt_stream and frt_serve releases differ"
+  echo "ok: $name (exit $stream_code, $(wc -l < "$WORK/$name/stream.csv") lines)"
+}
+
+run_pair shards1 --shards 1
+run_pair shards4 --shards 4
+run_pair stride50 --shards 4 --stride 50
+run_pair per_object --shards 4 --per-object-budget 2 --evict-exhausted
+
+# ---- A malformed line after 150 good trajectories (window 100). ----
+awk 'BEGIN { for (i = 0; i < 150; ++i) { x = 200 + (i * 137) % 1700; y = 300 + (i * 251) % 1500; t = 1000 + i; for (j = 0; j < 30; ++j) { printf "%d,%.1f,%.1f,%d\n", i, x, y, t; x += 40; y += 30; t += 60 } } print "150,not_a_number,2.0,3" }' \
+  > "$WORK/bad.csv"
+
+distinct_ids() {
+  awk -F, '!/^#/ {ids[$1]=1} END {print length(ids)}' "$1"
+}
+
+mkdir -p "$WORK/bad_serve"
+"$SERVE" --input "a=$WORK/bad.csv" --output-dir "$WORK/bad_serve" \
+  --window 100 --m 3 --seed 7 2> "$WORK/bad_serve.log"
+code=$?
+[[ "$code" == "1" ]] || fail "frt_serve on a bad line exited $code, want 1"
+grep -q "quarantined feed 'a'" "$WORK/bad_serve.log" \
+  || fail "frt_serve did not quarantine feed a"
+[[ "$(distinct_ids "$WORK/bad_serve/a.csv")" == "100" ]] \
+  || fail "frt_serve published $(distinct_ids "$WORK/bad_serve/a.csv") ids, want the 100 of the complete window"
+
+"$STREAM" --input "$WORK/bad.csv" --output "$WORK/bad_stream.csv" \
+  --window 100 --m 3 --seed 7 2> "$WORK/bad_stream.log"
+code=$?
+[[ "$code" == "1" ]] || fail "frt_stream on a bad line exited $code, want 1"
+[[ "$(distinct_ids "$WORK/bad_stream.csv")" == "100" ]] \
+  || fail "frt_stream published $(distinct_ids "$WORK/bad_stream.csv") ids, want 100"
+cmp "$WORK/bad_stream.csv" "$WORK/bad_serve/a.csv" >/dev/null \
+  && fail "feeds 'a' and 'stream' draw distinct RNG streams; releases must differ"
+
+# The interleaved --feeds reader obeys the same rule.
+awk -F, '{ print "a," $0 }' "$WORK/bad.csv" > "$WORK/bad_feeds.csv"
+mkdir -p "$WORK/bad_feeds"
+"$SERVE" --feeds "$WORK/bad_feeds.csv" --output-dir "$WORK/bad_feeds" \
+  --window 100 --m 3 --seed 7 2> "$WORK/bad_feeds.log"
+code=$?
+[[ "$code" == "1" ]] || fail "frt_serve --feeds on a bad line exited $code, want 1"
+cmp "$WORK/bad_feeds/a.csv" "$WORK/bad_serve/a.csv" \
+  || fail "--feeds and --input releases of feed a differ"
+
+echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows"

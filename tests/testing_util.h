@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <istream>
@@ -20,7 +21,7 @@
 
 #include "core/pipeline.h"
 #include "service/dispatcher.h"
-#include "stream/stream_runner.h"
+#include "stream/ingest.h"
 #include "synth/workload.h"
 #include "traj/dataset.h"
 
@@ -95,33 +96,6 @@ inline bool DatasetsEqual(const Dataset& a, const Dataset& b) {
   return true;
 }
 
-/// Window sink that records everything the stream publishes, window by
-/// window.
-struct SinkCapture {
-  std::vector<TrajId> ids;
-  std::vector<std::vector<TimedPoint>> points;
-  /// Published trajectory ids of each window, in window order.
-  std::vector<std::vector<TrajId>> window_ids;
-  std::vector<WindowReport> reports;
-  size_t windows = 0;
-
-  WindowSink MakeSink() {
-    return [this](const Dataset& published,
-                  const WindowReport& report) -> Status {
-      ++windows;
-      reports.push_back(report);
-      std::vector<TrajId> this_window;
-      for (const auto& t : published.trajectories()) {
-        ids.push_back(t.id());
-        this_window.push_back(t.id());
-        points.push_back(t.points());
-      }
-      window_ids.push_back(std::move(this_window));
-      return Status::OK();
-    };
-  }
-};
-
 /// Per-feed capture of everything a multi-feed service publishes. The
 /// ServiceSink runs on the dispatcher thread only; published_windows is
 /// additionally readable from other threads (under mu) so tests can wait
@@ -173,6 +147,63 @@ struct ServiceCapture {
            a.points == b.points;
   }
 };
+
+/// The service configuration frt_stream runs: one feed, one closed window
+/// buffered behind the one in flight, an arrival queue of two windows.
+inline ServiceConfig OneFeedConfig(const StreamConfig& stream,
+                                   unsigned pool_threads = 4) {
+  ServiceConfig config;
+  config.stream = stream;
+  config.pool_threads = pool_threads;
+  config.arrival_queue_capacity = 2 * std::max<size_t>(stream.window_size, 1);
+  config.max_backlog_windows = 1;
+  return config;
+}
+
+/// Outcome of one CSV feed streamed through a one-feed ServiceDispatcher
+/// (feed "stream"), the way frt_stream runs it.
+struct OneFeedRun {
+  /// The reader's error (OfferFeed) or Finish()'s, whichever came first.
+  Status status = Status::OK();
+  StreamReport report;
+  bool quarantined = false;
+  std::string quarantine_reason;
+  /// The feed's ledgers after the run; default-constructed when its
+  /// session was retired (quarantine).
+  PrivacyAccountant accountant;
+  ObjectBudgetAccountant object_accountant;
+  ServiceCapture::Feed published;
+};
+
+inline OneFeedRun RunOneFeed(const ServiceConfig& config, std::istream& in,
+                             uint64_t seed) {
+  OneFeedRun run;
+  ServiceCapture capture;
+  ServiceDispatcher service(config, capture.MakeSink());
+  run.status = service.Start(seed);
+  if (!run.status.ok()) return run;
+  TrajectoryReader reader(in);
+  const Status ingest = OfferFeed(reader, "stream", service);
+  run.status = service.Finish();
+  if (run.status.ok()) run.status = ingest;
+  for (const FeedReport& feed : service.report().feeds_report) {
+    run.report = feed.stream;
+    run.quarantined = feed.quarantined;
+    run.quarantine_reason = feed.quarantine_reason;
+  }
+  if (const FeedSession* session = service.session("stream")) {
+    run.accountant = session->accountant();
+    run.object_accountant = session->object_accountant();
+  }
+  run.published = std::move(capture.feeds["stream"]);
+  return run;
+}
+
+inline OneFeedRun RunOneFeed(const ServiceConfig& config,
+                             const std::string& csv, uint64_t seed) {
+  std::istringstream in(csv);
+  return RunOneFeed(config, in, seed);
+}
 
 /// A live feed for deadline tests: an istream whose reader blocks until
 /// the writer appends more bytes or ends the feed — what stdin on a quiet

@@ -1,8 +1,9 @@
 // Unit tests for runtime/work_stealing_pool.h and common/bounded_queue.h:
 // completeness (every index exactly once), no deadlock on degenerate
-// workloads, pool reuse, scheduling-independent results, BatchRunner
-// equivalence between static and work-stealing dispatch, and queue
-// FIFO/backpressure/close semantics.
+// workloads, pool reuse, re-entrancy (Runs nested in submitted tasks and
+// in other Runs, concurrent Runs from many threads), scheduling-
+// independent results, BatchRunner equivalence across pool sizes, and
+// queue FIFO/backpressure/close semantics.
 
 #include "runtime/work_stealing_pool.h"
 
@@ -10,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -82,15 +84,14 @@ TEST(WorkStealingPoolTest, MergedOutputIdenticalUnderAnyThreadCount) {
 }
 
 TEST(WorkStealingPoolTest, SkewedTasksAreRebalanced) {
-  // One task blocks until every other task is done: whichever worker picks
-  // it up stalls, and the rest of that worker's queue can only complete if
-  // other workers steal it. Deadlocks (and times out) if stealing is
-  // broken; checked via completion, not timing, so it is load-independent.
+  // One task blocks until every other task is done: whichever thread
+  // claims it stalls, and the run can only complete if the other threads
+  // keep claiming the remaining indices. Deadlocks (and times out) if one
+  // straggler holds the rest back; checked via completion, not timing, so
+  // it is load-independent.
   WorkStealingPool pool(4);
   const size_t n = 64;
-  // Indices are dealt round-robin and owners pop LIFO, so the last index
-  // dealt to worker 0 is the first task worker 0 executes.
-  const size_t blocker = ((n - 1) / pool.num_workers()) * pool.num_workers();
+  const size_t blocker = 0;  // the first index claimed
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
   std::atomic<size_t> done{0};
@@ -104,7 +105,71 @@ TEST(WorkStealingPoolTest, SkewedTasksAreRebalanced) {
     done.fetch_add(1, std::memory_order_acq_rel);
   });
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
-  EXPECT_GT(pool.steal_count(), 0u);
+}
+
+/// The slots a serial loop writes: the reference every pooled run must
+/// reproduce exactly.
+std::vector<uint64_t> SerialSlots(size_t n, uint64_t salt) {
+  std::vector<uint64_t> slots(n);
+  for (size_t i = 0; i < n; ++i) slots[i] = i * i + salt;
+  return slots;
+}
+
+TEST(WorkStealingPoolTest, RunNestsInsideSubmittedTasksAndRuns) {
+  // The service's shape: window jobs are submitted tasks that fan their
+  // shards out with Run, and a shard may fan out again (the audit). Every
+  // job's slots must equal a serial loop, on pools smaller and larger
+  // than the job count, without deadlock.
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    WorkStealingPool pool(threads);
+    const size_t jobs = 8;
+    const size_t n = 16;
+    std::vector<std::vector<uint64_t>> slots(jobs,
+                                             std::vector<uint64_t>(n, 0));
+    std::vector<std::vector<uint64_t>> inner(jobs,
+                                             std::vector<uint64_t>(n, 0));
+    for (size_t j = 0; j < jobs; ++j) {
+      pool.Submit([&, j] {
+        pool.Run(n, [&, j](size_t i) {
+          slots[j][i] = i * i + j;
+          std::atomic<uint64_t> sum{0};
+          pool.Run(4, [&](size_t k) { sum.fetch_add(k + i); });
+          inner[j][i] = sum.load();
+        });
+      });
+    }
+    pool.WaitIdle();
+    for (size_t j = 0; j < jobs; ++j) {
+      EXPECT_EQ(slots[j], SerialSlots(n, j)) << "threads " << threads;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(inner[j][i], 6 + 4 * i) << "threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(WorkStealingPoolTest, ConcurrentRunsOnTwoWorkerPool) {
+  // Several threads Run on one 2-worker pool at once: each call owns its
+  // index state, so the runs never mix indices or functions.
+  WorkStealingPool pool(2);
+  const size_t callers = 6;
+  const size_t n = 200;
+  std::vector<int> mismatched_rounds(callers, 0);
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < callers; ++c) {
+    threads.emplace_back([&, c] {
+      const std::vector<uint64_t> expected = SerialSlots(n, c);
+      for (int round = 0; round < 20; ++round) {
+        std::vector<uint64_t> out(n, 0);
+        pool.Run(n, [&](size_t i) { out[i] = i * i + c; });
+        if (out != expected) ++mismatched_rounds[c];
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (size_t c = 0; c < callers; ++c) {
+    EXPECT_EQ(mismatched_rounds[c], 0) << "caller " << c;
+  }
 }
 
 Dataset SmallFleet(int taxis, uint64_t seed) {
@@ -119,29 +184,41 @@ Dataset SmallFleet(int taxis, uint64_t seed) {
   return workload->dataset;
 }
 
-TEST(WorkStealingPoolTest, BatchRunnerOutputMatchesStaticDispatch) {
-  // Dispatch policy moves work between threads, never between RNG streams,
-  // so work-stealing and static batch runs are bit-identical.
+TEST(WorkStealingPoolTest, BatchRunnerOutputIdenticalAcrossPoolSizes) {
+  // The pool moves work between threads, never between RNG streams, so a
+  // batch is bit-identical on an ephemeral pool of any size and on a
+  // shared pool, audit included.
   const Dataset input = SmallFleet(24, 7);
-  auto run = [&](ShardDispatch dispatch, unsigned threads) {
+  auto run = [&](unsigned threads, WorkStealingPool* pool,
+                 WindowAuditReport* audit) {
     BatchRunnerConfig config;
     config.pipeline.m = 5;
     config.shards = 6;
     config.threads = threads;
-    config.dispatch = dispatch;
+    config.pool = pool;
+    config.audit.enabled = true;
     BatchRunner runner(config);
     Rng rng(404);
     auto out = runner.Anonymize(input, rng);
     EXPECT_TRUE(out.ok()) << out.status().ToString();
+    *audit = runner.report().audit;
     return *std::move(out);
   };
-  const Dataset statically = run(ShardDispatch::kStatic, 2);
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    const Dataset stolen = run(ShardDispatch::kWorkStealing, threads);
-    ASSERT_EQ(stolen.size(), statically.size()) << "threads " << threads;
-    for (size_t i = 0; i < stolen.size(); ++i) {
-      EXPECT_EQ(stolen[i].points(), statically[i].points())
-          << "threads " << threads << ", trajectory " << i;
+  WindowAuditReport serial_audit;
+  const Dataset serial = run(1, nullptr, &serial_audit);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    WorkStealingPool shared(threads);
+    for (WorkStealingPool* pool : {static_cast<WorkStealingPool*>(nullptr),
+                                   &shared}) {
+      WindowAuditReport audit;
+      const Dataset pooled = run(threads, pool, &audit);
+      ASSERT_EQ(pooled.size(), serial.size()) << "threads " << threads;
+      for (size_t i = 0; i < pooled.size(); ++i) {
+        EXPECT_EQ(pooled[i].points(), serial[i].points())
+            << "threads " << threads << ", trajectory " << i;
+      }
+      EXPECT_EQ(audit.mean_displacement, serial_audit.mean_displacement);
+      EXPECT_EQ(audit.max_displacement, serial_audit.max_displacement);
     }
   }
 }

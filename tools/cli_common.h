@@ -16,7 +16,7 @@
 #include "common/strings.h"
 #include "core/pipeline.h"
 #include "service/metrics_exporter.h"
-#include "stream/stream_runner.h"
+#include "stream/stream_types.h"
 
 namespace frt::cli {
 
@@ -71,6 +71,16 @@ inline bool ParseFlagUint64(const char* flag, const char* value,
   return true;
 }
 
+/// \brief The value of the flag at argv[*i], advancing *i past it; nullptr
+/// (reported) when the value is missing.
+inline const char* NextFlagValue(int argc, char** argv, int* i) {
+  if (*i + 1 >= argc) {
+    std::fprintf(stderr, "missing value for %s\n", argv[*i]);
+    return nullptr;
+  }
+  return argv[++*i];
+}
+
 /// Maps the --strategy flag spelling to a SearchStrategy. The single
 /// source of the ladder: every tool that grows a strategy flag uses this,
 /// so a new strategy becomes selectable everywhere at once.
@@ -114,13 +124,7 @@ enum class FlagParse {
 inline FlagParse ParsePipelineFlag(int argc, char** argv, int* i,
                                    PipelineArgs* args) {
   const char* flag = argv[*i];
-  auto next = [&]() -> const char* {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", flag);
-      return nullptr;
-    }
-    return argv[++*i];
-  };
+  auto next = [&] { return NextFlagValue(argc, argv, i); };
   const char* v = nullptr;
   if (std::strcmp(flag, "--epsilon-global") == 0) {
     if ((v = next()) == nullptr) return FlagParse::kError;
@@ -213,8 +217,7 @@ inline const char* PipelineUsageText() {
       "(default 0)\n";
 }
 
-// ---- Streaming flags (frt_stream; shared here so future streaming tools
-// cannot drift from the same windowing/budget vocabulary) ----
+// ---- Streaming flags (every service CLI: windowing/budget vocabulary) ----
 
 /// Raw values of the streaming-service flags.
 struct StreamArgs {
@@ -223,8 +226,7 @@ struct StreamArgs {
   double budget = 0.0;             ///< wholesale ledger; 0 = track only
   double per_object_budget = 0.0;  ///< per-object ledgers; 0 = off
   bool evict_exhausted = false;
-  size_t queue = 0;
-  std::string dispatch = "steal";
+  size_t queue = 0;  ///< arrival queue capacity; 0 = the tool's default
   bool stop_on_exhausted = false;
   int64_t close_after_ms = 0;  ///< time-based window closure; 0 = off
 };
@@ -233,13 +235,7 @@ struct StreamArgs {
 inline FlagParse ParseStreamFlag(int argc, char** argv, int* i,
                                  StreamArgs* args) {
   const char* flag = argv[*i];
-  auto next = [&]() -> const char* {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", flag);
-      return nullptr;
-    }
-    return argv[++*i];
-  };
+  auto next = [&] { return NextFlagValue(argc, argv, i); };
   const char* v = nullptr;
   if (std::strcmp(flag, "--window") == 0) {
     if ((v = next()) == nullptr) return FlagParse::kError;
@@ -274,9 +270,6 @@ inline FlagParse ParseStreamFlag(int argc, char** argv, int* i,
     uint64_t n = 0;
     if (!ParseFlagUint64(flag, v, &n)) return FlagParse::kError;
     args->queue = static_cast<size_t>(n);
-  } else if (std::strcmp(flag, "--dispatch") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    args->dispatch = v;
   } else if (std::strcmp(flag, "--stop-on-exhausted") == 0) {
     args->stop_on_exhausted = true;
   } else if (std::strcmp(flag, "--close-after-ms") == 0) {
@@ -295,12 +288,12 @@ inline FlagParse ParseStreamFlag(int argc, char** argv, int* i,
 }
 
 /// \brief Validates the streaming flags (with an already-validated pipeline
-/// config) and fills the StreamRunner config. Reports to stderr and returns
-/// false on invalid combinations.
+/// config) and fills the per-feed stream config. Reports to stderr and
+/// returns false on invalid combinations.
 inline bool MakeStreamConfig(const StreamArgs& args,
                              const PipelineArgs& pipeline_args,
                              const FrequencyRandomizerConfig& pipeline,
-                             StreamRunnerConfig* config) {
+                             StreamConfig* config) {
   if (args.stride > args.window) {
     std::fprintf(stderr, "--stride (%zu) must be <= --window (%zu)\n",
                  args.stride, args.window);
@@ -318,10 +311,6 @@ inline bool MakeStreamConfig(const StreamArgs& args,
                  "per-object ledger can refuse a single object)\n");
     return false;
   }
-  if (args.dispatch != "steal" && args.dispatch != "static") {
-    std::fprintf(stderr, "--dispatch must be steal or static\n");
-    return false;
-  }
   config->window_size = args.window;
   config->window_stride = args.stride;
   config->total_budget = args.budget;
@@ -330,15 +319,10 @@ inline bool MakeStreamConfig(const StreamArgs& args,
                            ? BudgetAccounting::kPerObject
                            : BudgetAccounting::kWholesale;
   config->evict_exhausted = args.evict_exhausted;
-  config->queue_capacity = args.queue;
   config->stop_when_exhausted = args.stop_on_exhausted;
   config->close_after_ms = args.close_after_ms;
   config->batch.pipeline = pipeline;
   config->batch.shards = pipeline_args.shards;
-  config->batch.threads = pipeline_args.threads;
-  config->batch.dispatch = args.dispatch == "static"
-                               ? ShardDispatch::kStatic
-                               : ShardDispatch::kWorkStealing;
   config->batch.audit.enabled = true;
   config->batch.audit.strategy = pipeline.strategy;
   config->batch.audit.index_levels = pipeline.index_levels;
@@ -381,10 +365,10 @@ inline const char* StreamUsageText() {
       "objects\n"
       "                       from a window instead of refusing the whole "
       "window\n"
-      "  --queue N            ingest queue capacity in trajectories "
-      "(default 2*window)\n"
-      "  --dispatch D         shard dispatch: steal | static (default "
-      "steal)\n"
+      "  --queue N            arrival queue capacity in trajectories "
+      "(default:\n"
+      "                       2*window in frt_stream, 4*window in the "
+      "services)\n"
       "  --stop-on-exhausted  end the run at the first refused window "
       "(required\n"
       "                       for --budget on a feed that never ends)\n"
@@ -413,13 +397,7 @@ struct DurabilityArgs {
 inline FlagParse ParseDurabilityFlag(int argc, char** argv, int* i,
                                      DurabilityArgs* args) {
   const char* flag = argv[*i];
-  auto next = [&]() -> const char* {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", flag);
-      return nullptr;
-    }
-    return argv[++*i];
-  };
+  auto next = [&] { return NextFlagValue(argc, argv, i); };
   const char* v = nullptr;
   if (std::strcmp(flag, "--state-dir") == 0) {
     if ((v = next()) == nullptr) return FlagParse::kError;
@@ -498,13 +476,7 @@ struct ObservabilityArgs {
 inline FlagParse ParseObservabilityFlag(int argc, char** argv, int* i,
                                         ObservabilityArgs* args) {
   const char* flag = argv[*i];
-  auto next = [&]() -> const char* {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", flag);
-      return nullptr;
-    }
-    return argv[++*i];
-  };
+  auto next = [&] { return NextFlagValue(argc, argv, i); };
   const char* v = nullptr;
   if (std::strcmp(flag, "--trace-out") == 0) {
     if ((v = next()) == nullptr) return FlagParse::kError;
@@ -582,13 +554,7 @@ struct TransportArgs {
 inline FlagParse ParseTransportFlag(int argc, char** argv, int* i,
                                     TransportArgs* args) {
   const char* flag = argv[*i];
-  auto next = [&]() -> const char* {
-    if (*i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", flag);
-      return nullptr;
-    }
-    return argv[++*i];
-  };
+  auto next = [&] { return NextFlagValue(argc, argv, i); };
   const char* v = nullptr;
   if (std::strcmp(flag, "--listen") == 0) {
     if ((v = next()) == nullptr) return FlagParse::kError;

@@ -52,19 +52,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       case frt::cli::FlagParse::kNotMine:
         break;
     }
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
+    auto next = [&] { return frt::cli::NextFlagValue(argc, argv, &i); };
     if (std::strcmp(argv[i], "--input") == 0) {
-      const char* v = next("--input");
+      const char* v = next();
       if (v == nullptr) return false;
       args->input = v;
     } else if (std::strcmp(argv[i], "--output") == 0) {
-      const char* v = next("--output");
+      const char* v = next();
       if (v == nullptr) return false;
       args->output = v;
     } else {

@@ -38,50 +38,29 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "cli_common.h"
 #include "frt.h"
 #include "net/frame.h"
-#include "net/socket.h"
-#include "obs/admin_server.h"
-#include "obs/trace.h"
-#include "obs/trace_export.h"
-#include "service/dispatcher.h"
-#include "stream/ingest.h"
-#include "traj/io.h"
+#include "service_cli.h"
 
 namespace {
 
 struct Args {
-  std::string feeds;                             // --feeds FILE|-
-  std::vector<std::pair<std::string, std::string>> inputs;  // name, path
-  std::string hello = "edge";   // --hello NAME
+  frt::cli::LocalFeeds local;
+  std::string hello = "edge";         // --hello NAME
   uint64_t inject_corrupt_frame = 0;  // test hook; 0 = off
-  frt::cli::StreamArgs stream;
-  frt::cli::PipelineArgs pipeline;
-  frt::cli::DurabilityArgs durability;
-  frt::cli::ObservabilityArgs obs;
-  frt::cli::TransportArgs transport;
+  frt::cli::ServiceArgs common;
 };
 
 void Usage(const char* prog) {
   std::fprintf(
       stderr,
       "usage: %s (--feeds FILE|- | --input [NAME=]FILE ...) --connect EP\n"
-      "  --feeds FILE|-       interleaved multi-feed CSV "
-      "(feed,traj_id,x,y,t)\n"
-      "  --input [NAME=]FILE  one dataset CSV per feed (repeatable); feed "
-      "id is\n"
-      "                       NAME or the file stem\n"
+      "%s"
       "  --hello NAME         peer name sent in the connection preamble\n"
       "                       (default 'edge')\n"
       "  --inject-corrupt-frame N\n"
@@ -90,87 +69,27 @@ void Usage(const char* prog) {
       "                       trajectory frame after its CRC (default 0 = "
       "off)\n"
       "%s%s%s%s%s",
-      prog, frt::cli::TransportUsageText(), frt::cli::DurabilityUsageText(),
-      frt::cli::ObservabilityUsageText(), frt::cli::StreamUsageText(),
-      frt::cli::PipelineUsageText());
-}
-
-std::string FeedNameFromPath(const std::string& path) {
-  size_t begin = path.find_last_of("/\\");
-  begin = begin == std::string::npos ? 0 : begin + 1;
-  size_t end = path.rfind('.');
-  if (end == std::string::npos || end <= begin) end = path.size();
-  return path.substr(begin, end - begin);
+      prog, frt::cli::LocalFeedsUsageText(), frt::cli::TransportUsageText(),
+      frt::cli::DurabilityUsageText(), frt::cli::ObservabilityUsageText(),
+      frt::cli::StreamUsageText(), frt::cli::PipelineUsageText());
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
-    switch (frt::cli::ParsePipelineFlag(argc, argv, &i, &args->pipeline)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
+    frt::cli::FlagParse parsed =
+        frt::cli::ParseServiceFlag(argc, argv, &i, &args->common);
+    if (parsed == frt::cli::FlagParse::kNotMine) {
+      parsed = frt::cli::ParseLocalFeedFlag(argc, argv, &i, &args->local);
     }
-    switch (frt::cli::ParseStreamFlag(argc, argv, &i, &args->stream)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
-    }
-    switch (
-        frt::cli::ParseDurabilityFlag(argc, argv, &i, &args->durability)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
-    }
-    switch (frt::cli::ParseObservabilityFlag(argc, argv, &i, &args->obs)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
-    }
-    switch (frt::cli::ParseTransportFlag(argc, argv, &i, &args->transport)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
-    }
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
+    if (parsed == frt::cli::FlagParse::kError) return false;
+    if (parsed == frt::cli::FlagParse::kConsumed) continue;
+    auto next = [&] { return frt::cli::NextFlagValue(argc, argv, &i); };
     const char* v = nullptr;
-    if (std::strcmp(argv[i], "--feeds") == 0) {
-      if ((v = next("--feeds")) == nullptr) return false;
-      args->feeds = v;
-    } else if (std::strcmp(argv[i], "--input") == 0) {
-      if ((v = next("--input")) == nullptr) return false;
-      const std::string spec = v;
-      const size_t eq = spec.find('=');
-      if (eq != std::string::npos && eq > 0) {
-        args->inputs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-      } else {
-        args->inputs.emplace_back(FeedNameFromPath(spec), spec);
-      }
-    } else if (std::strcmp(argv[i], "--hello") == 0) {
-      if ((v = next("--hello")) == nullptr) return false;
+    if (std::strcmp(argv[i], "--hello") == 0) {
+      if ((v = next()) == nullptr) return false;
       args->hello = v;
     } else if (std::strcmp(argv[i], "--inject-corrupt-frame") == 0) {
-      if ((v = next("--inject-corrupt-frame")) == nullptr) return false;
+      if ((v = next()) == nullptr) return false;
       if (!frt::cli::ParseFlagUint64("--inject-corrupt-frame", v,
                                      &args->inject_corrupt_frame)) {
         return false;
@@ -180,92 +99,23 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  if (!args->transport.listen.empty()) {
+  if (!args->common.transport.listen.empty()) {
     std::fprintf(stderr,
                  "frt_edge does not take --listen (use frt_serve as the "
                  "aggregator)\n");
     return false;
   }
-  if (args->transport.connect.empty()) {
+  if (args->common.transport.connect.empty()) {
     std::fprintf(stderr, "--connect EP is required (the aggregator)\n");
     return false;
   }
-  if (args->feeds.empty() == args->inputs.empty()) {
+  if (args->local.feeds.empty() == args->local.inputs.empty()) {
     std::fprintf(stderr,
                  "exactly one of --feeds or --input (repeatable) is "
                  "required\n");
     return false;
   }
-  std::set<std::string> seen;
-  for (const auto& [name, path] : args->inputs) {
-    if (name.empty()) {
-      std::fprintf(stderr, "empty feed name for --input %s\n", path.c_str());
-      return false;
-    }
-    if (!seen.insert(name).second) {
-      std::fprintf(stderr,
-                   "duplicate feed name '%s' (from --input %s); use "
-                   "NAME=FILE to disambiguate\n",
-                   name.c_str(), path.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Streams the interleaved multi-feed CSV (`feed,traj_id,x,y,t`) into the
-/// dispatcher — same contiguity contract as frt_serve.
-frt::Status IngestMultiFeedCsv(std::istream& in,
-                               frt::ServiceDispatcher& service) {
-  struct Assembly {
-    frt::Trajectory current{0};
-    bool has_current = false;
-  };
-  std::map<std::string, Assembly> assemblies;
-  std::vector<std::string> order;
-  std::string line;
-  size_t lineno = 0;
-  bool stopped = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    const size_t comma = line.find(',');
-    if (comma == std::string::npos || comma == 0) {
-      return frt::Status::InvalidArgument(
-          "line " + std::to_string(lineno) +
-          ": expected feed,traj_id,x,y,t");
-    }
-    const std::string feed = line.substr(0, comma);
-    FRT_ASSIGN_OR_RETURN(
-        const std::optional<frt::CsvRecord> record,
-        frt::ParseCsvRecord(
-            std::string_view(line).substr(comma + 1), lineno));
-    if (!record.has_value()) continue;
-    auto [it, inserted] = assemblies.try_emplace(feed);
-    if (inserted) order.push_back(feed);
-    Assembly& assembly = it->second;
-    if (assembly.has_current && assembly.current.id() != record->id) {
-      if (!service.Offer(feed, std::move(assembly.current))) {
-        stopped = true;
-        break;
-      }
-      assembly.has_current = false;
-    }
-    if (!assembly.has_current) {
-      assembly.current = frt::Trajectory(record->id);
-      assembly.has_current = true;
-    }
-    assembly.current.Append(record->p, record->t);
-  }
-  if (!stopped) {
-    for (const auto& feed : order) {
-      Assembly& assembly = assemblies[feed];
-      if (assembly.has_current && !assembly.current.empty()) {
-        if (!service.Offer(feed, std::move(assembly.current))) break;
-      }
-    }
-  }
-  return frt::Status::OK();
+  return frt::cli::ValidateInputFeeds(args->local.inputs);
 }
 
 }  // namespace
@@ -277,62 +127,25 @@ int main(int argc, char** argv) {
   // this covers any other stray write).
   std::signal(SIGPIPE, SIG_IGN);
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
+  frt::ServiceConfig config;
+  if (!ParseArgs(argc, argv, &args) ||
+      !frt::cli::MakeServiceConfig(args.common, &config)) {
     Usage(argv[0]);
     return 2;
   }
-  frt::FrequencyRandomizerConfig pipeline_config;
-  if (!frt::cli::MakePipelineConfig(args.pipeline, &pipeline_config)) {
-    Usage(argv[0]);
-    return 2;
-  }
-  auto upstream_endpoint = frt::net::ParseEndpoint(args.transport.connect);
+  auto upstream_endpoint =
+      frt::net::ParseEndpoint(args.common.transport.connect);
   if (!upstream_endpoint.ok()) {
     std::fprintf(stderr, "edge: %s\n",
                  upstream_endpoint.status().ToString().c_str());
     Usage(argv[0]);
     return 2;
   }
-  // A bad --admin-listen is a usage error, not a mid-run failure.
-  std::optional<frt::net::Endpoint> admin_endpoint;
-  if (!args.obs.admin_listen.empty()) {
-    auto endpoint = frt::net::ParseEndpoint(args.obs.admin_listen);
-    if (!endpoint.ok()) {
-      std::fprintf(stderr, "edge: %s\n",
-                   endpoint.status().ToString().c_str());
-      Usage(argv[0]);
-      return 2;
-    }
-    admin_endpoint = *std::move(endpoint);
-  }
-  frt::ServiceConfig config;
-  if (!frt::cli::MakeStreamConfig(args.stream, args.pipeline,
-                                  pipeline_config, &config.stream)) {
-    Usage(argv[0]);
-    return 2;
-  }
-  config.arrival_queue_capacity = config.stream.queue_capacity;
-  config.state_dir = args.durability.state_dir;
-  config.checkpoint_interval_ms = args.durability.checkpoint_interval_ms;
-
-  if (!args.obs.trace_out.empty()) {
-    frt::obs::TraceRecorder::Options trace_options;
-    trace_options.buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    frt::obs::TraceRecorder::Get().Start(trace_options);
-    frt::obs::SetTraceThreadName("main");
-  }
-
   std::unique_ptr<frt::MetricsExporter> metrics;
-  if (!args.durability.metrics.empty()) {
-    metrics = std::make_unique<frt::MetricsExporter>(
-        frt::cli::MakeMetricsOptions(args.durability, args.obs));
-    if (auto st = metrics->Start(); !st.ok()) {
-      std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    config.metrics = metrics.get();
-    config.metrics_interval_ms = args.durability.metrics_interval_ms;
+  if (auto st = frt::cli::StartObservability(args.common, &config, &metrics);
+      !st.ok()) {
+    std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
+    return 1;
   }
 
   // ---- Upstream connection (written by the dispatcher thread only once
@@ -405,87 +218,22 @@ int main(int argc, char** argv) {
   };
 
   frt::ServiceDispatcher service(std::move(config), sink);
-  if (auto st = service.Start(args.pipeline.seed); !st.ok()) {
+  if (auto st = service.Start(args.common.pipeline.seed); !st.ok()) {
+    std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  // Declared after the service: its handlers reference it.
+  std::unique_ptr<frt::obs::AdminServer> admin;
+  if (auto st = frt::cli::StartAdminPlane(args.common, service, metrics.get(),
+                                          &admin);
+      !st.ok()) {
     std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
     return 1;
   }
 
-  // ---- Admin plane (--admin-listen): the pre-registered /metrics and
-  // /healthz endpoints plus runtime control over tracing and the metrics
-  // cadence. Declared after the service so its thread joins before the
-  // service goes away. ----
-  std::unique_ptr<frt::obs::AdminServer> admin;
-  if (admin_endpoint.has_value()) {
-    frt::obs::AdminServer::Options admin_options;
-    admin_options.endpoint = *admin_endpoint;
-    admin = std::make_unique<frt::obs::AdminServer>(admin_options);
-    frt::obs::ControlHooks hooks;
-    hooks.trace_out = args.obs.trace_out;
-    hooks.trace_buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    frt::MetricsExporter* exporter = metrics.get();
-    frt::ServiceDispatcher* service_ptr = &service;
-    hooks.set_metrics_interval_ms = [service_ptr, exporter](int64_t ms) {
-      service_ptr->SetMetricsIntervalMs(ms);
-      if (exporter != nullptr) exporter->SetIntervalMs(ms);
-      return true;
-    };
-    admin->Handle("POST", "/control",
-                  frt::obs::MakeControlHandler(std::move(hooks)));
-    if (auto st = admin->Start(); !st.ok()) {
-      std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "edge: admin plane on %s\n",
-                 args.obs.admin_listen.c_str());
-  }
-
   // ---- Ingest (same shapes as frt_serve). ----
-  frt::Status ingest_status = frt::Status::OK();
-  if (!args.feeds.empty()) {
-    std::ifstream feeds_file;
-    if (args.feeds != "-") {
-      feeds_file.open(args.feeds);
-      if (!feeds_file.is_open()) {
-        std::fprintf(stderr, "cannot open feeds: %s\n", args.feeds.c_str());
-        return 1;
-      }
-    }
-    std::istream& in = args.feeds == "-" ? std::cin : feeds_file;
-    ingest_status = IngestMultiFeedCsv(in, service);
-  } else {
-    std::vector<frt::Status> statuses(args.inputs.size());
-    std::vector<std::thread> readers;
-    readers.reserve(args.inputs.size());
-    for (size_t i = 0; i < args.inputs.size(); ++i) {
-      readers.emplace_back([&, i] {
-        const auto& [feed, path] = args.inputs[i];
-        std::ifstream file(path);
-        if (!file.is_open()) {
-          statuses[i] = frt::Status::IOError("cannot open input: " + path);
-          return;
-        }
-        frt::TrajectoryReader reader(file);
-        for (;;) {
-          auto next = reader.Next();
-          if (!next.ok()) {
-            statuses[i] = next.status();
-            return;
-          }
-          if (!next->has_value()) return;
-          if (!service.Offer(feed, std::move(**next))) return;
-        }
-      });
-    }
-    for (auto& t : readers) t.join();
-    for (auto& st : statuses) {
-      if (!st.ok()) {
-        ingest_status = st;
-        break;
-      }
-    }
-  }
-
+  const frt::Status ingest_status =
+      frt::cli::IngestLocalFeeds(args.local, service);
   frt::Status run_status = service.Finish();
   // The dispatcher is joined; close the stream from this thread. A failed
   // bye is a warning, not an error — every published window already made
@@ -501,21 +249,7 @@ int main(int argc, char** argv) {
   }
   upstream.Close();
 
-  if (metrics) metrics->Stop();
-  if (!args.obs.trace_out.empty()) {
-    const frt::obs::TraceDump dump = frt::obs::TraceRecorder::Get().Stop();
-    if (auto st = frt::obs::WriteChromeTrace(dump, args.obs.trace_out);
-        !st.ok()) {
-      if (run_status.ok()) run_status = st;
-    } else {
-      std::fprintf(stderr,
-                   "trace: wrote %zu span(s) from %zu thread(s) to %s "
-                   "(%llu dropped)\n",
-                   dump.events.size(), dump.threads.size(),
-                   args.obs.trace_out.c_str(),
-                   static_cast<unsigned long long>(dump.dropped));
-    }
-  }
+  frt::cli::FinishObservability(args.common.obs, metrics.get(), &run_status);
   if (run_status.ok()) run_status = ingest_status;
   if (!run_status.ok()) {
     std::fprintf(stderr, "edge: %s\n", run_status.ToString().c_str());
@@ -524,12 +258,6 @@ int main(int argc, char** argv) {
 
   // ---- Reports. ----
   const frt::ServiceReport& report = service.report();
-  for (const frt::FeedReport& feed : report.feeds_report) {
-    if (feed.quarantined) {
-      std::fprintf(stderr, "quarantine: feed %s: %s\n", feed.feed.c_str(),
-                   feed.quarantine_reason.c_str());
-    }
-  }
   std::fprintf(
       stderr,
       "edge done in %.1fs: %zu feeds, %zu windows published / %zu refused, "
@@ -539,20 +267,7 @@ int main(int argc, char** argv) {
       report.trajectories_published,
       static_cast<unsigned long long>(frames_sent),
       static_cast<unsigned long long>(bytes_sent),
-      args.transport.connect.c_str());
-  int exit_code = 0;
-  if (report.feeds_quarantined > 0) {
-    std::fprintf(stderr, "%zu feed(s) quarantined locally\n",
-                 report.feeds_quarantined);
-    exit_code = 3;
-  }
-  if (frt::ServiceHadRefusals(report)) {
-    std::fprintf(stderr,
-                 "budget exhausted on at least one feed: %zu window(s) / "
-                 "%zu trajectories refused, %zu evicted\n",
-                 report.windows_refused, report.trajectories_refused,
-                 report.trajectories_evicted);
-    exit_code = 3;
-  }
-  return exit_code;
+      args.common.transport.connect.c_str());
+  frt::cli::PrintDurability(args.common.durability, report);
+  return frt::cli::ReportOutcome(report);
 }

@@ -60,9 +60,7 @@
 // or was quarantined on a malformed stream; 1 = runtime error; 2 = usage
 // error.
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -71,39 +69,23 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "cli_common.h"
-#include "common/strings.h"
 #include "frt.h"
 #include "net/ingress.h"
-#include "net/socket.h"
-#include "obs/admin_server.h"
-#include "obs/registry.h"
-#include "obs/trace.h"
-#include "obs/trace_export.h"
-#include "service/dispatcher.h"
-#include "stream/ingest.h"
-#include "traj/io.h"
+#include "service_cli.h"
 
 namespace {
 
 struct Args {
-  std::string feeds;                             // --feeds FILE|-
-  std::vector<std::pair<std::string, std::string>> inputs;  // name, path
+  frt::cli::LocalFeeds local;
   std::string output;      // --output FILE|-
   std::string output_dir;  // --output-dir DIR
   long long evict_idle_ms = 0;
   unsigned pool_threads = 0;
   size_t max_in_flight = 0;
-  frt::cli::StreamArgs stream;
-  frt::cli::PipelineArgs pipeline;
-  frt::cli::DurabilityArgs durability;
-  frt::cli::ObservabilityArgs obs;
-  frt::cli::TransportArgs transport;
+  frt::cli::ServiceArgs common;
 };
 
 /// The ingress server a SIGINT/SIGTERM should stop (Stop() is one atomic
@@ -122,11 +104,7 @@ void Usage(const char* prog) {
       stderr,
       "usage: %s (--feeds FILE|- | --input [NAME=]FILE ... | --listen EP)\n"
       "          (--output FILE|- | --output-dir DIR) [options]\n"
-      "  --feeds FILE|-       interleaved multi-feed CSV "
-      "(feed,traj_id,x,y,t)\n"
-      "  --input [NAME=]FILE  one dataset CSV per feed (repeatable); feed "
-      "id is\n"
-      "                       NAME or the file stem\n"
+      "%s"
       "  --output FILE|-      merged multi-feed CSV output\n"
       "  --output-dir DIR     one <feed>.csv per feed (DIR must exist)\n"
       "  --evict-idle-ms N    flush + evict sessions idle for N ms "
@@ -136,90 +114,30 @@ void Usage(const char* prog) {
       "  --max-in-flight N    concurrent window jobs across feeds "
       "(default 0 = 2x pool)\n"
       "%s%s%s%s%s",
-      prog, frt::cli::TransportUsageText(), frt::cli::DurabilityUsageText(),
-      frt::cli::ObservabilityUsageText(), frt::cli::StreamUsageText(),
-      frt::cli::PipelineUsageText());
-}
-
-std::string FeedNameFromPath(const std::string& path) {
-  size_t begin = path.find_last_of("/\\");
-  begin = begin == std::string::npos ? 0 : begin + 1;
-  size_t end = path.rfind('.');
-  if (end == std::string::npos || end <= begin) end = path.size();
-  return path.substr(begin, end - begin);
+      prog, frt::cli::LocalFeedsUsageText(), frt::cli::TransportUsageText(),
+      frt::cli::DurabilityUsageText(), frt::cli::ObservabilityUsageText(),
+      frt::cli::StreamUsageText(), frt::cli::PipelineUsageText());
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
-    switch (frt::cli::ParsePipelineFlag(argc, argv, &i, &args->pipeline)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
+    frt::cli::FlagParse parsed =
+        frt::cli::ParseServiceFlag(argc, argv, &i, &args->common);
+    if (parsed == frt::cli::FlagParse::kNotMine) {
+      parsed = frt::cli::ParseLocalFeedFlag(argc, argv, &i, &args->local);
     }
-    switch (frt::cli::ParseStreamFlag(argc, argv, &i, &args->stream)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
-    }
-    switch (
-        frt::cli::ParseDurabilityFlag(argc, argv, &i, &args->durability)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
-    }
-    switch (frt::cli::ParseObservabilityFlag(argc, argv, &i, &args->obs)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
-    }
-    switch (frt::cli::ParseTransportFlag(argc, argv, &i, &args->transport)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
-    }
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
+    if (parsed == frt::cli::FlagParse::kError) return false;
+    if (parsed == frt::cli::FlagParse::kConsumed) continue;
+    auto next = [&] { return frt::cli::NextFlagValue(argc, argv, &i); };
     const char* v = nullptr;
-    if (std::strcmp(argv[i], "--feeds") == 0) {
-      if ((v = next("--feeds")) == nullptr) return false;
-      args->feeds = v;
-    } else if (std::strcmp(argv[i], "--input") == 0) {
-      if ((v = next("--input")) == nullptr) return false;
-      const std::string spec = v;
-      const size_t eq = spec.find('=');
-      if (eq != std::string::npos && eq > 0) {
-        args->inputs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-      } else {
-        args->inputs.emplace_back(FeedNameFromPath(spec), spec);
-      }
-    } else if (std::strcmp(argv[i], "--output") == 0) {
-      if ((v = next("--output")) == nullptr) return false;
+    if (std::strcmp(argv[i], "--output") == 0) {
+      if ((v = next()) == nullptr) return false;
       args->output = v;
     } else if (std::strcmp(argv[i], "--output-dir") == 0) {
-      if ((v = next("--output-dir")) == nullptr) return false;
+      if ((v = next()) == nullptr) return false;
       args->output_dir = v;
     } else if (std::strcmp(argv[i], "--evict-idle-ms") == 0) {
-      if ((v = next("--evict-idle-ms")) == nullptr) return false;
+      if ((v = next()) == nullptr) return false;
       int64_t n = 0;
       if (!frt::cli::ParseFlagInt64("--evict-idle-ms", v, &n)) return false;
       if (n < 0) {
@@ -228,12 +146,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
       args->evict_idle_ms = n;
     } else if (std::strcmp(argv[i], "--pool-threads") == 0) {
-      if ((v = next("--pool-threads")) == nullptr) return false;
+      if ((v = next()) == nullptr) return false;
       uint64_t n = 0;
       if (!frt::cli::ParseFlagUint64("--pool-threads", v, &n)) return false;
       args->pool_threads = static_cast<unsigned>(n);
     } else if (std::strcmp(argv[i], "--max-in-flight") == 0) {
-      if ((v = next("--max-in-flight")) == nullptr) return false;
+      if ((v = next()) == nullptr) return false;
       uint64_t n = 0;
       if (!frt::cli::ParseFlagUint64("--max-in-flight", v, &n)) {
         return false;
@@ -244,16 +162,16 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  if (!args->transport.connect.empty()) {
+  if (!args->common.transport.connect.empty()) {
     // Serve is the aggregator end of the transport; edges connect to it.
     std::fprintf(stderr,
                  "frt_serve does not take --connect (use frt_edge to "
                  "forward into a serving aggregator)\n");
     return false;
   }
-  const int sources = (args->feeds.empty() ? 0 : 1) +
-                      (args->inputs.empty() ? 0 : 1) +
-                      (args->transport.listen.empty() ? 0 : 1);
+  const int sources = (args->local.feeds.empty() ? 0 : 1) +
+                      (args->local.inputs.empty() ? 0 : 1) +
+                      (args->common.transport.listen.empty() ? 0 : 1);
   if (sources != 1) {
     std::fprintf(stderr,
                  "exactly one of --feeds, --input (repeatable), or "
@@ -265,118 +183,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                  "exactly one of --output or --output-dir is required\n");
     return false;
   }
-  std::set<std::string> seen;
-  for (const auto& [name, path] : args->inputs) {
-    if (name.empty()) {
-      std::fprintf(stderr, "empty feed name for --input %s\n", path.c_str());
-      return false;
-    }
-    if (!seen.insert(name).second) {
-      // Two readers racing arrivals into one session would make window
-      // composition depend on thread interleaving.
-      std::fprintf(stderr,
-                   "duplicate feed name '%s' (from --input %s); use "
-                   "NAME=FILE to disambiguate\n",
-                   name.c_str(), path.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-/// /feedz JSON from the dispatcher's introspection board. The epsilon
-/// fields are emitted as strings with the exact frt_feed line formats
-/// (eps_spent %.6f, eps_remaining %g), so a scrape taken after shutdown
-/// is bit-identical to the final per-feed report lines — and "inf" never
-/// produces an invalid JSON number.
-std::string RenderFeedz(const frt::ServiceIntrospection& intro) {
-  std::string out = frt::StrFormat(
-      "{\"seq\":%llu,\"uptime_ms\":%lld,\"finished\":%s,\"aborted\":%s,"
-      "\"feeds\":%zu,\"active_sessions\":%zu,\"queue_depth\":%zu,"
-      "\"backlog_windows\":%zu,\"in_flight\":%zu,"
-      "\"feeds_quarantined\":%zu,\"feed\":[",
-      static_cast<unsigned long long>(intro.seq),
-      static_cast<long long>(intro.uptime_ms),
-      intro.finished ? "true" : "false", intro.aborted ? "true" : "false",
-      intro.feeds, intro.active_sessions, intro.queue_depth,
-      intro.backlog_windows, intro.in_flight, intro.feeds_quarantined);
-  bool first = true;
-  for (const frt::ServiceIntrospection::Feed& feed : intro.feeds_detail) {
-    if (!first) out += ',';
-    first = false;
-    out += frt::StrFormat(
-        "{\"feed\":\"%s\",\"eps_spent\":\"%.6f\",\"eps_remaining\":\"%g\","
-        "\"windows_published\":%zu,\"windows_refused\":%zu,\"backlog\":%zu,"
-        "\"quarantined\":%s",
-        frt::obs::JsonEscape(feed.feed).c_str(), feed.epsilon_spent,
-        feed.epsilon_remaining, feed.windows_published,
-        feed.windows_refused, feed.backlog,
-        feed.quarantined ? "true" : "false");
-    if (feed.quarantined) {
-      out += ",\"quarantine_reason\":\"" +
-             frt::obs::JsonEscape(feed.quarantine_reason) + "\"";
-    }
-    out += '}';
-  }
-  out += "]}\n";
-  return out;
-}
-
-/// Streams the interleaved multi-feed CSV (`feed,traj_id,x,y,t`) into the
-/// dispatcher. Per feed, consecutive same-id lines form one trajectory —
-/// the same contiguity contract the single-feed format has always had,
-/// applied per feed so distinct feeds may interleave freely.
-frt::Status IngestMultiFeedCsv(std::istream& in,
-                               frt::ServiceDispatcher& service) {
-  struct Assembly {
-    frt::Trajectory current{0};
-    bool has_current = false;
-  };
-  std::map<std::string, Assembly> assemblies;
-  std::vector<std::string> order;
-  std::string line;
-  size_t lineno = 0;
-  bool stopped = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    const size_t comma = line.find(',');
-    if (comma == std::string::npos || comma == 0) {
-      return frt::Status::InvalidArgument(
-          "line " + std::to_string(lineno) +
-          ": expected feed,traj_id,x,y,t");
-    }
-    const std::string feed = line.substr(0, comma);
-    FRT_ASSIGN_OR_RETURN(
-        const std::optional<frt::CsvRecord> record,
-        frt::ParseCsvRecord(
-            std::string_view(line).substr(comma + 1), lineno));
-    if (!record.has_value()) continue;
-    auto [it, inserted] = assemblies.try_emplace(feed);
-    if (inserted) order.push_back(feed);
-    Assembly& assembly = it->second;
-    if (assembly.has_current && assembly.current.id() != record->id) {
-      if (!service.Offer(feed, std::move(assembly.current))) {
-        stopped = true;  // service aborted; stop reading
-        break;
-      }
-      assembly.has_current = false;
-    }
-    if (!assembly.has_current) {
-      assembly.current = frt::Trajectory(record->id);
-      assembly.has_current = true;
-    }
-    assembly.current.Append(record->p, record->t);
-  }
-  if (!stopped) {
-    for (const auto& feed : order) {
-      Assembly& assembly = assemblies[feed];
-      if (assembly.has_current && !assembly.current.empty()) {
-        if (!service.Offer(feed, std::move(assembly.current))) break;
-      }
-    }
-  }
-  return frt::Status::OK();
+  return frt::cli::ValidateInputFeeds(args->local.inputs);
 }
 
 }  // namespace
@@ -391,20 +198,17 @@ int main(int argc, char** argv) {
   // connection, never a process-wide SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage(argv[0]);
-    return 2;
-  }
-  frt::FrequencyRandomizerConfig pipeline_config;
-  if (!frt::cli::MakePipelineConfig(args.pipeline, &pipeline_config)) {
+  frt::ServiceConfig config;
+  if (!ParseArgs(argc, argv, &args) ||
+      !frt::cli::MakeServiceConfig(args.common, &config)) {
     Usage(argv[0]);
     return 2;
   }
   // Resolve the listen endpoint before anything heavyweight starts so a
   // bad --listen is a usage error, not a mid-run failure.
   std::optional<frt::net::Endpoint> listen_endpoint;
-  if (!args.transport.listen.empty()) {
-    auto endpoint = frt::net::ParseEndpoint(args.transport.listen);
+  if (!args.common.transport.listen.empty()) {
+    auto endpoint = frt::net::ParseEndpoint(args.common.transport.listen);
     if (!endpoint.ok()) {
       std::fprintf(stderr, "serve: %s\n",
                    endpoint.status().ToString().c_str());
@@ -413,54 +217,17 @@ int main(int argc, char** argv) {
     }
     listen_endpoint = *std::move(endpoint);
   }
-  std::optional<frt::net::Endpoint> admin_endpoint;
-  if (!args.obs.admin_listen.empty()) {
-    auto endpoint = frt::net::ParseEndpoint(args.obs.admin_listen);
-    if (!endpoint.ok()) {
-      std::fprintf(stderr, "serve: %s\n",
-                   endpoint.status().ToString().c_str());
-      Usage(argv[0]);
-      return 2;
-    }
-    admin_endpoint = *std::move(endpoint);
-  }
-  frt::ServiceConfig config;
-  if (!frt::cli::MakeStreamConfig(args.stream, args.pipeline,
-                                  pipeline_config, &config.stream)) {
-    Usage(argv[0]);
-    return 2;
-  }
   config.pool_threads = args.pool_threads;
   config.max_in_flight = args.max_in_flight;
   config.idle_evict_ms = args.evict_idle_ms;
-  // The shared --queue flag bounds the service's tagged arrival queue
-  // (per-session queues do not exist; backpressure is at the dispatcher).
-  config.arrival_queue_capacity = config.stream.queue_capacity;
-  config.state_dir = args.durability.state_dir;
-  config.checkpoint_interval_ms = args.durability.checkpoint_interval_ms;
-
-  // Arm span tracing before any ingest/service thread starts so the trace
-  // covers the whole run.
-  if (!args.obs.trace_out.empty()) {
-    frt::obs::TraceRecorder::Options trace_options;
-    trace_options.buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    frt::obs::TraceRecorder::Get().Start(trace_options);
-    frt::obs::SetTraceThreadName("main");
-  }
 
   // The exporter outlives the service (the dispatcher thread publishes
   // into it until Finish), so it is declared first and stopped last.
   std::unique_ptr<frt::MetricsExporter> metrics;
-  if (!args.durability.metrics.empty()) {
-    metrics = std::make_unique<frt::MetricsExporter>(
-        frt::cli::MakeMetricsOptions(args.durability, args.obs));
-    if (auto st = metrics->Start(); !st.ok()) {
-      std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    config.metrics = metrics.get();
-    config.metrics_interval_ms = args.durability.metrics_interval_ms;
+  if (auto st = frt::cli::StartObservability(args.common, &config, &metrics);
+      !st.ok()) {
+    std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
+    return 1;
   }
 
   // ---- Output plumbing (called from the dispatcher thread only). ----
@@ -529,112 +296,18 @@ int main(int argc, char** argv) {
   };
 
   frt::ServiceDispatcher service(std::move(config), sink);
-  if (auto st = service.Start(args.pipeline.seed); !st.ok()) {
+  if (auto st = service.Start(args.common.pipeline.seed); !st.ok()) {
     std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
     return 1;
   }
-
-  // ---- Admin plane (--admin-listen). Declared after the service so it
-  // is destroyed (and its thread joined) before the service goes away;
-  // handlers read only the registry and the introspection board. ----
+  // Declared after the service so it is destroyed (and its thread joined)
+  // before the service goes away.
   std::unique_ptr<frt::obs::AdminServer> admin;
-  if (admin_endpoint.has_value()) {
-    frt::obs::AdminServer::Options admin_options;
-    admin_options.endpoint = *admin_endpoint;
-    admin = std::make_unique<frt::obs::AdminServer>(admin_options);
-    // Staleness threshold for /healthz and /readyz; follows the metrics
-    // interval when /control retunes it.
-    auto stale_after_ms = std::make_shared<std::atomic<int64_t>>(
-        std::max<int64_t>(5 * args.durability.metrics_interval_ms, 5000));
-    admin->Handle(
-        "GET", "/healthz",
-        [&service, stale_after_ms](const frt::obs::HttpRequest&) {
-          frt::obs::HttpResponse r;
-          const auto intro = service.Introspect();
-          if (intro == nullptr) {
-            r.status = 503;
-            r.body = "starting\n";
-            return r;
-          }
-          const double age_ms =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - intro->published_at)
-                  .count();
-          if (!intro->finished &&
-              age_ms > static_cast<double>(stale_after_ms->load(
-                           std::memory_order_relaxed))) {
-            r.status = 503;
-            r.body = frt::StrFormat(
-                "stale: introspection board is %.0f ms old (seq %llu)\n",
-                age_ms, static_cast<unsigned long long>(intro->seq));
-            return r;
-          }
-          r.body = "ok\n";
-          return r;
-        });
-    admin->Handle(
-        "GET", "/readyz",
-        [&service, stale_after_ms](const frt::obs::HttpRequest&) {
-          frt::obs::HttpResponse r;
-          const auto intro = service.Introspect();
-          if (intro == nullptr) {
-            r.status = 503;
-            r.body = "starting\n";
-            return r;
-          }
-          if (intro->aborted || intro->finished) {
-            r.status = 503;
-            r.body = intro->aborted ? "aborted\n" : "finished\n";
-            return r;
-          }
-          const double age_ms =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - intro->published_at)
-                  .count();
-          if (age_ms > static_cast<double>(stale_after_ms->load(
-                           std::memory_order_relaxed))) {
-            r.status = 503;
-            r.body = "stale\n";
-            return r;
-          }
-          r.body = "ready\n";
-          return r;
-        });
-    admin->Handle("GET", "/feedz",
-                  [&service](const frt::obs::HttpRequest&) {
-                    frt::obs::HttpResponse r;
-                    r.content_type = "application/json";
-                    const auto intro = service.Introspect();
-                    if (intro == nullptr) {
-                      r.status = 503;
-                      r.body = "{\"error\":\"starting\"}\n";
-                      return r;
-                    }
-                    r.body = RenderFeedz(*intro);
-                    return r;
-                  });
-    frt::obs::ControlHooks hooks;
-    hooks.trace_out = args.obs.trace_out;
-    hooks.trace_buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    frt::MetricsExporter* exporter = metrics.get();
-    frt::ServiceDispatcher* service_ptr = &service;
-    hooks.set_metrics_interval_ms = [service_ptr, exporter,
-                                     stale_after_ms](int64_t ms) {
-      service_ptr->SetMetricsIntervalMs(ms);
-      if (exporter != nullptr) exporter->SetIntervalMs(ms);
-      stale_after_ms->store(std::max<int64_t>(5 * ms, 5000),
-                            std::memory_order_relaxed);
-      return true;
-    };
-    admin->Handle("POST", "/control",
-                  frt::obs::MakeControlHandler(std::move(hooks)));
-    if (auto st = admin->Start(); !st.ok()) {
-      std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "serve: admin plane on %s\n",
-                 args.obs.admin_listen.c_str());
+  if (auto st = frt::cli::StartAdminPlane(args.common, service, metrics.get(),
+                                          &admin);
+      !st.ok()) {
+    std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
+    return 1;
   }
 
   // ---- Ingest. ----
@@ -643,7 +316,7 @@ int main(int argc, char** argv) {
     frt::net::IngressServer::Options ingress_options;
     ingress_options.endpoint = *listen_endpoint;
     ingress_options.max_connections =
-        static_cast<size_t>(args.transport.listen_conns);
+        static_cast<size_t>(args.common.transport.listen_conns);
     frt::net::IngressServer ingress(
         ingress_options,
         [&service](std::string feed, frt::Trajectory t) {
@@ -657,8 +330,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr, "serve: listening on %s%s\n",
-                 args.transport.listen.c_str(),
-                 args.transport.listen_conns > 0
+                 args.common.transport.listen.c_str(),
+                 args.common.transport.listen_conns > 0
                      ? ""
                      : " (stop with SIGINT/SIGTERM)");
     g_ingress.store(&ingress, std::memory_order_release);
@@ -676,69 +349,13 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.frames),
                  static_cast<unsigned long long>(stats.trajectories),
                  static_cast<unsigned long long>(stats.quarantine_events));
-  } else if (!args.feeds.empty()) {
-    std::ifstream feeds_file;
-    if (args.feeds != "-") {
-      feeds_file.open(args.feeds);
-      if (!feeds_file.is_open()) {
-        std::fprintf(stderr, "cannot open feeds: %s\n", args.feeds.c_str());
-        return 1;
-      }
-    }
-    std::istream& in = args.feeds == "-" ? std::cin : feeds_file;
-    ingest_status = IngestMultiFeedCsv(in, service);
   } else {
-    // One ingest thread per input file; each drives its own feed.
-    std::vector<frt::Status> statuses(args.inputs.size());
-    std::vector<std::thread> readers;
-    readers.reserve(args.inputs.size());
-    for (size_t i = 0; i < args.inputs.size(); ++i) {
-      readers.emplace_back([&, i] {
-        const auto& [feed, path] = args.inputs[i];
-        std::ifstream file(path);
-        if (!file.is_open()) {
-          statuses[i] = frt::Status::IOError("cannot open input: " + path);
-          return;
-        }
-        frt::TrajectoryReader reader(file);
-        for (;;) {
-          auto next = reader.Next();
-          if (!next.ok()) {
-            statuses[i] = next.status();
-            return;
-          }
-          if (!next->has_value()) return;
-          if (!service.Offer(feed, std::move(**next))) return;
-        }
-      });
-    }
-    for (auto& t : readers) t.join();
-    for (auto& st : statuses) {
-      if (!st.ok()) {
-        ingest_status = st;
-        break;
-      }
-    }
+    ingest_status =
+        frt::cli::IngestLocalFeeds(args.local, service);
   }
 
   frt::Status run_status = service.Finish();
-  if (metrics) metrics->Stop();  // flush the final frt_metrics line
-  if (!args.obs.trace_out.empty()) {
-    // Everything is quiesced (Finish joined the pool and dispatcher), so
-    // the dump is complete.
-    const frt::obs::TraceDump dump = frt::obs::TraceRecorder::Get().Stop();
-    if (auto st = frt::obs::WriteChromeTrace(dump, args.obs.trace_out);
-        !st.ok()) {
-      if (run_status.ok()) run_status = st;
-    } else {
-      std::fprintf(stderr,
-                   "trace: wrote %zu span(s) from %zu thread(s) to %s "
-                   "(%llu dropped)\n",
-                   dump.events.size(), dump.threads.size(),
-                   args.obs.trace_out.c_str(),
-                   static_cast<unsigned long long>(dump.dropped));
-    }
-  }
+  frt::cli::FinishObservability(args.common.obs, metrics.get(), &run_status);
   if (run_status.ok()) run_status = ingest_status;
   if (!run_status.ok()) {
     std::fprintf(stderr, "serve: %s\n", run_status.ToString().c_str());
@@ -747,8 +364,7 @@ int main(int argc, char** argv) {
 
   // ---- Reports. ----
   const frt::ServiceReport& report = service.report();
-  const bool per_object =
-      args.stream.per_object_budget > 0.0;
+  const bool per_object = args.common.stream.per_object_budget > 0.0;
   for (const frt::FeedReport& feed : report.feeds_report) {
     const frt::StreamReport& s = feed.stream;
     std::fprintf(stderr,
@@ -770,12 +386,6 @@ int main(int argc, char** argv) {
                      ? " [quarantined]"
                      : (feed.evicted ? " [idle-evicted]" : ""));
   }
-  for (const frt::FeedReport& feed : report.feeds_report) {
-    if (feed.quarantined) {
-      std::fprintf(stderr, "quarantine: feed %s: %s\n", feed.feed.c_str(),
-                   feed.quarantine_reason.c_str());
-    }
-  }
   std::fprintf(
       stderr,
       "serve done in %.1fs: %zu feeds, %zu sessions (peak %zu active, %zu "
@@ -790,31 +400,6 @@ int main(int argc, char** argv) {
       report.trajectories_published, report.close_wait_p50_ms,
       report.close_wait_p99_ms, report.close_wait_max_ms,
       report.publish_p50_ms, report.publish_p99_ms, report.publish_max_ms);
-  if (!args.durability.state_dir.empty()) {
-    std::fprintf(
-        stderr,
-        "durability: recovered %zu feed(s) from %s, wrote %zu "
-        "checkpoint(s) (last seq %llu)\n",
-        report.feeds_recovered, args.durability.state_dir.c_str(),
-        report.checkpoints_written,
-        static_cast<unsigned long long>(report.checkpoint_sequence));
-  }
-  int exit_code = 0;
-  if (report.feeds_quarantined > 0) {
-    std::fprintf(stderr,
-                 "%zu feed(s) quarantined: their streams were cut off at "
-                 "the fault; every other feed published normally\n",
-                 report.feeds_quarantined);
-    exit_code = 3;
-  }
-  if (frt::ServiceHadRefusals(report)) {
-    std::fprintf(stderr,
-                 "budget exhausted on at least one feed: %zu window(s) / "
-                 "%zu trajectories refused, %zu evicted; raise the budget "
-                 "or lower the per-window epsilons\n",
-                 report.windows_refused, report.trajectories_refused,
-                 report.trajectories_evicted);
-    exit_code = 3;
-  }
-  return exit_code;
+  frt::cli::PrintDurability(args.common.durability, report);
+  return frt::cli::ReportOutcome(report);
 }

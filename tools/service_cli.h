@@ -1,0 +1,502 @@
+// Wiring shared by the CLIs that run a ServiceDispatcher — frt_serve,
+// frt_edge, and frt_stream (a one-feed service) — kept in one place so the
+// three cannot drift apart: the shared flag families, the ServiceConfig
+// they build, local feed ingest, span tracing, the metrics exporter, and
+// the admin plane (/metrics /healthz /readyz /feedz /control).
+
+#ifndef FRT_TOOLS_SERVICE_CLI_H_
+#define FRT_TOOLS_SERVICE_CLI_H_
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iostream>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "cli_common.h"
+#include "common/strings.h"
+#include "net/socket.h"
+#include "obs/admin_server.h"
+#include "obs/trace.h"
+#include "obs/trace_export.h"
+#include "service/dispatcher.h"
+#include "stream/ingest.h"
+#include "traj/io.h"
+
+namespace frt::cli {
+
+/// The flag families every service CLI accepts.
+struct ServiceArgs {
+  StreamArgs stream;
+  PipelineArgs pipeline;
+  DurabilityArgs durability;
+  ObservabilityArgs obs;
+  TransportArgs transport;
+};
+
+/// \brief Tries to consume argv[*i] as one of the shared flags.
+inline FlagParse ParseServiceFlag(int argc, char** argv, int* i,
+                                  ServiceArgs* args) {
+  FlagParse parsed = ParsePipelineFlag(argc, argv, i, &args->pipeline);
+  if (parsed == FlagParse::kNotMine) {
+    parsed = ParseStreamFlag(argc, argv, i, &args->stream);
+  }
+  if (parsed == FlagParse::kNotMine) {
+    parsed = ParseDurabilityFlag(argc, argv, i, &args->durability);
+  }
+  if (parsed == FlagParse::kNotMine) {
+    parsed = ParseObservabilityFlag(argc, argv, i, &args->obs);
+  }
+  if (parsed == FlagParse::kNotMine) {
+    parsed = ParseTransportFlag(argc, argv, i, &args->transport);
+  }
+  return parsed;
+}
+
+/// \brief Validates the shared flags and fills `config`: the per-feed
+/// stream config, the arrival queue (--queue), and durability. A
+/// malformed --admin-listen is rejected here too, so it is a usage error
+/// rather than a mid-run failure. Reports to stderr; false = usage error.
+inline bool MakeServiceConfig(const ServiceArgs& args,
+                              ServiceConfig* config) {
+  FrequencyRandomizerConfig pipeline;
+  if (!MakePipelineConfig(args.pipeline, &pipeline) ||
+      !MakeStreamConfig(args.stream, args.pipeline, pipeline,
+                        &config->stream)) {
+    return false;
+  }
+  if (!args.obs.admin_listen.empty()) {
+    if (auto endpoint = net::ParseEndpoint(args.obs.admin_listen);
+        !endpoint.ok()) {
+      std::fprintf(stderr, "%s\n", endpoint.status().ToString().c_str());
+      return false;
+    }
+  }
+  config->arrival_queue_capacity = args.stream.queue;
+  config->state_dir = args.durability.state_dir;
+  config->checkpoint_interval_ms = args.durability.checkpoint_interval_ms;
+  config->metrics_interval_ms = args.durability.metrics_interval_ms;
+  return true;
+}
+
+// ---- Local feed ingest (--feeds, --input) ----
+
+/// One `--input [NAME=]FILE` feed.
+struct InputFeed {
+  std::string feed;
+  std::string path;  ///< "-" reads stdin
+};
+
+/// Feed id of an `--input FILE` given without NAME=: the file stem.
+inline std::string FeedNameFromPath(const std::string& path) {
+  size_t begin = path.find_last_of("/\\");
+  begin = begin == std::string::npos ? 0 : begin + 1;
+  size_t end = path.rfind('.');
+  if (end == std::string::npos || end <= begin) end = path.size();
+  return path.substr(begin, end - begin);
+}
+
+/// Parses one `--input [NAME=]FILE` value.
+inline InputFeed ParseInputFeed(const std::string& spec) {
+  const size_t eq = spec.find('=');
+  if (eq != std::string::npos && eq > 0) {
+    return {spec.substr(0, eq), spec.substr(eq + 1)};
+  }
+  return {FeedNameFromPath(spec), spec};
+}
+
+/// The local ingest sources of frt_serve and frt_edge.
+struct LocalFeeds {
+  std::string feeds;              ///< --feeds FILE|-
+  std::vector<InputFeed> inputs;  ///< --input [NAME=]FILE, repeatable
+};
+
+/// \brief Tries to consume argv[*i] as --feeds or --input.
+inline FlagParse ParseLocalFeedFlag(int argc, char** argv, int* i,
+                                    LocalFeeds* args) {
+  const bool feeds = std::strcmp(argv[*i], "--feeds") == 0;
+  if (!feeds && std::strcmp(argv[*i], "--input") != 0) {
+    return FlagParse::kNotMine;
+  }
+  const char* v = NextFlagValue(argc, argv, i);
+  if (v == nullptr) return FlagParse::kError;
+  if (feeds) {
+    args->feeds = v;
+  } else {
+    args->inputs.push_back(ParseInputFeed(v));
+  }
+  return FlagParse::kConsumed;
+}
+
+/// Usage text of the local ingest flags.
+inline const char* LocalFeedsUsageText() {
+  return "  --feeds FILE|-       interleaved multi-feed CSV "
+         "(feed,traj_id,x,y,t)\n"
+         "  --input [NAME=]FILE  one dataset CSV per feed (repeatable); "
+         "feed id is\n"
+         "                       NAME or the file stem\n";
+}
+
+/// Rejects empty and duplicate feed names (reported): two readers racing
+/// arrivals into one session would make window composition depend on
+/// thread interleaving.
+inline bool ValidateInputFeeds(const std::vector<InputFeed>& inputs) {
+  std::set<std::string> seen;
+  for (const InputFeed& input : inputs) {
+    if (input.feed.empty()) {
+      std::fprintf(stderr, "empty feed name for --input %s\n",
+                   input.path.c_str());
+      return false;
+    }
+    if (!seen.insert(input.feed).second) {
+      std::fprintf(stderr,
+                   "duplicate feed name '%s' (from --input %s); use "
+                   "NAME=FILE to disambiguate\n",
+                   input.feed.c_str(), input.path.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// \brief Streams the interleaved multi-feed CSV (`feed,traj_id,x,y,t`)
+/// into the service. Per feed, consecutive same-id lines form one
+/// trajectory — the single-feed format's contiguity contract, applied per
+/// feed so distinct feeds may interleave freely. A malformed line
+/// quarantines every feed read so far before the error is returned, so no
+/// partial window read ahead of the bad line is published.
+inline Status IngestMultiFeedCsv(std::istream& in,
+                                 ServiceDispatcher& service) {
+  struct Assembly {
+    Trajectory current{0};
+    bool has_current = false;
+  };
+  std::map<std::string, Assembly> assemblies;
+  std::vector<std::string> order;
+  const auto fail = [&](Status st) {
+    for (const auto& feed : order) service.OfferQuarantine(feed, st.ToString());
+    return st;
+  };
+  std::string line;
+  size_t lineno = 0;
+  bool stopped = false;
+  while (std::getline(in, line)) {
+    ++lineno;
+    if (line.empty() || line[0] == '#') continue;
+    const size_t comma = line.find(',');
+    if (comma == std::string::npos || comma == 0) {
+      return fail(Status::InvalidArgument("line " + std::to_string(lineno) +
+                                          ": expected feed,traj_id,x,y,t"));
+    }
+    const std::string feed = line.substr(0, comma);
+    const Result<std::optional<CsvRecord>> record =
+        ParseCsvRecord(std::string_view(line).substr(comma + 1), lineno);
+    if (!record.ok()) return fail(record.status());
+    if (!record->has_value()) continue;
+    auto [it, inserted] = assemblies.try_emplace(feed);
+    if (inserted) order.push_back(feed);
+    Assembly& assembly = it->second;
+    if (assembly.has_current && assembly.current.id() != (*record)->id) {
+      if (!service.Offer(feed, std::move(assembly.current))) {
+        stopped = true;  // the service is finishing; stop reading
+        break;
+      }
+      assembly.has_current = false;
+    }
+    if (!assembly.has_current) {
+      assembly.current = Trajectory((*record)->id);
+      assembly.has_current = true;
+    }
+    assembly.current.Append((*record)->p, (*record)->t);
+  }
+  if (!stopped) {
+    for (const auto& feed : order) {
+      Assembly& assembly = assemblies[feed];
+      if (assembly.has_current && !assembly.current.empty()) {
+        if (!service.Offer(feed, std::move(assembly.current))) break;
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// \brief Local ingest: the interleaved multi-feed CSV of --feeds ("-" =
+/// stdin) when set, else one reader per --input, each offering its file
+/// as one feed (OfferFeed: a parse error quarantines that feed). The first
+/// input reads on the calling thread, every other one on a thread of its
+/// own. Returns the first error.
+inline Status IngestLocalFeeds(const LocalFeeds& local,
+                               ServiceDispatcher& service) {
+  if (!local.feeds.empty()) {
+    if (local.feeds == "-") return IngestMultiFeedCsv(std::cin, service);
+    std::ifstream file(local.feeds);
+    if (!file.is_open()) {
+      return Status::IOError("cannot open feeds: " + local.feeds);
+    }
+    return IngestMultiFeedCsv(file, service);
+  }
+  const std::vector<InputFeed>& inputs = local.inputs;
+  std::vector<Status> statuses(inputs.size());
+  const auto read = [&](size_t i) {
+    std::ifstream file;
+    if (inputs[i].path != "-") {
+      file.open(inputs[i].path);
+      if (!file.is_open()) {
+        statuses[i] = Status::IOError("cannot open input: " + inputs[i].path);
+        return;
+      }
+    }
+    TrajectoryReader reader(inputs[i].path == "-" ? std::cin : file);
+    statuses[i] = OfferFeed(reader, inputs[i].feed, service);
+  };
+  std::vector<std::thread> readers;
+  for (size_t i = 1; i < inputs.size(); ++i) {
+    readers.emplace_back([&read, i] {
+      obs::SetTraceThreadName("ingest");
+      read(i);
+    });
+  }
+  if (!inputs.empty()) read(0);
+  for (auto& t : readers) t.join();
+  for (const Status& st : statuses) {
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
+}
+
+// ---- Final report ----
+
+/// Prints the durability summary of a finished service (--state-dir).
+inline void PrintDurability(const DurabilityArgs& args,
+                            const ServiceReport& report) {
+  if (args.state_dir.empty()) return;
+  std::fprintf(stderr,
+               "durability: recovered %zu feed(s) from %s, wrote %zu "
+               "checkpoint(s) (last seq %llu)\n",
+               report.feeds_recovered, args.state_dir.c_str(),
+               report.checkpoints_written,
+               static_cast<unsigned long long>(report.checkpoint_sequence));
+}
+
+/// \brief Prints the quarantine and budget lines of a finished multi-feed
+/// service and returns its exit code: 3 when any feed was quarantined or
+/// dropped anything on budget, else 0.
+inline int ReportOutcome(const ServiceReport& report) {
+  int exit_code = 0;
+  if (report.feeds_quarantined > 0) {
+    for (const FeedReport& feed : report.feeds_report) {
+      if (feed.quarantined) {
+        std::fprintf(stderr, "quarantine: feed %s: %s\n", feed.feed.c_str(),
+                     feed.quarantine_reason.c_str());
+      }
+    }
+    std::fprintf(stderr,
+                 "%zu feed(s) quarantined: their streams were cut off at "
+                 "the fault; every other feed published normally\n",
+                 report.feeds_quarantined);
+    exit_code = 3;
+  }
+  if (ServiceHadRefusals(report)) {
+    std::fprintf(stderr,
+                 "budget exhausted on at least one feed: %zu window(s) / "
+                 "%zu trajectories refused, %zu evicted; raise the budget "
+                 "or lower the per-window epsilons\n",
+                 report.windows_refused, report.trajectories_refused,
+                 report.trajectories_evicted);
+    exit_code = 3;
+  }
+  return exit_code;
+}
+
+// ---- Observability: tracing, metrics exporter, admin plane ----
+
+/// \brief Arms span tracing — before any service thread starts, so the
+/// trace covers the whole run — and starts the --metrics exporter, wiring
+/// it into `config`. The exporter must outlive the service.
+inline Status StartObservability(const ServiceArgs& args,
+                                 ServiceConfig* config,
+                                 std::unique_ptr<MetricsExporter>* metrics) {
+  if (!args.obs.trace_out.empty()) {
+    obs::TraceRecorder::Options trace_options;
+    trace_options.buffer_events =
+        static_cast<size_t>(args.obs.trace_buffer_events);
+    obs::TraceRecorder::Get().Start(trace_options);
+    obs::SetTraceThreadName("main");
+  }
+  if (args.durability.metrics.empty()) return Status::OK();
+  *metrics = std::make_unique<MetricsExporter>(
+      MakeMetricsOptions(args.durability, args.obs));
+  config->metrics = metrics->get();
+  return (*metrics)->Start();
+}
+
+/// \brief Stops the exporter (flushing its final line) and writes the
+/// trace. Call after ServiceDispatcher::Finish(), when every thread that
+/// records spans has quiesced. A failed trace write lands in `*status`
+/// unless it already holds an error.
+inline void FinishObservability(const ObservabilityArgs& obs_args,
+                                MetricsExporter* metrics, Status* status) {
+  if (metrics != nullptr) metrics->Stop();
+  if (obs_args.trace_out.empty()) return;
+  const obs::TraceDump dump = obs::TraceRecorder::Get().Stop();
+  if (Status st = obs::WriteChromeTrace(dump, obs_args.trace_out);
+      !st.ok()) {
+    if (status->ok()) *status = st;
+    return;
+  }
+  std::fprintf(stderr,
+               "trace: wrote %zu span(s) from %zu thread(s) to %s (%llu "
+               "dropped)\n",
+               dump.events.size(), dump.threads.size(),
+               obs_args.trace_out.c_str(),
+               static_cast<unsigned long long>(dump.dropped));
+}
+
+/// /feedz JSON from the dispatcher's introspection board. The epsilon
+/// fields are emitted as strings with the exact frt_feed line formats
+/// (eps_spent %.6f, eps_remaining %g), so a scrape taken after shutdown
+/// is bit-identical to the final per-feed report lines — and "inf" never
+/// produces an invalid JSON number.
+inline std::string RenderFeedz(const ServiceIntrospection& intro) {
+  std::string out = StrFormat(
+      "{\"seq\":%llu,\"uptime_ms\":%lld,\"finished\":%s,\"aborted\":%s,"
+      "\"feeds\":%zu,\"active_sessions\":%zu,\"queue_depth\":%zu,"
+      "\"backlog_windows\":%zu,\"in_flight\":%zu,"
+      "\"feeds_quarantined\":%zu,\"feed\":[",
+      static_cast<unsigned long long>(intro.seq),
+      static_cast<long long>(intro.uptime_ms),
+      intro.finished ? "true" : "false", intro.aborted ? "true" : "false",
+      intro.feeds, intro.active_sessions, intro.queue_depth,
+      intro.backlog_windows, intro.in_flight, intro.feeds_quarantined);
+  bool first = true;
+  for (const ServiceIntrospection::Feed& feed : intro.feeds_detail) {
+    if (!first) out += ',';
+    first = false;
+    out += StrFormat(
+        "{\"feed\":\"%s\",\"eps_spent\":\"%.6f\",\"eps_remaining\":\"%g\","
+        "\"windows_published\":%zu,\"windows_refused\":%zu,\"backlog\":%zu,"
+        "\"quarantined\":%s",
+        obs::JsonEscape(feed.feed).c_str(), feed.epsilon_spent,
+        feed.epsilon_remaining, feed.windows_published,
+        feed.windows_refused, feed.backlog,
+        feed.quarantined ? "true" : "false");
+    if (feed.quarantined) {
+      out += ",\"quarantine_reason\":\"" +
+             obs::JsonEscape(feed.quarantine_reason) + "\"";
+    }
+    out += '}';
+  }
+  out += "]}\n";
+  return out;
+}
+
+/// \brief Starts the admin plane on --admin-listen (no-op without it):
+/// the registry's /metrics, plus /healthz, /readyz and /feedz read from
+/// the service's introspection board and POST /control (tracing, log
+/// level, metrics cadence). Handlers never touch dispatcher state, but
+/// they reference `service`: destroy `*admin` before the service.
+inline Status StartAdminPlane(const ServiceArgs& args,
+                              ServiceDispatcher& service,
+                              MetricsExporter* metrics,
+                              std::unique_ptr<obs::AdminServer>* admin) {
+  if (args.obs.admin_listen.empty()) return Status::OK();
+  obs::AdminServer::Options admin_options;
+  FRT_ASSIGN_OR_RETURN(admin_options.endpoint,
+                       net::ParseEndpoint(args.obs.admin_listen));
+  *admin = std::make_unique<obs::AdminServer>(admin_options);
+  // Staleness threshold for /healthz and /readyz; follows the metrics
+  // interval when /control retunes it.
+  auto stale_after_ms = std::make_shared<std::atomic<int64_t>>(
+      std::max<int64_t>(5 * args.durability.metrics_interval_ms, 5000));
+  // Age of the introspection board when it is past the staleness
+  // threshold (a wedged dispatcher stops republishing it).
+  const auto stale_age =
+      [stale_after_ms](
+          const ServiceIntrospection& intro) -> std::optional<double> {
+    const double age_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() -
+                              intro.published_at)
+                              .count();
+    if (age_ms <= static_cast<double>(
+                      stale_after_ms->load(std::memory_order_relaxed))) {
+      return std::nullopt;
+    }
+    return age_ms;
+  };
+  (*admin)->Handle(
+      "GET", "/healthz", [&service, stale_age](const obs::HttpRequest&) {
+        obs::HttpResponse r;
+        const auto intro = service.Introspect();
+        if (intro == nullptr) {
+          r.status = 503;
+          r.body = "starting\n";
+        } else if (const auto age = intro->finished ? std::nullopt
+                                                    : stale_age(*intro)) {
+          r.status = 503;
+          r.body = StrFormat(
+              "stale: introspection board is %.0f ms old (seq %llu)\n",
+              *age, static_cast<unsigned long long>(intro->seq));
+        } else {
+          r.body = "ok\n";
+        }
+        return r;
+      });
+  (*admin)->Handle(
+      "GET", "/readyz", [&service, stale_age](const obs::HttpRequest&) {
+        obs::HttpResponse r;
+        r.status = 503;
+        const auto intro = service.Introspect();
+        if (intro == nullptr) {
+          r.body = "starting\n";
+        } else if (intro->aborted || intro->finished) {
+          r.body = intro->aborted ? "aborted\n" : "finished\n";
+        } else if (stale_age(*intro).has_value()) {
+          r.body = "stale\n";
+        } else {
+          r.status = 200;
+          r.body = "ready\n";
+        }
+        return r;
+      });
+  (*admin)->Handle("GET", "/feedz", [&service](const obs::HttpRequest&) {
+    obs::HttpResponse r;
+    r.content_type = "application/json";
+    const auto intro = service.Introspect();
+    if (intro == nullptr) {
+      r.status = 503;
+      r.body = "{\"error\":\"starting\"}\n";
+      return r;
+    }
+    r.body = RenderFeedz(*intro);
+    return r;
+  });
+  obs::ControlHooks hooks;
+  hooks.trace_out = args.obs.trace_out;
+  hooks.trace_buffer_events = static_cast<size_t>(args.obs.trace_buffer_events);
+  hooks.set_metrics_interval_ms = [&service, metrics,
+                                   stale_after_ms](int64_t ms) {
+    service.SetMetricsIntervalMs(ms);
+    if (metrics != nullptr) metrics->SetIntervalMs(ms);
+    stale_after_ms->store(std::max<int64_t>(5 * ms, 5000),
+                          std::memory_order_relaxed);
+    return true;
+  };
+  (*admin)->Handle("POST", "/control",
+                   obs::MakeControlHandler(std::move(hooks)));
+  FRT_RETURN_IF_ERROR((*admin)->Start());
+  std::fprintf(stderr, "admin plane on %s\n", args.obs.admin_listen.c_str());
+  return Status::OK();
+}
+
+}  // namespace frt::cli
+
+#endif  // FRT_TOOLS_SERVICE_CLI_H_
