@@ -1,15 +1,21 @@
 // Index micro-benchmarks (google-benchmark): build, query, and update costs
 // of the segment indexes backing Fig. 5's end-to-end numbers, the batched
-// SoA kernel A/B, and the shared-index reader-scaling study.
+// SoA kernel A/B, the shared-index reader-scaling study, and the window
+// audit's vertex fast path against its index-only reference.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/pipeline.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
+#include "runtime/window_audit.h"
+#include "synth/workload.h"
 
 namespace frt {
 namespace {
@@ -234,6 +240,89 @@ void BM_IndexKnnPrivateReaders(benchmark::State& state) {
       static_cast<double>(state.threads()), benchmark::Counter::kAvgThreads);
 }
 
+// A 500-taxi workload and its FRT release (default pipeline: GL, m=10,
+// eps_G = eps_L = 0.5, HG+) — the input and output of one
+// frt_anonymize run.
+struct AuditWorkload {
+  Dataset original;
+  Dataset published;
+};
+
+const AuditWorkload& TaxiRelease() {
+  static const AuditWorkload* workload = [] {
+    WorkloadConfig config;
+    config.num_taxis = 500;
+    config.target_points = 60;
+    auto generated = GenerateTaxiWorkload(config, RoadGenConfig{}, 3);
+    auto* out = new AuditWorkload;
+    out->original = std::move(generated->dataset);
+    FrequencyRandomizer pipeline{FrequencyRandomizerConfig{}};
+    Rng rng(42);
+    out->published = std::move(*pipeline.Anonymize(out->original, rng));
+    return out;
+  }();
+  return *workload;
+}
+
+// The window audit of that release, serial. range(0) = 1 runs
+// RunWindowAudit (vertex table first, k=1 search for the rest); 0 runs the
+// index-only reference: a k=1 search for every published point over an
+// input-order HG+ build. The two report the same displacement; CI asserts
+// vertex_hit_frac >= 0.5 and fewer evals_per_point on the fast path.
+void BM_WindowAudit(benchmark::State& state) {
+  const bool fast_path = state.range(0) != 0;
+  const AuditWorkload& w = TaxiRelease();
+  WindowAuditConfig config;
+  config.enabled = true;
+  uint64_t points = 0;
+  uint64_t evals = 0;
+  uint64_t hits = 0;
+  for (auto _ : state) {
+    if (fast_path) {
+      const WindowAuditReport report =
+          RunWindowAudit(w.original, w.published, config, nullptr);
+      points += report.points_audited;
+      evals += report.distance_evaluations;
+      hits += report.vertex_hits;
+      continue;
+    }
+    std::vector<SegmentEntry> entries;
+    BBox region = BBox::Empty();
+    for (const Trajectory& t : w.original.trajectories()) {
+      for (size_t i = 0; i < t.NumSegments(); ++i) {
+        const Segment s = t.SegmentAt(i);
+        entries.push_back(SegmentEntry{entries.size(), t.id(), s});
+        region.Extend(s.a);
+        region.Extend(s.b);
+      }
+    }
+    auto index = MakeSegmentIndex(config.strategy,
+                                  GridSpec(region, config.index_levels));
+    (void)index->Build(entries);
+    SearchContext ctx;
+    SearchOptions options;
+    options.k = 1;
+    double sum = 0.0;
+    for (const Trajectory& t : w.published.trajectories()) {
+      for (const TimedPoint& tp : t.points()) {
+        const Span<const Neighbor> hit = index->KNearest(tp.p, options, &ctx);
+        if (hit.empty()) continue;
+        ++points;
+        sum += hit[0].dist;
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+    evals += index->distance_evaluations();
+  }
+  state.SetLabel(fast_path ? "vertex-table" : "index-only");
+  state.SetItemsProcessed(static_cast<int64_t>(points));
+  const double n = static_cast<double>(std::max<uint64_t>(points, 1));
+  state.counters["evals_per_point"] =
+      benchmark::Counter(static_cast<double>(evals) / n);
+  state.counters["vertex_hit_frac"] =
+      benchmark::Counter(static_cast<double>(hits) / n);
+}
+
 void StrategySizes(benchmark::internal::Benchmark* b) {
   for (int strategy = 0; strategy < 5; ++strategy) {
     for (const int64_t size : {20000, 100000}) {
@@ -271,6 +360,7 @@ BENCHMARK(BM_IndexBulkBuild)->Apply([](benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_IndexUpdate)->Apply([](benchmark::internal::Benchmark* b) {
   for (int strategy = 0; strategy < 5; ++strategy) b->Args({strategy});
 })->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WindowAudit)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace frt

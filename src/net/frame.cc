@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <cmath>
 #include <cstring>
 
 namespace frt::net {
@@ -221,6 +222,11 @@ Result<FeedTrajectory> DecodeTrajectoryPayload(std::string_view payload) {
     (void)r.ReadF64(&x);
     (void)r.ReadF64(&y);
     (void)r.ReadI64(&t);
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+      return Status::InvalidArgument(
+          "trajectory frame for feed '" + out.feed +
+          "' carries a non-finite coordinate at point " + std::to_string(i));
+    }
     out.trajectory.Append(Point{x, y}, t);
   }
   return out;

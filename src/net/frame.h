@@ -107,8 +107,9 @@ std::string EncodeTrajectoryPayload(std::string_view feed,
                                     const Trajectory& trajectory);
 
 /// \brief Strictly decodes a kTrajectory payload: truncation, an empty
-/// feed id, a point count that disagrees with the payload length, or
-/// trailing bytes are InvalidArgument. The stream itself stays aligned
+/// feed id, a point count that disagrees with the payload length,
+/// trailing bytes or a non-finite (NaN, inf) coordinate are
+/// InvalidArgument. The stream itself stays aligned
 /// (the CRC already passed), so the caller quarantines only the feed —
 /// when the feed id is decodable, it is reported in the error message.
 Result<FeedTrajectory> DecodeTrajectoryPayload(std::string_view payload);

@@ -1,6 +1,9 @@
 #include "runtime/window_audit.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -16,6 +19,7 @@ namespace {
 /// pure function of the datasets and the range count.
 struct RangePartial {
   uint64_t points = 0;
+  uint64_t vertex_hits = 0;
   double sum = 0.0;
   double max = 0.0;
 };
@@ -90,15 +94,93 @@ std::vector<SegmentEntry> CollectEntries(const Dataset& original,
   return entries;
 }
 
-/// Sweeps published trajectories [begin, end) against `index`, k=1.
+/// The vertex table: an open-addressed set (linear probing, at most
+/// two-thirds full, one flat array) of the start points `a` of every
+/// segment of `original` whose distance kernel evaluates to exactly 0 at
+/// `a` — finite a, finite d = b - a and a finite SegmentInvLen2 (a
+/// subnormal length² makes it inf, and 0 * inf is NaN). Keys compare with
+/// Point's operator==, so -0.0 and 0.0 are one key; a NaN x marks an
+/// empty slot. Sized below the audit's entries (16 B per slot, at most
+/// 3 slots per segment vs a 48 B entry), which are freed first.
+class VertexTable {
+ public:
+  explicit VertexTable(const Dataset& original) {
+    size_t segments = 0;
+    for (const Trajectory& t : original.trajectories()) {
+      segments += t.NumSegments();
+    }
+    size_t capacity = 16;
+    while (capacity < segments + segments / 2) capacity *= 2;
+    slots_.assign(capacity, Point{kEmpty, kEmpty});
+    mask_ = capacity - 1;
+    for (const Trajectory& t : original.trajectories()) {
+      for (size_t i = 0; i < t.NumSegments(); ++i) {
+        const Segment s = t.SegmentAt(i);
+        const double dx = s.b.x - s.a.x;
+        const double dy = s.b.y - s.a.y;
+        if (std::isfinite(s.a.x) && std::isfinite(s.a.y) &&
+            std::isfinite(dx) && std::isfinite(dy) &&
+            std::isfinite(SegmentInvLen2(dx, dy))) {
+          Insert(s.a);
+        }
+      }
+    }
+  }
+
+  bool Contains(const Point& q) const {
+    for (size_t i = Hash(q) & mask_;; i = (i + 1) & mask_) {
+      if (slots_[i] == q) return true;
+      if (std::isnan(slots_[i].x)) return false;
+    }
+  }
+
+ private:
+  static constexpr double kEmpty = std::numeric_limits<double>::quiet_NaN();
+
+  static uint64_t Bits(double v) {
+    v += 0.0;  // -0.0 + 0.0 == +0.0, so equal keys hash alike
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+  }
+
+  static size_t Hash(const Point& p) {
+    uint64_t h = (Bits(p.x) * 0x9e3779b97f4a7c15ull) ^ Bits(p.y);
+    h ^= h >> 32;
+    h *= 0xd6e8feb86659fd93ull;
+    h ^= h >> 32;
+    return static_cast<size_t>(h);
+  }
+
+  void Insert(const Point& a) {
+    for (size_t i = Hash(a) & mask_;; i = (i + 1) & mask_) {
+      if (slots_[i] == a) return;
+      if (std::isnan(slots_[i].x)) {
+        slots_[i] = a;
+        return;
+      }
+    }
+  }
+
+  std::vector<Point> slots_;
+  size_t mask_ = 0;
+};
+
+/// Sweeps published trajectories [begin, end), k=1: a point in `vertices`
+/// is exactly 0 from its segment, every other point is searched.
 void SweepRange(const Dataset& published, size_t begin, size_t end,
-                const SegmentIndex& index, SearchContext* ctx,
-                RangePartial* out) {
+                const VertexTable& vertices, const SegmentIndex& index,
+                SearchContext* ctx, RangePartial* out) {
   SearchOptions options;
   options.k = 1;
   options.group_by = GroupBy::kSegment;
   for (size_t t = begin; t < end; ++t) {
     for (const TimedPoint& tp : published[t].points()) {
+      if (vertices.Contains(tp.p)) {
+        ++out->points;
+        ++out->vertex_hits;
+        continue;
+      }
       const Span<const Neighbor> hits = index.KNearest(tp.p, options, ctx);
       if (hits.empty()) continue;
       ++out->points;
@@ -122,11 +204,15 @@ WindowAuditReport RunWindowAudit(const Dataset& original,
   // One build, every worker reads it through its own context.
   Stopwatch build_watch;
   BBox region;
-  const std::vector<SegmentEntry> entries = CollectEntries(original, &region);
+  std::vector<SegmentEntry> entries = CollectEntries(original, &region);
   if (entries.empty()) return report;
   std::unique_ptr<SegmentIndex> index =
       MakeSegmentIndex(config.strategy, GridSpec(region, config.index_levels));
   const Status built = index->Build(Span<const SegmentEntry>(entries));
+  // The index holds its own copies: free the entries before the table
+  // allocates, so the two never coexist.
+  std::vector<SegmentEntry>().swap(entries);
+  const VertexTable vertices(original);
   report.build_seconds = build_watch.ElapsedSeconds();
   if (!built.ok()) return report;
 
@@ -142,7 +228,7 @@ WindowAuditReport RunWindowAudit(const Dataset& original,
     const size_t begin = r * base + std::min(r, extra);
     const size_t end = begin + base + (r < extra ? 1 : 0);
     SearchContext ctx;
-    SweepRange(published, begin, end, *index, &ctx, &partials[r]);
+    SweepRange(published, begin, end, vertices, *index, &ctx, &partials[r]);
   };
   if (pool != nullptr) {
     pool->Run(ranges, range_task);
@@ -156,6 +242,7 @@ WindowAuditReport RunWindowAudit(const Dataset& original,
   report.distance_evaluations = index->distance_evaluations();
   for (const RangePartial& p : partials) {
     report.points_audited += p.points;
+    report.vertex_hits += p.vertex_hits;
     report.mean_displacement += p.sum;
     report.max_displacement = std::max(report.max_displacement, p.max);
   }

@@ -19,7 +19,22 @@
 // tight and the grid's block skipping (index/README.md) prunes most of the
 // coarse cells every query visits. Reordering cannot change the report:
 // the audit sums k=1 distances, and the minimum distance does not depend
-// on which of several tied segments wins. Only distance_evaluations moves.
+// on which of several tied segments wins.
+//
+// Vertex fast path. FRT inserts and deletes occurrences of signature
+// locations, so most published points are original vertices left as they
+// were. Beside the index the audit keeps a flat, read-only vertex table
+// (one open-addressed array): the start points `a` of every original
+// segment whose kernel is defined there (finite a, finite b - a, finite
+// SegmentInvLen2). A published point q equal to such an `a`
+// (q.x == a.x && q.y == a.y) is counted with displacement exactly 0 and
+// not searched. That is the number the search would return:
+// PointSegmentDistance2Kernel at q == a gives r = 0, t = 0, e = 0 and
+// d² = 0 exactly (also for -0.0 vs 0.0), and no distance is below 0. So
+// points_audited, the mean and the max are bit-identical to a
+// search-only audit. A point equal only to a trajectory's last vertex
+// (the kernel's t may round below 1 there) and a NaN coordinate (never
+// equal) are still searched. All ranges share the table.
 
 #ifndef FRT_RUNTIME_WINDOW_AUDIT_H_
 #define FRT_RUNTIME_WINDOW_AUDIT_H_
@@ -35,7 +50,7 @@ namespace frt {
 /// Configuration of the per-window displacement audit.
 struct WindowAuditConfig {
   /// Audits run only when enabled (they cost one index build plus one
-  /// k=1 query per published point).
+  /// k=1 query per published point that is not an original vertex).
   bool enabled = false;
   /// kNN strategy of the audit index.
   SearchStrategy strategy = SearchStrategy::kBottomUpDown;
@@ -54,14 +69,18 @@ struct WindowAuditReport {
   bool ran = false;
   /// Published points measured (sum over trajectories of size()).
   uint64_t points_audited = 0;
+  /// Published points answered by the vertex table, without a search.
+  /// Counted in points_audited.
+  uint64_t vertex_hits = 0;
   /// Wall seconds spent collecting, ordering and indexing the original
-  /// segments.
+  /// segments and building the vertex table.
   double build_seconds = 0.0;
   /// Mean / max distance from a published point to the nearest original
   /// segment (meters in the paper's datasets). 0 when no points audited.
   double mean_displacement = 0.0;
   double max_displacement = 0.0;
-  /// Exact distance evaluations of the audit's queries.
+  /// Exact distance evaluations of the audit's searches, which run only
+  /// for the points the vertex table did not answer.
   uint64_t distance_evaluations = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "traj/io.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -23,6 +24,12 @@ Result<std::optional<CsvRecord>> ParseCsvRecord(std::string_view line,
   FRT_ASSIGN_OR_RETURN(record.id, ParseInt64(fields[0]));
   FRT_ASSIGN_OR_RETURN(record.p.x, ParseDouble(fields[1]));
   FRT_ASSIGN_OR_RETURN(record.p.y, ParseDouble(fields[2]));
+  // strtod accepts nan/inf/infinity; one such point would poison the
+  // grid region and every distance of the batch it lands in.
+  if (!std::isfinite(record.p.x) || !std::isfinite(record.p.y)) {
+    return Status::IOError("line " + std::to_string(lineno) +
+                           ": non-finite coordinate");
+  }
   FRT_ASSIGN_OR_RETURN(record.t, ParseInt64(fields[3]));
   return std::optional<CsvRecord>(record);
 }

@@ -32,7 +32,7 @@ struct CsvRecord {
 /// \brief Parses one line of the dataset format.
 ///
 /// Returns nullopt for blank and comment lines; an error Status names
-/// `lineno` for malformed lines.
+/// `lineno` for malformed lines and for a non-finite (nan, inf) x or y.
 Result<std::optional<CsvRecord>> ParseCsvRecord(std::string_view line,
                                                 size_t lineno);
 

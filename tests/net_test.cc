@@ -144,6 +144,24 @@ TEST(FrameTest, TrajectoryPayloadDecodeIsStrict) {
       << mismatched.status().ToString();
 }
 
+TEST(FrameTest, NonFiniteCoordinateIsASemanticFault) {
+  // A CRC-clean frame can still carry NaN or inf; decoding rejects it and
+  // names the feed, so the ingress quarantines only that feed.
+  const double bad[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+  for (const double value : bad) {
+    for (const bool in_x : {true, false}) {
+      Trajectory t = MakeTrajectory(7, 3);
+      (in_x ? t[1].p.x : t[1].p.y) = value;
+      const auto decoded =
+          DecodeTrajectoryPayload(EncodeTrajectoryPayload("gamma", t));
+      ASSERT_FALSE(decoded.ok()) << value << (in_x ? " in x" : " in y");
+      EXPECT_TRUE(decoded.status().IsInvalidArgument());
+      EXPECT_NE(decoded.status().ToString().find("gamma"), std::string::npos)
+          << decoded.status().ToString();
+    }
+  }
+}
+
 // -------------------------------------------------------------- endpoint
 
 TEST(SocketTest, ParseEndpointAcceptsBothFamilies) {
@@ -261,12 +279,14 @@ TEST(SocketTest, TcpLoopbackWithEphemeralPort) {
 struct IngressHarness {
   std::mutex mu;
   std::vector<std::pair<std::string, TrajId>> offered;
+  std::vector<Trajectory> delivered;  // lockstep with `offered`
   std::vector<std::pair<std::string, std::string>> quarantined;
 
   OfferFn offer() {
     return [this](std::string feed, Trajectory t) {
       std::lock_guard<std::mutex> lock(mu);
       offered.emplace_back(std::move(feed), t.id());
+      delivered.push_back(std::move(t));
       return true;
     };
   }
@@ -389,6 +409,51 @@ TEST(IngressTest, SemanticDecodeFaultQuarantinesOnlyTheNamedFeed) {
   EXPECT_EQ(harness.offered[1].second, 3);
   ASSERT_EQ(harness.quarantined.size(), 1u);
   EXPECT_EQ(harness.quarantined[0].first, "bad");
+}
+
+TEST(IngressTest, NonFiniteFrameQuarantinesOnlyItsFeed) {
+  Endpoint endpoint;
+  endpoint.kind = Endpoint::Kind::kUnix;
+  endpoint.path = TestSocketPath("nan");
+  IngressHarness harness;
+  IngressServer::Options options;
+  options.endpoint = endpoint;
+  options.max_connections = 1;
+  IngressServer server(options, harness.offer(), harness.quarantine());
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::vector<std::pair<std::string, Trajectory>> siblings = {
+      {"a", MakeTrajectory(1, 4)},
+      {"b", MakeTrajectory(2, 5)},
+      {"a", MakeTrajectory(3, 3)},
+  };
+  Trajectory poisoned = MakeTrajectory(9, 4);
+  poisoned[2].p.x = std::nan("");
+  std::string wire;
+  AppendFrame(&wire, FrameType::kTrajectory,
+              EncodeTrajectoryPayload(siblings[0].first, siblings[0].second));
+  AppendFrame(&wire, FrameType::kTrajectory,
+              EncodeTrajectoryPayload("bad", poisoned));
+  for (size_t i = 1; i < siblings.size(); ++i) {
+    AppendFrame(&wire, FrameType::kTrajectory,
+                EncodeTrajectoryPayload(siblings[i].first,
+                                        siblings[i].second));
+  }
+  AppendFrame(&wire, FrameType::kBye, {});
+  SendWire(endpoint, wire);
+  server.Wait();
+
+  ASSERT_EQ(harness.quarantined.size(), 1u);
+  EXPECT_EQ(harness.quarantined[0].first, "bad");
+  ASSERT_EQ(harness.offered.size(), siblings.size());
+  for (size_t i = 0; i < siblings.size(); ++i) {
+    EXPECT_EQ(harness.offered[i].first, siblings[i].first);
+    // Same encoding = same bits in every coordinate and timestamp.
+    EXPECT_EQ(EncodeTrajectoryPayload(siblings[i].first,
+                                      harness.delivered[i]),
+              EncodeTrajectoryPayload(siblings[i].first,
+                                      siblings[i].second));
+  }
 }
 
 TEST(IngressTest, DisconnectWithoutByeQuarantinesDeliveredFeeds) {

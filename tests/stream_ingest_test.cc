@@ -126,6 +126,24 @@ TEST(TrajectoryReaderTest, WrongFieldCountNamesTheLine) {
       << next.status().ToString();
 }
 
+TEST(TrajectoryReaderTest, NonFiniteCoordinateNamesTheLine) {
+  // strtod parses all of these; a non-finite point must not reach a
+  // window, where it would poison the grid region of every trajectory.
+  for (const char* bad : {"1,nan,20.0,2", "1,10.0,-inf,2",
+                          "1,infinity,20.0,2", "1,10.0,NAN,2"}) {
+    SCOPED_TRACE(bad);
+    std::istringstream in(std::string("1,10.0,20.0,1\n") + bad +
+                          "\n2,1.0,2.0,3\n");
+    TrajectoryReader reader(in);
+    auto next = reader.Next();
+    ASSERT_FALSE(next.ok());
+    EXPECT_NE(next.status().message().find("line 2"), std::string::npos)
+        << next.status().ToString();
+    EXPECT_NE(next.status().message().find("non-finite"), std::string::npos)
+        << next.status().ToString();
+  }
+}
+
 TEST(TrajectoryReaderTest, CountersTrackProgress) {
   std::istringstream in(kThreeTrajectories);
   TrajectoryReaderOptions options;

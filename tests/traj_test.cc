@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "common/rng.h"
 #include "traj/dataset.h"
@@ -197,6 +198,21 @@ TEST(IoTest, MalformedLineIsError) {
   }
   EXPECT_FALSE(LoadDatasetCsv(path).ok());
   std::remove(path.c_str());
+}
+
+TEST(IoTest, NonFiniteCoordinateIsError) {
+  // strtod accepts all of these; the record parser must not.
+  for (const char* bad : {"nan", "-inf", "infinity"}) {
+    SCOPED_TRACE(bad);
+    for (const bool in_x : {true, false}) {
+      const std::string line = in_x ? std::string("7,") + bad + ",3.0,1"
+                                    : std::string("7,2.0,") + bad + ",1";
+      const auto record = ParseCsvRecord(line, 42);
+      ASSERT_FALSE(record.ok()) << line;
+      EXPECT_NE(record.status().message().find("line 42"), std::string::npos)
+          << record.status().ToString();
+    }
+  }
 }
 
 TEST(IoTest, CommentsAndBlankLinesSkipped) {
