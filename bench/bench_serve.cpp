@@ -567,7 +567,7 @@ void BM_ServeAdminScrapeOverhead(benchmark::State& state) {
     frt::ServiceConfig config = BaseConfig();
     config.stream.window_size = 100;
     config.stream.batch.pipeline.m = 5;
-    config.metrics_interval_ms = 100;  // live introspection board ticks
+    config.metrics_interval_ms = 100;  // live snapshot board ticks
     frt::ServiceDispatcher service(config, CountingSink(published));
 
     std::unique_ptr<frt::obs::AdminServer> admin;
@@ -579,8 +579,11 @@ void BM_ServeAdminScrapeOverhead(benchmark::State& state) {
       endpoint.path = "/tmp/frt_bench_admin_" +
                       std::to_string(::getpid()) + "_" +
                       std::to_string(round++) + ".sock";
+      // The handlers the CLIs ship: /metrics renders the dispatcher's own
+      // registry, /feedz its snapshot board through RenderFeedz.
       frt::obs::AdminServer::Options options;
       options.endpoint = endpoint;
+      options.registry = service.config().registry;
       admin = std::make_unique<frt::obs::AdminServer>(options);
       frt::ServiceDispatcher* service_ptr = &service;
       admin->Handle(
@@ -588,21 +591,13 @@ void BM_ServeAdminScrapeOverhead(benchmark::State& state) {
           [service_ptr](const frt::obs::HttpRequest&) {
             frt::obs::HttpResponse response;
             response.content_type = "application/json";
-            const auto intro = service_ptr->Introspect();
-            if (intro == nullptr) {
+            const auto snapshot = service_ptr->Introspect();
+            if (snapshot == nullptr) {
               response.status = 503;
               response.body = "{\"error\":\"starting\"}\n";
               return response;
             }
-            std::string body = "{\"feed\":[";
-            for (size_t i = 0; i < intro->feeds_detail.size(); ++i) {
-              const auto& feed = intro->feeds_detail[i];
-              if (i > 0) body += ',';
-              body += "{\"feed\":\"" + feed.feed + "\",\"eps_spent\":" +
-                      std::to_string(feed.epsilon_spent) + "}";
-            }
-            body += "]}\n";
-            response.body = std::move(body);
+            response.body = frt::RenderFeedz(*snapshot);
             return response;
           });
       if (!admin->Start().ok()) return -1.0;

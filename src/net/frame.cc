@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "stream/ingest.h"
+
 namespace frt::net {
 
 namespace {
@@ -199,8 +201,9 @@ Result<FeedTrajectory> DecodeTrajectoryPayload(std::string_view payload) {
   if (!r.ReadU16(&feed_len) || !r.ReadBytes(&out.feed, feed_len)) {
     return Status::InvalidArgument("truncated trajectory frame (feed id)");
   }
-  if (out.feed.empty()) {
-    return Status::InvalidArgument("trajectory frame with empty feed id");
+  if (!IsValidFeedId(out.feed)) {
+    // Never echoed: the bytes may hold path separators or newlines.
+    return Status::InvalidArgument("trajectory frame with invalid feed id");
   }
   int64_t id = 0;
   uint32_t points = 0;

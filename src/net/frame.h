@@ -106,8 +106,8 @@ Status VerifyFramePayload(const FrameHeader& header,
 std::string EncodeTrajectoryPayload(std::string_view feed,
                                     const Trajectory& trajectory);
 
-/// \brief Strictly decodes a kTrajectory payload: truncation, an empty
-/// feed id, a point count that disagrees with the payload length,
+/// \brief Strictly decodes a kTrajectory payload: truncation, a feed id
+/// that fails IsValidFeedId (stream/ingest.h), a point count that disagrees with the payload length,
 /// trailing bytes or a non-finite (NaN, inf) coordinate are
 /// InvalidArgument. The stream itself stays aligned
 /// (the CRC already passed), so the caller quarantines only the feed —

@@ -11,20 +11,23 @@
 #include "common/logging.h"
 #include "net/frame.h"
 #include "obs/trace.h"
+#include "stream/ingest.h"
 
 namespace frt::net {
 
 namespace {
 
 /// Best-effort extraction of the feed id from a kTrajectory payload whose
-/// full decode failed: if the id itself is readable the fault can be
-/// pinned on that feed; otherwise it degrades to a connection-level fault.
+/// full decode failed: if the id itself is readable and valid the fault can
+/// be pinned on that feed; otherwise it degrades to a connection-level
+/// fault, so an invalid name never becomes a feed.
 std::string PeekFeedId(std::string_view payload) {
   if (payload.size() < 2) return {};
   const auto* p = reinterpret_cast<const unsigned char*>(payload.data());
   const size_t len = static_cast<size_t>(p[0]) | (static_cast<size_t>(p[1]) << 8);
-  if (len == 0 || payload.size() < 2 + len) return {};
-  return std::string(payload.substr(2, len));
+  if (payload.size() < 2 + len) return {};
+  const std::string_view feed = payload.substr(2, len);
+  return IsValidFeedId(feed) ? std::string(feed) : std::string();
 }
 
 }  // namespace
@@ -34,6 +37,10 @@ IngressServer::IngressServer(Options options, OfferFn offer,
     : options_(std::move(options)),
       offer_(std::move(offer)),
       quarantine_(std::move(quarantine)) {
+  if (options_.registry == nullptr) {
+    owned_registry_ = std::make_unique<obs::Registry>();
+    options_.registry = owned_registry_.get();
+  }
   obs::Registry* registry = options_.registry;
   connections_total_ = registry->GetCounter(
       "frt_ingress_connections_total", "Edge connections accepted");
@@ -71,10 +78,15 @@ void IngressServer::Wait() {
   for (std::thread& reader : readers_) {
     if (reader.joinable()) reader.join();
   }
-  stats_.frames = frames_.load(std::memory_order_relaxed);
-  stats_.trajectories = trajectories_.load(std::memory_order_relaxed);
-  stats_.quarantine_events =
-      quarantine_events_.load(std::memory_order_relaxed);
+}
+
+IngressServer::Stats IngressServer::stats() const {
+  Stats stats;
+  stats.connections = connections_total_->value();
+  stats.frames = frames_total_->value();
+  stats.trajectories = trajectories_total_->value();
+  stats.quarantine_events = quarantine_total_->value();
+  return stats;
 }
 
 void IngressServer::Stop() {
@@ -117,7 +129,6 @@ void IngressServer::AcceptLoop() {
     if (!conn->valid()) break;  // listener shut down
     backoff_ms = 1;
     const size_t index = ++accepted;
-    stats_.connections = accepted;
     connections_total_->Inc();
     readers_.emplace_back(&IngressServer::ReadConnection, this,
                           std::move(conn).value(), index);
@@ -147,7 +158,6 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
   const auto quarantine_one = [&](const std::string& feed,
                                   const std::string& reason) {
     if (!quarantined.insert(feed).second) return;
-    quarantine_events_.fetch_add(1, std::memory_order_relaxed);
     quarantine_total_->Inc();
     quarantine_(feed, reason);
   };
@@ -193,7 +203,6 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
       fatal = crc.message();
       break;
     }
-    frames_.fetch_add(1, std::memory_order_relaxed);
     frames_total_->Inc();
 
     switch (header->type) {
@@ -226,7 +235,6 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
           feeds_seen.push_back(decoded->feed);
         }
         if (quarantined.count(decoded->feed) != 0) break;  // already dead
-        trajectories_.fetch_add(1, std::memory_order_relaxed);
         trajectories_total_->Inc();
         if (!offer_(decoded->feed, std::move(decoded->trajectory))) {
           // Service is finishing; stop draining this socket.

@@ -18,8 +18,9 @@
 //     further arrivals are refused) but keeps serving everyone else.
 //   - Semantic faults (a CRC-clean kTrajectory payload that fails strict
 //     decoding) leave the stream aligned: only the feed named in the
-//     payload is quarantined and the connection keeps going. When even the
-//     feed id is unreadable the fault degrades to framing-level.
+//     payload is quarantined and the connection keeps going. When the
+//     feed id is unreadable or invalid (IsValidFeedId) the fault degrades
+//     to framing-level.
 //
 // One reader thread per connection; a process that expects N edges can set
 // Options::max_connections = N and Wait() returns once all N streams end.
@@ -64,9 +65,11 @@ class IngressServer {
     /// Stop()); Wait() then returns once the last reader drains.
     size_t max_connections = 0;
     int backlog = 16;
-    /// Registry the frt_ingress_* counters register into. Stats stays
-    /// per-instance; the registry mirror is the scrapeable home.
-    obs::Registry* registry = &obs::Registry::Default();
+    /// Registry holding the frt_ingress_* counters (not owned; must
+    /// outlive the server) — the only store of what stats() reports.
+    /// nullptr (the default) gives the server a private registry;
+    /// frt_serve passes &obs::Registry::Default() so /metrics serves it.
+    obs::Registry* registry = nullptr;
   };
 
   struct Stats {
@@ -94,8 +97,8 @@ class IngressServer {
   /// readers finish their current frame and exit.
   void Stop();
 
-  /// Valid after Wait().
-  const Stats& stats() const { return stats_; }
+  /// Read from the counters; exact after Wait().
+  Stats stats() const;
 
  private:
   void AcceptLoop();
@@ -109,12 +112,8 @@ class IngressServer {
   std::vector<std::thread> readers_;
   std::atomic<bool> stop_{false};
   bool started_ = false;
-  Stats stats_;
-  std::atomic<uint64_t> frames_{0};
-  std::atomic<uint64_t> trajectories_{0};
-  std::atomic<uint64_t> quarantine_events_{0};
-  /// Registry mirrors of the per-instance counters above, plus the
-  /// transient accept-retry count (which has no per-instance twin).
+  /// Backs options_.registry when the caller passed none.
+  std::unique_ptr<obs::Registry> owned_registry_;
   obs::Counter* connections_total_ = nullptr;
   obs::Counter* frames_total_ = nullptr;
   obs::Counter* trajectories_total_ = nullptr;

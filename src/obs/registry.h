@@ -15,9 +15,10 @@
 //   - Registry::Default() is a process-wide instance that is
 //     intentionally leaked: worker threads may still bump counters
 //     during static destruction.
-//   - Tests that need isolation construct their own Registry and pass it
-//     to components; every component that registers metrics takes a
-//     `Registry*` defaulting to `&Registry::Default()`.
+//   - Every component that registers metrics takes a `Registry*`.
+//     ServiceDispatcher and IngressServer keep their values only there
+//     and default to a private registry (nullptr); the CLIs pass
+//     `&Registry::Default()`, which /metrics serves.
 //   - Re-registering a name returns the same object (first help string
 //     wins), so two components may share a metric deliberately.
 //

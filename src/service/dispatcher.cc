@@ -76,6 +76,10 @@ ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
   }
   metrics_interval_ms_.store(std::max<int64_t>(config_.metrics_interval_ms, 1),
                              std::memory_order_relaxed);
+  if (config_.registry == nullptr) {
+    owned_registry_ = std::make_unique<obs::Registry>();
+    config_.registry = owned_registry_.get();
+  }
   obs::Registry& reg = *config_.registry;
   ctr_sessions_created_ = reg.GetCounter(
       "frt_serve_sessions_created_total", "Feed sessions opened (all generations)");
@@ -111,17 +115,11 @@ ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
   g_feeds_ = reg.GetGauge("frt_serve_feeds", "Feeds ever seen");
   g_eps_spent_max_ = reg.GetGauge(
       "frt_serve_eps_spent_max", "Largest per-feed epsilon spent so far");
-  const auto stage_cell = [&reg](std::string_view stage) {
-    return reg.GetHistogram(
-        obs::WithLabel("frt_stage_ms", "stage", stage),
-        "Per-stage latency (ms) across the whole process");
-  };
-  cell_close_wait_ = stage_cell("close_wait");
-  cell_publish_ = stage_cell("publish");
-  cell_queue_wait_ = stage_cell("queue_wait");
-  cell_anonymize_ = stage_cell("anonymize");
-  cell_checkpoint_ = stage_cell("checkpoint");
-  cell_sink_ = stage_cell("sink");
+  for (size_t i = 0; i < kNumServiceStages; ++i) {
+    stage_cells_[i] = reg.GetHistogram(
+        obs::WithLabel("frt_stage_ms", "stage", kServiceStageNames[i]),
+        "Per-stage window latency (ms)");
+  }
 }
 
 ServiceDispatcher::~ServiceDispatcher() {
@@ -242,7 +240,6 @@ void ServiceDispatcher::Route(Arrival&& arrival,
     // Generation bumps must be durable (a successor session's RNG stream
     // derives from them); an interval snapshot picks this up.
     ledger_dirty_ = true;
-    ++report_.sessions_created;
     ctr_sessions_created_->Inc();
     ++active_sessions_;
     report_.peak_active_sessions =
@@ -384,7 +381,6 @@ void ServiceDispatcher::RetireSession(FeedSlot* slot) {
 void ServiceDispatcher::EvictSession(FeedSlot* slot) {
   RetireSession(slot);
   slot->ever_evicted = true;
-  ++report_.sessions_evicted;
   ctr_sessions_evicted_->Inc();
 }
 
@@ -556,14 +552,10 @@ void ServiceDispatcher::AbsorbCompletion(
       std::chrono::duration<double, std::milli>(completion->started_at -
                                                 completion->job.closed_at)
           .count();
-  close_wait_hist_.Record(completion->job.close_wait_ms);
-  publish_hist_.Record(publish_ms);
-  queue_wait_hist_.Record(queue_wait_ms);
-  anonymize_hist_.Record(completion->run_ms);
-  cell_close_wait_->Record(completion->job.close_wait_ms);
-  cell_publish_->Record(publish_ms);
-  cell_queue_wait_->Record(queue_wait_ms);
-  cell_anonymize_->Record(completion->run_ms);
+  stage_cells_[kStageCloseWait]->Record(completion->job.close_wait_ms);
+  stage_cells_[kStagePublish]->Record(publish_ms);
+  stage_cells_[kStageQueueWait]->Record(queue_wait_ms);
+  stage_cells_[kStageAnonymize]->Record(completion->run_ms);
   slot.close_wait_hist.Record(completion->job.close_wait_ms);
   slot.publish_hist.Record(publish_ms);
   // The spend is charged; the output waits in pending_ until
@@ -615,8 +607,7 @@ void ServiceDispatcher::FlushPublishes() {
     const double sink_ms =
         std::chrono::duration<double, std::milli>(sink_end - sink_start)
             .count();
-    sink_hist_.Record(sink_ms);
-    cell_sink_->Record(sink_ms);
+    stage_cells_[kStageSink]->Record(sink_ms);
     ctr_windows_published_->Inc();
     ctr_trajectories_published_->Inc(pending.report.trajectories);
     slot.session->RecordPublished(pending.report);
@@ -645,22 +636,19 @@ Status ServiceDispatcher::WriteCheckpointNow() {
   }
   const SteadyClock::time_point write_start = SteadyClock::now();
   if (Status st = store_->Write(image); !st.ok()) {
-    // Counted before the abort so the last metrics tick shows WHY the
-    // service died (satellite to the dir-fsync propagation fix).
-    ++checkpoint_errors_;
+    // Counted before the abort so the last snapshot shows WHY the service
+    // died.
     ctr_checkpoint_errors_->Inc();
     return st;
   }
   checkpoint_seq_ = image.sequence;
-  ++checkpoints_written_;
   ctr_checkpoints_written_->Inc();
   ledger_dirty_ = false;
   last_checkpoint_ = SteadyClock::now();
   const double write_ms = std::chrono::duration<double, std::milli>(
                               last_checkpoint_ - write_start)
                               .count();
-  checkpoint_hist_.Record(write_ms);
-  cell_checkpoint_->Record(write_ms);
+  stage_cells_[kStageCheckpoint]->Record(write_ms);
   return Status::OK();
 }
 
@@ -675,8 +663,8 @@ void ServiceDispatcher::MaybeCheckpoint(SteadyClock::time_point now) {
 }
 
 void ServiceDispatcher::MaybePublishMetrics(SteadyClock::time_point now) {
-  // Runs with or without an exporter: the introspection board must tick
-  // so /healthz staleness detection and /feedz stay live.
+  // The board must tick even with nobody pulling from it yet: /healthz
+  // staleness detection and /feedz read it.
   if (now - last_metrics_ <
       std::chrono::milliseconds(
           metrics_interval_ms_.load(std::memory_order_relaxed))) {
@@ -686,135 +674,78 @@ void ServiceDispatcher::MaybePublishMetrics(SteadyClock::time_point now) {
 }
 
 void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
-  MetricsSnapshot s;
-  auto intro = std::make_shared<ServiceIntrospection>();
-  s.seq = ++metrics_seq_;
-  s.uptime_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    now - started_at_)
-                    .count();
-  s.feeds = feed_order_.size();
-  s.active_sessions = active_sessions_;
-  s.queue_depth = arrivals_->size();
-  s.in_flight = in_flight_;
-  s.backlog_windows = backlog_windows_;
-  s.checkpoint_errors = checkpoint_errors_;
-  const bool per_feed =
-      config_.metrics != nullptr && config_.metrics->per_feed();
+  auto s = std::make_shared<ServiceSnapshot>();
+  s->seq = ++metrics_seq_;
+  s->uptime_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                     now - started_at_)
+                     .count();
+  s->published_at = now;
+  s->finished = final_tick_;
+  s->aborted = aborted_;
+  s->feeds = feed_order_.size();
+  s->active_sessions = active_sessions_;
+  s->queue_depth = arrivals_->size();
+  s->in_flight = in_flight_;
+  s->backlog_windows = backlog_windows_;
   const double budget =
       config_.stream.accounting == BudgetAccounting::kWholesale
           ? config_.stream.total_budget
           : config_.stream.per_object_budget;
-  intro->feeds_detail.reserve(feed_order_.size());
+  s->feeds_detail.reserve(feed_order_.size());
   for (const auto& name : feed_order_) {
     const FeedSlot& slot = feeds_.at(name);
     // Merged (evicted-generation) counters plus the live session's; the
     // live session's epsilon is already cumulative (its accountants were
     // preloaded with the predecessors' spend).
-    size_t windows_closed = slot.merged.windows_closed;
-    size_t windows_published = slot.merged.windows_published;
-    size_t windows_refused = slot.merged.windows_refused;
-    size_t windows_deadline = slot.merged.windows_deadline_closed;
-    size_t trajectories_in = slot.merged.trajectories_in;
-    size_t trajectories_published = slot.merged.trajectories_published;
-    double epsilon_spent = slot.merged.epsilon_spent;
-    if (slot.quarantined) ++s.feeds_quarantined;
+    ServiceSnapshot::Feed feed;
+    feed.feed = name;
+    feed.windows_published = slot.merged.windows_published;
+    feed.windows_refused = slot.merged.windows_refused;
+    feed.epsilon_spent = slot.merged.epsilon_spent;
     if (slot.session) {
       const StreamReport& live = slot.session->report();
-      windows_closed += live.windows_closed;
-      windows_published += live.windows_published;
-      windows_refused += live.windows_refused;
-      windows_deadline += live.windows_deadline_closed;
-      trajectories_in += live.trajectories_in;
-      trajectories_published += live.trajectories_published;
-      epsilon_spent = live.epsilon_spent;
+      feed.windows_published += live.windows_published;
+      feed.windows_refused += live.windows_refused;
+      feed.epsilon_spent = live.epsilon_spent;
+      feed.backlog = slot.session->backlog_size();
     }
-    s.windows_closed += windows_closed;
-    s.windows_published += windows_published;
-    s.windows_refused += windows_refused;
-    s.windows_deadline_closed += windows_deadline;
-    s.trajectories_in += trajectories_in;
-    s.trajectories_published += trajectories_published;
-    s.epsilon_spent_max = std::max(s.epsilon_spent_max, epsilon_spent);
-    // Same expression as the frt_feed lines — bit-identical on purpose,
-    // so a shutdown /feedz scrape matches the final report exactly.
-    const double epsilon_remaining =
-        budget > 0.0 ? std::max(0.0, budget - epsilon_spent)
+    feed.epsilon_remaining =
+        budget > 0.0 ? std::max(0.0, budget - feed.epsilon_spent)
                      : std::numeric_limits<double>::infinity();
-    if (per_feed) {
-      MetricsSnapshot::Feed detail;
-      detail.feed = name;
-      detail.epsilon_spent = epsilon_spent;
-      detail.epsilon_remaining = epsilon_remaining;
-      detail.windows_published = windows_published;
-      detail.windows_refused = windows_refused;
-      s.feeds_detail.push_back(std::move(detail));
-    }
-    ServiceIntrospection::Feed feed;
-    feed.feed = name;
-    feed.epsilon_spent = epsilon_spent;
-    feed.epsilon_remaining = epsilon_remaining;
-    feed.windows_published = windows_published;
-    feed.windows_refused = windows_refused;
-    feed.backlog = slot.session ? slot.session->backlog_size() : 0;
     feed.quarantined = slot.quarantined;
     feed.quarantine_reason = slot.quarantine_reason;
-    intro->feeds_detail.push_back(std::move(feed));
+    if (slot.quarantined) ++s->feeds_quarantined;
+    s->epsilon_spent_max = std::max(s->epsilon_spent_max, feed.epsilon_spent);
+    s->feeds_detail.push_back(std::move(feed));
   }
-  // Histogram reads are O(buckets), not O(n log n) over a sample ring:
-  // the metrics tick no longer re-sorts anything.
-  s.close_wait_p50_ms = close_wait_hist_.Quantile(0.50);
-  s.close_wait_p99_ms = close_wait_hist_.Quantile(0.99);
-  s.publish_p50_ms = publish_hist_.Quantile(0.50);
-  s.publish_p99_ms = publish_hist_.Quantile(0.99);
-  if (config_.metrics != nullptr && config_.metrics->histograms()) {
-    auto stage = [&s](const char* name, const obs::Histogram& h) {
-      MetricsSnapshot::Stage out;
-      out.stage = name;
-      out.count = h.count();
-      out.p50_ms = h.Quantile(0.50);
-      out.p99_ms = h.Quantile(0.99);
-      out.max_ms = h.max_ms();
-      out.mean_ms = h.mean_ms();
-      s.stages.push_back(std::move(out));
-    };
-    stage("close_wait", close_wait_hist_);
-    stage("queue_wait", queue_wait_hist_);
-    stage("anonymize", anonymize_hist_);
-    stage("publish", publish_hist_);
-    stage("sink", sink_hist_);
-    stage("checkpoint", checkpoint_hist_);
+  s->windows_closed = ctr_windows_closed_->value();
+  s->windows_published = ctr_windows_published_->value();
+  s->windows_refused = ctr_windows_refused_->value();
+  s->windows_deadline_closed = ctr_windows_deadline_closed_->value();
+  s->trajectories_in = ctr_trajectories_in_->value();
+  s->trajectories_published = ctr_trajectories_published_->value();
+  // Cell reads are O(buckets), not a sort over samples.
+  for (size_t i = 0; i < kNumServiceStages; ++i) {
+    const obs::Histogram h = stage_cells_[i]->Snapshot();
+    s->stages[i] = {h.count(), h.Quantile(0.50), h.Quantile(0.99),
+                    h.max_ms(), h.mean_ms()};
   }
-  s.checkpoint_seq = checkpoint_seq_;
-  s.checkpoints_written = checkpoints_written_;
-  if (store_.has_value() && checkpoints_written_ > 0) {
-    s.checkpoint_age_ms =
+  s->checkpoint_seq = checkpoint_seq_;
+  s->checkpoints_written = ctr_checkpoints_written_->value();
+  s->checkpoint_errors = ctr_checkpoint_errors_->value();
+  if (store_.has_value() && s->checkpoints_written > 0) {
+    s->checkpoint_age_ms =
         std::chrono::duration<double, std::milli>(now - last_checkpoint_)
             .count();
   }
-  // Registry gauges: the scrapeable point-in-time twins of the snapshot.
-  g_active_sessions_->Set(static_cast<double>(s.active_sessions));
-  g_queue_depth_->Set(static_cast<double>(s.queue_depth));
-  g_backlog_windows_->Set(static_cast<double>(s.backlog_windows));
-  g_in_flight_->Set(static_cast<double>(s.in_flight));
-  g_feeds_->Set(static_cast<double>(s.feeds));
-  g_eps_spent_max_->Set(s.epsilon_spent_max);
-  intro->seq = s.seq;
-  intro->uptime_ms = s.uptime_ms;
-  intro->published_at = now;
-  intro->finished = final_tick_;
-  intro->aborted = aborted_;
-  intro->feeds = s.feeds;
-  intro->active_sessions = s.active_sessions;
-  intro->queue_depth = s.queue_depth;
-  intro->backlog_windows = s.backlog_windows;
-  intro->in_flight = s.in_flight;
-  intro->feeds_quarantined = s.feeds_quarantined;
-  intro->checkpoint_seq = s.checkpoint_seq;
-  intro->checkpoint_age_ms = s.checkpoint_age_ms;
-  intro->checkpoints_written = s.checkpoints_written;
-  intro->checkpoint_errors = s.checkpoint_errors;
-  introspection_.Publish(std::move(intro));
-  if (config_.metrics != nullptr) config_.metrics->Publish(std::move(s));
+  // The registry gauges render this snapshot for /metrics.
+  g_active_sessions_->Set(static_cast<double>(s->active_sessions));
+  g_queue_depth_->Set(static_cast<double>(s->queue_depth));
+  g_backlog_windows_->Set(static_cast<double>(s->backlog_windows));
+  g_in_flight_->Set(static_cast<double>(s->in_flight));
+  g_feeds_->Set(static_cast<double>(s->feeds));
+  g_eps_spent_max_->Set(s->epsilon_spent_max);
+  snapshots_.Publish(std::move(s));
   last_metrics_ = now;
 }
 
@@ -856,14 +787,18 @@ void ServiceDispatcher::BuildFinalReport() {
             [](const FeedReport& a, const FeedReport& b) {
               return a.feed < b.feed;
             });
-  report_.checkpoints_written = checkpoints_written_;
+  report_.sessions_created = ctr_sessions_created_->value();
+  report_.sessions_evicted = ctr_sessions_evicted_->value();
+  report_.checkpoints_written = ctr_checkpoints_written_->value();
   report_.checkpoint_sequence = checkpoint_seq_;
-  report_.close_wait_p50_ms = close_wait_hist_.Quantile(0.50);
-  report_.close_wait_p99_ms = close_wait_hist_.Quantile(0.99);
-  report_.close_wait_max_ms = close_wait_hist_.max_ms();
-  report_.publish_p50_ms = publish_hist_.Quantile(0.50);
-  report_.publish_p99_ms = publish_hist_.Quantile(0.99);
-  report_.publish_max_ms = publish_hist_.max_ms();
+  const obs::Histogram close_wait = stage_cells_[kStageCloseWait]->Snapshot();
+  report_.close_wait_p50_ms = close_wait.Quantile(0.50);
+  report_.close_wait_p99_ms = close_wait.Quantile(0.99);
+  report_.close_wait_max_ms = close_wait.max_ms();
+  const obs::Histogram publish = stage_cells_[kStagePublish]->Snapshot();
+  report_.publish_p50_ms = publish.Quantile(0.50);
+  report_.publish_p99_ms = publish.Quantile(0.99);
+  report_.publish_max_ms = publish.max_ms();
 }
 
 void ServiceDispatcher::DispatcherLoop() {
@@ -872,8 +807,8 @@ void ServiceDispatcher::DispatcherLoop() {
   started_at_ = SteadyClock::now();
   last_checkpoint_ = started_at_;
   last_metrics_ = started_at_;
-  // An immediate first snapshot: even a sub-interval run leaves one line
-  // behind when the exporter flushes at Stop().
+  // An immediate first snapshot: the board is never empty once the
+  // service runs.
   PublishMetricsNow(started_at_);
   bool input_done = false;
   while (!input_done) {
@@ -898,10 +833,9 @@ void ServiceDispatcher::DispatcherLoop() {
       deadline = deadlines_.top().when;
       timed = true;
     }
-    // Housekeeping deadlines: the next metrics/introspection tick
-    // (unconditional — the admin plane needs a fresh board even with no
-    // exporter), and the interval snapshot for dirty ledgers that have no
-    // publish to ride on.
+    // Housekeeping deadlines: the next snapshot tick (unconditional — the
+    // board must stay fresh whoever reads it), and the interval checkpoint
+    // for dirty ledgers that have no publish to ride on.
     deadline = std::min(
         deadline,
         last_metrics_ + std::chrono::milliseconds(metrics_interval_ms_.load(
@@ -1014,8 +948,9 @@ void ServiceDispatcher::DispatcherLoop() {
   }
   BuildFinalReport();
   report_.wall_seconds = wall.ElapsedSeconds();
-  // The final tick: everything is quiesced, so the introspection board,
-  // the exporter's last line, and the final report all agree bit for bit.
+  // The final tick: everything is quiesced, so the final snapshot — which
+  // the exporter's last lines and a shutdown /feedz both render — and the
+  // final report agree bit for bit.
   final_tick_ = true;
   PublishMetricsNow(SteadyClock::now());
 }

@@ -53,6 +53,7 @@
 #define FRT_SERVICE_DISPATCHER_H_
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -74,7 +75,7 @@
 #include "runtime/work_stealing_pool.h"
 #include "service/checkpoint.h"
 #include "service/feed_session.h"
-#include "service/metrics_exporter.h"
+#include "service/service_snapshot.h"
 #include "stream/ingest.h"
 #include "stream/stream_types.h"
 #include "traj/dataset.h"
@@ -118,63 +119,15 @@ struct ServiceConfig {
   /// publish to ride on (session revivals, evictions). Publish-driven
   /// write-ahead snapshots ignore this — they are mandatory.
   int64_t checkpoint_interval_ms = 1000;
-  /// Optional metrics exporter (not owned; must outlive the service). The
-  /// dispatcher publishes a MetricsSnapshot every metrics_interval_ms; the
-  /// exporter's own thread does all formatting and IO.
-  MetricsExporter* metrics = nullptr;
+  /// Cadence of the service snapshot (see Introspect()).
   int64_t metrics_interval_ms = 1000;
-  /// Registry the frt_serve_* counters/gauges register into (not owned;
-  /// must outlive the service). The per-run ServiceReport stays the
-  /// authoritative per-instance accounting; the registry carries additive
-  /// process-wide mirrors for the pull plane. Tests that need bit-exact
-  /// registry values construct their own Registry here.
-  obs::Registry* registry = &obs::Registry::Default();
-};
-
-/// Read-only view of the service for the admin plane, rebuilt on the
-/// dispatcher thread at every metrics tick (and always at start and
-/// shutdown, even with no exporter configured) and published through an
-/// obs::SnapshotBoard. Admin handlers read the latest copy without
-/// touching any dispatcher-owned state.
-struct ServiceIntrospection {
-  /// Monotone tick counter; a scraper that sees the same seq twice with a
-  /// growing published_at age is looking at a wedged dispatcher.
-  uint64_t seq = 0;
-  int64_t uptime_ms = 0;
-  /// When this view was built (steady clock) — readers derive staleness.
-  std::chrono::steady_clock::time_point published_at{};
-  /// The dispatcher loop has exited (final view).
-  bool finished = false;
-  /// The run hit a fatal error (error surfaces through Finish()).
-  bool aborted = false;
-  size_t feeds = 0;
-  size_t active_sessions = 0;
-  size_t queue_depth = 0;
-  size_t backlog_windows = 0;
-  size_t in_flight = 0;
-  size_t feeds_quarantined = 0;
-  uint64_t checkpoint_seq = 0;
-  double checkpoint_age_ms = -1.0;  ///< negative: checkpointing off/idle
-  size_t checkpoints_written = 0;
-  size_t checkpoint_errors = 0;
-
-  struct Feed {
-    std::string feed;
-    /// Cumulative guarantee, same accounting the frt_feed lines report.
-    double epsilon_spent = 0.0;
-    /// max(0, budget - spent); +inf when the ledger is not enforcing.
-    /// Computed with the exporter's exact expression so the shutdown view
-    /// is bit-identical to the final frt_feed lines.
-    double epsilon_remaining = 0.0;
-    size_t windows_published = 0;
-    size_t windows_refused = 0;
-    /// Closed-but-unsubmitted windows this feed holds right now.
-    size_t backlog = 0;
-    bool quarantined = false;
-    std::string quarantine_reason;
-  };
-  /// Every feed ever seen, in first-seen order.
-  std::vector<Feed> feeds_detail;
+  /// Registry holding the service's counters, gauges and stage-latency
+  /// cells (not owned; must outlive the service). It is the only store of
+  /// those values: snapshots, /metrics and the final report all read it.
+  /// nullptr (the default) gives the dispatcher a private registry; the
+  /// CLIs pass &obs::Registry::Default() so /metrics serves it. Sharing
+  /// one registry between dispatchers aggregates them.
+  obs::Registry* registry = nullptr;
 };
 
 /// Per-feed outcome, merged across the feed's session generations.
@@ -297,15 +250,17 @@ class ServiceDispatcher {
 
   const ServiceConfig& config() const { return config_; }
 
-  /// \brief Latest introspection view (nullptr before Start()). Safe from
-  /// any thread at any time; never blocks the dispatcher (see
-  /// obs::SnapshotBoard).
-  std::shared_ptr<const ServiceIntrospection> Introspect() const {
-    return introspection_.Read();
+  /// \brief Latest service snapshot (nullptr before Start()), rebuilt on
+  /// the dispatcher thread every metrics_interval_ms and always at start
+  /// and shutdown. Safe from any thread at any time; never blocks the
+  /// dispatcher (see obs::SnapshotBoard). After Finish() it is the final
+  /// snapshot.
+  std::shared_ptr<const ServiceSnapshot> Introspect() const {
+    return snapshots_.Read();
   }
 
-  /// \brief Retunes the metrics/introspection cadence at runtime (admin
-  /// /control). Thread-safe; takes effect at the next dispatcher wakeup.
+  /// \brief Retunes the snapshot cadence at runtime (admin /control).
+  /// Thread-safe; takes effect at the next dispatcher wakeup.
   void SetMetricsIntervalMs(int64_t ms) {
     metrics_interval_ms_.store(std::max<int64_t>(ms, 1),
                                std::memory_order_relaxed);
@@ -425,7 +380,7 @@ class ServiceDispatcher {
   Status WriteCheckpointNow();
   /// Interval snapshot for dirty ledgers with no publish to ride on.
   void MaybeCheckpoint(std::chrono::steady_clock::time_point now);
-  /// Publishes a MetricsSnapshot when the metrics interval elapsed.
+  /// Publishes a ServiceSnapshot when the metrics interval elapsed.
   void MaybePublishMetrics(std::chrono::steady_clock::time_point now);
   void PublishMetricsNow(std::chrono::steady_clock::time_point now);
   /// Records a fatal error once and stops admitting new work.
@@ -479,23 +434,11 @@ class ServiceDispatcher {
   /// closed windows drain, and the run ends cleanly (not an error).
   bool stopping_ = false;
   Status error_ = Status::OK();
-  /// Service-wide per-stage latency histograms (dispatcher thread only).
-  /// Bounded memory, merged per-feed views live in each FeedSlot.
-  obs::Histogram close_wait_hist_;
-  obs::Histogram publish_hist_;
-  obs::Histogram queue_wait_hist_;
-  obs::Histogram anonymize_hist_;
-  obs::Histogram checkpoint_hist_;
-  obs::Histogram sink_hist_;
   // Durability + metrics (dispatcher thread only, except store_ creation
   // and recovery, which Start() runs before the thread spawns).
   std::optional<CheckpointStore> store_;
   std::vector<PendingPublish> pending_;
   uint64_t checkpoint_seq_ = 0;  ///< resumes from the recovered snapshot
-  size_t checkpoints_written_ = 0;
-  /// Snapshot writes that failed (each aborts the run; surfaced in
-  /// metrics so an operator sees WHY the service died).
-  size_t checkpoint_errors_ = 0;
   /// Ledger state changed since the last snapshot (spend, generation, or
   /// window-counter movement).
   bool ledger_dirty_ = false;
@@ -504,17 +447,19 @@ class ServiceDispatcher {
   std::chrono::steady_clock::time_point last_metrics_{};
   uint64_t metrics_seq_ = 0;
   ServiceReport report_;
-  /// The loop's final tick is running: the introspection view it builds
-  /// carries finished=true so /readyz can flip before Finish() returns.
+  /// The loop's final tick is running: the snapshot it builds carries
+  /// finished=true so /readyz can flip before Finish() returns.
   bool final_tick_ = false;
   /// Runtime-tunable metrics cadence (SetMetricsIntervalMs, any thread);
   /// seeded from config_.metrics_interval_ms at construction.
   std::atomic<int64_t> metrics_interval_ms_{1000};
-  /// Admin-plane publication point (see ServiceIntrospection).
-  obs::SnapshotBoard<ServiceIntrospection> introspection_;
-  /// Registry mirrors (see ServiceConfig::registry). Counters are bumped
-  /// at the same sites as the per-run report fields; gauges are set each
-  /// metrics tick; cells shadow the plain per-run histograms.
+  /// Publication point of the per-tick ServiceSnapshot.
+  obs::SnapshotBoard<ServiceSnapshot> snapshots_;
+  /// Backs config_.registry when the caller passed none.
+  std::unique_ptr<obs::Registry> owned_registry_;
+  /// The registry's metrics (see ServiceConfig::registry), written on the
+  /// dispatcher thread only: counters where the events happen, gauges at
+  /// each snapshot, one latency cell per ServiceStage.
   obs::Counter* ctr_sessions_created_ = nullptr;
   obs::Counter* ctr_sessions_evicted_ = nullptr;
   obs::Counter* ctr_windows_closed_ = nullptr;
@@ -532,12 +477,7 @@ class ServiceDispatcher {
   obs::Gauge* g_in_flight_ = nullptr;
   obs::Gauge* g_feeds_ = nullptr;
   obs::Gauge* g_eps_spent_max_ = nullptr;
-  obs::HistogramCell* cell_close_wait_ = nullptr;
-  obs::HistogramCell* cell_publish_ = nullptr;
-  obs::HistogramCell* cell_queue_wait_ = nullptr;
-  obs::HistogramCell* cell_anonymize_ = nullptr;
-  obs::HistogramCell* cell_checkpoint_ = nullptr;
-  obs::HistogramCell* cell_sink_ = nullptr;
+  std::array<obs::HistogramCell*, kNumServiceStages> stage_cells_{};
 };
 
 /// \brief Offers every trajectory `reader` yields to `service` as `feed`,

@@ -20,8 +20,8 @@ int64_t UnixMillis() {
 
 }  // namespace
 
-MetricsExporter::MetricsExporter(Options options)
-    : options_(std::move(options)) {
+MetricsExporter::MetricsExporter(Options options, SnapshotSource source)
+    : options_(std::move(options)), source_(std::move(source)) {
   if (options_.interval_ms < 1) options_.interval_ms = 1;
   interval_ms_.store(options_.interval_ms, std::memory_order_relaxed);
 }
@@ -52,12 +52,6 @@ Status MetricsExporter::Start() {
   return Status::OK();
 }
 
-void MetricsExporter::Publish(MetricsSnapshot snapshot) {
-  std::lock_guard<std::mutex> lock(mu_);
-  latest_ = std::move(snapshot);
-  has_snapshot_ = true;
-}
-
 void MetricsExporter::Stop() {
   if (!started_) return;
   {
@@ -67,28 +61,10 @@ void MetricsExporter::Stop() {
   cv_.notify_all();
   thread_.join();
   started_ = false;
-  // Final flush: the loop never emits on the stop wakeup (it might race a
-  // Publish that landed between the wake and the copy), so the last
-  // partial interval is written here, after the join, where the latest
-  // snapshot is guaranteed to be the publisher's final word.
-  bool emit_final = false;
-  MetricsSnapshot final_snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (has_snapshot_ && writable_) {
-      final_snapshot = latest_;
-      emit_final = true;
-    }
-  }
-  if (emit_final) {
-    const bool ok = Emit(final_snapshot);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ok) {
-      ++lines_written_;
-    } else {
-      writable_ = false;
-    }
-  }
+  // Final flush: the loop never emits on the stop wakeup, so the last
+  // partial interval is written here, after the join, from whatever the
+  // source holds now — after Finish(), the dispatcher's final snapshot.
+  EmitLatest();
   if (owns_out_ && out_ != nullptr) std::fclose(out_);
   out_ = nullptr;
 }
@@ -128,23 +104,19 @@ void MetricsExporter::Loop() {
     });
     if (stop_) return;  // the final line is emitted by Stop(), post-join
     if (woken) continue;  // retuned: wait out the new interval instead
-    if (has_snapshot_ && writable_) {
-      // Copy under the lock, format/write outside it: a slow disk never
-      // blocks Publish().
-      const MetricsSnapshot snapshot = latest_;
-      lock.unlock();
-      const bool ok = Emit(snapshot);
-      lock.lock();
-      if (ok) {
-        ++lines_written_;
-      } else {
-        writable_ = false;
-      }
-    }
+    // Pull and write outside the lock: a slow disk never blocks a
+    // retune or Stop().
+    lock.unlock();
+    EmitLatest();
+    lock.lock();
   }
 }
 
-bool MetricsExporter::Emit(const MetricsSnapshot& s) {
+void MetricsExporter::EmitLatest() {
+  if (!writable_) return;
+  const std::shared_ptr<const ServiceSnapshot> snapshot = source_();
+  if (snapshot == nullptr) return;
+  const ServiceSnapshot& s = *snapshot;
   const int64_t ts = UnixMillis();
   // Delta throughput between consecutive snapshots; 0 until two distinct
   // uptimes have been seen.
@@ -159,6 +131,8 @@ bool MetricsExporter::Emit(const MetricsSnapshot& s) {
   prev_published_ = s.trajectories_published;
   prev_uptime_ms_ = s.uptime_ms;
 
+  const StageSummary& close_wait = s.stages[kStageCloseWait];
+  const StageSummary& publish = s.stages[kStagePublish];
   std::string line = StrFormat(
       "frt_metrics ts_ms=%lld seq=%llu uptime_ms=%lld feeds=%zu "
       "active_sessions=%zu queue_depth=%zu backlog_windows=%zu "
@@ -174,13 +148,12 @@ bool MetricsExporter::Emit(const MetricsSnapshot& s) {
       s.queue_depth, s.backlog_windows, s.in_flight, s.windows_closed,
       s.windows_published, s.windows_refused, s.windows_deadline_closed,
       s.trajectories_in, s.trajectories_published, s.feeds_quarantined,
-      publish_per_s,
-      s.close_wait_p50_ms, s.close_wait_p99_ms, s.publish_p50_ms,
-      s.publish_p99_ms, s.epsilon_spent_max,
+      publish_per_s, close_wait.p50_ms, close_wait.p99_ms, publish.p50_ms,
+      publish.p99_ms, s.epsilon_spent_max,
       static_cast<unsigned long long>(s.checkpoint_seq), s.checkpoint_age_ms,
       s.checkpoints_written, s.checkpoint_errors);
   if (options_.per_feed) {
-    for (const MetricsSnapshot::Feed& feed : s.feeds_detail) {
+    for (const ServiceSnapshot::Feed& feed : s.feeds_detail) {
       line += StrFormat(
           "frt_feed ts_ms=%lld feed=%s eps_spent=%.6f eps_remaining=%g "
           "windows_published=%zu windows_refused=%zu\n",
@@ -189,15 +162,14 @@ bool MetricsExporter::Emit(const MetricsSnapshot& s) {
           feed.windows_refused);
     }
   }
-  if (options_.histograms) {
-    for (const MetricsSnapshot::Stage& stage : s.stages) {
-      line += StrFormat(
-          "frt_stage ts_ms=%lld stage=%s count=%llu p50_ms=%.3f "
-          "p99_ms=%.3f max_ms=%.3f mean_ms=%.3f\n",
-          static_cast<long long>(ts), stage.stage.c_str(),
-          static_cast<unsigned long long>(stage.count), stage.p50_ms,
-          stage.p99_ms, stage.max_ms, stage.mean_ms);
-    }
+  for (size_t i = 0; i < kNumServiceStages; ++i) {
+    const StageSummary& stage = s.stages[i];
+    line += StrFormat(
+        "frt_stage ts_ms=%lld stage=%s count=%llu p50_ms=%.3f p99_ms=%.3f "
+        "max_ms=%.3f mean_ms=%.3f\n",
+        static_cast<long long>(ts), kServiceStageNames[i],
+        static_cast<unsigned long long>(stage.count), stage.p50_ms,
+        stage.p99_ms, stage.max_ms, stage.mean_ms);
   }
   if (std::fwrite(line.data(), 1, line.size(), out_) != line.size() ||
       std::fflush(out_) != 0) {
@@ -205,9 +177,11 @@ bool MetricsExporter::Emit(const MetricsSnapshot& s) {
                  "metrics exporter: write to %s failed (%s); metrics "
                  "disabled for the rest of the run\n",
                  options_.path.c_str(), std::strerror(errno));
-    return false;
+    writable_ = false;
+    return;
   }
-  return true;
+  std::lock_guard<std::mutex> lock(mu_);
+  ++lines_written_;
 }
 
 }  // namespace frt

@@ -124,4 +124,14 @@ Result<Dataset> ReadDatasetFromStream(std::istream& in,
   return dataset;
 }
 
+bool IsValidFeedId(std::string_view feed) {
+  if (feed.empty() || feed.size() > kMaxFeedIdBytes || feed[0] == '.') {
+    return false;
+  }
+  return std::all_of(feed.begin(), feed.end(), [](char c) {
+    return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+           (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+  });
+}
+
 }  // namespace frt

@@ -18,6 +18,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "traj/dataset.h"
@@ -83,6 +84,16 @@ class TrajectoryReader {
 /// stream/; stream_ingest_test locks the two paths' equivalence.)
 Result<Dataset> ReadDatasetFromStream(
     std::istream& in, TrajectoryReaderOptions options = {});
+
+/// Longest accepted feed id, in bytes.
+inline constexpr size_t kMaxFeedIdBytes = 128;
+
+/// \brief True when `feed` may name a feed: 1 to kMaxFeedIdBytes bytes of
+/// [A-Za-z0-9._-], not starting with '.'. Feed ids become output file
+/// names (`frt_serve --output-dir`) and `frt_feed` metrics fields, so
+/// every place an id enters the process — frame decode, the multi-feed
+/// CSV, --input NAME= — rejects anything else.
+bool IsValidFeedId(std::string_view feed);
 
 }  // namespace frt
 

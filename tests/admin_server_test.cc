@@ -287,7 +287,7 @@ TEST(AdminServerTest, DispatcherRegistryMatchesFinalReportAtShutdown) {
            << report.windows_published << "\n";
   EXPECT_NE(final_scrape.find(expected.str()), std::string::npos);
 
-  // The introspection board saw the final tick.
+  // The snapshot board saw the final tick.
   auto intro = service.Introspect();
   ASSERT_NE(intro, nullptr);
   EXPECT_TRUE(intro->finished);

@@ -391,17 +391,30 @@ TEST(CheckpointRecoveryTest, StartRefusesCorruptSnapshot) {
 // ---------------------------------------------------------------------------
 // Metrics exporter.
 
+/// Stands in for the dispatcher: a snapshot board the test publishes into
+/// and the exporter pulls from.
+struct FakeSnapshotSource {
+  obs::SnapshotBoard<ServiceSnapshot> board;
+
+  void Publish(const ServiceSnapshot& snapshot) {
+    board.Publish(std::make_shared<ServiceSnapshot>(snapshot));
+  }
+  SnapshotSource source() {
+    return [this] { return board.Read(); };
+  }
+};
+
 TEST(MetricsExporterTest, EmitsMachineReadableLines) {
   const std::string path = MakeStateDir() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   options.interval_ms = 10;
   options.per_feed = true;
-  MetricsExporter exporter(options);
+  FakeSnapshotSource fake;
+  MetricsExporter exporter(options, fake.source());
   ASSERT_TRUE(exporter.Start().ok());
-  EXPECT_TRUE(exporter.per_feed());
 
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 7;
   snapshot.windows_published = 3;
   snapshot.trajectories_published = 60;
@@ -410,13 +423,13 @@ TEST(MetricsExporterTest, EmitsMachineReadableLines) {
   snapshot.checkpoints_written = 5;
   snapshot.checkpoint_errors = 2;
   snapshot.feeds_quarantined = 1;
-  MetricsSnapshot::Feed feed;
+  ServiceSnapshot::Feed feed;
   feed.feed = "alpha";
   feed.epsilon_spent = 1.8;
   feed.epsilon_remaining = 7.2;
   feed.windows_published = 3;
   snapshot.feeds_detail.push_back(feed);
-  exporter.Publish(snapshot);
+  fake.Publish(snapshot);
 
   // The exporter re-emits on every interval even without new snapshots.
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
@@ -435,29 +448,19 @@ TEST(MetricsExporterTest, EmitsMachineReadableLines) {
   EXPECT_NE(log.find("eps_remaining=7.2"), std::string::npos);
 }
 
-TEST(MetricsExporterTest, EmitsStageHistogramLinesWhenEnabled) {
+TEST(MetricsExporterTest, EmitsOneStageLinePerStageWithoutAnyOption) {
   const std::string path = MakeStateDir() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
-  options.interval_ms = 10;
-  options.histograms = true;
-  MetricsExporter exporter(options);
+  options.interval_ms = 60000;  // only Stop()'s final flush writes
+  FakeSnapshotSource fake;
+  MetricsExporter exporter(options, fake.source());
   ASSERT_TRUE(exporter.Start().ok());
-  EXPECT_TRUE(exporter.histograms());
 
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 1;
-  MetricsSnapshot::Stage stage;
-  stage.stage = "anonymize";
-  stage.count = 42;
-  stage.p50_ms = 1.25;
-  stage.p99_ms = 9.5;
-  stage.max_ms = 12.0;
-  stage.mean_ms = 2.0;
-  snapshot.stages.push_back(stage);
-  exporter.Publish(snapshot);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  snapshot.stages[kStageAnonymize] = {42, 1.25, 9.5, 12.0, 2.0};
+  fake.Publish(snapshot);
   exporter.Stop();
 
   const std::string log = ReadFile(path);
@@ -466,28 +469,54 @@ TEST(MetricsExporterTest, EmitsStageHistogramLinesWhenEnabled) {
   EXPECT_NE(log.find("count=42"), std::string::npos);
   EXPECT_NE(log.find("p50_ms=1.250"), std::string::npos);
   EXPECT_NE(log.find("p99_ms=9.500"), std::string::npos);
+  // All six stages, in ServiceStage order.
+  size_t at = 0;
+  for (const char* stage : kServiceStageNames) {
+    at = log.find(std::string("frt_stage ts_ms="), at);
+    ASSERT_NE(at, std::string::npos) << stage;
+    const size_t eol = log.find('\n', at);
+    EXPECT_NE(log.substr(at, eol - at).find(std::string("stage=") + stage),
+              std::string::npos)
+        << log;
+    at = eol;
+  }
 }
 
-TEST(MetricsExporterTest, StageLinesAbsentByDefault) {
+TEST(MetricsExporterTest, PerFeedLinesAbsentByDefault) {
   const std::string path = MakeStateDir() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   options.interval_ms = 10;
-  MetricsExporter exporter(options);
+  FakeSnapshotSource fake;
+  MetricsExporter exporter(options, fake.source());
   ASSERT_TRUE(exporter.Start().ok());
-  EXPECT_FALSE(exporter.histograms());
 
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 1;
-  MetricsSnapshot::Stage stage;
-  stage.stage = "anonymize";
-  stage.count = 1;
-  snapshot.stages.push_back(stage);
-  exporter.Publish(snapshot);
+  ServiceSnapshot::Feed feed;
+  feed.feed = "alpha";
+  snapshot.feeds_detail.push_back(feed);
+  fake.Publish(snapshot);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   exporter.Stop();
-  EXPECT_EQ(ReadFile(path).find("frt_stage "), std::string::npos);
+  const std::string log = ReadFile(path);
+  EXPECT_NE(log.find("frt_metrics "), std::string::npos);
+  EXPECT_EQ(log.find("frt_feed "), std::string::npos);
+}
+
+TEST(MetricsExporterTest, NothingIsWrittenBeforeTheFirstSnapshot) {
+  const std::string path = MakeStateDir() + "/metrics.log";
+  MetricsExporter::Options options;
+  options.path = path;
+  options.interval_ms = 5;
+  FakeSnapshotSource fake;  // never published into
+  MetricsExporter exporter(options, fake.source());
+  ASSERT_TRUE(exporter.Start().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  exporter.Stop();
+  EXPECT_EQ(exporter.lines_written(), 0u);
+  EXPECT_EQ(ReadFile(path), "");
 }
 
 TEST(MetricsExporterTest, StopFlushesFinalPartialIntervalSnapshot) {
@@ -498,20 +527,21 @@ TEST(MetricsExporterTest, StopFlushesFinalPartialIntervalSnapshot) {
   // output must come from Stop()'s final flush.
   options.interval_ms = 60000;
   options.per_feed = true;
-  MetricsExporter exporter(options);
+  FakeSnapshotSource fake;
+  MetricsExporter exporter(options, fake.source());
   ASSERT_TRUE(exporter.Start().ok());
 
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 1;
-  exporter.Publish(snapshot);
+  fake.Publish(snapshot);
   snapshot.seq = 2;
   snapshot.windows_published = 9;
-  MetricsSnapshot::Feed feed;
+  ServiceSnapshot::Feed feed;
   feed.feed = "alpha";
   feed.epsilon_spent = 0.5;
   feed.epsilon_remaining = 1.5;
   snapshot.feeds_detail.push_back(feed);
-  exporter.Publish(snapshot);
+  fake.Publish(snapshot);
   exporter.Stop();
 
   // The final (latest) snapshot made it out, not the first.
@@ -527,13 +557,14 @@ TEST(MetricsExporterTest, SetIntervalMsRetunesTheCadence) {
   MetricsExporter::Options options;
   options.path = path;
   options.interval_ms = 60000;
-  MetricsExporter exporter(options);
+  FakeSnapshotSource fake;
+  MetricsExporter exporter(options, fake.source());
   ASSERT_TRUE(exporter.Start().ok());
   EXPECT_EQ(exporter.interval_ms(), 60000);
 
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 1;
-  exporter.Publish(snapshot);
+  fake.Publish(snapshot);
   // Wait until the exporter thread is asleep on the 60 s interval, so the
   // retune below always lands mid-wait (the case a lost wake-up breaks):
   // waits_begun is bumped under the lock the wait then releases, and
@@ -559,11 +590,12 @@ TEST(MetricsExporterTest, StopIsIdempotentAndStderrPathWorks) {
   MetricsExporter::Options options;
   options.path = "-";
   options.interval_ms = 1000;
-  MetricsExporter exporter(options);
+  FakeSnapshotSource fake;
+  MetricsExporter exporter(options, fake.source());
   ASSERT_TRUE(exporter.Start().ok());
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 1;
-  exporter.Publish(snapshot);
+  fake.Publish(snapshot);
   exporter.Stop();
   exporter.Stop();
   EXPECT_GE(exporter.lines_written(), 1u);

@@ -175,21 +175,16 @@ TEST(CliFlagsTest, ObservabilityFlagsParseAndValidate) {
       ParseOne(ParseObservabilityFlag, "--trace-buffer-events", "4096", &args),
       FlagParse::kConsumed);
   EXPECT_EQ(args.trace_buffer_events, 4096u);
-  // --metrics-histograms is a bare flag: no value consumed.
+  // --metrics-histograms is gone (frt_stage lines are always on with
+  // --metrics): the flag is no longer this family's.
   {
     std::string f = "--metrics-histograms";
     char* argv[] = {f.data()};
     int i = 0;
     EXPECT_EQ(ParseObservabilityFlag(1, argv, &i, &args),
-              FlagParse::kConsumed);
+              FlagParse::kNotMine);
     EXPECT_EQ(i, 0);
-    EXPECT_TRUE(args.metrics_histograms);
   }
-  DurabilityArgs durability;
-  MetricsExporter::Options options = MakeMetricsOptions(durability, args);
-  EXPECT_TRUE(options.histograms);
-  // Histogram lines stay off unless the flag was given.
-  EXPECT_FALSE(MakeMetricsOptions(durability).histograms);
   // Flags from other families fall through untouched.
   EXPECT_EQ(ParseOne(ParseObservabilityFlag, "--metrics", "-", &args),
             FlagParse::kNotMine);

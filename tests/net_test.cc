@@ -22,6 +22,7 @@
 
 #include "net/ingress.h"
 #include "net/socket.h"
+#include "stream/ingest.h"
 #include "traj/trajectory.h"
 
 namespace frt::net {
@@ -96,10 +97,11 @@ TEST(FrameTest, CrcDetectsPayloadCorruption) {
 
 TEST(FrameTest, TrajectoryPayloadRoundTripsBitIdentically) {
   const Trajectory original = MakeTrajectory(12345678901LL, 9);
-  const std::string payload = EncodeTrajectoryPayload("feed/α", original);
+  const std::string payload =
+      EncodeTrajectoryPayload("Feed-0.a_Z", original);
   auto decoded = DecodeTrajectoryPayload(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->feed, "feed/α");
+  EXPECT_EQ(decoded->feed, "Feed-0.a_Z");
   EXPECT_EQ(decoded->trajectory.id(), original.id());
   ASSERT_EQ(decoded->trajectory.size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
@@ -124,10 +126,24 @@ TEST(FrameTest, TrajectoryPayloadDecodeIsStrict) {
       << "truncated payload must be rejected";
   EXPECT_FALSE(DecodeTrajectoryPayload(good + std::string(1, '\0')).ok())
       << "trailing bytes must be rejected";
-  // Empty feed id.
-  const std::string empty_feed =
-      EncodeTrajectoryPayload("", MakeTrajectory(1, 2));
-  EXPECT_FALSE(DecodeTrajectoryPayload(empty_feed).ok());
+  // Feed ids outside IsValidFeedId: empty, a path, a newline (would forge
+  // a metrics record), a leading dot, non-ASCII, and one byte too long.
+  for (const std::string& feed :
+       {std::string(), std::string("../x"), std::string("a\nb"),
+        std::string(".hidden"), std::string("feed/α"),
+        std::string(kMaxFeedIdBytes + 1, 'f')}) {
+    const auto decoded = DecodeTrajectoryPayload(
+        EncodeTrajectoryPayload(feed, MakeTrajectory(1, 2)));
+    ASSERT_FALSE(decoded.ok()) << feed;
+    if (!feed.empty()) {
+      EXPECT_EQ(decoded.status().ToString().find(feed), std::string::npos)
+          << "the invalid id must not be echoed";
+    }
+  }
+  EXPECT_TRUE(DecodeTrajectoryPayload(
+                  EncodeTrajectoryPayload(std::string(kMaxFeedIdBytes, 'f'),
+                                          MakeTrajectory(1, 2)))
+                  .ok());
   // Point count that disagrees with the remaining bytes: bump the u32
   // count that sits after the feed block and the i64 id.
   std::string bad_count = good;
@@ -454,6 +470,65 @@ TEST(IngressTest, NonFiniteFrameQuarantinesOnlyItsFeed) {
               EncodeTrajectoryPayload(siblings[i].first,
                                       siblings[i].second));
   }
+}
+
+TEST(IngressTest, InvalidFeedIdIsAConnectionFaultAndNeverAFeed) {
+  Endpoint endpoint;
+  endpoint.kind = Endpoint::Kind::kUnix;
+  endpoint.path = TestSocketPath("badid");
+  IngressHarness harness;
+  IngressServer::Options options;
+  options.endpoint = endpoint;
+  options.max_connections = 3;
+  IngressServer server(options, harness.offer(), harness.quarantine());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Edge 1 delivers "d", then a frame naming "../x": a connection-level
+  // fault, so "d" is quarantined and the bad name goes nowhere.
+  std::string wire;
+  AppendFrame(&wire, FrameType::kTrajectory,
+              EncodeTrajectoryPayload("d", MakeTrajectory(1, 3)));
+  AppendFrame(&wire, FrameType::kTrajectory,
+              EncodeTrajectoryPayload("../x", MakeTrajectory(2, 3)));
+  SendWire(endpoint, wire);
+  // Edge 2 opens with "a\nb": the connection dies with nothing delivered.
+  wire.clear();
+  AppendFrame(&wire, FrameType::kTrajectory,
+              EncodeTrajectoryPayload("a\nb", MakeTrajectory(3, 3)));
+  AppendFrame(&wire, FrameType::kTrajectory,
+              EncodeTrajectoryPayload("e", MakeTrajectory(4, 3)));
+  SendWire(endpoint, wire);
+  // Edge 3, a sibling, is untouched.
+  const std::vector<std::pair<std::string, Trajectory>> siblings = {
+      {"s1", MakeTrajectory(5, 4)}, {"s2", MakeTrajectory(6, 5)}};
+  wire.clear();
+  for (const auto& [feed, t] : siblings) {
+    AppendFrame(&wire, FrameType::kTrajectory,
+                EncodeTrajectoryPayload(feed, t));
+  }
+  AppendFrame(&wire, FrameType::kBye, {});
+  SendWire(endpoint, wire);
+  server.Wait();
+
+  ASSERT_EQ(harness.quarantined.size(), 1u);
+  EXPECT_EQ(harness.quarantined[0].first, "d");
+  std::vector<std::string> sibling_feeds;
+  for (size_t i = 0; i < harness.offered.size(); ++i) {
+    const std::string& feed = harness.offered[i].first;
+    EXPECT_TRUE(IsValidFeedId(feed)) << feed;
+    EXPECT_NE(feed, "e") << "nothing after the fault is delivered";
+    if (feed == "d") continue;
+    // Same encoding = same bits in every coordinate and timestamp.
+    const size_t k = sibling_feeds.size();
+    ASSERT_LT(k, siblings.size());
+    EXPECT_EQ(feed, siblings[k].first);
+    EXPECT_EQ(EncodeTrajectoryPayload(feed, harness.delivered[i]),
+              EncodeTrajectoryPayload(feed, siblings[k].second));
+    sibling_feeds.push_back(feed);
+  }
+  EXPECT_EQ(sibling_feeds.size(), siblings.size());
+  EXPECT_EQ(server.stats().connections, 3u);
+  EXPECT_EQ(server.stats().quarantine_events, 1u);
 }
 
 TEST(IngressTest, DisconnectWithoutByeQuarantinesDeliveredFeeds) {

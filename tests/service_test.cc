@@ -1,7 +1,8 @@
 // Unit and end-to-end coverage of the multi-feed serving layer
 // (src/service): routing and per-feed window order, count/deadline/final
-// closure, idle eviction with budget carry, abort paths, and determinism
-// across pool sizes.
+// closure, idle eviction with budget carry, abort paths, determinism
+// across pool sizes, and the single telemetry store behind the metrics
+// file, /feedz, /metrics and the final report.
 
 #include "service/dispatcher.h"
 
@@ -10,6 +11,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "service/metrics_exporter.h"
 #include "stream/ingest.h"
 #include "testing_util.h"
 
@@ -523,6 +527,183 @@ TEST(ServiceTest, FinishWithoutArrivalsIsCleanAndEmpty) {
   ASSERT_TRUE(service.Finish().ok());
   EXPECT_EQ(service.report().feeds, 0u);
   EXPECT_EQ(service.report().windows_published, 0u);
+}
+
+// ---- One telemetry store: every rendering reads the same registry and
+// the same final snapshot.
+
+/// Value of ` key=` in a key=value metrics line (empty when absent).
+std::string Field(const std::string& line, const std::string& key) {
+  const std::string needle = " " + key + "=";
+  size_t at = line.find(needle);
+  if (at == std::string::npos) return {};
+  at += needle.size();
+  return line.substr(at, line.find(' ', at) - at);
+}
+
+uint64_t Counter(obs::Registry& registry, const char* name) {
+  return registry.GetCounter(name)->value();
+}
+
+obs::Histogram StageCell(obs::Registry& registry, ServiceStage stage) {
+  return registry
+      .GetHistogram(obs::WithLabel("frt_stage_ms", "stage",
+                                   kServiceStageNames[stage]))
+      ->Snapshot();
+}
+
+TEST(ServiceTelemetryTest, ShutdownRenderingsShareOneSource) {
+  // Wholesale budget 2.0 at eps 1.0/window: the hog's third window is
+  // refused. The idle feed publishes once and is evicted; "bad" is
+  // quarantined.
+  ServiceConfig config = SmallServiceConfig(10);
+  config.stream.accounting = BudgetAccounting::kWholesale;
+  config.stream.total_budget = 2.0;
+  config.idle_evict_ms = 50;
+  config.metrics_interval_ms = 20;
+  ServiceCapture capture;
+  ServiceDispatcher service(config, capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  obs::Registry& registry = *service.config().registry;
+  const std::string path =
+      ::testing::TempDir() + "frt_service_telemetry_metrics.log";
+  std::remove(path.c_str());
+  MetricsExporter::Options options;
+  options.path = path;
+  options.interval_ms = 20;
+  options.per_feed = true;
+  MetricsExporter exporter(options, [&service] { return service.Introspect(); });
+  ASSERT_TRUE(exporter.Start().ok());
+
+  const std::vector<Trajectory> trajs = SyntheticTrajectories(30);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(service.Offer("idle", trajs[i]));
+  ASSERT_TRUE(capture.WaitForWindows(1, milliseconds(5000)));
+  std::this_thread::sleep_for(milliseconds(150));  // evicted by now
+  for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("hog", t));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(service.Offer("bad", trajs[i]));
+  ASSERT_TRUE(service.OfferQuarantine("bad", "frame CRC mismatch"));
+  ASSERT_TRUE(service.Finish().ok());
+  exporter.Stop();
+
+  const ServiceReport& report = service.report();
+  ASSERT_EQ(report.feeds, 3u);
+  EXPECT_EQ(report.feeds_quarantined, 1u);
+  EXPECT_GE(report.sessions_evicted, 1u);
+  EXPECT_GE(report.windows_refused, 1u);
+
+  // The exporter's last line set renders the final snapshot.
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  size_t last = lines.size();
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind("frt_metrics ", 0) == 0) last = i;
+  }
+  ASSERT_LT(last, lines.size());
+  const std::string& metrics = lines[last];
+  const std::shared_ptr<const ServiceSnapshot> final_snapshot =
+      service.Introspect();
+  ASSERT_NE(final_snapshot, nullptr);
+  EXPECT_TRUE(final_snapshot->finished);
+  EXPECT_EQ(Field(metrics, "seq"), std::to_string(final_snapshot->seq));
+
+  // frt_feed epsilon strings == /feedz's, feed by feed.
+  const std::string feedz = RenderFeedz(*final_snapshot);
+  const std::string prometheus = registry.RenderPrometheus();
+  size_t feed_lines = 0;
+  size_t stage = 0;
+  for (size_t i = last + 1; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    if (line.rfind("frt_feed ", 0) == 0) {
+      ++feed_lines;
+      const std::string expected =
+          "{\"feed\":\"" + Field(line, "feed") + "\",\"eps_spent\":\"" +
+          Field(line, "eps_spent") + "\",\"eps_remaining\":\"" +
+          Field(line, "eps_remaining") + "\"";
+      EXPECT_NE(feedz.find(expected), std::string::npos)
+          << expected << " not in " << feedz;
+    } else if (line.rfind("frt_stage ", 0) == 0) {
+      // frt_stage count == /metrics frt_stage_ms_count, stage by stage.
+      ASSERT_LT(stage, static_cast<size_t>(kNumServiceStages));
+      EXPECT_EQ(Field(line, "stage"), kServiceStageNames[stage]);
+      const std::string series =
+          std::string("frt_stage_ms_count{stage=\"") +
+          kServiceStageNames[stage] + "\"} " + Field(line, "count") + "\n";
+      EXPECT_NE(prometheus.find(series), std::string::npos) << series;
+      ++stage;
+    }
+  }
+  EXPECT_EQ(feed_lines, 3u);
+  EXPECT_EQ(stage, static_cast<size_t>(kNumServiceStages));
+
+  // frt_metrics counters == registry counters == the final report.
+  const struct {
+    const char* key;
+    const char* counter;
+    size_t reported;
+  } counters[] = {
+      {"windows_closed", "frt_serve_windows_closed_total",
+       report.windows_closed},
+      {"windows_published", "frt_serve_windows_published_total",
+       report.windows_published},
+      {"windows_refused", "frt_serve_windows_refused_total",
+       report.windows_refused},
+      {"windows_deadline_closed", "frt_serve_windows_deadline_closed_total",
+       report.windows_deadline_closed},
+      {"trajs_in", "frt_serve_trajectories_in_total", report.trajectories_in},
+      {"trajs_published", "frt_serve_trajectories_published_total",
+       report.trajectories_published},
+  };
+  for (const auto& c : counters) {
+    EXPECT_EQ(Field(metrics, c.key), std::to_string(c.reported)) << c.key;
+    EXPECT_EQ(Counter(registry, c.counter), c.reported) << c.counter;
+  }
+  EXPECT_EQ(Counter(registry, "frt_serve_sessions_created_total"),
+            report.sessions_created);
+  EXPECT_EQ(Counter(registry, "frt_serve_sessions_evicted_total"),
+            report.sessions_evicted);
+  EXPECT_EQ(Counter(registry, "frt_serve_feeds_quarantined_total"),
+            report.feeds_quarantined);
+
+  // The report's latency quantiles are the cells' quantiles.
+  const obs::Histogram close_wait = StageCell(registry, kStageCloseWait);
+  const obs::Histogram publish = StageCell(registry, kStagePublish);
+  EXPECT_EQ(report.close_wait_p50_ms, close_wait.Quantile(0.50));
+  EXPECT_EQ(report.close_wait_p99_ms, close_wait.Quantile(0.99));
+  EXPECT_EQ(report.close_wait_max_ms, close_wait.max_ms());
+  EXPECT_EQ(report.publish_p50_ms, publish.Quantile(0.50));
+  EXPECT_EQ(report.publish_p99_ms, publish.Quantile(0.99));
+  EXPECT_EQ(report.publish_max_ms, publish.max_ms());
+  EXPECT_EQ(close_wait.count(), report.windows_published);
+}
+
+TEST(ServiceTelemetryTest, DefaultConfigDispatchersKeepTheirOwnTelemetry) {
+  // Back to back in one process, each with a default (private) registry:
+  // neither sees the other's counts.
+  const std::vector<Trajectory> trajs = SyntheticTrajectories(40);
+  for (const int feeds : {3, 1}) {
+    ServiceCapture capture;
+    ServiceDispatcher service(SmallServiceConfig(10), capture.MakeSink());
+    ASSERT_TRUE(service.Start(kSeed).ok());
+    for (const Trajectory& t : trajs) {
+      for (int f = 0; f < feeds; ++f) {
+        ASSERT_TRUE(service.Offer("feed" + std::to_string(f), t));
+      }
+    }
+    ASSERT_TRUE(service.Finish().ok());
+    const ServiceReport& report = service.report();
+    obs::Registry& registry = *service.config().registry;
+    EXPECT_NE(&registry, &obs::Registry::Default());
+    EXPECT_EQ(report.windows_published, 4u * feeds);
+    EXPECT_EQ(Counter(registry, "frt_serve_windows_published_total"),
+              report.windows_published);
+    EXPECT_EQ(Counter(registry, "frt_serve_trajectories_in_total"),
+              report.trajectories_in);
+    EXPECT_EQ(Counter(registry, "frt_serve_sessions_created_total"),
+              static_cast<uint64_t>(feeds));
+    EXPECT_EQ(StageCell(registry, kStagePublish).count(),
+              report.windows_published);
+  }
 }
 
 // ---- Single-feed time-based closure: frt_stream's --close-after-ms path,

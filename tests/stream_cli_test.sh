@@ -4,7 +4,8 @@
 # same exit code, across the flag matrix below. And a malformed input line
 # publishes only the complete windows closed before it, in either CLI:
 # the partial window read ahead of the bad line is dropped and the run
-# exits 1.
+# exits 1. A feed id outside [A-Za-z0-9._-] (e.g. ../escaped) is rejected
+# before it can name a file outside --output-dir.
 #
 # Usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve
 
@@ -85,4 +86,25 @@ code=$?
 cmp "$WORK/bad_feeds/a.csv" "$WORK/bad_serve/a.csv" \
   || fail "--feeds and --input releases of feed a differ"
 
-echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows"
+# ---- Feed ids name output files: one that would leave --output-dir is
+# rejected where it enters, and nothing is written outside the dir. ----
+mkdir -p "$WORK/escape/out"
+{ head -300 "$WORK/raw.csv" | awk '{ print "good," $0 }'
+  head -300 "$WORK/raw.csv" | awk '{ print "../escaped," $0 }'; } \
+  > "$WORK/escape/feeds.csv"
+"$SERVE" --feeds "$WORK/escape/feeds.csv" --output-dir "$WORK/escape/out" \
+  --window 100 --m 3 --seed 7 2> "$WORK/escape/serve.log"
+code=$?
+[[ "$code" == "1" ]] || fail "frt_serve on feed id ../escaped exited $code, want 1"
+grep -q "line 301: invalid feed id" "$WORK/escape/serve.log" \
+  || fail "frt_serve did not name the line with the invalid feed id"
+[[ ! -e "$WORK/escape/escaped.csv" ]] \
+  || fail "feed id ../escaped wrote outside --output-dir"
+"$SERVE" --input "../escaped=$WORK/raw.csv" --output-dir "$WORK/escape/out" \
+  --window 100 --m 3 --seed 7 2> "$WORK/escape/input.log"
+code=$?
+[[ "$code" == "2" ]] || fail "frt_serve --input ../escaped=FILE exited $code, want 2"
+[[ ! -e "$WORK/escape/escaped.csv" ]] \
+  || fail "--input ../escaped=FILE wrote outside --output-dir"
+
+echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows; invalid feed ids rejected"

@@ -202,5 +202,20 @@ TEST(TrajectoryReaderTest, NonContiguousIdYieldsSeparateTrajectories) {
   EXPECT_EQ(trajs[2].id(), 1);
 }
 
+TEST(FeedIdTest, AcceptsOnlyFileAndRecordSafeNames) {
+  for (const char* ok : {"a", "stream", "f00", "Feed-0.a_Z", "a..b", "x."}) {
+    EXPECT_TRUE(IsValidFeedId(ok)) << ok;
+  }
+  EXPECT_TRUE(IsValidFeedId(std::string(kMaxFeedIdBytes, 'f')));
+  for (const std::string& bad :
+       {std::string(), std::string("."), std::string(".."),
+        std::string("../escaped"), std::string("a/b"), std::string("a\\b"),
+        std::string("a b"), std::string("a\nb"), std::string("a=b"),
+        std::string("feed\0", 5), std::string("caf\xc3\xa9"),
+        std::string(kMaxFeedIdBytes + 1, 'f')}) {
+    EXPECT_FALSE(IsValidFeedId(bad)) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace frt

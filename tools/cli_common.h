@@ -445,10 +445,11 @@ inline const char* DurabilityUsageText() {
       "                       cadence for interval snapshots of ledger "
       "changes\n"
       "                       with no publish to ride on (default 1000)\n"
-      "  --metrics PATH       append one machine-readable frt_metrics line "
-      "per\n"
-      "                       interval to PATH, or - for stderr (default: "
-      "off)\n"
+      "  --metrics PATH       append one frt_metrics line and one frt_stage "
+      "latency\n"
+      "                       line per stage per interval to PATH, or - for "
+      "stderr\n"
+      "                       (default: off)\n"
       "  --metrics-interval-ms N\n"
       "                       metrics emission interval (default 1000)\n"
       "  --metrics-per-feed   also emit one frt_feed line per feed per "
@@ -465,8 +466,6 @@ struct ObservabilityArgs {
   /// Per-thread trace ring capacity in events; on overflow the oldest
   /// events are overwritten and counted as dropped.
   uint64_t trace_buffer_events = uint64_t{1} << 16;
-  /// Emit per-stage frt_stage histogram lines with --metrics.
-  bool metrics_histograms = false;
   /// Admin/introspection endpoint ("unix:PATH" or "tcp:HOST:PORT");
   /// empty = no admin plane.
   std::string admin_listen;
@@ -490,8 +489,6 @@ inline FlagParse ParseObservabilityFlag(int argc, char** argv, int* i,
       return FlagParse::kError;
     }
     args->trace_buffer_events = n;
-  } else if (std::strcmp(flag, "--metrics-histograms") == 0) {
-    args->metrics_histograms = true;
   } else if (std::strcmp(flag, "--admin-listen") == 0) {
     if ((v = next()) == nullptr) return FlagParse::kError;
     args->admin_listen = v;
@@ -504,12 +501,11 @@ inline FlagParse ParseObservabilityFlag(int argc, char** argv, int* i,
 /// Exporter options from the parsed flags (only meaningful when
 /// args.metrics is non-empty).
 inline MetricsExporter::Options MakeMetricsOptions(
-    const DurabilityArgs& args, const ObservabilityArgs& obs_args = {}) {
+    const DurabilityArgs& args) {
   MetricsExporter::Options options;
   options.path = args.metrics;
   options.interval_ms = args.metrics_interval_ms;
   options.per_feed = args.metrics_per_feed;
-  options.histograms = obs_args.metrics_histograms;
   return options;
 }
 
@@ -526,9 +522,6 @@ inline const char* ObservabilityUsageText() {
       "overwrites\n"
       "                       the oldest events and reports them as dropped\n"
       "                       (default 65536)\n"
-      "  --metrics-histograms with --metrics: also emit one frt_stage "
-      "latency\n"
-      "                       histogram line per stage per interval\n"
       "  --admin-listen EP    serve the introspection plane on EP "
       "(unix:PATH or\n"
       "                       tcp:HOST:PORT): GET /metrics /healthz /readyz "

@@ -141,12 +141,7 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
-  std::unique_ptr<frt::MetricsExporter> metrics;
-  if (auto st = frt::cli::StartObservability(args.common, &config, &metrics);
-      !st.ok()) {
-    std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  frt::cli::StartTracing(args.common.obs);
 
   // ---- Upstream connection (written by the dispatcher thread only once
   // the service starts; hello/bye bracket it from this thread while the
@@ -222,10 +217,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
     return 1;
   }
-  // Declared after the service: its handlers reference it.
+  // Declared after the service: both reference it.
+  std::unique_ptr<frt::MetricsExporter> metrics;
   std::unique_ptr<frt::obs::AdminServer> admin;
-  if (auto st = frt::cli::StartAdminPlane(args.common, service, metrics.get(),
-                                          &admin);
+  if (auto st = frt::cli::StartObservability(args.common, service, &metrics,
+                                             &admin);
       !st.ok()) {
     std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
     return 1;

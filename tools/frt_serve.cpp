@@ -34,7 +34,7 @@
 //       [durability flags: --state-dir --checkpoint-interval-ms
 //        --metrics --metrics-interval-ms --metrics-per-feed]
 //       [observability flags: --trace-out --trace-buffer-events
-//        --metrics-histograms --admin-listen]
+//        --admin-listen]
 //       [stream flags: --window --stride --budget --per-object-budget
 //        --evict-exhausted --queue --close-after-ms ...]
 //       [pipeline flags: --epsilon-global --epsilon-local --m --strategy
@@ -44,8 +44,8 @@
 // (write-ahead of every publish) and recovered on the next start through
 // the same conservative carry path idle eviction uses — a crash or
 // restart never re-grants spent epsilon. --metrics appends one
-// machine-readable frt_metrics line per interval (see
-// service/metrics_exporter.h).
+// machine-readable frt_metrics line and six frt_stage lines per interval
+// (see service/metrics_exporter.h).
 //
 // --output writes one merged stream in the multi-feed format (lines
 // `feed,traj_id,x,y,t`); --output-dir writes one classic dataset CSV per
@@ -221,14 +221,7 @@ int main(int argc, char** argv) {
   config.max_in_flight = args.max_in_flight;
   config.idle_evict_ms = args.evict_idle_ms;
 
-  // The exporter outlives the service (the dispatcher thread publishes
-  // into it until Finish), so it is declared first and stopped last.
-  std::unique_ptr<frt::MetricsExporter> metrics;
-  if (auto st = frt::cli::StartObservability(args.common, &config, &metrics);
-      !st.ok()) {
-    std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  frt::cli::StartTracing(args.common.obs);
 
   // ---- Output plumbing (called from the dispatcher thread only). ----
   std::ofstream merged_file;
@@ -300,11 +293,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
     return 1;
   }
-  // Declared after the service so it is destroyed (and its thread joined)
-  // before the service goes away.
+  // Declared after the service: both reference it.
+  std::unique_ptr<frt::MetricsExporter> metrics;
   std::unique_ptr<frt::obs::AdminServer> admin;
-  if (auto st = frt::cli::StartAdminPlane(args.common, service, metrics.get(),
-                                          &admin);
+  if (auto st = frt::cli::StartObservability(args.common, service, &metrics,
+                                             &admin);
       !st.ok()) {
     std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
     return 1;
@@ -317,6 +310,7 @@ int main(int argc, char** argv) {
     ingress_options.endpoint = *listen_endpoint;
     ingress_options.max_connections =
         static_cast<size_t>(args.common.transport.listen_conns);
+    ingress_options.registry = &frt::obs::Registry::Default();
     frt::net::IngressServer ingress(
         ingress_options,
         [&service](std::string feed, frt::Trajectory t) {
@@ -341,7 +335,7 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
     g_ingress.store(nullptr, std::memory_order_release);
-    const frt::net::IngressServer::Stats& stats = ingress.stats();
+    const frt::net::IngressServer::Stats stats = ingress.stats();
     std::fprintf(stderr,
                  "ingress: %llu connection(s), %llu frame(s), %llu "
                  "trajectories, %llu quarantine event(s)\n",

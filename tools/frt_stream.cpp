@@ -25,8 +25,7 @@
 //       [--seed 42] [--shards 1] [--threads 0] [--queue 0]
 //       [--stop-on-exhausted] [--close-after-ms 0]
 //       [--state-dir DIR] [--checkpoint-interval-ms N] [--metrics PATH]
-//       [--trace-out PATH] [--trace-buffer-events N] [--metrics-histograms]
-//       [--admin-listen EP]
+//       [--trace-out PATH] [--trace-buffer-events N] [--admin-listen EP]
 //
 // frt_stream is a one-feed service (service/dispatcher.h): its input is
 // the feed "stream", read by one reader thread, and --threads sizes the
@@ -146,14 +145,7 @@ int main(int argc, char** argv) {
   }
   std::ostream& out = args.output == "-" ? std::cout : output_file;
 
-  // The exporter outlives the service (the dispatcher thread publishes
-  // into it until Finish).
-  std::unique_ptr<frt::MetricsExporter> metrics;
-  if (auto st = frt::cli::StartObservability(args.common, &config, &metrics);
-      !st.ok()) {
-    std::fprintf(stderr, "stream: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  frt::cli::StartTracing(args.common.obs);
 
   const bool per_object =
       config.stream.accounting == frt::BudgetAccounting::kPerObject;
@@ -197,10 +189,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "stream: %s\n", st.ToString().c_str());
     return 1;
   }
-  // Declared after the service: its handlers reference it.
+  // Declared after the service: both reference it.
+  std::unique_ptr<frt::MetricsExporter> metrics;
   std::unique_ptr<frt::obs::AdminServer> admin;
-  if (auto st = frt::cli::StartAdminPlane(args.common, service, metrics.get(),
-                                          &admin);
+  if (auto st = frt::cli::StartObservability(args.common, service, &metrics,
+                                             &admin);
       !st.ok()) {
     std::fprintf(stderr, "stream: %s\n", st.ToString().c_str());
     return 1;

@@ -85,6 +85,7 @@ inline bool MakeServiceConfig(const ServiceArgs& args,
   config->state_dir = args.durability.state_dir;
   config->checkpoint_interval_ms = args.durability.checkpoint_interval_ms;
   config->metrics_interval_ms = args.durability.metrics_interval_ms;
+  config->registry = &obs::Registry::Default();  // what /metrics serves
   return true;
 }
 
@@ -146,15 +147,20 @@ inline const char* LocalFeedsUsageText() {
          "                       NAME or the file stem\n";
 }
 
-/// Rejects empty and duplicate feed names (reported): two readers racing
-/// arrivals into one session would make window composition depend on
-/// thread interleaving.
+/// Why IsValidFeedId rejected a feed id (never echoes the id itself).
+inline constexpr const char* kFeedIdRule =
+    "invalid feed id (want 1-128 characters of [A-Za-z0-9._-], not "
+    "starting with '.')";
+
+/// Rejects invalid (IsValidFeedId) and duplicate feed names (reported):
+/// two readers racing arrivals into one session would make window
+/// composition depend on thread interleaving.
 inline bool ValidateInputFeeds(const std::vector<InputFeed>& inputs) {
   std::set<std::string> seen;
   for (const InputFeed& input : inputs) {
-    if (input.feed.empty()) {
-      std::fprintf(stderr, "empty feed name for --input %s\n",
-                   input.path.c_str());
+    if (!IsValidFeedId(input.feed)) {
+      std::fprintf(stderr, "%s for --input %s; use NAME=FILE\n",
+                   kFeedIdRule, input.path.c_str());
       return false;
     }
     if (!seen.insert(input.feed).second) {
@@ -193,11 +199,15 @@ inline Status IngestMultiFeedCsv(std::istream& in,
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
     const size_t comma = line.find(',');
-    if (comma == std::string::npos || comma == 0) {
+    if (comma == std::string::npos) {
       return fail(Status::InvalidArgument("line " + std::to_string(lineno) +
                                           ": expected feed,traj_id,x,y,t"));
     }
     const std::string feed = line.substr(0, comma);
+    if (!IsValidFeedId(feed)) {
+      return fail(Status::InvalidArgument("line " + std::to_string(lineno) +
+                                          ": " + kFeedIdRule));
+    }
     const Result<std::optional<CsvRecord>> record =
         ParseCsvRecord(std::string_view(line).substr(comma + 1), lineno);
     if (!record.ok()) return fail(record.status());
@@ -319,30 +329,20 @@ inline int ReportOutcome(const ServiceReport& report) {
 
 // ---- Observability: tracing, metrics exporter, admin plane ----
 
-/// \brief Arms span tracing — before any service thread starts, so the
-/// trace covers the whole run — and starts the --metrics exporter, wiring
-/// it into `config`. The exporter must outlive the service.
-inline Status StartObservability(const ServiceArgs& args,
-                                 ServiceConfig* config,
-                                 std::unique_ptr<MetricsExporter>* metrics) {
-  if (!args.obs.trace_out.empty()) {
-    obs::TraceRecorder::Options trace_options;
-    trace_options.buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    obs::TraceRecorder::Get().Start(trace_options);
-    obs::SetTraceThreadName("main");
-  }
-  if (args.durability.metrics.empty()) return Status::OK();
-  *metrics = std::make_unique<MetricsExporter>(
-      MakeMetricsOptions(args.durability, args.obs));
-  config->metrics = metrics->get();
-  return (*metrics)->Start();
+/// \brief Arms span tracing (--trace-out). Call before the service starts,
+/// so the trace covers the whole run.
+inline void StartTracing(const ObservabilityArgs& args) {
+  if (args.trace_out.empty()) return;
+  obs::TraceRecorder::Options trace_options;
+  trace_options.buffer_events = static_cast<size_t>(args.trace_buffer_events);
+  obs::TraceRecorder::Get().Start(trace_options);
+  obs::SetTraceThreadName("main");
 }
 
-/// \brief Stops the exporter (flushing its final line) and writes the
-/// trace. Call after ServiceDispatcher::Finish(), when every thread that
-/// records spans has quiesced. A failed trace write lands in `*status`
-/// unless it already holds an error.
+/// \brief Stops the exporter (flushing the final snapshot's lines) and
+/// writes the trace. Call after ServiceDispatcher::Finish(), when every
+/// thread that records spans has quiesced. A failed trace write lands in
+/// `*status` unless it already holds an error.
 inline void FinishObservability(const ObservabilityArgs& obs_args,
                                 MetricsExporter* metrics, Status* status) {
   if (metrics != nullptr) metrics->Stop();
@@ -361,53 +361,22 @@ inline void FinishObservability(const ObservabilityArgs& obs_args,
                static_cast<unsigned long long>(dump.dropped));
 }
 
-/// /feedz JSON from the dispatcher's introspection board. The epsilon
-/// fields are emitted as strings with the exact frt_feed line formats
-/// (eps_spent %.6f, eps_remaining %g), so a scrape taken after shutdown
-/// is bit-identical to the final per-feed report lines — and "inf" never
-/// produces an invalid JSON number.
-inline std::string RenderFeedz(const ServiceIntrospection& intro) {
-  std::string out = StrFormat(
-      "{\"seq\":%llu,\"uptime_ms\":%lld,\"finished\":%s,\"aborted\":%s,"
-      "\"feeds\":%zu,\"active_sessions\":%zu,\"queue_depth\":%zu,"
-      "\"backlog_windows\":%zu,\"in_flight\":%zu,"
-      "\"feeds_quarantined\":%zu,\"feed\":[",
-      static_cast<unsigned long long>(intro.seq),
-      static_cast<long long>(intro.uptime_ms),
-      intro.finished ? "true" : "false", intro.aborted ? "true" : "false",
-      intro.feeds, intro.active_sessions, intro.queue_depth,
-      intro.backlog_windows, intro.in_flight, intro.feeds_quarantined);
-  bool first = true;
-  for (const ServiceIntrospection::Feed& feed : intro.feeds_detail) {
-    if (!first) out += ',';
-    first = false;
-    out += StrFormat(
-        "{\"feed\":\"%s\",\"eps_spent\":\"%.6f\",\"eps_remaining\":\"%g\","
-        "\"windows_published\":%zu,\"windows_refused\":%zu,\"backlog\":%zu,"
-        "\"quarantined\":%s",
-        obs::JsonEscape(feed.feed).c_str(), feed.epsilon_spent,
-        feed.epsilon_remaining, feed.windows_published,
-        feed.windows_refused, feed.backlog,
-        feed.quarantined ? "true" : "false");
-    if (feed.quarantined) {
-      out += ",\"quarantine_reason\":\"" +
-             obs::JsonEscape(feed.quarantine_reason) + "\"";
-    }
-    out += '}';
+/// \brief Starts the pull plane of a started service: the --metrics
+/// exporter and, on --admin-listen, the admin plane — the registry's
+/// /metrics, plus /healthz, /readyz and /feedz read from the service's
+/// snapshot board and POST /control (tracing, log level, metrics
+/// cadence). Neither touches dispatcher state, but both reference
+/// `service`: destroy them before it.
+inline Status StartObservability(const ServiceArgs& args,
+                                 ServiceDispatcher& service,
+                                 std::unique_ptr<MetricsExporter>* metrics,
+                                 std::unique_ptr<obs::AdminServer>* admin) {
+  if (!args.durability.metrics.empty()) {
+    *metrics = std::make_unique<MetricsExporter>(
+        MakeMetricsOptions(args.durability),
+        [&service] { return service.Introspect(); });
+    FRT_RETURN_IF_ERROR((*metrics)->Start());
   }
-  out += "]}\n";
-  return out;
-}
-
-/// \brief Starts the admin plane on --admin-listen (no-op without it):
-/// the registry's /metrics, plus /healthz, /readyz and /feedz read from
-/// the service's introspection board and POST /control (tracing, log
-/// level, metrics cadence). Handlers never touch dispatcher state, but
-/// they reference `service`: destroy `*admin` before the service.
-inline Status StartAdminPlane(const ServiceArgs& args,
-                              ServiceDispatcher& service,
-                              MetricsExporter* metrics,
-                              std::unique_ptr<obs::AdminServer>* admin) {
   if (args.obs.admin_listen.empty()) return Status::OK();
   obs::AdminServer::Options admin_options;
   FRT_ASSIGN_OR_RETURN(admin_options.endpoint,
@@ -417,11 +386,11 @@ inline Status StartAdminPlane(const ServiceArgs& args,
   // interval when /control retunes it.
   auto stale_after_ms = std::make_shared<std::atomic<int64_t>>(
       std::max<int64_t>(5 * args.durability.metrics_interval_ms, 5000));
-  // Age of the introspection board when it is past the staleness
-  // threshold (a wedged dispatcher stops republishing it).
+  // Age of the snapshot board when it is past the staleness threshold (a
+  // wedged dispatcher stops republishing it).
   const auto stale_age =
       [stale_after_ms](
-          const ServiceIntrospection& intro) -> std::optional<double> {
+          const ServiceSnapshot& intro) -> std::optional<double> {
     const double age_ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() -
                               intro.published_at)
@@ -443,7 +412,7 @@ inline Status StartAdminPlane(const ServiceArgs& args,
                                                     : stale_age(*intro)) {
           r.status = 503;
           r.body = StrFormat(
-              "stale: introspection board is %.0f ms old (seq %llu)\n",
+              "stale: snapshot board is %.0f ms old (seq %llu)\n",
               *age, static_cast<unsigned long long>(intro->seq));
         } else {
           r.body = "ok\n";
@@ -482,10 +451,10 @@ inline Status StartAdminPlane(const ServiceArgs& args,
   obs::ControlHooks hooks;
   hooks.trace_out = args.obs.trace_out;
   hooks.trace_buffer_events = static_cast<size_t>(args.obs.trace_buffer_events);
-  hooks.set_metrics_interval_ms = [&service, metrics,
+  hooks.set_metrics_interval_ms = [&service, exporter = metrics->get(),
                                    stale_after_ms](int64_t ms) {
     service.SetMetricsIntervalMs(ms);
-    if (metrics != nullptr) metrics->SetIntervalMs(ms);
+    if (exporter != nullptr) exporter->SetIntervalMs(ms);
     stale_after_ms->store(std::max<int64_t>(5 * ms, 5000),
                           std::memory_order_relaxed);
     return true;
