@@ -1,36 +1,14 @@
 #include "common/strings.h"
 
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cerrno>
+#include <limits>
 
 namespace frt {
-
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    const size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      break;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
 
 std::string_view StripAsciiWhitespace(std::string_view s) {
   size_t b = 0;
@@ -46,9 +24,12 @@ std::string_view StripAsciiWhitespace(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-Result<double> ParseDouble(std::string_view s) {
-  s = StripAsciiWhitespace(s);
-  if (s.empty()) return Status::InvalidArgument("empty numeric field");
+namespace {
+
+// The strtod/strtoll definitions of ParseDouble/ParseInt64. The from_chars
+// fast paths below hand every field they do not settle to these, so the
+// accepted set, the values and the error texts are theirs.
+Result<double> StrtodField(std::string_view s) {
   std::string buf(s);
   errno = 0;
   char* end = nullptr;
@@ -59,9 +40,7 @@ Result<double> ParseDouble(std::string_view s) {
   return v;
 }
 
-Result<int64_t> ParseInt64(std::string_view s) {
-  s = StripAsciiWhitespace(s);
-  if (s.empty()) return Status::InvalidArgument("empty integer field");
+Result<int64_t> StrtollField(std::string_view s) {
   std::string buf(s);
   errno = 0;
   char* end = nullptr;
@@ -70,6 +49,38 @@ Result<int64_t> ParseInt64(std::string_view s) {
     return Status::InvalidArgument("malformed integer: '" + buf + "'");
   }
   return static_cast<int64_t>(v);
+}
+
+}  // namespace
+
+Result<double> ParseDouble(std::string_view s) {
+  s = StripAsciiWhitespace(s);
+  if (s.empty()) return Status::InvalidArgument("empty numeric field");
+  // from_chars and strtod both round correctly, so they agree on every
+  // field from_chars consumes whole into a normal value. strtod reports
+  // underflow (ERANGE) below the smallest normal and also for some fields
+  // that round up to it (2.2250738585072012e-308), so that value, a
+  // leading '+', hex, inf/nan, subnormals, zero and out-of-range values
+  // all take the strtod path.
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc() && end == s.data() + s.size() && std::isnormal(v) &&
+      std::fabs(v) != std::numeric_limits<double>::min()) {
+    return v;
+  }
+  return StrtodField(s);
+}
+
+Result<int64_t> ParseInt64(std::string_view s) {
+  s = StripAsciiWhitespace(s);
+  if (s.empty()) return Status::InvalidArgument("empty integer field");
+  // Base-10 from_chars takes a subset of strtoll's syntax (no '+', no
+  // leading whitespace) with the same values; the rest, out-of-range
+  // values included, takes the strtoll path.
+  int64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc() && end == s.data() + s.size()) return v;
+  return StrtollField(s);
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

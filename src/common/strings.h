@@ -5,25 +5,29 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 
 namespace frt {
 
-/// Splits `s` on `sep`, keeping empty fields.
-std::vector<std::string> Split(std::string_view s, char sep);
-
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Strips ASCII whitespace from both ends.
 std::string_view StripAsciiWhitespace(std::string_view s);
 
-/// Parses a double; error Status on malformed/trailing input.
+/// \brief Parses a double from `s` with ASCII whitespace stripped.
+///
+/// Accepts exactly what strtod accepts as a whole field without ERANGE
+/// (signs, hex, inf/nan, ...), with strtod's value bits; anything else is
+/// an InvalidArgument naming the field. Common decimals take an
+/// allocation-free std::from_chars path; the rest goes through strtod.
+/// Callers that need finite values check (ParseCsvRecord does).
 Result<double> ParseDouble(std::string_view s);
 
-/// Parses a signed 64-bit integer; error Status on malformed input.
+/// \brief Parses a base-10 signed 64-bit integer from `s` with ASCII
+/// whitespace stripped.
+///
+/// Accepts exactly what strtoll(s, &end, 10) accepts as a whole field
+/// without ERANGE, with the same value; from_chars serves the common
+/// case without allocating.
 Result<int64_t> ParseInt64(std::string_view s);
 
 /// True when `s` starts with `prefix`.

@@ -1,8 +1,8 @@
 #include "traj/io.h"
 
-#include <cinttypes>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
@@ -14,11 +14,23 @@ Result<std::optional<CsvRecord>> ParseCsvRecord(std::string_view line,
                                                 size_t lineno) {
   const std::string_view stripped = StripAsciiWhitespace(line);
   if (stripped.empty() || stripped[0] == '#') return std::optional<CsvRecord>();
-  const auto fields = Split(stripped, ',');
-  if (fields.size() != 4) {
+  // Cut the line in place; a wrong field count is reported before any
+  // field is parsed.
+  std::string_view fields[4];
+  size_t count = 0;
+  size_t start = 0;
+  for (;;) {
+    const size_t comma = stripped.find(',', start);
+    const std::string_view field = stripped.substr(start, comma - start);
+    if (count < 4) fields[count] = field;
+    ++count;
+    if (comma == std::string_view::npos) break;
+    start = comma + 1;
+  }
+  if (count != 4) {
     return Status::IOError("line " + std::to_string(lineno) +
                            ": expected 4 fields, got " +
-                           std::to_string(fields.size()));
+                           std::to_string(count));
   }
   CsvRecord record;
   FRT_ASSIGN_OR_RETURN(record.id, ParseInt64(fields[0]));
@@ -36,13 +48,31 @@ Result<std::optional<CsvRecord>> ParseCsvRecord(std::string_view line,
 
 void WriteTrajectoryCsv(const Trajectory& trajectory, std::ostream& out,
                         std::string_view line_prefix) {
-  char buf[160];
+  // Longest row body: two int64s (20 chars each), two "%.3f" doubles (a
+  // sign, 309 integer digits, '.', 3 decimals) and 4 separators.
+  constexpr size_t kMaxRow = 2 * 20 + 2 * (1 + 309 + 1 + 3) + 4;
+  // Reused across calls, so a warmed-up writer does not allocate.
+  thread_local std::string buf;
+  size_t used = 0;
   for (const auto& tp : trajectory.points()) {
-    std::snprintf(buf, sizeof(buf), "%" PRId64 ",%.3f,%.3f,%" PRId64 "\n",
-                  trajectory.id(), tp.p.x, tp.p.y, tp.t);
-    if (!line_prefix.empty()) out << line_prefix;
-    out << buf;
+    const size_t need = used + line_prefix.size() + kMaxRow;
+    if (buf.size() < need) buf.resize(std::max(need, 2 * buf.size()));
+    char* p = buf.data() + used;
+    char* const last = buf.data() + buf.size();
+    p = std::copy(line_prefix.begin(), line_prefix.end(), p);
+    p = std::to_chars(p, last, trajectory.id()).ptr;
+    *p++ = ',';
+    // Fixed notation with precision 3 is "%.3f": the exact binary value
+    // correctly rounded, ties to even, "-0.000" for negative zero.
+    p = std::to_chars(p, last, tp.p.x, std::chars_format::fixed, 3).ptr;
+    *p++ = ',';
+    p = std::to_chars(p, last, tp.p.y, std::chars_format::fixed, 3).ptr;
+    *p++ = ',';
+    p = std::to_chars(p, last, tp.t).ptr;
+    *p++ = '\n';
+    used = static_cast<size_t>(p - buf.data());
   }
+  out.write(buf.data(), static_cast<std::streamsize>(used));
 }
 
 Status WriteDatasetCsv(const Dataset& dataset, std::ostream& out) {

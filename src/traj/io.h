@@ -8,6 +8,13 @@
 // ingest path (stream/ingest.h), which assembles trajectories incrementally
 // from chunked reads; LoadDatasetCsv is the one-shot convenience built on
 // the same machinery.
+//
+// Codec contract (tests/csv_codec_test.cc, tests/csv_mutation_test.cc,
+// tests/golden_release_test.sh): the writer is byte-identical to
+// snprintf("%" PRId64 ",%.3f,%.3f,%" PRId64 "\n") per sample; the parser
+// reads fields with ParseInt64/ParseDouble (common/strings.h), so it
+// accepts exactly what strtoll/strtod accept (ERANGE refused), with the
+// same values and error texts. Neither path allocates per row once warm.
 
 #ifndef FRT_TRAJ_IO_H_
 #define FRT_TRAJ_IO_H_
@@ -31,15 +38,19 @@ struct CsvRecord {
 
 /// \brief Parses one line of the dataset format.
 ///
-/// Returns nullopt for blank and comment lines; an error Status names
-/// `lineno` for malformed lines and for a non-finite (nan, inf) x or y.
+/// Returns nullopt for blank and comment lines. An error Status names
+/// `lineno` for a wrong field count and for a non-finite (nan, inf) x or y,
+/// which strtod would accept; a malformed field is ParseInt64's or
+/// ParseDouble's error.
 Result<std::optional<CsvRecord>> ParseCsvRecord(std::string_view line,
                                                 size_t lineno);
 
-/// Writes one trajectory as sample lines (no header). The single source of
-/// the record format for batch, streaming, and multi-feed serialization.
-/// `line_prefix` is prepended verbatim to every record line — the
-/// multi-feed format passes "feed," to tag each sample with its feed id.
+/// Writes one trajectory as sample lines (no header), byte-identical to
+/// "%" PRId64 ",%.3f,%.3f,%" PRId64 "\n" per sample, with one out.write per
+/// trajectory. The single source of the record format for batch,
+/// streaming, and multi-feed serialization. `line_prefix` is prepended
+/// verbatim to every record line — the multi-feed format passes "feed," to
+/// tag each sample with its feed id.
 void WriteTrajectoryCsv(const Trajectory& trajectory, std::ostream& out,
                         std::string_view line_prefix = {});
 

@@ -236,20 +236,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
 
 // ---------------- strings ----------------
 
-TEST(StringsTest, SplitKeepsEmptyFields) {
-  const auto parts = Split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(StringsTest, JoinRoundTrip) {
-  EXPECT_EQ(Join({"x", "y", "z"}, ","), "x,y,z");
-  EXPECT_EQ(Join({}, ","), "");
-}
-
 TEST(StringsTest, StripWhitespace) {
   EXPECT_EQ(StripAsciiWhitespace("  a b \t\n"), "a b");
   EXPECT_EQ(StripAsciiWhitespace(""), "");
