@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
+#include "geo/morton.h"
 #include "index/search_context.h"
 #include "obs/trace.h"
 
@@ -89,6 +89,16 @@ double GreedyDeleteOccurrences(
     ++(*deletions);
   }
   return loss;
+}
+
+// Global-edit handles: (trajectory slot << 32) | node, so the slot of a
+// search hit is read straight out of its handle.
+SegmentHandle GlobalHandle(size_t slot, NodeHandle n) {
+  return (static_cast<SegmentHandle>(slot) << 32) | static_cast<uint32_t>(n);
+}
+size_t SlotOf(SegmentHandle h) { return static_cast<size_t>(h >> 32); }
+NodeHandle NodeOf(SegmentHandle h) {
+  return static_cast<NodeHandle>(static_cast<uint32_t>(h));
 }
 
 }  // namespace
@@ -235,37 +245,51 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
 
   const SignedKeys keys = SplitKeys(delta);
   auto index = MakeSegmentIndex(strategy_, grid_);
-  auto handle_of = [](size_t traj_idx, NodeHandle n) {
-    return (static_cast<SegmentHandle>(traj_idx) << 32) |
-           static_cast<uint32_t>(n);
-  };
 
-  // One pass over every trajectory's live nodes gathers the segment
-  // entries for the bulk build, the per-(key, trajectory) occurrence
-  // lists, and the TrajId -> slot mapping for result handling.
-  std::vector<SegmentEntry> entries;
+  // One pass over every trajectory's live nodes gathers the Morton key of
+  // each segment (in the `(key << 32) | i` integers whose sort orders the
+  // bulk build) and the per-(key, trajectory) occurrence lists.
+  // Segment i's handle is handles[i]; ties on the key keep gather order.
+  // The order only changes the work: kNN results are a pure function of
+  // the segment set (index/README.md), and Morton order makes each
+  // cell's 8-lane block boxes tight, so block skipping prunes well.
+  std::vector<uint64_t> order;
+  std::vector<SegmentHandle> handles;
   size_t total_points = 0;
   for (const EditableTrajectory& et : *trajs) total_points += et.NumPoints();
-  entries.reserve(total_points);
+  order.reserve(total_points);
+  handles.reserve(total_points);
   std::unordered_map<LocationKey,
                      std::unordered_map<size_t, std::vector<NodeHandle>>>
       occurrences;
   occurrences.reserve(delta.size());
-  std::unordered_map<TrajId, size_t> slot_of;
-  slot_of.reserve(trajs->size());
   for (size_t i = 0; i < trajs->size(); ++i) {
     EditableTrajectory& et = (*trajs)[i];
-    slot_of[et.id()] = i;
     for (const NodeHandle n : et.LiveNodes()) {
       if (et.IsSegmentStart(n)) {
-        entries.push_back(
-            SegmentEntry{handle_of(i, n), et.id(), et.SegmentOf(n)});
+        const uint64_t morton = MortonKey(et.SegmentOf(n), grid_.region());
+        order.push_back((morton << 32) | handles.size());
+        handles.push_back(GlobalHandle(i, n));
       }
       const LocationKey key = quantizer_->KeyOf(et.PointAt(n).p);
       if (delta.count(key) > 0) occurrences[key][i].push_back(n);
     }
   }
-  FRT_RETURN_IF_ERROR(index->Build(entries));
+  std::sort(order.begin(), order.end());
+  {
+    // Materialized once, already in order, and freed right after the
+    // build: the index holds its own copies.
+    std::vector<SegmentEntry> entries;
+    entries.reserve(order.size());
+    for (const uint64_t o : order) {
+      const SegmentHandle h = handles[o & 0xffffffffu];
+      const EditableTrajectory& et = (*trajs)[SlotOf(h)];
+      entries.push_back(SegmentEntry{h, et.id(), et.SegmentOf(NodeOf(h))});
+    }
+    std::vector<uint64_t>().swap(order);
+    std::vector<SegmentHandle>().swap(handles);
+    FRT_RETURN_IF_ERROR(index->Build(entries));
+  }
 
   const uint64_t evals_before = index->distance_evaluations();
 
@@ -292,7 +316,7 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
     for (size_t c = 0; c < take; ++c) {
       const size_t slot = costs[c].second;
       EditableTrajectory& et = (*trajs)[slot];
-      auto per_handle = [&](NodeHandle n) { return handle_of(slot, n); };
+      auto per_handle = [&](NodeHandle n) { return GlobalHandle(slot, n); };
       auto& nodes = per_traj[slot];
       stats->utility_loss += GreedyDeleteOccurrences(
           &et, &nodes, static_cast<int64_t>(nodes.size()), index.get(),
@@ -304,19 +328,21 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
   // Phase 2: TF increases — insert the point once into each of the Delta_l
   // nearest trajectories that do not currently contain it (Def. 8).
   SearchContext ctx;  // reused across every search of this batch
+  // occupied[slot] != 0 while trajectory `slot` holds the current key; the
+  // filter reads the slot straight out of the handle.
+  std::vector<char> occupied(trajs->size(), 0);
+  const auto eligible = [&occupied](const SegmentEntry& e) {
+    return occupied[SlotOf(e.handle)] == 0;
+  };
   for (const LocationKey key : keys.pos) {
     const int64_t want = delta.at(key);
     const Point q = quantizer_->PointOf(key);
-    std::unordered_set<TrajId> occupied;
     auto oit = occurrences.find(key);
     if (oit != occurrences.end()) {
       for (const auto& [slot, nodes] : oit->second) {
-        if (!nodes.empty()) occupied.insert((*trajs)[slot].id());
+        if (!nodes.empty()) occupied[slot] = 1;
       }
     }
-    const auto eligible = [&occupied](const SegmentEntry& e) {
-      return occupied.count(e.traj) == 0;
-    };
     SearchOptions options;
     options.k = static_cast<size_t>(want);
     options.group_by = GroupBy::kTrajectory;
@@ -332,13 +358,15 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
                     std::chrono::steady_clock::now());
     }
     ++stats->knn_searches;
+    if (oit != occurrences.end()) {
+      for (const auto& [slot, nodes] : oit->second) occupied[slot] = 0;
+    }
     for (const Neighbor& nb : neighbors) {
-      const size_t slot = slot_of.at(nb.entry.traj);
-      const NodeHandle left =
-          static_cast<NodeHandle>(static_cast<uint32_t>(nb.entry.handle));
+      const size_t slot = SlotOf(nb.entry.handle);
       EditableTrajectory& et = (*trajs)[slot];
-      auto per_handle = [&](NodeHandle n) { return handle_of(slot, n); };
-      InsertPointSync(&et, left, q, index.get(), per_handle);
+      auto per_handle = [&](NodeHandle n) { return GlobalHandle(slot, n); };
+      InsertPointSync(&et, NodeOf(nb.entry.handle), q, index.get(),
+                      per_handle);
       stats->utility_loss += nb.dist;
       ++stats->insertions;
     }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 
 #include "geo/bbox.h"
 #include "geo/point.h"
@@ -102,6 +103,24 @@ class GridSpec {
     b.min_y = region_.min_y + h * c.iy;
     b.max_x = b.min_x + w;
     b.max_y = b.min_y + h;
+    return b;
+  }
+
+  /// \brief A box holding everything CellAt can assign to `c`: CellBox
+  /// with each side that lies on the region's border opened to infinity.
+  /// CellAt clamps points outside the region into the edge cells, so a
+  /// segment with an endpoint outside can be registered in an edge cell
+  /// it leaves; this box still contains it, which makes
+  /// MinDist2PointBBox(q, CellBound(c)) a lower bound on the distance to
+  /// anything registered in c's subtree.
+  BBox CellBound(const CellCoord& c) const {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const int32_t last = static_cast<int32_t>(Resolution(c.level) - 1);
+    BBox b = CellBox(c);
+    if (c.ix == 0) b.min_x = -kInf;
+    if (c.iy == 0) b.min_y = -kInf;
+    if (c.ix == last) b.max_x = kInf;
+    if (c.iy == last) b.max_y = kInf;
     return b;
   }
 

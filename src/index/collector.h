@@ -9,6 +9,15 @@
 // the plain-distance formulation — and the square root is taken exactly
 // once per emitted result, in Finalize.
 //
+// Canonical ties. Every comparison orders candidates by (dist², handle),
+// a total order over the indexed segments: the segment-mode heap and its
+// replacement test, each trajectory's best segment in trajectory mode,
+// and the final ranking. The result of a search is therefore a pure
+// function of the segment set (and the filter) — independent of offer
+// order, cell layout, traversal order and entry order — as long as the
+// search offers every candidate that could tie the threshold, which the
+// strict `>` pruning of cells, blocks and lanes guarantees.
+//
 // The collector is a reusable scratch object (it lives inside a
 // SearchContext): Reset() rearms it for a new query while keeping every
 // internal buffer's capacity, so steady-state queries never allocate.
@@ -54,34 +63,24 @@ class ResultCollector {
   /// (it points into the index).
   void Offer(const SegmentEntry& entry, double dist2) {
     if (k_ == 0) return;
+    const Item item{dist2, &entry};
     if (group_by_ == GroupBy::kSegment) {
       if (heap_.size() < k_) {
-        heap_.push_back(Item{dist2, &entry});
-        std::push_heap(heap_.begin(), heap_.end(), WorstFirst{});
-      } else if (dist2 < heap_.front().dist2) {
-        std::pop_heap(heap_.begin(), heap_.end(), WorstFirst{});
-        heap_.back() = Item{dist2, &entry};
-        std::push_heap(heap_.begin(), heap_.end(), WorstFirst{});
+        heap_.push_back(item);
+        std::push_heap(heap_.begin(), heap_.end(), Before{});
+      } else if (Before{}(item, heap_.front())) {
+        std::pop_heap(heap_.begin(), heap_.end(), Before{});
+        heap_.back() = item;
+        std::push_heap(heap_.begin(), heap_.end(), Before{});
       }
       return;
     }
     // Trajectory mode: keep each trajectory's best segment.
     Item& best = BestOf(entry.traj);
-    if (best.entry == nullptr || dist2 < best.dist2) {
-      best = Item{dist2, &entry};
+    if (best.entry == nullptr || Before{}(item, best)) {
+      best = item;
       traj_dirty_ = true;
     }
-  }
-
-  /// Consumes one batched-kernel output: entries [0, n) of `entries` with
-  /// their squared distances in `dist2` (the lane buffer of a
-  /// PointSegmentDistance2Batch sweep). Offer order is ascending index, so
-  /// tie behaviour matches the scalar per-entry loop exactly. Only valid
-  /// when no filter applies (filtered searches interleave the filter with
-  /// per-entry Offers).
-  void OfferBatch(const SegmentEntry* entries, const double* dist2,
-                  size_t n) {
-    for (size_t i = 0; i < n; ++i) Offer(entries[i], dist2[i]);
   }
 
   /// True when K results are held (threshold is meaningful).
@@ -112,11 +111,7 @@ class ResultCollector {
     // ordered; (dist², handle) is a total order, so the K selected are the
     // K a full sort would put first.
     const size_t n = std::min(k_, held.size());
-    std::partial_sort(held.begin(), held.begin() + n, held.end(),
-                      [](const Item& a, const Item& b) {
-                        if (a.dist2 != b.dist2) return a.dist2 < b.dist2;
-                        return a.entry->handle < b.entry->handle;
-                      });
+    std::partial_sort(held.begin(), held.begin() + n, held.end(), Before{});
     out->reserve(n);
     for (size_t i = 0; i < n; ++i) {
       out->push_back(Neighbor{*held[i].entry, std::sqrt(held[i].dist2)});
@@ -128,9 +123,14 @@ class ResultCollector {
     double dist2 = 0.0;
     const SegmentEntry* entry = nullptr;
   };
-  struct WorstFirst {
+  /// The canonical (dist², handle) order; the segment-mode heap is a
+  /// max-heap under it, so its front is the worst held candidate. A
+  /// function object, not a function, so the heap and sort algorithms
+  /// inline it.
+  struct Before {
     bool operator()(const Item& a, const Item& b) const {
-      return a.dist2 < b.dist2;  // max-heap on squared distance
+      if (a.dist2 != b.dist2) return a.dist2 < b.dist2;
+      return a.entry->handle < b.entry->handle;
     }
   };
   /// Open-addressing slot of the trajectory->best table. A slot is live for
@@ -213,7 +213,7 @@ class ResultCollector {
 
   size_t k_ = 0;
   GroupBy group_by_ = GroupBy::kSegment;
-  // kSegment state: max-heap on squared distance over the best-K items.
+  // kSegment state: max-heap under Before over the best-K items.
   std::vector<Item> heap_;
   // kTrajectory state: per-trajectory best items + epoch-stamped
   // open-addressing lookup table (power-of-two size).

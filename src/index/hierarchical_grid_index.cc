@@ -202,14 +202,18 @@ uint64_t HierarchicalGridIndex::SweepCell(const HgCell& cell, const Point& q,
   const size_t n = segs.size();
   ResultCollector& collector = ctx->collector;
 
-  // Block by block, in entry order: a block whose box lies beyond theta_K
-  // holds nothing that could enter the final top-K in either grouping
-  // mode, so it is skipped without evaluating a lane (Theorem 4 applied
-  // to the block box). Both kernel paths make the same skip decisions
-  // against the same thresholds, so their distance_evaluations agree. The
-  // segment-mode threshold is a heap peek and is re-read per block; the
-  // trajectory-mode one runs a selection, so it is read once per cell —
-  // a stale threshold is only larger, which is conservative.
+  // Block by block: a block whose box lies beyond theta_K holds nothing
+  // that could enter the final top-K in either grouping mode, so it is
+  // skipped without evaluating a lane (Theorem 4 applied to the block
+  // box). Inside a block, a lane strictly beyond theta_K is counted but
+  // not offered: in segment mode Offer would reject it, and in trajectory
+  // mode it could only create or lower a trajectory best that still ranks
+  // below the K held ones, so neither the threshold nor the result moves.
+  // Both kernel paths make the same decisions against the same thresholds,
+  // so their distance_evaluations agree. The segment-mode threshold is a
+  // heap peek and is re-read per block; the trajectory-mode one runs a
+  // selection, so it is read once per cell — a stale threshold is only
+  // larger, which is conservative.
   const bool per_block_threshold = options.group_by == GroupBy::kSegment;
   double thr2 = collector.Threshold2();
   uint64_t evals = 0;
@@ -219,32 +223,19 @@ uint64_t HierarchicalGridIndex::SweepCell(const HgCell& cell, const Point& q,
     if (BlockBeyond(q, block, thr2)) continue;
     const size_t lanes = std::min(kDistLanes, n - base);
     const SegmentEntry* entries = segs.data() + base;
-
-    if (options.use_batched_kernel) {
-      // One kernel call per block, then offers in entry order — the same
-      // order (and the same doubles) as the scalar loop. Filtered-out
-      // lanes are computed (the kernel is branch-free) but neither
-      // offered nor counted.
-      double d2[kDistLanes];
-      PointSegmentDistance2Batch(q, block, d2);
-      if (!options.filter) {
-        collector.OfferBatch(entries, d2, lanes);
-        evals += lanes;
-        continue;
-      }
-      for (size_t i = 0; i < lanes; ++i) {
-        if (!options.filter(entries[i])) continue;
-        ++evals;
-        collector.Offer(entries[i], d2[i]);
-      }
-      continue;
-    }
-
+    // The batched kernel computes every lane (it is branch-free, padded
+    // and filtered-out lanes included); only eligible lanes are counted.
+    double d2[kDistLanes];
+    if (options.use_batched_kernel) PointSegmentDistance2Batch(q, block, d2);
     for (size_t i = 0; i < lanes; ++i) {
       const SegmentEntry& e = entries[i];
       if (options.filter && !options.filter(e)) continue;
       ++evals;
-      collector.Offer(e, PointSegmentDistance2(q, e.geom));
+      const double dist2 = options.use_batched_kernel
+                               ? d2[i]
+                               : PointSegmentDistance2(q, e.geom);
+      if (dist2 > thr2) continue;
+      collector.Offer(e, dist2);
     }
   }
   return evals;
@@ -291,7 +282,7 @@ void HierarchicalGridIndex::SearchTopDown(const Point& q,
     evals += SweepCell(cell, q, options, ctx);
     for (const uint32_t child : cell.children) {
       const double child_dist2 =
-          MinDist2PointBBox(q, grid_.CellBox(arena_[child].coord));
+          MinDist2PointBBox(q, grid_.CellBound(arena_[child].coord));
       if (collector.Full() && child_dist2 > collector.Threshold2()) continue;
       heap.push_back({child_dist2, child});
       std::push_heap(heap.begin(), heap.end(), CellCandidateGreater{});
@@ -389,7 +380,7 @@ void HierarchicalGridIndex::SearchBottomUp(const Point& q,
     for (const uint32_t child : cell.children) {
       if (ctx->Visited(child)) continue;
       const double child_dist2 =
-          MinDist2PointBBox(q, grid_.CellBox(arena_[child].coord));
+          MinDist2PointBBox(q, grid_.CellBound(arena_[child].coord));
       if (collector.Full() && child_dist2 > collector.Threshold2()) continue;
       push_candidate(child, child_dist2);
     }

@@ -141,8 +141,9 @@ class HierarchicalGridIndex : public SegmentIndex {
   /// Evaluates the residents of `cell` against q and offers the eligible
   /// ones to the collector, via the batched SoA kernel or the scalar
   /// reference path per `options`, skipping every lane block whose box
-  /// lies beyond the collector's threshold. Returns the evaluated
-  /// eligible-candidate count (the distance_evaluations contribution).
+  /// lies beyond the collector's threshold and not offering lanes that
+  /// do. Returns the evaluated eligible-candidate count (the
+  /// distance_evaluations contribution).
   uint64_t SweepCell(const HgCell& cell, const Point& q,
                      const SearchOptions& options, SearchContext* ctx) const;
 

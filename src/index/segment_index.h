@@ -119,8 +119,11 @@ class SegmentIndex {
   virtual Status Remove(SegmentHandle handle) = 0;
 
   /// K-nearest search around `q` using caller-provided scratch state.
-  /// Results are sorted by ascending distance; fewer than k results are
-  /// returned when the index runs out of eligible candidates. The returned
+  /// Results are sorted by ascending (distance, handle), the order that
+  /// also breaks every tie, so they are a pure function of the indexed
+  /// segment set and the filter: every strategy and every insertion order
+  /// returns the same list. Fewer than k results are returned when the
+  /// index runs out of eligible candidates. The returned
   /// span points into `ctx` and is valid until the next search through the
   /// same context. With a warm context this performs no heap allocation.
   ///

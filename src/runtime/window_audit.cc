@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "geo/morton.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
 
@@ -23,30 +24,6 @@ struct RangePartial {
   double sum = 0.0;
   double max = 0.0;
 };
-
-/// Interleaves the low 16 bits of v with zeros (bit i -> bit 2i).
-uint32_t SpreadBits(uint32_t v) {
-  v &= 0xffffu;
-  v = (v | (v << 8)) & 0x00ff00ffu;
-  v = (v | (v << 4)) & 0x0f0f0f0fu;
-  v = (v | (v << 2)) & 0x33333333u;
-  v = (v | (v << 1)) & 0x55555555u;
-  return v;
-}
-
-/// Z-order key of a segment's midpoint on a 2^16 x 2^16 lattice over
-/// `region`.
-uint32_t MortonKey(const Segment& s, const BBox& region) {
-  const auto lattice = [](double v, double lo, double span) {
-    const double f = span > 0.0 ? (v - lo) / span : 0.0;
-    return static_cast<uint32_t>(std::clamp(f, 0.0, 1.0) * 65535.0);
-  };
-  const uint32_t x =
-      lattice(0.5 * (s.a.x + s.b.x), region.min_x, region.Width());
-  const uint32_t y =
-      lattice(0.5 * (s.a.y + s.b.y), region.min_y, region.Height());
-  return SpreadBits(x) | (SpreadBits(y) << 1);
-}
 
 /// Index entries for every segment of `original`, with handles numbered
 /// in input order but stored in Morton order of the segment midpoints, so

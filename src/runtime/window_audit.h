@@ -17,9 +17,9 @@
 // The index is bulk-built from entries stored in Morton (Z-order) order of
 // their segment midpoints, so each cell's 8-lane blocks are spatially
 // tight and the grid's block skipping (index/README.md) prunes most of the
-// coarse cells every query visits. Reordering cannot change the report:
-// the audit sums k=1 distances, and the minimum distance does not depend
-// on which of several tied segments wins.
+// coarse cells every query visits. Reordering cannot change the report: a
+// kNN result is a pure function of the indexed segment set (ties break by
+// (dist², handle), index/README.md), so the order only changes the work.
 //
 // Vertex fast path. FRT inserts and deletes occurrences of signature
 // locations, so most published points are original vertices left as they

@@ -7,17 +7,20 @@
 // tests build a fixture of trajectories zigzagging across the region's
 // midlines — hundreds of root residents, consecutive segments sharing a
 // vertex so exact ties are common — and assert that skipping changes the
-// work but never the answer: results equal the linear scan in both
-// grouping modes, with a filter, and after interleaved Remove/Insert calls
-// that leave boxes stale; the batched and scalar kernels agree on results
-// and on distance_evaluations; and the evaluation count falls strictly
-// below what sweeping the root alone would cost.
+// work but never the answer: results equal the linear scan's (handle,
+// dist) at every rank in both grouping modes, with a filter, and after
+// interleaved Remove/Insert calls that leave boxes stale; the batched and
+// scalar kernels agree on results and on distance_evaluations, lanes
+// beyond theta_K included (they are counted, not offered); and the
+// evaluation count falls strictly below what sweeping the root alone would
+// cost.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -105,12 +108,13 @@ Fixture MakeFixture(uint64_t seed) {
   return f;
 }
 
-/// A query's distances in rank order. Equal to the linear scan's bit for
-/// bit; handles are not compared because which of several exactly tied
-/// segments is kept depends on offer order, in the reference too.
-std::vector<double> Dists(Span<const Neighbor> hits) {
-  std::vector<double> out;
-  for (const Neighbor& n : hits) out.push_back(n.dist);
+/// A query's (handle, dist) pairs in rank order. Equal to the linear
+/// scan's bit for bit: ties break by (dist², handle), so even among
+/// exactly tied segments the same one is kept whatever the offer order.
+using RankedHits = std::vector<std::pair<SegmentHandle, double>>;
+RankedHits Hits(Span<const Neighbor> hits) {
+  RankedHits out;
+  for (const Neighbor& n : hits) out.emplace_back(n.entry.handle, n.dist);
   return out;
 }
 
@@ -145,9 +149,8 @@ void ExpectMatchesLinear(const SegmentIndex& linear,
             static_cast<const HierarchicalGridIndex&>(*grid);
         const std::string label = Label(hg.strategy(), mode, filtered);
         for (const Point& q : queries) {
-          const std::vector<double> want =
-              Dists(linear.KNearest(q, options, &ref_ctx));
-          ASSERT_EQ(Dists(grid->KNearest(q, options, &ctx)), want)
+          const auto want = Hits(linear.KNearest(q, options, &ref_ctx));
+          ASSERT_EQ(Hits(grid->KNearest(q, options, &ctx)), want)
               << label << " at (" << q.x << ", " << q.y << ")";
         }
       }

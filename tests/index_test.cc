@@ -1,9 +1,11 @@
 // Tests for src/index: structural unit tests of the hierarchical grid and a
 // parameterized property suite asserting that every search strategy (UG,
-// HGt, HGb, HG+) returns results cost-equivalent to the linear scan, under
-// both grouping modes, with filters, and across dynamic updates — including
-// a randomized interleaved-update property test with reused SearchContexts,
-// the exactness guard for the arena/epoch layout.
+// HGt, HGb, HG+) returns the linear scan's (handle, dist) at every rank,
+// under both grouping modes, with filters, and across dynamic updates —
+// including a randomized interleaved-update property test with reused
+// SearchContexts (the exactness guard for the arena/epoch layout), segments
+// that leave the grid region, and builds of one segment set in different
+// orders.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "geo/morton.h"
 #include "index/hierarchical_grid_index.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
@@ -38,21 +41,17 @@ SegmentEntry RandomSegment(SegmentHandle handle, TrajId traj, Rng& rng,
                   std::clamp(b.y, 0.0, kRegionSize)}}};
 }
 
-std::vector<double> Dists(const std::vector<Neighbor>& v) {
-  std::vector<double> out;
-  out.reserve(v.size());
-  for (const auto& n : v) out.push_back(n.dist);
-  return out;
-}
-
-void ExpectSameDistances(const std::vector<Neighbor>& got,
-                         const std::vector<Neighbor>& want,
-                         const std::string& label) {
+/// Every rank must hold the same segment at the same distance, bit for
+/// bit: ties break by (dist², handle), so the result is a pure function of
+/// the segment set and all strategies share one distance kernel.
+void ExpectSameResults(const std::vector<Neighbor>& got,
+                       const std::vector<Neighbor>& want,
+                       const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
-  const auto gd = Dists(got);
-  const auto wd = Dists(want);
-  for (size_t i = 0; i < gd.size(); ++i) {
-    ASSERT_NEAR(gd[i], wd[i], 1e-7) << label << " at rank " << i;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].entry.handle, want[i].entry.handle)
+        << label << " at rank " << i;
+    ASSERT_EQ(got[i].dist, want[i].dist) << label << " at rank " << i;
   }
 }
 
@@ -148,6 +147,83 @@ TEST(HierarchicalGridTest, PruningReducesDistanceEvaluations) {
             linear->distance_evaluations() / 5);
 }
 
+// ---------------- edge cells (segments leaving the region) ----------------
+//
+// GridSpec::CellAt clamps an endpoint outside the region into an edge
+// cell, so a segment can be registered in a cell whose CellBox does not
+// contain it. Child pruning bounds such cells with GridSpec::CellBound
+// (outer sides open), so no strategy may miss the segment.
+
+const SearchStrategy kAllStrategies[] = {
+    SearchStrategy::kLinear, SearchStrategy::kUniformGrid,
+    SearchStrategy::kTopDown, SearchStrategy::kBottomUp,
+    SearchStrategy::kBottomUpDown};
+
+TEST(EdgeCellBoundTest, SegmentLeavingTheRegionIsFound) {
+  // `leaving` sits in the finest cell at the right edge around y = 5000,
+  // but runs 2 km past the region. From q, its CellBox is 1414 m away
+  // while `inside` is 1104 m away, so a closed-box bound prunes the cell
+  // that holds the true nearest segment (1005 m).
+  const SegmentEntry leaving{1, 1, Segment{{9990, 5000}, {12000, 5010}}};
+  const SegmentEntry inside{2, 2, Segment{{9900, 3900}, {9901, 3901}}};
+  const Point q{11000, 4000};
+  for (const SearchStrategy s : kAllStrategies) {
+    auto index = MakeSegmentIndex(s, TestGrid());
+    ASSERT_TRUE(index->Insert(leaving).ok());
+    ASSERT_TRUE(index->Insert(inside).ok());
+    for (const GroupBy mode : {GroupBy::kSegment, GroupBy::kTrajectory}) {
+      SearchOptions options;
+      options.k = 1;
+      options.group_by = mode;
+      const auto hits = index->KNearest(q, options);
+      ASSERT_EQ(hits.size(), 1u);
+      EXPECT_EQ(hits[0].entry.handle, leaving.handle)
+          << SearchStrategyName(s);
+      EXPECT_EQ(hits[0].dist, PointSegmentDistance(q, leaving.geom))
+          << SearchStrategyName(s);
+    }
+  }
+}
+
+TEST(EdgeCellBoundTest, RandomSegmentsLeavingTheRegionMatchLinear) {
+  // Unclamped segments near the border and queries on both sides of it.
+  Rng rng(909);
+  std::vector<std::unique_ptr<SegmentIndex>> indexes;
+  for (const SearchStrategy s : kAllStrategies) {
+    indexes.push_back(MakeSegmentIndex(s, TestGrid()));
+  }
+  for (SegmentHandle h = 0; h < 600; ++h) {
+    const Point a{rng.Uniform(0, kRegionSize), rng.Uniform(0, kRegionSize)};
+    const Point b{a.x + rng.Uniform(-3000, 3000),
+                  a.y + rng.Uniform(-3000, 3000)};
+    const SegmentEntry e{h, static_cast<TrajId>(h % 40), Segment{a, b}};
+    for (auto& index : indexes) ASSERT_TRUE(index->Insert(e).ok());
+  }
+  SearchContext linear_ctx;
+  SearchContext ctx;
+  for (int trial = 0; trial < 100; ++trial) {
+    const Point q{rng.Uniform(-3000, kRegionSize + 3000),
+                  rng.Uniform(-3000, kRegionSize + 3000)};
+    for (const size_t k : {1u, 3u}) {
+      for (const GroupBy mode : {GroupBy::kSegment, GroupBy::kTrajectory}) {
+        SearchOptions options;
+        options.k = k;
+        options.group_by = mode;
+        const auto want = indexes[0]->KNearest(q, options, &linear_ctx);
+        const std::vector<Neighbor> want_copy(want.begin(), want.end());
+        for (size_t s = 1; s < indexes.size(); ++s) {
+          const auto got = indexes[s]->KNearest(q, options, &ctx);
+          ExpectSameResults(std::vector<Neighbor>(got.begin(), got.end()),
+                            want_copy,
+                            std::string(SearchStrategyName(kAllStrategies[s])) +
+                                " trial " + std::to_string(trial));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
 // ---------------- parameterized equivalence suite ----------------
 
 class StrategyEquivalenceTest
@@ -170,7 +246,7 @@ TEST_P(StrategyEquivalenceTest, MatchesLinearOnRandomData) {
       options.k = k;
       const auto want = linear->KNearest(q, options);
       const auto got = index->KNearest(q, options);
-      ExpectSameDistances(got, want,
+      ExpectSameResults(got, want,
                           std::string(SearchStrategyName(GetParam())) +
                               " k=" + std::to_string(k));
     }
@@ -195,7 +271,7 @@ TEST_P(StrategyEquivalenceTest, TrajectoryGroupingMatchesLinear) {
       options.group_by = GroupBy::kTrajectory;
       const auto want = linear->KNearest(q, options);
       const auto got = index->KNearest(q, options);
-      ExpectSameDistances(got, want, "traj mode");
+      ExpectSameResults(got, want, "traj mode");
       // Distinct trajectories only.
       std::unordered_set<TrajId> trajs;
       for (const auto& n : got) {
@@ -222,7 +298,7 @@ TEST_P(StrategyEquivalenceTest, FilterExcludesIneligibleSegments) {
     const Point q{rng.Uniform(0, kRegionSize), rng.Uniform(0, kRegionSize)};
     const auto got = index->KNearest(q, options);
     const auto want = linear->KNearest(q, options);
-    ExpectSameDistances(got, want, "filtered");
+    ExpectSameResults(got, want, "filtered");
     for (const auto& n : got) ASSERT_NE(n.entry.traj, 3);
   }
 }
@@ -257,7 +333,7 @@ TEST_P(StrategyEquivalenceTest, StaysCorrectAcrossUpdates) {
     for (int trial = 0; trial < 8; ++trial) {
       const Point q{rng.Uniform(0, kRegionSize),
                     rng.Uniform(0, kRegionSize)};
-      ExpectSameDistances(index->KNearest(q, options),
+      ExpectSameResults(index->KNearest(q, options),
                           linear->KNearest(q, options),
                           "after updates round " + std::to_string(round));
     }
@@ -312,14 +388,10 @@ INSTANTIATE_TEST_SUITE_P(
 // be caught immediately).
 TEST(StrategyEquivalencePropertyTest, InterleavedUpdatesAllModesReusedCtx) {
   Rng rng(7777);
-  const std::vector<SearchStrategy> all = {
-      SearchStrategy::kLinear, SearchStrategy::kUniformGrid,
-      SearchStrategy::kTopDown, SearchStrategy::kBottomUp,
-      SearchStrategy::kBottomUpDown};
   std::vector<std::unique_ptr<SegmentIndex>> indexes;
   // One long-lived context per index, shared by every query below.
   std::vector<std::unique_ptr<SearchContext>> contexts;
-  for (const SearchStrategy s : all) {
+  for (const SearchStrategy s : kAllStrategies) {
     indexes.push_back(MakeSegmentIndex(s, TestGrid()));
     contexts.push_back(std::make_unique<SearchContext>());
   }
@@ -370,16 +442,17 @@ TEST(StrategyEquivalencePropertyTest, InterleavedUpdatesAllModesReusedCtx) {
             const auto got =
                 indexes[s]->KNearest(q, options, contexts[s].get());
             const std::string label =
-                std::string(SearchStrategyName(all[s])) + " round " +
+                std::string(SearchStrategyName(kAllStrategies[s])) + " round " +
                 std::to_string(round) + " k=" + std::to_string(k) +
                 (mode == GroupBy::kTrajectory ? " traj" : " seg") +
                 (filtered ? " filtered" : "");
-            ASSERT_EQ(got.size(), want_copy.size()) << label;
-            for (size_t i = 0; i < got.size(); ++i) {
-              ASSERT_NEAR(got[i].dist, want_copy[i].dist, 1e-7)
-                  << label << " at rank " << i;
+            ExpectSameResults(
+                std::vector<Neighbor>(got.begin(), got.end()), want_copy,
+                label);
+            if (::testing::Test::HasFatalFailure()) return;
+            for (const Neighbor& n : got) {
               if (filtered) {
-                ASSERT_NE(got[i].entry.traj, banned) << label;
+                ASSERT_NE(n.entry.traj, banned) << label;
               }
             }
             if (mode == GroupBy::kTrajectory) {
@@ -403,10 +476,7 @@ TEST(StrategyEquivalencePropertyTest, BulkBuildMatchesInserts) {
   for (SegmentHandle h = 0; h < 1200; ++h) {
     entries.push_back(RandomSegment(h, h % 40, rng));
   }
-  for (const SearchStrategy s :
-       {SearchStrategy::kLinear, SearchStrategy::kUniformGrid,
-        SearchStrategy::kTopDown, SearchStrategy::kBottomUp,
-        SearchStrategy::kBottomUpDown}) {
+  for (const SearchStrategy s : kAllStrategies) {
     auto bulk = MakeSegmentIndex(s, TestGrid());
     ASSERT_TRUE(bulk->Build(entries).ok());
     auto incremental = MakeSegmentIndex(s, TestGrid());
@@ -417,13 +487,82 @@ TEST(StrategyEquivalencePropertyTest, BulkBuildMatchesInserts) {
     for (int trial = 0; trial < 10; ++trial) {
       const Point q{rng.Uniform(0, kRegionSize),
                     rng.Uniform(0, kRegionSize)};
-      ExpectSameDistances(bulk->KNearest(q, options),
+      ExpectSameResults(bulk->KNearest(q, options),
                           incremental->KNearest(q, options),
                           std::string(SearchStrategyName(s)) + " bulk");
     }
     EXPECT_EQ(bulk->Build(Span<const SegmentEntry>(entries.data(), 1))
                   .code(),
               StatusCode::kAlreadyExists);
+  }
+}
+
+// The result of a search is a pure function of the segment set: the same
+// entries bulk-built in input order, reversed and Morton order return
+// identical (handle, dist) lists under every strategy. The fixture is
+// polylines on a 100 m lattice over a 3 km square, queried at lattice
+// points, so consecutive segments share vertices and most queries have
+// exactly tied candidates.
+TEST(StrategyEquivalencePropertyTest, ResultsIndependentOfBuildOrder) {
+  Rng rng(4242);
+  std::vector<SegmentEntry> entries;
+  for (TrajId t = 0; t < 60; ++t) {
+    Point p{100.0 * static_cast<double>(rng.UniformInt(uint64_t{30})),
+            100.0 * static_cast<double>(rng.UniformInt(uint64_t{30}))};
+    for (int i = 0; i < 25; ++i) {
+      const Point next{
+          std::clamp(p.x + 100.0 * (static_cast<double>(
+                                        rng.UniformInt(uint64_t{5})) - 2.0),
+                     0.0, kRegionSize),
+          std::clamp(p.y + 100.0 * (static_cast<double>(
+                                        rng.UniformInt(uint64_t{5})) - 2.0),
+                     0.0, kRegionSize)};
+      entries.push_back(SegmentEntry{entries.size(), t, Segment{p, next}});
+      p = next;
+    }
+  }
+  std::vector<SegmentEntry> reversed(entries.rbegin(), entries.rend());
+  std::vector<SegmentEntry> morton = entries;
+  const BBox region = TestGrid().region();
+  std::stable_sort(morton.begin(), morton.end(),
+                   [&region](const SegmentEntry& a, const SegmentEntry& b) {
+                     return MortonKey(a.geom, region) <
+                            MortonKey(b.geom, region);
+                   });
+  const std::vector<SegmentEntry>* orders[] = {&entries, &reversed, &morton};
+
+  std::vector<std::unique_ptr<SegmentIndex>> indexes;
+  for (const SearchStrategy s : kAllStrategies) {
+    for (const auto* order : orders) {
+      indexes.push_back(MakeSegmentIndex(s, TestGrid()));
+      ASSERT_TRUE(indexes.back()->Build(*order).ok());
+    }
+  }
+  const auto odd_traj = [](const SegmentEntry& e) { return e.traj % 2 == 1; };
+  SearchContext ref_ctx;
+  SearchContext ctx;
+  for (int trial = 0; trial < 100; ++trial) {
+    const Point q{100.0 * static_cast<double>(rng.UniformInt(uint64_t{30})),
+                  100.0 * static_cast<double>(rng.UniformInt(uint64_t{30}))};
+    for (const GroupBy mode : {GroupBy::kSegment, GroupBy::kTrajectory}) {
+      for (const bool filtered : {false, true}) {
+        SearchOptions options;
+        options.k = 6;
+        options.group_by = mode;
+        if (filtered) options.filter = odd_traj;
+        const auto want = indexes[0]->KNearest(q, options, &ref_ctx);
+        const std::vector<Neighbor> want_copy(want.begin(), want.end());
+        for (size_t i = 1; i < indexes.size(); ++i) {
+          const auto got = indexes[i]->KNearest(q, options, &ctx);
+          ExpectSameResults(
+              std::vector<Neighbor>(got.begin(), got.end()), want_copy,
+              std::string(SearchStrategyName(kAllStrategies[i / 3])) +
+                  " order " + std::to_string(i % 3) + " trial " +
+                  std::to_string(trial));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
   }
 }
 
