@@ -1,7 +1,8 @@
 // Index micro-benchmarks (google-benchmark): build, query, and update costs
-// of the segment indexes backing Fig. 5's end-to-end numbers, the batched
-// SoA kernel A/B, the shared-index reader-scaling study, and the window
-// audit's vertex fast path against its index-only reference.
+// of the segment indexes backing Fig. 5's end-to-end numbers, the
+// shared-index reader-scaling study, and the window audit's vertex fast
+// path against its index-only reference. Every query runs through a warm,
+// caller-provided SearchContext (the allocation-free steady state).
 
 #include <benchmark/benchmark.h>
 
@@ -67,38 +68,20 @@ void BM_IndexKnnSegments(benchmark::State& state) {
   const auto segments = RandomSegments(
       static_cast<size_t>(state.range(1)), 2);
   auto index = MakeSegmentIndex(strategy, MicroGrid());
-  for (const auto& e : segments) (void)index->Insert(e);
-  Rng rng(3);
-  SearchOptions options;
-  options.k = 8;
-  const uint64_t evals_before = index->distance_evaluations();
-  for (auto _ : state) {
-    const Point q{rng.Uniform(0, kRegion), rng.Uniform(0, kRegion)};
-    benchmark::DoNotOptimize(index->KNearest(q, options));
-  }
-  state.SetLabel(std::string(SearchStrategyName(strategy)));
-  state.counters["dist_evals_per_query"] = benchmark::Counter(
-      static_cast<double>(index->distance_evaluations() - evals_before) /
-      static_cast<double>(state.iterations()));
-}
-
-// The allocation-free steady state: same workload as BM_IndexKnnSegments
-// but through a caller-provided reused SearchContext.
-void BM_IndexKnnSegmentsCtx(benchmark::State& state) {
-  const auto strategy = StrategyOf(static_cast<int>(state.range(0)));
-  const auto segments = RandomSegments(
-      static_cast<size_t>(state.range(1)), 2);
-  auto index = MakeSegmentIndex(strategy, MicroGrid());
   (void)index->Build(segments);
   Rng rng(3);
   SearchOptions options;
   options.k = 8;
   SearchContext ctx;
+  const uint64_t evals_before = index->distance_evaluations();
   for (auto _ : state) {
     const Point q{rng.Uniform(0, kRegion), rng.Uniform(0, kRegion)};
     benchmark::DoNotOptimize(index->KNearest(q, options, &ctx));
   }
   state.SetLabel(std::string(SearchStrategyName(strategy)));
+  state.counters["dist_evals_per_query"] = benchmark::Counter(
+      static_cast<double>(index->distance_evaluations() - evals_before) /
+      static_cast<double>(state.iterations()));
 }
 
 void BM_IndexKnnTrajectories(benchmark::State& state) {
@@ -111,9 +94,10 @@ void BM_IndexKnnTrajectories(benchmark::State& state) {
   SearchOptions options;
   options.k = 8;
   options.group_by = GroupBy::kTrajectory;
+  SearchContext ctx;
   for (auto _ : state) {
     const Point q{rng.Uniform(0, kRegion), rng.Uniform(0, kRegion)};
-    benchmark::DoNotOptimize(index->KNearest(q, options));
+    benchmark::DoNotOptimize(index->KNearest(q, options, &ctx));
   }
   state.SetLabel(std::string(SearchStrategyName(strategy)));
 }
@@ -161,31 +145,6 @@ void BM_IndexUpdate(benchmark::State& state) {
     }
   }
   state.SetLabel(std::string(SearchStrategyName(strategy)));
-}
-
-// Batched SoA sweep vs scalar reference on HG+, warm context. range(0)
-// selects the kernel; the dist_evals_per_query counters of the two
-// variants must be EQUAL (bit-identity contract) — asserted in CI.
-void BM_IndexKnnBatched(benchmark::State& state) {
-  const bool batched = state.range(0) != 0;
-  const auto segments = RandomSegments(
-      static_cast<size_t>(state.range(1)), 2);
-  auto index = MakeSegmentIndex(SearchStrategy::kBottomUpDown, MicroGrid());
-  (void)index->Build(segments);
-  Rng rng(3);
-  SearchOptions options;
-  options.k = 8;
-  options.use_batched_kernel = batched;
-  SearchContext ctx;
-  const uint64_t evals_before = index->distance_evaluations();
-  for (auto _ : state) {
-    const Point q{rng.Uniform(0, kRegion), rng.Uniform(0, kRegion)};
-    benchmark::DoNotOptimize(index->KNearest(q, options, &ctx));
-  }
-  state.SetLabel(batched ? "HG+/batched" : "HG+/scalar");
-  state.counters["dist_evals_per_query"] = benchmark::Counter(
-      static_cast<double>(index->distance_evaluations() - evals_before) /
-      static_cast<double>(state.iterations()));
 }
 
 // Reader scaling: N threads query ONE shared 100k-segment HG+ index
@@ -336,18 +295,8 @@ BENCHMARK(BM_IndexBuild)->Apply([](benchmark::internal::Benchmark* b) {
 })->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IndexKnnSegments)->Apply(StrategySizes)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_IndexKnnSegmentsCtx)->Apply(StrategySizes)
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_IndexKnnTrajectories)->Apply(StrategySizes)
     ->Unit(benchmark::kMicrosecond);
-// Iterations are pinned so the batched and scalar variants replay the
-// EXACT same query stream: their dist_evals_per_query counters must then
-// match to the last digit (asserted in CI).
-BENCHMARK(BM_IndexKnnBatched)->Apply([](benchmark::internal::Benchmark* b) {
-  for (const int64_t batched : {1, 0}) {
-    for (const int64_t size : {20000, 100000}) b->Args({batched, size});
-  }
-})->Iterations(3000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_IndexKnnSharedReaders)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();

@@ -1,9 +1,6 @@
 // Index explorer: builds the paper's hierarchical grid over a trajectory
 // dataset and contrasts the five kNN search strategies on the same queries
-// — the cell-pruning behaviour behind Fig. 5. Finishes with the batched
-// kernel exactness check: the SoA 8-lane sweep must reproduce the scalar
-// path's results and distance_evaluations bit for bit on this
-// deterministic workload.
+// — the cell-pruning behaviour behind Fig. 5.
 //
 //   build/examples/index_explorer
 
@@ -49,11 +46,12 @@ int main() {
     frt::Rng rng(123);
     frt::SearchOptions options;
     options.k = 8;
+    frt::SearchContext ctx;
     frt::Stopwatch query_watch;
     for (int q = 0; q < 1000; ++q) {
       const frt::Point p{rng.Uniform(region.min_x, region.max_x),
                          rng.Uniform(region.min_y, region.max_y)};
-      auto result = index->KNearest(p, options);
+      const auto result = index->KNearest(p, options, &ctx);
       if (result.size() != options.k) {
         std::fprintf(stderr, "unexpected result size\n");
         return 1;
@@ -78,52 +76,5 @@ int main() {
               "query than a linear scan (Theorem 4 pruning).\n",
               static_cast<size_t>(workload->dataset.TotalPoints() -
                                   workload->dataset.size()));
-
-  // Batched-vs-scalar A/B on HG+: same queries, both kernel paths; any
-  // divergence in results or eval counts is a hard failure.
-  {
-    auto index =
-        frt::MakeSegmentIndex(frt::SearchStrategy::kBottomUpDown, grid);
-    frt::SegmentHandle handle = 0;
-    for (const auto& traj : workload->dataset.trajectories()) {
-      handle += frt::IndexTrajectory(traj, index.get(), handle);
-    }
-    frt::SearchContext ctx;
-    frt::SearchOptions options;
-    options.k = 8;
-    for (const bool batched : {true, false}) {
-      options.use_batched_kernel = batched;
-      frt::Rng rng(123);
-      for (int q = 0; q < 1000; ++q) {
-        const frt::Point p{rng.Uniform(region.min_x, region.max_x),
-                           rng.Uniform(region.min_y, region.max_y)};
-        const auto hits = index->KNearest(p, options, &ctx);
-        // Fold every (handle, distance) pair into a checksum; the scalar
-        // pass must reproduce the batched pass exactly for it to match.
-        static unsigned long long checksum[2];
-        for (const auto& n : hits) {
-          double d = n.dist;
-          unsigned long long bits;
-          static_assert(sizeof(bits) == sizeof(d));
-          __builtin_memcpy(&bits, &d, sizeof(bits));
-          checksum[batched ? 0 : 1] ^= bits + 0x9e3779b97f4a7c15ull *
-                                                  (n.entry.handle + 1);
-        }
-        if (q == 999 && !batched) {
-          const unsigned long long evals = index->distance_evaluations();
-          if (checksum[0] != checksum[1] || evals % 2 != 0) {
-            std::fprintf(stderr,
-                         "batched/scalar divergence: checksums %llx vs "
-                         "%llx, total evals %llu\n",
-                         checksum[0], checksum[1], evals);
-            return 1;
-          }
-          std::printf("batched kernel A/B: bit-identical over 1000 HG+ "
-                      "queries (checksum %llx, %llu evals split evenly)\n",
-                      checksum[0], evals);
-        }
-      }
-    }
-  }
   return 0;
 }

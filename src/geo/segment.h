@@ -41,13 +41,15 @@ inline double SegmentInvLen2(double dx, double dy) {
 /// dist² = e·e.
 ///
 /// This exact operation sequence is the single source of truth for Eq. (3)
-/// distances everywhere a search compares or reports them: the scalar
-/// indexes and the batched SoA kernel (geo/segment_soa.h) both evaluate it
-/// verbatim (multiply by the precomputed reciprocal, never divide), so
-/// their results are bit-identical and the cross-strategy equivalence and
-/// batched-vs-scalar exactness contracts hold exactly, not approximately.
-/// The project builds with -ffp-contract=off so the compiler cannot fuse
-/// differently between the scalar and auto-vectorized instantiations.
+/// distances everywhere a search compares or reports them: the linear and
+/// uniform-grid indexes evaluate it through PointSegmentDistance2, and the
+/// hierarchical grid's batched SoA kernel (geo/segment_soa.h) evaluates it
+/// verbatim per lane (multiply by the precomputed reciprocal, never
+/// divide). So every batched lane equals PointSegmentDistance2 bit for bit
+/// and the cross-strategy equivalence contract holds exactly, not
+/// approximately. The project builds with -ffp-contract=off so the
+/// compiler cannot fuse differently between the scalar and
+/// auto-vectorized instantiations.
 inline double PointSegmentDistance2Kernel(double qx, double qy, double ax,
                                           double ay, double dx, double dy,
                                           double inv_len2) {

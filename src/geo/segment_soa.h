@@ -12,7 +12,8 @@
 //
 // Exactness: the per-lane arithmetic is PointSegmentDistance2Kernel
 // (geo/segment.h) verbatim — multiply by the precomputed reciprocal, clamp,
-// dot — so batched distances are bit-identical to the scalar path. Padded
+// dot — so batched distances are bit-identical to PointSegmentDistance2
+// (checked lane by lane in tests/index_block_skip_test.cc). Padded
 // tail lanes compute garbage that callers must ignore (they never read
 // lanes >= size()).
 //

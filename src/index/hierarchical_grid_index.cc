@@ -22,7 +22,6 @@ uint32_t HierarchicalGridIndex::AllocCell(const CellCoord& coord) {
   if (free_head_ != kNil) {
     slot = free_head_;
     free_head_ = arena_[slot].parent;
-    --free_slots_;
     arena_[slot].children.clear();
     arena_[slot].segments.clear();
     arena_[slot].geom.clear();
@@ -85,10 +84,9 @@ void HierarchicalGridIndex::MaybePrune(uint32_t slot) {
   slot_of_coord_.erase(cell.coord.Key());
   cell.parent = free_head_;
   free_head_ = slot;
-  ++free_slots_;
 }
 
-Status HierarchicalGridIndex::InsertImpl(const SegmentEntry& entry) {
+Status HierarchicalGridIndex::Insert(const SegmentEntry& entry) {
   auto [it, inserted] = cell_of_.try_emplace(entry.handle, kNil);
   if (!inserted) {
     return Status::AlreadyExists("segment handle already indexed");
@@ -101,10 +99,6 @@ Status HierarchicalGridIndex::InsertImpl(const SegmentEntry& entry) {
   return Status::OK();
 }
 
-Status HierarchicalGridIndex::Insert(const SegmentEntry& entry) {
-  return InsertImpl(entry);
-}
-
 Status HierarchicalGridIndex::Build(Span<const SegmentEntry> entries) {
   cell_of_.reserve(cell_of_.size() + entries.size());
   // Occupied-cell counts are data-dependent; entries/2 matches the dense
@@ -113,7 +107,7 @@ Status HierarchicalGridIndex::Build(Span<const SegmentEntry> entries) {
   slot_of_coord_.reserve(slot_of_coord_.size() + entries.size() / 2 + 1);
   arena_.reserve(arena_.size() + entries.size() / 2 + 1);
   for (const SegmentEntry& e : entries) {
-    FRT_RETURN_IF_ERROR(InsertImpl(e));
+    FRT_RETURN_IF_ERROR(Insert(e));
   }
   return Status::OK();
 }
@@ -136,40 +130,6 @@ Status HierarchicalGridIndex::Remove(SegmentHandle handle) {
   cell_of_.erase(it);
   MaybePrune(slot);
   return Status::OK();
-}
-
-size_t HierarchicalGridIndex::Compact() {
-  if (free_head_ == kNil) return 0;
-
-  // Mark free-listed slots, then renumber the live ones in slot order —
-  // relative order (and every child vector's order) is preserved, so
-  // traversal order and distance-evaluation counts are unchanged.
-  std::vector<char> dead(arena_.size(), 0);
-  for (uint32_t s = free_head_; s != kNil; s = arena_[s].parent) dead[s] = 1;
-  std::vector<uint32_t> remap(arena_.size(), kNil);
-  uint32_t next = 0;
-  for (uint32_t s = 0; s < arena_.size(); ++s) {
-    if (!dead[s]) remap[s] = next++;
-  }
-  const size_t reclaimed = arena_.size() - next;
-
-  std::vector<HgCell> packed;
-  packed.reserve(next);
-  for (uint32_t s = 0; s < arena_.size(); ++s) {
-    if (dead[s]) continue;
-    packed.push_back(std::move(arena_[s]));
-    HgCell& cell = packed.back();
-    if (cell.parent != kNil) cell.parent = remap[cell.parent];
-    for (uint32_t& child : cell.children) child = remap[child];
-  }
-  arena_ = std::move(packed);
-  for (auto& [key, slot] : slot_of_coord_) slot = remap[slot];
-  for (auto& [handle, slot] : cell_of_) slot = remap[slot];
-  root_ = remap[root_];
-  free_head_ = kNil;
-  free_slots_ = 0;
-  ++compactions_;
-  return reclaimed;
 }
 
 Span<const SegmentEntry> HierarchicalGridIndex::CellSegments(
@@ -209,11 +169,9 @@ uint64_t HierarchicalGridIndex::SweepCell(const HgCell& cell, const Point& q,
   // not offered: in segment mode Offer would reject it, and in trajectory
   // mode it could only create or lower a trajectory best that still ranks
   // below the K held ones, so neither the threshold nor the result moves.
-  // Both kernel paths make the same decisions against the same thresholds,
-  // so their distance_evaluations agree. The segment-mode threshold is a
-  // heap peek and is re-read per block; the trajectory-mode one runs a
-  // selection, so it is read once per cell — a stale threshold is only
-  // larger, which is conservative.
+  // The segment-mode threshold is a heap peek and is re-read per block;
+  // the trajectory-mode one runs a selection, so it is read once per cell
+  // — a stale threshold is only larger, which is conservative.
   const bool per_block_threshold = options.group_by == GroupBy::kSegment;
   double thr2 = collector.Threshold2();
   uint64_t evals = 0;
@@ -223,19 +181,16 @@ uint64_t HierarchicalGridIndex::SweepCell(const HgCell& cell, const Point& q,
     if (BlockBeyond(q, block, thr2)) continue;
     const size_t lanes = std::min(kDistLanes, n - base);
     const SegmentEntry* entries = segs.data() + base;
-    // The batched kernel computes every lane (it is branch-free, padded
-    // and filtered-out lanes included); only eligible lanes are counted.
+    // The kernel computes every lane (it is branch-free, padded and
+    // filtered-out lanes included); only eligible lanes are counted.
     double d2[kDistLanes];
-    if (options.use_batched_kernel) PointSegmentDistance2Batch(q, block, d2);
+    PointSegmentDistance2Batch(q, block, d2);
     for (size_t i = 0; i < lanes; ++i) {
       const SegmentEntry& e = entries[i];
       if (options.filter && !options.filter(e)) continue;
       ++evals;
-      const double dist2 = options.use_batched_kernel
-                               ? d2[i]
-                               : PointSegmentDistance2(q, e.geom);
-      if (dist2 > thr2) continue;
-      collector.Offer(e, dist2);
+      if (d2[i] > thr2) continue;
+      collector.Offer(e, d2[i]);
     }
   }
   return evals;

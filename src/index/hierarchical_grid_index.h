@@ -16,8 +16,8 @@
 // a free list threaded through the parent field. Segment entries are stored
 // *inline* in their cell's segment vector, with the geometry mirrored into
 // fixed-width SoA lane blocks (geo/segment_soa.h) that the batched 8-lane
-// distance kernel sweeps, so the search loops touch no hash table and the
-// inner distance loop vectorizes. Each block carries a conservative
+// distance kernel sweeps — the index's only distance path — so the search
+// loops touch no hash table and the inner distance loop vectorizes. Each block carries a conservative
 // bounding box; a sweep skips blocks whose box lies beyond the current
 // K-th distance, which matters for the coarse cells every query must
 // visit (every ancestor of q has MINdist 0).
@@ -31,8 +31,10 @@
 // Updates. Insert creates the best-fit cell on demand and re-parents any
 // existing cells that fall inside it; Remove splices empty cells out. This
 // keeps the index valid across the edit batches of trajectory modification
-// (Algorithm 3 line 36, ModifyAndUpdate). Long-lived indexes accumulate
-// free-listed slots; Compact() repacks the live cells dense again.
+// (Algorithm 3 line 36, ModifyAndUpdate). Every index lives for one call
+// (one global-edit Apply, one audited window, one trajectory's local
+// stage), so the free list only recycles slots within that call and the
+// arena never needs repacking.
 
 #ifndef FRT_INDEX_HIERARCHICAL_GRID_INDEX_H_
 #define FRT_INDEX_HIERARCHICAL_GRID_INDEX_H_
@@ -58,7 +60,6 @@ class HierarchicalGridIndex : public SegmentIndex {
   Status Insert(const SegmentEntry& entry) override;
   Status Build(Span<const SegmentEntry> entries) override;
   Status Remove(SegmentHandle handle) override;
-  using SegmentIndex::KNearest;
   Span<const Neighbor> KNearest(const Point& q, const SearchOptions& options,
                                 SearchContext* ctx) const override;
   size_t size() const override { return cell_of_.size(); }
@@ -66,34 +67,10 @@ class HierarchicalGridIndex : public SegmentIndex {
     return dist_evals_.load(std::memory_order_relaxed);
   }
 
-  /// \brief Repacks live cells into a dense arena, dropping every
-  /// free-listed slot while preserving relative slot order (and hence
-  /// child order, traversal order, and distance-evaluation counts).
-  /// Shrinks the slot space SearchContext stamp vectors are keyed by, so
-  /// contexts warmed before a Compact stay allocation-free after it.
-  /// Requires exclusive access (it is a mutation); returns the number of
-  /// free slots reclaimed.
-  size_t Compact();
-
   // --- introspection (tests / diagnostics) ---
 
   /// Number of materialized cells (including the root).
   size_t NumCells() const { return slot_of_coord_.size(); }
-
-  /// Total arena slots, live + free-listed. The slot-space bound contexts
-  /// size their stamp vectors to.
-  size_t ArenaSlots() const { return arena_.size(); }
-
-  /// Fraction of arena slots sitting on the free list — the fragmentation
-  /// long-lived streaming indexes accumulate and Compact() reclaims.
-  double Fragmentation() const {
-    return arena_.empty() ? 0.0
-                          : static_cast<double>(free_slots_) /
-                                static_cast<double>(arena_.size());
-  }
-
-  /// Number of Compact() calls that reclaimed at least one slot.
-  uint64_t compactions() const { return compactions_; }
 
   /// Best-fit cell coordinate for a segment (Definition 11).
   CellCoord BestFit(const Segment& s) const {
@@ -131,18 +108,16 @@ class HierarchicalGridIndex : public SegmentIndex {
   uint32_t AllocCell(const CellCoord& coord);
   uint32_t GetOrCreateCell(const CellCoord& coord);
   void MaybePrune(uint32_t slot);
-  Status InsertImpl(const SegmentEntry& entry);
 
   /// The materialized cell the bottom-up phase starts from: the nearest
   /// materialized ancestor of the finest-level cell containing q
   /// (Algorithm 3 line 1, LocatePoint).
   uint32_t LocateStart(const Point& q) const;
 
-  /// Evaluates the residents of `cell` against q and offers the eligible
-  /// ones to the collector, via the batched SoA kernel or the scalar
-  /// reference path per `options`, skipping every lane block whose box
-  /// lies beyond the collector's threshold and not offering lanes that
-  /// do. Returns the evaluated eligible-candidate count (the
+  /// Evaluates the residents of `cell` against q through the batched SoA
+  /// kernel and offers the eligible ones to the collector, skipping every
+  /// lane block whose box lies beyond the collector's threshold and not
+  /// offering lanes that do. Returns the evaluated eligible-candidate count (the
   /// distance_evaluations contribution).
   uint64_t SweepCell(const HgCell& cell, const Point& q,
                      const SearchOptions& options, SearchContext* ctx) const;
@@ -156,8 +131,6 @@ class HierarchicalGridIndex : public SegmentIndex {
   SearchStrategy strategy_;
   std::vector<HgCell> arena_;
   uint32_t free_head_ = kNil;
-  size_t free_slots_ = 0;
-  uint64_t compactions_ = 0;
   std::unordered_map<uint64_t, uint32_t> slot_of_coord_;
   std::unordered_map<SegmentHandle, uint32_t> cell_of_;
   uint32_t root_ = 0;

@@ -67,8 +67,7 @@ class SearchContext {
   /// Rearms the visited stamps for a new search over an index with
   /// `slots` addressable slots and returns this search's stamp. Grows the
   /// stamp vector on first contact with a larger index (steady-state
-  /// searches against a stable index never reallocate; arena compaction
-  /// only shrinks the slot space, so reuse after Compact() is free).
+  /// searches against a stable index never reallocate).
   uint32_t BeginVisit(size_t slots) {
     if (stamps_.size() < slots) stamps_.resize(slots, 0);
     if (++visit_epoch_ == 0) {

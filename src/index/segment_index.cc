@@ -2,7 +2,6 @@
 
 #include "index/hierarchical_grid_index.h"
 #include "index/linear_index.h"
-#include "index/search_context.h"
 #include "index/uniform_grid_index.h"
 
 namespace frt {
@@ -28,15 +27,6 @@ Status SegmentIndex::Build(Span<const SegmentEntry> entries) {
     FRT_RETURN_IF_ERROR(Insert(e));
   }
   return Status::OK();
-}
-
-std::vector<Neighbor> SegmentIndex::KNearest(
-    const Point& q, const SearchOptions& options) const {
-  // One warm context per thread keeps the legacy signature cheap; the
-  // returned vector is the only allocation in steady state.
-  thread_local SearchContext ctx;
-  const Span<const Neighbor> results = KNearest(q, options, &ctx);
-  return std::vector<Neighbor>(results.begin(), results.end());
 }
 
 std::unique_ptr<SegmentIndex> MakeSegmentIndex(SearchStrategy strategy,

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "common/function_ref.h"
 #include "common/result.h"
@@ -80,25 +79,15 @@ struct SearchOptions {
   /// Non-owning: the callable must be a named object that outlives the
   /// KNearest call (see common/function_ref.h).
   FunctionRef<bool(const SegmentEntry&)> filter;
-  /// Evaluate cell residents through the 8-lane SoA distance kernel
-  /// (geo/segment_soa.h) instead of one scalar kernel call per candidate.
-  /// Results and distance_evaluations are bit-identical either way (the
-  /// two paths share one arithmetic kernel); the scalar path exists as the
-  /// A/B reference for that exactness contract. Honored by the
-  /// hierarchical grid; the linear and uniform-grid competitors are always
-  /// scalar.
-  bool use_batched_kernel = true;
 };
 
 /// \brief Reusable per-thread scratch state for KNearest calls.
 ///
 /// Holds the collector, traversal frontier, and result buffers so
 /// steady-state queries allocate nothing. Not thread-safe: use one context
-/// per thread, never concurrently. Results returned by the
-/// KNearest(..., SearchContext*) overload live inside the context and are
-/// invalidated by the next search using it. Defined in
-/// index/search_context.h; callers that only use the allocating overload
-/// never need the definition.
+/// per thread, never concurrently. Results returned by KNearest live
+/// inside the context and are invalidated by the next search using it.
+/// Defined in index/search_context.h.
 class SearchContext;
 
 /// \brief Interface of a dynamic segment index.
@@ -128,7 +117,7 @@ class SegmentIndex {
   /// same context. With a warm context this performs no heap allocation.
   ///
   /// Thread safety: KNearest is a genuinely read-only operation. Between
-  /// mutations (Insert/Build/Remove/Compact), any number of threads may
+  /// mutations (Insert/Build/Remove), any number of threads may
   /// search the SAME index concurrently, each through its own
   /// SearchContext — all per-query mutable state (visited stamps, scratch
   /// buffers) lives in the context, and the distance_evaluations counter
@@ -136,11 +125,6 @@ class SegmentIndex {
   virtual Span<const Neighbor> KNearest(const Point& q,
                                         const SearchOptions& options,
                                         SearchContext* ctx) const = 0;
-
-  /// Convenience overload: runs through a thread-local context and copies
-  /// the results out (one allocation for the returned vector).
-  std::vector<Neighbor> KNearest(const Point& q,
-                                 const SearchOptions& options) const;
 
   /// Number of live segments.
   virtual size_t size() const = 0;

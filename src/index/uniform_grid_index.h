@@ -33,7 +33,6 @@ class UniformGridIndex : public SegmentIndex {
   Status Insert(const SegmentEntry& entry) override;
   Status Build(Span<const SegmentEntry> entries) override;
   Status Remove(SegmentHandle handle) override;
-  using SegmentIndex::KNearest;
   Span<const Neighbor> KNearest(const Point& q, const SearchOptions& options,
                                 SearchContext* ctx) const override;
   size_t size() const override { return slot_of_.size(); }

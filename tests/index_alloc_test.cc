@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "index/hierarchical_grid_index.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
 
@@ -29,11 +28,11 @@
 #endif
 #endif
 
+#ifndef FRT_ALLOC_COUNTING_DISABLED
+
 namespace {
 uint64_t g_allocations = 0;
 }  // namespace
-
-#ifndef FRT_ALLOC_COUNTING_DISABLED
 
 void* operator new(std::size_t size) {
   ++g_allocations;
@@ -83,8 +82,7 @@ TEST(IndexAllocTest, WarmContextQueriesAreAllocationFree) {
     SearchContext ctx;
     // The warm-up replays the exact query sequence measured afterwards
     // (same seed), so every scratch buffer provably reaches the high-water
-    // mark the measured phase needs. Both kernel paths are driven: the
-    // batched sweep additionally exercises the SoA lane buffer.
+    // mark the measured phase needs.
     const auto run_queries = [&](int count) {
       Rng rng(99);
       for (int i = 0; i < count; ++i) {
@@ -92,14 +90,11 @@ TEST(IndexAllocTest, WarmContextQueriesAreAllocationFree) {
                       rng.Uniform(0, kRegionSize)};
         for (const GroupBy mode :
              {GroupBy::kSegment, GroupBy::kTrajectory}) {
-          for (const bool batched : {true, false}) {
-            SearchOptions options;
-            options.k = 8;
-            options.group_by = mode;
-            options.use_batched_kernel = batched;
-            const auto results = index->KNearest(q, options, &ctx);
-            ASSERT_EQ(results.size(), 8u);
-          }
+          SearchOptions options;
+          options.k = 8;
+          options.group_by = mode;
+          const auto results = index->KNearest(q, options, &ctx);
+          ASSERT_EQ(results.size(), 8u);
         }
       }
     };
@@ -117,49 +112,6 @@ TEST(IndexAllocTest, WarmContextQueriesAreAllocationFree) {
         << "steady-state KNearest allocated on the heap";
 #endif
   }
-}
-
-// A context warmed before Compact() stays allocation-free after it: the
-// arena only shrinks, so the context's stamp vector (keyed by arena slot)
-// never needs to regrow.
-TEST(IndexAllocTest, WarmContextSurvivesCompactAllocationFree) {
-  const GridSpec grid(BBox::Of({0, 0}, {kRegionSize, kRegionSize}), 10);
-  const auto segments = RandomSegments(20000);
-  HierarchicalGridIndex index(grid, SearchStrategy::kBottomUpDown);
-  ASSERT_TRUE(index.Build(Span<const SegmentEntry>(segments)).ok());
-  // Churn cells onto the free list, then repack.
-  for (SegmentHandle h = 0; h < segments.size(); h += 4) {
-    ASSERT_TRUE(index.Remove(h).ok());
-  }
-
-  SearchContext ctx;
-  const auto run_queries = [&](int count) {
-    Rng rng(77);
-    for (int i = 0; i < count; ++i) {
-      const Point q{rng.Uniform(0, kRegionSize),
-                    rng.Uniform(0, kRegionSize)};
-      for (const bool batched : {true, false}) {
-        SearchOptions options;
-        options.k = 8;
-        options.use_batched_kernel = batched;
-        const auto results = index.KNearest(q, options, &ctx);
-        ASSERT_EQ(results.size(), 8u);
-      }
-    }
-  };
-
-  run_queries(100);  // warm against the fragmented arena
-  ASSERT_GT(index.Compact(), 0u);
-
-#ifdef FRT_ALLOC_COUNTING_DISABLED
-  run_queries(100);
-  GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#else
-  const uint64_t before = g_allocations;
-  run_queries(100);
-  EXPECT_EQ(g_allocations, before)
-      << "KNearest allocated after Compact() with a warm context";
-#endif
 }
 
 }  // namespace

@@ -9,15 +9,17 @@
 // vertex so exact ties are common — and assert that skipping changes the
 // work but never the answer: results equal the linear scan's (handle,
 // dist) at every rank in both grouping modes, with a filter, and after
-// interleaved Remove/Insert calls that leave boxes stale; the batched and
-// scalar kernels agree on results and on distance_evaluations, lanes
-// beyond theta_K included (they are counted, not offered); and the
+// interleaved Remove/Insert calls that leave boxes stale; and the
 // evaluation count falls strictly below what sweeping the root alone would
-// cost.
+// cost. The SoA layer underneath is checked directly: block boxes bound
+// their live lanes, and every live lane of the batched kernel equals the
+// scalar PointSegmentDistance2 bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -227,47 +229,6 @@ TEST(BlockSkipTest, StaleBoxesAfterInterleavedRemoveInsertStayExact) {
   }
 }
 
-TEST(BlockSkipTest, BatchedAndScalarAgreeOnResultsAndEvaluations) {
-  const Fixture f = MakeFixture(13);
-  const auto even_traj = [](const SegmentEntry& e) {
-    return e.traj % 2 == 0;
-  };
-  for (const SearchStrategy s : kHgStrategies) {
-    const auto index = MakeSegmentIndex(s, TestGrid());
-    ASSERT_TRUE(index->Build(Span<const SegmentEntry>(f.entries)).ok());
-    for (const GroupBy mode : {GroupBy::kSegment, GroupBy::kTrajectory}) {
-      for (const bool filtered : {false, true}) {
-        SearchOptions options;
-        options.k = 4;
-        options.group_by = mode;
-        if (filtered) options.filter = even_traj;
-        SearchContext batched_ctx;
-        SearchContext scalar_ctx;
-        uint64_t batched_evals = 0;
-        uint64_t scalar_evals = 0;
-        for (const Point& q : f.queries) {
-          options.use_batched_kernel = true;
-          uint64_t before = index->distance_evaluations();
-          const Span<const Neighbor> batched =
-              index->KNearest(q, options, &batched_ctx);
-          batched_evals += index->distance_evaluations() - before;
-          options.use_batched_kernel = false;
-          before = index->distance_evaluations();
-          const Span<const Neighbor> scalar =
-              index->KNearest(q, options, &scalar_ctx);
-          scalar_evals += index->distance_evaluations() - before;
-          ASSERT_EQ(batched.size(), scalar.size());
-          for (size_t i = 0; i < batched.size(); ++i) {
-            ASSERT_EQ(batched[i].entry.handle, scalar[i].entry.handle);
-            ASSERT_EQ(batched[i].dist, scalar[i].dist);
-          }
-        }
-        EXPECT_EQ(batched_evals, scalar_evals) << Label(s, mode, filtered);
-      }
-    }
-  }
-}
-
 TEST(BlockSkipTest, EvaluatesStrictlyFewerThanSweepingTheRoot) {
   // Every query visits the root (it is an ancestor of every cell), so
   // without block skipping each query evaluates at least the root's
@@ -329,6 +290,86 @@ TEST(SegmentGeomSoATest, BlockBoxesBoundLiveLanesUnderChurn) {
       const BBox& box = soa.block(i / kDistLanes).box;
       ASSERT_TRUE(box.ContainsSegment(mirror[i])) << "step " << step;
     }
+  }
+}
+
+uint64_t Bits(double d) {
+  uint64_t u;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+/// Asserts every live lane of `soa` evaluates, through the batched
+/// kernel, to exactly PointSegmentDistance2 of its mirrored segment at
+/// each query.
+void ExpectKernelMatchesScalar(const SegmentGeomSoA& soa,
+                               const std::vector<Segment>& mirror,
+                               const std::vector<Point>& queries) {
+  for (const Point& q : queries) {
+    for (size_t base = 0; base < mirror.size(); base += kDistLanes) {
+      double d2[kDistLanes];
+      PointSegmentDistance2Batch(q, soa.block(base / kDistLanes), d2);
+      const size_t lanes = std::min(kDistLanes, mirror.size() - base);
+      for (size_t i = 0; i < lanes; ++i) {
+        const double want = PointSegmentDistance2(q, mirror[base + i]);
+        // Bitwise: EXPECT_EQ would also pass +0.0 against -0.0.
+        EXPECT_EQ(Bits(d2[i]), Bits(want))
+            << "lane " << base + i << " at (" << q.x << ", " << q.y
+            << "): " << d2[i] << " vs " << want;
+      }
+    }
+  }
+}
+
+TEST(SegmentGeomSoATest, BatchedKernelEqualsScalarBitForBit) {
+  // The one distance kernel every HG sweep runs must reproduce the scalar
+  // function the linear scan uses, lane by lane, at every coordinate
+  // scale, on degenerate and signed-zero geometry, in partly filled
+  // blocks and after SwapRemove has moved lanes around.
+  Rng rng(29);
+  for (const double scale : {1e-3, 1.0, 1e4, 1e7}) {
+    SCOPED_TRACE(scale);
+    SegmentGeomSoA soa;
+    std::vector<Segment> mirror;
+    const auto coord = [&rng, scale] { return rng.Uniform(-scale, scale); };
+    // 50 random + 3 signed-zero segments: the last block is part full.
+    for (int i = 0; i < 50; ++i) {
+      const Point a{coord(), coord()};
+      Point b{coord(), coord()};
+      if (i % 7 == 0) b = a;  // zero-length: distance to endpoint a
+      if (i % 11 == 0) b = {a.x + scale * 1e-9, a.y};  // near-degenerate
+      mirror.push_back({a, b});
+      soa.PushBack(mirror.back());
+    }
+    // Signed zeros on both sides of the kernel.
+    for (const Segment& z : {Segment{{0.0, -0.0}, {-0.0, 0.0}},
+                             Segment{{-0.0, -0.0}, {scale, -0.0}},
+                             Segment{{0.0, scale}, {-0.0, -scale}}}) {
+      mirror.push_back(z);
+      soa.PushBack(z);
+    }
+    std::vector<Point> queries;
+    for (int i = 0; i < 40; ++i) queries.push_back({coord(), coord()});
+    queries.push_back({0.0, 0.0});
+    queries.push_back({-0.0, -0.0});
+    queries.push_back({-0.0, scale});
+    queries.push_back(mirror[7].a);  // on a zero-length segment
+    queries.push_back(mirror[1].b);  // on an endpoint
+    ASSERT_EQ(soa.size(), mirror.size());
+    ExpectKernelMatchesScalar(soa, mirror, queries);
+
+    // SwapRemove moves the last lane into the hole: lanes migrate between
+    // blocks and the tail block shrinks to a partial fill.
+    for (int i = 0; i < 20; ++i) {
+      const size_t pick = static_cast<size_t>(
+          rng.Uniform(0, static_cast<double>(mirror.size())));
+      soa.SwapRemove(pick, mirror.back());
+      mirror[pick] = mirror.back();
+      mirror.pop_back();
+    }
+    ASSERT_EQ(soa.size(), mirror.size());
+    ExpectKernelMatchesScalar(soa, mirror, queries);
+    if (::testing::Test::HasFailure()) return;
   }
 }
 

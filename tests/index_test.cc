@@ -44,8 +44,8 @@ SegmentEntry RandomSegment(SegmentHandle handle, TrajId traj, Rng& rng,
 /// Every rank must hold the same segment at the same distance, bit for
 /// bit: ties break by (dist², handle), so the result is a pure function of
 /// the segment set and all strategies share one distance kernel.
-void ExpectSameResults(const std::vector<Neighbor>& got,
-                       const std::vector<Neighbor>& want,
+/// `got` and `want` must come from different SearchContexts.
+void ExpectSameResults(Span<const Neighbor> got, Span<const Neighbor> want,
                        const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   for (size_t i = 0; i < got.size(); ++i) {
@@ -123,7 +123,8 @@ TEST(HierarchicalGridTest, EmptyIndexReturnsNothing) {
   HierarchicalGridIndex index(TestGrid(), SearchStrategy::kBottomUpDown);
   SearchOptions options;
   options.k = 3;
-  EXPECT_TRUE(index.KNearest({100, 100}, options).empty());
+  SearchContext ctx;
+  EXPECT_TRUE(index.KNearest({100, 100}, options, &ctx).empty());
 }
 
 TEST(HierarchicalGridTest, PruningReducesDistanceEvaluations) {
@@ -137,10 +138,11 @@ TEST(HierarchicalGridTest, PruningReducesDistanceEvaluations) {
   }
   SearchOptions options;
   options.k = 5;
+  SearchContext ctx;
   for (int i = 0; i < 20; ++i) {
     const Point q{rng.Uniform(0, kRegionSize), rng.Uniform(0, kRegionSize)};
-    (void)hg.KNearest(q, options);
-    (void)linear->KNearest(q, options);
+    (void)hg.KNearest(q, options, &ctx);
+    (void)linear->KNearest(q, options, &ctx);
   }
   // The hierarchical index must evaluate far fewer exact distances.
   EXPECT_LT(hg.distance_evaluations(),
@@ -167,6 +169,7 @@ TEST(EdgeCellBoundTest, SegmentLeavingTheRegionIsFound) {
   const SegmentEntry leaving{1, 1, Segment{{9990, 5000}, {12000, 5010}}};
   const SegmentEntry inside{2, 2, Segment{{9900, 3900}, {9901, 3901}}};
   const Point q{11000, 4000};
+  SearchContext ctx;
   for (const SearchStrategy s : kAllStrategies) {
     auto index = MakeSegmentIndex(s, TestGrid());
     ASSERT_TRUE(index->Insert(leaving).ok());
@@ -175,7 +178,7 @@ TEST(EdgeCellBoundTest, SegmentLeavingTheRegionIsFound) {
       SearchOptions options;
       options.k = 1;
       options.group_by = mode;
-      const auto hits = index->KNearest(q, options);
+      const auto hits = index->KNearest(q, options, &ctx);
       ASSERT_EQ(hits.size(), 1u);
       EXPECT_EQ(hits[0].entry.handle, leaving.handle)
           << SearchStrategyName(s);
@@ -210,11 +213,8 @@ TEST(EdgeCellBoundTest, RandomSegmentsLeavingTheRegionMatchLinear) {
         options.k = k;
         options.group_by = mode;
         const auto want = indexes[0]->KNearest(q, options, &linear_ctx);
-        const std::vector<Neighbor> want_copy(want.begin(), want.end());
         for (size_t s = 1; s < indexes.size(); ++s) {
-          const auto got = indexes[s]->KNearest(q, options, &ctx);
-          ExpectSameResults(std::vector<Neighbor>(got.begin(), got.end()),
-                            want_copy,
+          ExpectSameResults(indexes[s]->KNearest(q, options, &ctx), want,
                             std::string(SearchStrategyName(kAllStrategies[s])) +
                                 " trial " + std::to_string(trial));
           if (::testing::Test::HasFatalFailure()) return;
@@ -238,17 +238,18 @@ TEST_P(StrategyEquivalenceTest, MatchesLinearOnRandomData) {
     ASSERT_TRUE(linear->Insert(e).ok());
     ASSERT_TRUE(index->Insert(e).ok());
   }
+  SearchContext ctx;
+  SearchContext linear_ctx;
   for (const size_t k : {1u, 3u, 10u, 40u}) {
     for (int trial = 0; trial < 25; ++trial) {
       const Point q{rng.Uniform(0, kRegionSize),
                     rng.Uniform(0, kRegionSize)};
       SearchOptions options;
       options.k = k;
-      const auto want = linear->KNearest(q, options);
-      const auto got = index->KNearest(q, options);
-      ExpectSameResults(got, want,
-                          std::string(SearchStrategyName(GetParam())) +
-                              " k=" + std::to_string(k));
+      ExpectSameResults(index->KNearest(q, options, &ctx),
+                        linear->KNearest(q, options, &linear_ctx),
+                        std::string(SearchStrategyName(GetParam())) +
+                            " k=" + std::to_string(k));
     }
   }
 }
@@ -262,6 +263,8 @@ TEST_P(StrategyEquivalenceTest, TrajectoryGroupingMatchesLinear) {
     ASSERT_TRUE(linear->Insert(e).ok());
     ASSERT_TRUE(index->Insert(e).ok());
   }
+  SearchContext ctx;
+  SearchContext linear_ctx;
   for (const size_t k : {1u, 5u, 20u}) {
     for (int trial = 0; trial < 15; ++trial) {
       const Point q{rng.Uniform(0, kRegionSize),
@@ -269,9 +272,9 @@ TEST_P(StrategyEquivalenceTest, TrajectoryGroupingMatchesLinear) {
       SearchOptions options;
       options.k = k;
       options.group_by = GroupBy::kTrajectory;
-      const auto want = linear->KNearest(q, options);
-      const auto got = index->KNearest(q, options);
-      ExpectSameResults(got, want, "traj mode");
+      const auto got = index->KNearest(q, options, &ctx);
+      ExpectSameResults(got, linear->KNearest(q, options, &linear_ctx),
+                        "traj mode");
       // Distinct trajectories only.
       std::unordered_set<TrajId> trajs;
       for (const auto& n : got) {
@@ -294,11 +297,13 @@ TEST_P(StrategyEquivalenceTest, FilterExcludesIneligibleSegments) {
   SearchOptions options;
   options.k = 10;
   options.filter = not_traj3;
+  SearchContext ctx;
+  SearchContext linear_ctx;
   for (int trial = 0; trial < 10; ++trial) {
     const Point q{rng.Uniform(0, kRegionSize), rng.Uniform(0, kRegionSize)};
-    const auto got = index->KNearest(q, options);
-    const auto want = linear->KNearest(q, options);
-    ExpectSameResults(got, want, "filtered");
+    const auto got = index->KNearest(q, options, &ctx);
+    ExpectSameResults(got, linear->KNearest(q, options, &linear_ctx),
+                      "filtered");
     for (const auto& n : got) ASSERT_NE(n.entry.traj, 3);
   }
 }
@@ -309,6 +314,8 @@ TEST_P(StrategyEquivalenceTest, StaysCorrectAcrossUpdates) {
   auto index = MakeSegmentIndex(GetParam(), TestGrid());
   std::vector<SegmentHandle> live;
   SegmentHandle next = 0;
+  SearchContext ctx;
+  SearchContext linear_ctx;
   for (int round = 0; round < 6; ++round) {
     // Insert a batch.
     for (int i = 0; i < 300; ++i) {
@@ -333,9 +340,9 @@ TEST_P(StrategyEquivalenceTest, StaysCorrectAcrossUpdates) {
     for (int trial = 0; trial < 8; ++trial) {
       const Point q{rng.Uniform(0, kRegionSize),
                     rng.Uniform(0, kRegionSize)};
-      ExpectSameResults(index->KNearest(q, options),
-                          linear->KNearest(q, options),
-                          "after updates round " + std::to_string(round));
+      ExpectSameResults(index->KNearest(q, options, &ctx),
+                        linear->KNearest(q, options, &linear_ctx),
+                        "after updates round " + std::to_string(round));
     }
   }
 }
@@ -348,7 +355,8 @@ TEST_P(StrategyEquivalenceTest, KLargerThanPopulationReturnsAll) {
   }
   SearchOptions options;
   options.k = 100;
-  EXPECT_EQ(index->KNearest({500, 500}, options).size(), 12u);
+  SearchContext ctx;
+  EXPECT_EQ(index->KNearest({500, 500}, options, &ctx).size(), 12u);
 }
 
 TEST_P(StrategyEquivalenceTest, ResultsSortedAscending) {
@@ -359,7 +367,8 @@ TEST_P(StrategyEquivalenceTest, ResultsSortedAscending) {
   }
   SearchOptions options;
   options.k = 20;
-  const auto result = index->KNearest({5000, 5000}, options);
+  SearchContext ctx;
+  const auto result = index->KNearest({5000, 5000}, options, &ctx);
   for (size_t i = 0; i + 1 < result.size(); ++i) {
     ASSERT_LE(result[i].dist, result[i + 1].dist + 1e-12);
   }
@@ -437,7 +446,6 @@ TEST(StrategyEquivalencePropertyTest, InterleavedUpdatesAllModesReusedCtx) {
           options.group_by = mode;
           if (filtered) options.filter = not_banned;
           const auto want = linear.KNearest(q, options, &linear_ctx);
-          const std::vector<Neighbor> want_copy(want.begin(), want.end());
           for (size_t s = 1; s < indexes.size(); ++s) {
             const auto got =
                 indexes[s]->KNearest(q, options, contexts[s].get());
@@ -446,9 +454,7 @@ TEST(StrategyEquivalencePropertyTest, InterleavedUpdatesAllModesReusedCtx) {
                 std::to_string(round) + " k=" + std::to_string(k) +
                 (mode == GroupBy::kTrajectory ? " traj" : " seg") +
                 (filtered ? " filtered" : "");
-            ExpectSameResults(
-                std::vector<Neighbor>(got.begin(), got.end()), want_copy,
-                label);
+            ExpectSameResults(got, want, label);
             if (::testing::Test::HasFatalFailure()) return;
             for (const Neighbor& n : got) {
               if (filtered) {
@@ -484,12 +490,14 @@ TEST(StrategyEquivalencePropertyTest, BulkBuildMatchesInserts) {
     ASSERT_EQ(bulk->size(), incremental->size());
     SearchOptions options;
     options.k = 12;
+    SearchContext bulk_ctx;
+    SearchContext incremental_ctx;
     for (int trial = 0; trial < 10; ++trial) {
       const Point q{rng.Uniform(0, kRegionSize),
                     rng.Uniform(0, kRegionSize)};
-      ExpectSameResults(bulk->KNearest(q, options),
-                          incremental->KNearest(q, options),
-                          std::string(SearchStrategyName(s)) + " bulk");
+      ExpectSameResults(bulk->KNearest(q, options, &bulk_ctx),
+                        incremental->KNearest(q, options, &incremental_ctx),
+                        std::string(SearchStrategyName(s)) + " bulk");
     }
     EXPECT_EQ(bulk->Build(Span<const SegmentEntry>(entries.data(), 1))
                   .code(),
@@ -551,11 +559,9 @@ TEST(StrategyEquivalencePropertyTest, ResultsIndependentOfBuildOrder) {
         options.group_by = mode;
         if (filtered) options.filter = odd_traj;
         const auto want = indexes[0]->KNearest(q, options, &ref_ctx);
-        const std::vector<Neighbor> want_copy(want.begin(), want.end());
         for (size_t i = 1; i < indexes.size(); ++i) {
-          const auto got = indexes[i]->KNearest(q, options, &ctx);
           ExpectSameResults(
-              std::vector<Neighbor>(got.begin(), got.end()), want_copy,
+              indexes[i]->KNearest(q, options, &ctx), want,
               std::string(SearchStrategyName(kAllStrategies[i / 3])) +
                   " order " + std::to_string(i % 3) + " trial " +
                   std::to_string(trial));
