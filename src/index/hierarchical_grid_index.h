@@ -17,10 +17,10 @@
 // *inline* in their cell's segment vector, with the geometry mirrored into
 // fixed-width SoA lane blocks (geo/segment_soa.h) that the batched 8-lane
 // distance kernel sweeps — the index's only distance path — so the search
-// loops touch no hash table and the inner distance loop vectorizes. Each block carries a conservative
-// bounding box; a sweep skips blocks whose box lies beyond the current
-// K-th distance, which matters for the coarse cells every query must
-// visit (every ancestor of q has MINdist 0).
+// loops touch no hash table and the inner distance loop vectorizes. Each
+// block carries a conservative bounding box; a sweep skips blocks whose
+// box lies beyond the current K-th distance, which matters for the coarse
+// cells every query must visit (every ancestor of q has MINdist 0).
 //
 // Concurrency. Searches are read-only: visited-cell marks live in the
 // caller's SearchContext (stamp vector keyed by arena slot), never on the
@@ -117,8 +117,8 @@ class HierarchicalGridIndex : public SegmentIndex {
   /// Evaluates the residents of `cell` against q through the batched SoA
   /// kernel and offers the eligible ones to the collector, skipping every
   /// lane block whose box lies beyond the collector's threshold and not
-  /// offering lanes that do. Returns the evaluated eligible-candidate count (the
-  /// distance_evaluations contribution).
+  /// offering lanes that do. Returns the evaluated eligible-candidate
+  /// count (the distance_evaluations contribution).
   uint64_t SweepCell(const HgCell& cell, const Point& q,
                      const SearchOptions& options, SearchContext* ctx) const;
 
