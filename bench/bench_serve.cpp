@@ -254,7 +254,7 @@ void BM_ServeIsolationCheck(benchmark::State& state) {
         identical = 0.0;
       }
     }
-    for (const frt::FeedReport& feed : service.report().feeds_report) {
+    for (const auto& feed : service.report().feeds_detail) {
       if (feed.feed == "hog") {
         hog_refused = static_cast<double>(feed.stream.windows_refused);
       }
@@ -301,10 +301,11 @@ void BM_ServeDeadlineClose(benchmark::State& state) {
       state.SkipWithError("service run failed");
       return;
     }
-    const frt::ServiceReport& report = service.report();
-    p50 = report.close_wait_p50_ms;
-    p99 = report.close_wait_p99_ms;
-    worst = report.close_wait_max_ms;
+    const frt::ServiceSnapshot& report = service.report();
+    const frt::StageSummary& close_wait = report.stages[frt::kStageCloseWait];
+    p50 = close_wait.p50_ms;
+    p99 = close_wait.p99_ms;
+    worst = close_wait.max_ms;
     deadline_windows =
         static_cast<double>(report.windows_deadline_closed);
   }

@@ -50,8 +50,8 @@ double MedianSeconds(std::vector<double>& runs) {
 
 /// Streams `csv` through a one-feed dispatcher (feed "stream") the way
 /// frt_stream does; `sink` sees every published window. Returns the
-/// service report, or the first error.
-frt::Result<frt::ServiceReport> RunOneFeed(const frt::StreamConfig& stream,
+/// service report (its final snapshot), or the first error.
+frt::Result<frt::ServiceSnapshot> RunOneFeed(const frt::StreamConfig& stream,
                                            unsigned threads,
                                            const std::string& csv,
                                            uint64_t seed,
@@ -145,7 +145,7 @@ int main() {
         latencies.empty() ? 0.0
                           : *std::max_element(latencies.begin(),
                                               latencies.end());
-    const double wall = report->wall_seconds;
+    const double wall = static_cast<double>(report->uptime_ms) / 1000.0;
     std::printf("%10.2f %10zu %12.2f %14.0f %8.3f/%.3f\n", wall,
                 report->windows_published,
                 wall > 0.0 ? static_cast<double>(report->windows_published) /
@@ -205,7 +205,7 @@ int main() {
       return 1;
     }
     const frt::StreamReport& report =
-        service_report->feeds_report.front().stream;
+        service_report->feeds_detail.front().stream;
     const bool per_object = accounting == frt::BudgetAccounting::kPerObject;
     (per_object ? per_object_published : wholesale_published) =
         report.windows_published;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "obs/trace.h"
 #include "runtime/batch_runner.h"
 
@@ -21,36 +20,13 @@ using SteadyClock = std::chrono::steady_clock;
 /// load to the single consumer thread.
 constexpr std::chrono::milliseconds kCompletionPoll(1);
 
-/// Folds one session generation's report into a feed's running totals.
-/// Counters sum; epsilon fields take the newer generation's values (its
-/// accountants were preloaded with the predecessors' spend, so they are
-/// already cumulative); the bounded window history appends.
-void MergeStreamReport(StreamReport* into, const StreamReport& from,
-                       size_t max_window_reports) {
-  into->windows_closed += from.windows_closed;
-  into->windows_published += from.windows_published;
-  into->windows_refused += from.windows_refused;
-  into->windows_deadline_closed += from.windows_deadline_closed;
-  into->trajectories_in += from.trajectories_in;
-  into->trajectories_published += from.trajectories_published;
-  into->trajectories_refused += from.trajectories_refused;
-  into->trajectories_evicted += from.trajectories_evicted;
-  into->epsilon_spent = from.epsilon_spent;
-  into->epsilon_wholesale_equivalent = from.epsilon_wholesale_equivalent;
-  into->windows.insert(into->windows.end(), from.windows.begin(),
-                       from.windows.end());
-  if (max_window_reports > 0 && into->windows.size() > max_window_reports) {
-    into->windows.erase(into->windows.begin(),
-                        into->windows.end() -
-                            static_cast<ptrdiff_t>(max_window_reports));
-  }
+/// Summary of one latency histogram (exact count, ~1.6% quantile error).
+StageSummary Summarize(const obs::Histogram& h) {
+  return {h.count(), h.Quantile(0.50), h.Quantile(0.99), h.max_ms(),
+          h.mean_ms()};
 }
 
 }  // namespace
-
-bool ServiceHadRefusals(const ServiceReport& report) {
-  return report.windows_refused > 0 || report.trajectories_evicted > 0;
-}
 
 ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
     : config_(std::move(config)), sink_(std::move(sink)) {
@@ -98,6 +74,12 @@ ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
       "frt_serve_trajectories_in_total", "Trajectories routed into sessions");
   ctr_trajectories_published_ = reg.GetCounter(
       "frt_serve_trajectories_published_total", "Trajectories in published windows");
+  ctr_trajectories_refused_ = reg.GetCounter(
+      "frt_serve_trajectories_refused_total",
+      "Trajectories in windows refused by budget admission");
+  ctr_trajectories_evicted_ = reg.GetCounter(
+      "frt_serve_trajectories_evicted_total",
+      "Exhausted objects evicted from otherwise-admitted windows");
   ctr_feeds_quarantined_ = reg.GetCounter(
       "frt_serve_feeds_quarantined_total", "Feeds quarantined by per-feed faults");
   ctr_checkpoints_written_ = reg.GetCounter(
@@ -155,15 +137,15 @@ Status ServiceDispatcher::Start(uint64_t seed) {
             static_cast<size_t>(feed.windows_closed);
         slot.ever_evicted = true;
         // Surface the carried spend in reports even if the feed stays
-        // dormant this run (a revived session's cumulative epsilon
-        // overwrites these on merge).
-        slot.merged.epsilon_spent =
+        // dormant this run (a revived session recomputes the same values
+        // from its preloaded accountants).
+        slot.report.epsilon_spent =
             config_.stream.accounting == BudgetAccounting::kWholesale
                 ? feed.wholesale_spent
                 : feed.per_object_floor;
-        slot.merged.epsilon_wholesale_equivalent = feed.wholesale_spent;
+        slot.report.epsilon_wholesale_equivalent = feed.wholesale_spent;
       }
-      report_.feeds_recovered = snapshot->feeds.size();
+      feeds_recovered_ = snapshot->feeds.size();
     }
   }
   pool_ = std::make_unique<WorkStealingPool>(config_.pool_threads);
@@ -235,15 +217,14 @@ void ServiceDispatcher::Route(Arrival&& arrival,
     // preloads the predecessor's budget state conservatively.
     slot.session = std::make_unique<FeedSession>(
         arrival.feed, config_.stream, master_seed_, slot.generations,
-        slot.carry);
+        slot.carry, &slot.report);
     ++slot.generations;
     // Generation bumps must be durable (a successor session's RNG stream
     // derives from them); an interval snapshot picks this up.
     ledger_dirty_ = true;
     ctr_sessions_created_->Inc();
     ++active_sessions_;
-    report_.peak_active_sessions =
-        std::max(report_.peak_active_sessions, active_sessions_);
+    peak_active_sessions_ = std::max(peak_active_sessions_, active_sessions_);
   }
   if (!slot.in_live_order) {
     slot.in_live_order = true;
@@ -358,8 +339,8 @@ void ServiceDispatcher::QuarantineFeed(const std::string& feed,
     RetireIfDrained(&slot);
     return;
   }
-  // A fault inside the feed's own pipeline: tear the session down now,
-  // keeping what it already did for the final report. The backlog is
+  // A fault inside the feed's own pipeline: tear the session down now
+  // (what it already did stays in the slot's report). The backlog is
   // dropped (its windows never execute); spend already charged stays
   // charged, same rule as every discard path. An in-flight job is
   // self-contained and its completion is ignored.
@@ -368,8 +349,6 @@ void ServiceDispatcher::QuarantineFeed(const std::string& feed,
 }
 
 void ServiceDispatcher::RetireSession(FeedSlot* slot) {
-  MergeStreamReport(&slot->merged, slot->session->report(),
-                    config_.stream.max_window_reports);
   slot->carry = slot->session->Carry();
   slot->session.reset();
   slot->armed_deadline = SteadyClock::time_point::max();
@@ -443,19 +422,21 @@ void ServiceDispatcher::SubmitReady() {
     FeedSlot& slot = feeds_.at(name);
     if (!slot.session) continue;  // died mid-scan
     const size_t backlog_before = slot.session->backlog_size();
+    const StreamReport before = slot.report;
     std::optional<WindowJob> job = slot.session->NextSubmittable();
     // Admission refusals and the submission both shrink the backlog; the
     // running counter absorbs whatever NextSubmittable consumed.
-    const size_t consumed = backlog_before - slot.session->backlog_size();
-    backlog_windows_ -= consumed;
-    // Whatever NextSubmittable consumed beyond the granted job (if any)
-    // was refused by budget admission.
-    if (const size_t refused = consumed - (job.has_value() ? 1 : 0);
-        refused > 0) {
-      ctr_windows_refused_->Inc(refused);
-    }
+    backlog_windows_ -= backlog_before - slot.session->backlog_size();
+    // Admission recorded its refusals and evictions in the feed's report;
+    // the service totals take the same deltas.
+    ctr_windows_refused_->Inc(slot.report.windows_refused -
+                              before.windows_refused);
+    ctr_trajectories_refused_->Inc(slot.report.trajectories_refused -
+                                   before.trajectories_refused);
+    ctr_trajectories_evicted_->Inc(slot.report.trajectories_evicted -
+                                   before.trajectories_evicted);
     if (config_.stream.stop_when_exhausted && !stopping_ &&
-        slot.session->had_refusals()) {
+        StreamHadRefusals(slot.report)) {
       // End service at the first refusal: stop ingesting, drain what
       // already closed, finish cleanly.
       stopping_ = true;
@@ -513,7 +494,7 @@ void ServiceDispatcher::AbsorbCompletion(
   FeedSlot& slot = feeds_.at(completion->job.feed);
   if (!slot.session) {
     // The feed was quarantined while this job was in flight; the session
-    // is gone and the result is discarded (spend already merged into the
+    // is gone and the result is discarded (spend already saved in the
     // slot's carry at teardown).
     return;
   }
@@ -694,28 +675,24 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
   s->feeds_detail.reserve(feed_order_.size());
   for (const auto& name : feed_order_) {
     const FeedSlot& slot = feeds_.at(name);
-    // Merged (evicted-generation) counters plus the live session's; the
-    // live session's epsilon is already cumulative (its accountants were
-    // preloaded with the predecessors' spend).
     ServiceSnapshot::Feed feed;
     feed.feed = name;
-    feed.windows_published = slot.merged.windows_published;
-    feed.windows_refused = slot.merged.windows_refused;
-    feed.epsilon_spent = slot.merged.epsilon_spent;
-    if (slot.session) {
-      const StreamReport& live = slot.session->report();
-      feed.windows_published += live.windows_published;
-      feed.windows_refused += live.windows_refused;
-      feed.epsilon_spent = live.epsilon_spent;
-      feed.backlog = slot.session->backlog_size();
-    }
+    feed.stream = slot.report;
     feed.epsilon_remaining =
-        budget > 0.0 ? std::max(0.0, budget - feed.epsilon_spent)
+        budget > 0.0 ? std::max(0.0, budget - slot.report.epsilon_spent)
                      : std::numeric_limits<double>::infinity();
+    if (slot.session) feed.backlog = slot.session->backlog_size();
+    feed.sessions = slot.generations;
+    feed.evicted = !slot.session && slot.ever_evicted;
     feed.quarantined = slot.quarantined;
     feed.quarantine_reason = slot.quarantine_reason;
-    if (slot.quarantined) ++s->feeds_quarantined;
-    s->epsilon_spent_max = std::max(s->epsilon_spent_max, feed.epsilon_spent);
+    // Quantiles cost O(buckets) per feed: only the final report has them.
+    if (final_tick_) {
+      feed.close_wait = Summarize(slot.close_wait_hist);
+      feed.publish = Summarize(slot.publish_hist);
+    }
+    s->epsilon_spent_max =
+        std::max(s->epsilon_spent_max, slot.report.epsilon_spent);
     s->feeds_detail.push_back(std::move(feed));
   }
   s->windows_closed = ctr_windows_closed_->value();
@@ -724,11 +701,16 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
   s->windows_deadline_closed = ctr_windows_deadline_closed_->value();
   s->trajectories_in = ctr_trajectories_in_->value();
   s->trajectories_published = ctr_trajectories_published_->value();
+  s->trajectories_refused = ctr_trajectories_refused_->value();
+  s->trajectories_evicted = ctr_trajectories_evicted_->value();
+  s->sessions_created = ctr_sessions_created_->value();
+  s->sessions_evicted = ctr_sessions_evicted_->value();
+  s->feeds_quarantined = ctr_feeds_quarantined_->value();
+  s->peak_active_sessions = peak_active_sessions_;
+  s->feeds_recovered = feeds_recovered_;
   // Cell reads are O(buckets), not a sort over samples.
   for (size_t i = 0; i < kNumServiceStages; ++i) {
-    const obs::Histogram h = stage_cells_[i]->Snapshot();
-    s->stages[i] = {h.count(), h.Quantile(0.50), h.Quantile(0.99),
-                    h.max_ms(), h.mean_ms()};
+    s->stages[i] = Summarize(stage_cells_[i]->Snapshot());
   }
   s->checkpoint_seq = checkpoint_seq_;
   s->checkpoints_written = ctr_checkpoints_written_->value();
@@ -745,65 +727,13 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
   g_in_flight_->Set(static_cast<double>(s->in_flight));
   g_feeds_->Set(static_cast<double>(s->feeds));
   g_eps_spent_max_->Set(s->epsilon_spent_max);
+  if (final_tick_) report_ = s;
   snapshots_.Publish(std::move(s));
   last_metrics_ = now;
 }
 
-void ServiceDispatcher::BuildFinalReport() {
-  report_.feeds = feed_order_.size();
-  for (const auto& name : feed_order_) {
-    FeedSlot& slot = feeds_.at(name);
-    FeedReport feed_report;
-    feed_report.feed = name;
-    feed_report.sessions = slot.generations;
-    feed_report.evicted = !slot.session && slot.ever_evicted;
-    feed_report.quarantined = slot.quarantined;
-    feed_report.quarantine_reason = slot.quarantine_reason;
-    if (slot.quarantined) ++report_.feeds_quarantined;
-    feed_report.stream = slot.merged;
-    if (slot.session) {
-      MergeStreamReport(&feed_report.stream, slot.session->report(),
-                        config_.stream.max_window_reports);
-    }
-    feed_report.close_wait_p50_ms = slot.close_wait_hist.Quantile(0.50);
-    feed_report.close_wait_p99_ms = slot.close_wait_hist.Quantile(0.99);
-    feed_report.close_wait_max_ms = slot.close_wait_hist.max_ms();
-    feed_report.publish_p50_ms = slot.publish_hist.Quantile(0.50);
-    feed_report.publish_p99_ms = slot.publish_hist.Quantile(0.99);
-    feed_report.publish_max_ms = slot.publish_hist.max_ms();
-    report_.windows_closed += feed_report.stream.windows_closed;
-    report_.windows_published += feed_report.stream.windows_published;
-    report_.windows_refused += feed_report.stream.windows_refused;
-    report_.windows_deadline_closed +=
-        feed_report.stream.windows_deadline_closed;
-    report_.trajectories_in += feed_report.stream.trajectories_in;
-    report_.trajectories_published +=
-        feed_report.stream.trajectories_published;
-    report_.trajectories_refused += feed_report.stream.trajectories_refused;
-    report_.trajectories_evicted += feed_report.stream.trajectories_evicted;
-    report_.feeds_report.push_back(std::move(feed_report));
-  }
-  std::sort(report_.feeds_report.begin(), report_.feeds_report.end(),
-            [](const FeedReport& a, const FeedReport& b) {
-              return a.feed < b.feed;
-            });
-  report_.sessions_created = ctr_sessions_created_->value();
-  report_.sessions_evicted = ctr_sessions_evicted_->value();
-  report_.checkpoints_written = ctr_checkpoints_written_->value();
-  report_.checkpoint_sequence = checkpoint_seq_;
-  const obs::Histogram close_wait = stage_cells_[kStageCloseWait]->Snapshot();
-  report_.close_wait_p50_ms = close_wait.Quantile(0.50);
-  report_.close_wait_p99_ms = close_wait.Quantile(0.99);
-  report_.close_wait_max_ms = close_wait.max_ms();
-  const obs::Histogram publish = stage_cells_[kStagePublish]->Snapshot();
-  report_.publish_p50_ms = publish.Quantile(0.50);
-  report_.publish_p99_ms = publish.Quantile(0.99);
-  report_.publish_max_ms = publish.max_ms();
-}
-
 void ServiceDispatcher::DispatcherLoop() {
   obs::SetTraceThreadName("dispatcher");
-  Stopwatch wall;
   started_at_ = SteadyClock::now();
   last_checkpoint_ = started_at_;
   last_metrics_ = started_at_;
@@ -946,11 +876,9 @@ void ServiceDispatcher::DispatcherLoop() {
   if (store_.has_value()) {
     if (Status st = WriteCheckpointNow(); !st.ok() && !aborted_) Abort(st);
   }
-  BuildFinalReport();
-  report_.wall_seconds = wall.ElapsedSeconds();
-  // The final tick: everything is quiesced, so the final snapshot — which
-  // the exporter's last lines and a shutdown /feedz both render — and the
-  // final report agree bit for bit.
+  // The final tick: everything is quiesced, and its snapshot is the run's
+  // report — the object the exporter's last lines and a shutdown /feedz
+  // render too.
   final_tick_ = true;
   PublishMetricsNow(SteadyClock::now());
 }

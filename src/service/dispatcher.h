@@ -18,8 +18,8 @@
 //
 // Threading model. Offer() is called from any number of ingest threads and
 // blocks on the bounded arrival queue — that is the service's ingress
-// backpressure. ONE dispatcher thread owns every session (assembler,
-// accountants, reports), so budget accounting needs no locks; the only
+// backpressure. ONE dispatcher thread owns every feed (session, assembler,
+// accountants, report), so budget accounting needs no locks; the only
 // work it delegates is the pure (window, rng) -> published-dataset batch
 // job, which runs on the shared pool with per-window state it owns
 // outright. A job fans its shards and its audit out over that same pool
@@ -44,6 +44,13 @@
 // for trickle feeds), and final (input finished). Idle sessions
 // (--evict-idle-ms) are flushed and torn down; their budget carries into
 // any successor session conservatively (see feed_session.h).
+//
+// One owner per value. A feed's counters live in its slot's StreamReport,
+// which outlives session generations (each session writes through to it);
+// service-wide totals and stage latencies live in the registry. Each
+// metrics tick copies both into a ServiceSnapshot, and after Finish() the
+// final tick's snapshot is the run's report — the same object /feedz and
+// the metrics exporter render at shutdown.
 //
 // One feed is a stream. frt_stream runs a one-feed dispatcher (feed key
 // "stream") with max_backlog_windows = 1, which bounds its buffering to
@@ -123,80 +130,13 @@ struct ServiceConfig {
   int64_t metrics_interval_ms = 1000;
   /// Registry holding the service's counters, gauges and stage-latency
   /// cells (not owned; must outlive the service). It is the only store of
-  /// those values: snapshots, /metrics and the final report all read it.
+  /// those values: every snapshot (the final report included) and /metrics
+  /// read it.
   /// nullptr (the default) gives the dispatcher a private registry; the
   /// CLIs pass &obs::Registry::Default() so /metrics serves it. Sharing
   /// one registry between dispatchers aggregates them.
   obs::Registry* registry = nullptr;
 };
-
-/// Per-feed outcome, merged across the feed's session generations.
-struct FeedReport {
-  std::string feed;
-  /// Session generations this feed went through (1 = never evicted).
-  uint64_t sessions = 1;
-  /// True when the feed's session was idle-evicted and not re-opened.
-  bool evicted = false;
-  /// True when the feed was quarantined (malformed input, decode failure,
-  /// or a per-feed pipeline error): further arrivals were refused and its
-  /// session torn down — without failing the sibling feeds. See
-  /// OfferQuarantine for what still publishes.
-  bool quarantined = false;
-  /// First fault that quarantined the feed (empty unless quarantined).
-  std::string quarantine_reason;
-  /// Merged per-feed streaming report. Counters are summed across
-  /// generations; epsilon fields are the latest session's (which already
-  /// carry the predecessors' spend).
-  StreamReport stream;
-  /// Per-feed latency aggregates across every generation, mirroring the
-  /// service-wide fields (close wait: oldest arrival -> close; publish:
-  /// close -> sink-ready).
-  double close_wait_p50_ms = 0.0;
-  double close_wait_p99_ms = 0.0;
-  double close_wait_max_ms = 0.0;
-  double publish_p50_ms = 0.0;
-  double publish_p99_ms = 0.0;
-  double publish_max_ms = 0.0;
-};
-
-/// Service-wide aggregates over one Run.
-struct ServiceReport {
-  size_t feeds = 0;
-  size_t sessions_created = 0;
-  size_t sessions_evicted = 0;
-  size_t peak_active_sessions = 0;
-  size_t windows_closed = 0;
-  size_t windows_published = 0;
-  size_t windows_refused = 0;
-  size_t windows_deadline_closed = 0;
-  size_t trajectories_in = 0;
-  size_t trajectories_published = 0;
-  size_t trajectories_refused = 0;
-  size_t trajectories_evicted = 0;
-  double wall_seconds = 0.0;
-  /// Oldest-arrival -> window-close latency percentiles in ms — the
-  /// distribution --close-after-ms bounds.
-  double close_wait_p50_ms = 0.0;
-  double close_wait_p99_ms = 0.0;
-  double close_wait_max_ms = 0.0;
-  /// Window-close -> published (queueing + anonymization) in ms.
-  double publish_p50_ms = 0.0;
-  double publish_p99_ms = 0.0;
-  double publish_max_ms = 0.0;
-  /// Durability (state_dir set): snapshots written this run, the last
-  /// durable sequence number, and feeds revived from a prior snapshot.
-  size_t checkpoints_written = 0;
-  uint64_t checkpoint_sequence = 0;
-  size_t feeds_recovered = 0;
-  /// Feeds quarantined by per-feed faults this run (see FeedReport).
-  size_t feeds_quarantined = 0;
-  /// Per-feed reports, sorted by feed id.
-  std::vector<FeedReport> feeds_report;
-};
-
-/// True when any feed dropped anything on budget; frt_serve maps this to
-/// exit code 3.
-bool ServiceHadRefusals(const ServiceReport& report);
 
 /// Receives each published window on the dispatcher thread, per feed in
 /// window order (feeds interleave). A non-OK return aborts the service.
@@ -239,10 +179,11 @@ class ServiceDispatcher {
   /// or accounting); budget refusals are NOT errors — see report().
   Status Finish();
 
-  /// Aggregated diagnostics; valid after Finish().
-  const ServiceReport& report() const { return report_; }
+  /// \brief The run's report: the final snapshot (finished == true), the
+  /// object Introspect() returns after Finish(). Empty before Finish().
+  const ServiceSnapshot& report() const { return *report_; }
 
-  /// \brief The live session of `feed` — its accountants and report — or
+  /// \brief The live session of `feed` — its accountants — or
   /// nullptr when the feed was never seen, idle-evicted or quarantined.
   /// Valid only after Finish(): the dispatcher thread owns every session
   /// while the service runs.
@@ -289,8 +230,9 @@ class ServiceDispatcher {
     std::unique_ptr<FeedSession> session;  ///< null while evicted
     FeedBudgetCarry carry;
     uint64_t generations = 0;
-    /// Counters merged out of evicted generations.
-    StreamReport merged;
+    /// The feed's one report: every session generation writes through to
+    /// it (see FeedSession).
+    StreamReport report;
     bool ever_evicted = false;
     /// The feed was declared untrustworthy: arrivals refused, session
     /// retired (at once, or once its closed backlog drained). Never
@@ -385,14 +327,13 @@ class ServiceDispatcher {
   void PublishMetricsNow(std::chrono::steady_clock::time_point now);
   /// Records a fatal error once and stops admitting new work.
   void Abort(Status status);
-  /// Merges `session`'s report into its slot and tears the session down.
+  /// Saves the session's carry into its slot and tears the session down.
   void RetireSession(FeedSlot* slot);
   /// Idle-evicts a session (RetireSession plus the eviction counters).
   void EvictSession(FeedSlot* slot);
   /// Retires a drained session that waited on its drain: an idle eviction
   /// or a draining quarantine.
   void RetireIfDrained(FeedSlot* slot);
-  void BuildFinalReport();
 
   ServiceConfig config_;
   ServiceSink sink_;
@@ -423,6 +364,8 @@ class ServiceDispatcher {
   /// -backlog) — the backpressure test no longer scans every session.
   size_t backlog_windows_ = 0;
   size_t active_sessions_ = 0;
+  size_t peak_active_sessions_ = 0;
+  size_t feeds_recovered_ = 0;
   size_t in_flight_ = 0;
   /// Start of the next SubmitReady scan: rotated to just past the last
   /// feed that actually got a submission slot, so with more backlogged
@@ -446,7 +389,9 @@ class ServiceDispatcher {
   std::chrono::steady_clock::time_point last_checkpoint_{};
   std::chrono::steady_clock::time_point last_metrics_{};
   uint64_t metrics_seq_ = 0;
-  ServiceReport report_;
+  /// The final tick's snapshot once the loop exited (see report()).
+  std::shared_ptr<const ServiceSnapshot> report_ =
+      std::make_shared<const ServiceSnapshot>();
   /// The loop's final tick is running: the snapshot it builds carries
   /// finished=true so /readyz can flip before Finish() returns.
   bool final_tick_ = false;
@@ -468,6 +413,8 @@ class ServiceDispatcher {
   obs::Counter* ctr_windows_deadline_closed_ = nullptr;
   obs::Counter* ctr_trajectories_in_ = nullptr;
   obs::Counter* ctr_trajectories_published_ = nullptr;
+  obs::Counter* ctr_trajectories_refused_ = nullptr;
+  obs::Counter* ctr_trajectories_evicted_ = nullptr;
   obs::Counter* ctr_feeds_quarantined_ = nullptr;
   obs::Counter* ctr_checkpoints_written_ = nullptr;
   obs::Counter* ctr_checkpoint_errors_ = nullptr;

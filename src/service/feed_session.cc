@@ -8,13 +8,14 @@ namespace frt {
 
 FeedSession::FeedSession(std::string feed, const StreamConfig& config,
                          uint64_t master_seed, uint64_t generation,
-                         const FeedBudgetCarry& carry)
+                         const FeedBudgetCarry& carry, StreamReport* report)
     : feed_(std::move(feed)),
       config_(config),
       generation_(generation),
-      index_offset_(carry.windows_closed),
+      next_index_(carry.windows_closed),
       assembler_(config.window_size, config.window_stride),
-      rng_(FeedStreamSeed(master_seed, feed_, generation)) {
+      rng_(FeedStreamSeed(master_seed, feed_, generation)),
+      report_(*report) {
   accountant_ = (config_.accounting == BudgetAccounting::kWholesale &&
                  config_.total_budget > 0.0)
                     ? PrivacyAccountant(config_.total_budget)
@@ -63,17 +64,16 @@ Status FeedSession::CloseWindow(WindowClose reason,
                                : assembler_.CloseWindow();
   if (!window.ok()) {
     return Status::InvalidArgument(
-        "feed " + feed_ + " window " +
-        std::to_string(index_offset_ + report_.windows_closed) + ": " +
+        "feed " + feed_ + " window " + std::to_string(next_index_) + ": " +
         window.status().message() +
         " (each object may appear once per window)");
   }
   WindowJob job;
   job.feed = feed_;
   job.generation = generation_;
-  // Indices continue across session generations (index_offset_), so a
-  // revived feed's windows never repeat an index.
-  job.index = index_offset_ + report_.windows_closed;
+  // Indices continue across session generations (next_index_ starts at
+  // the carry), so a revived feed's windows never repeat an index.
+  job.index = next_index_++;
   job.reason = reason;
   job.window = std::move(*window);
   // Fork at close time, in close order, BEFORE admission: the per-feed RNG
@@ -124,8 +124,8 @@ Result<WindowReport> FeedSession::Complete(const WindowJob& job,
   window_report.trajectories_evicted = job.evicted;
   window_report.epsilon_spent = batch.epsilon_spent;
   window_report.batch = batch;
-  // The id lists are consumed below; the bounded report history keeps only
-  // the scalar diagnostics.
+  // The id lists are consumed below; the sink gets only the scalar
+  // diagnostics.
   window_report.batch.shard_object_ids.clear();
   if (window_report.epsilon_spent > 0.0) {
     if (config_.accounting == BudgetAccounting::kPerObject) {
@@ -161,18 +161,13 @@ void FeedSession::RecordPublished(const WindowReport& window_report) {
   // only counts as published once the sink accepted it.
   ++report_.windows_published;
   report_.trajectories_published += window_report.trajectories;
-  report_.windows.push_back(window_report);
-  if (config_.max_window_reports > 0 &&
-      report_.windows.size() > config_.max_window_reports) {
-    report_.windows.erase(report_.windows.begin());
-  }
 }
 
 FeedBudgetCarry FeedSession::Carry() const {
   FeedBudgetCarry carry;
   carry.wholesale_spent = accountant_.spent();
   carry.per_object_floor = object_accountant_.max_spent();
-  carry.windows_closed = index_offset_ + report_.windows_closed;
+  carry.windows_closed = next_index_;
   return carry;
 }
 

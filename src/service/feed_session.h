@@ -11,7 +11,10 @@
 //     id, session generation) — NOT from arrival interleaving — so a
 //     feed's published windows are bit-identical whether it is served solo
 //     or multiplexed with any number of other feeds,
-//   - its backlog of closed-but-not-yet-anonymized windows and its report.
+//   - its backlog of closed-but-not-yet-anonymized windows.
+//
+// The feed's StreamReport is not the session's: the dispatcher's feed slot
+// owns it across every generation, and the session writes through to it.
 //
 // The session is a passive state machine driven exclusively by the
 // ServiceDispatcher's single consumer thread; nothing here is
@@ -102,10 +105,11 @@ class FeedSession {
   /// `config` is the per-feed streaming config shared by every session of
   /// the service (window geometry, budgets, batch pipeline). `carry` is
   /// zeroed for generation 0 and holds the evicted predecessor's budget
-  /// state otherwise.
+  /// state otherwise. `report` is the feed's report, owned by the caller
+  /// and outliving the session; the session adds its counts to it.
   FeedSession(std::string feed, const StreamConfig& config,
               uint64_t master_seed, uint64_t generation,
-              const FeedBudgetCarry& carry);
+              const FeedBudgetCarry& carry, StreamReport* report);
 
   /// Buffers one arrival and stamps the idle/deadline clocks.
   void Offer(Trajectory t, std::chrono::steady_clock::time_point now);
@@ -132,17 +136,17 @@ class FeedSession {
   std::optional<WindowJob> NextSubmittable();
 
   /// \brief Absorbs a finished job: charges the accountants with the ids
-  /// the batch actually consumed, finalizes the WindowReport (recorded in
-  /// the session report), and frees the session for its next submission.
+  /// the batch actually consumed, finalizes the WindowReport, and frees
+  /// the session for its next submission.
   /// `publish_latency_ms` is close -> completion-handled.
   Result<WindowReport> Complete(const WindowJob& job,
                                 const Dataset& published,
                                 const BatchReport& batch,
                                 double publish_latency_ms);
 
-  /// Counts a completed window as published and retains its report. The
-  /// dispatcher calls this only after the sink accepted the window, so a
-  /// sink failure leaves the budget spent but the window unpublished.
+  /// Counts a completed window as published. The dispatcher calls this
+  /// only after the sink accepted the window, so a sink failure leaves the
+  /// budget spent but the window unpublished.
   void RecordPublished(const WindowReport& window_report);
 
   /// Discards the uncovered arrivals: the feed ends without a trailing
@@ -174,27 +178,24 @@ class FeedSession {
   bool evict_when_drained() const { return evict_when_drained_; }
   void set_evict_when_drained(bool v) { evict_when_drained_ = v; }
 
-  /// Session-local report.
-  const StreamReport& report() const { return report_; }
   const ObjectBudgetAccountant& object_accountant() const {
     return object_accountant_;
   }
   const PrivacyAccountant& accountant() const { return accountant_; }
-  bool had_refusals() const { return StreamHadRefusals(report_); }
 
  private:
   std::string feed_;
   const StreamConfig& config_;
   uint64_t generation_ = 0;
-  /// Windows closed by prior generations; added to every per-feed window
-  /// index this session emits.
-  size_t index_offset_ = 0;
+  /// Per-feed index of the next window this session closes; starts at the
+  /// windows prior generations closed, so indices never repeat.
+  size_t next_index_ = 0;
   WindowAssembler assembler_;
   Rng rng_;
   PrivacyAccountant accountant_;
   ObjectBudgetAccountant object_accountant_;
   std::deque<WindowJob> backlog_;
-  StreamReport report_;
+  StreamReport& report_;
   bool busy_ = false;
   bool evict_when_drained_ = false;
   std::chrono::steady_clock::time_point last_arrival_{};

@@ -157,9 +157,9 @@ void MetricsExporter::EmitLatest() {
       line += StrFormat(
           "frt_feed ts_ms=%lld feed=%s eps_spent=%.6f eps_remaining=%g "
           "windows_published=%zu windows_refused=%zu\n",
-          static_cast<long long>(ts), feed.feed.c_str(), feed.epsilon_spent,
-          feed.epsilon_remaining, feed.windows_published,
-          feed.windows_refused);
+          static_cast<long long>(ts), feed.feed.c_str(),
+          feed.stream.epsilon_spent, feed.epsilon_remaining,
+          feed.stream.windows_published, feed.stream.windows_refused);
     }
   }
   for (size_t i = 0; i < kNumServiceStages; ++i) {

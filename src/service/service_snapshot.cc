@@ -23,9 +23,9 @@ std::string RenderFeedz(const ServiceSnapshot& s) {
         "{\"feed\":\"%s\",\"eps_spent\":\"%.6f\",\"eps_remaining\":\"%g\","
         "\"windows_published\":%zu,\"windows_refused\":%zu,\"backlog\":%zu,"
         "\"quarantined\":%s",
-        obs::JsonEscape(feed.feed).c_str(), feed.epsilon_spent,
-        feed.epsilon_remaining, feed.windows_published,
-        feed.windows_refused, feed.backlog,
+        obs::JsonEscape(feed.feed).c_str(), feed.stream.epsilon_spent,
+        feed.epsilon_remaining, feed.stream.windows_published,
+        feed.stream.windows_refused, feed.backlog,
         feed.quarantined ? "true" : "false");
     if (feed.quarantined) {
       out += ",\"quarantine_reason\":\"" +

@@ -4,11 +4,11 @@
 // start and shutdown) and publishes it through an obs::SnapshotBoard.
 // Every point-in-time rendering reads that board: the metrics exporter's
 // `frt_metrics`/`frt_feed`/`frt_stage` lines, the admin plane's /feedz
-// (RenderFeedz below) and /healthz /readyz. Cumulative values come from
-// the dispatcher's registry — the window/trajectory counters and the six
-// stage-latency cells — so a snapshot, a /metrics scrape and the final
-// ServiceReport read the same store, and the shutdown snapshot agrees with
-// all of them by construction.
+// (RenderFeedz below) and /healthz /readyz. The snapshot of the final tick
+// is also the end-of-run report (ServiceDispatcher::report()) the CLIs
+// print. Every value has one owner: service-wide totals are the
+// dispatcher's registry counters and stage-latency cells (what /metrics
+// scrapes), and per-feed values are the feed slot's StreamReport.
 
 #ifndef FRT_SERVICE_SERVICE_SNAPSHOT_H_
 #define FRT_SERVICE_SERVICE_SNAPSHOT_H_
@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "stream/stream_types.h"
 
 namespace frt {
 
@@ -67,7 +69,6 @@ struct ServiceSnapshot {
   size_t queue_depth = 0;      ///< arrival queue occupancy
   size_t backlog_windows = 0;  ///< closed-but-unsubmitted windows
   size_t in_flight = 0;        ///< window jobs on the pool
-  size_t feeds_quarantined = 0;
   /// Largest per-feed guarantee so far (max over feeds of epsilon_spent).
   double epsilon_spent_max = 0.0;
 
@@ -78,6 +79,17 @@ struct ServiceSnapshot {
   size_t windows_deadline_closed = 0;
   size_t trajectories_in = 0;
   size_t trajectories_published = 0;
+  size_t trajectories_refused = 0;
+  size_t trajectories_evicted = 0;
+  size_t sessions_created = 0;
+  size_t sessions_evicted = 0;
+  size_t feeds_quarantined = 0;
+
+  // Dispatcher state.
+  /// Most sessions live at once so far.
+  size_t peak_active_sessions = 0;
+  /// Feeds revived from the durable snapshot at Start().
+  size_t feeds_recovered = 0;
 
   /// Durability lag: sequence/age of the last durable snapshot, how many
   /// were written and how many writes failed (each aborts the run).
@@ -88,16 +100,28 @@ struct ServiceSnapshot {
 
   struct Feed {
     std::string feed;
-    /// Cumulative guarantee (wholesale total or max per-object spend).
-    double epsilon_spent = 0.0;
+    /// The feed slot's report: counters over every session generation;
+    /// epsilon_spent is the cumulative guarantee (wholesale total or max
+    /// per-object spend).
+    StreamReport stream;
     /// max(0, budget - spent); +inf when the ledger is not enforcing.
     double epsilon_remaining = 0.0;
-    size_t windows_published = 0;
-    size_t windows_refused = 0;
     /// Closed-but-unsubmitted windows this feed holds right now.
     size_t backlog = 0;
+    /// Session generations this feed went through (1 = never evicted).
+    uint64_t sessions = 0;
+    /// The feed's session was idle-evicted and not re-opened.
+    bool evicted = false;
+    /// The feed was quarantined (malformed input, decode failure, or a
+    /// per-feed pipeline error): further arrivals were refused and its
+    /// session torn down, without failing the sibling feeds.
     bool quarantined = false;
+    /// First fault that quarantined the feed (empty unless quarantined).
     std::string quarantine_reason;
+    /// The feed's close-wait and publish latencies over every generation.
+    /// Filled on the final tick only (all zero before).
+    StageSummary close_wait;
+    StageSummary publish;
   };
   /// Every feed ever seen, in first-seen order.
   std::vector<Feed> feeds_detail;
@@ -105,6 +129,12 @@ struct ServiceSnapshot {
   /// Stage-latency summaries, indexed by ServiceStage.
   std::array<StageSummary, kNumServiceStages> stages{};
 };
+
+/// True when any feed dropped anything on budget; the service CLIs map
+/// this to exit code 3.
+inline bool ServiceHadRefusals(const ServiceSnapshot& snapshot) {
+  return snapshot.windows_refused > 0 || snapshot.trajectories_evicted > 0;
+}
 
 /// \brief /feedz JSON body. The epsilon fields are strings with the exact
 /// `frt_feed` line formats (eps_spent %.6f, eps_remaining %g), so a scrape

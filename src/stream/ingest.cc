@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <string>
 #include <utility>
 
 #include "obs/trace.h"
@@ -87,6 +88,13 @@ Result<std::optional<Trajectory>> TrajectoryReader::Next() {
       newline = buffer_.find('\n', scan_);
     }
     if (Refill()) continue;
+    // A failed read ends the bytes too, but not the input: finishing here
+    // would silently shorten the release.
+    if (in_.bad()) {
+      error_ = Status::IOError("read failed after line " +
+                               std::to_string(lines_read_));
+      return error_;
+    }
     // End of stream: the remaining bytes are one final unterminated line.
     if (scan_ < buffer_.size()) {
       const std::string_view line(buffer_.data() + scan_,

@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "dp/accountant.h"
 #include "dp/object_accountant.h"
@@ -103,9 +102,10 @@ struct StreamConfig {
   /// ObjectBudgetAccountant). Bounds memory on unbounded id spaces.
   /// 0 tracks every id exactly.
   size_t max_tracked_objects = 1 << 20;
-  /// Most recent per-window reports (and wholesale ledger entries)
-  /// retained; aggregate counters stay exact. Bounds memory on unbounded
-  /// feeds. 0 keeps every window's report.
+  /// Most recent wholesale ledger entries each session's
+  /// PrivacyAccountant retains; its spent total stays exact. Bounds memory
+  /// on unbounded feeds. 0 keeps every entry. (Per-window reports are not
+  /// retained: the sink receives each one.)
   size_t max_window_reports = 64;
   /// End the run at the first refused window instead of draining (and
   /// counting) the rest of the feed. Under kWholesale the per-window cost
@@ -151,7 +151,9 @@ struct WindowReport {
   BatchReport batch;
 };
 
-/// Aggregated diagnostics of one feed's stream.
+/// Aggregated diagnostics of one feed's stream, cumulative over its
+/// session generations (the dispatcher's feed slot owns it; each session
+/// writes through to it).
 struct StreamReport {
   size_t windows_closed = 0;     ///< assembled from the input
   size_t windows_published = 0;  ///< anonymized and emitted
@@ -172,9 +174,6 @@ struct StreamReport {
   /// kPerObject diagnostics: what the wholesale ledger would have charged
   /// (sum over published windows) — the pessimism gap versus epsilon_spent.
   double epsilon_wholesale_equivalent = 0.0;
-  /// Per-published-window diagnostics, in window order; bounded to the
-  /// most recent `max_window_reports` when that is non-zero.
-  std::vector<WindowReport> windows;
 };
 
 /// True when the feed dropped anything on budget — a refused window or an

@@ -121,6 +121,12 @@ Result<Dataset> LoadDatasetCsv(const std::string& path) {
     }
     current.Append(record->p, record->t);
   }
+  // getline also stops on a failed read (e.g. the path is a directory);
+  // that is an error, not a shorter dataset.
+  if (in.bad()) {
+    return Status::IOError("read failed after line " +
+                           std::to_string(lineno) + ": " + path);
+  }
   if (has_current && !current.empty()) {
     FRT_RETURN_IF_ERROR(dataset.Add(std::move(current)));
   }

@@ -218,8 +218,8 @@ TEST(TransientAcceptErrorTest, ClassifiesRetryableErrnos) {
 }
 
 // ---- End to end: a dispatcher publishing into a private registry, the
-// admin plane scraping it live, and shutdown values matching the final
-// report exactly (writers quiesced ⇒ reads exact). ----
+// admin plane scraping it live, and the shutdown registry values equal to
+// the final report's per-feed sums (writers quiesced ⇒ reads exact). ----
 
 TEST(AdminServerTest, DispatcherRegistryMatchesFinalReportAtShutdown) {
   auto registry = std::make_unique<Registry>();
@@ -263,38 +263,44 @@ TEST(AdminServerTest, DispatcherRegistryMatchesFinalReportAtShutdown) {
             std::string::npos);
 
   ASSERT_TRUE(service.Finish().ok());
-  const ServiceReport& report = service.report();
+  // The report is the final snapshot, the one the board serves.
+  const ServiceSnapshot& report = service.report();
+  const auto intro = service.Introspect();
+  ASSERT_NE(intro, nullptr);
+  EXPECT_EQ(report.seq, intro->seq);
+  EXPECT_TRUE(report.finished);
   ASSERT_GT(report.windows_published, 0u);
   EXPECT_EQ(windows_seen, report.windows_published);
 
-  // Quiesced: every registry mirror agrees with the final report.
+  // Quiesced: the per-feed counters sum to the registry totals.
+  ASSERT_EQ(report.feeds_detail.size(), 2u);
+  size_t published = 0, refused = 0, trajs_in = 0, trajs_published = 0;
+  uint64_t sessions = 0;
+  for (const auto& feed : report.feeds_detail) {
+    EXPECT_GT(feed.stream.windows_published, 0u);
+    published += feed.stream.windows_published;
+    refused += feed.stream.windows_refused;
+    trajs_in += feed.stream.trajectories_in;
+    trajs_published += feed.stream.trajectories_published;
+    sessions += feed.sessions;
+  }
   EXPECT_EQ(registry->GetCounter("frt_serve_windows_published_total")->value(),
-            report.windows_published);
-  EXPECT_EQ(registry->GetCounter("frt_serve_sessions_created_total")->value(),
-            report.sessions_created);
+            published);
+  EXPECT_EQ(registry->GetCounter("frt_serve_windows_refused_total")->value(),
+            refused);
   EXPECT_EQ(registry->GetCounter("frt_serve_trajectories_in_total")->value(),
-            report.trajectories_in);
+            trajs_in);
   EXPECT_EQ(
       registry->GetCounter("frt_serve_trajectories_published_total")->value(),
-      report.trajectories_published);
-  EXPECT_EQ(registry->GetCounter("frt_serve_windows_refused_total")->value(),
-            report.windows_refused);
+      trajs_published);
+  EXPECT_EQ(registry->GetCounter("frt_serve_sessions_created_total")->value(),
+            sessions);
 
   // And the shutdown scrape carries those exact values.
   const std::string final_scrape = Get(admin.bound_port(), "/metrics");
   std::ostringstream expected;
-  expected << "frt_serve_windows_published_total "
-           << report.windows_published << "\n";
+  expected << "frt_serve_windows_published_total " << published << "\n";
   EXPECT_NE(final_scrape.find(expected.str()), std::string::npos);
-
-  // The snapshot board saw the final tick.
-  auto intro = service.Introspect();
-  ASSERT_NE(intro, nullptr);
-  EXPECT_TRUE(intro->finished);
-  ASSERT_EQ(intro->feeds_detail.size(), 2u);
-  for (const auto& feed : intro->feeds_detail) {
-    EXPECT_GT(feed.windows_published, 0u);
-  }
   EXPECT_EQ(BodyOf(Get(admin.bound_port(), "/healthz")), "ok\n");
 }
 

@@ -3,6 +3,7 @@
 # nan, inf and infinity, and one such point would poison the grid region
 # (and every displacement) of the whole batch. The run must exit 1, name
 # the line, and write no release. The same input with the row fixed runs.
+# A directory as input is a read error (exit 1), not an empty dataset.
 #
 # Usage: anonymize_cli_test.sh /path/to/frt_anonymize
 
@@ -39,4 +40,15 @@ for row in "999,nan,15000.0,5" "5,1000.0,-inf,5" "5,infinity,1500.0,5" \
   echo "ok: '$row' refused ($(head -c 120 "$WORK/bad.log"))"
 done
 
-echo "PASS: frt_anonymize refuses non-finite coordinates"
+# A directory as input is a read error, not an empty dataset.
+mkdir -p "$WORK/dir_input"
+"$ANON" --input "$WORK/dir_input" --output "$WORK/dir_out.csv" --m 3 \
+  2> "$WORK/dir.log"
+code=$?
+[[ "$code" == "1" ]] || fail "--input DIR exited $code, want 1"
+grep -q "read failed" "$WORK/dir.log" \
+  || fail "--input DIR did not report the read error: $(cat "$WORK/dir.log")"
+[[ -e "$WORK/dir_out.csv" ]] && fail "--input DIR wrote a release"
+echo "ok: --input DIR refused ($(head -c 120 "$WORK/dir.log"))"
+
+echo "PASS: frt_anonymize refuses non-finite coordinates and unreadable input"

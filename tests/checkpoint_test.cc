@@ -270,11 +270,11 @@ TEST(CheckpointRecoveryTest, WholesaleSpendCarriesAcrossRestart) {
       for (const auto& feed : feeds) ASSERT_TRUE(service.Offer(feed, t));
     }
     ASSERT_TRUE(service.Finish().ok());
-    const ServiceReport& report = service.report();
+    const ServiceSnapshot& report = service.report();
     EXPECT_EQ(report.feeds_recovered, 0u);
     EXPECT_GE(report.checkpoints_written, 1u);
     EXPECT_EQ(report.windows_published, 6u);
-    for (const auto& feed : report.feeds_report) {
+    for (const auto& feed : report.feeds_detail) {
       EXPECT_DOUBLE_EQ(feed.stream.epsilon_spent, 3.0);
     }
   }
@@ -306,12 +306,12 @@ TEST(CheckpointRecoveryTest, WholesaleSpendCarriesAcrossRestart) {
       for (const auto& feed : feeds) ASSERT_TRUE(service.Offer(feed, t));
     }
     ASSERT_TRUE(service.Finish().ok());
-    const ServiceReport& report = service.report();
+    const ServiceSnapshot& report = service.report();
     EXPECT_EQ(report.feeds_recovered, 2u);
     EXPECT_EQ(report.windows_published, 2u);  // one per feed
     EXPECT_EQ(report.windows_refused, 4u);    // two per feed
     EXPECT_TRUE(ServiceHadRefusals(report));
-    for (const auto& feed : report.feeds_report) {
+    for (const auto& feed : report.feeds_detail) {
       EXPECT_EQ(feed.sessions, 2u);  // generation continued, not reset
       EXPECT_DOUBLE_EQ(feed.stream.epsilon_spent, 4.0);
       EXPECT_LE(feed.stream.epsilon_spent, 4.0 + 1e-12);
@@ -342,8 +342,8 @@ TEST(CheckpointRecoveryTest, PerObjectFloorCarriesAcrossRestart) {
     for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("taxi", t));
     ASSERT_TRUE(service.Finish().ok());
     EXPECT_EQ(service.report().windows_published, 1u);
-    ASSERT_EQ(service.report().feeds_report.size(), 1u);
-    EXPECT_DOUBLE_EQ(service.report().feeds_report[0].stream.epsilon_spent,
+    ASSERT_EQ(service.report().feeds_detail.size(), 1u);
+    EXPECT_DOUBLE_EQ(service.report().feeds_detail[0].stream.epsilon_spent,
                      1.0);
   }
 
@@ -359,14 +359,14 @@ TEST(CheckpointRecoveryTest, PerObjectFloorCarriesAcrossRestart) {
     ASSERT_TRUE(service.Start(kSeed + 1).ok());
     for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("taxi", t));
     ASSERT_TRUE(service.Finish().ok());
-    const ServiceReport& report = service.report();
+    const ServiceSnapshot& report = service.report();
     EXPECT_EQ(report.feeds_recovered, 1u);
     EXPECT_EQ(report.windows_published, 0u);
     EXPECT_EQ(report.windows_refused, 3u);
-    ASSERT_EQ(report.feeds_report.size(), 1u);
+    ASSERT_EQ(report.feeds_detail.size(), 1u);
     // Floor preserved: max per-object spend never exceeds the budget.
-    EXPECT_DOUBLE_EQ(report.feeds_report[0].stream.epsilon_spent, 1.0);
-    EXPECT_LE(report.feeds_report[0].stream.epsilon_spent, 1.5);
+    EXPECT_DOUBLE_EQ(report.feeds_detail[0].stream.epsilon_spent, 1.0);
+    EXPECT_LE(report.feeds_detail[0].stream.epsilon_spent, 1.5);
   }
 }
 
@@ -425,9 +425,9 @@ TEST(MetricsExporterTest, EmitsMachineReadableLines) {
   snapshot.feeds_quarantined = 1;
   ServiceSnapshot::Feed feed;
   feed.feed = "alpha";
-  feed.epsilon_spent = 1.8;
+  feed.stream.epsilon_spent = 1.8;
   feed.epsilon_remaining = 7.2;
-  feed.windows_published = 3;
+  feed.stream.windows_published = 3;
   snapshot.feeds_detail.push_back(feed);
   fake.Publish(snapshot);
 
@@ -538,7 +538,7 @@ TEST(MetricsExporterTest, StopFlushesFinalPartialIntervalSnapshot) {
   snapshot.windows_published = 9;
   ServiceSnapshot::Feed feed;
   feed.feed = "alpha";
-  feed.epsilon_spent = 0.5;
+  feed.stream.epsilon_spent = 0.5;
   feed.epsilon_remaining = 1.5;
   snapshot.feeds_detail.push_back(feed);
   fake.Publish(snapshot);

@@ -77,6 +77,36 @@ TEST(CliFlagsTest, PipelineFlagsErrorInsteadOfSilentZero) {
   EXPECT_EQ(args.epsilon_global, 0.75);
 }
 
+TEST(CliFlagsTest, ThreadCountsAreRangeCheckedNotWrapped) {
+  // 2^32 + 2 would wrap to 2 workers through a plain unsigned cast.
+  unsigned threads = 7;
+  EXPECT_FALSE(ParseFlagUnsigned("--pool-threads", "4294967298", &threads));
+  EXPECT_FALSE(ParseFlagUnsigned("--pool-threads", "-1", &threads));
+  EXPECT_EQ(threads, 7u);  // never clobbered on failure
+  EXPECT_TRUE(ParseFlagUnsigned("--pool-threads", "3", &threads));
+  EXPECT_EQ(threads, 3u);
+  PipelineArgs args;
+  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--threads", "4294967298", &args),
+            FlagParse::kError);
+  EXPECT_EQ(args.threads, 0u);
+}
+
+TEST(CliFlagsTest, OrderAcceptsOnlyGlobalOrLocal) {
+  // A misspelled order is a usage error, not a silent global-first run.
+  PipelineArgs args;
+  FrequencyRandomizerConfig config;
+  for (const char* bad : {"lcoal", "Local", "", "global-first"}) {
+    args.order = bad;
+    EXPECT_FALSE(MakePipelineConfig(args, &config)) << "'" << bad << "'";
+  }
+  args.order = "local";
+  ASSERT_TRUE(MakePipelineConfig(args, &config));
+  EXPECT_EQ(config.order, MechanismOrder::kLocalFirst);
+  args.order = "global";
+  ASSERT_TRUE(MakePipelineConfig(args, &config));
+  EXPECT_EQ(config.order, MechanismOrder::kGlobalFirst);
+}
+
 TEST(CliFlagsTest, StreamConfigAlwaysRunsTheSharedIndexAudit) {
   // The audit has one path (one shared index build); the former A/B
   // switches are no longer pipeline flags.

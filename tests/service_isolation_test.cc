@@ -200,7 +200,7 @@ TEST_P(ServiceIsolationTest, QuarantinedFeedNeverTouchesOtherFeeds) {
   }
   ASSERT_TRUE(service.Finish().ok());
 
-  const ServiceReport& report = service.report();
+  const ServiceSnapshot& report = service.report();
   EXPECT_EQ(report.feeds_quarantined, 1u);
   for (size_t v = 0; v < 3; ++v) {
     const std::string& name = feeds.names[v + 1];

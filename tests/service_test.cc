@@ -75,7 +75,7 @@ TEST(ServiceTest, MultiplexedFeedsPublishEveryWindowPerFeedInOrder) {
   }
   ASSERT_TRUE(service.Finish().ok());
 
-  const ServiceReport& report = service.report();
+  const ServiceSnapshot& report = service.report();
   EXPECT_EQ(report.feeds, 4u);
   EXPECT_EQ(report.sessions_created, 4u);
   EXPECT_EQ(report.peak_active_sessions, 4u);
@@ -84,21 +84,22 @@ TEST(ServiceTest, MultiplexedFeedsPublishEveryWindowPerFeedInOrder) {
   EXPECT_EQ(report.windows_refused, 0u);
   EXPECT_EQ(report.trajectories_in, 240u);
   EXPECT_EQ(report.trajectories_published, 240u);
-  ASSERT_EQ(report.feeds_report.size(), 4u);
-  for (const FeedReport& feed : report.feeds_report) {
+  ASSERT_EQ(report.feeds_detail.size(), 4u);
+  for (const ServiceSnapshot::Feed& feed : report.feeds_detail) {
     EXPECT_EQ(feed.sessions, 1u);
     EXPECT_EQ(feed.stream.windows_published, 3u);
     EXPECT_EQ(feed.stream.trajectories_published, 60u);
     // Per-feed latency detail mirrors the service-wide fields: ordered
     // quantiles, and no feed's max can exceed the service-wide max.
-    EXPECT_GT(feed.close_wait_max_ms, 0.0);
-    EXPECT_GT(feed.publish_max_ms, 0.0);
-    EXPECT_LE(feed.close_wait_p50_ms, feed.close_wait_p99_ms);
-    EXPECT_LE(feed.close_wait_p99_ms, feed.close_wait_max_ms + 1e-9);
-    EXPECT_LE(feed.publish_p50_ms, feed.publish_p99_ms);
-    EXPECT_LE(feed.publish_p99_ms, feed.publish_max_ms + 1e-9);
-    EXPECT_LE(feed.close_wait_max_ms, report.close_wait_max_ms + 1e-9);
-    EXPECT_LE(feed.publish_max_ms, report.publish_max_ms + 1e-9);
+    EXPECT_GT(feed.close_wait.max_ms, 0.0);
+    EXPECT_GT(feed.publish.max_ms, 0.0);
+    EXPECT_LE(feed.close_wait.p50_ms, feed.close_wait.p99_ms);
+    EXPECT_LE(feed.close_wait.p99_ms, feed.close_wait.max_ms + 1e-9);
+    EXPECT_LE(feed.publish.p50_ms, feed.publish.p99_ms);
+    EXPECT_LE(feed.publish.p99_ms, feed.publish.max_ms + 1e-9);
+    EXPECT_LE(feed.close_wait.max_ms,
+              report.stages[kStageCloseWait].max_ms + 1e-9);
+    EXPECT_LE(feed.publish.max_ms, report.stages[kStagePublish].max_ms + 1e-9);
   }
   for (const auto& feed : feed_names) {
     const ServiceCapture::Feed& captured = capture.feeds.at(feed);
@@ -189,10 +190,10 @@ TEST(ServiceTest, IdleEvictionFlushesSessionAndCarriesBudgetIntoRevival) {
   for (int i = 3; i < 6; ++i) ASSERT_TRUE(service.Offer("taxi", trajs[i]));
   ASSERT_TRUE(service.Finish().ok());
 
-  const ServiceReport& report = service.report();
+  const ServiceSnapshot& report = service.report();
   EXPECT_GE(report.sessions_evicted, 1u);
-  ASSERT_EQ(report.feeds_report.size(), 1u);
-  const FeedReport& feed = report.feeds_report[0];
+  ASSERT_EQ(report.feeds_detail.size(), 1u);
+  const ServiceSnapshot::Feed& feed = report.feeds_detail[0];
   EXPECT_GE(feed.sessions, 2u);
   EXPECT_EQ(feed.stream.windows_published, 1u);  // generation 1's flush
   EXPECT_EQ(feed.stream.windows_refused, 1u);    // generation 2, carried
@@ -218,8 +219,8 @@ TEST(ServiceTest, WindowIndicesContinueAcrossSessionGenerations) {
   ASSERT_EQ(feed.reports.size(), 2u);
   EXPECT_EQ(feed.reports[0].index, 0u);
   EXPECT_EQ(feed.reports[1].index, 1u);
-  ASSERT_EQ(service.report().feeds_report.size(), 1u);
-  EXPECT_GE(service.report().feeds_report[0].sessions, 2u);
+  ASSERT_EQ(service.report().feeds_detail.size(), 1u);
+  EXPECT_GE(service.report().feeds_detail[0].sessions, 2u);
 }
 
 TEST(ServiceTest, StopWhenExhaustedEndsServiceAtFirstRefusal) {
@@ -249,7 +250,7 @@ TEST(ServiceTest, StopWhenExhaustedEndsServiceAtFirstRefusal) {
   }
   EXPECT_TRUE(stopped) << "service never stopped ingesting";
   ASSERT_TRUE(service.Finish().ok());  // a clean stop, not an error
-  const ServiceReport& report = service.report();
+  const ServiceSnapshot& report = service.report();
   EXPECT_EQ(report.windows_published, 1u);
   EXPECT_GE(report.windows_refused, 1u);
   EXPECT_TRUE(ServiceHadRefusals(report));
@@ -270,7 +271,7 @@ TEST(ServiceTest, PerFeedBudgetsAreIndependentLedgers) {
     ASSERT_TRUE(service.Offer("b", t));
   }
   ASSERT_TRUE(service.Finish().ok());
-  for (const FeedReport& feed : service.report().feeds_report) {
+  for (const ServiceSnapshot::Feed& feed : service.report().feeds_detail) {
     EXPECT_EQ(feed.stream.windows_published, 2u) << feed.feed;
     EXPECT_EQ(feed.stream.windows_refused, 1u) << feed.feed;
     EXPECT_NEAR(feed.stream.epsilon_spent, 2.0, 1e-9) << feed.feed;
@@ -317,11 +318,11 @@ TEST(ServiceTest, DuplicateObjectIdWithinFeedWindowQuarantinesOnlyThatFeed) {
   const Status st = service.Finish();
   EXPECT_TRUE(st.ok()) << st.ToString();
 
-  const ServiceReport& report = service.report();
+  const ServiceSnapshot& report = service.report();
   EXPECT_EQ(report.feeds_quarantined, 1u);
   bool saw_dup = false;
   bool saw_ok = false;
-  for (const FeedReport& feed : report.feeds_report) {
+  for (const ServiceSnapshot::Feed& feed : report.feeds_detail) {
     if (feed.feed == "dup") {
       saw_dup = true;
       EXPECT_TRUE(feed.quarantined);
@@ -359,9 +360,9 @@ TEST(ServiceTest, OfferQuarantineTearsDownFeedAndKeepsSiblingsRunning) {
   const Status st = service.Finish();
   EXPECT_TRUE(st.ok()) << st.ToString();
 
-  const ServiceReport& report = service.report();
+  const ServiceSnapshot& report = service.report();
   EXPECT_EQ(report.feeds_quarantined, 1u);
-  for (const FeedReport& feed : report.feeds_report) {
+  for (const ServiceSnapshot::Feed& feed : report.feeds_detail) {
     if (feed.feed == "bad") {
       EXPECT_TRUE(feed.quarantined);
       EXPECT_EQ(feed.quarantine_reason, "frame CRC mismatch");
@@ -386,8 +387,8 @@ TEST(ServiceTest, OfferQuarantinePublishesClosedWindowsAndDropsTheTail) {
   ASSERT_TRUE(service.OfferQuarantine("bad", "line 26: parse error"));
   ASSERT_TRUE(service.Finish().ok());
 
-  ASSERT_EQ(service.report().feeds_report.size(), 1u);
-  const FeedReport& feed = service.report().feeds_report[0];
+  ASSERT_EQ(service.report().feeds_detail.size(), 1u);
+  const ServiceSnapshot::Feed& feed = service.report().feeds_detail[0];
   EXPECT_TRUE(feed.quarantined);
   EXPECT_EQ(feed.stream.windows_closed, 2u);
   EXPECT_EQ(feed.stream.windows_published, 2u);
@@ -468,9 +469,9 @@ TEST(ServiceTest, RotationSurvivesQuarantineCompaction) {
     }
   }
   ASSERT_TRUE(service.Finish().ok());
-  const ServiceReport& report = service.report();
+  const ServiceSnapshot& report = service.report();
   EXPECT_EQ(report.feeds_quarantined, 3u);
-  for (const FeedReport& feed : report.feeds_report) {
+  for (const ServiceSnapshot::Feed& feed : report.feeds_detail) {
     const bool odd = (feed.feed.back() - '0') % 2 == 1;
     EXPECT_EQ(feed.quarantined, odd) << feed.feed;
     if (!odd) {
@@ -490,11 +491,11 @@ TEST(ServiceTest, QuarantineOfUnknownFeedStillCountsInReport) {
   ASSERT_TRUE(service.Start(kSeed).ok());
   ASSERT_TRUE(service.OfferQuarantine("ghost", "first frame corrupt"));
   ASSERT_TRUE(service.Finish().ok());
-  const ServiceReport& report = service.report();
+  const ServiceSnapshot& report = service.report();
   EXPECT_EQ(report.feeds_quarantined, 1u);
-  ASSERT_EQ(report.feeds_report.size(), 1u);
-  EXPECT_EQ(report.feeds_report[0].feed, "ghost");
-  EXPECT_TRUE(report.feeds_report[0].quarantined);
+  ASSERT_EQ(report.feeds_detail.size(), 1u);
+  EXPECT_EQ(report.feeds_detail[0].feed, "ghost");
+  EXPECT_TRUE(report.feeds_detail[0].quarantined);
 }
 
 TEST(ServiceTest, SinkErrorAbortsService) {
@@ -554,8 +555,8 @@ obs::Histogram StageCell(obs::Registry& registry, ServiceStage stage) {
 
 TEST(ServiceTelemetryTest, ShutdownRenderingsShareOneSource) {
   // Wholesale budget 2.0 at eps 1.0/window: the hog's third window is
-  // refused. The idle feed publishes once and is evicted; "bad" is
-  // quarantined.
+  // refused. The idle feed publishes once, is evicted, and is revived by
+  // later arrivals; "bad" is quarantined.
   ServiceConfig config = SmallServiceConfig(10);
   config.stream.accounting = BudgetAccounting::kWholesale;
   config.stream.total_budget = 2.0;
@@ -579,19 +580,74 @@ TEST(ServiceTelemetryTest, ShutdownRenderingsShareOneSource) {
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(service.Offer("idle", trajs[i]));
   ASSERT_TRUE(capture.WaitForWindows(1, milliseconds(5000)));
   std::this_thread::sleep_for(milliseconds(150));  // evicted by now
+  for (int i = 3; i < 6; ++i) ASSERT_TRUE(service.Offer("idle", trajs[i]));
   for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("hog", t));
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(service.Offer("bad", trajs[i]));
   ASSERT_TRUE(service.OfferQuarantine("bad", "frame CRC mismatch"));
   ASSERT_TRUE(service.Finish().ok());
   exporter.Stop();
 
-  const ServiceReport& report = service.report();
+  // The report is the final snapshot: the object Introspect() returns.
+  const ServiceSnapshot& report = service.report();
+  const std::shared_ptr<const ServiceSnapshot> final_snapshot =
+      service.Introspect();
+  ASSERT_NE(final_snapshot, nullptr);
+  EXPECT_EQ(&report, final_snapshot.get());
+  EXPECT_EQ(report.seq, final_snapshot->seq);
+  EXPECT_TRUE(report.finished);
   ASSERT_EQ(report.feeds, 3u);
   EXPECT_EQ(report.feeds_quarantined, 1u);
   EXPECT_GE(report.sessions_evicted, 1u);
   EXPECT_GE(report.windows_refused, 1u);
+  for (const ServiceSnapshot::Feed& feed : report.feeds_detail) {
+    if (feed.feed == "idle") {
+      EXPECT_GE(feed.sessions, 2u);  // evicted, then revived
+      EXPECT_EQ(feed.stream.windows_published, 2u);
+    }
+    EXPECT_EQ(feed.quarantined, feed.feed == "bad") << feed.feed;
+  }
 
-  // The exporter's last line set renders the final snapshot.
+  // Per-feed counters sum to the registry totals.
+  StreamReport sum;
+  uint64_t sessions = 0;
+  size_t quarantined = 0;
+  for (const ServiceSnapshot::Feed& feed : report.feeds_detail) {
+    sum.windows_closed += feed.stream.windows_closed;
+    sum.windows_published += feed.stream.windows_published;
+    sum.windows_refused += feed.stream.windows_refused;
+    sum.windows_deadline_closed += feed.stream.windows_deadline_closed;
+    sum.trajectories_in += feed.stream.trajectories_in;
+    sum.trajectories_published += feed.stream.trajectories_published;
+    sum.trajectories_refused += feed.stream.trajectories_refused;
+    sum.trajectories_evicted += feed.stream.trajectories_evicted;
+    sessions += feed.sessions;
+    if (feed.quarantined) ++quarantined;
+  }
+  EXPECT_GT(sum.trajectories_refused, 0u);
+  const struct {
+    const char* key;  // frt_metrics field ("" when the line has none)
+    const char* counter;
+    size_t summed;
+  } counters[] = {
+      {"windows_closed", "frt_serve_windows_closed_total",
+       sum.windows_closed},
+      {"windows_published", "frt_serve_windows_published_total",
+       sum.windows_published},
+      {"windows_refused", "frt_serve_windows_refused_total",
+       sum.windows_refused},
+      {"windows_deadline_closed", "frt_serve_windows_deadline_closed_total",
+       sum.windows_deadline_closed},
+      {"trajs_in", "frt_serve_trajectories_in_total", sum.trajectories_in},
+      {"trajs_published", "frt_serve_trajectories_published_total",
+       sum.trajectories_published},
+      {"", "frt_serve_trajectories_refused_total", sum.trajectories_refused},
+      {"", "frt_serve_trajectories_evicted_total", sum.trajectories_evicted},
+      {"", "frt_serve_sessions_created_total", sessions},
+      {"feeds_quarantined", "frt_serve_feeds_quarantined_total",
+       quarantined},
+  };
+
+  // The exporter's last line set renders the same final snapshot.
   std::ifstream in(path);
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
@@ -601,14 +657,16 @@ TEST(ServiceTelemetryTest, ShutdownRenderingsShareOneSource) {
   }
   ASSERT_LT(last, lines.size());
   const std::string& metrics = lines[last];
-  const std::shared_ptr<const ServiceSnapshot> final_snapshot =
-      service.Introspect();
-  ASSERT_NE(final_snapshot, nullptr);
-  EXPECT_TRUE(final_snapshot->finished);
-  EXPECT_EQ(Field(metrics, "seq"), std::to_string(final_snapshot->seq));
+  EXPECT_EQ(Field(metrics, "seq"), std::to_string(report.seq));
+  for (const auto& c : counters) {
+    EXPECT_EQ(Counter(registry, c.counter), c.summed) << c.counter;
+    if (*c.key != '\0') {
+      EXPECT_EQ(Field(metrics, c.key), std::to_string(c.summed)) << c.key;
+    }
+  }
 
   // frt_feed epsilon strings == /feedz's, feed by feed.
-  const std::string feedz = RenderFeedz(*final_snapshot);
+  const std::string feedz = RenderFeedz(report);
   const std::string prometheus = registry.RenderPrometheus();
   size_t feed_lines = 0;
   size_t stage = 0;
@@ -635,46 +693,7 @@ TEST(ServiceTelemetryTest, ShutdownRenderingsShareOneSource) {
   }
   EXPECT_EQ(feed_lines, 3u);
   EXPECT_EQ(stage, static_cast<size_t>(kNumServiceStages));
-
-  // frt_metrics counters == registry counters == the final report.
-  const struct {
-    const char* key;
-    const char* counter;
-    size_t reported;
-  } counters[] = {
-      {"windows_closed", "frt_serve_windows_closed_total",
-       report.windows_closed},
-      {"windows_published", "frt_serve_windows_published_total",
-       report.windows_published},
-      {"windows_refused", "frt_serve_windows_refused_total",
-       report.windows_refused},
-      {"windows_deadline_closed", "frt_serve_windows_deadline_closed_total",
-       report.windows_deadline_closed},
-      {"trajs_in", "frt_serve_trajectories_in_total", report.trajectories_in},
-      {"trajs_published", "frt_serve_trajectories_published_total",
-       report.trajectories_published},
-  };
-  for (const auto& c : counters) {
-    EXPECT_EQ(Field(metrics, c.key), std::to_string(c.reported)) << c.key;
-    EXPECT_EQ(Counter(registry, c.counter), c.reported) << c.counter;
-  }
-  EXPECT_EQ(Counter(registry, "frt_serve_sessions_created_total"),
-            report.sessions_created);
-  EXPECT_EQ(Counter(registry, "frt_serve_sessions_evicted_total"),
-            report.sessions_evicted);
-  EXPECT_EQ(Counter(registry, "frt_serve_feeds_quarantined_total"),
-            report.feeds_quarantined);
-
-  // The report's latency quantiles are the cells' quantiles.
-  const obs::Histogram close_wait = StageCell(registry, kStageCloseWait);
-  const obs::Histogram publish = StageCell(registry, kStagePublish);
-  EXPECT_EQ(report.close_wait_p50_ms, close_wait.Quantile(0.50));
-  EXPECT_EQ(report.close_wait_p99_ms, close_wait.Quantile(0.99));
-  EXPECT_EQ(report.close_wait_max_ms, close_wait.max_ms());
-  EXPECT_EQ(report.publish_p50_ms, publish.Quantile(0.50));
-  EXPECT_EQ(report.publish_p99_ms, publish.Quantile(0.99));
-  EXPECT_EQ(report.publish_max_ms, publish.max_ms());
-  EXPECT_EQ(close_wait.count(), report.windows_published);
+  EXPECT_EQ(report.stages[kStageCloseWait].count, report.windows_published);
 }
 
 TEST(ServiceTelemetryTest, DefaultConfigDispatchersKeepTheirOwnTelemetry) {
@@ -691,7 +710,7 @@ TEST(ServiceTelemetryTest, DefaultConfigDispatchersKeepTheirOwnTelemetry) {
       }
     }
     ASSERT_TRUE(service.Finish().ok());
-    const ServiceReport& report = service.report();
+    const ServiceSnapshot& report = service.report();
     obs::Registry& registry = *service.config().registry;
     EXPECT_NE(&registry, &obs::Registry::Default());
     EXPECT_EQ(report.windows_published, 4u * feeds);
@@ -732,14 +751,15 @@ TEST(StreamDeadlineTest, DeadlineClosesPartialWindowOnTrickleFeed) {
   reader_thread.join();
   ASSERT_TRUE(service.Finish().ok());
 
-  ASSERT_EQ(service.report().feeds_report.size(), 1u);
-  const StreamReport& report = service.report().feeds_report[0].stream;
+  ASSERT_EQ(service.report().feeds_detail.size(), 1u);
+  const StreamReport& report = service.report().feeds_detail[0].stream;
   EXPECT_EQ(report.trajectories_in, 3u);
   EXPECT_EQ(report.trajectories_published, 3u);
   EXPECT_GE(report.windows_deadline_closed, 1u);
-  ASSERT_GE(report.windows.size(), 2u);
-  EXPECT_EQ(report.windows.front().close_reason, WindowClose::kDeadline);
-  EXPECT_EQ(report.windows.back().close_reason, WindowClose::kFinal);
+  const std::vector<WindowReport>& windows = capture.feeds["stream"].reports;
+  ASSERT_GE(windows.size(), 2u);
+  EXPECT_EQ(windows.front().close_reason, WindowClose::kDeadline);
+  EXPECT_EQ(windows.back().close_reason, WindowClose::kFinal);
 }
 
 TEST(StreamDeadlineTest, CountClosureStillWinsWhenFeedIsFast) {
@@ -755,8 +775,10 @@ TEST(StreamDeadlineTest, CountClosureStillWinsWhenFeedIsFast) {
   const StreamReport& report = run.report;
   EXPECT_EQ(report.windows_published, 3u);
   EXPECT_EQ(report.windows_deadline_closed, 0u);
-  EXPECT_EQ(report.windows[0].close_reason, WindowClose::kCount);
-  EXPECT_EQ(report.windows[2].close_reason, WindowClose::kFinal);
+  const std::vector<WindowReport>& windows = run.published.reports;
+  ASSERT_EQ(windows.size(), 3u);
+  EXPECT_EQ(windows[0].close_reason, WindowClose::kCount);
+  EXPECT_EQ(windows[2].close_reason, WindowClose::kFinal);
   EXPECT_EQ(run.published.ids.size(), 250u);
 }
 

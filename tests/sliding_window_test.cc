@@ -241,9 +241,9 @@ TEST(SlidingWindowTest, EvictExhaustedDropsOnlyTheExhaustedObject) {
     EXPECT_EQ(has_leader, w < 2) << "window " << w;
     EXPECT_EQ(ids.size(), w < 2 ? 10u : 9u) << "window " << w;
   }
-  ASSERT_EQ(evicting_report.windows.size(), 4u);
-  EXPECT_EQ(evicting_report.windows[2].trajectories_evicted, 1u);
-  EXPECT_EQ(evicting_report.windows[3].trajectories_evicted, 1u);
+  ASSERT_EQ(evicting_capture.reports.size(), 4u);
+  EXPECT_EQ(evicting_capture.reports[2].trajectories_evicted, 1u);
+  EXPECT_EQ(evicting_capture.reports[3].trajectories_evicted, 1u);
 }
 
 TEST(SlidingWindowTest, SlidingWindowsChargePerAppearance) {

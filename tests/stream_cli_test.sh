@@ -5,7 +5,8 @@
 # publishes only the complete windows closed before it, in either CLI:
 # the partial window read ahead of the bad line is dropped and the run
 # exits 1. A feed id outside [A-Za-z0-9._-] (e.g. ../escaped) is rejected
-# before it can name a file outside --output-dir.
+# before it can name a file outside --output-dir. An unreadable input (a
+# directory) exits 1, and an out-of-range --pool-threads exits 2.
 #
 # Usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve
 
@@ -107,4 +108,35 @@ code=$?
 [[ ! -e "$WORK/escape/escaped.csv" ]] \
   || fail "--input ../escaped=FILE wrote outside --output-dir"
 
-echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows; invalid feed ids rejected"
+# ---- A read error is not the end of the input: a directory as input
+# fails the run instead of publishing nothing and exiting 0. ----
+mkdir -p "$WORK/dir_input" "$WORK/dir_out"
+"$STREAM" --input "$WORK/dir_input" --output "$WORK/dir_out/stream.csv" \
+  --window 100 --m 3 --seed 7 2> "$WORK/dir_stream.log"
+code=$?
+[[ "$code" == "1" ]] || fail "frt_stream --input DIR exited $code, want 1"
+grep -q "read failed" "$WORK/dir_stream.log" \
+  || fail "frt_stream --input DIR did not report the read error"
+"$SERVE" --input "x=$WORK/dir_input" --output-dir "$WORK/dir_out" \
+  --window 100 --m 3 --seed 7 2> "$WORK/dir_serve.log"
+code=$?
+[[ "$code" == "1" ]] || fail "frt_serve --input x=DIR exited $code, want 1"
+"$SERVE" --feeds "$WORK/dir_input" --output-dir "$WORK/dir_out" \
+  --window 100 --m 3 --seed 7 2> "$WORK/dir_feeds.log"
+code=$?
+[[ "$code" == "1" ]] || fail "frt_serve --feeds DIR exited $code, want 1"
+grep -q "read failed" "$WORK/dir_feeds.log" \
+  || fail "frt_serve --feeds DIR did not report the read error"
+
+# ---- --pool-threads beyond unsigned range is a usage error at parse time,
+# not a count wrapped modulo 2^32 (4294967298 would be 2 workers). The
+# input does not exist, so a missed check fails with 1, not 2, and runs
+# no window. ----
+"$SERVE" --input "x=$WORK/no_such.csv" --output-dir "$WORK/dir_out" \
+  --pool-threads 4294967298 2> "$WORK/pool_threads.log"
+code=$?
+[[ "$code" == "2" ]] || fail "frt_serve --pool-threads 4294967298 exited $code, want 2"
+grep -q -- "--pool-threads value out of range" "$WORK/pool_threads.log" \
+  || fail "frt_serve did not name --pool-threads as out of range"
+
+echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows; invalid feed ids, unreadable inputs and out-of-range --pool-threads rejected"

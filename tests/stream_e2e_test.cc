@@ -63,8 +63,8 @@ TEST(StreamE2ETest, TenThousandTrajectoriesWindowed) {
   // The ledger sums eps_G + eps_L per window, sequentially.
   EXPECT_NEAR(report.epsilon_spent, 10.0, 1e-9);
   EXPECT_EQ(run.accountant.ledger().size(), 10u);
-  ASSERT_EQ(report.windows.size(), 10u);
-  for (const auto& w : report.windows) {
+  ASSERT_EQ(run.published.reports.size(), 10u);
+  for (const auto& w : run.published.reports) {
     EXPECT_NEAR(w.epsilon_spent, 1.0, 1e-9);
     EXPECT_EQ(w.trajectories, 1000u);
     EXPECT_EQ(w.batch.shards_run, 4);
@@ -138,9 +138,10 @@ TEST(StreamE2ETest, DeterministicAcrossThreadCountsAndRepeats) {
         << "pool_threads " << threads;
     EXPECT_EQ(other.published.points, base.published.points)
         << "pool_threads " << threads;
-    for (size_t w = 0; w < base.report.windows.size(); ++w) {
-      EXPECT_EQ(other.report.windows[w].batch.audit.mean_displacement,
-                base.report.windows[w].batch.audit.mean_displacement)
+    ASSERT_EQ(other.published.reports.size(), base.published.reports.size());
+    for (size_t w = 0; w < base.published.reports.size(); ++w) {
+      EXPECT_EQ(other.published.reports[w].batch.audit.mean_displacement,
+                base.published.reports[w].batch.audit.mean_displacement)
           << "pool_threads " << threads << ", window " << w;
     }
   }
@@ -152,10 +153,11 @@ TEST(StreamE2ETest, FinalPartialWindowIsPublished) {
   ASSERT_TRUE(run.status.ok()) << run.status.ToString();
   const StreamReport& report = run.report;
   EXPECT_EQ(report.windows_published, 3u);
-  ASSERT_EQ(report.windows.size(), 3u);
-  EXPECT_EQ(report.windows[0].trajectories, 100u);
-  EXPECT_EQ(report.windows[1].trajectories, 100u);
-  EXPECT_EQ(report.windows[2].trajectories, 50u);
+  const std::vector<WindowReport>& windows = run.published.reports;
+  ASSERT_EQ(windows.size(), 3u);
+  EXPECT_EQ(windows[0].trajectories, 100u);
+  EXPECT_EQ(windows[1].trajectories, 100u);
+  EXPECT_EQ(windows[2].trajectories, 50u);
   EXPECT_EQ(run.published.ids.size(), 250u);
 }
 

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <ios>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "traj/io.h"
@@ -200,6 +204,58 @@ TEST(TrajectoryReaderTest, NonContiguousIdYieldsSeparateTrajectories) {
   EXPECT_EQ(trajs[0].id(), 1);
   EXPECT_EQ(trajs[1].id(), 2);
   EXPECT_EQ(trajs[2].id(), 1);
+}
+
+/// Serves the first `limit` bytes of `data`, then fails the next read the
+/// way a broken file does: underflow throws, which the istream turns into
+/// badbit.
+class FailingBuf : public std::streambuf {
+ public:
+  FailingBuf(std::string data, size_t limit) : data_(std::move(data)) {
+    data_.resize(std::min(limit, data_.size()));
+    setg(data_.data(), data_.data(), data_.data() + data_.size());
+  }
+
+ protected:
+  int_type underflow() override {
+    throw std::ios_base::failure("injected read error");
+  }
+
+ private:
+  std::string data_;
+};
+
+TEST(TrajectoryReaderTest, ReadErrorIsAnErrorNotAShortDataset) {
+  // The read fails inside trajectory 2: taking that for the end of input
+  // would return trajectory 1 and a truncated trajectory 2.
+  const std::string csv = kThreeTrajectories;
+  const size_t limit = csv.find("2,310");
+  for (const size_t chunk : {size_t{1}, size_t{7}, size_t{1} << 16}) {
+    FailingBuf buf(csv, limit);
+    std::istream in(&buf);
+    TrajectoryReaderOptions options;
+    options.chunk_bytes = chunk;
+    const Result<Dataset> dataset = ReadDatasetFromStream(in, options);
+    ASSERT_FALSE(dataset.ok()) << "chunk " << chunk;
+    EXPECT_TRUE(dataset.status().IsIOError()) << dataset.status().ToString();
+  }
+  // The trajectory completed before the fault is still delivered; the
+  // error follows it and stays.
+  FailingBuf buf(csv, limit);
+  std::istream in(&buf);
+  TrajectoryReader reader(in);
+  auto first = reader.Next();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->has_value());
+  EXPECT_EQ((*first)->id(), 1);
+  EXPECT_FALSE(reader.Next().ok());
+  EXPECT_FALSE(reader.Next().ok());
+}
+
+TEST(TrajectoryReaderTest, LoadingADirectoryIsAnIOError) {
+  const Result<Dataset> loaded = LoadDatasetCsv(::testing::TempDir());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
 }
 
 TEST(FeedIdTest, AcceptsOnlyFileAndRecordSafeNames) {

@@ -186,7 +186,7 @@ inline OneFeedRun RunOneFeed(const ServiceConfig& config, std::istream& in,
   const Status ingest = OfferFeed(reader, "stream", service);
   run.status = service.Finish();
   if (run.status.ok()) run.status = ingest;
-  for (const FeedReport& feed : service.report().feeds_report) {
+  for (const ServiceSnapshot::Feed& feed : service.report().feeds_detail) {
     run.report = feed.stream;
     run.quarantined = feed.quarantined;
     run.quarantine_reason = feed.quarantine_reason;

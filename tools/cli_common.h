@@ -71,6 +71,20 @@ inline bool ParseFlagUint64(const char* flag, const char* value,
   return true;
 }
 
+/// \brief ParseFlagUint64 for a thread count: a value beyond unsigned
+/// range is reported instead of wrapping modulo 2^32.
+inline bool ParseFlagUnsigned(const char* flag, const char* value,
+                              unsigned* out) {
+  uint64_t parsed = 0;
+  if (!ParseFlagUint64(flag, value, &parsed)) return false;
+  if (parsed > std::numeric_limits<unsigned>::max()) {
+    std::fprintf(stderr, "%s value out of range\n", flag);
+    return false;
+  }
+  *out = static_cast<unsigned>(parsed);
+  return true;
+}
+
 /// \brief The value of the flag at argv[*i], advancing *i past it; nullptr
 /// (reported) when the value is missing.
 inline const char* NextFlagValue(int argc, char** argv, int* i) {
@@ -165,13 +179,7 @@ inline FlagParse ParsePipelineFlag(int argc, char** argv, int* i,
     args->shards = static_cast<int>(shards);
   } else if (std::strcmp(flag, "--threads") == 0) {
     if ((v = next()) == nullptr) return FlagParse::kError;
-    uint64_t threads = 0;
-    if (!ParseFlagUint64(flag, v, &threads)) return FlagParse::kError;
-    if (threads > std::numeric_limits<unsigned>::max()) {
-      std::fprintf(stderr, "--threads value out of range\n");
-      return FlagParse::kError;
-    }
-    args->threads = static_cast<unsigned>(threads);
+    if (!ParseFlagUnsigned(flag, v, &args->threads)) return FlagParse::kError;
   } else {
     return FlagParse::kNotMine;
   }
@@ -185,6 +193,11 @@ inline bool MakePipelineConfig(const PipelineArgs& args,
   config->m = args.m;
   config->epsilon_global = args.epsilon_global;
   config->epsilon_local = args.epsilon_local;
+  if (args.order != "global" && args.order != "local") {
+    std::fprintf(stderr, "unknown order '%s' (want global or local)\n",
+                 args.order.c_str());
+    return false;
+  }
   config->order = args.order == "local" ? MechanismOrder::kLocalFirst
                                         : MechanismOrder::kGlobalFirst;
   if (!ParseStrategy(args.strategy, &config->strategy)) {

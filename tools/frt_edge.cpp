@@ -253,12 +253,12 @@ int main(int argc, char** argv) {
   }
 
   // ---- Reports. ----
-  const frt::ServiceReport& report = service.report();
+  const frt::ServiceSnapshot& report = service.report();
   std::fprintf(
       stderr,
       "edge done in %.1fs: %zu feeds, %zu windows published / %zu refused, "
       "%zu trajs in / %zu forwarded (%llu frames, %llu bytes) to %s\n",
-      report.wall_seconds, report.feeds, report.windows_published,
+      static_cast<double>(report.uptime_ms) / 1000.0, report.feeds, report.windows_published,
       report.windows_refused, report.trajectories_in,
       report.trajectories_published,
       static_cast<unsigned long long>(frames_sent),

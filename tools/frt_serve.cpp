@@ -147,9 +147,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->evict_idle_ms = n;
     } else if (std::strcmp(argv[i], "--pool-threads") == 0) {
       if ((v = next()) == nullptr) return false;
-      uint64_t n = 0;
-      if (!frt::cli::ParseFlagUint64("--pool-threads", v, &n)) return false;
-      args->pool_threads = static_cast<unsigned>(n);
+      if (!frt::cli::ParseFlagUnsigned("--pool-threads", v,
+                                       &args->pool_threads)) {
+        return false;
+      }
     } else if (std::strcmp(argv[i], "--max-in-flight") == 0) {
       if ((v = next()) == nullptr) return false;
       uint64_t n = 0;
@@ -357,29 +358,32 @@ int main(int argc, char** argv) {
   }
 
   // ---- Reports. ----
-  const frt::ServiceReport& report = service.report();
+  const frt::ServiceSnapshot& report = service.report();
   const bool per_object = args.common.stream.per_object_budget > 0.0;
-  for (const frt::FeedReport& feed : report.feeds_report) {
-    const frt::StreamReport& s = feed.stream;
+  for (const frt::ServiceSnapshot::Feed* feed :
+       frt::cli::FeedsById(report)) {
+    const frt::StreamReport& s = feed->stream;
     std::fprintf(stderr,
                  "feed %s: %zu windows published (%zu trajs), %zu refused "
                  "(%zu trajs), %zu evicted, %zu deadline-closed, eps %s "
                  "%.2f, %llu session(s), close-wait p50/p99/max "
                  "%.1f/%.1f/%.1f ms, publish p50/p99/max %.1f/%.1f/%.1f "
                  "ms%s\n",
-                 feed.feed.c_str(), s.windows_published,
+                 feed->feed.c_str(), s.windows_published,
                  s.trajectories_published, s.windows_refused,
                  s.trajectories_refused, s.trajectories_evicted,
                  s.windows_deadline_closed,
                  per_object ? "max-object" : "ledger", s.epsilon_spent,
-                 static_cast<unsigned long long>(feed.sessions),
-                 feed.close_wait_p50_ms, feed.close_wait_p99_ms,
-                 feed.close_wait_max_ms, feed.publish_p50_ms,
-                 feed.publish_p99_ms, feed.publish_max_ms,
-                 feed.quarantined
+                 static_cast<unsigned long long>(feed->sessions),
+                 feed->close_wait.p50_ms, feed->close_wait.p99_ms,
+                 feed->close_wait.max_ms, feed->publish.p50_ms,
+                 feed->publish.p99_ms, feed->publish.max_ms,
+                 feed->quarantined
                      ? " [quarantined]"
-                     : (feed.evicted ? " [idle-evicted]" : ""));
+                     : (feed->evicted ? " [idle-evicted]" : ""));
   }
+  const frt::StageSummary& close_wait = report.stages[frt::kStageCloseWait];
+  const frt::StageSummary& publish = report.stages[frt::kStagePublish];
   std::fprintf(
       stderr,
       "serve done in %.1fs: %zu feeds, %zu sessions (peak %zu active, %zu "
@@ -387,13 +391,13 @@ int main(int argc, char** argv) {
       "deadline-closed), %zu trajs in / %zu published, close-wait "
       "p50/p99/max %.1f/%.1f/%.1f ms, publish p50/p99/max %.1f/%.1f/%.1f "
       "ms\n",
-      report.wall_seconds, report.feeds, report.sessions_created,
-      report.peak_active_sessions, report.sessions_evicted,
-      report.windows_published, report.windows_refused,
-      report.windows_deadline_closed, report.trajectories_in,
-      report.trajectories_published, report.close_wait_p50_ms,
-      report.close_wait_p99_ms, report.close_wait_max_ms,
-      report.publish_p50_ms, report.publish_p99_ms, report.publish_max_ms);
+      static_cast<double>(report.uptime_ms) / 1000.0, report.feeds,
+      report.sessions_created, report.peak_active_sessions,
+      report.sessions_evicted, report.windows_published,
+      report.windows_refused, report.windows_deadline_closed,
+      report.trajectories_in, report.trajectories_published,
+      close_wait.p50_ms, close_wait.p99_ms, close_wait.max_ms,
+      publish.p50_ms, publish.p99_ms, publish.max_ms);
   frt::cli::PrintDurability(args.common.durability, report);
   return frt::cli::ReportOutcome(report);
 }

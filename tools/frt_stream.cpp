@@ -204,9 +204,9 @@ int main(int argc, char** argv) {
   frt::Status run_status = service.Finish();
   frt::cli::FinishObservability(args.common.obs, metrics.get(), &run_status);
   if (run_status.ok()) run_status = ingest_status;
-  const frt::ServiceReport& report = service.report();
-  const frt::FeedReport* feed =
-      report.feeds_report.empty() ? nullptr : &report.feeds_report.front();
+  const frt::ServiceSnapshot& report = service.report();
+  const frt::ServiceSnapshot::Feed* feed =
+      report.feeds_detail.empty() ? nullptr : &report.feeds_detail.front();
   if (!run_status.ok()) {
     std::fprintf(stderr, "stream: %s\n", run_status.ToString().c_str());
     return 1;
@@ -222,7 +222,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "stream done in %.1fs: %zu trajectories in, %zu windows "
                "published (%zu trajs), eps %s %.2f\n",
-               report.wall_seconds, stream.trajectories_in,
+               static_cast<double>(report.uptime_ms) / 1000.0,
+               stream.trajectories_in,
                stream.windows_published, stream.trajectories_published,
                per_object ? "max object" : "ledger", stream.epsilon_spent);
   if (per_object) {

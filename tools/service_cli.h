@@ -228,6 +228,11 @@ inline Status IngestMultiFeedCsv(std::istream& in,
     }
     assembly.current.Append((*record)->p, (*record)->t);
   }
+  // A failed read is an error like a malformed line, never an early end.
+  if (in.bad()) {
+    return fail(Status::IOError("read failed after line " +
+                                std::to_string(lineno)));
+  }
   if (!stopped) {
     for (const auto& feed : order) {
       Assembly& assembly = assemblies[feed];
@@ -283,30 +288,44 @@ inline Status IngestLocalFeeds(const LocalFeeds& local,
   return Status::OK();
 }
 
-// ---- Final report ----
+// ---- Final report (ServiceDispatcher::report(), the final snapshot) ----
+
+/// The report's feeds sorted by id, the order the CLIs print them in.
+inline std::vector<const ServiceSnapshot::Feed*> FeedsById(
+    const ServiceSnapshot& report) {
+  std::vector<const ServiceSnapshot::Feed*> feeds;
+  for (const ServiceSnapshot::Feed& feed : report.feeds_detail) {
+    feeds.push_back(&feed);
+  }
+  std::sort(feeds.begin(), feeds.end(),
+            [](const ServiceSnapshot::Feed* a, const ServiceSnapshot::Feed* b) {
+              return a->feed < b->feed;
+            });
+  return feeds;
+}
 
 /// Prints the durability summary of a finished service (--state-dir).
 inline void PrintDurability(const DurabilityArgs& args,
-                            const ServiceReport& report) {
+                            const ServiceSnapshot& report) {
   if (args.state_dir.empty()) return;
   std::fprintf(stderr,
                "durability: recovered %zu feed(s) from %s, wrote %zu "
                "checkpoint(s) (last seq %llu)\n",
                report.feeds_recovered, args.state_dir.c_str(),
                report.checkpoints_written,
-               static_cast<unsigned long long>(report.checkpoint_sequence));
+               static_cast<unsigned long long>(report.checkpoint_seq));
 }
 
 /// \brief Prints the quarantine and budget lines of a finished multi-feed
 /// service and returns its exit code: 3 when any feed was quarantined or
 /// dropped anything on budget, else 0.
-inline int ReportOutcome(const ServiceReport& report) {
+inline int ReportOutcome(const ServiceSnapshot& report) {
   int exit_code = 0;
   if (report.feeds_quarantined > 0) {
-    for (const FeedReport& feed : report.feeds_report) {
-      if (feed.quarantined) {
-        std::fprintf(stderr, "quarantine: feed %s: %s\n", feed.feed.c_str(),
-                     feed.quarantine_reason.c_str());
+    for (const ServiceSnapshot::Feed* feed : FeedsById(report)) {
+      if (feed->quarantined) {
+        std::fprintf(stderr, "quarantine: feed %s: %s\n", feed->feed.c_str(),
+                     feed->quarantine_reason.c_str());
       }
     }
     std::fprintf(stderr,
