@@ -1,5 +1,6 @@
 // Index micro-benchmarks (google-benchmark): build, query, and update costs
-// of the segment indexes backing Fig. 5's end-to-end numbers, the
+// of the segment indexes backing Fig. 5's end-to-end numbers, the local
+// stage's reused-index cycle (Reset + Build + kNN per trajectory), the
 // shared-index reader-scaling study, and the window audit's vertex fast
 // path against its index-only reference. Every query runs through a warm,
 // caller-provided SearchContext (the allocation-free steady state).
@@ -102,20 +103,49 @@ void BM_IndexKnnTrajectories(benchmark::State& state) {
   state.SetLabel(std::string(SearchStrategyName(strategy)));
 }
 
-// Bulk Build vs one-at-a-time Insert: the IntraTrajectoryModifier::Apply
-// pattern (a throwaway per-trajectory index built in one shot).
-void BM_IndexBulkBuild(benchmark::State& state) {
+// The local stage's per-trajectory cycle on its one reused index: Reset to
+// the trajectory's grid, Build its ~80 segments, then a handful of
+// segment-mode kNN (the insertion-site searches). Sixteen random-walk
+// trajectories with different extents rotate, so every Reset re-targets
+// the grid; items are trajectories.
+void BM_IndexResetBuild(benchmark::State& state) {
   const auto strategy = StrategyOf(static_cast<int>(state.range(0)));
-  const auto segments = RandomSegments(
-      static_cast<size_t>(state.range(1)), 1);
+  struct Traj {
+    GridSpec grid;
+    std::vector<SegmentEntry> segments;
+  };
+  std::vector<Traj> trajs;
+  Rng rng(8);
+  for (int t = 0; t < 16; ++t) {
+    const double extent = rng.Uniform(1000, 8000);
+    Point p{rng.Uniform(0, kRegion), rng.Uniform(0, kRegion)};
+    BBox box = BBox::Of(p, p);
+    std::vector<SegmentEntry> segments;
+    for (SegmentHandle h = 0; h < 80; ++h) {
+      const Point next{p.x + rng.Uniform(-extent / 10, extent / 10),
+                       p.y + rng.Uniform(-extent / 10, extent / 10)};
+      segments.push_back(SegmentEntry{h, 0, Segment{p, next}});
+      box.Extend(next);
+      p = next;
+    }
+    trajs.push_back(Traj{GridSpec(box, 10), std::move(segments)});
+  }
+  auto index = MakeSegmentIndex(strategy, MicroGrid());
+  SearchContext ctx;
+  SearchOptions options;
+  options.k = 2;
+  size_t next = 0;
   for (auto _ : state) {
-    auto index = MakeSegmentIndex(strategy, MicroGrid());
-    benchmark::DoNotOptimize(index->Build(segments));
-    benchmark::DoNotOptimize(index->size());
+    const Traj& t = trajs[next++ % trajs.size()];
+    index->Reset(t.grid);
+    benchmark::DoNotOptimize(index->Build(t.segments));
+    for (size_t i = 0; i < t.segments.size(); i += 10) {
+      benchmark::DoNotOptimize(
+          index->KNearest(t.segments[i].geom.b, options, &ctx));
+    }
   }
   state.SetLabel(std::string(SearchStrategyName(strategy)));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(segments.size()));
+  state.SetItemsProcessed(state.iterations());
 }
 
 void BM_IndexUpdate(benchmark::State& state) {
@@ -303,9 +333,8 @@ BENCHMARK(BM_IndexKnnSharedReaders)
 BENCHMARK(BM_IndexKnnPrivateReaders)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
-BENCHMARK(BM_IndexBulkBuild)->Apply([](benchmark::internal::Benchmark* b) {
-  for (int strategy = 0; strategy < 5; ++strategy) b->Args({strategy, 20000});
-})->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IndexResetBuild)->DenseRange(0, 4)
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_IndexUpdate)->Apply([](benchmark::internal::Benchmark* b) {
   for (int strategy = 0; strategy < 5; ++strategy) b->Args({strategy});
 })->Unit(benchmark::kMicrosecond);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "dp/laplace.h"
 
@@ -15,12 +14,16 @@ std::vector<LocationKey> LocalMechanism::SelectPoints(
   const size_t want = 2 * static_cast<size_t>(signatures.m);
   std::vector<LocationKey> selected;
   selected.reserve(want);
-  std::unordered_set<LocationKey> taken;
+  // At most 2m keys are ever taken, so a scan of `selected` beats a set.
+  const auto taken = [&selected](LocationKey key) {
+    return std::find(selected.begin(), selected.end(), key) !=
+           selected.end();
+  };
 
   // 1) The trajectory's own top-m signature, best first.
   for (const WeightedLocation& wl : own_signature) {
     if (selected.size() >= want) break;
-    if (taken.insert(wl.key).second) selected.push_back(wl.key);
+    if (!taken(wl.key)) selected.push_back(wl.key);
   }
 
   // 2) Other locations of this trajectory that are in P (signature points
@@ -28,7 +31,7 @@ std::vector<LocationKey> LocalMechanism::SelectPoints(
   //    "more convincing ... considering their PF and TF weights" (§III-B3).
   std::vector<std::pair<double, LocationKey>> in_p;
   for (const auto& [key, f] : pf) {
-    if (taken.count(key) > 0) continue;
+    if (taken(key)) continue;
     auto it = signatures.tf_over_p.find(key);
     if (it == signatures.tf_over_p.end()) continue;
     // Rank by PF weight relative to TF (same spirit as signature weights).
@@ -42,13 +45,13 @@ std::vector<LocationKey> LocalMechanism::SelectPoints(
   });
   for (const auto& [score, key] : in_p) {
     if (selected.size() >= want) break;
-    if (taken.insert(key).second) selected.push_back(key);
+    if (!taken(key)) selected.push_back(key);
   }
 
   // 3) Random remaining locations of the trajectory until 2m (or exhausted).
   std::vector<LocationKey> rest;
   for (const auto& [key, f] : pf) {
-    if (taken.count(key) == 0) rest.push_back(key);
+    if (!taken(key)) rest.push_back(key);
   }
   std::sort(rest.begin(), rest.end());
   while (selected.size() < want && !rest.empty()) {
@@ -76,6 +79,9 @@ Result<Dataset> LocalMechanism::Apply(const Dataset& dataset,
   }
 
   const int m = signatures.m;
+  // One modifier per call: every trajectory below reuses its index and
+  // scratch. Nothing outlives the call, so concurrent calls (BatchRunner's
+  // shards) share nothing.
   IntraTrajectoryModifier modifier(quantizer_, config_.strategy,
                                    config_.grid_levels);
   Dataset output;

@@ -17,24 +17,18 @@ namespace {
 using HandleOf = FunctionRef<SegmentHandle(NodeHandle)>;
 
 // Sorted keys with negative (deletion) and positive (insertion) deltas,
-// split in one pass over `delta`; the fixed order keeps the whole
-// modification deterministic.
-struct SignedKeys {
-  std::vector<LocationKey> neg;
-  std::vector<LocationKey> pos;
-};
-
-SignedKeys SplitKeys(const FrequencyDelta& delta) {
-  SignedKeys keys;
-  keys.neg.reserve(delta.size());
-  keys.pos.reserve(delta.size());
+// split in one pass over `delta` into the (cleared) outputs; the fixed
+// order keeps the whole modification deterministic.
+void SplitKeys(const FrequencyDelta& delta, std::vector<LocationKey>* neg,
+               std::vector<LocationKey>* pos) {
+  neg->clear();
+  pos->clear();
   for (const auto& [key, d] : delta) {
-    if (d < 0) keys.neg.push_back(key);
-    if (d > 0) keys.pos.push_back(key);
+    if (d < 0) neg->push_back(key);
+    if (d > 0) pos->push_back(key);
   }
-  std::sort(keys.neg.begin(), keys.neg.end());
-  std::sort(keys.pos.begin(), keys.pos.end());
-  return keys;
+  std::sort(neg->begin(), neg->end());
+  std::sort(pos->begin(), pos->end());
 }
 
 // Deletes node `n` from `et`, keeping `index` synchronized. Returns the
@@ -105,16 +99,16 @@ NodeHandle NodeOf(SegmentHandle h) {
 
 Status IntraTrajectoryModifier::Apply(EditableTrajectory* traj,
                                       const FrequencyDelta& delta,
-                                      ModifierStats* stats) const {
+                                      ModifierStats* stats) {
   if (traj == nullptr || stats == nullptr) {
     return Status::InvalidArgument("null argument");
   }
   if (delta.empty()) return Status::OK();
-  const SignedKeys keys = SplitKeys(delta);
+  SplitKeys(delta, &neg_keys_, &pos_keys_);
   if (traj->NumPoints() == 0) {
     // Degenerate input: no geometry to search; insertions simply extend
     // the (empty) trajectory with the representative points.
-    for (const LocationKey key : keys.pos) {
+    for (const LocationKey key : pos_keys_) {
       const Point q = quantizer_->PointOf(key);
       for (int64_t i = 0; i < delta.at(key); ++i) {
         if (traj->NumPoints() > 0) {
@@ -128,26 +122,33 @@ Status IntraTrajectoryModifier::Apply(EditableTrajectory* traj,
   }
 
   // One pass over the live nodes gathers everything the index build needs:
-  // the trajectory's extent, the segment entries, and the occurrence lists
-  // for the keys that shrink.
+  // the trajectory's extent, the segment entries, and the occurrences of
+  // the keys that shrink (sorted by key after the pass, head-to-tail order
+  // kept within a key).
   auto handle_of = [](NodeHandle n) {
     return static_cast<SegmentHandle>(static_cast<uint32_t>(n));
   };
   BBox region;
-  std::vector<SegmentEntry> entries;
-  entries.reserve(traj->NumPoints());
-  std::unordered_map<LocationKey, std::vector<NodeHandle>> occurrences;
-  occurrences.reserve(keys.neg.size());
-  for (const NodeHandle n : traj->LiveNodes()) {
+  entries_.clear();
+  occurrences_.clear();
+  uint32_t seq = 0;
+  for (NodeHandle n = traj->Head(); n != kInvalidNode; n = traj->Next(n)) {
     region.Extend(traj->PointAt(n).p);
     if (traj->IsSegmentStart(n)) {
-      entries.push_back(
+      entries_.push_back(
           SegmentEntry{handle_of(n), traj->id(), traj->SegmentOf(n)});
     }
     const LocationKey key = quantizer_->KeyOf(traj->PointAt(n).p);
     auto it = delta.find(key);
-    if (it != delta.end() && it->second < 0) occurrences[key].push_back(n);
+    if (it != delta.end() && it->second < 0) {
+      occurrences_.push_back(Occurrence{key, seq, n});
+    }
+    ++seq;
   }
+  std::sort(occurrences_.begin(), occurrences_.end(),
+            [](const Occurrence& a, const Occurrence& b) {
+              return a.key != b.key ? a.key < b.key : a.seq < b.seq;
+            });
 
   // Index region: the trajectory's own extent, padded by two snap cells so
   // representative points (cell centroids of this trajectory's locations)
@@ -162,24 +163,26 @@ Status IntraTrajectoryModifier::Apply(EditableTrajectory* traj,
   region.max_x += pad;
   region.max_y += pad;
 
-  GridSpec grid(region, grid_levels_);
-  auto index = MakeSegmentIndex(strategy_, grid);
-  FRT_RETURN_IF_ERROR(index->Build(entries));
+  SegmentIndex* index = index_.get();
+  index->Reset(GridSpec(region, grid_levels_));
+  FRT_RETURN_IF_ERROR(index->Build(entries_));
 
   const uint64_t evals_before = index->distance_evaluations();
 
   // Phase 1: deletions (Def. 10, NS^- comes from the occurrence list).
-  for (const LocationKey key : keys.neg) {
-    auto it = occurrences.find(key);
-    if (it == occurrences.end()) continue;
+  for (const LocationKey key : neg_keys_) {
+    const auto [first, last] = std::equal_range(
+        occurrences_.begin(), occurrences_.end(), Occurrence{key, 0, 0},
+        [](const Occurrence& a, const Occurrence& b) { return a.key < b.key; });
+    if (first == last) continue;
+    nodes_.clear();
+    for (auto it = first; it != last; ++it) nodes_.push_back(it->node);
     stats->utility_loss += GreedyDeleteOccurrences(
-        traj, &it->second, -delta.at(key), index.get(), handle_of,
-        &stats->deletions);
+        traj, &nodes_, -delta.at(key), index, handle_of, &stats->deletions);
   }
 
   // Phase 2: insertions (Def. 10, NS^+ via K-nearest segment search).
-  SearchContext ctx;  // reused across every search of this batch
-  for (const LocationKey key : keys.pos) {
+  for (const LocationKey key : pos_keys_) {
     int64_t remaining = delta.at(key);
     const Point q = quantizer_->PointOf(key);
     while (remaining > 0) {
@@ -212,7 +215,7 @@ Status IntraTrajectoryModifier::Apply(EditableTrajectory* traj,
           obs::TraceEnabled() && (stats->knn_searches & 63) == 0;
       const auto knn_start = traced ? std::chrono::steady_clock::now()
                                     : std::chrono::steady_clock::time_point{};
-      const auto neighbors = index->KNearest(q, options, &ctx);
+      const auto neighbors = index->KNearest(q, options, &ctx_);
       if (traced) {
         obs::EmitSpan("index_knn", obs::SpanCategory::kIndex, {}, knn_start,
                       std::chrono::steady_clock::now());
@@ -222,7 +225,7 @@ Status IntraTrajectoryModifier::Apply(EditableTrajectory* traj,
       for (const Neighbor& nb : neighbors) {
         const NodeHandle left =
             static_cast<NodeHandle>(static_cast<uint32_t>(nb.entry.handle));
-        InsertPointSync(traj, left, q, index.get(), handle_of);
+        InsertPointSync(traj, left, q, index, handle_of);
         stats->utility_loss += nb.dist;
         ++stats->insertions;
         --remaining;
@@ -243,7 +246,9 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
   }
   if (delta.empty() || trajs->empty()) return Status::OK();
 
-  const SignedKeys keys = SplitKeys(delta);
+  std::vector<LocationKey> neg_keys;
+  std::vector<LocationKey> pos_keys;
+  SplitKeys(delta, &neg_keys, &pos_keys);
   auto index = MakeSegmentIndex(strategy_, grid_);
 
   // One pass over every trajectory's live nodes gathers the Morton key of
@@ -295,7 +300,7 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
 
   // Phase 1: TF decreases — complete deletion of the point from the
   // Delta_l trajectories with the smallest total deletion loss (Def. 8).
-  for (const LocationKey key : keys.neg) {
+  for (const LocationKey key : neg_keys) {
     auto oit = occurrences.find(key);
     if (oit == occurrences.end()) continue;
     auto& per_traj = oit->second;
@@ -334,7 +339,7 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
   const auto eligible = [&occupied](const SegmentEntry& e) {
     return occupied[SlotOf(e.handle)] == 0;
   };
-  for (const LocationKey key : keys.pos) {
+  for (const LocationKey key : pos_keys) {
     const int64_t want = delta.at(key);
     const Point q = quantizer_->PointOf(key);
     auto oit = occurrences.find(key);

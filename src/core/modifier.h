@@ -12,16 +12,22 @@
 //
 // Both keep the segment index synchronized across edits (ModifyAndUpdate,
 // Alg. 3 line 36), so the whole batch of modifications runs against live
-// geometry.
+// geometry. The intra-trajectory modifier owns one index, one search
+// context and its gather scratch, and resets them for every trajectory it
+// edits; in a modifier that edits many trajectories (LocalMechanism::Apply
+// makes one per call), the index build and searches stop allocating once
+// they are warm.
 
 #ifndef FRT_CORE_MODIFIER_H_
 #define FRT_CORE_MODIFIER_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "core/edit.h"
+#include "index/search_context.h"
 #include "index/segment_index.h"
 #include "traj/quantizer.h"
 
@@ -48,6 +54,9 @@ struct ModifierStats {
 };
 
 /// \brief Applies a PF delta to one trajectory (local mechanism back-end).
+///
+/// Not thread-safe: the modifier owns the index and scratch every Apply
+/// reuses, so concurrent callers need one modifier each.
 class IntraTrajectoryModifier {
  public:
   /// \param quantizer   location identity + representative coordinates.
@@ -56,20 +65,35 @@ class IntraTrajectoryModifier {
   IntraTrajectoryModifier(const Quantizer* quantizer, SearchStrategy strategy,
                           int grid_levels = 10)
       : quantizer_(quantizer),
-        strategy_(strategy),
-        grid_levels_(grid_levels) {}
+        grid_levels_(grid_levels),
+        // Re-targeted at each trajectory's own grid by Apply.
+        index_(MakeSegmentIndex(strategy, GridSpec())) {}
 
   /// Deletions are applied before insertions; within each phase, keys are
   /// processed in ascending order for determinism. Deleting more
   /// occurrences than exist is not an error (all occurrences go); this
   /// matches the clamp-at-zero post-processing of Algorithm 2.
   Status Apply(EditableTrajectory* traj, const FrequencyDelta& delta,
-               ModifierStats* stats) const;
+               ModifierStats* stats);
 
  private:
+  /// A node whose location shrinks, tagged with its position head to tail.
+  struct Occurrence {
+    LocationKey key;
+    uint32_t seq;
+    NodeHandle node;
+  };
+
   const Quantizer* quantizer_;
-  SearchStrategy strategy_;
   int grid_levels_;
+  // Per-trajectory state, reset by every Apply; kept to reuse capacity.
+  std::unique_ptr<SegmentIndex> index_;
+  SearchContext ctx_;
+  std::vector<LocationKey> neg_keys_;
+  std::vector<LocationKey> pos_keys_;
+  std::vector<SegmentEntry> entries_;
+  std::vector<Occurrence> occurrences_;  ///< sorted by (key, seq)
+  std::vector<NodeHandle> nodes_;        ///< one key's occurrences
 };
 
 /// \brief Applies a TF delta to a whole dataset (global mechanism back-end).

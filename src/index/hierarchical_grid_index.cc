@@ -8,13 +8,28 @@ namespace frt {
 
 HierarchicalGridIndex::HierarchicalGridIndex(const GridSpec& grid,
                                              SearchStrategy strategy)
-    : grid_(grid), strategy_(strategy) {
+    : strategy_(strategy) {
+  Reset(grid);
+}
+
+void HierarchicalGridIndex::Reset(const GridSpec& grid) {
+  grid_ = grid;
+  slot_of_coord_.clear();
+  cell_of_.clear();
+  // Every slot goes onto the free list, lowest slot on top, so the slots
+  // are handed out in the order a fresh arena would append them; AllocCell
+  // clears a slot's vectors, keeping their capacity.
+  free_head_ = kNil;
+  for (size_t slot = arena_.size(); slot-- > 0;) {
+    arena_[slot].parent = free_head_;
+    free_head_ = static_cast<uint32_t>(slot);
+  }
   root_ = AllocCell(CellCoord{0, 0, 0});
+  dist_evals_.store(0, std::memory_order_relaxed);
 }
 
 uint32_t HierarchicalGridIndex::FindSlot(const CellCoord& coord) const {
-  auto it = slot_of_coord_.find(coord.Key());
-  return it == slot_of_coord_.end() ? kNil : it->second;
+  return slot_of_coord_.Find(coord.Key());
 }
 
 uint32_t HierarchicalGridIndex::AllocCell(const CellCoord& coord) {
@@ -32,7 +47,7 @@ uint32_t HierarchicalGridIndex::AllocCell(const CellCoord& coord) {
   HgCell& cell = arena_[slot];
   cell.coord = coord;
   cell.parent = kNil;
-  slot_of_coord_.emplace(coord.Key(), slot);
+  slot_of_coord_.Insert(coord.Key(), slot);
   return slot;
 }
 
@@ -81,31 +96,33 @@ void HierarchicalGridIndex::MaybePrune(uint32_t slot) {
     arena_[child].parent = parent;
     siblings.push_back(child);
   }
-  slot_of_coord_.erase(cell.coord.Key());
+  slot_of_coord_.Erase(cell.coord.Key());
   cell.parent = free_head_;
   free_head_ = slot;
 }
 
 Status HierarchicalGridIndex::Insert(const SegmentEntry& entry) {
-  auto [it, inserted] = cell_of_.try_emplace(entry.handle, kNil);
-  if (!inserted) {
+  if (cell_of_.Find(entry.handle) != kNil) {
     return Status::AlreadyExists("segment handle already indexed");
   }
   const CellCoord coord = grid_.BestFitCell(entry.geom.a, entry.geom.b);
   const uint32_t slot = GetOrCreateCell(coord);
   arena_[slot].segments.push_back(entry);
   arena_[slot].geom.PushBack(entry.geom);
-  it->second = slot;
+  cell_of_.Insert(entry.handle, slot);
   return Status::OK();
 }
 
 Status HierarchicalGridIndex::Build(Span<const SegmentEntry> entries) {
-  cell_of_.reserve(cell_of_.size() + entries.size());
+  cell_of_.Reserve(cell_of_.size() + entries.size());
   // Occupied-cell counts are data-dependent; entries/2 matches the dense
   // per-trajectory workloads this path serves without overshooting on
-  // wide-area datasets.
-  slot_of_coord_.reserve(slot_of_coord_.size() + entries.size() / 2 + 1);
-  arena_.reserve(arena_.size() + entries.size() / 2 + 1);
+  // wide-area datasets. Both counts are of live cells: after a Reset the
+  // arena still holds the previous build's slots (on the free list), and
+  // counting those would grow the capacity with every reuse.
+  const size_t cells = NumCells() + entries.size() / 2 + 1;
+  slot_of_coord_.Reserve(cells);
+  arena_.reserve(cells);
   for (const SegmentEntry& e : entries) {
     FRT_RETURN_IF_ERROR(Insert(e));
   }
@@ -113,11 +130,10 @@ Status HierarchicalGridIndex::Build(Span<const SegmentEntry> entries) {
 }
 
 Status HierarchicalGridIndex::Remove(SegmentHandle handle) {
-  auto it = cell_of_.find(handle);
-  if (it == cell_of_.end()) {
+  const uint32_t slot = cell_of_.Erase(handle);
+  if (slot == kNil) {
     return Status::NotFound("segment handle not indexed");
   }
-  const uint32_t slot = it->second;
   auto& segs = arena_[slot].segments;
   auto sit = std::find_if(segs.begin(), segs.end(),
                           [handle](const SegmentEntry& e) {
@@ -127,7 +143,6 @@ Status HierarchicalGridIndex::Remove(SegmentHandle handle) {
                                segs.back().geom);
   *sit = segs.back();
   segs.pop_back();
-  cell_of_.erase(it);
   MaybePrune(slot);
   return Status::OK();
 }

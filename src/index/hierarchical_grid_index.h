@@ -13,7 +13,10 @@
 //
 // Layout (see src/index/README.md). Cells live in a flat arena
 // (std::vector) addressed by 32-bit slots; freed slots are recycled through
-// a free list threaded through the parent field. Segment entries are stored
+// a free list threaded through the parent field. Handle -> cell slot and
+// cell coordinate -> cell slot are two open-addressed FlatSlotTables
+// (index/flat_table.h), so an Insert allocates no map node and LocateStart
+// probes a flat array, never a bucket chain. Segment entries are stored
 // *inline* in their cell's segment vector, with the geometry mirrored into
 // fixed-width SoA lane blocks (geo/segment_soa.h) that the batched 8-lane
 // distance kernel sweeps — the index's only distance path — so the search
@@ -32,19 +35,22 @@
 // existing cells that fall inside it; Remove splices empty cells out. This
 // keeps the index valid across the edit batches of trajectory modification
 // (Algorithm 3 line 36, ModifyAndUpdate). Every index lives for one call
-// (one global-edit Apply, one audited window, one trajectory's local
-// stage), so the free list only recycles slots within that call and the
-// arena never needs repacking.
+// (one global-edit Apply, one audited window, one LocalMechanism::Apply),
+// so the arena never needs repacking. The local stage reuses its index for
+// every trajectory of the call: Reset re-targets the index at the next
+// trajectory's grid and puts every slot back on the free list, keeping the
+// slots' vectors and the tables' capacity, so a warm Reset + Build +
+// KNearest cycle allocates nothing.
 
 #ifndef FRT_INDEX_HIERARCHICAL_GRID_INDEX_H_
 #define FRT_INDEX_HIERARCHICAL_GRID_INDEX_H_
 
 #include <atomic>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/grid.h"
 #include "geo/segment_soa.h"
+#include "index/flat_table.h"
 #include "index/segment_index.h"
 
 namespace frt {
@@ -57,6 +63,7 @@ class HierarchicalGridIndex : public SegmentIndex {
   ///                 the traversal used by KNearest.
   HierarchicalGridIndex(const GridSpec& grid, SearchStrategy strategy);
 
+  void Reset(const GridSpec& grid) override;
   Status Insert(const SegmentEntry& entry) override;
   Status Build(Span<const SegmentEntry> entries) override;
   Status Remove(SegmentHandle handle) override;
@@ -89,7 +96,7 @@ class HierarchicalGridIndex : public SegmentIndex {
   SearchStrategy strategy() const { return strategy_; }
 
  private:
-  static constexpr uint32_t kNil = 0xffffffffu;
+  static constexpr uint32_t kNil = FlatSlotTable::kNone;
 
   /// One arena slot. Freed slots keep their vectors' capacity and are
   /// chained through `parent` (the free list), so cell churn under heavy
@@ -131,8 +138,8 @@ class HierarchicalGridIndex : public SegmentIndex {
   SearchStrategy strategy_;
   std::vector<HgCell> arena_;
   uint32_t free_head_ = kNil;
-  std::unordered_map<uint64_t, uint32_t> slot_of_coord_;
-  std::unordered_map<SegmentHandle, uint32_t> cell_of_;
+  FlatSlotTable slot_of_coord_;  ///< CellCoord::Key() -> arena slot
+  FlatSlotTable cell_of_;        ///< segment handle -> arena slot
   uint32_t root_ = 0;
   /// Pruning-effectiveness counter; relaxed atomic so concurrent readers
   /// can account without synchronizing (one fetch_add per query).

@@ -4,9 +4,15 @@
 
 namespace frt {
 
+void LinearSegmentIndex::Reset(const GridSpec& /*grid*/) {
+  entries_.clear();
+  slot_of_.clear();
+  dist_evals_.store(0, std::memory_order_relaxed);
+}
+
 Status LinearSegmentIndex::Insert(const SegmentEntry& entry) {
-  auto [it, inserted] = slot_of_.try_emplace(entry.handle, entries_.size());
-  if (!inserted) {
+  if (!slot_of_.Insert(entry.handle,
+                       static_cast<uint32_t>(entries_.size()))) {
     return Status::AlreadyExists("segment handle already indexed");
   }
   entries_.push_back(entry);
@@ -14,7 +20,7 @@ Status LinearSegmentIndex::Insert(const SegmentEntry& entry) {
 }
 
 Status LinearSegmentIndex::Build(Span<const SegmentEntry> entries) {
-  slot_of_.reserve(slot_of_.size() + entries.size());
+  slot_of_.Reserve(slot_of_.size() + entries.size());
   entries_.reserve(entries_.size() + entries.size());
   for (const SegmentEntry& e : entries) {
     FRT_RETURN_IF_ERROR(Insert(e));
@@ -23,15 +29,14 @@ Status LinearSegmentIndex::Build(Span<const SegmentEntry> entries) {
 }
 
 Status LinearSegmentIndex::Remove(SegmentHandle handle) {
-  auto it = slot_of_.find(handle);
-  if (it == slot_of_.end()) {
+  const uint32_t slot = slot_of_.Erase(handle);
+  if (slot == FlatSlotTable::kNone) {
     return Status::NotFound("segment handle not indexed");
   }
-  const size_t slot = it->second;
-  slot_of_.erase(it);
   if (slot + 1 != entries_.size()) {
     entries_[slot] = entries_.back();
-    slot_of_[entries_[slot].handle] = slot;
+    slot_of_.Erase(entries_[slot].handle);
+    slot_of_.Insert(entries_[slot].handle, slot);
   }
   entries_.pop_back();
   return Status::OK();

@@ -95,13 +95,21 @@ class SegmentIndex {
  public:
   virtual ~SegmentIndex() = default;
 
+  /// Empties the index and re-targets it at `grid` (the linear strategy
+  /// ignores the grid), as if freshly made by MakeSegmentIndex, and zeroes
+  /// distance_evaluations(). Storage keeps its capacity, so a warm index
+  /// rebuilt with no more segments than before allocates nothing; the
+  /// local stage reuses one index for every trajectory this way.
+  virtual void Reset(const GridSpec& grid) = 0;
+
   /// Inserts a segment. Handles must be unique.
   virtual Status Insert(const SegmentEntry& entry) = 0;
 
   /// Bulk-loads `entries` into the index. Equivalent to inserting them in
-  /// order, but lets implementations pre-size their storage; the
-  /// per-trajectory throwaway indexes of IntraTrajectoryModifier::Apply are
-  /// built through this path. Stops at the first failure.
+  /// order, but lets implementations pre-size their storage for the live
+  /// segments plus `entries`. The global edit, the audit and the local
+  /// stage (after each Reset of its reused index) all build through it.
+  /// Stops at the first failure.
   virtual Status Build(Span<const SegmentEntry> entries);
 
   /// Removes a previously inserted segment.
@@ -130,7 +138,8 @@ class SegmentIndex {
   virtual size_t size() const = 0;
 
   /// Number of exact point-segment distance evaluations since construction
-  /// (pruning-effectiveness counter; used by tests and bench diagnostics).
+  /// or the last Reset (pruning-effectiveness counter; used by tests and
+  /// bench diagnostics).
   virtual uint64_t distance_evaluations() const = 0;
 };
 

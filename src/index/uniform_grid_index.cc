@@ -7,8 +7,23 @@
 
 namespace frt {
 
-UniformGridIndex::UniformGridIndex(const GridSpec& grid)
-    : grid_(grid), level_(grid.finest_level()) {}
+UniformGridIndex::UniformGridIndex(const GridSpec& grid) { Reset(grid); }
+
+void UniformGridIndex::Reset(const GridSpec& grid) {
+  grid_ = grid;
+  level_ = grid.finest_level();
+  store_.clear();
+  free_head_ = kNil;
+  slot_of_.clear();
+  cell_list_.clear();
+  // Every list becomes free, lowest index on top (handed out first).
+  free_lists_.clear();
+  for (size_t i = cells_.size(); i-- > 0;) {
+    cells_[i].clear();
+    free_lists_.push_back(static_cast<uint32_t>(i));
+  }
+  dist_evals_.store(0, std::memory_order_relaxed);
+}
 
 template <typename Fn>
 void UniformGridIndex::ForEachCoveredCell(const Segment& s, Fn&& fn) const {
@@ -26,8 +41,7 @@ void UniformGridIndex::ForEachCoveredCell(const Segment& s, Fn&& fn) const {
 }
 
 Status UniformGridIndex::Insert(const SegmentEntry& entry) {
-  auto [it, inserted] = slot_of_.try_emplace(entry.handle, 0u);
-  if (!inserted) {
+  if (slot_of_.Find(entry.handle) != kNil) {
     return Status::AlreadyExists("segment handle already indexed");
   }
   uint32_t slot;
@@ -39,15 +53,27 @@ Status UniformGridIndex::Insert(const SegmentEntry& entry) {
     store_.emplace_back();
   }
   store_[slot].entry = entry;
-  it->second = slot;
-  ForEachCoveredCell(entry.geom,
-                     [&](uint64_t key) { cells_[key].push_back(slot); });
+  slot_of_.Insert(entry.handle, slot);
+  ForEachCoveredCell(entry.geom, [&](uint64_t key) {
+    uint32_t list = cell_list_.Find(key);
+    if (list == kNil) {
+      if (free_lists_.empty()) {
+        list = static_cast<uint32_t>(cells_.size());
+        cells_.emplace_back();
+      } else {
+        list = free_lists_.back();
+        free_lists_.pop_back();
+      }
+      cell_list_.Insert(key, list);
+    }
+    cells_[list].push_back(slot);
+  });
   return Status::OK();
 }
 
 Status UniformGridIndex::Build(Span<const SegmentEntry> entries) {
-  slot_of_.reserve(slot_of_.size() + entries.size());
-  store_.reserve(store_.size() + entries.size());
+  slot_of_.Reserve(slot_of_.size() + entries.size());
+  store_.reserve(slot_of_.size() + entries.size());
   for (const SegmentEntry& e : entries) {
     FRT_RETURN_IF_ERROR(Insert(e));
   }
@@ -55,19 +81,20 @@ Status UniformGridIndex::Build(Span<const SegmentEntry> entries) {
 }
 
 Status UniformGridIndex::Remove(SegmentHandle handle) {
-  auto it = slot_of_.find(handle);
-  if (it == slot_of_.end()) {
+  const uint32_t slot = slot_of_.Erase(handle);
+  if (slot == kNil) {
     return Status::NotFound("segment handle not indexed");
   }
-  const uint32_t slot = it->second;
   ForEachCoveredCell(store_[slot].entry.geom, [&](uint64_t key) {
-    auto cit = cells_.find(key);
-    if (cit == cells_.end()) return;
-    auto& v = cit->second;
+    const uint32_t list = cell_list_.Find(key);
+    if (list == kNil) return;
+    auto& v = cells_[list];
     v.erase(std::remove(v.begin(), v.end(), slot), v.end());
-    if (v.empty()) cells_.erase(cit);
+    if (v.empty()) {
+      cell_list_.Erase(key);
+      free_lists_.push_back(list);
+    }
   });
-  slot_of_.erase(it);
   store_[slot].next_free = free_head_;
   free_head_ = slot;
   return Status::OK();
@@ -111,9 +138,9 @@ Span<const Neighbor> UniformGridIndex::KNearest(const Point& q,
         const int32_t x = c0.ix + dx;
         const int32_t y = c0.iy + dy;
         if (x < 0 || y < 0 || x >= n || y >= n) continue;
-        auto it = cells_.find(CellCoord{level_, x, y}.Key());
-        if (it == cells_.end()) continue;
-        for (const uint32_t slot : it->second) {
+        const uint32_t list = cell_list_.Find(CellCoord{level_, x, y}.Key());
+        if (list == kNil) continue;
+        for (const uint32_t slot : cells_[list]) {
           if (ctx->Visited(slot)) continue;  // dedup multi-cell segments
           ctx->MarkVisited(slot);
           const SegmentEntry& entry = store_[slot].entry;

@@ -8,7 +8,10 @@
 //
 // Layout. Entries live in a flat slot store (recycled through a free list);
 // cells hold 32-bit slot indices, so the ring scan reads entries without a
-// hash lookup per candidate. Multi-cell duplicates are deduplicated with
+// hash lookup per candidate. Handle -> store slot and cell key -> cell list
+// are open-addressed FlatSlotTables (index/flat_table.h), and emptied cell
+// lists are recycled with their capacity, so Reset + Build of a warm index
+// allocates nothing. Multi-cell duplicates are deduplicated with
 // the caller's SearchContext stamp vector keyed by store slot — searches
 // write nothing to the shared store, so concurrent readers are safe here
 // exactly as on the hierarchical grid (see index/segment_index.h).
@@ -17,10 +20,10 @@
 #define FRT_INDEX_UNIFORM_GRID_INDEX_H_
 
 #include <atomic>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/grid.h"
+#include "index/flat_table.h"
 #include "index/segment_index.h"
 
 namespace frt {
@@ -30,6 +33,7 @@ class UniformGridIndex : public SegmentIndex {
  public:
   explicit UniformGridIndex(const GridSpec& grid);
 
+  void Reset(const GridSpec& grid) override;
   Status Insert(const SegmentEntry& entry) override;
   Status Build(Span<const SegmentEntry> entries) override;
   Status Remove(SegmentHandle handle) override;
@@ -53,16 +57,20 @@ class UniformGridIndex : public SegmentIndex {
   void ForEachCoveredCell(const Segment& s, Fn&& fn) const;
 
   GridSpec grid_;
-  int level_;
+  int level_ = 0;
   std::vector<StoredEntry> store_;
   uint32_t free_head_ = kNil;
-  std::unordered_map<SegmentHandle, uint32_t> slot_of_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> cells_;
+  FlatSlotTable slot_of_;    ///< segment handle -> store slot
+  FlatSlotTable cell_list_;  ///< CellCoord::Key() -> index into cells_
+  /// Store slots registered in each occupied cell. An emptied list goes
+  /// to free_lists_ and is reused, capacity and all, by the next new cell.
+  std::vector<std::vector<uint32_t>> cells_;
+  std::vector<uint32_t> free_lists_;
   /// Relaxed atomic so concurrent readers can account without
   /// synchronizing (one fetch_add per query).
   mutable std::atomic<uint64_t> dist_evals_{0};
 
-  static constexpr uint32_t kNil = 0xffffffffu;
+  static constexpr uint32_t kNil = FlatSlotTable::kNone;
 };
 
 }  // namespace frt

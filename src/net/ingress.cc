@@ -91,7 +91,10 @@ IngressServer::Stats IngressServer::stats() const {
 
 void IngressServer::Stop() {
   stop_.store(true, std::memory_order_relaxed);
-  // Wakes a blocking accept(); readers notice stop_ between frames.
+  // Wakes a blocking accept(); readers notice stop_ between frames. The
+  // lock orders this against the accept thread's Close(): shutdown(2)
+  // reaches either the live listener or nothing, never a reused fd.
+  std::lock_guard<std::mutex> lock(listener_mu_);
   listener_.ShutdownBoth();
 }
 
@@ -137,7 +140,10 @@ void IngressServer::AcceptLoop() {
       break;
     }
   }
-  listener_.Close();
+  {
+    std::lock_guard<std::mutex> lock(listener_mu_);
+    listener_.Close();
+  }
   UnlinkIfUnix(options_.endpoint);
 }
 

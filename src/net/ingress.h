@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,6 +109,9 @@ class IngressServer {
   OfferFn offer_;
   QuarantineFn quarantine_;
   Socket listener_;
+  /// Guards listener_'s fd between Stop()'s shutdown and the accept
+  /// thread's Close(); the accept thread's own reads need no lock.
+  std::mutex listener_mu_;
   std::thread accept_thread_;
   std::vector<std::thread> readers_;
   std::atomic<bool> stop_{false};

@@ -1,6 +1,8 @@
 // Steady-state allocation guard for the index hot path: KNearest with a
 // caller-provided, warmed-up SearchContext must perform ZERO heap
-// allocations, for every strategy and both grouping modes.
+// allocations, for every strategy and both grouping modes; and so must the
+// local stage's whole per-trajectory cycle on a warm index (Reset, Build,
+// KNearest), as long as no set is larger than one the index has held.
 //
 // Counting is done by replacing the global operator new/delete with
 // malloc-backed versions that bump a counter. Under ASan/MSan the runtime
@@ -9,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -110,6 +113,66 @@ TEST(IndexAllocTest, WarmContextQueriesAreAllocationFree) {
     run_queries(100);
     EXPECT_EQ(g_allocations, before)
         << "steady-state KNearest allocated on the heap";
+#endif
+  }
+}
+
+TEST(IndexAllocTest, WarmResetBuildQueryCycleIsAllocationFree) {
+  // Twelve trajectory-sized sets (40-150 segments) over different grids.
+  std::vector<std::vector<SegmentEntry>> sets;
+  std::vector<GridSpec> grids;
+  Rng rng(31337);
+  for (int i = 0; i < 12; ++i) {
+    const double extent = rng.Uniform(500, 5000);
+    const Point origin{rng.Uniform(0, kRegionSize - extent),
+                       rng.Uniform(0, kRegionSize - extent)};
+    const size_t n = 40 + rng.UniformInt(uint64_t{111});
+    std::vector<SegmentEntry> set;
+    Point p{origin.x + extent / 2, origin.y + extent / 2};
+    for (SegmentHandle h = 0; h < n; ++h) {
+      const Point next{
+          std::clamp(p.x + rng.Uniform(-extent / 20, extent / 20), origin.x,
+                     origin.x + extent),
+          std::clamp(p.y + rng.Uniform(-extent / 20, extent / 20), origin.y,
+                     origin.y + extent)};
+      set.push_back(SegmentEntry{h, 0, Segment{p, next}});
+      p = next;
+    }
+    sets.push_back(std::move(set));
+    grids.emplace_back(
+        BBox::Of(origin, {origin.x + extent, origin.y + extent}), 10);
+  }
+  for (const SearchStrategy strategy :
+       {SearchStrategy::kLinear, SearchStrategy::kUniformGrid,
+        SearchStrategy::kTopDown, SearchStrategy::kBottomUp,
+        SearchStrategy::kBottomUpDown}) {
+    SCOPED_TRACE(std::string(SearchStrategyName(strategy)));
+    auto index = MakeSegmentIndex(strategy, grids[0]);
+    SearchContext ctx;
+    // One pass is what a LocalMechanism::Apply does per trajectory; the
+    // measured pass replays the warm-up pass, so no set is larger than
+    // one the index (or any one of its cells) already held.
+    const auto run_pass = [&] {
+      for (size_t i = 0; i < sets.size(); ++i) {
+        index->Reset(grids[i]);
+        ASSERT_TRUE(index->Build(sets[i]).ok());
+        const Segment& s = sets[i][sets[i].size() / 2].geom;
+        SearchOptions options;
+        options.k = 3;
+        const auto hits = index->KNearest(s.a, options, &ctx);
+        ASSERT_EQ(hits.size(), 3u);
+      }
+    };
+    run_pass();
+
+#ifdef FRT_ALLOC_COUNTING_DISABLED
+    run_pass();
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+    const uint64_t before = g_allocations;
+    run_pass();
+    EXPECT_EQ(g_allocations, before)
+        << "warm Reset + Build + KNearest allocated on the heap";
 #endif
   }
 }

@@ -1,22 +1,26 @@
-// Tests for src/index: structural unit tests of the hierarchical grid and a
+// Tests for src/index: a property test of the flat slot table against
+// std::unordered_map, structural unit tests of the hierarchical grid, and a
 // parameterized property suite asserting that every search strategy (UG,
 // HGt, HGb, HG+) returns the linear scan's (handle, dist) at every rank,
 // under both grouping modes, with filters, and across dynamic updates —
 // including a randomized interleaved-update property test with reused
 // SearchContexts (the exactness guard for the arena/epoch layout), segments
-// that leave the grid region, and builds of one segment set in different
-// orders.
+// that leave the grid region, builds of one segment set in different
+// orders, and one index Reset across many trajectory-sized sets.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
 #include "geo/morton.h"
+#include "index/flat_table.h"
 #include "index/hierarchical_grid_index.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
@@ -52,6 +56,148 @@ void ExpectSameResults(Span<const Neighbor> got, Span<const Neighbor> want,
     ASSERT_EQ(got[i].entry.handle, want[i].entry.handle)
         << label << " at rank " << i;
     ASSERT_EQ(got[i].dist, want[i].dist) << label << " at rank " << i;
+  }
+}
+
+// ---------------- flat slot table ----------------
+
+/// `count` distinct keys whose probe run starts at slot `home` of a table
+/// with `capacity` slots.
+std::vector<uint64_t> KeysHomedAt(size_t home, size_t capacity, size_t count,
+                                  uint64_t start) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = start; keys.size() < count; ++k) {
+    if ((FlatSlotTable::Hash(k) & (capacity - 1)) == home) keys.push_back(k);
+  }
+  return keys;
+}
+
+void ExpectSameContents(const FlatSlotTable& table,
+                        const std::unordered_map<uint64_t, uint32_t>& want,
+                        const std::vector<uint64_t>& universe) {
+  ASSERT_EQ(table.size(), want.size());
+  for (const uint64_t k : universe) {
+    const auto it = want.find(k);
+    ASSERT_EQ(table.Find(k),
+              it == want.end() ? FlatSlotTable::kNone : it->second)
+        << "key " << k;
+  }
+}
+
+TEST(FlatSlotTableTest, MatchesUnorderedMapUnderRandomChurn) {
+  Rng rng(2024);
+  // Small integers (the local stage's handles), global-edit style
+  // (slot << 32 | node) handles, both extreme keys, and clusters that
+  // share a home slot at the first few capacities (forced collisions, some
+  // homed on the last slot so their runs wrap around the end).
+  std::vector<uint64_t> universe = {0, 1, ~uint64_t{0}, ~uint64_t{0} - 1};
+  for (uint64_t i = 0; i < 120; ++i) universe.push_back(i + 2);
+  for (uint64_t i = 0; i < 60; ++i) universe.push_back((i % 7) << 32 | i);
+  for (const size_t capacity : {16u, 32u, 64u, 128u}) {
+    for (const uint64_t k :
+         KeysHomedAt(capacity - 1, capacity, 12, capacity * 1000)) {
+      universe.push_back(k);
+    }
+    for (const uint64_t k : KeysHomedAt(3, capacity, 8, capacity * 5000)) {
+      universe.push_back(k);
+    }
+  }
+  std::sort(universe.begin(), universe.end());
+  universe.erase(std::unique(universe.begin(), universe.end()),
+                 universe.end());
+
+  FlatSlotTable table;
+  std::unordered_map<uint64_t, uint32_t> want;
+  size_t grown_capacity = 0;
+  for (int step = 0; step < 40000; ++step) {
+    const uint64_t key = universe[rng.UniformInt(uint64_t{universe.size()})];
+    const uint64_t op = rng.UniformInt(uint64_t{100});
+    if (op < 45) {
+      const auto value = static_cast<uint32_t>(rng.UniformInt(uint64_t{1000}));
+      const bool inserted = want.emplace(key, value).second;
+      ASSERT_EQ(table.Insert(key, value), inserted) << "step " << step;
+    } else if (op < 85) {
+      const auto it = want.find(key);
+      const uint32_t expect =
+          it == want.end() ? FlatSlotTable::kNone : it->second;
+      if (it != want.end()) want.erase(it);
+      ASSERT_EQ(table.Erase(key), expect) << "step " << step;
+    } else if (op < 99) {
+      const auto it = want.find(key);
+      ASSERT_EQ(table.Find(key),
+                it == want.end() ? FlatSlotTable::kNone : it->second);
+    } else if (rng.UniformInt(uint64_t{20}) == 0) {
+      // clear() keeps the capacity, and the table is fully usable after.
+      const size_t capacity = table.capacity();
+      table.clear();
+      want.clear();
+      ASSERT_EQ(table.capacity(), capacity);
+    }
+    if (step % 997 == 0) {
+      ExpectSameContents(table, want, universe);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    grown_capacity = std::max(grown_capacity, table.capacity());
+  }
+  ExpectSameContents(table, want, universe);
+  // The churn grew the table past its first capacity at least once.
+  EXPECT_GT(grown_capacity, 16u);
+}
+
+TEST(FlatSlotTableTest, ProbeRunWrappingTheEndSurvivesErase) {
+  // Ten keys homed on slot 15 of a 16-slot table (ten fit at a 2/3 load)
+  // occupy slots 15, 0, 1, ... 8; erasing from the front, the middle and
+  // the back must shift the rest back without losing any of them.
+  const std::vector<uint64_t> keys = KeysHomedAt(15, 16, 10, 1);
+  FlatSlotTable table;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(table.Insert(keys[i], static_cast<uint32_t>(i)));
+  }
+  ASSERT_EQ(table.capacity(), 16u);
+  std::unordered_map<uint64_t, uint32_t> want;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    want[keys[i]] = static_cast<uint32_t>(i);
+  }
+  for (const size_t victim : {0u, 5u, 9u, 1u}) {
+    ASSERT_EQ(table.Erase(keys[victim]), victim);
+    want.erase(keys[victim]);
+    ExpectSameContents(table, want, keys);
+    ASSERT_EQ(table.Erase(keys[victim]), FlatSlotTable::kNone);
+  }
+  // Re-inserting fills the holes again; the capacity never moved.
+  for (const uint32_t victim : {9u, 0u}) {
+    ASSERT_TRUE(table.Insert(keys[victim], 100 + victim));
+    want[keys[victim]] = 100 + victim;
+  }
+  ExpectSameContents(table, want, keys);
+  EXPECT_EQ(table.capacity(), 16u);
+}
+
+TEST(FlatSlotTableTest, ClearKeepsCapacityAndEveryKeyIsStorable) {
+  FlatSlotTable table;
+  table.Reserve(1000);
+  const size_t capacity = table.capacity();
+  ASSERT_GE(capacity * 2, 3000u);
+  for (int round = 0; round < 3; ++round) {
+    for (uint32_t i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(table.Insert(uint64_t{i} * 0x9e3779b97f4a7c15ull, i));
+    }
+    ASSERT_EQ(table.size(), 1000u);
+    ASSERT_EQ(table.Find(uint64_t{999} * 0x9e3779b97f4a7c15ull), 999u);
+    table.clear();
+    ASSERT_TRUE(table.empty());
+    ASSERT_EQ(table.Find(uint64_t{999} * 0x9e3779b97f4a7c15ull),
+              FlatSlotTable::kNone);
+    ASSERT_EQ(table.capacity(), capacity);
+  }
+  // Emptiness is marked by the value, so no key is reserved.
+  for (const uint64_t key : {uint64_t{0}, ~uint64_t{0}}) {
+    EXPECT_EQ(table.Find(key), FlatSlotTable::kNone);
+    EXPECT_TRUE(table.Insert(key, 7));
+    EXPECT_FALSE(table.Insert(key, 8));
+    EXPECT_EQ(table.Find(key), 7u);
+    EXPECT_EQ(table.Erase(key), 7u);
+    EXPECT_EQ(table.Find(key), FlatSlotTable::kNone);
   }
 }
 
@@ -117,6 +263,48 @@ TEST(HierarchicalGridTest, DuplicateHandleRejected) {
   ASSERT_TRUE(index.Insert(e).ok());
   EXPECT_EQ(index.Insert(e).code(), StatusCode::kAlreadyExists);
   EXPECT_TRUE(index.Remove(99).IsNotFound());
+}
+
+TEST(HierarchicalGridTest, DuplicateHandleCreatesNoCell) {
+  HierarchicalGridIndex index(TestGrid(), SearchStrategy::kBottomUpDown);
+  const SegmentEntry e{1, 0, Segment{{10, 10}, {12, 12}}};
+  ASSERT_TRUE(index.Insert(e).ok());
+  const size_t cells = index.NumCells();
+  SearchOptions options;
+  options.k = 2;
+  SearchContext ctx;
+  const Point q{5000, 5000};
+  const auto hits = index.KNearest(q, options, &ctx);
+  const std::vector<Neighbor> before(hits.begin(), hits.end());
+  // Same handle, geometry whose best-fit cell is not materialized.
+  const SegmentEntry dup{1, 3, Segment{{7000, 7000}, {7010, 7010}}};
+  EXPECT_EQ(index.Insert(dup).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(index.Build(Span<const SegmentEntry>(&dup, 1)).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(index.NumCells(), cells);
+  EXPECT_TRUE(index.CellSegments(index.BestFit(dup.geom)).empty());
+  EXPECT_EQ(index.size(), 1u);
+  ExpectSameResults(index.KNearest(q, options, &ctx), before, "duplicate");
+}
+
+TEST(HierarchicalGridTest, ExtremeHandlesAreOrdinaryKeys) {
+  HierarchicalGridIndex index(TestGrid(), SearchStrategy::kBottomUpDown);
+  const SegmentHandle max = std::numeric_limits<SegmentHandle>::max();
+  const SegmentEntry high{max, 0, Segment{{10, 10}, {12, 12}}};
+  const SegmentEntry low{0, 1, Segment{{20, 20}, {22, 22}}};
+  ASSERT_TRUE(index.Insert(high).ok());
+  ASSERT_TRUE(index.Insert(low).ok());
+  EXPECT_EQ(index.Insert(high).code(), StatusCode::kAlreadyExists);
+  SearchOptions options;
+  options.k = 2;
+  SearchContext ctx;
+  const auto hits = index.KNearest({0, 0}, options, &ctx);
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].entry.handle, max);
+  EXPECT_EQ(hits[1].entry.handle, 0u);
+  ASSERT_TRUE(index.Remove(max).ok());
+  EXPECT_TRUE(index.Remove(max).IsNotFound());
+  EXPECT_EQ(index.size(), 1u);
 }
 
 TEST(HierarchicalGridTest, EmptyIndexReturnsNothing) {
@@ -568,6 +756,110 @@ TEST(StrategyEquivalencePropertyTest, ResultsIndependentOfBuildOrder) {
           if (::testing::Test::HasFatalFailure()) return;
         }
       }
+    }
+  }
+}
+
+// The local stage reuses one index for every trajectory of a call: Reset
+// re-targets it at the trajectory's own grid. Over 60 trajectory-sized
+// segment sets with different grids, with the modifier's Remove/Insert
+// churn between searches, a reused index must return what a fresh index
+// per set returns — (handle, dist) at every rank — and count the same
+// distance evaluations.
+TEST(IndexResetTest, ReusedIndexMatchesFreshIndexPerSet) {
+  for (const SearchStrategy s : kAllStrategies) {
+    SCOPED_TRACE(std::string(SearchStrategyName(s)));
+    Rng rng(5150);
+    auto reused = MakeSegmentIndex(s, TestGrid());
+    SearchContext reused_ctx;
+    SearchContext fresh_ctx;
+    for (int set = 0; set < 60; ++set) {
+      // A polyline of 20-160 points inside a box of 300 m to 6 km.
+      const double extent = rng.Uniform(300, 6000);
+      const Point origin{rng.Uniform(0, kRegionSize - extent),
+                         rng.Uniform(0, kRegionSize - extent)};
+      const size_t points = 20 + rng.UniformInt(uint64_t{141});
+      std::vector<SegmentEntry> entries;
+      Point p{origin.x + rng.Uniform(0, extent),
+              origin.y + rng.Uniform(0, extent)};
+      BBox region = BBox::Of(p, p);
+      for (size_t i = 1; i < points; ++i) {
+        const Point next{
+            std::clamp(p.x + rng.Uniform(-extent / 32, extent / 32), origin.x,
+                       origin.x + extent),
+            std::clamp(p.y + rng.Uniform(-extent / 32, extent / 32), origin.y,
+                       origin.y + extent)};
+        entries.push_back(SegmentEntry{i - 1, static_cast<TrajId>(i % 8),
+                                       Segment{p, next}});
+        region.Extend(next);
+        p = next;
+      }
+      region.min_x -= 50;
+      region.min_y -= 50;
+      region.max_x += 50;
+      region.max_y += 50;
+      // Levels vary too (16x16 .. 256x256 finest), so Reset re-targets
+      // UG's level and HG's depth as well as the region.
+      const GridSpec grid(region, 5 + set % 5);
+
+      reused->Reset(grid);
+      ASSERT_EQ(reused->size(), 0u);
+      ASSERT_EQ(reused->distance_evaluations(), 0u);
+      ASSERT_TRUE(reused->Build(entries).ok());
+      auto fresh = MakeSegmentIndex(s, grid);
+      ASSERT_TRUE(fresh->Build(entries).ok());
+
+      std::vector<SegmentEntry> live = entries;
+      SegmentHandle next_handle = entries.size();
+      for (int round = 0; round < 6; ++round) {
+        // Insertion churn (InsertPointSync): split a segment at q.
+        for (int edit = 0; edit < 3; ++edit) {
+          const size_t pick = rng.UniformInt(uint64_t{live.size()});
+          const SegmentEntry old = live[pick];
+          // Insertion sites are nearest segments, so q lies near `old`.
+          const Point q{(old.geom.a.x + old.geom.b.x) / 2 +
+                            rng.Uniform(-extent / 64, extent / 64),
+                        (old.geom.a.y + old.geom.b.y) / 2 +
+                            rng.Uniform(-extent / 64, extent / 64)};
+          const SegmentEntry left{old.handle, old.traj, Segment{old.geom.a, q}};
+          const SegmentEntry right{next_handle++, old.traj,
+                                   Segment{q, old.geom.b}};
+          for (SegmentIndex* index : {reused.get(), fresh.get()}) {
+            ASSERT_TRUE(index->Remove(old.handle).ok());
+            ASSERT_TRUE(index->Insert(left).ok());
+            ASSERT_TRUE(index->Insert(right).ok());
+          }
+          live[pick] = left;
+          live.push_back(right);
+        }
+        // Deletion churn (DeleteNodeSync): drop a segment.
+        if (live.size() > 2) {
+          const size_t pick = rng.UniformInt(uint64_t{live.size()});
+          for (SegmentIndex* index : {reused.get(), fresh.get()}) {
+            ASSERT_TRUE(index->Remove(live[pick].handle).ok());
+          }
+          live[pick] = live.back();
+          live.pop_back();
+        }
+        for (const GroupBy mode : {GroupBy::kSegment, GroupBy::kTrajectory}) {
+          SearchOptions options;
+          options.k = 1 + rng.UniformInt(uint64_t{6});
+          options.group_by = mode;
+          // Like the modifier's representative points: near the polyline.
+          const Point& v =
+              live[rng.UniformInt(uint64_t{live.size()})].geom.a;
+          const Point q{v.x + rng.Uniform(-extent / 20, extent / 20),
+                        v.y + rng.Uniform(-extent / 20, extent / 20)};
+          ExpectSameResults(reused->KNearest(q, options, &reused_ctx),
+                            fresh->KNearest(q, options, &fresh_ctx),
+                            "set " + std::to_string(set) + " round " +
+                                std::to_string(round));
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+      ASSERT_EQ(reused->size(), fresh->size());
+      ASSERT_EQ(reused->distance_evaluations(), fresh->distance_evaluations())
+          << "set " << set;
     }
   }
 }
