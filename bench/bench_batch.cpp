@@ -80,11 +80,12 @@ int main() {
               "speedup", "eps", "sum|P|", "ins", "del");
 
   double baseline_seconds = 0.0;  // first sweep entry; rows compare to it
+  frt::WorkStealingPool pool(threads);
   for (const int shards : ShardSweep()) {
     frt::BatchRunnerConfig config;
     config.pipeline = pipeline;
     config.shards = shards;
-    config.threads = threads;
+    config.pool = &pool;
     frt::BatchRunner runner(config);
     frt::Rng rng(seed);
     auto published = runner.Anonymize(workload.dataset, rng);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/parallel.h"
+#include "runtime/work_stealing_pool.h"
 
 namespace frt {
 namespace {
@@ -186,11 +186,11 @@ Linker::Profile Linker::BuildProfile(
 }
 
 std::vector<Linker::Profile> Linker::BuildAllProfiles(
-    const Dataset& d, SignatureType type) const {
+    const Dataset& d, SignatureType type, WorkStealingPool& pool) const {
   std::vector<Profile> profiles(d.size());
   if (type != SignatureType::kSequential) {
     const auto df = CountDocumentFrequency(d, type);
-    ParallelFor(d.size(), [&](size_t i) {
+    pool.Run(d.size(), [&](size_t i) {
       profiles[i] = BuildProfile(d[i], type, df, d.size());
     });
     return profiles;
@@ -202,7 +202,7 @@ std::vector<Linker::Profile> Linker::BuildAllProfiles(
   // the feature sensitive to anchor removal and frequency randomization.
   const auto spatial_df = CountDocumentFrequency(d, SignatureType::kSpatial);
   std::vector<Profile> raw_counts(d.size());
-  ParallelFor(d.size(), [&](size_t i) {
+  pool.Run(d.size(), [&](size_t i) {
     const auto top = TopSpatialCells(d[i], spatial_df, d.size());
     if (top.size() < 2) return;
     uint64_t prev = ~0ULL;
@@ -222,7 +222,7 @@ std::vector<Linker::Profile> Linker::BuildAllProfiles(
     for (const auto& [k, v] : counts) ++seq_df[k];
   }
   const double n = static_cast<double>(std::max<size_t>(d.size(), 2));
-  ParallelFor(d.size(), [&](size_t i) {
+  pool.Run(d.size(), [&](size_t i) {
     Profile& counts = raw_counts[i];
     double total = 0.0;
     for (const auto& [k, v] : counts) total += v;
@@ -245,18 +245,20 @@ void Linker::Train(const Dataset& original) {
   for (size_t i = 0; i < original.size(); ++i) {
     user_ids_.push_back(original[i].id());
   }
+  WorkStealingPool pool;
   for (int t = 0; t < 4; ++t) {
     profiles_[t] =
-        BuildAllProfiles(original, static_cast<SignatureType>(t));
+        BuildAllProfiles(original, static_cast<SignatureType>(t), pool);
   }
 }
 
 std::vector<TrajId> Linker::Link(const Dataset& published,
                                  SignatureType type) const {
   const int t = static_cast<int>(type);
-  const std::vector<Profile> probes = BuildAllProfiles(published, type);
+  WorkStealingPool pool;
+  const std::vector<Profile> probes = BuildAllProfiles(published, type, pool);
   std::vector<TrajId> predicted(published.size(), -1);
-  ParallelFor(published.size(), [&](size_t i) {
+  pool.Run(published.size(), [&](size_t i) {
     double best = -1.0;
     size_t best_user = 0;
     for (size_t u = 0; u < profiles_[t].size(); ++u) {

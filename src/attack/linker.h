@@ -26,6 +26,8 @@
 
 namespace frt {
 
+class WorkStealingPool;
+
 /// Signature flavor used for linking.
 enum class SignatureType {
   kSpatial,
@@ -95,9 +97,10 @@ class Linker {
       const Dataset& d, SignatureType type) const;
 
   /// Builds the signature profile of every trajectory in `d` (used both
-  /// for training references and for probing published data).
-  std::vector<Profile> BuildAllProfiles(const Dataset& d,
-                                        SignatureType type) const;
+  /// for training references and for probing published data), one
+  /// trajectory per index of `pool`.
+  std::vector<Profile> BuildAllProfiles(const Dataset& d, SignatureType type,
+                                        WorkStealingPool& pool) const;
 
   uint64_t SpatialKey(const Point& p) const;
   uint64_t TemporalKey(int64_t t) const;

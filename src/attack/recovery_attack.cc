@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "common/parallel.h"
+#include "runtime/work_stealing_pool.h"
 
 namespace frt {
 
@@ -19,7 +19,8 @@ RecoveryScores EvaluateRecovery(const Workload& workload,
   };
   std::vector<PerTraj> results(published.size());
 
-  ParallelFor(published.size(), [&](size_t i) {
+  WorkStealingPool pool;
+  pool.Run(published.size(), [&](size_t i) {
     const Trajectory& traj = published[i];
     const TrajId id = traj.id();
     if (id < 0 ||

@@ -121,33 +121,49 @@ Span<const Neighbor> UniformGridIndex::KNearest(const Point& q,
   const CellCoord c0 = grid_.CellAt(q, level_);
   uint64_t evals = 0;
 
-  const int max_radius = static_cast<int>(n);  // covers the whole grid
-  for (int radius = 0; radius <= max_radius; ++radius) {
+  const int64_t cx = c0.ix;
+  const int64_t cy = c0.iy;
+  const auto visit = [&](int64_t x, int64_t y) {
+    const uint32_t list = cell_list_.Find(
+        CellCoord{level_, static_cast<int32_t>(x), static_cast<int32_t>(y)}
+            .Key());
+    if (list == kNil) return;
+    for (const uint32_t slot : cells_[list]) {
+      if (ctx->Visited(slot)) continue;  // dedup multi-cell segments
+      ctx->MarkVisited(slot);
+      const SegmentEntry& entry = store_[slot].entry;
+      if (options.filter && !options.filter(entry)) continue;
+      ++evals;
+      collector.Offer(entry, PointSegmentDistance2(q, entry.geom));
+    }
+  };
+  // Past this radius every ring lies wholly outside the grid: the walk
+  // ends there even when the collector is not full (fewer eligible
+  // candidates than k).
+  const int64_t max_radius =
+      std::max(std::max(cx, n - 1 - cx), std::max(cy, n - 1 - cy));
+  for (int64_t radius = 0; radius <= max_radius; ++radius) {
     // Lower bound on the distance from q to any cell in this ring,
     // compared squared (both sides non-negative, so squaring preserves
     // the decision exactly).
     if (radius >= 2) {
-      const double ring_lb = (radius - 1) * cell_min;
+      const double ring_lb = static_cast<double>(radius - 1) * cell_min;
       if (collector.Full() && ring_lb * ring_lb > collector.Threshold2()) {
         break;
       }
     }
-    for (int dx = -radius; dx <= radius; ++dx) {
-      for (int dy = -radius; dy <= radius; ++dy) {
-        if (std::max(std::abs(dx), std::abs(dy)) != radius) continue;
-        const int32_t x = c0.ix + dx;
-        const int32_t y = c0.iy + dy;
-        if (x < 0 || y < 0 || x >= n || y >= n) continue;
-        const uint32_t list = cell_list_.Find(CellCoord{level_, x, y}.Key());
-        if (list == kNil) continue;
-        for (const uint32_t slot : cells_[list]) {
-          if (ctx->Visited(slot)) continue;  // dedup multi-cell segments
-          ctx->MarkVisited(slot);
-          const SegmentEntry& entry = store_[slot].entry;
-          if (options.filter && !options.filter(entry)) continue;
-          ++evals;
-          collector.Offer(entry, PointSegmentDistance2(q, entry.geom));
-        }
+    // The ring's perimeter clipped to the grid, column by column: the
+    // whole column at dx = +-radius, only the top and bottom cells of the
+    // columns in between.
+    const int64_t y_lo = std::max<int64_t>(cy - radius, 0);
+    const int64_t y_hi = std::min<int64_t>(cy + radius, n - 1);
+    for (int64_t x = std::max<int64_t>(cx - radius, 0);
+         x <= std::min<int64_t>(cx + radius, n - 1); ++x) {
+      if (x == cx - radius || x == cx + radius) {
+        for (int64_t y = y_lo; y <= y_hi; ++y) visit(x, y);
+      } else {
+        if (cy - radius >= 0) visit(x, cy - radius);
+        if (cy + radius < n) visit(x, cy + radius);
       }
     }
   }

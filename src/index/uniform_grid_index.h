@@ -2,9 +2,12 @@
 //
 // Segments register in every finest-level cell their bounding box overlaps
 // (duplication instead of hierarchy). KNearest runs an expanding-ring
-// search: ring r has a lower bound of (r-1) * cell_extent from the query,
-// so the search stops once the collector threshold beats the next ring
-// (compared in squared space, like every other pruning decision).
+// search over each ring's perimeter cells: ring r has a lower bound of
+// (r-1) * cell_extent from the query, so the search stops once the
+// collector threshold beats the next ring (compared in squared space, like
+// every other pruning decision). With fewer eligible candidates than k
+// the collector never fills, so the walk also ends once its ring lies
+// wholly outside the grid.
 //
 // Layout. Entries live in a flat slot store (recycled through a free list);
 // cells hold 32-bit slot indices, so the ring scan reads entries without a

@@ -55,13 +55,10 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
     shard_inputs[i] = Dataset();  // release the copy as soon as possible
     shard_walls[i] = shard_watch.ElapsedSeconds();
   };
-  if (k == 1) {
-    shard_task(0);  // no pool or thread spawn for a single shard
-  } else if (config_.pool != nullptr) {
+  if (config_.pool != nullptr) {
     config_.pool->Run(k, shard_task);
   } else {
-    WorkStealingPool pool(config_.threads);
-    pool.Run(k, shard_task);
+    for (size_t i = 0; i < k; ++i) shard_task(i);
   }
 
   Dataset merged;

@@ -39,12 +39,9 @@ struct BatchRunnerConfig {
   FrequencyRandomizerConfig pipeline;
   /// Number of dataset partitions (clamped to [1, |D|]).
   int shards = 1;
-  /// Worker threads of the ephemeral per-call pool; 0 means hardware
-  /// concurrency. Ignored when `pool` is set.
-  unsigned threads = 0;
-  /// Optional externally owned pool reused across Anonymize calls (the
-  /// service shares one pool across all windows). When null, an ephemeral
-  /// pool is created per call.
+  /// Externally owned pool the shards and the audit fan out over (the
+  /// service shares one pool across all windows). When null, they run
+  /// one after another on the calling thread; the output is the same.
   WorkStealingPool* pool = nullptr;
   /// Post-publish displacement audit (runtime/window_audit.h). When
   /// enabled, the batch builds one segment index over the window's input
@@ -94,7 +91,7 @@ class BatchRunner : public Anonymizer {
 
   /// Shards `input`, anonymizes every shard, and merges the outputs in
   /// input order. Deterministic given `rng`'s state and the shard count,
-  /// independent of the thread count.
+  /// independent of the pool and its size.
   Result<Dataset> Anonymize(const Dataset& input, Rng& rng) override;
 
   /// Diagnostics of the most recent Anonymize call.

@@ -11,6 +11,7 @@
 #include "geo/morton.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
+#include "runtime/shard_plan.h"
 
 namespace frt {
 
@@ -193,24 +194,19 @@ WindowAuditReport RunWindowAudit(const Dataset& original,
   report.build_seconds = build_watch.ElapsedSeconds();
   if (!built.ok()) return report;
 
-  // Fixed range split (independent of worker count): contiguous
-  // trajectory ranges, remainder spread over the leading ranges.
-  const size_t n = published.size();
-  const size_t ranges =
-      std::clamp<size_t>(static_cast<size_t>(config.ranges), 1, n);
-  std::vector<RangePartial> partials(ranges);
-  const size_t base = n / ranges;
-  const size_t extra = n % ranges;
+  // Fixed range split (independent of worker count).
+  const std::vector<ShardRange> ranges =
+      PlanShards(published.size(), config.ranges);
+  std::vector<RangePartial> partials(ranges.size());
   const auto range_task = [&](size_t r) {
-    const size_t begin = r * base + std::min(r, extra);
-    const size_t end = begin + base + (r < extra ? 1 : 0);
     SearchContext ctx;
-    SweepRange(published, begin, end, vertices, *index, &ctx, &partials[r]);
+    SweepRange(published, ranges[r].begin, ranges[r].end, vertices, *index,
+               &ctx, &partials[r]);
   };
   if (pool != nullptr) {
-    pool->Run(ranges, range_task);
+    pool->Run(ranges.size(), range_task);
   } else {
-    for (size_t r = 0; r < ranges; ++r) range_task(r);
+    for (size_t r = 0; r < ranges.size(); ++r) range_task(r);
   }
 
   // Fixed-order merge: every aggregate below is independent of worker

@@ -58,7 +58,8 @@ struct WindowAuditConfig {
   int index_levels = 10;
   /// Number of trajectory ranges the published dataset is split into.
   /// Fixed (not derived from the worker count) so aggregates are
-  /// bit-identical across thread counts; clamped to the trajectory count.
+  /// bit-identical across thread counts; planned by PlanShards
+  /// (runtime/shard_plan.h), so clamped to [1, trajectory count].
   int ranges = 8;
 };
 

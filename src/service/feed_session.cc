@@ -1,7 +1,10 @@
 #include "service/feed_session.h"
 
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "obs/trace.h"
 
 namespace frt {
@@ -92,18 +95,72 @@ Status FeedSession::CloseWindow(WindowClose reason,
   return Status::OK();
 }
 
-std::optional<WindowJob> FeedSession::NextSubmittable() {
-  if (busy_) return std::nullopt;
+bool FeedSession::Admit(WindowJob* job) {
   const double window_epsilon = config_.batch.pipeline.epsilon_global +
                                 config_.batch.pipeline.epsilon_local;
+  Dataset& window = job->window;
+  if (config_.accounting == BudgetAccounting::kWholesale) {
+    if (!accountant_.enforcing() ||
+        accountant_.remaining() + 1e-12 >= window_epsilon) {
+      return true;
+    }
+    ++report_.windows_refused;
+    report_.trajectories_refused += window.size();
+    FRT_LOG(Warning) << "feed " << feed_
+                     << ": privacy budget exhausted: refusing window #"
+                     << job->index << " (" << window.size()
+                     << " trajectories); spent " << accountant_.spent()
+                     << " of " << accountant_.total_budget()
+                     << ", next window needs " << window_epsilon;
+    return false;
+  }
+  if (!object_accountant_.enforcing()) return true;
+  std::vector<TrajId> ids;
+  ids.reserve(window.size());
+  for (const auto& t : window.trajectories()) ids.push_back(t.id());
+  std::vector<TrajId> admissible, exhausted;
+  object_accountant_.FilterAdmissible(ids, window_epsilon, &admissible,
+                                      &exhausted);
+  if (exhausted.empty()) return true;
+  if (!config_.evict_exhausted || admissible.empty()) {
+    ++report_.windows_refused;
+    report_.trajectories_refused += window.size();
+    FRT_LOG(Warning) << "feed " << feed_
+                     << ": per-object budget exhausted: refusing window #"
+                     << job->index << " (" << window.size()
+                     << " trajectories, " << exhausted.size()
+                     << " exhausted object(s); object " << exhausted.front()
+                     << " spent "
+                     << object_accountant_.spent(exhausted.front()) << " of "
+                     << object_accountant_.per_object_budget()
+                     << ", next window needs " << window_epsilon << ")";
+    return false;
+  }
+  std::unordered_set<TrajId> drop(exhausted.begin(), exhausted.end());
+  std::vector<Trajectory> kept;
+  kept.reserve(admissible.size());
+  for (auto& t : window.mutable_trajectories()) {
+    if (drop.count(t.id()) == 0) kept.push_back(std::move(t));
+  }
+  window = Dataset(std::move(kept));
+  job->evicted = exhausted.size();
+  report_.trajectories_evicted += exhausted.size();
+  FRT_LOG(Warning) << "feed " << feed_ << ": per-object budget: evicting "
+                   << exhausted.size()
+                   << " exhausted object(s) from window #" << job->index
+                   << " (" << window.size() << " remain; object "
+                   << exhausted.front() << " spent "
+                   << object_accountant_.spent(exhausted.front()) << " of "
+                   << object_accountant_.per_object_budget() << ")";
+  return true;
+}
+
+std::optional<WindowJob> FeedSession::NextSubmittable() {
+  if (busy_) return std::nullopt;
   while (!backlog_.empty()) {
     WindowJob job = std::move(backlog_.front());
     backlog_.pop_front();
-    const bool admitted = AdmitWindowOnBudget(
-        &job.window, job.index, window_epsilon, config_.accounting,
-        config_.evict_exhausted, accountant_, object_accountant_, &report_,
-        &job.evicted, "feed " + feed_ + ": ");
-    if (!admitted) continue;
+    if (!Admit(&job)) continue;
     busy_ = true;
     return job;
   }

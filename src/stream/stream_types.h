@@ -1,5 +1,4 @@
-// Per-feed streaming vocabulary: the window configuration, the reports,
-// and the shared budget admission control every window passes through.
+// Per-feed streaming vocabulary: the window configuration and the reports.
 //
 // Windows are executed by one path, the ServiceDispatcher
 // (service/dispatcher.h); frt_stream is a one-feed client of it. This
@@ -24,8 +23,10 @@
 //                 exhausted objects are evicted from the window while the
 //                 rest still publishes.
 //
-// Refused windows (and evicted trajectories) are counted and dropped,
-// never published with a weaker guarantee.
+// Each session admits its closed windows against its own ledgers
+// (FeedSession, service/feed_session.h). Refused windows (and evicted
+// trajectories) are counted and dropped, never published with a weaker
+// guarantee.
 
 #ifndef FRT_STREAM_STREAM_TYPES_H_
 #define FRT_STREAM_STREAM_TYPES_H_
@@ -34,10 +35,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
-#include "dp/accountant.h"
-#include "dp/object_accountant.h"
 #include "runtime/batch_runner.h"
 #include "traj/dataset.h"
 
@@ -74,8 +72,9 @@ enum class BudgetAccounting {
 /// it to its own feed.
 struct StreamConfig {
   /// Per-window execution: pipeline budgets, shard count, audit. The
-  /// service runs every window on its shared pool, so `batch.pool` and
-  /// `batch.threads` are managed by it and ignored here.
+  /// service runs every window on its shared pool (sized by
+  /// ServiceConfig::pool_threads), so `batch.pool` is set by it and
+  /// ignored here.
   BatchRunnerConfig batch;
   /// Trajectories per window. The final window may be smaller.
   size_t window_size = 1000;
@@ -181,22 +180,6 @@ struct StreamReport {
 inline bool StreamHadRefusals(const StreamReport& report) {
   return report.windows_refused > 0 || report.trajectories_evicted > 0;
 }
-
-/// \brief Budget admission control for one closed window.
-///
-/// Under kWholesale the whole window is admitted or refused against
-/// `accountant`. Under kPerObject (with `evict_exhausted`) exhausted
-/// objects may instead be evicted from `window` in place, `*evicted`
-/// counting them. Refusals/evictions are recorded in `report`'s counters;
-/// diagnostics are logged with `log_prefix` (e.g. "feed taxi: ").
-/// Returns true when the (possibly shrunk) window may run.
-bool AdmitWindowOnBudget(Dataset* window, size_t index,
-                         double window_epsilon, BudgetAccounting accounting,
-                         bool evict_exhausted,
-                         const PrivacyAccountant& accountant,
-                         const ObjectBudgetAccountant& object_accountant,
-                         StreamReport* report, size_t* evicted,
-                         const std::string& log_prefix);
 
 }  // namespace frt
 

@@ -1,7 +1,6 @@
 // WindowAssembler: the ring-buffer window geometry of every feed session
 // (service/feed_session.h). Its vocabulary — close reasons, the per-feed
-// config, reports, budget admission — lives next door in
-// stream/stream_types.h.
+// config, reports — lives next door in stream/stream_types.h.
 //
 // Arrivals accumulate in a deque; a window "closes over" the whole buffer,
 // then the oldest `stride` arrivals retire. stride == window_size gives

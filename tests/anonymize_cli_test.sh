@@ -4,6 +4,7 @@
 # (and every displacement) of the whole batch. The run must exit 1, name
 # the line, and write no release. The same input with the row fixed runs.
 # A directory as input is a read error (exit 1), not an empty dataset.
+# The retired --strategy and --pool-threads flags are unknown (exit 2).
 #
 # Usage: anonymize_cli_test.sh /path/to/frt_anonymize
 
@@ -51,4 +52,15 @@ grep -q "read failed" "$WORK/dir.log" \
 [[ -e "$WORK/dir_out.csv" ]] && fail "--input DIR wrote a release"
 echo "ok: --input DIR refused ($(head -c 120 "$WORK/dir.log"))"
 
-echo "PASS: frt_anonymize refuses non-finite coordinates and unreadable input"
+for flag in --strategy --pool-threads; do
+  "$ANON" --input "$WORK/good.csv" --output "$WORK/retired_out.csv" \
+    "$flag" 3 2> "$WORK/retired.log"
+  code=$?
+  [[ "$code" == "2" ]] || fail "$flag exited $code, want 2"
+  grep -q -- "unknown flag: $flag" "$WORK/retired.log" \
+    || fail "$flag not reported as unknown: $(cat "$WORK/retired.log")"
+  [[ -e "$WORK/retired_out.csv" ]] && fail "$flag wrote a release"
+done
+echo "ok: retired flags refused"
+
+echo "PASS: frt_anonymize refuses non-finite coordinates, unreadable input and retired flags"

@@ -175,7 +175,8 @@ TEST(BatchRunnerTest, ShardedRunEqualsConcatenationOfPerShardRuns) {
   BatchRunnerConfig config;
   config.pipeline = SmallPipeline();
   config.shards = kShards;
-  config.threads = 2;
+  WorkStealingPool pool(2);
+  config.pool = &pool;
   BatchRunner runner(config);
   Rng batch_rng(99);
   auto batched = runner.Anonymize(input, batch_rng);
@@ -208,10 +209,11 @@ TEST(BatchRunnerTest, DeterministicAcrossThreadCounts) {
   // worker threads execute the shards.
   const Dataset input = SmallFleet(24, 5);
   auto run = [&](unsigned threads) {
+    WorkStealingPool pool(threads);
     BatchRunnerConfig config;
     config.pipeline = SmallPipeline();
     config.shards = 4;
-    config.threads = threads;
+    config.pool = &pool;
     BatchRunner runner(config);
     Rng rng(2024);
     auto out = runner.Anonymize(input, rng);

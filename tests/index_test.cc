@@ -6,7 +6,8 @@
 // including a randomized interleaved-update property test with reused
 // SearchContexts (the exactness guard for the arena/epoch layout), segments
 // that leave the grid region, builds of one segment set in different
-// orders, and one index Reset across many trajectory-sized sets.
+// orders, one index Reset across many trajectory-sized sets, and a UG
+// search with fewer eligible trajectories than k that must terminate.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "geo/morton.h"
 #include "index/flat_table.h"
 #include "index/hierarchical_grid_index.h"
@@ -862,6 +864,37 @@ TEST(IndexResetTest, ReusedIndexMatchesFreshIndexPerSet) {
           << "set " << set;
     }
   }
+}
+
+TEST(UniformGridTest, FewerEligibleTrajectoriesThanKTerminates) {
+  // Trajectory mode with k above the trajectory count: the collector never
+  // fills, so only running out of grid ends the ring walk. Each query must return every trajectory, as the linear scan
+  // does. The segments span the region, so each query still walks most of
+  // the 1024x1024 grid once: the 60 queries take about 0.5 s in Release
+  // and 3 s under ASan at -O0. A walk that rescans every (2r+1)^2 square
+  // out to radius 1024 took 22 s in Release.
+  Rng rng(808);
+  auto linear = MakeSegmentIndex(SearchStrategy::kLinear, TestGrid());
+  auto grid = MakeSegmentIndex(SearchStrategy::kUniformGrid, TestGrid());
+  for (SegmentHandle h = 0; h < 40; ++h) {
+    const SegmentEntry e = RandomSegment(h, h % 5, rng);
+    ASSERT_TRUE(linear->Insert(e).ok());
+    ASSERT_TRUE(grid->Insert(e).ok());
+  }
+  SearchOptions options;
+  options.k = 6;
+  options.group_by = GroupBy::kTrajectory;
+  SearchContext ctx;
+  SearchContext linear_ctx;
+  Stopwatch watch;
+  for (int trial = 0; trial < 60; ++trial) {
+    const Point q{rng.Uniform(0, kRegionSize), rng.Uniform(0, kRegionSize)};
+    const auto got = grid->KNearest(q, options, &ctx);
+    ASSERT_EQ(got.size(), 5u) << "trial " << trial;
+    ExpectSameResults(got, linear->KNearest(q, options, &linear_ctx),
+                      "trial " + std::to_string(trial));
+  }
+  EXPECT_LT(watch.ElapsedSeconds(), 15.0);
 }
 
 TEST(SearchStrategyTest, Names) {

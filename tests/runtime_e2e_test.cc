@@ -135,10 +135,11 @@ TEST_F(RuntimeE2ETest, BatchRunnerMatchesConcatenatedShardOutputs) {
 
 TEST_F(RuntimeE2ETest, BatchDeterminismAcrossRuns) {
   auto run = []() {
+    WorkStealingPool pool(2);
     BatchRunnerConfig config;
     config.pipeline = PipelineConfig();
     config.shards = 3;
-    config.threads = 2;
+    config.pool = &pool;
     BatchRunner runner(config);
     Rng rng(kPipelineSeed);
     auto out = runner.Anonymize(*dataset_, rng);

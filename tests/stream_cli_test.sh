@@ -6,7 +6,8 @@
 # the partial window read ahead of the bad line is dropped and the run
 # exits 1. A feed id outside [A-Za-z0-9._-] (e.g. ../escaped) is rejected
 # before it can name a file outside --output-dir. An unreadable input (a
-# directory) exits 1, and an out-of-range --pool-threads exits 2.
+# directory) exits 1, an out-of-range --threads exits 2, and so do the
+# retired --strategy and --pool-threads flags.
 #
 # Usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve
 
@@ -128,15 +129,31 @@ code=$?
 grep -q "read failed" "$WORK/dir_feeds.log" \
   || fail "frt_serve --feeds DIR did not report the read error"
 
-# ---- --pool-threads beyond unsigned range is a usage error at parse time,
+# ---- --threads beyond unsigned range is a usage error at parse time,
 # not a count wrapped modulo 2^32 (4294967298 would be 2 workers). The
 # input does not exist, so a missed check fails with 1, not 2, and runs
 # no window. ----
 "$SERVE" --input "x=$WORK/no_such.csv" --output-dir "$WORK/dir_out" \
-  --pool-threads 4294967298 2> "$WORK/pool_threads.log"
+  --threads 4294967298 2> "$WORK/threads.log"
 code=$?
-[[ "$code" == "2" ]] || fail "frt_serve --pool-threads 4294967298 exited $code, want 2"
-grep -q -- "--pool-threads value out of range" "$WORK/pool_threads.log" \
-  || fail "frt_serve did not name --pool-threads as out of range"
+[[ "$code" == "2" ]] || fail "frt_serve --threads 4294967298 exited $code, want 2"
+grep -q -- "--threads value out of range" "$WORK/threads.log" \
+  || fail "frt_serve did not name --threads as out of range"
 
-echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows; invalid feed ids, unreadable inputs and out-of-range --pool-threads rejected"
+# ---- Retired flags are unknown flags (exit 2), not silently ignored. ----
+for flag in --strategy --pool-threads; do
+  "$SERVE" --input "x=$WORK/no_such.csv" --output-dir "$WORK/dir_out" \
+    "$flag" 3 2> "$WORK/retired.log"
+  code=$?
+  [[ "$code" == "2" ]] || fail "frt_serve $flag exited $code, want 2"
+  grep -q -- "unknown flag: $flag" "$WORK/retired.log" \
+    || fail "frt_serve did not report $flag as unknown"
+  "$STREAM" --input "$WORK/no_such.csv" --output "$WORK/retired.csv" \
+    "$flag" 3 2> "$WORK/retired.log"
+  code=$?
+  [[ "$code" == "2" ]] || fail "frt_stream $flag exited $code, want 2"
+  grep -q -- "unknown flag: $flag" "$WORK/retired.log" \
+    || fail "frt_stream did not report $flag as unknown"
+done
+
+echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows; invalid feed ids, unreadable inputs, out-of-range --threads and retired flags rejected"

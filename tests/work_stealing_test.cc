@@ -1,9 +1,11 @@
 // Unit tests for runtime/work_stealing_pool.h and common/bounded_queue.h:
 // completeness (every index exactly once), no deadlock on degenerate
-// workloads, pool reuse, re-entrancy (Runs nested in submitted tasks and
-// in other Runs, concurrent Runs from many threads), scheduling-
-// independent results, BatchRunner equivalence across pool sizes, and
-// queue FIFO/backpressure/close semantics.
+// workloads (no items, one item, more workers than items or cores), the
+// 1-worker pool as an in-order loop on the caller, pool reuse,
+// re-entrancy (Runs nested in submitted tasks and in other Runs,
+// concurrent Runs from many threads), scheduling-independent results,
+// BatchRunner equivalence across pool sizes, and queue
+// FIFO/backpressure/close semantics.
 
 #include "runtime/work_stealing_pool.h"
 
@@ -25,14 +27,31 @@ namespace {
 TEST(WorkStealingPoolTest, ExecutesEveryIndexExactlyOnce) {
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
     WorkStealingPool pool(threads);
-    const size_t n = 500;
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    pool.Run(n, [&](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << ", threads " << threads;
+    for (const size_t n : {2u, 7u, 64u, 500u}) {
+      std::vector<std::atomic<int>> hits(n);
+      for (auto& h : hits) h.store(0);
+      pool.Run(n, [&](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " of " << n << ", threads " << threads;
+      }
     }
   }
+}
+
+TEST(WorkStealingPoolTest, OneWorkerPoolRunsIndicesInOrderOnCaller) {
+  // A 1-worker pool spawns no threads: Run is a plain loop in index order
+  // on the calling thread.
+  WorkStealingPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  bool on_caller = true;
+  pool.Run(8, [&](size_t i) {
+    order.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_TRUE(on_caller);
 }
 
 TEST(WorkStealingPoolTest, EmptyWorkloadDoesNotDeadlock) {
@@ -40,21 +59,38 @@ TEST(WorkStealingPoolTest, EmptyWorkloadDoesNotDeadlock) {
   pool.Run(0, [](size_t) { FAIL() << "no task should run"; });
 }
 
-TEST(WorkStealingPoolTest, SingleItemWorkloadDoesNotDeadlock) {
+TEST(WorkStealingPoolTest, SingleItemRunsOnCaller) {
+  // One index queues no helper: the caller claims it itself.
   WorkStealingPool pool(8);
+  const auto caller = std::this_thread::get_id();
+  std::thread::id seen;
   std::atomic<int> hits{0};
   pool.Run(1, [&](size_t i) {
     EXPECT_EQ(i, 0u);
+    seen = std::this_thread::get_id();
     hits.fetch_add(1);
   });
   EXPECT_EQ(hits.load(), 1);
+  EXPECT_EQ(seen, caller);
 }
 
 TEST(WorkStealingPoolTest, FewerTasksThanWorkers) {
   WorkStealingPool pool(8);
-  std::atomic<int> hits{0};
-  pool.Run(3, [&](size_t) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 3);
+  const size_t n = 3;
+  std::vector<std::atomic<int>> hits(n);
+  for (auto& h : hits) h.store(0);
+  pool.Run(n, [&](size_t i) { hits[i].fetch_add(1); });
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(WorkStealingPoolTest, OversubscribedPoolCompletes) {
+  // More workers than this host has cores: the run must neither deadlock
+  // nor skip an index.
+  WorkStealingPool pool(16);
+  const size_t n = 10000;
+  std::atomic<size_t> sum{0};
+  pool.Run(n, [&](size_t i) { sum.fetch_add(i + 1); });
+  EXPECT_EQ(sum.load(), n * (n + 1) / 2);
 }
 
 TEST(WorkStealingPoolTest, PoolIsReusableAcrossRuns) {
@@ -186,15 +222,13 @@ Dataset SmallFleet(int taxis, uint64_t seed) {
 
 TEST(WorkStealingPoolTest, BatchRunnerOutputIdenticalAcrossPoolSizes) {
   // The pool moves work between threads, never between RNG streams, so a
-  // batch is bit-identical on an ephemeral pool of any size and on a
-  // shared pool, audit included.
+  // batch is bit-identical on a pool of any size and without one, audit
+  // included.
   const Dataset input = SmallFleet(24, 7);
-  auto run = [&](unsigned threads, WorkStealingPool* pool,
-                 WindowAuditReport* audit) {
+  auto run = [&](WorkStealingPool* pool, WindowAuditReport* audit) {
     BatchRunnerConfig config;
     config.pipeline.m = 5;
     config.shards = 6;
-    config.threads = threads;
     config.pool = pool;
     config.audit.enabled = true;
     BatchRunner runner(config);
@@ -205,21 +239,18 @@ TEST(WorkStealingPoolTest, BatchRunnerOutputIdenticalAcrossPoolSizes) {
     return *std::move(out);
   };
   WindowAuditReport serial_audit;
-  const Dataset serial = run(1, nullptr, &serial_audit);
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    WorkStealingPool shared(threads);
-    for (WorkStealingPool* pool : {static_cast<WorkStealingPool*>(nullptr),
-                                   &shared}) {
-      WindowAuditReport audit;
-      const Dataset pooled = run(threads, pool, &audit);
-      ASSERT_EQ(pooled.size(), serial.size()) << "threads " << threads;
-      for (size_t i = 0; i < pooled.size(); ++i) {
-        EXPECT_EQ(pooled[i].points(), serial[i].points())
-            << "threads " << threads << ", trajectory " << i;
-      }
-      EXPECT_EQ(audit.mean_displacement, serial_audit.mean_displacement);
-      EXPECT_EQ(audit.max_displacement, serial_audit.max_displacement);
+  const Dataset serial = run(nullptr, &serial_audit);
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    WorkStealingPool pool(threads);
+    WindowAuditReport audit;
+    const Dataset pooled = run(&pool, &audit);
+    ASSERT_EQ(pooled.size(), serial.size()) << "threads " << threads;
+    for (size_t i = 0; i < pooled.size(); ++i) {
+      EXPECT_EQ(pooled[i].points(), serial[i].points())
+          << "threads " << threads << ", trajectory " << i;
     }
+    EXPECT_EQ(audit.mean_displacement, serial_audit.mean_displacement);
+    EXPECT_EQ(audit.max_displacement, serial_audit.max_displacement);
   }
 }
 

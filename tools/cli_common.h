@@ -95,35 +95,18 @@ inline const char* NextFlagValue(int argc, char** argv, int* i) {
   return argv[++*i];
 }
 
-/// Maps the --strategy flag spelling to a SearchStrategy. The single
-/// source of the ladder: every tool that grows a strategy flag uses this,
-/// so a new strategy becomes selectable everywhere at once.
-inline bool ParseStrategy(const std::string& s, SearchStrategy* out) {
-  if (s == "hg+") {
-    *out = SearchStrategy::kBottomUpDown;
-  } else if (s == "hgt") {
-    *out = SearchStrategy::kTopDown;
-  } else if (s == "hgb") {
-    *out = SearchStrategy::kBottomUp;
-  } else if (s == "ug") {
-    *out = SearchStrategy::kUniformGrid;
-  } else if (s == "linear") {
-    *out = SearchStrategy::kLinear;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// Raw values of the flags shared by all anonymizing tools.
+/// Raw values of the flags shared by all anonymizing tools. The kNN
+/// search is always the paper's HG+ (every strategy publishes the same
+/// release, src/index/README.md), so it is not a flag.
 struct PipelineArgs {
   double epsilon_global = 0.5;
   double epsilon_local = 0.5;
   int m = 10;
-  std::string strategy = "hg+";
   std::string order = "global";
   uint64_t seed = 42;
   int shards = 1;
+  /// Worker threads of the pool the run executes on; 0 = the tool's
+  /// default size.
   unsigned threads = 0;
 };
 
@@ -159,9 +142,6 @@ inline FlagParse ParsePipelineFlag(int argc, char** argv, int* i,
       return FlagParse::kError;
     }
     args->m = static_cast<int>(m);
-  } else if (std::strcmp(flag, "--strategy") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    args->strategy = v;
   } else if (std::strcmp(flag, "--order") == 0) {
     if ((v = next()) == nullptr) return FlagParse::kError;
     args->order = v;
@@ -200,10 +180,6 @@ inline bool MakePipelineConfig(const PipelineArgs& args,
   }
   config->order = args.order == "local" ? MechanismOrder::kLocalFirst
                                         : MechanismOrder::kGlobalFirst;
-  if (!ParseStrategy(args.strategy, &config->strategy)) {
-    std::fprintf(stderr, "unknown strategy '%s'\n", args.strategy.c_str());
-    return false;
-  }
   if (config->epsilon_global <= 0.0 && config->epsilon_local <= 0.0) {
     std::fprintf(stderr, "at least one epsilon must be positive\n");
     return false;
@@ -219,15 +195,16 @@ inline const char* PipelineUsageText() {
       "  --epsilon-local X    budget of the local PF mechanism (default "
       "0.5; 0 disables)\n"
       "  --m N                signature size (default 10)\n"
-      "  --strategy S         kNN strategy: hg+ hgt hgb ug linear "
-      "(default hg+)\n"
       "  --order O            mechanism order: global | local first "
       "(default global)\n"
       "  --seed N             RNG seed (default 42)\n"
       "  --shards K           dataset partitions anonymized independently "
       "(default 1)\n"
-      "  --threads N          worker threads; 0 = hardware concurrency "
-      "(default 0)\n";
+      "  --threads N          worker pool size (default 0 = hardware "
+      "concurrency;\n"
+      "                       at least 2 in the services, and "
+      "frt_anonymize\n"
+      "                       uses a pool only with --shards > 1)\n";
 }
 
 // ---- Streaming flags (every service CLI: windowing/budget vocabulary) ----

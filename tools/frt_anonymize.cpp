@@ -9,12 +9,13 @@
 //
 //   frt_anonymize --input raw.csv|- --output published.csv
 //       [--epsilon-global 0.5] [--epsilon-local 0.5] [--m 10]
-//       [--strategy hg+|hgt|hgb|ug|linear] [--order global|local]
-//       [--seed 42] [--shards 1] [--threads 0]
+//       [--order global|local] [--seed 42] [--shards 1] [--threads 0]
 //
 // With --shards K > 1 the dataset is partitioned and each shard is
-// anonymized independently (BatchRunner); parallel composition keeps the
-// privacy guarantee identical to the single-shot run.
+// anonymized independently (BatchRunner) on a pool of --threads workers
+// (0 = hardware concurrency), which also runs the audit; parallel
+// composition keeps the privacy guarantee identical to the single-shot
+// run. A single-shot run uses no pool, so --threads then has no effect.
 
 #include <cstdio>
 #include <cstdlib>
@@ -112,10 +113,11 @@ int main(int argc, char** argv) {
   audit_config.strategy = config.strategy;
   audit_config.index_levels = config.index_levels;
   if (args.pipeline.shards > 1) {
+    frt::WorkStealingPool pool(args.pipeline.threads);
     frt::BatchRunnerConfig batch_config;
     batch_config.pipeline = config;
     batch_config.shards = args.pipeline.shards;
-    batch_config.threads = args.pipeline.threads;
+    batch_config.pool = &pool;
     batch_config.audit = audit_config;
     frt::BatchRunner runner(batch_config);
     method_name = runner.name();

@@ -19,6 +19,9 @@
 //   frt_edge (--feeds FILE|- | --input [NAME=]FILE ...) --connect EP
 //       [--hello NAME] [stream/pipeline/durability/observability flags]
 //
+// --threads sizes the worker pool the feeds' window jobs share, as in
+// frt_serve (default 0 = max(2, cores)).
+//
 // The connection opens with a kHello frame carrying --hello NAME (default
 // "edge") for the aggregator's diagnostics and closes with a kBye frame;
 // a missing kBye tells the aggregator the edge died mid-stream. Each

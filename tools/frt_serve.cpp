@@ -30,15 +30,18 @@
 //
 //   frt_serve (--feeds FILE|- | --input [NAME=]FILE ...)
 //       (--output FILE|- | --output-dir DIR)
-//       [--evict-idle-ms 0] [--pool-threads 0] [--max-in-flight 0]
+//       [--evict-idle-ms 0] [--max-in-flight 0]
 //       [durability flags: --state-dir --checkpoint-interval-ms
 //        --metrics --metrics-interval-ms --metrics-per-feed]
 //       [observability flags: --trace-out --trace-buffer-events
 //        --admin-listen]
 //       [stream flags: --window --stride --budget --per-object-budget
 //        --evict-exhausted --queue --close-after-ms ...]
-//       [pipeline flags: --epsilon-global --epsilon-local --m --strategy
-//        --order --seed --shards ...]
+//       [pipeline flags: --epsilon-global --epsilon-local --m --order
+//        --seed --shards --threads]
+//
+// --threads sizes the worker pool every feed's window jobs share (default
+// 0 = max(2, cores)).
 //
 // With --state-dir the per-feed budget ledgers are checkpointed durably
 // (write-ahead of every publish) and recovered on the next start through
@@ -83,7 +86,6 @@ struct Args {
   std::string output;      // --output FILE|-
   std::string output_dir;  // --output-dir DIR
   long long evict_idle_ms = 0;
-  unsigned pool_threads = 0;
   size_t max_in_flight = 0;
   frt::cli::ServiceArgs common;
 };
@@ -109,8 +111,6 @@ void Usage(const char* prog) {
       "  --output-dir DIR     one <feed>.csv per feed (DIR must exist)\n"
       "  --evict-idle-ms N    flush + evict sessions idle for N ms "
       "(default 0 = never)\n"
-      "  --pool-threads N     shared worker pool size (default 0 = "
-      "max(2, cores))\n"
       "  --max-in-flight N    concurrent window jobs across feeds "
       "(default 0 = 2x pool)\n"
       "%s%s%s%s%s",
@@ -145,12 +145,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
       args->evict_idle_ms = n;
-    } else if (std::strcmp(argv[i], "--pool-threads") == 0) {
-      if ((v = next()) == nullptr) return false;
-      if (!frt::cli::ParseFlagUnsigned("--pool-threads", v,
-                                       &args->pool_threads)) {
-        return false;
-      }
     } else if (std::strcmp(argv[i], "--max-in-flight") == 0) {
       if ((v = next()) == nullptr) return false;
       uint64_t n = 0;
@@ -218,7 +212,6 @@ int main(int argc, char** argv) {
     }
     listen_endpoint = *std::move(endpoint);
   }
-  config.pool_threads = args.pool_threads;
   config.max_in_flight = args.max_in_flight;
   config.idle_evict_ms = args.evict_idle_ms;
 

@@ -21,8 +21,8 @@
 //       [--window 1000] [--stride N] [--budget 0 (unlimited)]
 //       [--per-object-budget 0] [--evict-exhausted]
 //       [--epsilon-global 0.5] [--epsilon-local 0.5] [--m 10]
-//       [--strategy hg+|hgt|hgb|ug|linear] [--order global|local]
-//       [--seed 42] [--shards 1] [--threads 0] [--queue 0]
+//       [--order global|local] [--seed 42] [--shards 1] [--threads 0]
+//       [--queue 0]
 //       [--stop-on-exhausted] [--close-after-ms 0]
 //       [--state-dir DIR] [--checkpoint-interval-ms N] [--metrics PATH]
 //       [--trace-out PATH] [--trace-buffer-events N] [--admin-listen EP]
@@ -129,7 +129,6 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
-  config.pool_threads = args.common.pipeline.threads;
   if (config.arrival_queue_capacity == 0) {
     config.arrival_queue_capacity = 2 * config.stream.window_size;
   }

@@ -63,9 +63,10 @@ inline FlagParse ParseServiceFlag(int argc, char** argv, int* i,
 }
 
 /// \brief Validates the shared flags and fills `config`: the per-feed
-/// stream config, the arrival queue (--queue), and durability. A
-/// malformed --admin-listen is rejected here too, so it is a usage error
-/// rather than a mid-run failure. Reports to stderr; false = usage error.
+/// stream config, the pool size (--threads), the arrival queue (--queue),
+/// and durability. A malformed --admin-listen is rejected here too, so it
+/// is a usage error rather than a mid-run failure. Reports to stderr;
+/// false = usage error.
 inline bool MakeServiceConfig(const ServiceArgs& args,
                               ServiceConfig* config) {
   FrequencyRandomizerConfig pipeline;
@@ -81,6 +82,7 @@ inline bool MakeServiceConfig(const ServiceArgs& args,
       return false;
     }
   }
+  config->pool_threads = args.pipeline.threads;
   config->arrival_queue_capacity = args.stream.queue;
   config->state_dir = args.durability.state_dir;
   config->checkpoint_interval_ms = args.durability.checkpoint_interval_ms;
