@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/pipeline.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
+#include "runtime/shard_plan.h"
 #include "runtime/window_audit.h"
 #include "synth/workload.h"
 
@@ -253,26 +255,44 @@ const AuditWorkload& TaxiRelease() {
   return *workload;
 }
 
-// The window audit of that release, serial. range(0) = 1 runs
-// RunWindowAudit (vertex table first, k=1 search for the rest); 0 runs the
-// index-only reference: a k=1 search for every published point over an
-// input-order HG+ build. The two report the same displacement; CI asserts
-// vertex_hit_frac >= 0.5 and fewer evals_per_point on the fast path.
+// The window audit of that release, serial. range(0) = 1 runs the
+// one-part RunWindowAudit (vertex table first, then one k=1 search per
+// distinct remaining coordinate); 4 runs it over four parts, one per
+// quarter of the input trajectories, as a 4-shard batch builds them
+// (the part builds are timed too); 0 runs the index-only reference: a k=1
+// search for every published point over an input-order HG+ build. All
+// three report the same displacement (the reference sums in another order,
+// so its sum may differ in the last bits); CI asserts vertex_hit_frac >=
+// 0.5, fewer evals_per_point on the fast path than index-only, and equal
+// points and displacement_sum on the 4-part and 1-part arms.
 void BM_WindowAudit(benchmark::State& state) {
-  const bool fast_path = state.range(0) != 0;
+  const int parts = static_cast<int>(state.range(0));
   const AuditWorkload& w = TaxiRelease();
   WindowAuditConfig config;
   config.enabled = true;
+  uint64_t runs = 0;
   uint64_t points = 0;
   uint64_t evals = 0;
   uint64_t hits = 0;
+  double displacement_sum = 0.0;
   for (auto _ : state) {
-    if (fast_path) {
-      const WindowAuditReport report =
-          RunWindowAudit(w.original, w.published, config, nullptr);
+    ++runs;
+    if (parts > 0) {
+      WindowAuditReport report;
+      if (parts == 1) {
+        report = RunWindowAudit(w.original, w.published, config, nullptr);
+      } else {
+        std::vector<WindowAuditPart> built;
+        for (const ShardRange& range : PlanShards(w.original.size(), parts)) {
+          built.emplace_back(w.original, range, config);
+        }
+        report = RunWindowAudit(built, w.published, config, nullptr);
+      }
       points += report.points_audited;
       evals += report.distance_evaluations;
       hits += report.vertex_hits;
+      displacement_sum = report.mean_displacement *
+                         static_cast<double>(report.points_audited);
       continue;
     }
     std::vector<SegmentEntry> entries;
@@ -300,16 +320,23 @@ void BM_WindowAudit(benchmark::State& state) {
         sum += hit[0].dist;
       }
     }
-    benchmark::DoNotOptimize(sum);
+    displacement_sum = sum;
     evals += index->distance_evaluations();
   }
-  state.SetLabel(fast_path ? "vertex-table" : "index-only");
+  state.SetLabel(parts == 0 ? "index-only"
+                            : "vertex-table/" + std::to_string(parts) +
+                                  "-part");
   state.SetItemsProcessed(static_cast<int64_t>(points));
   const double n = static_cast<double>(std::max<uint64_t>(points, 1));
   state.counters["evals_per_point"] =
       benchmark::Counter(static_cast<double>(evals) / n);
   state.counters["vertex_hit_frac"] =
       benchmark::Counter(static_cast<double>(hits) / n);
+  // Per audit run: equal on every arm that shares the summation order.
+  state.counters["points"] = benchmark::Counter(
+      static_cast<double>(points) /
+      static_cast<double>(std::max<uint64_t>(runs, 1)));
+  state.counters["displacement_sum"] = benchmark::Counter(displacement_sum);
 }
 
 void StrategySizes(benchmark::internal::Benchmark* b) {
@@ -338,7 +365,8 @@ BENCHMARK(BM_IndexResetBuild)->DenseRange(0, 4)
 BENCHMARK(BM_IndexUpdate)->Apply([](benchmark::internal::Benchmark* b) {
   for (int strategy = 0; strategy < 5; ++strategy) b->Args({strategy});
 })->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_WindowAudit)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WindowAudit)->Arg(1)->Arg(4)->Arg(0)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace frt

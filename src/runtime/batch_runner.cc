@@ -47,6 +47,7 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
       k, Result<Dataset>(Status::Internal("shard not executed")));
   std::vector<RandomizerReport> shard_reports(k);
   std::vector<double> shard_walls(k, 0.0);
+  std::vector<WindowAuditPart> audit_parts(config_.audit.enabled ? k : 0);
   auto shard_task = [&](size_t i) {
     Stopwatch shard_watch;
     FrequencyRandomizer pipeline(config_.pipeline);
@@ -54,6 +55,11 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
     shard_reports[i] = pipeline.report();
     shard_inputs[i] = Dataset();  // release the copy as soon as possible
     shard_walls[i] = shard_watch.ElapsedSeconds();
+    // The shard's audit part, built here in the parallel phase and after
+    // the copy is gone, so the two never coexist.
+    if (config_.audit.enabled && shard_outputs[i].ok()) {
+      audit_parts[i] = WindowAuditPart(input, plan[i], config_.audit);
+    }
   };
   if (config_.pool != nullptr) {
     config_.pool->Run(k, shard_task);
@@ -101,9 +107,11 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
                                    std::to_string(k) + " shards"));
   }
   if (config_.audit.enabled) {
-    // The audit is read-only over (input, merged); it reuses the shared
-    // pool when one is attached, else runs its ranges on this thread.
-    report_.audit = RunWindowAudit(input, merged, config_.audit, config_.pool);
+    // The shards' parts together index the whole input, so this reports
+    // what the one-part RunWindowAudit(input, merged) would. It reuses the
+    // shared pool when one is attached, else runs on this thread.
+    report_.audit =
+        RunWindowAudit(audit_parts, merged, config_.audit, config_.pool);
   }
   report_.wall_seconds = wall.ElapsedSeconds();
   return merged;

@@ -44,8 +44,10 @@ struct BatchRunnerConfig {
   /// one after another on the calling thread; the output is the same.
   WorkStealingPool* pool = nullptr;
   /// Post-publish displacement audit (runtime/window_audit.h). When
-  /// enabled, the batch builds one segment index over the window's input
-  /// and fans `pool` (when set) out over it read-only.
+  /// enabled, each shard's task builds the audit part (segment index and
+  /// vertex table) over its own input range after its pipeline run, and
+  /// one audit run then fans `pool` (when set) out over the parts
+  /// read-only.
   WindowAuditConfig audit;
 };
 

@@ -4,60 +4,101 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "geo/morton.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
-#include "runtime/shard_plan.h"
 
 namespace frt {
 
 namespace {
 
-/// Per-range partial aggregate; merged in range order so the report is a
-/// pure function of the datasets and the range count.
-struct RangePartial {
-  uint64_t points = 0;
-  uint64_t vertex_hits = 0;
-  double sum = 0.0;
-  double max = 0.0;
-};
+/// Distinct coordinates searched by one pool task in the search step.
+constexpr size_t kQueriesPerTask = 256;
 
-/// Index entries for every segment of `original`, with handles numbered
-/// in input order but stored in Morton order of the segment midpoints, so
-/// the residents of a cell — and with them each 8-lane block — are
-/// spatially tight and block skipping prunes well. Only (key, handle)
-/// pairs are sorted; the entries are materialized once, already in order.
-/// Sets `*region` to the box of all segment endpoints.
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+size_t HashBits(uint64_t x, uint64_t y) {
+  uint64_t h = (x * 0x9e3779b97f4a7c15ull) ^ y;
+  h ^= h >> 32;
+  h *= 0xd6e8feb86659fd93ull;
+  h ^= h >> 32;
+  return static_cast<size_t>(h);
+}
+
+/// Table capacity for `n` keys: a power of two, at most two-thirds full.
+size_t CapacityFor(size_t n) {
+  size_t capacity = 16;
+  while (capacity < n + n / 2) capacity *= 2;
+  return capacity;
+}
+
+/// Runs task(i) for i in [0, n) on `pool`, or in order on this thread.
+template <typename Task>
+void RunTasks(WorkStealingPool* pool, size_t n, const Task& task) {
+  if (pool != nullptr) {
+    pool->Run(n, task);
+  } else {
+    for (size_t i = 0; i < n; ++i) task(i);
+  }
+}
+
+/// Stable LSD radix sort of `order` by its high 32 bits, one 8-bit digit
+/// per pass. Values with equal high bits keep their relative order.
+void SortByHighWord(std::vector<uint64_t>* order) {
+  std::vector<uint64_t> scratch(order->size());
+  for (int shift = 32; shift < 64; shift += 8) {
+    size_t next[257] = {};
+    for (const uint64_t v : *order) ++next[((v >> shift) & 0xff) + 1];
+    for (size_t d = 1; d < 257; ++d) next[d] += next[d - 1];
+    for (const uint64_t v : *order) scratch[next[(v >> shift) & 0xff]++] = v;
+    order->swap(scratch);
+  }
+}
+
+/// Index entries for every segment of `original` trajectories [range),
+/// with handles numbered in input order but stored in Morton order of the
+/// segment midpoints, so the residents of a cell — and with them each
+/// 8-lane block — are spatially tight and block skipping prunes well. Only
+/// (key, handle) pairs are sorted; the entries are materialized once,
+/// already in order. Sets `*region` to the box of all segment endpoints.
 std::vector<SegmentEntry> CollectEntries(const Dataset& original,
-                                         BBox* region) {
+                                         ShardRange range, BBox* region) {
   const std::vector<Trajectory>& trajs = original.trajectories();
-  // first[t]: handle of trajectory t's first segment; first.back(): total.
-  std::vector<uint64_t> first(trajs.size() + 1, 0);
+  // first[t]: handle of trajectory range.begin + t's first segment;
+  // first.back(): total.
+  std::vector<uint64_t> first(range.size() + 1, 0);
   *region = BBox::Empty();
-  for (size_t t = 0; t < trajs.size(); ++t) {
-    const size_t segments = trajs[t].NumSegments();
+  for (size_t t = 0; t < range.size(); ++t) {
+    const Trajectory& traj = trajs[range.begin + t];
+    const size_t segments = traj.NumSegments();
     first[t + 1] = first[t] + segments;
     for (size_t i = 0; i < segments; ++i) {
-      const Segment s = trajs[t].SegmentAt(i);
+      const Segment s = traj.SegmentAt(i);
       region->Extend(s.a);
       region->Extend(s.b);
     }
   }
-  // (key << 32 | handle): one integer sort orders by key, then input
-  // order. Handles fit 32 bits (2^32 segments would be ~200 GB of input).
+  // (key << 32 | handle), pushed in handle order: a stable sort on the key
+  // orders by key, then input order. Handles fit 32 bits (2^32 segments
+  // would be ~200 GB of input).
   std::vector<uint64_t> order;
   order.reserve(first.back());
-  for (size_t t = 0; t < trajs.size(); ++t) {
-    for (size_t i = 0; i < trajs[t].NumSegments(); ++i) {
-      const uint64_t key = MortonKey(trajs[t].SegmentAt(i), *region);
+  for (size_t t = 0; t < range.size(); ++t) {
+    const Trajectory& traj = trajs[range.begin + t];
+    for (size_t i = 0; i < traj.NumSegments(); ++i) {
+      const uint64_t key = MortonKey(traj.SegmentAt(i), *region);
       order.push_back((key << 32) | (first[t] + i));
     }
   }
-  std::sort(order.begin(), order.end());
+  SortByHighWord(&order);
 
   std::vector<SegmentEntry> entries;
   entries.reserve(order.size());
@@ -66,34 +107,35 @@ std::vector<SegmentEntry> CollectEntries(const Dataset& original,
     const size_t t = static_cast<size_t>(
         std::upper_bound(first.begin(), first.end(), handle) -
         first.begin() - 1);
-    entries.push_back(SegmentEntry{
-        handle, trajs[t].id(), trajs[t].SegmentAt(handle - first[t])});
+    const Trajectory& traj = trajs[range.begin + t];
+    entries.push_back(
+        SegmentEntry{handle, traj.id(), traj.SegmentAt(handle - first[t])});
   }
   return entries;
 }
 
 /// The vertex table: an open-addressed set (linear probing, at most
 /// two-thirds full, one flat array) of the start points `a` of every
-/// segment of `original` whose distance kernel evaluates to exactly 0 at
-/// `a` — finite a, finite d = b - a and a finite SegmentInvLen2 (a
-/// subnormal length² makes it inf, and 0 * inf is NaN). Keys compare with
-/// Point's operator==, so -0.0 and 0.0 are one key; a NaN x marks an
-/// empty slot. Sized below the audit's entries (16 B per slot, at most
-/// 3 slots per segment vs a 48 B entry), which are freed first.
+/// segment of `original` trajectories [range) whose distance kernel
+/// evaluates to exactly 0 at `a` — finite a, finite d = b - a and a finite
+/// SegmentInvLen2 (a subnormal length² makes it inf, and 0 * inf is NaN).
+/// Keys compare with Point's operator==, so -0.0 and 0.0 are one key; a
+/// NaN x marks an empty slot. Sized below the part's entries (16 B per
+/// slot, at most 3 slots per segment vs a 48 B entry), which are freed
+/// first.
 class VertexTable {
  public:
-  explicit VertexTable(const Dataset& original) {
+  VertexTable(const Dataset& original, ShardRange range) {
     size_t segments = 0;
-    for (const Trajectory& t : original.trajectories()) {
-      segments += t.NumSegments();
+    for (size_t t = range.begin; t < range.end; ++t) {
+      segments += original[t].NumSegments();
     }
-    size_t capacity = 16;
-    while (capacity < segments + segments / 2) capacity *= 2;
+    const size_t capacity = CapacityFor(segments);
     slots_.assign(capacity, Point{kEmpty, kEmpty});
     mask_ = capacity - 1;
-    for (const Trajectory& t : original.trajectories()) {
-      for (size_t i = 0; i < t.NumSegments(); ++i) {
-        const Segment s = t.SegmentAt(i);
+    for (size_t t = range.begin; t < range.end; ++t) {
+      for (size_t i = 0; i < original[t].NumSegments(); ++i) {
+        const Segment s = original[t].SegmentAt(i);
         const double dx = s.b.x - s.a.x;
         const double dy = s.b.y - s.a.y;
         if (std::isfinite(s.a.x) && std::isfinite(s.a.y) &&
@@ -115,19 +157,9 @@ class VertexTable {
  private:
   static constexpr double kEmpty = std::numeric_limits<double>::quiet_NaN();
 
-  static uint64_t Bits(double v) {
-    v += 0.0;  // -0.0 + 0.0 == +0.0, so equal keys hash alike
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-  }
-
   static size_t Hash(const Point& p) {
-    uint64_t h = (Bits(p.x) * 0x9e3779b97f4a7c15ull) ^ Bits(p.y);
-    h ^= h >> 32;
-    h *= 0xd6e8feb86659fd93ull;
-    h ^= h >> 32;
-    return static_cast<size_t>(h);
+    // -0.0 + 0.0 == +0.0, so equal keys hash alike.
+    return HashBits(Bits(p.x + 0.0), Bits(p.y + 0.0));
   }
 
   void Insert(const Point& a) {
@@ -144,85 +176,218 @@ class VertexTable {
   size_t mask_ = 0;
 };
 
-/// Sweeps published trajectories [begin, end), k=1: a point in `vertices`
-/// is exactly 0 from its segment, every other point is searched.
-void SweepRange(const Dataset& published, size_t begin, size_t end,
-                const VertexTable& vertices, const SegmentIndex& index,
-                SearchContext* ctx, RangePartial* out) {
-  SearchOptions options;
-  options.k = 1;
-  options.group_by = GroupBy::kSegment;
-  for (size_t t = begin; t < end; ++t) {
-    for (const TimedPoint& tp : published[t].points()) {
-      if (vertices.Contains(tp.p)) {
-        ++out->points;
-        ++out->vertex_hits;
-        continue;
-      }
-      const Span<const Neighbor> hits = index.KNearest(tp.p, options, ctx);
-      if (hits.empty()) continue;
-      ++out->points;
-      out->sum += hits[0].dist;
-      out->max = std::max(out->max, hits[0].dist);
+/// The distinct coordinates to search: an open-addressed map (linear
+/// probing, at most two-thirds full) from a coordinate's bit pattern to
+/// its index in `queries()`. Bit-pattern keys make -0.0 and 0.0 two keys,
+/// and each is searched as given.
+class QueryTable {
+ public:
+  explicit QueryTable(size_t max_keys) {
+    const size_t capacity = CapacityFor(max_keys);
+    slots_.assign(capacity, kNone);
+    mask_ = capacity - 1;
+    queries_.reserve(max_keys);
+  }
+
+  /// Index of `q` in queries(), appended on first sight. A point with a
+  /// NaN coordinate is appended every time.
+  uint32_t Intern(const Point& q) {
+    if (std::isnan(q.x) || std::isnan(q.y)) return Append(q);
+    const uint64_t x = Bits(q.x);
+    const uint64_t y = Bits(q.y);
+    for (size_t i = HashBits(x, y) & mask_;; i = (i + 1) & mask_) {
+      if (slots_[i] == kNone) return slots_[i] = Append(q);
+      const Point& held = queries_[slots_[i]];
+      if (Bits(held.x) == x && Bits(held.y) == y) return slots_[i];
     }
   }
-}
+
+  const std::vector<Point>& queries() const { return queries_; }
+
+ private:
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  uint32_t Append(const Point& q) {
+    queries_.push_back(q);
+    return static_cast<uint32_t>(queries_.size() - 1);
+  }
+
+  std::vector<uint32_t> slots_;
+  size_t mask_ = 0;
+  std::vector<Point> queries_;
+};
+
+/// One published range through the three steps: the vertex hits and the
+/// points left to search (step 1), then each of those points' index into
+/// the distinct coordinates (step 2).
+struct RangeScan {
+  uint64_t vertex_hits = 0;
+  std::vector<Point> searched;
+  std::vector<uint32_t> query_of;
+};
+
+/// The nearest-segment distance of one distinct coordinate; found=false
+/// when no part returned a hit.
+struct QueryResult {
+  double dist = 0.0;
+  bool found = false;
+};
 
 }  // namespace
 
-WindowAuditReport RunWindowAudit(const Dataset& original,
+struct WindowAuditPart::State {
+  /// Null when the range holds no segment.
+  std::unique_ptr<SegmentIndex> index;
+  VertexTable vertices;
+  Status built;
+  double build_seconds = 0.0;
+};
+
+WindowAuditPart::WindowAuditPart() = default;
+WindowAuditPart::~WindowAuditPart() = default;
+WindowAuditPart::WindowAuditPart(WindowAuditPart&&) noexcept = default;
+WindowAuditPart& WindowAuditPart::operator=(WindowAuditPart&&) noexcept =
+    default;
+
+WindowAuditPart::WindowAuditPart(const Dataset& original, ShardRange range,
+                                 const WindowAuditConfig& config) {
+  Stopwatch build_watch;
+  BBox region;
+  std::vector<SegmentEntry> entries =
+      CollectEntries(original, range, &region);
+  std::unique_ptr<SegmentIndex> index;
+  Status built = Status::OK();
+  if (!entries.empty()) {
+    index = MakeSegmentIndex(config.strategy,
+                             GridSpec(region, config.index_levels));
+    built = index->Build(Span<const SegmentEntry>(entries));
+  }
+  // The index holds its own copies: free the entries before the table
+  // allocates, so the two never coexist.
+  std::vector<SegmentEntry>().swap(entries);
+  state_.reset(new State{std::move(index), VertexTable(original, range),
+                         std::move(built), 0.0});
+  state_->build_seconds = build_watch.ElapsedSeconds();
+}
+
+WindowAuditReport RunWindowAudit(Span<const WindowAuditPart> parts,
                                  const Dataset& published,
                                  const WindowAuditConfig& config,
                                  WorkStealingPool* pool) {
   WindowAuditReport report;
-  if (!config.enabled || original.empty() || published.empty()) {
-    return report;
+  if (!config.enabled || published.empty()) return report;
+  // The parts that hold segments; the others can neither hit nor answer.
+  std::vector<const WindowAuditPart::State*> live;
+  bool built = true;
+  for (const WindowAuditPart& part : parts) {
+    const WindowAuditPart::State* state = part.state_.get();
+    if (state == nullptr) continue;
+    report.build_seconds += state->build_seconds;
+    built = built && state->built.ok();
+    if (state->index != nullptr) live.push_back(state);
   }
+  if (!built || live.empty()) return report;
 
-  // One build, every worker reads it through its own context.
-  Stopwatch build_watch;
-  BBox region;
-  std::vector<SegmentEntry> entries = CollectEntries(original, &region);
-  if (entries.empty()) return report;
-  std::unique_ptr<SegmentIndex> index =
-      MakeSegmentIndex(config.strategy, GridSpec(region, config.index_levels));
-  const Status built = index->Build(Span<const SegmentEntry>(entries));
-  // The index holds its own copies: free the entries before the table
-  // allocates, so the two never coexist.
-  std::vector<SegmentEntry>().swap(entries);
-  const VertexTable vertices(original);
-  report.build_seconds = build_watch.ElapsedSeconds();
-  if (!built.ok()) return report;
-
-  // Fixed range split (independent of worker count).
+  // Step 1: classify each range's points against every vertex table.
   const std::vector<ShardRange> ranges =
       PlanShards(published.size(), config.ranges);
-  std::vector<RangePartial> partials(ranges.size());
-  const auto range_task = [&](size_t r) {
-    SearchContext ctx;
-    SweepRange(published, ranges[r].begin, ranges[r].end, vertices, *index,
-               &ctx, &partials[r]);
-  };
-  if (pool != nullptr) {
-    pool->Run(ranges.size(), range_task);
-  } else {
-    for (size_t r = 0; r < ranges.size(); ++r) range_task(r);
-  }
+  std::vector<RangeScan> scans(ranges.size());
+  RunTasks(pool, ranges.size(), [&](size_t r) {
+    RangeScan& scan = scans[r];
+    for (size_t t = ranges[r].begin; t < ranges[r].end; ++t) {
+      for (const TimedPoint& tp : published[t].points()) {
+        const bool hit = std::any_of(
+            live.begin(), live.end(),
+            [&](const WindowAuditPart::State* s) {
+              return s->vertices.Contains(tp.p);
+            });
+        if (hit) {
+          ++scan.vertex_hits;
+        } else {
+          scan.searched.push_back(tp.p);
+        }
+      }
+    }
+  });
 
-  // Fixed-order merge: every aggregate below is independent of worker
-  // scheduling.
+  // Step 2: intern the searched points across all ranges, then search
+  // each distinct coordinate once, in every part.
+  size_t searched = 0;
+  for (const RangeScan& scan : scans) searched += scan.searched.size();
+  QueryTable table(searched);
+  for (RangeScan& scan : scans) {
+    scan.query_of.reserve(scan.searched.size());
+    for (const Point& p : scan.searched) {
+      scan.query_of.push_back(table.Intern(p));
+    }
+    std::vector<Point>().swap(scan.searched);
+  }
+  const std::vector<Point>& queries = table.queries();
+  std::vector<QueryResult> results(queries.size());
+  uint64_t evals_before = 0;
+  for (const WindowAuditPart::State* s : live) {
+    evals_before += s->index->distance_evaluations();
+  }
+  const size_t tasks = (queries.size() + kQueriesPerTask - 1) /
+                       kQueriesPerTask;
+  RunTasks(pool, tasks, [&](size_t task) {
+    SearchOptions options;
+    options.k = 1;
+    options.group_by = GroupBy::kSegment;
+    SearchContext ctx;
+    const size_t end = std::min(queries.size(), (task + 1) * kQueriesPerTask);
+    for (size_t q = task * kQueriesPerTask; q < end; ++q) {
+      QueryResult& result = results[q];
+      for (const WindowAuditPart::State* s : live) {
+        const Span<const Neighbor> hits =
+            s->index->KNearest(queries[q], options, &ctx);
+        if (hits.empty()) continue;
+        // A NaN distance (a NaN query) is never replaced, as in one index.
+        if (!result.found || hits[0].dist < result.dist) {
+          result.dist = hits[0].dist;
+        }
+        result.found = true;
+      }
+    }
+  });
+  for (const WindowAuditPart::State* s : live) {
+    report.distance_evaluations += s->index->distance_evaluations();
+  }
+  report.distance_evaluations -= evals_before;
+
+  // Step 3: each range sums its points in order, and the ranges merge in
+  // range order, so every aggregate is independent of the scheduling.
   report.ran = true;
-  report.distance_evaluations = index->distance_evaluations();
-  for (const RangePartial& p : partials) {
-    report.points_audited += p.points;
-    report.vertex_hits += p.vertex_hits;
-    report.mean_displacement += p.sum;
-    report.max_displacement = std::max(report.max_displacement, p.max);
+  for (const RangeScan& scan : scans) {
+    uint64_t points = scan.vertex_hits;
+    double sum = 0.0;
+    double max = 0.0;
+    for (const uint32_t q : scan.query_of) {
+      if (!results[q].found) continue;
+      ++points;
+      sum += results[q].dist;
+      max = std::max(max, results[q].dist);
+    }
+    report.points_audited += points;
+    report.vertex_hits += scan.vertex_hits;
+    report.mean_displacement += sum;
+    report.max_displacement = std::max(report.max_displacement, max);
   }
   if (report.points_audited > 0) {
     report.mean_displacement /= static_cast<double>(report.points_audited);
   }
   return report;
+}
+
+WindowAuditReport RunWindowAudit(const Dataset& original,
+                                 const Dataset& published,
+                                 const WindowAuditConfig& config,
+                                 WorkStealingPool* pool) {
+  if (!config.enabled || original.empty() || published.empty()) return {};
+  const WindowAuditPart part(original, ShardRange{0, original.size()},
+                             config);
+  return RunWindowAudit(Span<const WindowAuditPart>(&part, 1), published,
+                        config, pool);
 }
 
 }  // namespace frt

@@ -3,45 +3,67 @@
 //
 // After a window is anonymized, the audit measures how far the published
 // points moved: for every point of every published trajectory it finds the
-// nearest original segment (k=1 KNearest against an index over the
+// nearest original segment (a k=1 KNearest over the segments of the
 // *input* dataset) and aggregates mean / max displacement. This is a pure
 // utility diagnostic — it reads both datasets and writes nothing.
 //
-// Because KNearest is read-only and thread-safe (index/segment_index.h),
-// the audit builds the segment index ONCE per window and fans the worker
-// pool out over it — the published trajectories are split into fixed
-// ranges, each worker sweeps ranges with its own SearchContext against the
-// one shared index, and per-range partial aggregates are merged in range
-// order.
+// Parts. The original segments are indexed in parts: a WindowAuditPart
+// holds the segment index and the vertex table of one trajectory range of
+// the input. BatchRunner builds one part per shard inside the shard's
+// task, right after the shard's pipeline run, so the builds run in the
+// parallel shard phase instead of serially after it; the one-part
+// RunWindowAudit(original, ...) builds a single part over the whole input.
+// A part is read-only once built, so any number of threads search it.
 //
-// The index is bulk-built from entries stored in Morton (Z-order) order of
-// their segment midpoints, so each cell's 8-lane blocks are spatially
-// tight and the grid's block skipping (index/README.md) prunes most of the
-// coarse cells every query visits. Reordering cannot change the report: a
-// kNN result is a pure function of the indexed segment set (ties break by
-// (dist², handle), index/README.md), so the order only changes the work.
+// An audit run over the parts works in three steps:
+//   1. Classify (one pool task per published range): a point that any
+//      part's vertex table holds counts as 0 (below); every other point is
+//      collected.
+//   2. Search: the collected points are deduplicated by the bit pattern of
+//      their coordinates, and each distinct coordinate is searched once
+//      (tasks over the pool, each with its own SearchContext): k=1 in every
+//      part, and its distance is the minimum over the parts. A point with
+//      a NaN coordinate is searched on its own, once per point.
+//   3. Aggregate: the published points are summed per range, in point
+//      order, by lookup, and the per-range partials are merged in range
+//      order.
+// A k=1 distance is a pure function of the query and the segment set (ties
+// break by (dist², handle), index/README.md), and the minimum over
+// disjoint parts is the minimum over their union, so points_audited,
+// vertex_hits, the mean and the max are bit-identical to one search per
+// point over one index of all segments — at every part count, range count
+// and pool size. Only distance_evaluations depends on the parts. (Where the
+// distance kernel is NaN — non-finite or overflowing input geometry — the
+// kNN result is not order-independent in the first place.)
+//
+// Each part's index is bulk-built from entries stored in Morton (Z-order)
+// order of their segment midpoints, so each cell's 8-lane blocks are
+// spatially tight and the grid's block skipping (index/README.md) prunes
+// most of the coarse cells every query visits. The order only changes the
+// work, never the report.
 //
 // Vertex fast path. FRT inserts and deletes occurrences of signature
 // locations, so most published points are original vertices left as they
-// were. Beside the index the audit keeps a flat, read-only vertex table
-// (one open-addressed array): the start points `a` of every original
-// segment whose kernel is defined there (finite a, finite b - a, finite
+// were. Beside its index each part keeps a flat, read-only vertex table
+// (one open-addressed array): the start points `a` of every segment of
+// its range whose kernel is defined there (finite a, finite b - a, finite
 // SegmentInvLen2). A published point q equal to such an `a`
 // (q.x == a.x && q.y == a.y) is counted with displacement exactly 0 and
 // not searched. That is the number the search would return:
 // PointSegmentDistance2Kernel at q == a gives r = 0, t = 0, e = 0 and
-// d² = 0 exactly (also for -0.0 vs 0.0), and no distance is below 0. So
-// points_audited, the mean and the max are bit-identical to a
-// search-only audit. A point equal only to a trajectory's last vertex
-// (the kernel's t may round below 1 there) and a NaN coordinate (never
-// equal) are still searched. All ranges share the table.
+// d² = 0 exactly (also for -0.0 vs 0.0), and no distance is below 0. A
+// point equal only to a trajectory's last vertex (the kernel's t may round
+// below 1 there) and a NaN coordinate (never equal) are still searched.
 
 #ifndef FRT_RUNTIME_WINDOW_AUDIT_H_
 #define FRT_RUNTIME_WINDOW_AUDIT_H_
 
 #include <cstdint>
+#include <memory>
 
+#include "common/span.h"
 #include "core/pipeline.h"
+#include "runtime/shard_plan.h"
 #include "runtime/work_stealing_pool.h"
 #include "traj/dataset.h"
 
@@ -49,12 +71,13 @@ namespace frt {
 
 /// Configuration of the per-window displacement audit.
 struct WindowAuditConfig {
-  /// Audits run only when enabled (they cost one index build plus one
-  /// k=1 query per published point that is not an original vertex).
+  /// Audits run only when enabled (they cost the part builds plus one k=1
+  /// query per part for each distinct published coordinate that is not an
+  /// original vertex).
   bool enabled = false;
   /// kNN strategy of the audit index.
   SearchStrategy strategy = SearchStrategy::kBottomUpDown;
-  /// Dyadic levels of the audit index grid (512x512 finest by default).
+  /// Dyadic levels of each part's index grid (512x512 finest by default).
   int index_levels = 10;
   /// Number of trajectory ranges the published dataset is split into.
   /// Fixed (not derived from the worker count) so aggregates are
@@ -65,32 +88,67 @@ struct WindowAuditConfig {
 
 /// Aggregates of one audit run. All fields except build_seconds are
 /// deterministic given the two datasets and the config — independent of
-/// thread count.
+/// thread count — and all but distance_evaluations also of the part count.
 struct WindowAuditReport {
   bool ran = false;
   /// Published points measured (sum over trajectories of size()).
   uint64_t points_audited = 0;
-  /// Published points answered by the vertex table, without a search.
+  /// Published points answered by a vertex table, without a search.
   /// Counted in points_audited.
   uint64_t vertex_hits = 0;
   /// Wall seconds spent collecting, ordering and indexing the original
-  /// segments and building the vertex table.
+  /// segments and building the vertex tables, summed over the parts (the
+  /// parts of a batch are built concurrently, so this can exceed the wall
+  /// time they took).
   double build_seconds = 0.0;
   /// Mean / max distance from a published point to the nearest original
   /// segment (meters in the paper's datasets). 0 when no points audited.
   double mean_displacement = 0.0;
   double max_displacement = 0.0;
-  /// Exact distance evaluations of the audit's searches, which run only
-  /// for the points the vertex table did not answer.
+  /// Exact distance evaluations of the audit's searches, summed over the
+  /// parts. They run once per distinct coordinate the vertex tables did
+  /// not answer (once per point for a NaN coordinate).
   uint64_t distance_evaluations = 0;
 };
 
-/// \brief Runs the displacement audit of `published` against `original`.
+/// \brief The audit's read-only structures over one trajectory range of a
+/// window's input: a Morton-ordered segment index and a vertex table.
+class WindowAuditPart {
+ public:
+  /// A part with no segments.
+  WindowAuditPart();
+  /// Builds the part over `original` trajectories [range.begin,
+  /// range.end). Does not keep a reference to `original`.
+  WindowAuditPart(const Dataset& original, ShardRange range,
+                  const WindowAuditConfig& config);
+  ~WindowAuditPart();
+  WindowAuditPart(WindowAuditPart&&) noexcept;
+  WindowAuditPart& operator=(WindowAuditPart&&) noexcept;
+
+ private:
+  friend WindowAuditReport RunWindowAudit(Span<const WindowAuditPart> parts,
+                                          const Dataset& published,
+                                          const WindowAuditConfig& config,
+                                          WorkStealingPool* pool);
+  struct State;
+  std::unique_ptr<State> state_;
+};
+
+/// \brief Runs the displacement audit of `published` against the original
+/// segments held by `parts` (together, the window's input).
 ///
-/// `pool` supplies the workers that share the index; pass nullptr to run
-/// the ranges serially on the calling thread (results are identical).
-/// Returns a report with ran=false when the config disables the audit or
-/// either dataset has no usable geometry.
+/// `pool` supplies the workers that share the parts; pass nullptr to run
+/// every task serially on the calling thread (results are identical).
+/// Returns a report with ran=false when the config disables the audit,
+/// `published` is empty, no part holds a segment, or a part failed to
+/// build.
+WindowAuditReport RunWindowAudit(Span<const WindowAuditPart> parts,
+                                 const Dataset& published,
+                                 const WindowAuditConfig& config,
+                                 WorkStealingPool* pool);
+
+/// \brief The one-part audit: builds one part over all of `original`, then
+/// runs the audit above. Returns ran=false when `original` is empty.
 WindowAuditReport RunWindowAudit(const Dataset& original,
                                  const Dataset& published,
                                  const WindowAuditConfig& config,

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
+#include "geo/morton.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
 #include "runtime/window_audit.h"
@@ -555,6 +557,265 @@ TEST(WindowAuditTest, NanPointIsNeverAVertexHit) {
       RunWindowAudit(original, published, config, nullptr);
   ASSERT_TRUE(audit.ran);
   EXPECT_EQ(audit.vertex_hits, 1u);
+}
+
+/// The audit split into `count` parts over `original`, one per
+/// PlanShards range, as BatchRunner splits its input into shards.
+std::vector<WindowAuditPart> BuildParts(const Dataset& original, int count,
+                                        const WindowAuditConfig& config) {
+  std::vector<WindowAuditPart> parts;
+  for (const ShardRange& range : PlanShards(original.size(), count)) {
+    parts.emplace_back(original, range, config);
+  }
+  return parts;
+}
+
+/// Bit-equality of two doubles; NaN equals NaN.
+bool SameBits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/// Asserts the deterministic aggregates of two reports are bit-equal.
+void ExpectSameAggregates(const WindowAuditReport& got,
+                          const WindowAuditReport& want) {
+  ASSERT_TRUE(got.ran);
+  ASSERT_TRUE(want.ran);
+  EXPECT_EQ(got.points_audited, want.points_audited);
+  EXPECT_EQ(got.vertex_hits, want.vertex_hits);
+  EXPECT_TRUE(SameBits(got.mean_displacement, want.mean_displacement))
+      << got.mean_displacement << " vs " << want.mean_displacement;
+  EXPECT_TRUE(SameBits(got.max_displacement, want.max_displacement))
+      << got.max_displacement << " vs " << want.max_displacement;
+}
+
+/// The distance evaluations of searching every published point that is
+/// not a segment start with a defined kernel, one search per point, over
+/// an index bulk-built in Morton order of the segment midpoints — the
+/// audit before coordinates were deduplicated.
+uint64_t PerPointSearchEvals(const Dataset& original,
+                             const Dataset& published,
+                             const WindowAuditConfig& config) {
+  std::vector<Segment> segments;
+  std::vector<Point> starts;
+  BBox region = BBox::Empty();
+  for (const Trajectory& t : original.trajectories()) {
+    for (size_t i = 0; i < t.NumSegments(); ++i) {
+      const Segment s = t.SegmentAt(i);
+      segments.push_back(s);
+      region.Extend(s.a);
+      region.Extend(s.b);
+      const double dx = s.b.x - s.a.x;
+      const double dy = s.b.y - s.a.y;
+      if (std::isfinite(s.a.x) && std::isfinite(s.a.y) &&
+          std::isfinite(dx) && std::isfinite(dy) &&
+          std::isfinite(SegmentInvLen2(dx, dy))) {
+        starts.push_back(s.a);
+      }
+    }
+  }
+  std::vector<uint64_t> order;
+  for (size_t h = 0; h < segments.size(); ++h) {
+    order.push_back((uint64_t{MortonKey(segments[h], region)} << 32) | h);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<SegmentEntry> entries;
+  for (const uint64_t key : order) {
+    const size_t h = key & 0xffffffffu;
+    entries.push_back(SegmentEntry{h, 0, segments[h]});
+  }
+  const auto index = MakeSegmentIndex(
+      config.strategy, GridSpec(region, config.index_levels));
+  EXPECT_TRUE(index->Build(Span<const SegmentEntry>(entries)).ok());
+  SearchContext ctx;
+  SearchOptions options;
+  options.k = 1;
+  for (const Trajectory& t : published.trajectories()) {
+    for (const TimedPoint& tp : t.points()) {
+      if (std::find(starts.begin(), starts.end(), tp.p) != starts.end()) {
+        continue;
+      }
+      index->KNearest(tp.p, options, &ctx);
+    }
+  }
+  return index->distance_evaluations();
+}
+
+/// Eight original trajectories and nine published ones for the parted
+/// audit. The coordinate kRepeat lies off every vertex and appears in
+/// every published trajectory, so it repeats in every range and in the
+/// trajectories of every part; (-0.0, 3) and (0.0, 3) are two searched
+/// coordinates; end-only vertices, a zero-length segment, a lone point
+/// and signed-zero vertices are the adversarial fixtures above; and
+/// trajectory 1 publishes the start of the last original trajectory, a
+/// vertex owned by a different part at every part count above 1.
+constexpr Point kRepeat{7.25, -3.5};
+
+Dataset PartedOriginal() {
+  return PointDataset({
+      {{0.0, 0.0}, {40.1, -46.9}},
+      {{10.0, 10.0}, {10.0, 10.0}, {20.0, 15.0}},
+      {{30.0, 30.0}, {30.0, 30.0}},
+      {{-0.0, 5.0}, {0.0, 25.0}, {-7.5, -0.0}},
+      {{50.0, 50.0}},
+      {{-20.0, 40.0}, {-35.5, 12.25}, {-20.0, 40.0}},
+      {{100.0, -20.0}, {120.0, -20.0}, {120.0, 0.0}},
+      {{-60.0, -60.0}, {-40.0, -70.0}},
+  });
+}
+
+std::vector<std::vector<Point>> PartedPublished() {
+  return {
+      {{0.0, 0.0}, {40.1, -46.9}, {10.0, 10.0}, kRepeat, {-60.0, -60.0}},
+      {{30.0, 30.0}, {20.0, 15.0}, {50.0, 50.0}, kRepeat},
+      {{0.0, 5.0}, {-0.0, 25.0}, {-7.5, 0.0}, {-0.0, -0.0}, kRepeat},
+      {{1.0, 2.0}, {-35.5, 12.25}, {12.3, -4.5}, kRepeat, {-0.0, 3.0}},
+      {{10.0, 10.0}, kRepeat, {0.0, 3.0}},
+      {kRepeat, {120.0, 0.0}, {100.0, -20.0}},
+      {kRepeat, kRepeat, {-40.0, -70.0}},
+      {{110.0, -10.0}, kRepeat, {-0.0, 3.0}},
+      {{0.0, 3.0}, kRepeat, {12.3, -4.5}},
+  };
+}
+
+TEST(WindowAuditTest, PartedAuditMatchesBruteForceAndOnePart) {
+  const Dataset original = PartedOriginal();
+  const Dataset published = PointDataset(PartedPublished());
+  WorkStealingPool one(1);
+  WorkStealingPool four(4);
+  for (const int ranges : {1, 5, 8}) {
+    WindowAuditConfig config;
+    config.enabled = true;
+    config.ranges = ranges;
+    const WindowAuditReport one_part =
+        RunWindowAudit(original, published, config, nullptr);
+    ExpectReportEquals(one_part, BruteForceAudit(original, published, ranges));
+    // (0,0) twice, (10,10) twice, (30,30), (0,5), (0,25), (-35.5,12.25),
+    // (-60,-60) and (100,-20).
+    EXPECT_EQ(one_part.vertex_hits, 10u);
+    for (const int count : {1, 2, 4, 7}) {
+      const std::vector<WindowAuditPart> parts =
+          BuildParts(original, count, config);
+      for (WorkStealingPool* pool : {static_cast<WorkStealingPool*>(nullptr),
+                                     &one, &four}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "ranges " << ranges << ", parts " << count
+                     << ", pool " << (pool == nullptr ? 0 : pool->num_workers()));
+        const WindowAuditReport parted =
+            RunWindowAudit(parts, published, config, pool);
+        ExpectReportEquals(parted,
+                           BruteForceAudit(original, published, ranges));
+        ExpectSameAggregates(parted, one_part);
+        if (count == 1) {
+          EXPECT_EQ(parted.distance_evaluations,
+                    one_part.distance_evaluations);
+        }
+      }
+    }
+  }
+}
+
+TEST(WindowAuditTest, PartedAuditSearchesNanPointsLikeOnePart) {
+  // A NaN coordinate is searched once per point, in every part; its
+  // distance (NaN) must reach the mean as it does with one index.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Dataset original = PartedOriginal();
+  std::vector<std::vector<Point>> points = PartedPublished();
+  points[0].push_back({nan, 0.0});
+  points[4].push_back({0.0, nan});
+  points[8].push_back({nan, 0.0});
+  const Dataset published = PointDataset(points);
+  WindowAuditConfig config;
+  config.enabled = true;
+  const WindowAuditReport one_part =
+      RunWindowAudit(original, published, config, nullptr);
+  ASSERT_TRUE(one_part.ran);
+  EXPECT_TRUE(std::isnan(one_part.mean_displacement));
+  WorkStealingPool four(4);
+  for (const int count : {1, 2, 4, 7}) {
+    SCOPED_TRACE(count);
+    const std::vector<WindowAuditPart> parts =
+        BuildParts(original, count, config);
+    ExpectSameAggregates(RunWindowAudit(parts, published, config, nullptr),
+                         one_part);
+    ExpectSameAggregates(RunWindowAudit(parts, published, config, &four),
+                         one_part);
+  }
+}
+
+TEST(WindowAuditTest, PartedReleaseAuditMatchesOnePart) {
+  const Dataset input = SmallFleet(40, 43);
+  FrequencyRandomizer pipeline(SmallPipeline());
+  Rng rng(5);
+  auto published = pipeline.Anonymize(input, rng);
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  WindowAuditConfig config;
+  config.enabled = true;
+  const WindowAuditReport one_part =
+      RunWindowAudit(input, *published, config, nullptr);
+  ExpectReportEquals(one_part, BruteForceAudit(input, *published, 8));
+  WorkStealingPool four(4);
+  for (const int count : {2, 4, 7}) {
+    SCOPED_TRACE(count);
+    const std::vector<WindowAuditPart> parts =
+        BuildParts(input, count, config);
+    ExpectSameAggregates(RunWindowAudit(parts, *published, config, &four),
+                         one_part);
+  }
+}
+
+TEST(WindowAuditTest, EachDistinctCoordinateIsSearchedOnce) {
+  // Inserted points are snap-cell representatives, shared by many
+  // trajectories: one search per distinct coordinate must evaluate fewer
+  // distances than one search per point over the same Morton-built index.
+  const Dataset input = SmallFleet(40, 43);
+  FrequencyRandomizer pipeline(SmallPipeline());
+  Rng rng(5);
+  auto published = pipeline.Anonymize(input, rng);
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  WindowAuditConfig config;
+  config.enabled = true;
+  const WindowAuditReport audit =
+      RunWindowAudit(input, *published, config, nullptr);
+  ASSERT_TRUE(audit.ran);
+  EXPECT_GT(audit.distance_evaluations, 0u);
+  EXPECT_LT(audit.distance_evaluations,
+            PerPointSearchEvals(input, *published, config));
+
+  // A repeated off-vertex coordinate costs its search once.
+  const Dataset original = PartedOriginal();
+  const Dataset once = PointDataset({{kRepeat}});
+  const Dataset nine = PointDataset(std::vector<std::vector<Point>>(
+      9, std::vector<Point>{kRepeat}));
+  EXPECT_EQ(RunWindowAudit(original, nine, config, nullptr)
+                .distance_evaluations,
+            RunWindowAudit(original, once, config, nullptr)
+                .distance_evaluations);
+}
+
+TEST(BatchRunnerTest, BatchAuditEqualsOnePartAuditOfTheRelease) {
+  // Each shard builds its own part; together they must report what one
+  // part over the whole input reports on the merged release.
+  const Dataset input = SmallFleet(24, 53);
+  WorkStealingPool pool(4);
+  for (const int shards : {1, 2, 3, 4}) {
+    for (WorkStealingPool* p : {static_cast<WorkStealingPool*>(nullptr),
+                                &pool}) {
+      SCOPED_TRACE(::testing::Message() << "shards " << shards << ", pool "
+                                        << (p == nullptr ? 0 : p->num_workers()));
+      BatchRunnerConfig config;
+      config.pipeline = SmallPipeline();
+      config.shards = shards;
+      config.pool = p;
+      config.audit.enabled = true;
+      BatchRunner runner(config);
+      Rng rng(11);
+      auto out = runner.Anonymize(input, rng);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      ExpectSameAggregates(runner.report().audit,
+                           RunWindowAudit(input, *out, config.audit, p));
+    }
+  }
 }
 
 TEST(BatchRunnerTest, AuditReportFlowsThroughBatchReport) {

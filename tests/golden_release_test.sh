@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Pins the published bytes: frt_anonymize and frt_stream run on a fixed
 # 200-row input (the one anonymize_cli_test.sh builds) with fixed seeds,
-# and their releases must equal the committed goldens byte for byte. The
+# and their releases must equal the committed goldens byte for byte. Their
+# `audit:` stderr lines, less the timing field `build=`, must equal
+# golden_{anonymize,stream}_audit.txt: the single-shot audit has one part,
+# and each frt_stream window's audit has one part per shard. The
 # CLIs search with HG+ only; that every strategy publishes this same
 # release is checked in-process by strategy_release_test. A change that
 # alters a release on purpose (noise derivation, tie order, number
@@ -10,8 +13,9 @@
 #
 # Usage: golden_release_test.sh /path/to/frt_anonymize /path/to/frt_stream \
 #            [REGEN_DIR]
-# With REGEN_DIR (e.g. tests/data), the fresh releases are also copied
-# there as golden_anonymize.csv and golden_stream.csv.
+# With REGEN_DIR (e.g. tests/data), the fresh releases and audit lines are
+# also copied there as golden_anonymize.csv, golden_stream.csv,
+# golden_anonymize_audit.txt and golden_stream_audit.txt.
 
 set -u
 
@@ -38,8 +42,15 @@ awk 'BEGIN { for (i = 0; i < 10; ++i) { x = 200 + i * 137; y = 300 + i * 251; t 
   --window 5 --shards 2 --m 3 --seed 7 2> "$WORK/stream.log" \
   || fail "frt_stream exited $?: $(cat "$WORK/stream.log")"
 
+for name in anonymize stream; do
+  sed -n 's/^\(audit: .*\) build=[0-9.]*s /\1 /p' "$WORK/$name.log" \
+    > "$WORK/golden_${name}_audit.txt"
+done
+
 if [[ -n "$REGEN_DIR" ]]; then
-  cp "$WORK/golden_anonymize.csv" "$WORK/golden_stream.csv" "$REGEN_DIR/"
+  cp "$WORK/golden_anonymize.csv" "$WORK/golden_stream.csv" \
+    "$WORK/golden_anonymize_audit.txt" "$WORK/golden_stream_audit.txt" \
+    "$REGEN_DIR/"
   echo "regenerated goldens in $REGEN_DIR"
 fi
 
@@ -53,4 +64,14 @@ for name in golden_anonymize golden_stream; do
   echo "ok: $name ($(wc -l < "$got") lines)"
 done
 
-echo "PASS: the releases match the goldens"
+for name in golden_anonymize_audit golden_stream_audit; do
+  got="$WORK/$name.txt"
+  [[ -s "$got" ]] || fail "$name: no audit line"
+  if ! cmp "$got" "$DATA/$name.txt"; then
+    diff "$DATA/$name.txt" "$got" | head -20 >&2
+    fail "$name: audit differs from tests/data/$name.txt"
+  fi
+  echo "ok: $name ($(wc -l < "$got") lines)"
+done
+
+echo "PASS: the releases and their audits match the goldens"

@@ -321,8 +321,9 @@ inline bool MakeStreamConfig(const StreamArgs& args,
 
 /// One-line per-run summary of a window audit, for the tools' stderr
 /// reports ("displacement" = published point to nearest original segment).
-/// The audit always shares one index build; the line keeps its
-/// "shared-index=on builds=1" fields so log parsers see a stable format.
+/// "shared-index=on builds=1" are fixed tokens, kept so log parsers see a
+/// stable format (the audit builds one index per part, one part per
+/// shard); build= is the sum of the part builds.
 inline void PrintAuditReport(const WindowAuditReport& audit) {
   if (!audit.ran) return;
   std::fprintf(stderr,
@@ -556,8 +557,8 @@ inline FlagParse ParseTransportFlag(int argc, char** argv, int* i,
   return FlagParse::kConsumed;
 }
 
-/// Usage text of the transport flags.
-inline const char* TransportUsageText() {
+/// Usage text of the aggregator end of the transport (frt_serve only).
+inline const char* ListenUsageText() {
   return
       "  --listen EP          accept framed edge connections on EP\n"
       "                       (unix:PATH or tcp:HOST:PORT) instead of "
@@ -565,7 +566,12 @@ inline const char* TransportUsageText() {
       "                       a local file (default: off)\n"
       "  --listen-conns N     with --listen: finish after N edge "
       "connections\n"
-      "                       have drained (default 0 = until SIGINT)\n"
+      "                       have drained (default 0 = until SIGINT)\n";
+}
+
+/// Usage text of the edge end of the transport (frt_edge only).
+inline const char* ConnectUsageText() {
+  return
       "  --connect EP         forward anonymized windows upstream to the\n"
       "                       aggregator at EP instead of writing locally\n";
 }

@@ -72,7 +72,7 @@ void Usage(const char* prog) {
       "                       trajectory frame after its CRC (default 0 = "
       "off)\n"
       "%s%s%s%s%s",
-      prog, frt::cli::LocalFeedsUsageText(), frt::cli::TransportUsageText(),
+      prog, frt::cli::LocalFeedsUsageText(), frt::cli::ConnectUsageText(),
       frt::cli::DurabilityUsageText(), frt::cli::ObservabilityUsageText(),
       frt::cli::StreamUsageText(), frt::cli::PipelineUsageText());
 }

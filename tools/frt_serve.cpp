@@ -114,7 +114,7 @@ void Usage(const char* prog) {
       "  --max-in-flight N    concurrent window jobs across feeds "
       "(default 0 = 2x pool)\n"
       "%s%s%s%s%s",
-      prog, frt::cli::LocalFeedsUsageText(), frt::cli::TransportUsageText(),
+      prog, frt::cli::LocalFeedsUsageText(), frt::cli::ListenUsageText(),
       frt::cli::DurabilityUsageText(), frt::cli::ObservabilityUsageText(),
       frt::cli::StreamUsageText(), frt::cli::PipelineUsageText());
 }
