@@ -9,6 +9,13 @@
 // phase of the GL pipeline (eps_G = eps_L = 0.5), which is dominated by
 // K-nearest trajectory/segment searches. Identical seeds mean every
 // strategy performs the same logical edits; only search order differs.
+//
+// Local (HG) times follow trajectory length, not only |D|: the local stage
+// builds each trajectory's grid LocalIndexLevels(segments, 10) levels deep
+// (core/modifier.h; 1 level up to 32 segments, 2 up to 128, 3 up to 512,
+// 4 up to 2048), so the laptop scale's ~150-point trajectories search
+// 3-level grids and the full scale's ~1800-point ones 4-level grids. UG's
+// single grid takes the same resolution, 2^(levels-1) per side.
 
 #include <cstdio>
 #include <vector>

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/modifier.h"
 #include "core/pipeline.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
@@ -106,10 +107,12 @@ void BM_IndexKnnTrajectories(benchmark::State& state) {
 }
 
 // The local stage's per-trajectory cycle on its one reused index: Reset to
-// the trajectory's grid, Build its ~80 segments, then a handful of
-// segment-mode kNN (the insertion-site searches). Sixteen random-walk
-// trajectories with different extents rotate, so every Reset re-targets
-// the grid; items are trajectories.
+// the trajectory's grid, as deep as the local stage makes it
+// (LocalIndexLevels of its segment count, capped at the default 10
+// levels), Build its 80 segments, then a handful of segment-mode kNN (the
+// insertion-site searches). Sixteen random-walk trajectories with
+// different extents rotate, so every Reset re-targets the grid; items are
+// trajectories.
 void BM_IndexResetBuild(benchmark::State& state) {
   const auto strategy = StrategyOf(static_cast<int>(state.range(0)));
   struct Traj {
@@ -130,7 +133,8 @@ void BM_IndexResetBuild(benchmark::State& state) {
       box.Extend(next);
       p = next;
     }
-    trajs.push_back(Traj{GridSpec(box, 10), std::move(segments)});
+    const int levels = LocalIndexLevels(segments.size(), 10);
+    trajs.push_back(Traj{GridSpec(box, levels), std::move(segments)});
   }
   auto index = MakeSegmentIndex(strategy, MicroGrid());
   SearchContext ctx;

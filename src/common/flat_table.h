@@ -1,6 +1,7 @@
 // FlatSlotTable: the open-addressed uint64 -> uint32 map behind the
 // indexes' update paths (segment handle -> arena/store slot, cell key ->
-// cell slot).
+// cell slot) and behind FlatMap (common/flat_map.h: location key -> dense
+// entry index).
 //
 // One flat array of 16-byte (key, value) slots, power-of-two capacity,
 // linear probing, at most two-thirds full. Erase uses backward-shift
@@ -14,8 +15,8 @@
 // update path (and read it from const searches, which is safe between
 // updates).
 
-#ifndef FRT_INDEX_FLAT_TABLE_H_
-#define FRT_INDEX_FLAT_TABLE_H_
+#ifndef FRT_COMMON_FLAT_TABLE_H_
+#define FRT_COMMON_FLAT_TABLE_H_
 
 #include <algorithm>
 #include <cassert>
@@ -57,14 +58,24 @@ class FlatSlotTable {
   /// `key` is already present. `value` must not be kNone.
   bool Insert(uint64_t key, uint32_t value) {
     assert(value != kNone);
-    if ((size_ + 1) * 3 > slots_.size() * 2) Rehash(Grown(size_ + 1));
-    size_t i = Home(key);
-    for (; slots_[i].value != kNone; i = (i + 1) & mask_) {
-      if (slots_[i].key == key) return false;
-    }
-    slots_[i] = Slot{key, value};
+    Slot& s = Claim(key);
+    if (s.value != kNone) return false;
+    s = Slot{key, value};
     ++size_;
     return true;
+  }
+
+  /// The value stored for `key`; when absent, stores `value` first and
+  /// returns it (one probe run for a lookup that may insert). `value` must
+  /// not be kNone.
+  uint32_t FindOrInsert(uint64_t key, uint32_t value) {
+    assert(value != kNone);
+    Slot& s = Claim(key);
+    if (s.value == kNone) {
+      s = Slot{key, value};
+      ++size_;
+    }
+    return s.value;
   }
 
   /// Removes `key` and returns its value, or kNone when absent. Entries
@@ -109,6 +120,17 @@ class FlatSlotTable {
     uint32_t value = kNone;
   };
 
+  /// The slot holding `key`, or the empty slot ending its probe run,
+  /// after growing the table so that one more key fits.
+  Slot& Claim(uint64_t key) {
+    if ((size_ + 1) * 3 > slots_.size() * 2) Rehash(Grown(size_ + 1));
+    size_t i = Home(key);
+    while (slots_[i].value != kNone && slots_[i].key != key) {
+      i = (i + 1) & mask_;
+    }
+    return slots_[i];
+  }
+
   size_t Home(uint64_t key) const {
     return static_cast<size_t>(Hash(key)) & mask_;
   }
@@ -139,4 +161,4 @@ class FlatSlotTable {
 
 }  // namespace frt
 
-#endif  // FRT_INDEX_FLAT_TABLE_H_
+#endif  // FRT_COMMON_FLAT_TABLE_H_

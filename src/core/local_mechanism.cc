@@ -85,6 +85,7 @@ Result<Dataset> LocalMechanism::Apply(const Dataset& dataset,
   IntraTrajectoryModifier modifier(quantizer_, config_.strategy,
                                    config_.grid_levels);
   Dataset output;
+  FrequencyDelta delta;  // cleared per trajectory, keeps its capacity
   for (size_t i = 0; i < dataset.size(); ++i) {
     const Trajectory& traj = dataset[i];
     if (traj.empty()) {
@@ -95,14 +96,15 @@ Result<Dataset> LocalMechanism::Apply(const Dataset& dataset,
     const std::vector<LocationKey> selected =
         SelectPoints(signatures.per_traj[i], signatures, pf, rng);
 
-    FrequencyDelta delta;
+    delta.clear();
     // Stage 1: top-m ranked points, noise ~ Lap(-f_k, 1/eps_L).
     double mu_bar = 0.0;
     const int stage1_count =
         std::min<int>(m, static_cast<int>(selected.size()));
     for (int k = 0; k < stage1_count; ++k) {
       const LocationKey key = selected[k];
-      const int64_t f = pf.count(key) > 0 ? pf.at(key) : 0;
+      const auto it = pf.find(key);
+      const int64_t f = it != pf.end() ? it->second : 0;
       const double mu =
           config_.zero_mean_stage1 ? 0.0 : -static_cast<double>(f);
       const double noisy = mechanism.Perturb(rng, static_cast<double>(f),
@@ -121,7 +123,8 @@ Result<Dataset> LocalMechanism::Apply(const Dataset& dataset,
                                        : static_cast<int>(selected.size());
          k < static_cast<int>(selected.size()); ++k) {
       const LocationKey key = selected[k];
-      const int64_t f = pf.count(key) > 0 ? pf.at(key) : 0;
+      const auto it = pf.find(key);
+      const int64_t f = it != pf.end() ? it->second : 0;
       const double noisy =
           mechanism.Perturb(rng, static_cast<double>(f), -mu_bar);
       const int64_t f_star = RoundToNonNegativeInt(noisy);

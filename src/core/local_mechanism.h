@@ -35,7 +35,8 @@ struct LocalMechanismConfig {
   double epsilon = 0.5;
   /// kNN strategy for intra-trajectory modification.
   SearchStrategy strategy = SearchStrategy::kBottomUpDown;
-  /// Levels of the per-trajectory index grid.
+  /// Cap on the levels of each trajectory's index grid: a trajectory's
+  /// grid is LocalIndexLevels(its segment count, grid_levels) deep.
   int grid_levels = 10;
   /// --- ablation switches (papers §III-B3 design discussion) ---
   /// Disable Stage-2 to measure the trajectory-cardinality collapse the

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "geo/morton.h"
 #include "index/search_context.h"
@@ -97,6 +98,18 @@ NodeHandle NodeOf(SegmentHandle h) {
 
 }  // namespace
 
+int LocalIndexLevels(size_t segments, int max_levels) {
+  constexpr size_t kSegmentsPerCell = 32;
+  int levels = 1;
+  // The finest grid of `levels` levels has 4^(levels - 1) cells.
+  for (size_t cells = 1;
+       levels < max_levels && segments > kSegmentsPerCell * cells;
+       cells *= 4) {
+    ++levels;
+  }
+  return levels;
+}
+
 Status IntraTrajectoryModifier::Apply(EditableTrajectory* traj,
                                       const FrequencyDelta& delta,
                                       ModifierStats* stats) {
@@ -164,7 +177,8 @@ Status IntraTrajectoryModifier::Apply(EditableTrajectory* traj,
   region.max_y += pad;
 
   SegmentIndex* index = index_.get();
-  index->Reset(GridSpec(region, grid_levels_));
+  index->Reset(GridSpec(region, LocalIndexLevels(entries_.size(),
+                                                 max_grid_levels_)));
   FRT_RETURN_IF_ERROR(index->Build(entries_));
 
   const uint64_t evals_before = index->distance_evaluations();
@@ -253,7 +267,7 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
 
   // One pass over every trajectory's live nodes gathers the Morton key of
   // each segment (in the `(key << 32) | i` integers whose sort orders the
-  // bulk build) and the per-(key, trajectory) occurrence lists.
+  // bulk build) and the occurrences of every key in `delta`.
   // Segment i's handle is handles[i]; ties on the key keep gather order.
   // The order only changes the work: kNN results are a pure function of
   // the segment set (index/README.md), and Morton order makes each
@@ -264,10 +278,12 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
   for (const EditableTrajectory& et : *trajs) total_points += et.NumPoints();
   order.reserve(total_points);
   handles.reserve(total_points);
-  std::unordered_map<LocationKey,
-                     std::unordered_map<size_t, std::vector<NodeHandle>>>
-      occurrences;
-  occurrences.reserve(delta.size());
+  struct Occurrence {
+    LocationKey key;
+    uint32_t slot;
+    NodeHandle node;
+  };
+  std::vector<Occurrence> occurrences;
   for (size_t i = 0; i < trajs->size(); ++i) {
     EditableTrajectory& et = (*trajs)[i];
     for (const NodeHandle n : et.LiveNodes()) {
@@ -277,10 +293,25 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
         handles.push_back(GlobalHandle(i, n));
       }
       const LocationKey key = quantizer_->KeyOf(et.PointAt(n).p);
-      if (delta.count(key) > 0) occurrences[key][i].push_back(n);
+      if (delta.count(key) > 0) {
+        occurrences.push_back(
+            Occurrence{key, static_cast<uint32_t>(i), n});
+      }
     }
   }
   std::sort(order.begin(), order.end());
+  // Sorted by key; the stable sort keeps the gather order within a key,
+  // i.e. slot order, and each trajectory's nodes in walk order.
+  std::stable_sort(occurrences.begin(), occurrences.end(),
+                   [](const Occurrence& a, const Occurrence& b) {
+                     return a.key < b.key;
+                   });
+  // The occurrences of one key, grouped by slot in ascending order.
+  const auto occurrences_of = [&occurrences](LocationKey key) {
+    return std::equal_range(
+        occurrences.begin(), occurrences.end(), Occurrence{key, 0, 0},
+        [](const Occurrence& a, const Occurrence& b) { return a.key < b.key; });
+  };
   {
     // Materialized once, already in order, and freed right after the
     // build: the index holds its own copies.
@@ -300,33 +331,48 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
 
   // Phase 1: TF decreases — complete deletion of the point from the
   // Delta_l trajectories with the smallest total deletion loss (Def. 8).
+  // One trajectory holding the key: its total deletion loss, and where its
+  // occurrences start in `occurrences`.
+  struct SlotCost {
+    double loss;
+    size_t slot;
+    size_t first;
+  };
+  std::vector<SlotCost> costs;
+  std::vector<NodeHandle> nodes;
   for (const LocationKey key : neg_keys) {
-    auto oit = occurrences.find(key);
-    if (oit == occurrences.end()) continue;
-    auto& per_traj = oit->second;
+    const auto [first, last] = occurrences_of(key);
+    if (first == last) continue;
     const int64_t want = -delta.at(key);
 
-    std::vector<std::pair<double, size_t>> costs;  // (total loss, slot)
-    costs.reserve(per_traj.size());
-    for (const auto& [slot, nodes] : per_traj) {
-      double total = 0.0;
-      for (const NodeHandle n : nodes) {
-        total += (*trajs)[slot].DeletionLoss(n);
+    costs.clear();
+    for (auto it = first; it != last; ++it) {
+      const double loss = (*trajs)[it->slot].DeletionLoss(it->node);
+      if (it != first && it->slot == (it - 1)->slot) {
+        costs.back().loss += loss;
+      } else {
+        const size_t offset = static_cast<size_t>(it - occurrences.begin());
+        costs.push_back(SlotCost{loss, it->slot, offset});
       }
-      costs.emplace_back(total, slot);
     }
-    std::sort(costs.begin(), costs.end());
+    std::sort(costs.begin(), costs.end(),
+              [](const SlotCost& a, const SlotCost& b) {
+                return std::tie(a.loss, a.slot) < std::tie(b.loss, b.slot);
+              });
     const size_t take =
         std::min<size_t>(costs.size(), static_cast<size_t>(want));
     for (size_t c = 0; c < take; ++c) {
-      const size_t slot = costs[c].second;
+      const size_t slot = costs[c].slot;
       EditableTrajectory& et = (*trajs)[slot];
       auto per_handle = [&](NodeHandle n) { return GlobalHandle(slot, n); };
-      auto& nodes = per_traj[slot];
+      nodes.clear();
+      for (auto it = occurrences.begin() + costs[c].first;
+           it != last && it->slot == slot; ++it) {
+        nodes.push_back(it->node);
+      }
       stats->utility_loss += GreedyDeleteOccurrences(
           &et, &nodes, static_cast<int64_t>(nodes.size()), index.get(),
           per_handle, &stats->deletions);
-      per_traj.erase(slot);
     }
   }
 
@@ -342,12 +388,10 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
   for (const LocationKey key : pos_keys) {
     const int64_t want = delta.at(key);
     const Point q = quantizer_->PointOf(key);
-    auto oit = occurrences.find(key);
-    if (oit != occurrences.end()) {
-      for (const auto& [slot, nodes] : oit->second) {
-        if (!nodes.empty()) occupied[slot] = 1;
-      }
-    }
+    // Phase 1 deleted only occurrences of shrinking keys, so every
+    // occurrence of this growing key is still live.
+    const auto [first, last] = occurrences_of(key);
+    for (auto it = first; it != last; ++it) occupied[it->slot] = 1;
     SearchOptions options;
     options.k = static_cast<size_t>(want);
     options.group_by = GroupBy::kTrajectory;
@@ -363,9 +407,7 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
                     std::chrono::steady_clock::now());
     }
     ++stats->knn_searches;
-    if (oit != occurrences.end()) {
-      for (const auto& [slot, nodes] : oit->second) occupied[slot] = 0;
-    }
+    for (auto it = first; it != last; ++it) occupied[it->slot] = 0;
     for (const Neighbor& nb : neighbors) {
       const size_t slot = SlotOf(nb.entry.handle);
       EditableTrajectory& et = (*trajs)[slot];

@@ -16,13 +16,15 @@
 // context and its gather scratch, and resets them for every trajectory it
 // edits; in a modifier that edits many trajectories (LocalMechanism::Apply
 // makes one per call), the index build and searches stop allocating once
-// they are warm.
+// they are warm. Each trajectory's grid is only as deep as its segment
+// count needs (LocalIndexLevels): an 80-segment trajectory costs more to
+// index 10 levels deep than to search 2 levels deep.
 
 #ifndef FRT_CORE_MODIFIER_H_
 #define FRT_CORE_MODIFIER_H_
 
+#include <cstddef>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -34,7 +36,19 @@
 namespace frt {
 
 /// Frequency deltas to apply: location key -> (perturbed - original) count.
-using FrequencyDelta = std::unordered_map<LocationKey, int64_t>;
+using FrequencyDelta = FlatMap<int64_t>;
+
+/// \brief Levels of the local stage's index grid for a trajectory of
+/// `segments` segments: the fewest levels (at most `max_levels`, at least
+/// 1) whose finest grid has no more than 32 segments per cell on average,
+/// i.e. 1 + ceil(log4(segments / 32)). The measurements behind 32 are in
+/// index/README.md (*Who builds which index*).
+///
+/// A kNN result does not depend on the grid (index/README.md, *Canonical
+/// results*), so the depth changes only the work: a deeper grid evaluates
+/// fewer segments per search but costs more to build, and the local stage
+/// builds one grid per trajectory and searches it only a few times.
+int LocalIndexLevels(size_t segments, int max_levels);
 
 /// Edit accounting for reports and benches.
 struct ModifierStats {
@@ -61,11 +75,13 @@ class IntraTrajectoryModifier {
  public:
   /// \param quantizer   location identity + representative coordinates.
   /// \param strategy    kNN search strategy (Fig. 5 competitors).
-  /// \param grid_levels levels of the per-trajectory index grid.
+  /// \param grid_levels cap on the levels of each trajectory's index grid;
+  ///                    the grid of a trajectory is
+  ///                    LocalIndexLevels(its segments, grid_levels) deep.
   IntraTrajectoryModifier(const Quantizer* quantizer, SearchStrategy strategy,
                           int grid_levels = 10)
       : quantizer_(quantizer),
-        grid_levels_(grid_levels),
+        max_grid_levels_(grid_levels),
         // Re-targeted at each trajectory's own grid by Apply.
         index_(MakeSegmentIndex(strategy, GridSpec())) {}
 
@@ -85,7 +101,7 @@ class IntraTrajectoryModifier {
   };
 
   const Quantizer* quantizer_;
-  int grid_levels_;
+  int max_grid_levels_;
   // Per-trajectory state, reset by every Apply; kept to reuse capacity.
   std::unique_ptr<SegmentIndex> index_;
   SearchContext ctx_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace frt {
 
@@ -19,7 +18,9 @@ Result<SignatureSet> SignatureExtractor::Extract(
                                                             *quantizer_);
   const double n = static_cast<double>(dataset.size());
 
-  std::unordered_set<LocationKey> candidate;
+  // Every signature key, duplicates included; sorted and deduplicated
+  // into P below.
+  std::vector<LocationKey>& candidate = out.candidate_set;
   for (size_t i = 0; i < dataset.size(); ++i) {
     const Trajectory& traj = dataset[i];
     if (traj.empty()) continue;
@@ -40,19 +41,24 @@ Result<SignatureSet> SignatureExtractor::Extract(
                   std::log(n / static_cast<double>(l));
       scored.push_back(wl);
     }
-    std::sort(scored.begin(), scored.end(),
-              [](const WeightedLocation& a, const WeightedLocation& b) {
-                if (a.weight != b.weight) return a.weight > b.weight;
-                return a.key < b.key;
-              });
-    if (scored.size() > static_cast<size_t>(m_)) scored.resize(m_);
-    for (const auto& wl : scored) candidate.insert(wl.key);
+    // (weight desc, key asc) is a total order (keys are distinct), so the
+    // partial sort keeps exactly the full sort's top m.
+    const size_t keep = std::min(scored.size(), static_cast<size_t>(m_));
+    std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
+                      [](const WeightedLocation& a, const WeightedLocation& b) {
+                        if (a.weight != b.weight) return a.weight > b.weight;
+                        return a.key < b.key;
+                      });
+    scored.resize(keep);
+    for (const auto& wl : scored) candidate.push_back(wl.key);
     out.per_traj[i] = std::move(scored);
   }
 
-  out.candidate_set.assign(candidate.begin(), candidate.end());
-  std::sort(out.candidate_set.begin(), out.candidate_set.end());
-  for (const LocationKey key : out.candidate_set) {
+  std::sort(candidate.begin(), candidate.end());
+  candidate.erase(std::unique(candidate.begin(), candidate.end()),
+                  candidate.end());
+  out.tf_over_p.reserve(candidate.size());
+  for (const LocationKey key : candidate) {
     out.tf_over_p[key] = tf.at(key);
   }
   return out;

@@ -13,7 +13,6 @@
 #ifndef FRT_CORE_SIGNATURE_H_
 #define FRT_CORE_SIGNATURE_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -37,7 +36,7 @@ struct SignatureSet {
   /// The candidate point set P (distinct keys of all signatures).
   std::vector<LocationKey> candidate_set;
   /// TF values over P (the global distribution L of Algorithm 1).
-  std::unordered_map<LocationKey, int64_t> tf_over_p;
+  TrajectoryFrequency tf_over_p;
   /// Signature size used for extraction.
   int m = 0;
 };

@@ -15,7 +15,7 @@
 // (std::vector) addressed by 32-bit slots; freed slots are recycled through
 // a free list threaded through the parent field. Handle -> cell slot and
 // cell coordinate -> cell slot are two open-addressed FlatSlotTables
-// (index/flat_table.h), so an Insert allocates no map node and LocateStart
+// (common/flat_table.h), so an Insert allocates no map node and LocateStart
 // probes a flat array, never a bucket chain. Segment entries are stored
 // *inline* in their cell's segment vector, with the geometry mirrored into
 // fixed-width SoA lane blocks (geo/segment_soa.h) that the batched 8-lane
@@ -48,9 +48,9 @@
 #include <atomic>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "geo/grid.h"
 #include "geo/segment_soa.h"
-#include "index/flat_table.h"
 #include "index/segment_index.h"
 
 namespace frt {

@@ -11,7 +11,7 @@
 #include <atomic>
 #include <vector>
 
-#include "index/flat_table.h"
+#include "common/flat_table.h"
 #include "index/segment_index.h"
 
 namespace frt {

@@ -12,7 +12,7 @@
 // Layout. Entries live in a flat slot store (recycled through a free list);
 // cells hold 32-bit slot indices, so the ring scan reads entries without a
 // hash lookup per candidate. Handle -> store slot and cell key -> cell list
-// are open-addressed FlatSlotTables (index/flat_table.h), and emptied cell
+// are open-addressed FlatSlotTables (common/flat_table.h), and emptied cell
 // lists are recycled with their capacity, so Reset + Build of a warm index
 // allocates nothing. Multi-cell duplicates are deduplicated with
 // the caller's SearchContext stamp vector keyed by store slot — searches
@@ -25,8 +25,8 @@
 #include <atomic>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "geo/grid.h"
-#include "index/flat_table.h"
 #include "index/segment_index.h"
 
 namespace frt {

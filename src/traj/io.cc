@@ -3,12 +3,56 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <ostream>
 
 #include "common/strings.h"
 
 namespace frt {
+namespace {
+
+// Writes x as "%.3f" does. For finite |x| < 2^53 the digits come from
+// integers alone: x = m * 2^e with an integer m < 2^53 and e <= 0, so
+// |x| * 1000 = (1000 m) >> -e with 1000 m < 2^63, and rounding the
+// shifted-out bits half to even gives q, the correctly rounded value of
+// |x| * 1000; the row is q / 1000, '.', then q % 1000 in three digits. A
+// negative x (-0.0 and tiny negatives included) keeps its '-'. Anything
+// else goes to to_chars, which is also exact.
+char* WriteFixed3(char* p, char* last, double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  // biased <= 1075 <=> |x| < 2^53 (and excludes inf/nan, biased == 2047).
+  if (biased > 1075) {
+    return std::to_chars(p, last, x, std::chars_format::fixed, 3).ptr;
+  }
+  const uint64_t fraction = bits & ((uint64_t{1} << 52) - 1);
+  // Subnormals have no implicit bit and the exponent of biased == 1.
+  const uint64_t m = biased == 0 ? fraction : fraction | (uint64_t{1} << 52);
+  const int shift = 1075 - (biased == 0 ? 1 : biased);  // -e, in [0, 1074]
+  const uint64_t scaled = m * 1000;
+  uint64_t q = scaled;  // shift == 0: x is an integer
+  if (shift >= 64) {
+    q = 0;  // scaled / 2^shift < 2^63 / 2^64 = 1/2
+  } else if (shift > 0) {
+    q = scaled >> shift;
+    const uint64_t rest = scaled & ((uint64_t{1} << shift) - 1);
+    const uint64_t half = uint64_t{1} << (shift - 1);
+    if (rest > half || (rest == half && (q & 1) != 0)) ++q;
+  }
+  if ((bits >> 63) != 0) *p++ = '-';
+  p = std::to_chars(p, last, q / 1000).ptr;
+  const unsigned frac = static_cast<unsigned>(q % 1000);
+  p[0] = '.';
+  p[1] = static_cast<char>('0' + frac / 100);
+  p[2] = static_cast<char>('0' + frac / 10 % 10);
+  p[3] = static_cast<char>('0' + frac % 10);
+  return p + 4;
+}
+
+}  // namespace
 
 Result<std::optional<CsvRecord>> ParseCsvRecord(std::string_view line,
                                                 size_t lineno) {
@@ -62,11 +106,11 @@ void WriteTrajectoryCsv(const Trajectory& trajectory, std::ostream& out,
     p = std::copy(line_prefix.begin(), line_prefix.end(), p);
     p = std::to_chars(p, last, trajectory.id()).ptr;
     *p++ = ',';
-    // Fixed notation with precision 3 is "%.3f": the exact binary value
-    // correctly rounded, ties to even, "-0.000" for negative zero.
-    p = std::to_chars(p, last, tp.p.x, std::chars_format::fixed, 3).ptr;
+    // "%.3f": the exact binary value correctly rounded, ties to even,
+    // "-0.000" for negative zero.
+    p = WriteFixed3(p, last, tp.p.x);
     *p++ = ',';
-    p = std::to_chars(p, last, tp.p.y, std::chars_format::fixed, 3).ptr;
+    p = WriteFixed3(p, last, tp.p.y);
     *p++ = ',';
     p = std::to_chars(p, last, tp.t).ptr;
     *p++ = '\n';

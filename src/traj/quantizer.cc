@@ -1,6 +1,6 @@
 #include "traj/quantizer.h"
 
-#include <unordered_set>
+#include "common/flat_table.h"
 
 namespace frt {
 
@@ -17,13 +17,18 @@ PointFrequency ComputePointFrequency(const Trajectory& t,
 TrajectoryFrequency ComputeTrajectoryFrequency(const Dataset& d,
                                                const Quantizer& quantizer) {
   TrajectoryFrequency tf;
-  std::unordered_set<LocationKey> seen;
+  // One trajectory's distinct keys: `seen` dedupes, `keys` lists them.
+  FlatSlotTable seen;
+  std::vector<LocationKey> keys;
   for (const auto& t : d.trajectories()) {
     seen.clear();
+    keys.clear();
+    seen.Reserve(t.size());
     for (const auto& tp : t.points()) {
-      seen.insert(quantizer.KeyOf(tp.p));
+      const LocationKey key = quantizer.KeyOf(tp.p);
+      if (seen.Insert(key, 0)) keys.push_back(key);
     }
-    for (const LocationKey k : seen) ++tf[k];
+    for (const LocationKey k : keys) ++tf[k];
   }
   return tf;
 }

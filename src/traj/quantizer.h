@@ -11,9 +11,9 @@
 #define FRT_TRAJ_QUANTIZER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "geo/grid.h"
 #include "traj/dataset.h"
 #include "traj/trajectory.h"
@@ -59,6 +59,9 @@ class Quantizer {
 
   /// Accumulates representative coordinates from every point in `dataset`.
   void RegisterDataset(const Dataset& dataset) {
+    // Room for every point to be a new location, so the table never
+    // rehashes while it fills.
+    representatives_.reserve(representatives_.size() + dataset.TotalPoints());
     for (const auto& t : dataset.trajectories()) {
       for (const auto& tp : t.points()) RegisterPoint(tp.p);
     }
@@ -89,16 +92,16 @@ class Quantizer {
   };
 
   GridSpec grid_;
-  std::unordered_map<LocationKey, Accum> representatives_;
+  FlatMap<Accum> representatives_;
 };
 
 /// \brief PF distribution of one trajectory: location key -> occurrence
 /// count f_p (paper notation F(tau)).
-using PointFrequency = std::unordered_map<LocationKey, int64_t>;
+using PointFrequency = FlatMap<int64_t>;
 
 /// \brief TF distribution over a dataset: location key -> number of
 /// trajectories visiting it at least once (paper notation L).
-using TrajectoryFrequency = std::unordered_map<LocationKey, int64_t>;
+using TrajectoryFrequency = FlatMap<int64_t>;
 
 /// Counts PF for a single trajectory.
 PointFrequency ComputePointFrequency(const Trajectory& t,

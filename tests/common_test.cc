@@ -1,12 +1,19 @@
 // Unit tests for src/common: Status, Result, Rng, strings, FunctionRef,
-// Span.
+// Span, FlatMap.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
+#include "common/flat_table.h"
 #include "common/function_ref.h"
 #include "common/logging.h"
 #include "common/result.h"
@@ -341,6 +348,107 @@ TEST(SpanTest, MutableSpanWritesThrough) {
   Span<const int> sub(s.data() + 1, 2);
   EXPECT_EQ(sub.size(), 2u);
   EXPECT_EQ(sub[0], 20);
+}
+
+// ---------------- FlatMap ----------------
+
+/// Keys whose FlatSlotTable probe run starts at one slot of a table of
+/// `capacity` slots, so they collide at every smaller power of two too.
+std::vector<uint64_t> CollidingKeys(size_t capacity, size_t count) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; keys.size() < count; ++k) {
+    if ((FlatSlotTable::Hash(k) & (capacity - 1)) == 3) keys.push_back(k);
+  }
+  return keys;
+}
+
+// Random operations on FlatMap and std::unordered_map side by side: every
+// answer must agree, the contents must agree as a multiset after every
+// batch, and iteration must follow insertion order.
+TEST(FlatMapTest, MatchesUnorderedMapUnderRandomOperations) {
+  Rng rng(2025);
+  std::vector<uint64_t> universe = {0, ~uint64_t{0}, uint64_t{1} << 63};
+  for (const size_t capacity : {16, 256, 4096}) {
+    for (const uint64_t k : CollidingKeys(capacity, 40)) universe.push_back(k);
+  }
+  for (int i = 0; i < 400; ++i) universe.push_back(rng.Next());
+
+  FlatMap<int64_t> map;
+  std::unordered_map<uint64_t, int64_t> want;
+  std::vector<uint64_t> order;  // keys in insertion order
+  for (int batch = 0; batch < 40; ++batch) {
+    if (batch % 7 == 6) {
+      map.clear();
+      want.clear();
+      order.clear();
+      EXPECT_TRUE(map.empty());
+    }
+    if (batch % 3 == 0) map.reserve(rng.UniformInt(uint64_t{600}));
+    for (int op = 0; op < 1500; ++op) {
+      const uint64_t key = universe[rng.UniformInt(uint64_t{universe.size()})];
+      const int64_t value = static_cast<int64_t>(rng.UniformInt(uint64_t{100}));
+      const bool present = want.count(key) > 0;
+      switch (rng.UniformInt(uint64_t{6})) {
+        case 0:
+          map[key] += value;
+          want[key] += value;
+          break;
+        case 1: {
+          const auto [it, inserted] = map.try_emplace(key, value);
+          ASSERT_EQ(inserted, !present);
+          ASSERT_EQ(it->first, key);
+          if (inserted) want[key] = value;
+          ASSERT_EQ(it->second, want[key]);
+          break;
+        }
+        case 2: {
+          const auto [it, inserted] = map.insert({key, value});
+          ASSERT_EQ(inserted, !present);
+          if (inserted) want[key] = value;
+          ASSERT_EQ(it->second, want[key]);
+          break;
+        }
+        case 3: {
+          const auto& cmap = map;
+          const auto it = cmap.find(key);
+          ASSERT_EQ(it != cmap.end(), present) << key;
+          if (present) {
+            ASSERT_EQ(it->second, want.at(key));
+          }
+          break;
+        }
+        case 4:
+          ASSERT_EQ(map.count(key), want.count(key));
+          break;
+        default:
+          if (present) {
+            ASSERT_EQ(map.at(key), want.at(key));
+          } else {
+            EXPECT_THROW((void)map.at(key), std::out_of_range);
+          }
+      }
+      if (!present && want.count(key) > 0) order.push_back(key);
+    }
+    ASSERT_EQ(map.size(), want.size());
+    std::vector<std::pair<uint64_t, int64_t>> got(map.begin(), map.end());
+    std::vector<uint64_t> got_order;
+    for (const auto& [key, value] : got) got_order.push_back(key);
+    EXPECT_EQ(got_order, order) << "batch " << batch;
+    std::vector<std::pair<uint64_t, int64_t>> expected(want.begin(),
+                                                       want.end());
+    std::sort(got.begin(), got.end());
+    std::sort(expected.begin(), expected.end());
+    ASSERT_EQ(got, expected) << "batch " << batch;
+  }
+}
+
+TEST(FlatMapTest, InitializerListKeepsTheFirstOfEqualKeys) {
+  const FlatMap<int64_t> map{{7, 1}, {0, 2}, {7, 3}, {~uint64_t{0}, -4}};
+  ASSERT_EQ(map.size(), 3u);
+  EXPECT_EQ(map.at(7), 1);
+  EXPECT_EQ(map.at(0), 2);
+  EXPECT_EQ(map.at(~uint64_t{0}), -4);
+  EXPECT_EQ(map.begin()->first, 7u);
 }
 
 TEST(LoggingTest, ParseLogLevelAcceptsTheWholeRange) {

@@ -184,6 +184,63 @@ TEST(CsvWriterTest, HugeCoordinatesAreWrittenWhole) {
   EXPECT_EQ(out.str(), ExpectedRows(trajectory, "feed,"));
 }
 
+// The writer formats |x| < 2^53 from integers (x = m * 2^e, rounded half
+// to even at the third decimal) and anything else with to_chars. Drawn
+// from every class of double the integer path meets: each exponent from
+// subnormal to 2^53 with a random mantissa, exact ties k + odd/16 and
+// their neighbours, the 2^52 / 2^53 edges, signed zeros and subnormals,
+// plus raw bit patterns (mostly the fallback). Every value must print as
+// snprintf's "%.3f" does.
+TEST(CsvWriterTest, IntegerFixedPointMatchesSnprintfOnEveryDoubleClass) {
+  std::mt19937_64 rng(20261018);
+  const double two52 = std::ldexp(1.0, 52);
+  const double two53 = std::ldexp(1.0, 53);
+  const std::vector<double> edges = {
+      0.0, -0.0, FromBits(1), FromBits(0x000fffffffffffffULL),
+      FromBits(0x0010000000000000ULL), 0.0005, 0.0015, 0.9995, 1.0625,
+      two52, std::nextafter(two52, 0.0), two52 + 0.5, two53,
+      std::nextafter(two53, 0.0), std::nextafter(two53, 2 * two53),
+      two53 - 1.0, 1e15 + 0.0625, 4503599627370495.5};
+  const auto draw = [&](size_t i) -> double {
+    if (i < edges.size()) return edges[i];
+    const double sign = (rng() & 1) ? -1.0 : 1.0;
+    switch (rng() % 6) {
+      case 0: {  // any exponent of the integer path, random mantissa
+        const uint64_t biased = rng() % 1077;  // 1076 is 2^53 and up
+        return FromBits((rng() & 0x800fffffffffffffULL) | (biased << 52));
+      }
+      case 1: {  // k + odd/16: an exact tie at the third decimal
+        const double tie = static_cast<double>(rng() % (uint64_t{1} << 48)) +
+                           static_cast<double>(2 * (rng() % 8) + 1) / 16.0;
+        switch (rng() % 3) {
+          case 0: return sign * tie;
+          case 1: return sign * std::nextafter(tie, 0.0);
+          default: return sign * std::nextafter(tie, two53);
+        }
+      }
+      case 2:  // subnormal
+        return FromBits((rng() & 0x800fffffffffffffULL));
+      case 3:  // coordinates of the pipeline's scale
+        return sign * std::uniform_real_distribution<double>(0, 1e5)(rng);
+      default:  // raw bit patterns, nan and inf included
+        return FromBits(rng());
+    }
+  };
+  size_t drawn = 0;
+  for (int t = 0; t < 150; ++t) {
+    Trajectory trajectory(t);
+    for (int i = 0; i < 2000; ++i) {
+      const double x = draw(drawn++);
+      const double y = draw(drawn++);
+      trajectory.Append(Point{x, y}, i);
+    }
+    std::ostringstream out;
+    WriteTrajectoryCsv(trajectory, out);
+    ASSERT_EQ(out.str(), ExpectedRows(trajectory, ""))
+        << "trajectory " << t;
+  }
+}
+
 TEST(CsvWriterTest, EmptyTrajectoryWritesNothing) {
   std::ostringstream out;
   WriteTrajectoryCsv(Trajectory(3), out, "feed,");

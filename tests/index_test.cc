@@ -19,10 +19,10 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "geo/morton.h"
-#include "index/flat_table.h"
 #include "index/hierarchical_grid_index.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"

@@ -15,6 +15,27 @@ namespace {
 
 constexpr double kSize = 2000.0;
 
+// 1 + ceil(log4(segments / 32)), at least 1, at most the cap: one level
+// more each time the segment count passes 32 * 4^k.
+TEST(LocalIndexLevelsTest, OneLevelPerQuadruplingPast32SegmentsUpToTheCap) {
+  EXPECT_EQ(LocalIndexLevels(0, 10), 1);
+  EXPECT_EQ(LocalIndexLevels(1, 10), 1);
+  EXPECT_EQ(LocalIndexLevels(32, 10), 1);
+  EXPECT_EQ(LocalIndexLevels(33, 10), 2);
+  EXPECT_EQ(LocalIndexLevels(80, 10), 2);
+  EXPECT_EQ(LocalIndexLevels(128, 10), 2);
+  EXPECT_EQ(LocalIndexLevels(129, 10), 3);
+  EXPECT_EQ(LocalIndexLevels(512, 10), 3);
+  EXPECT_EQ(LocalIndexLevels(513, 10), 4);
+  EXPECT_EQ(LocalIndexLevels(1800, 10), 4);
+  EXPECT_EQ(LocalIndexLevels(2048, 10), 4);
+  EXPECT_EQ(LocalIndexLevels(2049, 10), 5);
+  EXPECT_EQ(LocalIndexLevels(size_t{1} << 40, 10), 10);
+  EXPECT_EQ(LocalIndexLevels(2049, 3), 3);
+  EXPECT_EQ(LocalIndexLevels(2049, 1), 1);
+  EXPECT_EQ(LocalIndexLevels(2049, 0), 1);
+}
+
 class IntraModifierTest : public ::testing::TestWithParam<SearchStrategy> {
  protected:
   IntraModifierTest() : quantizer_(BBox::Of({0, 0}, {kSize, kSize}), 11) {}

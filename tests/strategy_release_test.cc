@@ -7,13 +7,19 @@
 // through the sharded BatchRunner with the audit on and a shared pool.
 // The input is raw synthetic taxis: consecutive segments share vertices,
 // so exact distance ties are common, and the global-edit index is
-// bulk-built in Morton order rather than in input order.
+// bulk-built in Morton order rather than in input order. The local stage
+// is also checked alone on trajectories of 2 to 2049 segments, whose
+// per-trajectory grids are 1 to 5 levels deep.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <set>
 #include <string>
 #include <utility>
 
+#include "core/local_mechanism.h"
 #include "core/pipeline.h"
 #include "runtime/batch_runner.h"
 #include "runtime/work_stealing_pool.h"
@@ -111,6 +117,91 @@ TEST(StrategyReleaseTest, ShardedAuditedReleaseIsTheSameForEveryStrategy) {
         << Name(s);
     EXPECT_EQ(audit.max_displacement, reference_audit.max_displacement)
         << Name(s);
+  }
+}
+
+/// A lattice walk of `segments` segments: unit steps of 10 m or a dwell,
+/// so locations repeat within and across trajectories and exact distance
+/// ties are everywhere.
+Trajectory LatticeWalk(TrajId id, size_t segments, Rng& rng) {
+  Trajectory t(id);
+  int64_t x = 40 + static_cast<int64_t>(rng.UniformInt(uint64_t{80}));
+  int64_t y = 40 + static_cast<int64_t>(rng.UniformInt(uint64_t{80}));
+  for (size_t i = 0; i <= segments; ++i) {
+    t.Append(Point{10.0 * static_cast<double>(x),
+                   10.0 * static_cast<double>(y)},
+             static_cast<int64_t>(60 * i));
+    switch (rng.UniformInt(uint64_t{5})) {
+      case 0: x = std::min<int64_t>(x + 1, 159); break;
+      case 1: x = std::max<int64_t>(x - 1, 0); break;
+      case 2: y = std::min<int64_t>(y + 1, 159); break;
+      case 3: y = std::max<int64_t>(y - 1, 0); break;
+      default: break;  // dwell
+    }
+  }
+  return t;
+}
+
+// The local stage sizes each trajectory's grid by its segment count
+// (LocalIndexLevels). Trajectories on both sides of every step of that
+// rule must publish under each strategy, and at any depth cap, what the
+// linear scan publishes.
+TEST(StrategyReleaseTest, LocalStageIsTheSameForEveryStrategyAtEveryDepth) {
+  const size_t kSegments[] = {2,   30,  32,  33,   80,   128, 129,
+                              500, 512, 513, 1800, 2048, 2049};
+  Rng walk_rng(11);
+  Dataset input;
+  std::set<int> depths;
+  for (size_t i = 0; i < std::size(kSegments); ++i) {
+    ASSERT_TRUE(input.Add(LatticeWalk(static_cast<TrajId>(i), kSegments[i],
+                                      walk_rng)).ok());
+    depths.insert(LocalIndexLevels(kSegments[i], 10));
+  }
+  EXPECT_EQ(depths, (std::set<int>{1, 2, 3, 4, 5}));
+
+  BBox region = input.Bounds();
+  region.min_x -= 20;
+  region.min_y -= 20;
+  region.max_x += 20;
+  region.max_y += 20;
+  Quantizer quantizer(region, 11);
+  quantizer.RegisterDataset(input);
+  auto signatures = SignatureExtractor(&quantizer, 10).Extract(input);
+  ASSERT_TRUE(signatures.ok()) << signatures.status().ToString();
+
+  const auto run = [&](SearchStrategy s, int cap, LocalReport* report) {
+    LocalMechanismConfig config;
+    config.strategy = s;
+    config.grid_levels = cap;
+    Rng rng(42);
+    auto out = LocalMechanism(&quantizer, config)
+                   .Apply(input, *signatures, rng, nullptr, report);
+    EXPECT_TRUE(out.ok()) << Name(s) << ": " << out.status().ToString();
+    return out.ok() ? std::move(*out) : Dataset();
+  };
+  LocalReport reference_report;
+  const Dataset reference = run(SearchStrategy::kLinear, 10, &reference_report);
+  ASSERT_EQ(reference.size(), input.size());
+  EXPECT_GT(reference_report.edits.insertions, 0u);
+  EXPECT_GT(reference_report.edits.knn_searches, 0u);
+  for (const int cap : {10, 3, 1}) {
+    for (const SearchStrategy s : kStrategies) {
+      LocalReport report;
+      const Dataset published = run(s, cap, &report);
+      ASSERT_EQ(published.size(), reference.size());
+      for (size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_TRUE(published[i].points() == reference[i].points())
+            << Name(s) << " cap " << cap << ": trajectory of "
+            << kSegments[i] << " segments differs from linear's";
+      }
+      EXPECT_EQ(report.edits.insertions, reference_report.edits.insertions)
+          << Name(s) << " cap " << cap;
+      EXPECT_EQ(report.edits.deletions, reference_report.edits.deletions)
+          << Name(s) << " cap " << cap;
+      EXPECT_EQ(report.edits.utility_loss,
+                reference_report.edits.utility_loss)
+          << Name(s) << " cap " << cap;
+    }
   }
 }
 

@@ -7,7 +7,8 @@
 # exits 1. A feed id outside [A-Za-z0-9._-] (e.g. ../escaped) is rejected
 # before it can name a file outside --output-dir. An unreadable input (a
 # directory) exits 1, an out-of-range --threads exits 2, and so do the
-# retired --strategy and --pool-threads flags.
+# retired --strategy and --pool-threads flags and the transport flags
+# (--listen, --listen-conns, --connect).
 #
 # Usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve
 
@@ -156,4 +157,20 @@ for flag in --strategy --pool-threads; do
     || fail "frt_stream did not report $flag as unknown"
 done
 
-echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows; invalid feed ids, unreadable inputs, out-of-range --threads and retired flags rejected"
+# ---- Transport flags belong to frt_serve/frt_edge: frt_stream rejects
+# them (exit 2) on an otherwise valid command line instead of parsing and
+# ignoring them. ----
+for flag in --listen --listen-conns --connect; do
+  case "$flag" in
+    --listen-conns) value=1 ;;
+    *) value="unix:$WORK/never.sock" ;;
+  esac
+  "$STREAM" --input "$WORK/raw.csv" --output "$WORK/transport.csv" \
+    --window 100 --m 3 --seed 7 "$flag" "$value" 2> "$WORK/transport.log"
+  code=$?
+  [[ "$code" == "2" ]] || fail "frt_stream $flag $value exited $code, want 2"
+  grep -q -- "frt_stream reads --input" "$WORK/transport.log" \
+    || fail "frt_stream did not reject $flag as a transport flag"
+done
+
+echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows; invalid feed ids, unreadable inputs, out-of-range --threads, retired flags and transport flags rejected"

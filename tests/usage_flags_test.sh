@@ -73,6 +73,25 @@ check frt_stream "$STREAM"
 check frt_serve "$SERVE" --feeds "$WORK/a.csv" --input "b=$WORK/b.csv"
 check frt_edge "$EDGE" --feeds "$WORK/a.csv" --input "b=$WORK/b.csv"
 
+# A transport flag a CLI does not take is a usage error (exit 2) even on an
+# otherwise valid command line, not a flag parsed and then ignored: the
+# edge never listens, so it takes neither --listen nor --listen-conns.
+printf 'a,1,10.0,20.0,100\na,1,11.0,21.0,160\n' > "$WORK/feeds.csv"
+for flag in --listen --listen-conns; do
+  case "$flag" in
+    --listen) value="unix:$WORK/never.sock" ;;
+    *) value=1 ;;
+  esac
+  "$EDGE" --feeds "$WORK/feeds.csv" --connect "unix:$WORK/never.sock" \
+    "$flag" "$value" < /dev/null > /dev/null 2> "$WORK/err.txt"
+  code=$?
+  if [[ $code -ne 2 ]]; then
+    fail "frt_edge $flag $value: exit $code, want 2 (usage error)"
+  elif ! grep -q -- "does not take.*$flag\b" "$WORK/err.txt"; then
+    fail "frt_edge $flag: error does not name it: $(head -1 "$WORK/err.txt")"
+  fi
+done
+
 if [[ $failures -ne 0 ]]; then
   echo "FAILED: $failures flag(s)" >&2
   exit 1

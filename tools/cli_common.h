@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "common/strings.h"
@@ -530,8 +531,9 @@ struct TransportArgs {
   /// Upstream endpoint an edge forwards to; empty = local output only.
   std::string connect;
   /// With --listen: stop after this many edge connections have drained
-  /// (0 = serve until interrupted).
-  uint64_t listen_conns = 0;
+  /// (0 = serve until interrupted). Unset when the flag was not given, so
+  /// a CLI without --listen can reject it.
+  std::optional<uint64_t> listen_conns;
 };
 
 /// \brief Tries to consume argv[*i] as one of the transport flags.
@@ -548,9 +550,9 @@ inline FlagParse ParseTransportFlag(int argc, char** argv, int* i,
     args->connect = v;
   } else if (std::strcmp(flag, "--listen-conns") == 0) {
     if ((v = next()) == nullptr) return FlagParse::kError;
-    if (!ParseFlagUint64(flag, v, &args->listen_conns)) {
-      return FlagParse::kError;
-    }
+    uint64_t conns = 0;
+    if (!ParseFlagUint64(flag, v, &conns)) return FlagParse::kError;
+    args->listen_conns = conns;
   } else {
     return FlagParse::kNotMine;
   }

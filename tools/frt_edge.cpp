@@ -102,10 +102,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  if (!args->common.transport.listen.empty()) {
+  if (!args->common.transport.listen.empty() ||
+      args->common.transport.listen_conns.has_value()) {
     std::fprintf(stderr,
-                 "frt_edge does not take --listen (use frt_serve as the "
-                 "aggregator)\n");
+                 "frt_edge does not take --listen or --listen-conns (use "
+                 "frt_serve as the aggregator)\n");
     return false;
   }
   if (args->common.transport.connect.empty()) {

@@ -303,7 +303,7 @@ int main(int argc, char** argv) {
     frt::net::IngressServer::Options ingress_options;
     ingress_options.endpoint = *listen_endpoint;
     ingress_options.max_connections =
-        static_cast<size_t>(args.common.transport.listen_conns);
+        static_cast<size_t>(args.common.transport.listen_conns.value_or(0));
     ingress_options.registry = &frt::obs::Registry::Default();
     frt::net::IngressServer ingress(
         ingress_options,
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "serve: listening on %s%s\n",
                  args.common.transport.listen.c_str(),
-                 args.common.transport.listen_conns > 0
+                 args.common.transport.listen_conns.value_or(0) > 0
                      ? ""
                      : " (stop with SIGINT/SIGTERM)");
     g_ingress.store(&ingress, std::memory_order_release);

@@ -100,10 +100,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     }
   }
   if (!args->common.transport.listen.empty() ||
+      args->common.transport.listen_conns.has_value() ||
       !args->common.transport.connect.empty()) {
     std::fprintf(stderr,
-                 "frt_stream reads --input (use frt_serve --listen or "
-                 "frt_edge --connect for the network tier)\n");
+                 "frt_stream reads --input (use frt_serve --listen "
+                 "[--listen-conns N] or frt_edge --connect for the network "
+                 "tier)\n");
     return false;
   }
   if (args->input.empty() || args->output.empty()) {
