@@ -203,7 +203,6 @@ void BM_ServeIsolationCheck(benchmark::State& state) {
   const int feeds = static_cast<int>(state.range(0));
   frt::ServiceConfig config = BaseConfig();
   config.stream.window_size = 5;
-  config.stream.accounting = frt::BudgetAccounting::kPerObject;
   config.stream.per_object_budget = 2.0;
 
   std::vector<std::string> names = {"hog"};

@@ -181,17 +181,10 @@ int main() {
   std::printf("%12s %10s %10s %12s %14s %12s\n", "accounting", "windows",
               "refused", "trajs_out", "guarantee_eps", "ledger_eps");
   size_t wholesale_published = 0, per_object_published = 0;
-  for (const frt::BudgetAccounting accounting :
-       {frt::BudgetAccounting::kWholesale,
-        frt::BudgetAccounting::kPerObject}) {
+  for (const bool per_object : {false, true}) {
     frt::StreamConfig config;
     config.window_size = ab_window;
-    config.accounting = accounting;
-    if (accounting == frt::BudgetAccounting::kWholesale) {
-      config.total_budget = ab_budget;
-    } else {
-      config.per_object_budget = ab_budget;
-    }
+    (per_object ? config.per_object_budget : config.total_budget) = ab_budget;
     config.batch.shards = 4;
     config.batch.pipeline.m = 3;
     auto sink = [](const std::string&, const frt::Dataset&,
@@ -206,7 +199,6 @@ int main() {
     }
     const frt::StreamReport& report =
         service_report->feeds_detail.front().stream;
-    const bool per_object = accounting == frt::BudgetAccounting::kPerObject;
     (per_object ? per_object_published : wholesale_published) =
         report.windows_published;
     std::printf("%12s %10zu %10zu %12zu %14.2f %12.2f\n",

@@ -8,6 +8,7 @@
 #ifndef FRT_DP_ACCOUNTANT_H_
 #define FRT_DP_ACCOUNTANT_H_
 
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <string>
@@ -29,8 +30,9 @@ class PrivacyAccountant {
   /// Registers a spend. Fails without recording when the budget would be
   /// exceeded (enforcing accountants only).
   Status Spend(double epsilon, std::string label) {
-    if (!(epsilon > 0.0)) {
-      return Status::InvalidArgument("epsilon spend must be positive");
+    if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
+      return Status::InvalidArgument(
+          "epsilon spend must be positive and finite");
     }
     if (enforce_ && spent_ + epsilon > total_budget_ + 1e-12) {
       return Status::FailedPrecondition(

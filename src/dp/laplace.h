@@ -32,8 +32,9 @@ class LaplaceMechanism {
     if (!(sensitivity_ > 0.0)) {
       return Status::InvalidArgument("sensitivity must be positive");
     }
-    if (!(epsilon_ > 0.0)) {
-      return Status::InvalidArgument("epsilon must be positive");
+    // An infinite epsilon would mean a zero noise scale: no privacy.
+    if (!(epsilon_ > 0.0) || !std::isfinite(epsilon_)) {
+      return Status::InvalidArgument("epsilon must be positive and finite");
     }
     return Status::OK();
   }

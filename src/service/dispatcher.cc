@@ -110,6 +110,15 @@ ServiceDispatcher::~ServiceDispatcher() {
 
 Status ServiceDispatcher::Start(uint64_t seed) {
   if (started_) return Status::FailedPrecondition("service already started");
+  if (config_.stream.total_budget > 0.0 && config_.stream.per_object()) {
+    return Status::InvalidArgument(
+        "total_budget and per_object_budget select different accountants; "
+        "set at most one");
+  }
+  if (config_.stream.evict_exhausted && !config_.stream.per_object()) {
+    return Status::InvalidArgument(
+        "evict_exhausted requires a per_object_budget");
+  }
   master_seed_ = seed;
   if (!config_.state_dir.empty()) {
     // Open the store and recover BEFORE the dispatcher thread exists: a
@@ -139,10 +148,9 @@ Status ServiceDispatcher::Start(uint64_t seed) {
         // Surface the carried spend in reports even if the feed stays
         // dormant this run (a revived session recomputes the same values
         // from its preloaded accountants).
-        slot.report.epsilon_spent =
-            config_.stream.accounting == BudgetAccounting::kWholesale
-                ? feed.wholesale_spent
-                : feed.per_object_floor;
+        slot.report.epsilon_spent = config_.stream.per_object()
+                                        ? feed.per_object_floor
+                                        : feed.wholesale_spent;
         slot.report.epsilon_wholesale_equivalent = feed.wholesale_spent;
       }
       feeds_recovered_ = snapshot->feeds.size();
@@ -668,10 +676,9 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
   s->queue_depth = arrivals_->size();
   s->in_flight = in_flight_;
   s->backlog_windows = backlog_windows_;
-  const double budget =
-      config_.stream.accounting == BudgetAccounting::kWholesale
-          ? config_.stream.total_budget
-          : config_.stream.per_object_budget;
+  const double budget = config_.stream.per_object()
+                            ? config_.stream.per_object_budget
+                            : config_.stream.total_budget;
   s->feeds_detail.reserve(feed_order_.size());
   for (const auto& name : feed_order_) {
     const FeedSlot& slot = feeds_.at(name);

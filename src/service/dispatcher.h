@@ -156,6 +156,8 @@ class ServiceDispatcher {
 
   /// \brief Spawns the shared pool and the dispatcher thread. `seed` is
   /// the master seed every per-feed RNG stream derives from.
+  /// InvalidArgument when the stream config sets both budgets, or
+  /// evict_exhausted without a per-object budget.
   Status Start(uint64_t seed);
 
   /// \brief Hands one arrival to the service, blocking when the arrival

@@ -19,14 +19,12 @@ FeedSession::FeedSession(std::string feed, const StreamConfig& config,
       assembler_(config.window_size, config.window_stride),
       rng_(FeedStreamSeed(master_seed, feed_, generation)),
       report_(*report) {
-  accountant_ = (config_.accounting == BudgetAccounting::kWholesale &&
-                 config_.total_budget > 0.0)
+  accountant_ = config_.total_budget > 0.0
                     ? PrivacyAccountant(config_.total_budget)
                     : PrivacyAccountant();
   accountant_.set_max_ledger_entries(config_.max_window_reports);
   object_accountant_ =
-      (config_.accounting == BudgetAccounting::kPerObject &&
-       config_.per_object_budget > 0.0)
+      config_.per_object()
           ? ObjectBudgetAccountant(config_.per_object_budget)
           : ObjectBudgetAccountant();
   object_accountant_.set_max_tracked_objects(config_.max_tracked_objects);
@@ -37,7 +35,7 @@ FeedSession::FeedSession(std::string feed, const StreamConfig& config,
   if (carry.per_object_floor > 0.0) {
     object_accountant_.PreloadFloor(carry.per_object_floor);
   }
-  report_.epsilon_spent = config_.accounting == BudgetAccounting::kPerObject
+  report_.epsilon_spent = config_.per_object()
                               ? object_accountant_.max_spent()
                               : accountant_.spent();
   report_.epsilon_wholesale_equivalent = accountant_.spent();
@@ -99,7 +97,7 @@ bool FeedSession::Admit(WindowJob* job) {
   const double window_epsilon = config_.batch.pipeline.epsilon_global +
                                 config_.batch.pipeline.epsilon_local;
   Dataset& window = job->window;
-  if (config_.accounting == BudgetAccounting::kWholesale) {
+  if (!config_.per_object()) {
     if (!accountant_.enforcing() ||
         accountant_.remaining() + 1e-12 >= window_epsilon) {
       return true;
@@ -185,7 +183,7 @@ Result<WindowReport> FeedSession::Complete(const WindowJob& job,
   // diagnostics.
   window_report.batch.shard_object_ids.clear();
   if (window_report.epsilon_spent > 0.0) {
-    if (config_.accounting == BudgetAccounting::kPerObject) {
+    if (config_.per_object()) {
       // Charge exactly the ids the batch consumed, at the window's spend
       // (max over shards; uniform per-shard epsilons make it exact).
       // SpendWindow re-verifies admission transactionally.
@@ -204,10 +202,9 @@ Result<WindowReport> FeedSession::Complete(const WindowJob& job,
         "feed " + feed_ + " window " + std::to_string(job.index) +
             " (sequential composition)"));
   }
-  const bool per_object =
-      config_.accounting == BudgetAccounting::kPerObject;
-  window_report.epsilon_total = per_object ? object_accountant_.max_spent()
-                                           : accountant_.spent();
+  window_report.epsilon_total = config_.per_object()
+                                    ? object_accountant_.max_spent()
+                                    : accountant_.spent();
   report_.epsilon_spent = window_report.epsilon_total;
   report_.epsilon_wholesale_equivalent = accountant_.spent();
   return window_report;

@@ -184,9 +184,9 @@ class FeedSession {
   const PrivacyAccountant& accountant() const { return accountant_; }
 
  private:
-  /// \brief Budget admission control for one closed window. Under
-  /// kWholesale the whole window is admitted or refused against the
-  /// ledger; under kPerObject with evict_exhausted, exhausted objects may
+  /// \brief Budget admission control for one closed window. Under a
+  /// wholesale budget the whole window is admitted or refused against the
+  /// ledger; per-object with evict_exhausted, exhausted objects may
   /// instead be evicted from the window in place (counted in
   /// job->evicted). Refusals and evictions are counted in the feed's
   /// report and logged. True when the (possibly shrunk) window may run.

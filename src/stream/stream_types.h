@@ -9,19 +9,21 @@
 // exactly one shard, so the window costs eps_G + eps_L by parallel
 // composition. Across windows the same object-id space may reappear (the
 // stream is a feed, not a partition), so an object's releases compose
-// SEQUENTIALLY. Two selectable accountants enforce that:
+// SEQUENTIALLY. Which budget is set selects the accountant that enforces
+// that (setting both is an error):
 //
-//   kWholesale  — every window's spend is summed against `total_budget`
+//   wholesale   — every window's spend is summed against `total_budget`
 //                 regardless of which objects it contained. Sound but
 //                 pessimistic (objects that never reappear are billed as
-//                 if they did).
-//   kPerObject  — ObjectBudgetAccountant: a per-object-id ledger enforcing
-//                 `per_object_budget` on each object's own cumulative
-//                 spend, which is exactly the paper's per-object guarantee.
-//                 A window is refused only when it contains an object that
-//                 cannot afford it — and with `evict_exhausted` the
-//                 exhausted objects are evicted from the window while the
-//                 rest still publishes.
+//                 if they did). With neither budget set the ledger only
+//                 tracks.
+//   per-object  — `per_object_budget` > 0: ObjectBudgetAccountant, a
+//                 per-object-id ledger enforcing the budget on each
+//                 object's own cumulative spend, which is exactly the
+//                 paper's per-object guarantee. A window is refused only
+//                 when it contains an object that cannot afford it — and
+//                 with `evict_exhausted` the exhausted objects are evicted
+//                 from the window while the rest still publishes.
 //
 // Each session admits its closed windows against its own ledgers
 // (FeedSession, service/feed_session.h). Refused windows (and evicted
@@ -62,12 +64,6 @@ inline std::chrono::steady_clock::duration CloseTimerDelay(
       close_after_ms > guard_ms ? close_after_ms - guard_ms : 0);
 }
 
-/// Cross-window budget accounting mode (see file comment).
-enum class BudgetAccounting {
-  kWholesale,  ///< one sequential ledger over all windows
-  kPerObject,  ///< per-object-id ledgers (paper's per-object guarantee)
-};
-
 /// Per-feed streaming configuration: every session of a service applies
 /// it to its own feed.
 struct StreamConfig {
@@ -83,20 +79,19 @@ struct StreamConfig {
   /// sliding windows overlapping by window_size - stride trajectories.
   /// Clamped to [1, window_size].
   size_t window_stride = 0;
-  /// Which accountant enforces the cross-window guarantee.
-  BudgetAccounting accounting = BudgetAccounting::kWholesale;
-  /// kWholesale: total epsilon budget summed over every window. 0 disables
+  /// Wholesale: total epsilon budget summed over every window. 0 disables
   /// enforcement: the ledger still tracks, but no window is ever refused.
   double total_budget = 0.0;
-  /// kPerObject: epsilon budget each object-id may cumulatively spend
-  /// across the windows that contain it. 0 disables enforcement.
+  /// Per-object: epsilon budget each object-id may cumulatively spend
+  /// across the windows that contain it. > 0 selects the per-object
+  /// accountant (and then total_budget must be 0).
   double per_object_budget = 0.0;
-  /// kPerObject only: when a window contains exhausted objects, evict just
+  /// Per-object only: when a window contains exhausted objects, evict just
   /// those trajectories and publish the rest, instead of refusing the
   /// whole window. A window whose every object is exhausted is still
   /// refused outright.
   bool evict_exhausted = false;
-  /// kPerObject only: per-object ledgers retained exactly; beyond this the
+  /// Per-object only: per-object ledgers retained exactly; beyond this the
   /// lowest spenders fold into a conservative floor (see
   /// ObjectBudgetAccountant). Bounds memory on unbounded id spaces.
   /// 0 tracks every id exactly.
@@ -107,13 +102,13 @@ struct StreamConfig {
   /// retained: the sink receives each one.)
   size_t max_window_reports = 64;
   /// End the run at the first refused window instead of draining (and
-  /// counting) the rest of the feed. Under kWholesale the per-window cost
-  /// is constant, so the first refusal proves no later window can ever fit
-  /// — on an unbounded feed this is the only way the run terminates once
-  /// the budget is spent. Under kPerObject a later window of fresh objects
-  /// could still fit; stopping is then simply "end service at the first
-  /// refusal". Off by default: finite batch feeds usually want the
-  /// refused-trajectory tally.
+  /// counting) the rest of the feed. Under a wholesale budget the
+  /// per-window cost is constant, so the first refusal proves no later
+  /// window can ever fit — on an unbounded feed this is the only way the
+  /// run terminates once the budget is spent. Per-object, a later window
+  /// of fresh objects could still fit; stopping is then simply "end
+  /// service at the first refusal". Off by default: finite batch feeds
+  /// usually want the refused-trajectory tally.
   bool stop_when_exhausted = false;
   /// Wall-clock closure deadline in milliseconds: a non-empty window is
   /// closed — and published, possibly short of window_size — no later than
@@ -123,6 +118,10 @@ struct StreamConfig {
   /// would hold arrivals hostage until the feed fills a window. 0
   /// (default) disables: windows close on count or end of stream only.
   int64_t close_after_ms = 0;
+
+  /// True when the per-object accountant enforces the cross-window
+  /// guarantee (see file comment).
+  bool per_object() const { return per_object_budget > 0.0; }
 };
 
 /// Diagnostics of one published window.
@@ -139,12 +138,13 @@ struct WindowReport {
   double publish_latency_ms = 0.0;
   size_t trajectories = 0;
   /// Exhausted objects evicted from this window before anonymization
-  /// (kPerObject with evict_exhausted only).
+  /// (per-object with evict_exhausted only).
   size_t trajectories_evicted = 0;
   /// Epsilon this window consumed (max over its shards).
   double epsilon_spent = 0.0;
   /// Running guarantee after this window: cumulative ledger total under
-  /// kWholesale; maximum per-object cumulative spend under kPerObject.
+  /// a wholesale budget; maximum per-object cumulative spend under a
+  /// per-object budget.
   double epsilon_total = 0.0;
   /// Batch diagnostics (shard skew, edits, wall time) of this window.
   BatchReport batch;
@@ -164,13 +164,13 @@ struct StreamReport {
   size_t trajectories_published = 0;
   size_t trajectories_refused = 0;
   /// Exhausted objects evicted from otherwise-published windows
-  /// (kPerObject with evict_exhausted only).
+  /// (per-object with evict_exhausted only).
   size_t trajectories_evicted = 0;
   /// End-to-end guarantee of the published stream: ledger total under
-  /// kWholesale (sequential composition over windows); maximum per-object
-  /// cumulative spend under kPerObject.
+  /// a wholesale budget (sequential composition over windows); maximum
+  /// per-object cumulative spend under a per-object budget.
   double epsilon_spent = 0.0;
-  /// kPerObject diagnostics: what the wholesale ledger would have charged
+  /// Per-object diagnostics: what the wholesale ledger would have charged
   /// (sum over published windows) — the pessimism gap versus epsilon_spent.
   double epsilon_wholesale_equivalent = 0.0;
 };

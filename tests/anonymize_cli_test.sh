@@ -4,7 +4,8 @@
 # (and every displacement) of the whole batch. The run must exit 1, name
 # the line, and write no release. The same input with the row fixed runs.
 # A directory as input is a read error (exit 1), not an empty dataset.
-# The retired --strategy and --pool-threads flags are unknown (exit 2).
+# The retired --strategy and --pool-threads flags are unknown (exit 2), and
+# an epsilon of inf, nan or -1 is a usage error (exit 2).
 #
 # Usage: anonymize_cli_test.sh /path/to/frt_anonymize
 
@@ -63,4 +64,20 @@ for flag in --strategy --pool-threads; do
 done
 echo "ok: retired flags refused"
 
-echo "PASS: frt_anonymize refuses non-finite coordinates, unreadable input and retired flags"
+# Privacy parameters must be finite and non-negative: inf means no noise,
+# nan compares false against every check, and a negative epsilon is
+# meaningless. Each is a usage error (exit 2) naming the flag.
+for flag in --epsilon-global --epsilon-local; do
+  for value in inf nan -1; do
+    "$ANON" --input "$WORK/good.csv" --output "$WORK/eps_out.csv" \
+      "$flag" "$value" 2> "$WORK/eps.log"
+    code=$?
+    [[ "$code" == "2" ]] || fail "$flag $value exited $code, want 2"
+    grep -q -- "$flag" "$WORK/eps.log" \
+      || fail "$flag $value: error does not name the flag"
+    [[ -e "$WORK/eps_out.csv" ]] && fail "$flag $value wrote a release"
+  done
+done
+echo "ok: non-finite and negative epsilons refused"
+
+echo "PASS: frt_anonymize refuses non-finite coordinates, unreadable input, retired flags and non-finite or negative epsilons"

@@ -334,7 +334,6 @@ TEST(CheckpointRecoveryTest, PerObjectFloorCarriesAcrossRestart) {
   // object, the remaining windows are refused (1.0 + 1.0 > 1.5).
   {
     ServiceConfig config = DurableConfig(dir);
-    config.stream.accounting = BudgetAccounting::kPerObject;
     config.stream.per_object_budget = 1.5;
     ServiceCapture capture;
     ServiceDispatcher service(config, capture.MakeSink());
@@ -352,7 +351,6 @@ TEST(CheckpointRecoveryTest, PerObjectFloorCarriesAcrossRestart) {
   // only under-grant.
   {
     ServiceConfig config = DurableConfig(dir);
-    config.stream.accounting = BudgetAccounting::kPerObject;
     config.stream.per_object_budget = 1.5;
     ServiceCapture capture;
     ServiceDispatcher service(config, capture.MakeSink());

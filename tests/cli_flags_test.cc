@@ -1,9 +1,10 @@
-// Locks the strict numeric CLI flag parsing in tools/cli_common.h: a
-// malformed value ("oops", "1.5x", "") must be a reported usage error
+// Locks the CLI flag tables in tools/cli_common.h and tools/service_cli.h:
+// a malformed value ("oops", "1.5x", "") must be a reported usage error
 // naming the offending flag — never the silent zero atof/atoi would
-// produce (a zero budget that refuses every window with no diagnostic).
-// Also pins the service wiring of tools/service_cli.h: --threads sizes
-// the pool, and retired flags are not parsed.
+// produce (a zero budget that refuses every window with no diagnostic) —
+// privacy parameters must be finite and non-negative, and each tool's
+// table must declare every flag once. Also pins the service wiring:
+// --threads sizes the pool, and retired flags are not parsed.
 
 #include "cli_common.h"
 #include "service_cli.h"
@@ -11,86 +12,86 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace frt::cli {
 namespace {
 
-/// Runs one shared-flag parser over `--flag value` and returns the
-/// outcome; `args` accumulates whatever was parsed.
-template <typename Args, typename Parser>
-FlagParse ParseOne(Parser parser, const std::string& flag,
-                   const std::string& value, Args* args) {
-  std::string f = flag;
-  std::string v = value;
-  char* argv[] = {f.data(), v.data()};
-  int i = 0;
-  return parser(2, argv, &i, args);
+/// Runs ParseFlags over `args` (program name excluded) against `table`.
+bool Parse(const FlagTable& table, std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return ParseFlags(static_cast<int>(argv.size()), argv.data(), table);
+}
+
+/// A table holding one flag family.
+FlagTable Family(std::vector<Flag> flags) {
+  return FlagTable{"", std::move(flags)};
 }
 
 TEST(CliFlagsTest, StrictDoubleRejectsGarbageAndTrailingJunk) {
   double out = 99.0;
-  EXPECT_FALSE(ParseFlagDouble("--budget", "oops", &out));
-  EXPECT_FALSE(ParseFlagDouble("--budget", "1.5x", &out));
-  EXPECT_FALSE(ParseFlagDouble("--budget", "", &out));
-  EXPECT_FALSE(ParseFlagDouble("--budget", "1.5 2", &out));
+  const FlagSetter set = Epsilon(&out);
+  EXPECT_FALSE(set("--budget", "oops"));
+  EXPECT_FALSE(set("--budget", "1.5x"));
+  EXPECT_FALSE(set("--budget", ""));
+  EXPECT_FALSE(set("--budget", "1.5 2"));
   EXPECT_EQ(out, 99.0);  // never clobbered on failure
-  EXPECT_TRUE(ParseFlagDouble("--budget", "1.5", &out));
+  EXPECT_TRUE(set("--budget", "1.5"));
   EXPECT_EQ(out, 1.5);
-  EXPECT_TRUE(ParseFlagDouble("--budget", "-0.25", &out));
-  EXPECT_EQ(out, -0.25);
+  EXPECT_TRUE(set("--budget", "0"));  // 0 = disabled / track only
+  EXPECT_EQ(out, 0.0);
 }
 
 TEST(CliFlagsTest, StrictIntRejectsGarbageAndTrailingJunk) {
   int64_t out = 99;
-  EXPECT_FALSE(ParseFlagInt64("--window", "oops", &out));
-  EXPECT_FALSE(ParseFlagInt64("--window", "12x", &out));
-  EXPECT_FALSE(ParseFlagInt64("--window", "1.5", &out));
-  EXPECT_FALSE(ParseFlagInt64("--window", "", &out));
+  const FlagSetter set = Integer(&out);
+  EXPECT_FALSE(set("--window", "oops"));
+  EXPECT_FALSE(set("--window", "12x"));
+  EXPECT_FALSE(set("--window", "1.5"));
+  EXPECT_FALSE(set("--window", ""));
   EXPECT_EQ(out, 99);
-  EXPECT_TRUE(ParseFlagInt64("--window", "-3", &out));
+  EXPECT_TRUE(set("--window", "-3"));
   EXPECT_EQ(out, -3);
 
   uint64_t uout = 99;
-  EXPECT_FALSE(ParseFlagUint64("--seed", "-3", &uout));  // no wraparound
-  EXPECT_FALSE(ParseFlagUint64("--seed", "7up", &uout));
+  const FlagSetter uset = Integer(&uout);
+  EXPECT_FALSE(uset("--seed", "-3"));  // no wraparound
+  EXPECT_FALSE(uset("--seed", "7up"));
   EXPECT_EQ(uout, 99u);
-  EXPECT_TRUE(ParseFlagUint64("--seed", "7", &uout));
+  EXPECT_TRUE(uset("--seed", "7"));
   EXPECT_EQ(uout, 7u);
 }
 
 TEST(CliFlagsTest, PipelineFlagsErrorInsteadOfSilentZero) {
   PipelineArgs args;
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--epsilon-global", "oops", &args),
-            FlagParse::kError);
+  const FlagTable table = Family(PipelineFlags(&args));
+  EXPECT_FALSE(Parse(table, {"--epsilon-global", "oops"}));
   EXPECT_EQ(args.epsilon_global, 0.5);  // default untouched
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--epsilon-local", "0.3x", &args),
-            FlagParse::kError);
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--m", "ten", &args),
-            FlagParse::kError);
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--m", "0", &args),
-            FlagParse::kError);  // range-checked, not just syntax
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--shards", "2x", &args),
-            FlagParse::kError);
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--seed", "0xbeef", &args),
-            FlagParse::kError);
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--epsilon-global", "0.75", &args),
-            FlagParse::kConsumed);
+  EXPECT_FALSE(Parse(table, {"--epsilon-local", "0.3x"}));
+  EXPECT_FALSE(Parse(table, {"--m", "ten"}));
+  EXPECT_FALSE(Parse(table, {"--m", "0"}));  // range-checked, not just syntax
+  EXPECT_FALSE(Parse(table, {"--shards", "2x"}));
+  EXPECT_FALSE(Parse(table, {"--seed", "0xbeef"}));
+  EXPECT_TRUE(Parse(table, {"--epsilon-global", "0.75"}));
   EXPECT_EQ(args.epsilon_global, 0.75);
 }
 
 TEST(CliFlagsTest, ThreadCountsAreRangeCheckedNotWrapped) {
   // 2^32 + 2 would wrap to 2 workers through a plain unsigned cast.
   unsigned threads = 7;
-  EXPECT_FALSE(ParseFlagUnsigned("--threads", "4294967298", &threads));
-  EXPECT_FALSE(ParseFlagUnsigned("--threads", "-1", &threads));
+  const FlagSetter set = Integer(&threads);
+  EXPECT_FALSE(set("--threads", "4294967298"));
+  EXPECT_FALSE(set("--threads", "-1"));
   EXPECT_EQ(threads, 7u);  // never clobbered on failure
-  EXPECT_TRUE(ParseFlagUnsigned("--threads", "3", &threads));
+  EXPECT_TRUE(set("--threads", "3"));
   EXPECT_EQ(threads, 3u);
   PipelineArgs args;
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--threads", "4294967298", &args),
-            FlagParse::kError);
+  EXPECT_FALSE(Parse(Family(PipelineFlags(&args)),
+                     {"--threads", "4294967298"}));
   EXPECT_EQ(args.threads, 0u);
 }
 
@@ -98,8 +99,7 @@ TEST(CliFlagsTest, ThreadsSizesTheServicePool) {
   // One thread-count flag for every service CLI: --threads reaches the
   // dispatcher's pool through MakeServiceConfig.
   ServiceArgs args;
-  EXPECT_EQ(ParseOne(ParseServiceFlag, "--threads", "3", &args),
-            FlagParse::kConsumed);
+  ASSERT_TRUE(Parse(Family(ServiceFlags(&args)), {"--threads", "3"}));
   ServiceConfig config;
   ASSERT_TRUE(MakeServiceConfig(args, &config));
   EXPECT_EQ(config.pool_threads, 3u);
@@ -110,18 +110,21 @@ TEST(CliFlagsTest, ThreadsSizesTheServicePool) {
 }
 
 TEST(CliFlagsTest, RetiredExecutionFlagsAreUnknown) {
-  // The kNN strategy and a second pool-size spelling are no shared flags
-  // any more (spelled in pieces so a grep for the flags finds no live
-  // use); each tool then reports them as unknown, a usage error.
-  ServiceArgs args;
-  EXPECT_EQ(ParseOne(ParseServiceFlag, std::string("--") + "strategy",
-                     "linear", &args),
-            FlagParse::kNotMine);
-  EXPECT_EQ(ParseOne(ParseServiceFlag, std::string("--") + "pool-threads",
-                     "3", &args),
-            FlagParse::kNotMine);
+  // The kNN strategy and a second pool-size spelling are no flags any
+  // more (spelled in pieces so a grep for the flags finds no live use);
+  // every tool reports them as unknown, a usage error.
+  AnonymizeArgs anonymize;
+  StreamCliArgs stream;
+  ServeArgs serve;
+  EdgeArgs edge;
+  for (const FlagTable& table :
+       {AnonymizeFlags(&anonymize), StreamCliFlags(&stream),
+        ServeFlags(&serve), EdgeFlags(&edge)}) {
+    EXPECT_FALSE(Parse(table, {std::string("--") + "strategy", "linear"}));
+    EXPECT_FALSE(Parse(table, {std::string("--") + "pool-threads", "3"}));
+  }
   FrequencyRandomizerConfig config;
-  ASSERT_TRUE(MakePipelineConfig(args.pipeline, &config));
+  ASSERT_TRUE(MakePipelineConfig(serve.common.pipeline, &config));
   EXPECT_EQ(config.strategy, SearchStrategy::kBottomUpDown);
 }
 
@@ -145,10 +148,9 @@ TEST(CliFlagsTest, StreamConfigAlwaysRunsTheSharedIndexAudit) {
   // The audit has one path (one shared index build); the former A/B
   // switches are no longer pipeline flags.
   PipelineArgs args;
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--no-shared-index", "", &args),
-            FlagParse::kNotMine);
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--shared-index", "", &args),
-            FlagParse::kNotMine);
+  const FlagTable table = Family(PipelineFlags(&args));
+  EXPECT_FALSE(Parse(table, {"--no-shared-index"}));
+  EXPECT_FALSE(Parse(table, {"--shared-index"}));
 
   FrequencyRandomizerConfig pipeline;
   ASSERT_TRUE(MakePipelineConfig(args, &pipeline));
@@ -162,104 +164,154 @@ TEST(CliFlagsTest, StreamConfigAlwaysRunsTheSharedIndexAudit) {
 
 TEST(CliFlagsTest, StreamFlagsErrorInsteadOfSilentZero) {
   StreamArgs args;
-  EXPECT_EQ(ParseOne(ParseStreamFlag, "--window", "big", &args),
-            FlagParse::kError);
+  const FlagTable table = Family(StreamFlags(&args));
+  EXPECT_FALSE(Parse(table, {"--window", "big"}));
   EXPECT_EQ(args.window, 1000u);
-  EXPECT_EQ(ParseOne(ParseStreamFlag, "--budget", "3..0", &args),
-            FlagParse::kError);
+  EXPECT_FALSE(Parse(table, {"--budget", "3..0"}));
   EXPECT_EQ(args.budget, 0.0);
-  EXPECT_EQ(ParseOne(ParseStreamFlag, "--per-object-budget", "x", &args),
-            FlagParse::kError);
-  EXPECT_EQ(ParseOne(ParseStreamFlag, "--close-after-ms", "-1", &args),
-            FlagParse::kError);
-  EXPECT_EQ(ParseOne(ParseStreamFlag, "--window", "40", &args),
-            FlagParse::kConsumed);
+  EXPECT_FALSE(Parse(table, {"--per-object-budget", "x"}));
+  EXPECT_FALSE(Parse(table, {"--close-after-ms", "-1"}));
+  EXPECT_TRUE(Parse(table, {"--window", "40"}));
   EXPECT_EQ(args.window, 40u);
-  EXPECT_EQ(ParseOne(ParseStreamFlag, "--budget", "3.0", &args),
-            FlagParse::kConsumed);
+  EXPECT_TRUE(Parse(table, {"--budget", "3.0"}));
   EXPECT_EQ(args.budget, 3.0);
   // Shard dispatch has one path (the pool); the retired A/B switch is no
   // stream flag any more (spelled in pieces so a grep for the flag finds
   // no live use).
-  EXPECT_EQ(ParseOne(ParseStreamFlag, std::string("--") + "dispatch",
-                     "static", &args),
-            FlagParse::kNotMine);
+  EXPECT_FALSE(Parse(table, {std::string("--") + "dispatch", "static"}));
+}
+
+TEST(CliFlagsTest, PrivacyParametersMustBeFiniteAndNonNegative) {
+  // inf is no noise at all, nan compares false against every budget, and
+  // a negative budget is meaningless: each is a usage error in every tool
+  // that takes the flag. 0 keeps its meaning (disabled / track only).
+  AnonymizeArgs anonymize;
+  StreamCliArgs stream;
+  ServeArgs serve;
+  EdgeArgs edge;
+  const std::vector<FlagTable> tables = {
+      AnonymizeFlags(&anonymize), StreamCliFlags(&stream),
+      ServeFlags(&serve), EdgeFlags(&edge)};
+  int checked = 0;
+  for (const FlagTable& table : tables) {
+    for (const char* flag : {"--epsilon-global", "--epsilon-local",
+                             "--budget", "--per-object-budget"}) {
+      if (!Parse(table, {flag, "0"})) continue;  // not this tool's flag
+      ++checked;
+      for (const char* bad : {"inf", "-inf", "nan", "-1", "-0.25"}) {
+        EXPECT_FALSE(Parse(table, {flag, bad})) << table.synopsis << ' '
+                                                << flag << ' ' << bad;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 + 3 * 4);  // anonymize takes the two epsilons
+  EXPECT_EQ(anonymize.pipeline.epsilon_global, 0.0);
+  EXPECT_EQ(serve.common.stream.budget, 0.0);
+}
+
+TEST(CliFlagsTest, EachCliTableDeclaresEveryFlagOnce) {
+  AnonymizeArgs anonymize;
+  StreamCliArgs stream;
+  ServeArgs serve;
+  EdgeArgs edge;
+  for (const FlagTable& table :
+       {AnonymizeFlags(&anonymize), StreamCliFlags(&stream),
+        ServeFlags(&serve), EdgeFlags(&edge)}) {
+    std::set<std::string> names;
+    for (const Flag& flag : table.flags) {
+      EXPECT_TRUE(names.insert(flag.name).second)
+          << flag.name << " declared twice in '" << table.synopsis << "'";
+    }
+  }
+}
+
+TEST(CliFlagsTest, NetworkFlagsBelongToTheirTier) {
+  // frt_serve listens, frt_edge connects, frt_stream does neither: a
+  // network flag outside its tool is refused, never parsed and ignored.
+  StreamCliArgs stream;
+  const FlagTable stream_table = StreamCliFlags(&stream);
+  EXPECT_FALSE(Parse(stream_table, {"--listen", "unix:/tmp/s"}));
+  EXPECT_FALSE(Parse(stream_table, {"--listen-conns", "1"}));
+  EXPECT_FALSE(Parse(stream_table, {"--connect", "unix:/tmp/s"}));
+  ServeArgs serve;
+  const FlagTable serve_table = ServeFlags(&serve);
+  EXPECT_FALSE(Parse(serve_table, {"--connect", "unix:/tmp/s"}));
+  EXPECT_TRUE(
+      Parse(serve_table, {"--listen", "unix:/tmp/s", "--listen-conns", "2"}));
+  EXPECT_EQ(serve.listen, "unix:/tmp/s");
+  EXPECT_EQ(serve.listen_conns, 2u);
+  EdgeArgs edge;
+  const FlagTable edge_table = EdgeFlags(&edge);
+  EXPECT_FALSE(Parse(edge_table, {"--listen", "unix:/tmp/s"}));
+  EXPECT_FALSE(Parse(edge_table, {"--listen-conns", "1"}));
+  EXPECT_TRUE(Parse(edge_table, {"--connect", "tcp:localhost:7000"}));
+  EXPECT_EQ(edge.connect, "tcp:localhost:7000");
+}
+
+TEST(CliFlagsTest, EndpointsAreValidatedWhenParsed) {
+  ServeArgs serve;
+  const FlagTable serve_table = ServeFlags(&serve);
+  EXPECT_FALSE(Parse(serve_table, {"--listen", "/tmp/no-scheme.sock"}));
+  EXPECT_FALSE(Parse(serve_table, {"--admin-listen", "tcp:host"}));
+  EXPECT_TRUE(serve.listen.empty());
+  EXPECT_TRUE(serve.common.obs.admin_listen.empty());
+  EdgeArgs edge;
+  EXPECT_FALSE(Parse(EdgeFlags(&edge), {"--connect", "unix:"}));
+  EXPECT_TRUE(edge.connect.empty());
+}
+
+TEST(CliFlagsTest, LocalInputsAccumulate) {
+  ServeArgs serve;
+  ASSERT_TRUE(Parse(ServeFlags(&serve),
+                    {"--input", "a.csv", "--input", "b=dir/c.csv"}));
+  ASSERT_EQ(serve.local.inputs.size(), 2u);
+  EXPECT_EQ(serve.local.inputs[0].feed, "a");
+  EXPECT_EQ(serve.local.inputs[1].feed, "b");
+  EXPECT_EQ(serve.local.inputs[1].path, "dir/c.csv");
 }
 
 TEST(CliFlagsTest, DurabilityFlagsParseAndValidate) {
   DurabilityArgs args;
-  EXPECT_EQ(ParseOne(ParseDurabilityFlag, "--state-dir", "/tmp/s", &args),
-            FlagParse::kConsumed);
+  const FlagTable table = Family(DurabilityFlags(&args));
+  EXPECT_TRUE(Parse(table, {"--state-dir", "/tmp/s"}));
   EXPECT_EQ(args.state_dir, "/tmp/s");
-  EXPECT_EQ(
-      ParseOne(ParseDurabilityFlag, "--checkpoint-interval-ms", "0", &args),
-      FlagParse::kError);
-  EXPECT_EQ(
-      ParseOne(ParseDurabilityFlag, "--checkpoint-interval-ms", "5s", &args),
-      FlagParse::kError);
+  EXPECT_FALSE(Parse(table, {"--checkpoint-interval-ms", "0"}));
+  EXPECT_FALSE(Parse(table, {"--checkpoint-interval-ms", "5s"}));
   EXPECT_EQ(args.checkpoint_interval_ms, 1000);
-  EXPECT_EQ(ParseOne(ParseDurabilityFlag, "--metrics", "-", &args),
-            FlagParse::kConsumed);
-  EXPECT_EQ(
-      ParseOne(ParseDurabilityFlag, "--metrics-interval-ms", "250", &args),
-      FlagParse::kConsumed);
+  EXPECT_TRUE(Parse(table, {"--metrics", "-"}));
+  EXPECT_TRUE(Parse(table, {"--metrics-interval-ms", "250"}));
   EXPECT_EQ(args.metrics_interval_ms, 250);
-  // --metrics-per-feed is a bare flag: no value consumed.
-  {
-    std::string f = "--metrics-per-feed";
-    char* argv[] = {f.data()};
-    int i = 0;
-    EXPECT_EQ(ParseDurabilityFlag(1, argv, &i, &args),
-              FlagParse::kConsumed);
-    EXPECT_EQ(i, 0);
-    EXPECT_TRUE(args.metrics_per_feed);
-  }
+  // --metrics-per-feed is a switch: the next argument is a flag of its
+  // own, not its value.
+  EXPECT_TRUE(Parse(table, {"--metrics-per-feed", "--metrics", "-"}));
+  EXPECT_TRUE(args.metrics_per_feed);
   MetricsExporter::Options options = MakeMetricsOptions(args);
   EXPECT_EQ(options.path, "-");
   EXPECT_EQ(options.interval_ms, 250);
   EXPECT_TRUE(options.per_feed);
-  // Flags from other families fall through untouched.
-  EXPECT_EQ(ParseOne(ParseDurabilityFlag, "--window", "40", &args),
-            FlagParse::kNotMine);
+  // Flags of other families are not this family's.
+  EXPECT_FALSE(Parse(table, {"--window", "40"}));
 }
 
 TEST(CliFlagsTest, ObservabilityFlagsParseAndValidate) {
   ObservabilityArgs args;
-  EXPECT_EQ(ParseOne(ParseObservabilityFlag, "--trace-out", "t.json", &args),
-            FlagParse::kConsumed);
+  const FlagTable table = Family(ObservabilityFlags(&args));
+  EXPECT_TRUE(Parse(table, {"--trace-out", "t.json"}));
   EXPECT_EQ(args.trace_out, "t.json");
-  EXPECT_EQ(
-      ParseOne(ParseObservabilityFlag, "--trace-buffer-events", "0", &args),
-      FlagParse::kError);  // capacity must be >= 1
-  EXPECT_EQ(
-      ParseOne(ParseObservabilityFlag, "--trace-buffer-events", "4k", &args),
-      FlagParse::kError);
+  EXPECT_FALSE(Parse(table, {"--trace-buffer-events", "0"}));  // >= 1
+  EXPECT_FALSE(Parse(table, {"--trace-buffer-events", "4k"}));
   EXPECT_EQ(args.trace_buffer_events, uint64_t{1} << 16);  // default kept
-  EXPECT_EQ(
-      ParseOne(ParseObservabilityFlag, "--trace-buffer-events", "4096", &args),
-      FlagParse::kConsumed);
+  EXPECT_TRUE(Parse(table, {"--trace-buffer-events", "4096"}));
   EXPECT_EQ(args.trace_buffer_events, 4096u);
   // --metrics-histograms is gone (frt_stage lines are always on with
-  // --metrics): the flag is no longer this family's.
-  {
-    std::string f = "--metrics-histograms";
-    char* argv[] = {f.data()};
-    int i = 0;
-    EXPECT_EQ(ParseObservabilityFlag(1, argv, &i, &args),
-              FlagParse::kNotMine);
-    EXPECT_EQ(i, 0);
-  }
-  // Flags from other families fall through untouched.
-  EXPECT_EQ(ParseOne(ParseObservabilityFlag, "--metrics", "-", &args),
-            FlagParse::kNotMine);
+  // --metrics), and flags of other families are not this family's.
+  EXPECT_FALSE(Parse(table, {"--metrics-histograms"}));
+  EXPECT_FALSE(Parse(table, {"--metrics", "-"}));
 }
 
 TEST(CliFlagsTest, MissingValueIsAnError) {
   StreamArgs args;
-  std::string f = "--budget";
-  char* argv[] = {f.data()};
-  int i = 0;
-  EXPECT_EQ(ParseStreamFlag(1, argv, &i, &args), FlagParse::kError);
+  EXPECT_FALSE(Parse(Family(StreamFlags(&args)), {"--budget"}));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +21,13 @@ TEST(LaplaceMechanismTest, ValidatesParameters) {
   EXPECT_FALSE(LaplaceMechanism(0.0, 0.5).Validate().ok());
   EXPECT_FALSE(LaplaceMechanism(1.0, 0.0).Validate().ok());
   EXPECT_FALSE(LaplaceMechanism(1.0, -1.0).Validate().ok());
+  // An infinite epsilon is a zero noise scale: no privacy at all.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(LaplaceMechanism(1.0, inf).Validate().ok());
+  EXPECT_FALSE(
+      LaplaceMechanism(1.0, std::numeric_limits<double>::quiet_NaN())
+          .Validate()
+          .ok());
 }
 
 TEST(LaplaceMechanismTest, ScaleIsSensitivityOverEpsilon) {
@@ -143,10 +151,15 @@ TEST(AccountantTest, EnforcesBudget) {
   EXPECT_NEAR(acc.remaining(), 0.0, 1e-12);
 }
 
-TEST(AccountantTest, RejectsNonPositiveSpend) {
+TEST(AccountantTest, RejectsNonPositiveOrNonFiniteSpend) {
   PrivacyAccountant acc;
   EXPECT_FALSE(acc.Spend(0.0, "x").ok());
   EXPECT_FALSE(acc.Spend(-1.0, "x").ok());
+  EXPECT_FALSE(
+      acc.Spend(std::numeric_limits<double>::infinity(), "x").ok());
+  EXPECT_FALSE(
+      acc.Spend(std::numeric_limits<double>::quiet_NaN(), "x").ok());
+  EXPECT_EQ(acc.spent(), 0.0);
 }
 
 // --- empirical DP ratio check (Theorem 2) ---

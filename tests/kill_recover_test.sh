@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Crash/recover harness for the durable budget ledgers (ISSUE 6).
 #
-# Phase 0: malformed numeric flag values are usage errors naming the flag
-#          (exit 2), never a silent zero budget.
+# Phase 0: malformed numeric flag values, and budgets that are not a
+#          finite number >= 0, are usage errors naming the flag (exit 2),
+#          never a silent zero or unenforced budget.
 # Phase 1: frt_serve is fed through a FIFO with checkpointing on, SIGKILLed
 #          mid-stream, then restarted over the full feed with the same
 #          --state-dir. The durable ledgers must carry: recovery is
 #          reported, spend never shrinks, and the per-feed spend recorded
 #          in the final checkpoint never exceeds the wholesale budget.
-# Phase 2: kPerObject mode across a restart: the recovered per-object
+# Phase 2: per-object mode across a restart: the recovered per-object
 #          floor keeps every object under --per-object-budget, so a window
 #          that would push any object past it publishes nothing.
 #
@@ -56,6 +57,18 @@ code=$?
 [[ $code -eq 2 ]] || fail "invalid --budget exited $code, want 2"
 grep -q -- "--budget" "$WORK/flag.err" ||
   fail "usage error does not name --budget: $(cat "$WORK/flag.err")"
+# A budget must be a finite epsilon >= 0: inf or nan would publish every
+# window with no budget enforced, and a negative one means nothing.
+for flag in --budget --per-object-budget; do
+  for value in inf nan -1; do
+    "$SERVE" --feeds "$WORK/full.csv" --output - "$flag" "$value" \
+      "${STREAM_FLAGS[@]}" >/dev/null 2> "$WORK/flag.err"
+    code=$?
+    [[ $code -eq 2 ]] || fail "$flag $value exited $code, want 2"
+    grep -q -- "$flag" "$WORK/flag.err" ||
+      fail "usage error does not name $flag: $(head -1 "$WORK/flag.err")"
+  done
+done
 
 # --- Phase 1: SIGKILL mid-stream, recover, never over-grant -----------------
 BUDGET=4.0

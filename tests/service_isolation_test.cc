@@ -67,15 +67,15 @@ Feeds MakeFeeds(int victims, int arrivals_per_feed) {
   return feeds;
 }
 
-ServiceConfig IsolationConfig(BudgetAccounting accounting) {
+/// Per-object budgets when `per_object`, else wholesale ones.
+ServiceConfig IsolationConfig(bool per_object) {
   ServiceConfig config;
   config.stream.window_size = 5;
   config.stream.batch.shards = 2;
   config.stream.batch.pipeline.m = 3;
   config.stream.batch.pipeline.epsilon_global = 0.5;
   config.stream.batch.pipeline.epsilon_local = 0.5;
-  config.stream.accounting = accounting;
-  if (accounting == BudgetAccounting::kPerObject) {
+  if (per_object) {
     config.stream.per_object_budget = 2.0;
   } else {
     config.stream.total_budget = 2.0;
@@ -89,9 +89,9 @@ ServiceConfig IsolationConfig(BudgetAccounting accounting) {
 /// plays whole feeds back-to-back.
 std::unique_ptr<ServiceCapture> RunService(
     const Feeds& feeds, const std::vector<size_t>& which,
-    BudgetAccounting accounting, int interleave) {
+    bool per_object, int interleave) {
   auto capture = std::make_unique<ServiceCapture>();
-  ServiceDispatcher service(IsolationConfig(accounting),
+  ServiceDispatcher service(IsolationConfig(per_object),
                             capture->MakeSink());
   EXPECT_TRUE(service.Start(kSeed).ok());
   if (interleave == 2) {
@@ -121,18 +121,18 @@ std::unique_ptr<ServiceCapture> RunService(
   return capture;
 }
 
-class ServiceIsolationTest
-    : public ::testing::TestWithParam<BudgetAccounting> {};
+/// The parameter selects per-object (true) or wholesale (false) budgets.
+class ServiceIsolationTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ServiceIsolationTest, HogExhaustionNeverTouchesOtherFeeds) {
-  const BudgetAccounting accounting = GetParam();
+  const bool per_object = GetParam();
   const Feeds feeds = MakeFeeds(/*victims=*/3, /*arrivals_per_feed=*/30);
   const std::vector<size_t> all = {0, 1, 2, 3};
 
   // Solo baselines: each feed served alone at the same master seed.
   std::vector<std::unique_ptr<ServiceCapture>> solo;
   for (const size_t f : all) {
-    solo.push_back(RunService(feeds, {f}, accounting, 2));
+    solo.push_back(RunService(feeds, {f}, per_object, 2));
   }
   // The hog really must be refusing by itself, or the test proves nothing.
   {
@@ -143,7 +143,7 @@ TEST_P(ServiceIsolationTest, HogExhaustionNeverTouchesOtherFeeds) {
   }
 
   for (const int interleave : {0, 1, 2}) {
-    const auto multiplexed = RunService(feeds, all, accounting, interleave);
+    const auto multiplexed = RunService(feeds, all, per_object, interleave);
     for (const size_t f : all) {
       const std::string& name = feeds.names[f];
       const ServiceCapture::Feed& solo_feed = solo[f]->feeds.at(name);
@@ -165,8 +165,11 @@ TEST_P(ServiceIsolationTest, HogExhaustionNeverTouchesOtherFeeds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AccountingModes, ServiceIsolationTest,
-                         ::testing::Values(BudgetAccounting::kWholesale,
-                                           BudgetAccounting::kPerObject));
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "PerObject"
+                                                         : "Wholesale");
+                         });
 
 TEST_P(ServiceIsolationTest, QuarantinedFeedNeverTouchesOtherFeeds) {
   // The ingress tier quarantining one feed mid-stream (corrupt frame on
@@ -174,16 +177,16 @@ TEST_P(ServiceIsolationTest, QuarantinedFeedNeverTouchesOtherFeeds) {
   // contract is the same: every sibling's published bytes must stay
   // bit-identical to a solo run. The quarantined feed's output simply
   // stops at the fault.
-  const BudgetAccounting accounting = GetParam();
+  const bool per_object = GetParam();
   const Feeds feeds = MakeFeeds(/*victims=*/3, /*arrivals_per_feed=*/30);
 
   std::vector<std::unique_ptr<ServiceCapture>> solo;
   for (const size_t f : {1, 2, 3}) {
-    solo.push_back(RunService(feeds, {f}, accounting, 2));
+    solo.push_back(RunService(feeds, {f}, per_object, 2));
   }
 
   auto capture = std::make_unique<ServiceCapture>();
-  ServiceDispatcher service(IsolationConfig(accounting),
+  ServiceDispatcher service(IsolationConfig(per_object),
                             capture->MakeSink());
   ASSERT_TRUE(service.Start(kSeed).ok());
   // Round-robin arrivals; the hog's stream is declared untrusted after
@@ -215,7 +218,7 @@ TEST_P(ServiceIsolationTest, QuarantinedFeedNeverTouchesOtherFeeds) {
   }
   // The hog's published prefix (before the fault) must itself be a prefix
   // of ITS solo run — quarantine truncates, never perturbs.
-  const auto hog_solo = RunService(feeds, {0}, accounting, 2);
+  const auto hog_solo = RunService(feeds, {0}, per_object, 2);
   const ServiceCapture::Feed& hog_solo_feed = hog_solo->feeds.at("hog");
   if (capture->feeds.count("hog") > 0) {
     const ServiceCapture::Feed& hog_multi = capture->feeds.at("hog");

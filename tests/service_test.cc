@@ -177,7 +177,6 @@ TEST(ServiceTest, IdleEvictionFlushesSessionAndCarriesBudgetIntoRevival) {
   const std::vector<Trajectory> trajs = SyntheticTrajectories(6);
   ServiceCapture capture;
   ServiceConfig config = SmallServiceConfig(100);
-  config.stream.accounting = BudgetAccounting::kWholesale;
   config.stream.total_budget = 1.0;
   config.idle_evict_ms = 50;
   ServiceDispatcher service(config, capture.MakeSink());
@@ -199,6 +198,46 @@ TEST(ServiceTest, IdleEvictionFlushesSessionAndCarriesBudgetIntoRevival) {
   EXPECT_EQ(feed.stream.windows_refused, 1u);    // generation 2, carried
   EXPECT_NEAR(feed.stream.epsilon_spent, 1.0, 1e-9);
   EXPECT_TRUE(ServiceHadRefusals(report));
+}
+
+TEST(ServiceTest, PerObjectBudgetAloneSelectsThePerObjectLedger) {
+  // Setting only per_object_budget must enforce it: ids recycle every 10
+  // arrivals, so window 1 re-releases window 0's objects, and 1.0 + 1.0
+  // exceeds their budget of 1.5.
+  std::istringstream csv(SyntheticCsv(20, /*distinct_ids=*/10));
+  TrajectoryReader reader(csv);
+  ServiceCapture capture;
+  ServiceConfig config = SmallServiceConfig(10);
+  config.stream.per_object_budget = 1.5;
+  ServiceDispatcher service(config, capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  ASSERT_TRUE(OfferFeed(reader, "taxi", service).ok());
+  ASSERT_TRUE(service.Finish().ok());
+  ASSERT_EQ(service.report().feeds_detail.size(), 1u);
+  const StreamReport& stream = service.report().feeds_detail[0].stream;
+  EXPECT_EQ(stream.windows_published, 1u);
+  EXPECT_EQ(stream.windows_refused, 1u);
+  EXPECT_NEAR(stream.epsilon_spent, 1.0, 1e-9);  // max per-object spend
+  const FeedSession* session = service.session("taxi");
+  ASSERT_NE(session, nullptr);
+  EXPECT_TRUE(session->object_accountant().enforcing());
+}
+
+TEST(ServiceTest, StartRefusesContradictoryBudgets) {
+  // Both budgets set, or eviction without a per-object ledger to evict
+  // from: the service refuses to start instead of picking one silently.
+  ServiceConfig both = SmallServiceConfig(10);
+  both.stream.total_budget = 2.0;
+  both.stream.per_object_budget = 2.0;
+  ServiceCapture capture;
+  ServiceDispatcher both_service(both, capture.MakeSink());
+  EXPECT_EQ(both_service.Start(kSeed).code(), StatusCode::kInvalidArgument);
+
+  ServiceConfig evict = SmallServiceConfig(10);
+  evict.stream.total_budget = 2.0;
+  evict.stream.evict_exhausted = true;
+  ServiceDispatcher evict_service(evict, capture.MakeSink());
+  EXPECT_EQ(evict_service.Start(kSeed).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServiceTest, WindowIndicesContinueAcrossSessionGenerations) {
@@ -230,7 +269,6 @@ TEST(ServiceTest, StopWhenExhaustedEndsServiceAtFirstRefusal) {
   const std::vector<Trajectory> trajs = SyntheticTrajectories(60);
   ServiceCapture capture;
   ServiceConfig config = SmallServiceConfig(5);
-  config.stream.accounting = BudgetAccounting::kWholesale;
   config.stream.total_budget = 1.0;
   config.stream.stop_when_exhausted = true;
   config.arrival_queue_capacity = 4;
@@ -262,7 +300,6 @@ TEST(ServiceTest, PerFeedBudgetsAreIndependentLedgers) {
   const std::vector<Trajectory> trajs = SyntheticTrajectories(30);
   ServiceCapture capture;
   ServiceConfig config = SmallServiceConfig(10);
-  config.stream.accounting = BudgetAccounting::kWholesale;
   config.stream.total_budget = 2.0;
   ServiceDispatcher service(config, capture.MakeSink());
   ASSERT_TRUE(service.Start(kSeed).ok());
@@ -558,7 +595,6 @@ TEST(ServiceTelemetryTest, ShutdownRenderingsShareOneSource) {
   // refused. The idle feed publishes once, is evicted, and is revived by
   // later arrivals; "bad" is quarantined.
   ServiceConfig config = SmallServiceConfig(10);
-  config.stream.accounting = BudgetAccounting::kWholesale;
   config.stream.total_budget = 2.0;
   config.idle_evict_ms = 50;
   config.metrics_interval_ms = 20;

@@ -134,15 +134,14 @@ TEST(SlidingWindowTest, PerObjectPublishesStrictlyMoreWindowsThanWholesale) {
   const std::string csv = SyntheticCsv(1000, 200);
   const double kBudget = 3.0;
 
-  auto run = [&](BudgetAccounting accounting,
+  auto run = [&](bool per_object,
                  frt::testing::ServiceCapture::Feed* capture,
                  StreamReport* report, double* max_object_eps) {
     StreamConfig config = BaseConfig(100, 0);
-    config.accounting = accounting;
-    if (accounting == BudgetAccounting::kWholesale) {
-      config.total_budget = kBudget;
-    } else {
+    if (per_object) {
       config.per_object_budget = kBudget;
+    } else {
+      config.total_budget = kBudget;
     }
     OneFeedRun result = RunOneFeed(OneFeedConfig(config), csv, kSeed);
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -154,9 +153,9 @@ TEST(SlidingWindowTest, PerObjectPublishesStrictlyMoreWindowsThanWholesale) {
   frt::testing::ServiceCapture::Feed wholesale_capture, per_object_capture;
   StreamReport wholesale_report, per_object_report;
   double wholesale_max = 0.0, per_object_max = 0.0;
-  run(BudgetAccounting::kWholesale, &wholesale_capture, &wholesale_report,
+  run(/*per_object=*/false, &wholesale_capture, &wholesale_report,
       &wholesale_max);
-  run(BudgetAccounting::kPerObject, &per_object_capture, &per_object_report,
+  run(/*per_object=*/true, &per_object_capture, &per_object_report,
       &per_object_max);
 
   EXPECT_EQ(wholesale_report.windows_published, 3u);
@@ -201,7 +200,6 @@ TEST(SlidingWindowTest, EvictExhaustedDropsOnlyTheExhaustedObject) {
   auto run = [&](bool evict, frt::testing::ServiceCapture::Feed* capture,
                  StreamReport* report, const char* label) {
     StreamConfig config = BaseConfig(10, 0);
-    config.accounting = BudgetAccounting::kPerObject;
     config.per_object_budget = kBudget;
     config.evict_exhausted = evict;
     OneFeedRun result = RunOneFeed(OneFeedConfig(config), csv, kSeed);
@@ -252,7 +250,6 @@ TEST(SlidingWindowTest, SlidingWindowsChargePerAppearance) {
   // both appearances. 20 arrivals -> windows [0,10) [5,15) [10,20);
   // objects 5..9 appear twice.
   StreamConfig config = BaseConfig(10, 5);
-  config.accounting = BudgetAccounting::kPerObject;
   config.per_object_budget = 10.0;  // ample: nothing refused
   const OneFeedRun run =
       RunOneFeed(OneFeedConfig(config), SyntheticCsv(20), kSeed);

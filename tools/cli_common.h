@@ -1,100 +1,209 @@
-// Helpers shared by the FRT command-line tools: the pipeline flags common
-// to every anonymizing CLI are parsed, validated, and documented here once,
-// so the tools cannot drift apart as flags are added.
+// Helpers shared by the FRT command-line tools. Every flag is declared
+// once, as one entry of a flag table: its name, metavariable, help text,
+// and a typed setter that parses and range-checks the value. One parser
+// (ParseFlags) and one usage printer (PrintUsage) read the same entries,
+// so a tool accepts exactly the flags its usage text advertises. Each tool
+// composes its table from the families below plus its own flags.
 
 #ifndef FRT_TOOLS_CLI_COMMON_H_
 #define FRT_TOOLS_CLI_COMMON_H_
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
-#include <optional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/strings.h"
 #include "core/pipeline.h"
+#include "net/socket.h"
 #include "service/metrics_exporter.h"
 #include "stream/stream_types.h"
 
 namespace frt::cli {
 
-// ---- Strict numeric flag values ----
+// ---- The flag table ----
+
+/// Stores one flag's value (nullptr for a switch). Reports to stderr and
+/// returns false on a value it refuses; the tool then exits 2.
+using FlagSetter = std::function<bool(const char* flag, const char* value)>;
+
+/// One command-line flag.
+struct Flag {
+  const char* name;  ///< "--window"
+  const char* meta;  ///< value placeholder in usage; "" = a switch
+  const char* help;  ///< usage text; '\n' starts a continuation line
+  /// Empty for a flag a sibling tool takes but this one refuses: the
+  /// parser reports it unknown with `help` as the reason, and usage never
+  /// shows it.
+  FlagSetter set;
+};
+
+/// A tool's command line: the synopsis printed after "usage: PROG" and
+/// the flags it takes.
+struct FlagTable {
+  const char* synopsis;
+  std::vector<Flag> flags;
+
+  FlagTable& Add(std::vector<Flag> family) {
+    flags.insert(flags.end(), family.begin(), family.end());
+    return *this;
+  }
+};
+
+/// \brief Parses argv[1..argc) against `table`: every argument must be one
+/// of its flags, followed by a value unless the flag is a switch. Reports
+/// the first bad argument to stderr and returns false (a usage error).
+inline bool ParseFlags(int argc, char** argv, const FlagTable& table) {
+  for (int i = 1; i < argc; ++i) {
+    const char* name = argv[i];
+    const auto flag =
+        std::find_if(table.flags.begin(), table.flags.end(),
+                     [name](const Flag& f) {
+                       return std::strcmp(f.name, name) == 0;
+                     });
+    if (flag == table.flags.end() || !flag->set) {
+      std::fprintf(stderr, "unknown flag: %s\n", name);
+      if (flag != table.flags.end()) std::fprintf(stderr, "%s\n", flag->help);
+      return false;
+    }
+    const char* value = nullptr;
+    if (*flag->meta != '\0') {
+      if (++i == argc) {
+        std::fprintf(stderr, "missing value for %s\n", name);
+        return false;
+      }
+      value = argv[i];
+    }
+    if (!flag->set(name, value)) return false;
+  }
+  return true;
+}
+
+/// Prints the usage text of `table` to stderr: the synopsis, then one
+/// entry per flag with its help aligned at column 23.
+inline void PrintUsage(const char* prog, const FlagTable& table) {
+  std::fprintf(stderr, "usage: %s %s\n", prog, table.synopsis);
+  for (const Flag& flag : table.flags) {
+    if (!flag.set) continue;
+    std::string head = flag.name;
+    if (*flag.meta != '\0') head = head + " " + flag.meta;
+    std::string help;
+    for (const char* c = flag.help; *c != '\0'; ++c) {
+      help += *c;
+      if (*c == '\n') help.append(23, ' ');
+    }
+    if (head.size() < 20) {
+      std::fprintf(stderr, "  %-20s %s\n", head.c_str(), help.c_str());
+    } else {
+      std::fprintf(stderr, "  %s\n%23s%s\n", head.c_str(), "", help.c_str());
+    }
+  }
+}
+
+/// Reports `message` and returns false unless `ok`: the presence checks
+/// that follow ParseFlags.
+inline bool Require(bool ok, const char* message) {
+  if (!ok) std::fprintf(stderr, "%s\n", message);
+  return ok;
+}
+
+// ---- Setters ----
 //
 // atof/atoi map a malformed value ("oops", "1.5x", "") to 0 silently — a
 // zero budget then refuses every window with no diagnostic pointing at the
 // typo. Every numeric flag instead parses strictly: the whole value must
 // be a number, trailing garbage and empty strings are usage errors that
-// name the offending flag, and the tool exits non-zero.
+// name the offending flag, and the tool exits 2.
 
-/// \brief Parses `value` as a double for `flag`. Reports and returns false
-/// on anything but a complete, finite-syntax number.
-inline bool ParseFlagDouble(const char* flag, const char* value,
-                            double* out) {
-  Result<double> parsed = ParseDouble(value);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "invalid numeric value '%s' for %s\n", value, flag);
-    return false;
-  }
-  *out = *parsed;
-  return true;
+inline FlagSetter Text(std::string* out) {
+  return [out](const char*, const char* value) {
+    *out = value;
+    return true;
+  };
 }
 
-/// \brief Parses `value` as a signed integer for `flag` (strict; see
-/// above).
-inline bool ParseFlagInt64(const char* flag, const char* value,
-                           int64_t* out) {
-  const char* end = value + std::strlen(value);
-  int64_t parsed = 0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end || value == end) {
-    std::fprintf(stderr, "invalid integer value '%s' for %s\n", value, flag);
-    return false;
-  }
-  *out = parsed;
-  return true;
+inline FlagSetter Switch(bool* out) {
+  return [out](const char*, const char*) {
+    *out = true;
+    return true;
+  };
 }
 
-/// \brief Parses `value` as an unsigned integer for `flag` (strict; a
-/// leading '-' is rejected, not wrapped).
-inline bool ParseFlagUint64(const char* flag, const char* value,
-                            uint64_t* out) {
-  const char* end = value + std::strlen(value);
-  uint64_t parsed = 0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end || value == end) {
-    std::fprintf(stderr, "invalid integer value '%s' for %s\n", value, flag);
-    return false;
-  }
-  *out = parsed;
-  return true;
+/// An integer in [min, max]. Unsigned flags reject a leading '-' instead
+/// of wrapping it, and a value beyond T's range is reported, never
+/// truncated.
+template <typename T>
+FlagSetter Integer(T* out, T min = std::numeric_limits<T>::min(),
+                   T max = std::numeric_limits<T>::max()) {
+  return [out, min, max](const char* flag, const char* value) {
+    using Wide = std::conditional_t<std::is_signed_v<T>, int64_t, uint64_t>;
+    const char* end = value + std::strlen(value);
+    Wide parsed = 0;
+    const auto [ptr, ec] = std::from_chars(value, end, parsed);
+    if (ec != std::errc() || ptr != end || value == end) {
+      std::fprintf(stderr, "invalid integer value '%s' for %s\n", value,
+                   flag);
+      return false;
+    }
+    if (parsed < static_cast<Wide>(min) || parsed > static_cast<Wide>(max)) {
+      const std::string want =
+          max == std::numeric_limits<Wide>::max()
+              ? ">= " + std::to_string(min)
+              : std::to_string(min) + ".." + std::to_string(max);
+      std::fprintf(stderr, "%s value out of range (want %s)\n", flag,
+                   want.c_str());
+      return false;
+    }
+    *out = static_cast<T>(parsed);
+    return true;
+  };
 }
 
-/// \brief ParseFlagUint64 for a thread count: a value beyond unsigned
-/// range is reported instead of wrapping modulo 2^32.
-inline bool ParseFlagUnsigned(const char* flag, const char* value,
-                              unsigned* out) {
-  uint64_t parsed = 0;
-  if (!ParseFlagUint64(flag, value, &parsed)) return false;
-  if (parsed > std::numeric_limits<unsigned>::max()) {
-    std::fprintf(stderr, "%s value out of range\n", flag);
-    return false;
-  }
-  *out = static_cast<unsigned>(parsed);
-  return true;
+/// A privacy parameter (an epsilon or an epsilon budget): a finite number
+/// >= 0, where 0 means the flag's "disabled / track only". inf would mean
+/// no noise at all and nan compares false against every budget, so both
+/// are usage errors, as is a negative value.
+inline FlagSetter Epsilon(double* out) {
+  return [out](const char* flag, const char* value) {
+    const Result<double> parsed = ParseDouble(value);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "invalid numeric value '%s' for %s\n", value,
+                   flag);
+      return false;
+    }
+    if (!std::isfinite(*parsed) || *parsed < 0.0) {
+      std::fprintf(stderr, "%s must be a finite number >= 0, not '%s'\n",
+                   flag, value);
+      return false;
+    }
+    *out = *parsed;
+    return true;
+  };
 }
 
-/// \brief The value of the flag at argv[*i], advancing *i past it; nullptr
-/// (reported) when the value is missing.
-inline const char* NextFlagValue(int argc, char** argv, int* i) {
-  if (*i + 1 >= argc) {
-    std::fprintf(stderr, "missing value for %s\n", argv[*i]);
-    return nullptr;
-  }
-  return argv[++*i];
+/// A network endpoint ("unix:PATH" or "tcp:HOST:PORT"), validated here so
+/// a malformed one is a usage error rather than a mid-run failure; the
+/// spelling is stored for the tools' reports.
+inline FlagSetter EndpointText(std::string* out) {
+  return [out](const char* flag, const char* value) {
+    if (auto endpoint = net::ParseEndpoint(value); !endpoint.ok()) {
+      std::fprintf(stderr, "%s: %s\n", flag,
+                   endpoint.status().ToString().c_str());
+      return false;
+    }
+    *out = value;
+    return true;
+  };
 }
+
+// ---- Pipeline flags (every anonymizing CLI) ----
 
 /// Raw values of the flags shared by all anonymizing tools. The kNN
 /// search is always the paper's HG+ (every strategy publishes the same
@@ -111,60 +220,27 @@ struct PipelineArgs {
   unsigned threads = 0;
 };
 
-/// Outcome of offering one argv slot to the shared parser.
-enum class FlagParse {
-  kConsumed,  ///< it was a shared flag; *i advanced past its value
-  kNotMine,   ///< not a shared flag; the tool should try its own flags
-  kError,     ///< a shared flag with a missing/invalid value (reported)
-};
-
-/// \brief Tries to consume argv[*i] as one of the shared pipeline flags.
-inline FlagParse ParsePipelineFlag(int argc, char** argv, int* i,
-                                   PipelineArgs* args) {
-  const char* flag = argv[*i];
-  auto next = [&] { return NextFlagValue(argc, argv, i); };
-  const char* v = nullptr;
-  if (std::strcmp(flag, "--epsilon-global") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    if (!ParseFlagDouble(flag, v, &args->epsilon_global)) {
-      return FlagParse::kError;
-    }
-  } else if (std::strcmp(flag, "--epsilon-local") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    if (!ParseFlagDouble(flag, v, &args->epsilon_local)) {
-      return FlagParse::kError;
-    }
-  } else if (std::strcmp(flag, "--m") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    int64_t m = 0;
-    if (!ParseFlagInt64(flag, v, &m)) return FlagParse::kError;
-    if (m < 1 || m > std::numeric_limits<int>::max()) {
-      std::fprintf(stderr, "--m must be a positive int\n");
-      return FlagParse::kError;
-    }
-    args->m = static_cast<int>(m);
-  } else if (std::strcmp(flag, "--order") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    args->order = v;
-  } else if (std::strcmp(flag, "--seed") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    if (!ParseFlagUint64(flag, v, &args->seed)) return FlagParse::kError;
-  } else if (std::strcmp(flag, "--shards") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    int64_t shards = 0;
-    if (!ParseFlagInt64(flag, v, &shards)) return FlagParse::kError;
-    if (shards < 1 || shards > std::numeric_limits<int>::max()) {
-      std::fprintf(stderr, "--shards must be >= 1\n");
-      return FlagParse::kError;
-    }
-    args->shards = static_cast<int>(shards);
-  } else if (std::strcmp(flag, "--threads") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    if (!ParseFlagUnsigned(flag, v, &args->threads)) return FlagParse::kError;
-  } else {
-    return FlagParse::kNotMine;
-  }
-  return FlagParse::kConsumed;
+inline std::vector<Flag> PipelineFlags(PipelineArgs* args) {
+  return {
+      {"--epsilon-global", "X",
+       "budget of the global TF mechanism (default 0.5; 0 disables)",
+       Epsilon(&args->epsilon_global)},
+      {"--epsilon-local", "X",
+       "budget of the local PF mechanism (default 0.5; 0 disables)",
+       Epsilon(&args->epsilon_local)},
+      {"--m", "N", "signature size (default 10)", Integer(&args->m, 1)},
+      {"--order", "O", "mechanism order: global | local first (default global)",
+       Text(&args->order)},
+      {"--seed", "N", "RNG seed (default 42)", Integer(&args->seed)},
+      {"--shards", "K",
+       "dataset partitions anonymized independently (default 1)",
+       Integer(&args->shards, 1)},
+      {"--threads", "N",
+       "worker pool size (default 0 = hardware concurrency;\n"
+       "at least 2 in the services, and frt_anonymize\n"
+       "uses a pool only with --shards > 1)",
+       Integer(&args->threads)},
+  };
 }
 
 /// \brief Validates the shared flags and fills a pipeline config.
@@ -188,24 +264,21 @@ inline bool MakePipelineConfig(const PipelineArgs& args,
   return true;
 }
 
-/// Usage text of the shared flags (embed in each tool's Usage()).
-inline const char* PipelineUsageText() {
-  return
-      "  --epsilon-global X   budget of the global TF mechanism (default "
-      "0.5; 0 disables)\n"
-      "  --epsilon-local X    budget of the local PF mechanism (default "
-      "0.5; 0 disables)\n"
-      "  --m N                signature size (default 10)\n"
-      "  --order O            mechanism order: global | local first "
-      "(default global)\n"
-      "  --seed N             RNG seed (default 42)\n"
-      "  --shards K           dataset partitions anonymized independently "
-      "(default 1)\n"
-      "  --threads N          worker pool size (default 0 = hardware "
-      "concurrency;\n"
-      "                       at least 2 in the services, and "
-      "frt_anonymize\n"
-      "                       uses a pool only with --shards > 1)\n";
+/// frt_anonymize's command line.
+struct AnonymizeArgs {
+  std::string input;
+  std::string output;
+  PipelineArgs pipeline;
+};
+
+inline FlagTable AnonymizeFlags(AnonymizeArgs* args) {
+  FlagTable table{"--input FILE|- --output FILE [options]",
+                  {{"--input", "FILE|-",
+                    "dataset CSV to anonymize; - reads it from stdin",
+                    Text(&args->input)},
+                   {"--output", "FILE", "published dataset CSV",
+                    Text(&args->output)}}};
+  return table.Add(PipelineFlags(&args->pipeline));
 }
 
 // ---- Streaming flags (every service CLI: windowing/budget vocabulary) ----
@@ -222,60 +295,42 @@ struct StreamArgs {
   int64_t close_after_ms = 0;  ///< time-based window closure; 0 = off
 };
 
-/// \brief Tries to consume argv[*i] as one of the streaming flags.
-inline FlagParse ParseStreamFlag(int argc, char** argv, int* i,
-                                 StreamArgs* args) {
-  const char* flag = argv[*i];
-  auto next = [&] { return NextFlagValue(argc, argv, i); };
-  const char* v = nullptr;
-  if (std::strcmp(flag, "--window") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    int64_t n = 0;
-    if (!ParseFlagInt64(flag, v, &n)) return FlagParse::kError;
-    if (n < 1) {
-      std::fprintf(stderr, "--window must be >= 1\n");
-      return FlagParse::kError;
-    }
-    args->window = static_cast<size_t>(n);
-  } else if (std::strcmp(flag, "--stride") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    int64_t n = 0;
-    if (!ParseFlagInt64(flag, v, &n)) return FlagParse::kError;
-    if (n < 1) {
-      std::fprintf(stderr, "--stride must be >= 1\n");
-      return FlagParse::kError;
-    }
-    args->stride = static_cast<size_t>(n);
-  } else if (std::strcmp(flag, "--budget") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    if (!ParseFlagDouble(flag, v, &args->budget)) return FlagParse::kError;
-  } else if (std::strcmp(flag, "--per-object-budget") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    if (!ParseFlagDouble(flag, v, &args->per_object_budget)) {
-      return FlagParse::kError;
-    }
-  } else if (std::strcmp(flag, "--evict-exhausted") == 0) {
-    args->evict_exhausted = true;
-  } else if (std::strcmp(flag, "--queue") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    uint64_t n = 0;
-    if (!ParseFlagUint64(flag, v, &n)) return FlagParse::kError;
-    args->queue = static_cast<size_t>(n);
-  } else if (std::strcmp(flag, "--stop-on-exhausted") == 0) {
-    args->stop_on_exhausted = true;
-  } else if (std::strcmp(flag, "--close-after-ms") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    int64_t n = 0;
-    if (!ParseFlagInt64(flag, v, &n)) return FlagParse::kError;
-    if (n < 0) {
-      std::fprintf(stderr, "--close-after-ms must be >= 0\n");
-      return FlagParse::kError;
-    }
-    args->close_after_ms = n;
-  } else {
-    return FlagParse::kNotMine;
-  }
-  return FlagParse::kConsumed;
+inline std::vector<Flag> StreamFlags(StreamArgs* args) {
+  return {
+      {"--window", "N", "trajectories per window (default 1000)",
+       Integer(&args->window, size_t{1})},
+      {"--stride", "N",
+       "arrivals between window starts; N < window gives\n"
+       "sliding (overlapping) windows (default: window,\n"
+       "i.e. tumbling)",
+       Integer(&args->stride, size_t{1})},
+      {"--budget", "X",
+       "wholesale epsilon budget: every window's spend\n"
+       "sums against it (default 0 = track only)",
+       Epsilon(&args->budget)},
+      {"--per-object-budget", "X",
+       "per-object epsilon budget: each object-id's own\n"
+       "cumulative spend is capped (the paper's per-object\n"
+       "guarantee; excludes --budget)",
+       Epsilon(&args->per_object_budget)},
+      {"--evict-exhausted", "",
+       "with --per-object-budget: evict exhausted objects\n"
+       "from a window instead of refusing the whole window",
+       Switch(&args->evict_exhausted)},
+      {"--queue", "N",
+       "arrival queue capacity in trajectories (default:\n"
+       "2*window in frt_stream, 4*window in the services)",
+       Integer(&args->queue)},
+      {"--stop-on-exhausted", "",
+       "end the run at the first refused window (required\n"
+       "for --budget on a feed that never ends)",
+       Switch(&args->stop_on_exhausted)},
+      {"--close-after-ms", "N",
+       "wall-clock closure SLO: publish a non-empty window\n"
+       "no later than N ms after its oldest pending\n"
+       "arrival, even if short of --window (default 0 = off)",
+       Integer(&args->close_after_ms, int64_t{0})},
+  };
 }
 
 /// \brief Validates the streaming flags (with an already-validated pipeline
@@ -306,9 +361,6 @@ inline bool MakeStreamConfig(const StreamArgs& args,
   config->window_stride = args.stride;
   config->total_budget = args.budget;
   config->per_object_budget = args.per_object_budget;
-  config->accounting = args.per_object_budget > 0.0
-                           ? BudgetAccounting::kPerObject
-                           : BudgetAccounting::kWholesale;
   config->evict_exhausted = args.evict_exhausted;
   config->stop_when_exhausted = args.stop_on_exhausted;
   config->close_after_ms = args.close_after_ms;
@@ -335,43 +387,7 @@ inline void PrintAuditReport(const WindowAuditReport& audit) {
                audit.mean_displacement, audit.max_displacement);
 }
 
-/// Usage text of the streaming flags (embed in each tool's Usage()).
-inline const char* StreamUsageText() {
-  return
-      "  --window N           trajectories per window (default 1000)\n"
-      "  --stride N           arrivals between window starts; N < window "
-      "gives\n"
-      "                       sliding (overlapping) windows (default: "
-      "window,\n"
-      "                       i.e. tumbling)\n"
-      "  --budget X           wholesale epsilon budget: every window's "
-      "spend\n"
-      "                       sums against it (default 0 = track only)\n"
-      "  --per-object-budget X\n"
-      "                       per-object epsilon budget: each object-id's "
-      "own\n"
-      "                       cumulative spend is capped (the paper's "
-      "per-object\n"
-      "                       guarantee; excludes --budget)\n"
-      "  --evict-exhausted    with --per-object-budget: evict exhausted "
-      "objects\n"
-      "                       from a window instead of refusing the whole "
-      "window\n"
-      "  --queue N            arrival queue capacity in trajectories "
-      "(default:\n"
-      "                       2*window in frt_stream, 4*window in the "
-      "services)\n"
-      "  --stop-on-exhausted  end the run at the first refused window "
-      "(required\n"
-      "                       for --budget on a feed that never ends)\n"
-      "  --close-after-ms N   wall-clock closure SLO: publish a non-empty "
-      "window\n"
-      "                       no later than N ms after its oldest pending\n"
-      "                       arrival, even if short of --window (default "
-      "0 = off)\n";
-}
-
-// ---- Durability & metrics flags (frt_serve, frt_stream) ----
+// ---- Durability & metrics flags (every service CLI) ----
 
 /// Raw values of the shared durability/metrics flags.
 struct DurabilityArgs {
@@ -384,71 +400,44 @@ struct DurabilityArgs {
   bool metrics_per_feed = false;
 };
 
-/// \brief Tries to consume argv[*i] as one of the durability/metrics
-/// flags.
-inline FlagParse ParseDurabilityFlag(int argc, char** argv, int* i,
-                                     DurabilityArgs* args) {
-  const char* flag = argv[*i];
-  auto next = [&] { return NextFlagValue(argc, argv, i); };
-  const char* v = nullptr;
-  if (std::strcmp(flag, "--state-dir") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    args->state_dir = v;
-  } else if (std::strcmp(flag, "--checkpoint-interval-ms") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    int64_t n = 0;
-    if (!ParseFlagInt64(flag, v, &n)) return FlagParse::kError;
-    if (n < 1) {
-      std::fprintf(stderr, "--checkpoint-interval-ms must be >= 1\n");
-      return FlagParse::kError;
-    }
-    args->checkpoint_interval_ms = n;
-  } else if (std::strcmp(flag, "--metrics") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    args->metrics = v;
-  } else if (std::strcmp(flag, "--metrics-interval-ms") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    int64_t n = 0;
-    if (!ParseFlagInt64(flag, v, &n)) return FlagParse::kError;
-    if (n < 1) {
-      std::fprintf(stderr, "--metrics-interval-ms must be >= 1\n");
-      return FlagParse::kError;
-    }
-    args->metrics_interval_ms = n;
-  } else if (std::strcmp(flag, "--metrics-per-feed") == 0) {
-    args->metrics_per_feed = true;
-  } else {
-    return FlagParse::kNotMine;
-  }
-  return FlagParse::kConsumed;
+inline std::vector<Flag> DurabilityFlags(DurabilityArgs* args) {
+  return {
+      {"--state-dir", "DIR",
+       "durable budget ledgers: checkpoint per-feed spend\n"
+       "into DIR (write-ahead of every publish) and recover\n"
+       "it on startup, so a restart never re-grants spent\n"
+       "epsilon (default: off)",
+       Text(&args->state_dir)},
+      {"--checkpoint-interval-ms", "N",
+       "cadence for interval snapshots of ledger changes\n"
+       "with no publish to ride on (default 1000)",
+       Integer(&args->checkpoint_interval_ms, int64_t{1})},
+      {"--metrics", "PATH",
+       "append one frt_metrics line and one frt_stage latency\n"
+       "line per stage per interval to PATH, or - for stderr\n"
+       "(default: off)",
+       Text(&args->metrics)},
+      {"--metrics-interval-ms", "N",
+       "metrics emission interval (default 1000)",
+       Integer(&args->metrics_interval_ms, int64_t{1})},
+      {"--metrics-per-feed", "",
+       "also emit one frt_feed line per feed per interval",
+       Switch(&args->metrics_per_feed)},
+  };
 }
 
-/// Usage text of the durability/metrics flags.
-inline const char* DurabilityUsageText() {
-  return
-      "  --state-dir DIR      durable budget ledgers: checkpoint per-feed "
-      "spend\n"
-      "                       into DIR (write-ahead of every publish) and "
-      "recover\n"
-      "                       it on startup, so a restart never re-grants "
-      "spent\n"
-      "                       epsilon (default: off)\n"
-      "  --checkpoint-interval-ms N\n"
-      "                       cadence for interval snapshots of ledger "
-      "changes\n"
-      "                       with no publish to ride on (default 1000)\n"
-      "  --metrics PATH       append one frt_metrics line and one frt_stage "
-      "latency\n"
-      "                       line per stage per interval to PATH, or - for "
-      "stderr\n"
-      "                       (default: off)\n"
-      "  --metrics-interval-ms N\n"
-      "                       metrics emission interval (default 1000)\n"
-      "  --metrics-per-feed   also emit one frt_feed line per feed per "
-      "interval\n";
+/// Exporter options from the parsed flags (only meaningful when
+/// args.metrics is non-empty).
+inline MetricsExporter::Options MakeMetricsOptions(
+    const DurabilityArgs& args) {
+  MetricsExporter::Options options;
+  options.path = args.metrics;
+  options.interval_ms = args.metrics_interval_ms;
+  options.per_feed = args.metrics_per_feed;
+  return options;
 }
 
-// ---- Observability flags (frt_serve, frt_stream) ----
+// ---- Observability flags (every service CLI) ----
 
 /// Raw values of the shared observability flags.
 struct ObservabilityArgs {
@@ -463,119 +452,25 @@ struct ObservabilityArgs {
   std::string admin_listen;
 };
 
-/// \brief Tries to consume argv[*i] as one of the observability flags.
-inline FlagParse ParseObservabilityFlag(int argc, char** argv, int* i,
-                                        ObservabilityArgs* args) {
-  const char* flag = argv[*i];
-  auto next = [&] { return NextFlagValue(argc, argv, i); };
-  const char* v = nullptr;
-  if (std::strcmp(flag, "--trace-out") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    args->trace_out = v;
-  } else if (std::strcmp(flag, "--trace-buffer-events") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    uint64_t n = 0;
-    if (!ParseFlagUint64(flag, v, &n)) return FlagParse::kError;
-    if (n < 1) {
-      std::fprintf(stderr, "--trace-buffer-events must be >= 1\n");
-      return FlagParse::kError;
-    }
-    args->trace_buffer_events = n;
-  } else if (std::strcmp(flag, "--admin-listen") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    args->admin_listen = v;
-  } else {
-    return FlagParse::kNotMine;
-  }
-  return FlagParse::kConsumed;
-}
-
-/// Exporter options from the parsed flags (only meaningful when
-/// args.metrics is non-empty).
-inline MetricsExporter::Options MakeMetricsOptions(
-    const DurabilityArgs& args) {
-  MetricsExporter::Options options;
-  options.path = args.metrics;
-  options.interval_ms = args.metrics_interval_ms;
-  options.per_feed = args.metrics_per_feed;
-  return options;
-}
-
-/// Usage text of the observability flags.
-inline const char* ObservabilityUsageText() {
-  return
-      "  --trace-out PATH     record spans for the whole run and write one "
-      "Chrome\n"
-      "                       trace-event JSON file on exit (load in\n"
-      "                       chrome://tracing or Perfetto); - for stdout\n"
-      "                       (default: off)\n"
-      "  --trace-buffer-events N\n"
-      "                       per-thread trace ring capacity; overflow "
-      "overwrites\n"
-      "                       the oldest events and reports them as dropped\n"
-      "                       (default 65536)\n"
-      "  --admin-listen EP    serve the introspection plane on EP "
-      "(unix:PATH or\n"
-      "                       tcp:HOST:PORT): GET /metrics /healthz /readyz "
-      "/feedz,\n"
-      "                       POST /control (default: off)\n";
-}
-
-// ---- Transport flags (frt_serve --listen, frt_edge --connect) ----
-
-/// Raw values of the network-transport flags shared by the ingress tier.
-struct TransportArgs {
-  /// Listen endpoint ("unix:PATH" or "tcp:HOST:PORT"); empty = no network
-  /// ingress.
-  std::string listen;
-  /// Upstream endpoint an edge forwards to; empty = local output only.
-  std::string connect;
-  /// With --listen: stop after this many edge connections have drained
-  /// (0 = serve until interrupted). Unset when the flag was not given, so
-  /// a CLI without --listen can reject it.
-  std::optional<uint64_t> listen_conns;
-};
-
-/// \brief Tries to consume argv[*i] as one of the transport flags.
-inline FlagParse ParseTransportFlag(int argc, char** argv, int* i,
-                                    TransportArgs* args) {
-  const char* flag = argv[*i];
-  auto next = [&] { return NextFlagValue(argc, argv, i); };
-  const char* v = nullptr;
-  if (std::strcmp(flag, "--listen") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    args->listen = v;
-  } else if (std::strcmp(flag, "--connect") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    args->connect = v;
-  } else if (std::strcmp(flag, "--listen-conns") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    uint64_t conns = 0;
-    if (!ParseFlagUint64(flag, v, &conns)) return FlagParse::kError;
-    args->listen_conns = conns;
-  } else {
-    return FlagParse::kNotMine;
-  }
-  return FlagParse::kConsumed;
-}
-
-/// Usage text of the aggregator end of the transport (frt_serve only).
-inline const char* ListenUsageText() {
-  return
-      "  --listen EP          accept framed edge connections on EP\n"
-      "                       (unix:PATH or tcp:HOST:PORT) instead of "
-      "reading\n"
-      "                       a local file (default: off)\n"
-      "  --listen-conns N     with --listen: finish after N edge "
-      "connections\n"
-      "                       have drained (default 0 = until SIGINT)\n";
-}
-
-/// Usage text of the edge end of the transport (frt_edge only).
-inline const char* ConnectUsageText() {
-  return
-      "  --connect EP         forward anonymized windows upstream to the\n"
-      "                       aggregator at EP instead of writing locally\n";
+inline std::vector<Flag> ObservabilityFlags(ObservabilityArgs* args) {
+  return {
+      {"--trace-out", "PATH",
+       "record spans for the whole run and write one Chrome\n"
+       "trace-event JSON file on exit (load in\n"
+       "chrome://tracing or Perfetto); - for stdout\n"
+       "(default: off)",
+       Text(&args->trace_out)},
+      {"--trace-buffer-events", "N",
+       "per-thread trace ring capacity; overflow overwrites\n"
+       "the oldest events and reports them as dropped\n"
+       "(default 65536)",
+       Integer(&args->trace_buffer_events, uint64_t{1})},
+      {"--admin-listen", "EP",
+       "serve the introspection plane on EP (unix:PATH or\n"
+       "tcp:HOST:PORT): GET /metrics /healthz /readyz /feedz,\n"
+       "POST /control (default: off)",
+       EndpointText(&args->admin_listen)},
+  };
 }
 
 }  // namespace frt::cli

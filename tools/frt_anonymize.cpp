@@ -7,10 +7,6 @@
 // the dataset from stdin via the incremental reader, so the tool can sit
 // at the end of a shell pipeline.
 //
-//   frt_anonymize --input raw.csv|- --output published.csv
-//       [--epsilon-global 0.5] [--epsilon-local 0.5] [--m 10]
-//       [--order global|local] [--seed 42] [--shards 1] [--threads 0]
-//
 // With --shards K > 1 the dataset is partitioned and each shard is
 // anonymized independently (BatchRunner) on a pool of --threads workers
 // (0 = hardware concurrency), which also runs the audit; parallel
@@ -18,8 +14,6 @@
 // run. A single-shot run uses no pool, so --threads then has no effect.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -27,67 +21,18 @@
 #include "frt.h"
 #include "stream/ingest.h"
 
-namespace {
-
-struct Args {
-  std::string input;
-  std::string output;
-  frt::cli::PipelineArgs pipeline;
-};
-
-void Usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s --input FILE|- --output FILE [options]\n"
-               "  --input -            read the dataset from stdin\n"
-               "%s",
-               prog, frt::cli::PipelineUsageText());
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    switch (frt::cli::ParsePipelineFlag(argc, argv, &i, &args->pipeline)) {
-      case frt::cli::FlagParse::kConsumed:
-        continue;
-      case frt::cli::FlagParse::kError:
-        return false;
-      case frt::cli::FlagParse::kNotMine:
-        break;
-    }
-    auto next = [&] { return frt::cli::NextFlagValue(argc, argv, &i); };
-    if (std::strcmp(argv[i], "--input") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->input = v;
-    } else if (std::strcmp(argv[i], "--output") == 0) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->output = v;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return false;
-    }
-  }
-  if (args->input.empty() || args->output.empty()) {
-    std::fprintf(stderr, "--input and --output are required\n");
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   // Unsynced iostreams: with C-stdio sync on, cin's streambuf never
   // buffers, which degrades the incremental reader to byte-sized refills.
   std::ios::sync_with_stdio(false);
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage(argv[0]);
-    return 2;
-  }
+  frt::cli::AnonymizeArgs args;
+  const frt::cli::FlagTable flags = frt::cli::AnonymizeFlags(&args);
   frt::FrequencyRandomizerConfig config;
-  if (!frt::cli::MakePipelineConfig(args.pipeline, &config)) {
-    Usage(argv[0]);
+  if (!frt::cli::ParseFlags(argc, argv, flags) ||
+      !frt::cli::Require(!args.input.empty() && !args.output.empty(),
+                         "--input and --output are required") ||
+      !frt::cli::MakePipelineConfig(args.pipeline, &config)) {
+    frt::cli::PrintUsage(argv[0], flags);
     return 2;
   }
 

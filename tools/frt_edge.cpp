@@ -16,9 +16,6 @@
 // Backpressure is the kernel's: when the aggregator falls behind, its
 // reader stops draining the socket and the edge's writes block.
 //
-//   frt_edge (--feeds FILE|- | --input [NAME=]FILE ...) --connect EP
-//       [--hello NAME] [stream/pipeline/durability/observability flags]
-//
 // --threads sizes the worker pool the feeds' window jobs share, as in
 // frt_serve (default 0 = max(2, cores)).
 //
@@ -40,7 +37,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -50,99 +46,24 @@
 #include "net/frame.h"
 #include "service_cli.h"
 
-namespace {
-
-struct Args {
-  frt::cli::LocalFeeds local;
-  std::string hello = "edge";         // --hello NAME
-  uint64_t inject_corrupt_frame = 0;  // test hook; 0 = off
-  frt::cli::ServiceArgs common;
-};
-
-void Usage(const char* prog) {
-  std::fprintf(
-      stderr,
-      "usage: %s (--feeds FILE|- | --input [NAME=]FILE ...) --connect EP\n"
-      "%s"
-      "  --hello NAME         peer name sent in the connection preamble\n"
-      "                       (default 'edge')\n"
-      "  --inject-corrupt-frame N\n"
-      "                       TEST HOOK: corrupt one payload byte of the "
-      "Nth\n"
-      "                       trajectory frame after its CRC (default 0 = "
-      "off)\n"
-      "%s%s%s%s%s",
-      prog, frt::cli::LocalFeedsUsageText(), frt::cli::ConnectUsageText(),
-      frt::cli::DurabilityUsageText(), frt::cli::ObservabilityUsageText(),
-      frt::cli::StreamUsageText(), frt::cli::PipelineUsageText());
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    frt::cli::FlagParse parsed =
-        frt::cli::ParseServiceFlag(argc, argv, &i, &args->common);
-    if (parsed == frt::cli::FlagParse::kNotMine) {
-      parsed = frt::cli::ParseLocalFeedFlag(argc, argv, &i, &args->local);
-    }
-    if (parsed == frt::cli::FlagParse::kError) return false;
-    if (parsed == frt::cli::FlagParse::kConsumed) continue;
-    auto next = [&] { return frt::cli::NextFlagValue(argc, argv, &i); };
-    const char* v = nullptr;
-    if (std::strcmp(argv[i], "--hello") == 0) {
-      if ((v = next()) == nullptr) return false;
-      args->hello = v;
-    } else if (std::strcmp(argv[i], "--inject-corrupt-frame") == 0) {
-      if ((v = next()) == nullptr) return false;
-      if (!frt::cli::ParseFlagUint64("--inject-corrupt-frame", v,
-                                     &args->inject_corrupt_frame)) {
-        return false;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return false;
-    }
-  }
-  if (!args->common.transport.listen.empty() ||
-      args->common.transport.listen_conns.has_value()) {
-    std::fprintf(stderr,
-                 "frt_edge does not take --listen or --listen-conns (use "
-                 "frt_serve as the aggregator)\n");
-    return false;
-  }
-  if (args->common.transport.connect.empty()) {
-    std::fprintf(stderr, "--connect EP is required (the aggregator)\n");
-    return false;
-  }
-  if (args->local.feeds.empty() == args->local.inputs.empty()) {
-    std::fprintf(stderr,
-                 "exactly one of --feeds or --input (repeatable) is "
-                 "required\n");
-    return false;
-  }
-  return frt::cli::ValidateInputFeeds(args->local.inputs);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::ios::sync_with_stdio(false);
   // An aggregator vanishing mid-write must surface as an IOError from the
   // sink, never a process-wide SIGPIPE (WriteAll also sends MSG_NOSIGNAL;
   // this covers any other stray write).
   std::signal(SIGPIPE, SIG_IGN);
-  Args args;
+  frt::cli::EdgeArgs args;
+  const frt::cli::FlagTable flags = frt::cli::EdgeFlags(&args);
   frt::ServiceConfig config;
-  if (!ParseArgs(argc, argv, &args) ||
+  if (!frt::cli::ParseFlags(argc, argv, flags) ||
+      !frt::cli::Require(!args.connect.empty(),
+                         "--connect EP is required (the aggregator)") ||
+      !frt::cli::Require(args.local.feeds.empty() != args.local.inputs.empty(),
+                         "exactly one of --feeds or --input (repeatable) is "
+                         "required") ||
+      !frt::cli::ValidateInputFeeds(args.local.inputs) ||
       !frt::cli::MakeServiceConfig(args.common, &config)) {
-    Usage(argv[0]);
-    return 2;
-  }
-  auto upstream_endpoint =
-      frt::net::ParseEndpoint(args.common.transport.connect);
-  if (!upstream_endpoint.ok()) {
-    std::fprintf(stderr, "edge: %s\n",
-                 upstream_endpoint.status().ToString().c_str());
-    Usage(argv[0]);
+    frt::cli::PrintUsage(argv[0], flags);
     return 2;
   }
   frt::cli::StartTracing(args.common.obs);
@@ -150,7 +71,8 @@ int main(int argc, char** argv) {
   // ---- Upstream connection (written by the dispatcher thread only once
   // the service starts; hello/bye bracket it from this thread while the
   // dispatcher is not running). ----
-  auto conn = frt::net::ConnectTo(*upstream_endpoint);
+  // The --connect setter already validated the spelling.
+  auto conn = frt::net::ConnectTo(*frt::net::ParseEndpoint(args.connect));
   if (!conn.ok()) {
     std::fprintf(stderr, "edge: cannot reach aggregator: %s\n",
                  conn.status().ToString().c_str());
@@ -267,7 +189,7 @@ int main(int argc, char** argv) {
       report.trajectories_published,
       static_cast<unsigned long long>(frames_sent),
       static_cast<unsigned long long>(bytes_sent),
-      args.common.transport.connect.c_str());
+      args.connect.c_str());
   frt::cli::PrintDurability(args.common.durability, report);
   return frt::cli::ReportOutcome(report);
 }

@@ -3,11 +3,7 @@
 // Serves many independent trajectory feeds through one shared worker pool
 // with per-feed DP budgets (src/service). Feeds arrive either interleaved
 // in one multi-feed CSV with a leading feed column, or as one classic
-// dataset CSV per feed:
-//
-//   frt_serve --feeds feeds.csv --output-dir out/       # feed,traj_id,x,y,t
-//   frt_serve --input city_a.csv --input b=taxi_b.csv --output -
-//   frt_serve --listen unix:/tmp/frt.sock --listen-conns 2 --output -
+// dataset CSV per feed (--input, repeatable).
 //
 // With --listen the service becomes the aggregator of the distributed
 // ingress tier (src/net): frt_edge processes connect over a Unix or TCP
@@ -27,18 +23,6 @@
 // deadline (--close-after-ms), or at end of input; sessions idle longer
 // than --evict-idle-ms are flushed and evicted (their budget state
 // carries into any later revival).
-//
-//   frt_serve (--feeds FILE|- | --input [NAME=]FILE ...)
-//       (--output FILE|- | --output-dir DIR)
-//       [--evict-idle-ms 0] [--max-in-flight 0]
-//       [durability flags: --state-dir --checkpoint-interval-ms
-//        --metrics --metrics-interval-ms --metrics-per-feed]
-//       [observability flags: --trace-out --trace-buffer-events
-//        --admin-listen]
-//       [stream flags: --window --stride --budget --per-object-budget
-//        --evict-exhausted --queue --close-after-ms ...]
-//       [pipeline flags: --epsilon-global --epsilon-local --m --order
-//        --seed --shards --threads]
 //
 // --threads sizes the worker pool every feed's window jobs share (default
 // 0 = max(2, cores)).
@@ -66,12 +50,10 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,15 +62,6 @@
 #include "service_cli.h"
 
 namespace {
-
-struct Args {
-  frt::cli::LocalFeeds local;
-  std::string output;      // --output FILE|-
-  std::string output_dir;  // --output-dir DIR
-  long long evict_idle_ms = 0;
-  size_t max_in_flight = 0;
-  frt::cli::ServiceArgs common;
-};
 
 /// The ingress server a SIGINT/SIGTERM should stop (Stop() is one atomic
 /// store plus a shutdown(2) — both async-signal-safe).
@@ -99,86 +72,6 @@ void StopIngressOnSignal(int) {
           g_ingress.load(std::memory_order_acquire)) {
     ingress->Stop();
   }
-}
-
-void Usage(const char* prog) {
-  std::fprintf(
-      stderr,
-      "usage: %s (--feeds FILE|- | --input [NAME=]FILE ... | --listen EP)\n"
-      "          (--output FILE|- | --output-dir DIR) [options]\n"
-      "%s"
-      "  --output FILE|-      merged multi-feed CSV output\n"
-      "  --output-dir DIR     one <feed>.csv per feed (DIR must exist)\n"
-      "  --evict-idle-ms N    flush + evict sessions idle for N ms "
-      "(default 0 = never)\n"
-      "  --max-in-flight N    concurrent window jobs across feeds "
-      "(default 0 = 2x pool)\n"
-      "%s%s%s%s%s",
-      prog, frt::cli::LocalFeedsUsageText(), frt::cli::ListenUsageText(),
-      frt::cli::DurabilityUsageText(), frt::cli::ObservabilityUsageText(),
-      frt::cli::StreamUsageText(), frt::cli::PipelineUsageText());
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    frt::cli::FlagParse parsed =
-        frt::cli::ParseServiceFlag(argc, argv, &i, &args->common);
-    if (parsed == frt::cli::FlagParse::kNotMine) {
-      parsed = frt::cli::ParseLocalFeedFlag(argc, argv, &i, &args->local);
-    }
-    if (parsed == frt::cli::FlagParse::kError) return false;
-    if (parsed == frt::cli::FlagParse::kConsumed) continue;
-    auto next = [&] { return frt::cli::NextFlagValue(argc, argv, &i); };
-    const char* v = nullptr;
-    if (std::strcmp(argv[i], "--output") == 0) {
-      if ((v = next()) == nullptr) return false;
-      args->output = v;
-    } else if (std::strcmp(argv[i], "--output-dir") == 0) {
-      if ((v = next()) == nullptr) return false;
-      args->output_dir = v;
-    } else if (std::strcmp(argv[i], "--evict-idle-ms") == 0) {
-      if ((v = next()) == nullptr) return false;
-      int64_t n = 0;
-      if (!frt::cli::ParseFlagInt64("--evict-idle-ms", v, &n)) return false;
-      if (n < 0) {
-        std::fprintf(stderr, "--evict-idle-ms must be >= 0\n");
-        return false;
-      }
-      args->evict_idle_ms = n;
-    } else if (std::strcmp(argv[i], "--max-in-flight") == 0) {
-      if ((v = next()) == nullptr) return false;
-      uint64_t n = 0;
-      if (!frt::cli::ParseFlagUint64("--max-in-flight", v, &n)) {
-        return false;
-      }
-      args->max_in_flight = static_cast<size_t>(n);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return false;
-    }
-  }
-  if (!args->common.transport.connect.empty()) {
-    // Serve is the aggregator end of the transport; edges connect to it.
-    std::fprintf(stderr,
-                 "frt_serve does not take --connect (use frt_edge to "
-                 "forward into a serving aggregator)\n");
-    return false;
-  }
-  const int sources = (args->local.feeds.empty() ? 0 : 1) +
-                      (args->local.inputs.empty() ? 0 : 1) +
-                      (args->common.transport.listen.empty() ? 0 : 1);
-  if (sources != 1) {
-    std::fprintf(stderr,
-                 "exactly one of --feeds, --input (repeatable), or "
-                 "--listen is required\n");
-    return false;
-  }
-  if (args->output.empty() == args->output_dir.empty()) {
-    std::fprintf(stderr,
-                 "exactly one of --output or --output-dir is required\n");
-    return false;
-  }
-  return frt::cli::ValidateInputFeeds(args->local.inputs);
 }
 
 }  // namespace
@@ -192,25 +85,24 @@ int main(int argc, char** argv) {
   // A peer vanishing mid-write must surface as an I/O error on that one
   // connection, never a process-wide SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
-  Args args;
+  frt::cli::ServeArgs args;
+  const frt::cli::FlagTable flags = frt::cli::ServeFlags(&args);
   frt::ServiceConfig config;
-  if (!ParseArgs(argc, argv, &args) ||
+  const auto sources = [&args] {
+    return !args.local.feeds.empty() + !args.local.inputs.empty() +
+           !args.listen.empty();
+  };
+  if (!frt::cli::ParseFlags(argc, argv, flags) ||
+      !frt::cli::Require(sources() == 1,
+                         "exactly one of --feeds, --input (repeatable), or "
+                         "--listen is required") ||
+      !frt::cli::Require(args.output.empty() != args.output_dir.empty(),
+                         "exactly one of --output or --output-dir is "
+                         "required") ||
+      !frt::cli::ValidateInputFeeds(args.local.inputs) ||
       !frt::cli::MakeServiceConfig(args.common, &config)) {
-    Usage(argv[0]);
+    frt::cli::PrintUsage(argv[0], flags);
     return 2;
-  }
-  // Resolve the listen endpoint before anything heavyweight starts so a
-  // bad --listen is a usage error, not a mid-run failure.
-  std::optional<frt::net::Endpoint> listen_endpoint;
-  if (!args.common.transport.listen.empty()) {
-    auto endpoint = frt::net::ParseEndpoint(args.common.transport.listen);
-    if (!endpoint.ok()) {
-      std::fprintf(stderr, "serve: %s\n",
-                   endpoint.status().ToString().c_str());
-      Usage(argv[0]);
-      return 2;
-    }
-    listen_endpoint = *std::move(endpoint);
   }
   config.max_in_flight = args.max_in_flight;
   config.idle_evict_ms = args.evict_idle_ms;
@@ -299,11 +191,12 @@ int main(int argc, char** argv) {
 
   // ---- Ingest. ----
   frt::Status ingest_status = frt::Status::OK();
-  if (listen_endpoint.has_value()) {
+  if (!args.listen.empty()) {
     frt::net::IngressServer::Options ingress_options;
-    ingress_options.endpoint = *listen_endpoint;
+    // The --listen setter already validated the spelling.
+    ingress_options.endpoint = *frt::net::ParseEndpoint(args.listen);
     ingress_options.max_connections =
-        static_cast<size_t>(args.common.transport.listen_conns.value_or(0));
+        static_cast<size_t>(args.listen_conns);
     ingress_options.registry = &frt::obs::Registry::Default();
     frt::net::IngressServer ingress(
         ingress_options,
@@ -318,8 +211,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr, "serve: listening on %s%s\n",
-                 args.common.transport.listen.c_str(),
-                 args.common.transport.listen_conns.value_or(0) > 0
+                 args.listen.c_str(), args.listen_conns > 0
                      ? ""
                      : " (stop with SIGINT/SIGTERM)");
     g_ingress.store(&ingress, std::memory_order_release);

@@ -17,16 +17,6 @@
 //
 // Once a window cannot be covered it is refused, not published.
 //
-//   frt_stream --input raw.csv|- --output published.csv|-
-//       [--window 1000] [--stride N] [--budget 0 (unlimited)]
-//       [--per-object-budget 0] [--evict-exhausted]
-//       [--epsilon-global 0.5] [--epsilon-local 0.5] [--m 10]
-//       [--order global|local] [--seed 42] [--shards 1] [--threads 0]
-//       [--queue 0]
-//       [--stop-on-exhausted] [--close-after-ms 0]
-//       [--state-dir DIR] [--checkpoint-interval-ms N] [--metrics PATH]
-//       [--trace-out PATH] [--trace-buffer-events N] [--admin-listen EP]
-//
 // frt_stream is a one-feed service (service/dispatcher.h): its input is
 // the feed "stream", read by one reader thread, and --threads sizes the
 // worker pool every window fans its shards and audit out over. Its output
@@ -53,7 +43,6 @@
 // error.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -62,61 +51,6 @@
 #include "frt.h"
 #include "service_cli.h"
 
-namespace {
-
-struct Args {
-  std::string input;
-  std::string output;
-  frt::cli::ServiceArgs common;
-};
-
-void Usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s --input FILE|- --output FILE|- [options]\n"
-               "  --input -            read the feed from stdin\n"
-               "%s%s%s%s",
-               prog, frt::cli::DurabilityUsageText(),
-               frt::cli::ObservabilityUsageText(),
-               frt::cli::StreamUsageText(), frt::cli::PipelineUsageText());
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    frt::cli::FlagParse parsed =
-        frt::cli::ParseServiceFlag(argc, argv, &i, &args->common);
-    if (parsed == frt::cli::FlagParse::kError) return false;
-    if (parsed == frt::cli::FlagParse::kConsumed) continue;
-    auto next = [&] { return frt::cli::NextFlagValue(argc, argv, &i); };
-    const char* v = nullptr;
-    if (std::strcmp(argv[i], "--input") == 0) {
-      if ((v = next()) == nullptr) return false;
-      args->input = v;
-    } else if (std::strcmp(argv[i], "--output") == 0) {
-      if ((v = next()) == nullptr) return false;
-      args->output = v;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return false;
-    }
-  }
-  if (!args->common.transport.listen.empty() ||
-      args->common.transport.listen_conns.has_value() ||
-      !args->common.transport.connect.empty()) {
-    std::fprintf(stderr,
-                 "frt_stream reads --input (use frt_serve --listen "
-                 "[--listen-conns N] or frt_edge --connect for the network "
-                 "tier)\n");
-    return false;
-  }
-  if (args->input.empty() || args->output.empty()) {
-    std::fprintf(stderr, "--input and --output are required\n");
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   // Unsynced iostreams: with C-stdio sync on, cin's streambuf never
   // buffers, which degrades the incremental reader to byte-sized refills.
@@ -124,11 +58,14 @@ int main(int argc, char** argv) {
   // Untied: the reader thread reading cin must not flush cout while the
   // dispatcher writes rows to it (--input - --output -).
   std::cin.tie(nullptr);
-  Args args;
+  frt::cli::StreamCliArgs args;
+  const frt::cli::FlagTable flags = frt::cli::StreamCliFlags(&args);
   frt::ServiceConfig config;
-  if (!ParseArgs(argc, argv, &args) ||
+  if (!frt::cli::ParseFlags(argc, argv, flags) ||
+      !frt::cli::Require(!args.input.empty() && !args.output.empty(),
+                         "--input and --output are required") ||
       !frt::cli::MakeServiceConfig(args.common, &config)) {
-    Usage(argv[0]);
+    frt::cli::PrintUsage(argv[0], flags);
     return 2;
   }
   if (config.arrival_queue_capacity == 0) {
@@ -148,8 +85,7 @@ int main(int argc, char** argv) {
 
   frt::cli::StartTracing(args.common.obs);
 
-  const bool per_object =
-      config.stream.accounting == frt::BudgetAccounting::kPerObject;
+  const bool per_object = config.stream.per_object();
   const double budget = per_object ? config.stream.per_object_budget
                                    : config.stream.total_budget;
   const std::string budget_note =

@@ -1,8 +1,9 @@
 // Wiring shared by the CLIs that run a ServiceDispatcher — frt_serve,
 // frt_edge, and frt_stream (a one-feed service) — kept in one place so the
-// three cannot drift apart: the shared flag families, the ServiceConfig
-// they build, local feed ingest, span tracing, the metrics exporter, and
-// the admin plane (/metrics /healthz /readyz /feedz /control).
+// three cannot drift apart: the shared flag families, each tool's flag
+// table, the ServiceConfig they build, local feed ingest, span tracing,
+// the metrics exporter, and the admin plane (/metrics /healthz /readyz
+// /feedz /control).
 
 #ifndef FRT_TOOLS_SERVICE_CLI_H_
 #define FRT_TOOLS_SERVICE_CLI_H_
@@ -11,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -40,33 +40,19 @@ struct ServiceArgs {
   PipelineArgs pipeline;
   DurabilityArgs durability;
   ObservabilityArgs obs;
-  TransportArgs transport;
 };
 
-/// \brief Tries to consume argv[*i] as one of the shared flags.
-inline FlagParse ParseServiceFlag(int argc, char** argv, int* i,
-                                  ServiceArgs* args) {
-  FlagParse parsed = ParsePipelineFlag(argc, argv, i, &args->pipeline);
-  if (parsed == FlagParse::kNotMine) {
-    parsed = ParseStreamFlag(argc, argv, i, &args->stream);
-  }
-  if (parsed == FlagParse::kNotMine) {
-    parsed = ParseDurabilityFlag(argc, argv, i, &args->durability);
-  }
-  if (parsed == FlagParse::kNotMine) {
-    parsed = ParseObservabilityFlag(argc, argv, i, &args->obs);
-  }
-  if (parsed == FlagParse::kNotMine) {
-    parsed = ParseTransportFlag(argc, argv, i, &args->transport);
-  }
-  return parsed;
+inline std::vector<Flag> ServiceFlags(ServiceArgs* args) {
+  return FlagTable{"", DurabilityFlags(&args->durability)}
+      .Add(ObservabilityFlags(&args->obs))
+      .Add(StreamFlags(&args->stream))
+      .Add(PipelineFlags(&args->pipeline))
+      .flags;
 }
 
 /// \brief Validates the shared flags and fills `config`: the per-feed
 /// stream config, the pool size (--threads), the arrival queue (--queue),
-/// and durability. A malformed --admin-listen is rejected here too, so it
-/// is a usage error rather than a mid-run failure. Reports to stderr;
-/// false = usage error.
+/// and durability. Reports to stderr; false = usage error.
 inline bool MakeServiceConfig(const ServiceArgs& args,
                               ServiceConfig* config) {
   FrequencyRandomizerConfig pipeline;
@@ -74,13 +60,6 @@ inline bool MakeServiceConfig(const ServiceArgs& args,
       !MakeStreamConfig(args.stream, args.pipeline, pipeline,
                         &config->stream)) {
     return false;
-  }
-  if (!args.obs.admin_listen.empty()) {
-    if (auto endpoint = net::ParseEndpoint(args.obs.admin_listen);
-        !endpoint.ok()) {
-      std::fprintf(stderr, "%s\n", endpoint.status().ToString().c_str());
-      return false;
-    }
   }
   config->pool_threads = args.pipeline.threads;
   config->arrival_queue_capacity = args.stream.queue;
@@ -123,30 +102,19 @@ struct LocalFeeds {
   std::vector<InputFeed> inputs;  ///< --input [NAME=]FILE, repeatable
 };
 
-/// \brief Tries to consume argv[*i] as --feeds or --input.
-inline FlagParse ParseLocalFeedFlag(int argc, char** argv, int* i,
-                                    LocalFeeds* args) {
-  const bool feeds = std::strcmp(argv[*i], "--feeds") == 0;
-  if (!feeds && std::strcmp(argv[*i], "--input") != 0) {
-    return FlagParse::kNotMine;
-  }
-  const char* v = NextFlagValue(argc, argv, i);
-  if (v == nullptr) return FlagParse::kError;
-  if (feeds) {
-    args->feeds = v;
-  } else {
-    args->inputs.push_back(ParseInputFeed(v));
-  }
-  return FlagParse::kConsumed;
-}
-
-/// Usage text of the local ingest flags.
-inline const char* LocalFeedsUsageText() {
-  return "  --feeds FILE|-       interleaved multi-feed CSV "
-         "(feed,traj_id,x,y,t)\n"
-         "  --input [NAME=]FILE  one dataset CSV per feed (repeatable); "
-         "feed id is\n"
-         "                       NAME or the file stem\n";
+inline std::vector<Flag> LocalFeedFlags(LocalFeeds* args) {
+  return {
+      {"--feeds", "FILE|-",
+       "interleaved multi-feed CSV (feed,traj_id,x,y,t)",
+       Text(&args->feeds)},
+      {"--input", "[NAME=]FILE",
+       "one dataset CSV per feed (repeatable); feed id is\n"
+       "NAME or the file stem",
+       [args](const char*, const char* value) {
+         args->inputs.push_back(ParseInputFeed(value));
+         return true;
+       }},
+  };
 }
 
 /// Why IsValidFeedId rejected a feed id (never echoes the id itself).
@@ -174,6 +142,114 @@ inline bool ValidateInputFeeds(const std::vector<InputFeed>& inputs) {
     }
   }
   return true;
+}
+
+// ---- The service CLIs' command lines ----
+
+/// frt_stream's command line: one feed, read from --input.
+struct StreamCliArgs {
+  std::string input;
+  std::string output;
+  ServiceArgs common;
+};
+
+inline FlagTable StreamCliFlags(StreamCliArgs* args) {
+  const char* network =
+      "frt_stream reads --input (use frt_serve --listen [--listen-conns N] "
+      "or frt_edge --connect for the network tier)";
+  FlagTable table{"--input FILE|- --output FILE|- [options]",
+                  {{"--input", "FILE|-",
+                    "dataset CSV of the feed; - reads it from stdin",
+                    Text(&args->input)},
+                   {"--output", "FILE|-",
+                    "published CSV; - writes it to stdout",
+                    Text(&args->output)},
+                   {"--listen", "", network, nullptr},
+                   {"--listen-conns", "", network, nullptr},
+                   {"--connect", "", network, nullptr}}};
+  return table.Add(ServiceFlags(&args->common));
+}
+
+/// frt_serve's command line: local feeds or the aggregator end of the
+/// network tier.
+struct ServeArgs {
+  LocalFeeds local;
+  std::string output;      ///< --output FILE|-
+  std::string output_dir;  ///< --output-dir DIR
+  int64_t evict_idle_ms = 0;
+  size_t max_in_flight = 0;
+  /// Listen endpoint; empty = local ingest only.
+  std::string listen;
+  /// With --listen: stop after this many edge connections have drained
+  /// (0 = serve until interrupted).
+  uint64_t listen_conns = 0;
+  ServiceArgs common;
+};
+
+inline FlagTable ServeFlags(ServeArgs* args) {
+  FlagTable table{
+      "(--feeds FILE|- | --input [NAME=]FILE ... | --listen EP)\n"
+      "          (--output FILE|- | --output-dir DIR) [options]",
+      LocalFeedFlags(&args->local)};
+  table.Add({
+      {"--output", "FILE|-", "merged multi-feed CSV output",
+       Text(&args->output)},
+      {"--output-dir", "DIR", "one <feed>.csv per feed (DIR must exist)",
+       Text(&args->output_dir)},
+      {"--evict-idle-ms", "N",
+       "flush + evict sessions idle for N ms (default 0 = never)",
+       Integer(&args->evict_idle_ms, int64_t{0})},
+      {"--max-in-flight", "N",
+       "concurrent window jobs across feeds (default 0 = 2x pool)",
+       Integer(&args->max_in_flight)},
+      {"--listen", "EP",
+       "accept framed edge connections on EP\n"
+       "(unix:PATH or tcp:HOST:PORT) instead of reading\n"
+       "a local file (default: off)",
+       EndpointText(&args->listen)},
+      {"--listen-conns", "N",
+       "with --listen: finish after N edge connections\n"
+       "have drained (default 0 = until SIGINT)",
+       Integer(&args->listen_conns)},
+      {"--connect", "",
+       "frt_serve does not take --connect (use frt_edge to forward into a "
+       "serving aggregator)",
+       nullptr},
+  });
+  return table.Add(ServiceFlags(&args->common));
+}
+
+/// frt_edge's command line: local feeds, forwarded to an aggregator.
+struct EdgeArgs {
+  LocalFeeds local;
+  std::string connect;                ///< --connect EP (the aggregator)
+  std::string hello = "edge";         ///< --hello NAME
+  uint64_t inject_corrupt_frame = 0;  ///< test hook; 0 = off
+  ServiceArgs common;
+};
+
+inline FlagTable EdgeFlags(EdgeArgs* args) {
+  const char* aggregator =
+      "frt_edge does not take --listen or --listen-conns (use frt_serve as "
+      "the aggregator)";
+  FlagTable table{"(--feeds FILE|- | --input [NAME=]FILE ...) --connect EP",
+                  LocalFeedFlags(&args->local)};
+  table.Add({
+      {"--hello", "NAME",
+       "peer name sent in the connection preamble\n(default 'edge')",
+       Text(&args->hello)},
+      {"--inject-corrupt-frame", "N",
+       "TEST HOOK: corrupt one payload byte of the Nth\n"
+       "trajectory frame after its CRC (default 0 = off)",
+       Integer(&args->inject_corrupt_frame)},
+      {"--connect", "EP",
+       "forward anonymized windows upstream to the\n"
+       "aggregator at EP instead of writing locally",
+       EndpointText(&args->connect)},
+      {"--listen", "", aggregator, nullptr},
+      {"--listen-conns", "", aggregator, nullptr},
+  });
+  return table.Add(ServiceFlags(&args->common));
 }
 
 /// \brief Streams the interleaved multi-feed CSV (`feed,traj_id,x,y,t`)
