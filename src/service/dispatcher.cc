@@ -903,4 +903,21 @@ Status OfferFeed(TrajectoryReader& reader, const std::string& feed,
   }
 }
 
+Status OfferFeeds(MultiFeedReader& reader, ServiceDispatcher& service) {
+  for (;;) {
+    Result<std::optional<FeedTrajectory>> next = reader.Next();
+    if (!next.ok()) {
+      for (const std::string& feed : reader.feeds()) {
+        service.OfferQuarantine(feed, next.status().ToString());
+      }
+      return next.status();
+    }
+    if (!next->has_value()) return Status::OK();
+    FeedTrajectory& got = **next;
+    if (!service.Offer(std::move(got.feed), std::move(got.trajectory))) {
+      return Status::OK();
+    }
+  }
+}
+
 }  // namespace frt

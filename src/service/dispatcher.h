@@ -437,6 +437,10 @@ class ServiceDispatcher {
 Status OfferFeed(TrajectoryReader& reader, const std::string& feed,
                  ServiceDispatcher& service);
 
+/// \brief OfferFeed for the multi-feed CSV: each trajectory goes to its
+/// own feed, and an error quarantines every feed read so far.
+Status OfferFeeds(MultiFeedReader& reader, ServiceDispatcher& service);
+
 }  // namespace frt
 
 #endif  // FRT_SERVICE_DISPATCHER_H_

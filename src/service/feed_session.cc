@@ -9,6 +9,11 @@
 
 namespace frt {
 
+// Memory bounds: ids tracked exactly (the rest fold into a conservative
+// floor) and wholesale ledger entries kept (the spent total stays exact).
+constexpr size_t kMaxTrackedObjects = size_t{1} << 20;
+constexpr size_t kMaxLedgerEntries = 64;
+
 FeedSession::FeedSession(std::string feed, const StreamConfig& config,
                          uint64_t master_seed, uint64_t generation,
                          const FeedBudgetCarry& carry, StreamReport* report)
@@ -22,12 +27,12 @@ FeedSession::FeedSession(std::string feed, const StreamConfig& config,
   accountant_ = config_.total_budget > 0.0
                     ? PrivacyAccountant(config_.total_budget)
                     : PrivacyAccountant();
-  accountant_.set_max_ledger_entries(config_.max_window_reports);
+  accountant_.set_max_ledger_entries(kMaxLedgerEntries);
   object_accountant_ =
       config_.per_object()
           ? ObjectBudgetAccountant(config_.per_object_budget)
           : ObjectBudgetAccountant();
-  object_accountant_.set_max_tracked_objects(config_.max_tracked_objects);
+  object_accountant_.set_max_tracked_objects(kMaxTrackedObjects);
   if (carry.wholesale_spent > 0.0) {
     accountant_.PreloadSpent(carry.wholesale_spent,
                              "carried from evicted session");

@@ -91,16 +91,6 @@ struct StreamConfig {
   /// whole window. A window whose every object is exhausted is still
   /// refused outright.
   bool evict_exhausted = false;
-  /// Per-object only: per-object ledgers retained exactly; beyond this the
-  /// lowest spenders fold into a conservative floor (see
-  /// ObjectBudgetAccountant). Bounds memory on unbounded id spaces.
-  /// 0 tracks every id exactly.
-  size_t max_tracked_objects = 1 << 20;
-  /// Most recent wholesale ledger entries each session's
-  /// PrivacyAccountant retains; its spent total stays exact. Bounds memory
-  /// on unbounded feeds. 0 keeps every entry. (Per-window reports are not
-  /// retained: the sink receives each one.)
-  size_t max_window_reports = 64;
   /// End the run at the first refused window instead of draining (and
   /// counting) the rest of the feed. Under a wholesale budget the
   /// per-window cost is constant, so the first refusal proves no later

@@ -6,9 +6,12 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <istream>
 #include <ostream>
+#include <utility>
 
 #include "common/strings.h"
+#include "obs/trace.h"
 
 namespace frt {
 namespace {
@@ -52,6 +55,13 @@ char* WriteFixed3(char* p, char* last, double x) {
   return p + 4;
 }
 
+// A dataset row: every record belongs to feed "".
+Result<std::optional<CsvRecord>> ParseDatasetRow(std::string_view line,
+                                                 size_t lineno,
+                                                 std::string_view* /*feed*/) {
+  return ParseCsvRecord(line, lineno);
+}
+
 }  // namespace
 
 Result<std::optional<CsvRecord>> ParseCsvRecord(std::string_view line,
@@ -88,6 +98,125 @@ Result<std::optional<CsvRecord>> ParseCsvRecord(std::string_view line,
   }
   FRT_ASSIGN_OR_RETURN(record.t, ParseInt64(fields[3]));
   return std::optional<CsvRecord>(record);
+}
+
+CsvTrajectoryReader::CsvTrajectoryReader(std::istream& in,
+                                         CsvRowParser parse,
+                                         TrajectoryReaderOptions options)
+    : in_(in),
+      parse_(parse),
+      chunk_bytes_(std::max<size_t>(options.chunk_bytes, 1)) {}
+
+bool CsvTrajectoryReader::Refill() {
+  if (eof_) return false;
+  // Compact the consumed prefix before growing the buffer, so memory stays
+  // bounded by one chunk plus one partial line.
+  if (scan_ > 0) {
+    buffer_.erase(0, scan_);
+    scan_ = 0;
+  }
+  // Block for the first byte only, then take whatever else the stream
+  // already has buffered (capped at chunk_bytes). istream::read(n) would
+  // instead block until all n bytes arrive, which on a slow live feed
+  // (frt_stream --input - on a pipe) could stall for minutes with whole
+  // windows' worth of data already parseable.
+  const int ch = in_.get();
+  if (ch == std::istream::traits_type::eof()) {
+    eof_ = true;
+    return false;
+  }
+  buffer_.push_back(static_cast<char>(ch));
+  const std::streamsize avail = in_.rdbuf()->in_avail();
+  if (avail > 0 && chunk_bytes_ > 1) {
+    const size_t want = std::min(static_cast<size_t>(avail), chunk_bytes_ - 1);
+    const size_t old_size = buffer_.size();
+    buffer_.resize(old_size + want);
+    in_.read(&buffer_[old_size], static_cast<std::streamsize>(want));
+    buffer_.resize(old_size + static_cast<size_t>(in_.gcount()));
+  }
+  return true;
+}
+
+bool CsvTrajectoryReader::NextLine(std::string_view* line) {
+  size_t newline = buffer_.find('\n', scan_);
+  while (newline == std::string::npos && Refill()) {
+    newline = buffer_.find('\n', scan_);
+  }
+  if (newline == std::string::npos) {
+    // A failed read ends the bytes too, but not the input: finishing
+    // here would silently shorten the release.
+    if (in_.bad()) {
+      error_ = Status::IOError("read failed after line " +
+                               std::to_string(lines_read_));
+      return false;
+    }
+    // End of stream: the remaining bytes are one final unterminated line.
+    if (scan_ == buffer_.size()) return false;
+    newline = buffer_.size();
+  }
+  *line = std::string_view(buffer_.data() + scan_, newline - scan_);
+  scan_ = std::min(newline + 1, buffer_.size());
+  ++lines_read_;
+  return true;
+}
+
+Result<std::optional<FeedTrajectory>> CsvTrajectoryReader::Next() {
+  if (!error_.ok()) return error_;
+  // Covers both the read wait and the parse work per trajectory.
+  obs::ScopedSpan span("ingest_parse", obs::SpanCategory::kIngest);
+  std::string_view line;
+  while (NextLine(&line)) {
+    std::string_view feed;
+    Result<std::optional<CsvRecord>> row = parse_(line, lines_read_, &feed);
+    if (!row.ok()) return error_ = row.status();
+    if (!row->has_value()) continue;  // comment or blank
+    ++records_read_;
+    const CsvRecord& record = **row;
+    auto it = open_.find(feed);
+    if (it == open_.end()) {
+      it = open_.emplace(feed, Trajectory(record.id)).first;
+      order_.push_back(it->first);
+    }
+    std::optional<Trajectory> closed;
+    if (it->second.id() != record.id) {
+      closed = std::exchange(it->second, Trajectory(record.id));
+    }
+    it->second.Append(record.p, record.t);
+    if (closed.has_value()) {
+      ++trajectories_read_;
+      return std::optional<FeedTrajectory>(
+          FeedTrajectory{it->first, std::move(*closed)});
+    }
+  }
+  if (!error_.ok()) return error_;
+  // End of stream: every feed's open trajectory, in first-seen order.
+  if (flushed_ == order_.size()) return std::optional<FeedTrajectory>();
+  const std::string& feed = order_[flushed_++];
+  ++trajectories_read_;
+  return std::optional<FeedTrajectory>(
+      FeedTrajectory{feed, std::exchange(open_.find(feed)->second, {})});
+}
+
+TrajectoryReader::TrajectoryReader(std::istream& in,
+                                   TrajectoryReaderOptions options)
+    : reader_(in, &ParseDatasetRow, options) {}
+
+Result<std::optional<Trajectory>> TrajectoryReader::Next() {
+  FRT_ASSIGN_OR_RETURN(std::optional<FeedTrajectory> next, reader_.Next());
+  if (!next.has_value()) return std::optional<Trajectory>();
+  return std::optional<Trajectory>(std::move(next->trajectory));
+}
+
+Result<Dataset> ReadDatasetFromStream(std::istream& in,
+                                      TrajectoryReaderOptions options) {
+  TrajectoryReader reader(in, options);
+  Dataset dataset;
+  for (;;) {
+    FRT_ASSIGN_OR_RETURN(std::optional<Trajectory> next, reader.Next());
+    if (!next.has_value()) break;
+    FRT_RETURN_IF_ERROR(dataset.Add(std::move(*next)));
+  }
+  return dataset;
 }
 
 void WriteTrajectoryCsv(const Trajectory& trajectory, std::ostream& out,
@@ -143,38 +272,10 @@ Result<Dataset> LoadDatasetCsv(const std::string& path) {
   if (!in.is_open()) {
     return Status::IOError("cannot open for reading: " + path);
   }
-  // Same grouping contract as stream/ingest.h's TrajectoryReader (which
-  // must not be called from this lower layer); equivalence of the two
-  // paths is locked by stream_ingest_test.
-  Dataset dataset;
-  Trajectory current;
-  bool has_current = false;
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    FRT_ASSIGN_OR_RETURN(const std::optional<CsvRecord> record,
-                         ParseCsvRecord(line, lineno));
-    if (!record.has_value()) continue;
-    if (!has_current) {
-      current = Trajectory(record->id);
-      has_current = true;
-    } else if (current.id() != record->id) {
-      FRT_RETURN_IF_ERROR(dataset.Add(std::move(current)));
-      current = Trajectory(record->id);
-    }
-    current.Append(record->p, record->t);
-  }
-  // getline also stops on a failed read (e.g. the path is a directory);
-  // that is an error, not a shorter dataset.
-  if (in.bad()) {
-    return Status::IOError("read failed after line " +
-                           std::to_string(lineno) + ": " + path);
-  }
-  if (has_current && !current.empty()) {
-    FRT_RETURN_IF_ERROR(dataset.Add(std::move(current)));
-  }
-  return dataset;
+  Result<Dataset> dataset = ReadDatasetFromStream(in);
+  // A failed read (e.g. of a directory) names the file.
+  if (!in.bad()) return dataset;
+  return Status::IOError(dataset.status().message() + ": " + path);
 }
 
 }  // namespace frt

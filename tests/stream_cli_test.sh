@@ -5,10 +5,12 @@
 # publishes only the complete windows closed before it, in either CLI:
 # the partial window read ahead of the bad line is dropped and the run
 # exits 1. A feed id outside [A-Za-z0-9._-] (e.g. ../escaped) is rejected
-# before it can name a file outside --output-dir. An unreadable input (a
-# directory) exits 1, an out-of-range --threads exits 2, and so do the
-# retired --strategy and --pool-threads flags and the transport flags
-# (--listen, --listen-conns, --connect).
+# before it can name a file outside --output-dir. CRLF blank lines and
+# indented comments in --feeds are skipped. An unreadable input (a
+# directory) exits 1, an out-of-range --threads exits 2, and so do
+# --listen-conns without --listen, the retired --strategy and
+# --pool-threads flags and, in frt_stream, the transport flags (--listen,
+# --listen-conns, --connect).
 #
 # Usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve
 
@@ -89,6 +91,21 @@ code=$?
 cmp "$WORK/bad_feeds/a.csv" "$WORK/bad_serve/a.csv" \
   || fail "--feeds and --input releases of feed a differ"
 
+# Blank and comment lines are recognised after stripping whitespace, as
+# in --input: CRLF blank lines and indented comments change nothing.
+awk '{ print "a," $0 } NR % 7 == 0 { printf "\r\n  # comment %d\r\n\t\n", NR }' \
+  "$WORK/raw.csv" > "$WORK/crlf_feeds.csv"
+awk '{ print "a," $0 }' "$WORK/raw.csv" > "$WORK/clean_feeds.csv"
+mkdir -p "$WORK/crlf_feeds" "$WORK/clean_feeds"
+for name in crlf_feeds clean_feeds; do
+  "$SERVE" --feeds "$WORK/$name.csv" --output-dir "$WORK/$name" \
+    --window 100 --m 3 --seed 7 2> "$WORK/$name.log"
+  code=$?
+  [[ "$code" == "0" ]] || fail "frt_serve --feeds $name exited $code, want 0"
+done
+cmp "$WORK/crlf_feeds/a.csv" "$WORK/clean_feeds/a.csv" \
+  || fail "CRLF blank lines and indented comments changed the --feeds release"
+
 # ---- Feed ids name output files: one that would leave --output-dir is
 # rejected where it enters, and nothing is written outside the dir. ----
 mkdir -p "$WORK/escape/out"
@@ -141,6 +158,16 @@ code=$?
 grep -q -- "--threads value out of range" "$WORK/threads.log" \
   || fail "frt_serve did not name --threads as out of range"
 
+# ---- --listen-conns only means something with --listen: alone it is a
+# usage error (exit 2) before any input is read. ----
+"$SERVE" --feeds "$WORK/clean_feeds.csv" --output "$WORK/conns.csv" \
+  --window 100 --m 3 --seed 7 --listen-conns 2 2> "$WORK/conns.log"
+code=$?
+[[ "$code" == "2" ]] || fail "frt_serve --listen-conns without --listen exited $code, want 2"
+grep -q -- "--listen-conns requires --listen" "$WORK/conns.log" \
+  || fail "frt_serve did not say --listen-conns requires --listen"
+[[ ! -e "$WORK/conns.csv" ]] || fail "frt_serve --listen-conns without --listen wrote output"
+
 # ---- Retired flags are unknown flags (exit 2), not silently ignored. ----
 for flag in --strategy --pool-threads; do
   "$SERVE" --input "x=$WORK/no_such.csv" --output-dir "$WORK/dir_out" \
@@ -173,4 +200,4 @@ for flag in --listen --listen-conns --connect; do
     || fail "frt_stream did not reject $flag as a transport flag"
 done
 
-echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows; invalid feed ids, unreadable inputs, out-of-range --threads, retired flags and transport flags rejected"
+echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows; CRLF blanks and indented comments skipped in --feeds; invalid feed ids, unreadable inputs, out-of-range --threads, --listen-conns without --listen, retired flags and transport flags rejected"

@@ -1,6 +1,8 @@
-// Unit tests for stream/ingest.h: incremental assembly across chunk
-// boundaries, comment/blank handling, trailing-newline variants, malformed
-// input diagnostics, and equivalence with the one-shot LoadDatasetCsv path.
+// Unit tests for the chunked CSV readers (traj/io.h, stream/ingest.h):
+// incremental assembly across chunk boundaries, comment/blank handling,
+// trailing-newline variants, malformed input diagnostics, equivalence with
+// the one-shot LoadDatasetCsv path, and the multi-feed format — per-feed
+// grouping, flush order, and how OfferFeeds stops and quarantines.
 
 #include "stream/ingest.h"
 
@@ -16,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "service/dispatcher.h"
+#include "testing_util.h"
 #include "traj/io.h"
 
 namespace frt {
@@ -256,6 +260,206 @@ TEST(TrajectoryReaderTest, LoadingADirectoryIsAnIOError) {
   const Result<Dataset> loaded = LoadDatasetCsv(::testing::TempDir());
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
+}
+
+// ---- Multi-feed CSV (feed,traj_id,x,y,t) ----
+
+std::vector<FeedTrajectory> DrainFeeds(std::istream& in, size_t chunk_bytes) {
+  TrajectoryReaderOptions options;
+  options.chunk_bytes = chunk_bytes;
+  MultiFeedReader reader(in, options);
+  std::vector<FeedTrajectory> out;
+  for (;;) {
+    auto next = reader.Next();
+    EXPECT_TRUE(next.ok()) << next.status().ToString();
+    if (!next.ok() || !next->has_value()) break;
+    out.push_back(std::move(**next));
+  }
+  return out;
+}
+
+/// "feed:id:points" per trajectory, in the order the reader returned them.
+std::vector<std::string> Summaries(const std::vector<FeedTrajectory>& got) {
+  std::vector<std::string> out;
+  for (const FeedTrajectory& ft : got) {
+    out.push_back(ft.feed + ":" + std::to_string(ft.trajectory.id()) + ":" +
+                  std::to_string(ft.trajectory.size()));
+  }
+  return out;
+}
+
+TEST(MultiFeedReaderTest, InterleavedFeedsAreContiguousPerFeed) {
+  // a's trajectory 1 continues across b's lines; each feed's id change
+  // closes only that feed's trajectory.
+  constexpr char kCsv[] =
+      "# feed,traj_id,x,y,t\n"
+      "a,1,1.0,1.0,1\n"
+      "b,1,5.0,5.0,1\n"
+      "a,1,2.0,2.0,2\n"
+      "b,2,6.0,6.0,2\n"
+      "a,1,3.0,3.0,3\n"
+      "a,2,4.0,4.0,4\n"
+      "b,2,7.0,7.0,3\n";
+  for (const size_t chunk : {1u, 3u, 7u, 1u << 16}) {
+    SCOPED_TRACE(chunk);
+    std::istringstream in(kCsv);
+    const std::vector<FeedTrajectory> got = DrainFeeds(in, chunk);
+    EXPECT_EQ(Summaries(got),
+              (std::vector<std::string>{"b:1:1", "a:1:3", "a:2:1", "b:2:2"}));
+    ASSERT_EQ(got.size(), 4u);
+    EXPECT_EQ(got[1].trajectory[2].p, (Point{3.0, 3.0}));
+    EXPECT_EQ(got[3].trajectory[1].t, 3);
+  }
+}
+
+TEST(MultiFeedReaderTest, OpenTrajectoriesFlushAtEndInFirstSeenFeedOrder) {
+  // Seen order c, a, b; only c's first trajectory closes mid-stream.
+  std::istringstream in(
+      "c,9,1.0,1.0,1\na,3,1.0,1.0,1\nb,4,1.0,1.0,1\nc,8,1.0,1.0,2\n"
+      "a,3,2.0,2.0,2");
+  MultiFeedReader reader(in);
+  std::vector<FeedTrajectory> got;
+  for (;;) {
+    auto next = reader.Next();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    if (!next->has_value()) break;
+    got.push_back(std::move(**next));
+  }
+  EXPECT_EQ(Summaries(got),
+            (std::vector<std::string>{"c:9:1", "c:8:1", "a:3:2", "b:4:1"}));
+  EXPECT_EQ(reader.feeds(), (std::vector<std::string>{"c", "a", "b"}));
+  // End of stream is sticky.
+  auto done = reader.Next();
+  ASSERT_TRUE(done.ok());
+  EXPECT_FALSE(done->has_value());
+}
+
+TEST(MultiFeedReaderTest, CrLfBlankLinesAndIndentedCommentsAreSkipped) {
+  // The same blank and comment lines the single-feed reader skips.
+  constexpr char kCsv[] =
+      "# feed,traj_id,x,y,t\r\n"
+      "a,1,1.0,1.0,1\r\n"
+      "\r\n"
+      "   # indented comment\r\n"
+      "\t\r\n"
+      " \t# tab-indented comment\n"
+      "a,1,2.0,2.0,2\r\n"
+      "b,# feed-tagged comment\r\n"
+      "b,2,3.0,3.0,3\r\n";
+  for (const size_t chunk : {1u, 5u, 1u << 16}) {
+    SCOPED_TRACE(chunk);
+    std::istringstream in(kCsv);
+    EXPECT_EQ(Summaries(DrainFeeds(in, chunk)),
+              (std::vector<std::string>{"a:1:2", "b:2:1"}));
+  }
+}
+
+/// The reader's first error on `csv` (ToString), after draining what
+/// precedes it.
+std::string FirstFeedError(const std::string& csv) {
+  std::istringstream in(csv);
+  MultiFeedReader reader(in);
+  for (;;) {
+    auto next = reader.Next();
+    if (!next.ok()) return next.status().ToString();
+    if (!next->has_value()) return "OK";
+  }
+}
+
+TEST(MultiFeedReaderTest, BadFeedIdAndMissingFeedColumnNameTheLine) {
+  const std::string bad_id =
+      Status::InvalidArgument(std::string("line 2: ") + kFeedIdRule)
+          .ToString();
+  EXPECT_EQ(FirstFeedError("a,1,1.0,1.0,1\n../escaped,1,1.0,1.0,1\n"),
+            bad_id);
+  EXPECT_EQ(FirstFeedError("a,1,1.0,1.0,1\n,1,1.0,1.0,1\n"), bad_id);
+  EXPECT_EQ(FirstFeedError(" a,1,1.0,1.0,1\n"),
+            Status::InvalidArgument(std::string("line 1: ") + kFeedIdRule)
+                .ToString());
+  EXPECT_EQ(FirstFeedError("# header\nno-comma-here\n"),
+            Status::InvalidArgument("line 2: expected feed,traj_id,x,y,t")
+                .ToString());
+  // The record after the feed column is ParseCsvRecord's, same line.
+  EXPECT_EQ(FirstFeedError("a,1,1.0,1.0,1\na,1,1.0\n"),
+            ParseCsvRecord("1,1.0", 2).status().ToString());
+  EXPECT_EQ(FirstFeedError("a,1,1.0,1.0,1\na,1,nan,1.0,2\n"),
+            ParseCsvRecord("1,nan,1.0,2", 2).status().ToString());
+}
+
+TEST(MultiFeedReaderTest, ReadFailureIsAnIOErrorNamingTheLastLine) {
+  const std::string csv =
+      "a,1,1.0,1.0,1\nb,1,1.0,1.0,1\na,2,1.0,1.0,2\nb,1,2.0,2.0,2\n";
+  const size_t limit = csv.find("b,1,2.0");  // three whole lines
+  for (const size_t chunk : {size_t{1}, size_t{7}, size_t{1} << 16}) {
+    SCOPED_TRACE(chunk);
+    FailingBuf buf(csv, limit);
+    std::istream in(&buf);
+    TrajectoryReaderOptions options;
+    options.chunk_bytes = chunk;
+    MultiFeedReader reader(in, options);
+    // a's trajectory 1 closed before the fault and is still delivered.
+    auto first = reader.Next();
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(first->has_value());
+    EXPECT_EQ((*first)->feed, "a");
+    auto failed = reader.Next();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().ToString(),
+              Status::IOError("read failed after line 3").ToString());
+    EXPECT_EQ(reader.Next().status().ToString(),
+              failed.status().ToString());  // sticky
+  }
+}
+
+using testing::ServiceCapture;
+
+ServiceConfig MultiFeedServiceConfig() {
+  ServiceConfig config;
+  config.stream.window_size = 100;  // no window closes in these tests
+  config.stream.batch.pipeline = testing::SmallPipeline(3);
+  config.pool_threads = 2;
+  return config;
+}
+
+TEST(OfferFeedsTest, ReadingStopsWhenOfferIsRefused) {
+  // A service that never started refuses every Offer: OfferFeeds returns
+  // OK after the first trajectory instead of draining the input.
+  ServiceCapture capture;
+  ServiceDispatcher service(MultiFeedServiceConfig(), capture.MakeSink());
+  std::istringstream in(
+      "a,1,1.0,1.0,1\na,2,1.0,1.0,2\nb,1,1.0,1.0,3\na,3,1.0,1.0,4\n");
+  MultiFeedReader reader(in);
+  ASSERT_TRUE(OfferFeeds(reader, service).ok());
+  auto next = reader.Next();
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE(next->has_value());
+  EXPECT_EQ((*next)->feed, "a");
+  EXPECT_EQ((*next)->trajectory.id(), 2);
+}
+
+TEST(OfferFeedsTest, BadLineQuarantinesEveryFeedSeenThenReturnsTheError) {
+  ServiceCapture capture;
+  ServiceDispatcher service(MultiFeedServiceConfig(), capture.MakeSink());
+  ASSERT_TRUE(service.Start(7).ok());
+  // c's only line is the bad one, so c never becomes a feed.
+  std::istringstream in(
+      "a,1,1.0,1.0,1\nb,1,1.0,1.0,1\na,2,1.0,1.0,2\nc,1,oops,1.0,3\n"
+      "b,2,1.0,1.0,4\n");
+  MultiFeedReader reader(in);
+  const Status ingest = OfferFeeds(reader, service);
+  ASSERT_FALSE(ingest.ok());
+  EXPECT_EQ(ingest.ToString(),
+            ParseCsvRecord("1,oops,1.0,3", 4).status().ToString());
+  ASSERT_TRUE(service.Finish().ok());
+  std::vector<std::string> quarantined;
+  for (const ServiceSnapshot::Feed& feed : service.report().feeds_detail) {
+    EXPECT_TRUE(feed.quarantined) << feed.feed;
+    EXPECT_EQ(feed.quarantine_reason, ingest.ToString()) << feed.feed;
+    quarantined.push_back(feed.feed);
+  }
+  std::sort(quarantined.begin(), quarantined.end());
+  EXPECT_EQ(quarantined, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(capture.published_windows, 0u);
 }
 
 TEST(FeedIdTest, AcceptsOnlyFileAndRecordSafeNames) {

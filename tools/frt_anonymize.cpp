@@ -19,7 +19,7 @@
 
 #include "cli_common.h"
 #include "frt.h"
-#include "stream/ingest.h"
+#include "traj/io.h"
 
 int main(int argc, char** argv) {
   // Unsynced iostreams: with C-stdio sync on, cin's streambuf never

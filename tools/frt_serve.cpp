@@ -96,6 +96,8 @@ int main(int argc, char** argv) {
       !frt::cli::Require(sources() == 1,
                          "exactly one of --feeds, --input (repeatable), or "
                          "--listen is required") ||
+      !frt::cli::Require(args.listen_conns == 0 || !args.listen.empty(),
+                         "--listen-conns requires --listen") ||
       !frt::cli::Require(args.output.empty() != args.output_dir.empty(),
                          "exactly one of --output or --output-dir is "
                          "required") ||

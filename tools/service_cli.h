@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -30,7 +29,6 @@
 #include "obs/trace_export.h"
 #include "service/dispatcher.h"
 #include "stream/ingest.h"
-#include "traj/io.h"
 
 namespace frt::cli {
 
@@ -116,11 +114,6 @@ inline std::vector<Flag> LocalFeedFlags(LocalFeeds* args) {
        }},
   };
 }
-
-/// Why IsValidFeedId rejected a feed id (never echoes the id itself).
-inline constexpr const char* kFeedIdRule =
-    "invalid feed id (want 1-128 characters of [A-Za-z0-9._-], not "
-    "starting with '.')";
 
 /// Rejects invalid (IsValidFeedId) and duplicate feed names (reported):
 /// two readers racing arrivals into one session would make window
@@ -252,90 +245,23 @@ inline FlagTable EdgeFlags(EdgeArgs* args) {
   return table.Add(ServiceFlags(&args->common));
 }
 
-/// \brief Streams the interleaved multi-feed CSV (`feed,traj_id,x,y,t`)
-/// into the service. Per feed, consecutive same-id lines form one
-/// trajectory — the single-feed format's contiguity contract, applied per
-/// feed so distinct feeds may interleave freely. A malformed line
-/// quarantines every feed read so far before the error is returned, so no
-/// partial window read ahead of the bad line is published.
-inline Status IngestMultiFeedCsv(std::istream& in,
-                                 ServiceDispatcher& service) {
-  struct Assembly {
-    Trajectory current{0};
-    bool has_current = false;
-  };
-  std::map<std::string, Assembly> assemblies;
-  std::vector<std::string> order;
-  const auto fail = [&](Status st) {
-    for (const auto& feed : order) service.OfferQuarantine(feed, st.ToString());
-    return st;
-  };
-  std::string line;
-  size_t lineno = 0;
-  bool stopped = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    const size_t comma = line.find(',');
-    if (comma == std::string::npos) {
-      return fail(Status::InvalidArgument("line " + std::to_string(lineno) +
-                                          ": expected feed,traj_id,x,y,t"));
-    }
-    const std::string feed = line.substr(0, comma);
-    if (!IsValidFeedId(feed)) {
-      return fail(Status::InvalidArgument("line " + std::to_string(lineno) +
-                                          ": " + kFeedIdRule));
-    }
-    const Result<std::optional<CsvRecord>> record =
-        ParseCsvRecord(std::string_view(line).substr(comma + 1), lineno);
-    if (!record.ok()) return fail(record.status());
-    if (!record->has_value()) continue;
-    auto [it, inserted] = assemblies.try_emplace(feed);
-    if (inserted) order.push_back(feed);
-    Assembly& assembly = it->second;
-    if (assembly.has_current && assembly.current.id() != (*record)->id) {
-      if (!service.Offer(feed, std::move(assembly.current))) {
-        stopped = true;  // the service is finishing; stop reading
-        break;
-      }
-      assembly.has_current = false;
-    }
-    if (!assembly.has_current) {
-      assembly.current = Trajectory((*record)->id);
-      assembly.has_current = true;
-    }
-    assembly.current.Append((*record)->p, (*record)->t);
-  }
-  // A failed read is an error like a malformed line, never an early end.
-  if (in.bad()) {
-    return fail(Status::IOError("read failed after line " +
-                                std::to_string(lineno)));
-  }
-  if (!stopped) {
-    for (const auto& feed : order) {
-      Assembly& assembly = assemblies[feed];
-      if (assembly.has_current && !assembly.current.empty()) {
-        if (!service.Offer(feed, std::move(assembly.current))) break;
-      }
-    }
-  }
-  return Status::OK();
-}
-
 /// \brief Local ingest: the interleaved multi-feed CSV of --feeds ("-" =
-/// stdin) when set, else one reader per --input, each offering its file
-/// as one feed (OfferFeed: a parse error quarantines that feed). The first
-/// input reads on the calling thread, every other one on a thread of its
-/// own. Returns the first error.
+/// stdin) through OfferFeeds when set, else one reader per --input, each
+/// offered as one feed through OfferFeed. The first input reads on the
+/// calling thread, every other one on a thread of its own. Returns the
+/// first error.
 inline Status IngestLocalFeeds(const LocalFeeds& local,
                                ServiceDispatcher& service) {
   if (!local.feeds.empty()) {
-    if (local.feeds == "-") return IngestMultiFeedCsv(std::cin, service);
-    std::ifstream file(local.feeds);
-    if (!file.is_open()) {
-      return Status::IOError("cannot open feeds: " + local.feeds);
+    std::ifstream file;
+    if (local.feeds != "-") {
+      file.open(local.feeds);
+      if (!file.is_open()) {
+        return Status::IOError("cannot open feeds: " + local.feeds);
+      }
     }
-    return IngestMultiFeedCsv(file, service);
+    MultiFeedReader reader(local.feeds == "-" ? std::cin : file);
+    return OfferFeeds(reader, service);
   }
   const std::vector<InputFeed>& inputs = local.inputs;
   std::vector<Status> statuses(inputs.size());
