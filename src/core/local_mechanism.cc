@@ -7,51 +7,63 @@
 
 namespace frt {
 
-std::vector<LocationKey> LocalMechanism::SelectPoints(
+void LocalMechanism::SelectPoints(
     const std::vector<WeightedLocation>& own_signature,
-    const SignatureSet& signatures, const PointFrequency& pf,
-    Rng& rng) const {
+    const SignatureSet& signatures, const PointFrequency& pf, Rng& rng,
+    Selection* selection) const {
   const size_t want = 2 * static_cast<size_t>(signatures.m);
-  std::vector<LocationKey> selected;
-  selected.reserve(want);
-  // At most 2m keys are ever taken, so a scan of `selected` beats a set.
-  const auto taken = [&selected](LocationKey key) {
-    return std::find(selected.begin(), selected.end(), key) !=
-           selected.end();
-  };
+  std::vector<LocationKey>& selected = selection->selected;
+  std::vector<uint8_t>& taken = selection->taken;
+  selected.clear();
+  // Steps 2 and 3 visit only the PF's entries, so a flag per entry tells
+  // them what is selected without a scan of `selected`.
+  taken.assign(pf.size(), 0);
 
-  // 1) The trajectory's own top-m signature, best first.
+  // 1) The trajectory's own top-m signature, best first. At most m keys,
+  //    so a scan of `selected` deduplicates them (a signature key need
+  //    not be one of the PF's).
   for (const WeightedLocation& wl : own_signature) {
     if (selected.size() >= want) break;
-    if (!taken(wl.key)) selected.push_back(wl.key);
+    if (std::find(selected.begin(), selected.end(), wl.key) !=
+        selected.end()) {
+      continue;
+    }
+    selected.push_back(wl.key);
+    const auto it = pf.find(wl.key);
+    if (it != pf.end()) taken[it - pf.begin()] = 1;
   }
 
   // 2) Other locations of this trajectory that are in P (signature points
   //    of other users), preferred by their global rarity: raising them is
   //    "more convincing ... considering their PF and TF weights" (§III-B3).
-  std::vector<std::pair<double, LocationKey>> in_p;
-  for (const auto& [key, f] : pf) {
-    if (taken(key)) continue;
+  std::vector<Selection::Candidate>& in_p = selection->in_p;
+  in_p.clear();
+  for (size_t j = 0; j < pf.size(); ++j) {
+    if (taken[j]) continue;
+    const auto& [key, f] = *(pf.begin() + j);
     auto it = signatures.tf_over_p.find(key);
     if (it == signatures.tf_over_p.end()) continue;
     // Rank by PF weight relative to TF (same spirit as signature weights).
     const double score =
         static_cast<double>(f) / (1.0 + static_cast<double>(it->second));
-    in_p.emplace_back(score, key);
+    in_p.push_back({score, key, static_cast<uint32_t>(j)});
   }
+  // Keys are distinct, so the order is total and the entry never decides.
   std::sort(in_p.begin(), in_p.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
+    if (a.score != b.score) return a.score > b.score;
+    return a.key < b.key;
   });
-  for (const auto& [score, key] : in_p) {
+  for (const Selection::Candidate& c : in_p) {
     if (selected.size() >= want) break;
-    if (!taken(key)) selected.push_back(key);
+    selected.push_back(c.key);
+    taken[c.entry] = 1;
   }
 
   // 3) Random remaining locations of the trajectory until 2m (or exhausted).
-  std::vector<LocationKey> rest;
-  for (const auto& [key, f] : pf) {
-    if (!taken(key)) rest.push_back(key);
+  std::vector<LocationKey>& rest = selection->rest;
+  rest.clear();
+  for (size_t j = 0; j < pf.size(); ++j) {
+    if (!taken[j]) rest.push_back((pf.begin() + j)->first);
   }
   std::sort(rest.begin(), rest.end());
   while (selected.size() < want && !rest.empty()) {
@@ -60,7 +72,6 @@ std::vector<LocationKey> LocalMechanism::SelectPoints(
     rest[pick] = rest.back();
     rest.pop_back();
   }
-  return selected;
 }
 
 Result<Dataset> LocalMechanism::Apply(const Dataset& dataset,
@@ -86,6 +97,7 @@ Result<Dataset> LocalMechanism::Apply(const Dataset& dataset,
                                    config_.grid_levels);
   Dataset output;
   FrequencyDelta delta;  // cleared per trajectory, keeps its capacity
+  Selection selection;   // likewise
   for (size_t i = 0; i < dataset.size(); ++i) {
     const Trajectory& traj = dataset[i];
     if (traj.empty()) {
@@ -93,8 +105,8 @@ Result<Dataset> LocalMechanism::Apply(const Dataset& dataset,
       continue;
     }
     const PointFrequency pf = ComputePointFrequency(traj, *quantizer_);
-    const std::vector<LocationKey> selected =
-        SelectPoints(signatures.per_traj[i], signatures, pf, rng);
+    SelectPoints(signatures.per_traj[i], signatures, pf, rng, &selection);
+    const std::vector<LocationKey>& selected = selection.selected;
 
     delta.clear();
     // Stage 1: top-m ranked points, noise ~ Lap(-f_k, 1/eps_L).

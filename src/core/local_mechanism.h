@@ -18,6 +18,7 @@
 #ifndef FRT_CORE_LOCAL_MECHANISM_H_
 #define FRT_CORE_LOCAL_MECHANISM_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -73,14 +74,34 @@ class LocalMechanism {
                         PrivacyAccountant* accountant,
                         LocalReport* report) const;
 
+  /// Working memory of SelectPoints. Apply keeps one across all its
+  /// trajectories, so once the vectors have grown a selection allocates
+  /// nothing.
+  struct Selection {
+    /// The result: the selected keys, in selection order.
+    std::vector<LocationKey> selected;
+    /// One flag per entry of the trajectory's PF, in its entry order: the
+    /// entry's key is already selected.
+    std::vector<uint8_t> taken;
+    /// Step 2's candidates: (score, key, PF entry index).
+    struct Candidate {
+      double score;
+      LocationKey key;
+      uint32_t entry;
+    };
+    std::vector<Candidate> in_p;
+    /// Step 3's pool of unselected keys.
+    std::vector<LocationKey> rest;
+  };
+
   /// \brief The 2m-location selection for one trajectory (exposed for
-  /// tests): own signature keys first, then other candidate-set keys of the
-  /// trajectory by weight, then random locations of the trajectory. `pf` is
-  /// the trajectory's point-frequency distribution.
-  std::vector<LocationKey> SelectPoints(
-      const std::vector<WeightedLocation>& own_signature,
-      const SignatureSet& signatures, const PointFrequency& pf,
-      Rng& rng) const;
+  /// tests), into `selection->selected`: own signature keys first, then
+  /// other candidate-set keys of the trajectory by weight, then random
+  /// locations of the trajectory. `pf` is the trajectory's point-frequency
+  /// distribution.
+  void SelectPoints(const std::vector<WeightedLocation>& own_signature,
+                    const SignatureSet& signatures, const PointFrequency& pf,
+                    Rng& rng, Selection* selection) const;
 
   const LocalMechanismConfig& config() const { return config_; }
 

@@ -1,5 +1,7 @@
 #include "core/pipeline.h"
 
+#include <utility>
+
 #include "common/stopwatch.h"
 
 namespace frt {
@@ -15,6 +17,10 @@ std::string FrequencyRandomizer::name() const {
 
 Result<Dataset> FrequencyRandomizer::Anonymize(const Dataset& input,
                                                Rng& rng) {
+  return AnonymizeOwned(input.Clone(), rng);
+}
+
+Result<Dataset> FrequencyRandomizer::AnonymizeOwned(Dataset input, Rng& rng) {
   report_ = RandomizerReport{};
   if (input.empty()) return Status::InvalidArgument("empty dataset");
 
@@ -40,7 +46,7 @@ Result<Dataset> FrequencyRandomizer::Anonymize(const Dataset& input,
   const double total_budget = config_.epsilon_global + config_.epsilon_local;
   PrivacyAccountant accountant(total_budget);
 
-  Dataset current = input.Clone();
+  Dataset current = std::move(input);
   auto run_local = [&]() -> Status {
     if (config_.epsilon_local <= 0.0) return Status::OK();
     LocalMechanismConfig cfg;

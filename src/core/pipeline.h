@@ -70,6 +70,11 @@ class FrequencyRandomizer : public Anonymizer {
   /// the configured order. Deterministic given `rng`'s state.
   Result<Dataset> Anonymize(const Dataset& input, Rng& rng) override;
 
+  /// Anonymize on a dataset the caller hands over: the first mechanism
+  /// reads `input` itself instead of a copy, and it is freed as soon as
+  /// that mechanism's output replaces it. Same output as Anonymize.
+  Result<Dataset> AnonymizeOwned(Dataset input, Rng& rng);
+
   /// Diagnostics of the most recent Anonymize call.
   const RandomizerReport& report() const { return report_; }
 

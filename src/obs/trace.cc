@@ -194,11 +194,8 @@ bool ReadSlot(const Slot& slot, PackedEvent* out) {
 
 }  // namespace
 
-TraceDump TraceRecorder::Stop() {
-  std::lock_guard<std::mutex> lock(mu_);
+TraceDump TraceRecorder::ReadRingsLocked() const {
   TraceDump dump;
-  if (!running_) return dump;
-  enabled_.store(false, std::memory_order_release);
   dump.start_unix_us = start_unix_us_;
   for (const std::shared_ptr<ThreadBuffer>& buffer : buffers_) {
     TraceThreadInfo info;
@@ -229,6 +226,25 @@ TraceDump TraceRecorder::Stop() {
     dump.dropped += dropped;
     dump.threads.push_back(std::move(info));
   }
+  std::sort(dump.events.begin(), dump.events.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
+                                              : a.tid < b.tid;
+            });
+  return dump;
+}
+
+TraceDump TraceRecorder::Peek() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!running_) return TraceDump{};
+  return ReadRingsLocked();
+}
+
+TraceDump TraceRecorder::Stop() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!running_) return TraceDump{};
+  enabled_.store(false, std::memory_order_release);
+  TraceDump dump = ReadRingsLocked();
   buffers_.clear();  // thread-local shared_ptrs keep live writers safe
   running_ = false;
   if (dump.dropped > 0) {
@@ -239,11 +255,6 @@ TraceDump TraceRecorder::Stop() {
                     "Trace spans overwritten before the ring was drained")
         ->Inc(dump.dropped);
   }
-  std::sort(dump.events.begin(), dump.events.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
-                                              : a.tid < b.tid;
-            });
   return dump;
 }
 

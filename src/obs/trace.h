@@ -97,6 +97,12 @@ class TraceRecorder {
   /// comment); returns an empty dump when the recorder was not running.
   TraceDump Stop();
 
+  /// \brief Copies every thread ring without disarming the recorder, so
+  /// recording continues (a live view of the spans so far). Spans being
+  /// written while it reads count as dropped in the copy. Empty when the
+  /// recorder is not running.
+  TraceDump Peek() const;
+
   bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
   }
@@ -118,12 +124,14 @@ class TraceRecorder {
 
   TraceRecorder() = default;
   Tls& GetTls();
+  /// Reads every ring into a dump sorted by start; mu_ held.
+  TraceDump ReadRingsLocked() const;
   void RegisterThread(Tls* tls, uint64_t generation);
 
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> generation_{0};
 
-  std::mutex mu_;  ///< registration / Start / Stop / names only
+  mutable std::mutex mu_;  ///< registration / Start / Stop / Peek / names
   bool running_ = false;
   size_t capacity_ = 1 << 16;
   std::chrono::steady_clock::time_point start_time_{};

@@ -31,13 +31,11 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
   streams.reserve(k);
   for (size_t i = 0; i < k; ++i) streams.push_back(rng.Fork());
 
-  std::vector<Dataset> shard_inputs(k);
   report_.shard_object_ids.resize(k);
   for (size_t i = 0; i < k; ++i) {
     report_.shard_object_ids[i].reserve(plan[i].size());
     for (size_t j = plan[i].begin; j < plan[i].end; ++j) {
       report_.shard_object_ids[i].push_back(input[j].id());
-      FRT_RETURN_IF_ERROR(shard_inputs[i].Add(input[j]));
     }
   }
 
@@ -50,10 +48,20 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
   std::vector<WindowAuditPart> audit_parts(config_.audit.enabled ? k : 0);
   auto shard_task = [&](size_t i) {
     Stopwatch shard_watch;
+    // The shard's input is the one copy of its range, made here in the
+    // parallel phase and handed to the pipeline, which frees it once the
+    // first mechanism's output replaces it.
+    Dataset shard_input;
+    for (size_t j = plan[i].begin; j < plan[i].end; ++j) {
+      if (Status st = shard_input.Add(input[j]); !st.ok()) {
+        shard_outputs[i] = st;
+        return;
+      }
+    }
     FrequencyRandomizer pipeline(config_.pipeline);
-    shard_outputs[i] = pipeline.Anonymize(shard_inputs[i], streams[i]);
+    shard_outputs[i] = pipeline.AnonymizeOwned(std::move(shard_input),
+                                               streams[i]);
     shard_reports[i] = pipeline.report();
-    shard_inputs[i] = Dataset();  // release the copy as soon as possible
     shard_walls[i] = shard_watch.ElapsedSeconds();
     // The shard's audit part, built here in the parallel phase and after
     // the copy is gone, so the two never coexist.

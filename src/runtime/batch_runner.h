@@ -6,6 +6,12 @@
 // not depend on thread scheduling), and the per-shard outputs are merged
 // back in input order.
 //
+// Shard-input ownership. The caller's dataset is only read. Each shard's
+// task copies its own range of it and hands that copy over to
+// FrequencyRandomizer::AnonymizeOwned, so the input is copied once per
+// window, inside the parallel phase rather than serially before it, and
+// each copy is freed as soon as the shard's first mechanism replaces it.
+//
 // Privacy: each moving object's trajectory lives in exactly one shard, and
 // each shard's pipeline is (eps_G + eps_L)-DP on its partition, so by
 // parallel composition the published dataset satisfies the same
@@ -93,7 +99,8 @@ class BatchRunner : public Anonymizer {
 
   /// Shards `input`, anonymizes every shard, and merges the outputs in
   /// input order. Deterministic given `rng`'s state and the shard count,
-  /// independent of the pool and its size.
+  /// independent of the pool and its size. `input` is read, never copied
+  /// whole: each shard task copies its own range (see file comment).
   Result<Dataset> Anonymize(const Dataset& input, Rng& rng) override;
 
   /// Diagnostics of the most recent Anonymize call.

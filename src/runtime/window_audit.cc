@@ -115,26 +115,32 @@ std::vector<SegmentEntry> CollectEntries(const Dataset& original,
 }
 
 /// The vertex table: an open-addressed set (linear probing, at most
-/// two-thirds full, one flat array) of the start points `a` of every
-/// segment of `original` trajectories [range) whose distance kernel
-/// evaluates to exactly 0 at `a` — finite a, finite d = b - a and a finite
-/// SegmentInvLen2 (a subnormal length² makes it inf, and 0 * inf is NaN).
-/// Keys compare with Point's operator==, so -0.0 and 0.0 are one key; a
-/// NaN x marks an empty slot. Sized below the part's entries (16 B per
-/// slot, at most 3 slots per segment vs a 48 B entry), which are freed
-/// first.
+/// two-thirds full, one flat array) of the original vertices where a
+/// segment's distance kernel evaluates to exactly 0: the start point `a`
+/// of every segment of `original` trajectories [range) whose kernel is
+/// defined there — finite a, finite d = b - a and a finite SegmentInvLen2
+/// (a subnormal length² makes it inf, and 0 * inf is NaN) — and each
+/// trajectory's last vertex `b` when PointSegmentDistance2(b, last
+/// segment) is exactly 0.0 (the kernel's t may round below 1 there, so
+/// this is checked, not assumed). Keys compare with Point's operator==,
+/// so -0.0 and 0.0 are one key; a NaN x marks an empty slot. Sized below
+/// the part's entries (16 B per slot, at most 3 slots per key and at most
+/// one key per segment plus one per trajectory, vs a 48 B entry per
+/// segment), which are freed first.
 class VertexTable {
  public:
   VertexTable(const Dataset& original, ShardRange range) {
-    size_t segments = 0;
+    size_t keys = 0;
     for (size_t t = range.begin; t < range.end; ++t) {
-      segments += original[t].NumSegments();
+      const size_t segments = original[t].NumSegments();
+      keys += segments + (segments > 0 ? 1 : 0);
     }
-    const size_t capacity = CapacityFor(segments);
+    const size_t capacity = CapacityFor(keys);
     slots_.assign(capacity, Point{kEmpty, kEmpty});
     mask_ = capacity - 1;
     for (size_t t = range.begin; t < range.end; ++t) {
-      for (size_t i = 0; i < original[t].NumSegments(); ++i) {
+      const size_t segments = original[t].NumSegments();
+      for (size_t i = 0; i < segments; ++i) {
         const Segment s = original[t].SegmentAt(i);
         const double dx = s.b.x - s.a.x;
         const double dy = s.b.y - s.a.y;
@@ -143,6 +149,10 @@ class VertexTable {
             std::isfinite(SegmentInvLen2(dx, dy))) {
           Insert(s.a);
         }
+      }
+      if (segments > 0) {
+        const Segment last = original[t].SegmentAt(segments - 1);
+        if (PointSegmentDistance2(last.b, last) == 0.0) Insert(last.b);
       }
     }
   }

@@ -45,15 +45,22 @@
 // Vertex fast path. FRT inserts and deletes occurrences of signature
 // locations, so most published points are original vertices left as they
 // were. Beside its index each part keeps a flat, read-only vertex table
-// (one open-addressed array): the start points `a` of every segment of
-// its range whose kernel is defined there (finite a, finite b - a, finite
-// SegmentInvLen2). A published point q equal to such an `a`
-// (q.x == a.x && q.y == a.y) is counted with displacement exactly 0 and
-// not searched. That is the number the search would return:
-// PointSegmentDistance2Kernel at q == a gives r = 0, t = 0, e = 0 and
-// d² = 0 exactly (also for -0.0 vs 0.0), and no distance is below 0. A
-// point equal only to a trajectory's last vertex (the kernel's t may round
-// below 1 there) and a NaN coordinate (never equal) are still searched.
+// (one open-addressed array) of the vertices where some segment's kernel
+// is exactly 0:
+//   - the start point `a` of every segment of its range whose kernel is
+//     defined there (finite a, finite b - a, finite SegmentInvLen2):
+//     PointSegmentDistance2Kernel at q == a gives r = 0, t = 0, e = 0 and
+//     d² = 0 exactly (also for -0.0 vs 0.0);
+//   - each trajectory's last vertex `b` whose PointSegmentDistance2 to
+//     the trajectory's last segment is exactly 0.0. The kernel's t may
+//     round below 1 at `b`, leaving a tiny nonzero distance, so the table
+//     evaluates the kernel there (the one the index evaluates, bit for
+//     bit) and keeps `b` only when it is 0.
+// A published point q equal to a table key (q.x == k.x && q.y == k.y) is
+// counted with displacement exactly 0 and not searched. That is the
+// number the search would return, since no distance is below 0. A last
+// vertex whose kernel is not 0 and a NaN coordinate (never equal) are
+// still searched.
 
 #ifndef FRT_RUNTIME_WINDOW_AUDIT_H_
 #define FRT_RUNTIME_WINDOW_AUDIT_H_

@@ -749,14 +749,15 @@ void ServiceDispatcher::DispatcherLoop() {
   PublishMetricsNow(started_at_);
   bool input_done = false;
   while (!input_done) {
-    // Absorb whatever the workers finished, then publish it (write-ahead
-    // checkpoint first), then top the pool back up.
+    // Absorb whatever the workers finished, top the pool back up, then
+    // publish (write-ahead checkpoint first): the checkpoint and the sinks
+    // run while the pool works on the windows just submitted.
     std::unique_ptr<Completion> completion;
     while (completions_->TryPop(&completion)) {
       AbsorbCompletion(std::move(completion));
     }
-    FlushPublishes();
     SubmitReady();
+    FlushPublishes();
 
     // Sleep until the next arrival — but no later than the earliest armed
     // session deadline, and no later than the completion poll when jobs
@@ -798,6 +799,7 @@ void ServiceDispatcher::DispatcherLoop() {
           QueuePop::kItem) {
         AbsorbCompletion(std::move(completion));
       }
+      SubmitReady();
       FlushPublishes();
       const SteadyClock::time_point now = SteadyClock::now();
       if (!aborted_ && !stopping_) ProcessDueDeadlines(now);
@@ -870,8 +872,8 @@ void ServiceDispatcher::DispatcherLoop() {
         completions_->Pop();
     if (!completion.has_value()) break;  // defensive; queue is not closed
     AbsorbCompletion(std::move(*completion));
-    FlushPublishes();
     SubmitReady();
+    FlushPublishes();
     MaybePublishMetrics(SteadyClock::now());
   }
   pool_->WaitIdle();

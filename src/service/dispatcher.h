@@ -14,7 +14,8 @@
 //                  pool.Submit(window anonymization job)
 //                                   |
 //            workers --> [completion BoundedQueue] --> dispatcher
-//                 charge budgets -> sink (per-feed window order)
+//        charge budgets -> submit next windows -> checkpoint -> sink
+//                        (per-feed window order)
 //
 // Threading model. Offer() is called from any number of ingest threads and
 // blocks on the bounded arrival queue — that is the service's ingress
@@ -38,6 +39,17 @@
 // bit-identical between a solo run and any multiplexed run at the same
 // seed, which is also what makes per-feed budget isolation testable.
 //
+// Publishing is off the window's critical path. Each dispatcher round
+// absorbs finished jobs (charging their spend), submits the admissible
+// next windows, and only then publishes the absorbed outputs: one
+// write-ahead checkpoint, then the sinks. So window N's checkpoint and
+// sink overlap window N+1's anonymization on the pool, while admission
+// of N+1 still sees N's charged spend and N still reaches the sink
+// before N+1. A completed window waiting for its sink keeps its session
+// from draining, so an idle eviction can never discard it. Across feeds,
+// windows reach the sinks in completion order, which depends on timing:
+// per-feed output is reproducible, the interleaving of feeds is not.
+//
 // Window closure. Count (the buffer reached window_size), wall-clock
 // deadline (--close-after-ms: a non-empty window is published no later
 // than that many ms after its oldest uncovered arrival; the latency SLO
@@ -54,7 +66,8 @@
 //
 // One feed is a stream. frt_stream runs a one-feed dispatcher (feed key
 // "stream") with max_backlog_windows = 1, which bounds its buffering to
-// the window in flight, the next closed window, and the arrival queue.
+// the window being published, the window in flight, the next closed
+// window, and the arrival queue.
 
 #ifndef FRT_SERVICE_DISPATCHER_H_
 #define FRT_SERVICE_DISPATCHER_H_
@@ -315,9 +328,11 @@ class ServiceDispatcher {
   void AbsorbCompletion(std::unique_ptr<Completion> completion);
   /// Publishes every pending window: one durable checkpoint covering all
   /// their spend (state_dir set), then the sink calls, then the
-  /// drained-session evictions. Must run before CloseExpired/EvictIdle/
-  /// SubmitReady at every absorb site so eviction never outruns a pending
-  /// publish.
+  /// drained-session evictions. Every absorb site runs SubmitReady first,
+  /// so the pool works on the next windows while the checkpoint and the
+  /// sinks run here; absorbing already charged the spend admission reads.
+  /// A session whose window waits in pending_ is not drained
+  /// (FeedSession::Drained), so no retirement in between can discard it.
   void FlushPublishes();
   /// Snapshots every feed's carry state and durably replaces the
   /// on-disk checkpoint.

@@ -212,12 +212,14 @@ Result<WindowReport> FeedSession::Complete(const WindowJob& job,
                                     : accountant_.spent();
   report_.epsilon_spent = window_report.epsilon_total;
   report_.epsilon_wholesale_equivalent = accountant_.spent();
+  awaiting_publish_ = true;
   return window_report;
 }
 
 void FeedSession::RecordPublished(const WindowReport& window_report) {
   // Split from Complete so the budget is spent either way but the window
   // only counts as published once the sink accepted it.
+  awaiting_publish_ = false;
   ++report_.windows_published;
   report_.trajectories_published += window_report.trajectories;
 }

@@ -137,7 +137,8 @@ class FeedSession {
 
   /// \brief Absorbs a finished job: charges the accountants with the ids
   /// the batch actually consumed, finalizes the WindowReport, and frees
-  /// the session for its next submission.
+  /// the session for its next submission. The window then awaits its
+  /// publish (RecordPublished) and keeps the session from draining.
   /// `publish_latency_ms` is close -> completion-handled.
   Result<WindowReport> Complete(const WindowJob& job,
                                 const Dataset& published,
@@ -159,9 +160,12 @@ class FeedSession {
   void Abandon() { busy_ = false; }
 
   /// True when nothing is pending anywhere: no uncovered arrivals, no
-  /// backlog, no job in flight. The only state an eviction may tear down.
+  /// backlog, no job in flight, and no completed window waiting for its
+  /// sink (Complete ran, RecordPublished not yet). The only state an
+  /// eviction may tear down.
   bool Drained() const {
-    return !busy_ && backlog_.empty() && assembler_.uncovered() == 0;
+    return !busy_ && !awaiting_publish_ && backlog_.empty() &&
+           assembler_.uncovered() == 0;
   }
 
   /// Budget state a successor session must inherit if this one is evicted.
@@ -205,6 +209,8 @@ class FeedSession {
   std::deque<WindowJob> backlog_;
   StreamReport& report_;
   bool busy_ = false;
+  /// A completed window's output has not reached the sink yet.
+  bool awaiting_publish_ = false;
   bool evict_when_drained_ = false;
   std::chrono::steady_clock::time_point last_arrival_{};
   std::chrono::steady_clock::time_point oldest_uncovered_at_{};

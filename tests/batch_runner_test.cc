@@ -426,7 +426,7 @@ TEST(WindowAuditTest, DisabledOrEmptyAuditDoesNotRun) {
 TEST(WindowAuditTest, MatchesBruteForceOnAdversarialFixtures) {
   // Segment (0,0)->(40.1,-46.9) is one whose kernel t rounds to
   // 1 - 2^-53 at its end vertex, so the exact displacement there is
-  // ~1e-14, not 0: an end vertex must go to the search.
+  // ~1e-14, not 0: such an end vertex must go to the search.
   const Dataset original = PointDataset({
       {{0.0, 0.0}, {40.1, -46.9}},
       {{10.0, 10.0}, {10.0, 10.0}, {20.0, 15.0}},  // zero-length segment
@@ -460,8 +460,10 @@ TEST(WindowAuditTest, MatchesBruteForceOnAdversarialFixtures) {
         RunWindowAudit(original, published, config, nullptr);
     ExpectReportEquals(serial, BruteForceAudit(original, published, ranges));
     // 8 published points equal a segment start: (0,0) twice (once as
-    // (-0,-0)), (10,10) twice, (30,30), (0,5), (0,25), (-35.5,12.25).
-    EXPECT_EQ(serial.vertex_hits, 8u);
+    // (-0,-0)), (10,10) twice, (30,30), (0,5), (0,25), (-35.5,12.25);
+    // and 2 equal a last vertex whose kernel is exactly 0: (20,15) and
+    // (-7.5,0) (held as (-7.5,-0)).
+    EXPECT_EQ(serial.vertex_hits, 10u);
     const WindowAuditReport pooled =
         RunWindowAudit(original, published, config, &pool);
     EXPECT_EQ(pooled.points_audited, serial.points_audited);
@@ -474,15 +476,59 @@ TEST(WindowAuditTest, MatchesBruteForceOnAdversarialFixtures) {
 
 TEST(WindowAuditTest, IdentityReleaseMatchesBruteForce) {
   // Published == original: every point but the last of each trajectory
-  // is a segment start; the last ones are searched.
+  // is a segment start; a last vertex hits when its last segment's kernel
+  // is exactly 0 there, and is searched otherwise.
   const Dataset input = SmallFleet(8, 41);
   WindowAuditConfig config;
   config.enabled = true;
   const WindowAuditReport audit = RunWindowAudit(input, input, config,
                                                  nullptr);
   ExpectReportEquals(audit, BruteForceAudit(input, input, config.ranges));
-  EXPECT_GE(audit.vertex_hits, audit.points_audited - input.size());
-  EXPECT_LT(audit.vertex_hits, audit.points_audited);
+  uint64_t exact_ends = 0;
+  for (const Trajectory& t : input.trajectories()) {
+    const Segment last = t.SegmentAt(t.NumSegments() - 1);
+    if (PointSegmentDistance2(last.b, last) == 0.0) ++exact_ends;
+  }
+  EXPECT_EQ(audit.vertex_hits,
+            audit.points_audited - input.size() + exact_ends);
+}
+
+TEST(WindowAuditTest, LastVertexWithExactKernelIsAVertexHit) {
+  // The kernel at the end vertex b of (0,0)->(10,0) is exactly 0 (t
+  // rounds to 1), and at the end of (0,25)->(-7.5,-0.0) too, published
+  // with the other zero sign; at the end of (0,0)->(40.1,-46.9) it is
+  // ~1e-28 (t rounds below 1). The first two are answered by the table
+  // without a search, the third is searched.
+  const Dataset original = PointDataset({
+      {{0.0, 0.0}, {10.0, 0.0}},
+      {{0.0, 25.0}, {-7.5, -0.0}},
+      {{0.0, 0.0}, {40.1, -46.9}},
+  });
+  const Segment exact{{0.0, 0.0}, {10.0, 0.0}};
+  const Segment signed_zero{{0.0, 25.0}, {-7.5, -0.0}};
+  const Segment inexact{{0.0, 0.0}, {40.1, -46.9}};
+  ASSERT_EQ(PointSegmentDistance2(exact.b, exact), 0.0);
+  ASSERT_EQ(PointSegmentDistance2(signed_zero.b, signed_zero), 0.0);
+  ASSERT_GT(PointSegmentDistance2(inexact.b, inexact), 0.0);
+  WindowAuditConfig config;
+  config.enabled = true;
+
+  const Dataset ends = PointDataset({{{10.0, 0.0}, {-7.5, 0.0}}});
+  const WindowAuditReport hit =
+      RunWindowAudit(original, ends, config, nullptr);
+  ExpectReportEquals(hit, BruteForceAudit(original, ends, config.ranges));
+  ExpectReportEquals(hit, IndexOnlyAudit(original, ends, config));
+  EXPECT_EQ(hit.points_audited, 2u);
+  EXPECT_EQ(hit.vertex_hits, 2u);
+  EXPECT_EQ(hit.distance_evaluations, 0u);
+  EXPECT_EQ(hit.max_displacement, 0.0);
+
+  const Dataset off = PointDataset({{{40.1, -46.9}}});
+  const WindowAuditReport searched =
+      RunWindowAudit(original, off, config, nullptr);
+  ExpectReportEquals(searched, BruteForceAudit(original, off, config.ranges));
+  EXPECT_EQ(searched.vertex_hits, 0u);
+  EXPECT_GT(searched.distance_evaluations, 0u);
 }
 
 TEST(WindowAuditTest, ReleaseAuditMatchesBruteForceAndSkipsSearches) {
@@ -691,8 +737,9 @@ TEST(WindowAuditTest, PartedAuditMatchesBruteForceAndOnePart) {
         RunWindowAudit(original, published, config, nullptr);
     ExpectReportEquals(one_part, BruteForceAudit(original, published, ranges));
     // (0,0) twice, (10,10) twice, (30,30), (0,5), (0,25), (-35.5,12.25),
-    // (-60,-60) and (100,-20).
-    EXPECT_EQ(one_part.vertex_hits, 10u);
+    // (-60,-60) and (100,-20) are segment starts; (20,15), (-7.5,0),
+    // (120,0) and (-40,-70) are last vertices whose kernel is exactly 0.
+    EXPECT_EQ(one_part.vertex_hits, 14u);
     for (const int count : {1, 2, 4, 7}) {
       const std::vector<WindowAuditPart> parts =
           BuildParts(original, count, config);

@@ -59,20 +59,31 @@ SignatureSet* MechanismTest::signatures_ = nullptr;
 TEST_F(MechanismTest, LocalSelectPointsPrefersOwnSignature) {
   LocalMechanismConfig cfg;
   LocalMechanism mech(quantizer_, cfg);
+  // One Selection reused across trajectories, as Apply reuses it, must
+  // select what a fresh one selects, with the same draws.
+  LocalMechanism::Selection reused;
   Rng rng(1);
-  const PointFrequency pf =
-      ComputePointFrequency(workload_->dataset[0], *quantizer_);
-  const auto selected =
-      mech.SelectPoints(signatures_->per_traj[0], *signatures_, pf, rng);
-  ASSERT_GE(selected.size(), signatures_->per_traj[0].size());
-  EXPECT_LE(selected.size(), 2u * signatures_->m);
-  for (size_t i = 0; i < signatures_->per_traj[0].size(); ++i) {
-    EXPECT_EQ(selected[i], signatures_->per_traj[0][i].key)
-        << "own signature must come first, rank " << i;
+  Rng fresh_rng(1);
+  for (size_t t = 0; t < 3; ++t) {
+    SCOPED_TRACE(t);
+    const PointFrequency pf =
+        ComputePointFrequency(workload_->dataset[t], *quantizer_);
+    const std::vector<WeightedLocation>& own = signatures_->per_traj[t];
+    mech.SelectPoints(own, *signatures_, pf, rng, &reused);
+    LocalMechanism::Selection fresh;
+    mech.SelectPoints(own, *signatures_, pf, fresh_rng, &fresh);
+    const std::vector<LocationKey>& selected = reused.selected;
+    EXPECT_EQ(selected, fresh.selected);
+    ASSERT_GE(selected.size(), own.size());
+    EXPECT_LE(selected.size(), 2u * signatures_->m);
+    for (size_t i = 0; i < own.size(); ++i) {
+      EXPECT_EQ(selected[i], own[i].key)
+          << "own signature must come first, rank " << i;
+    }
+    // No duplicates.
+    std::unordered_set<LocationKey> unique(selected.begin(), selected.end());
+    EXPECT_EQ(unique.size(), selected.size());
   }
-  // No duplicates.
-  std::unordered_set<LocationKey> unique(selected.begin(), selected.end());
-  EXPECT_EQ(unique.size(), selected.size());
 }
 
 TEST_F(MechanismTest, LocalMechanismReducesSignatureFrequencies) {

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.h"
 #include "service/metrics_exporter.h"
 #include "stream/ingest.h"
 #include "testing_util.h"
@@ -198,6 +199,115 @@ TEST(ServiceTest, IdleEvictionFlushesSessionAndCarriesBudgetIntoRevival) {
   EXPECT_EQ(feed.stream.windows_refused, 1u);    // generation 2, carried
   EXPECT_NEAR(feed.stream.epsilon_spent, 1.0, 1e-9);
   EXPECT_TRUE(ServiceHadRefusals(report));
+}
+
+TEST(ServiceTest, IdleEvictionWaitsForThePendingPublish) {
+  // A dispatcher round absorbs finished windows, submits the next ones and
+  // only then publishes. Feed "idle" goes quiet after a partial window,
+  // which its idle eviction closes and submits while feed "busy" keeps a
+  // deep backlog (a slow sink holds each of its windows for 2 ms). So in
+  // the round that absorbs idle's window, busy's backlog makes SubmitReady
+  // scan idle — whose backlog is empty and whose job just completed —
+  // before that round's publish. The pending publish must keep idle's
+  // session from counting as drained: the window is published and
+  // charged exactly once, and the session is evicted after it.
+  const std::vector<Trajectory> trajs = SyntheticTrajectories(600);
+  ServiceCapture capture;
+  ServiceSink capture_sink = capture.MakeSink();
+  ServiceConfig config = SmallServiceConfig(5);
+  config.idle_evict_ms = 30;
+  ServiceDispatcher service(
+      config, [&capture_sink](const std::string& feed,
+                              const Dataset& published,
+                              const WindowReport& report) {
+        if (feed == "busy") std::this_thread::sleep_for(milliseconds(2));
+        return capture_sink(feed, published, report);
+      });
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(service.Offer("idle", trajs[i]));
+  for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("busy", t));
+  ASSERT_TRUE(service.Finish().ok());
+
+  const ServiceSnapshot& report = service.report();
+  EXPECT_EQ(report.windows_published, 121u);  // idle's 1 + busy's 120
+  ASSERT_EQ(report.feeds_detail.size(), 2u);
+  const ServiceSnapshot::Feed& idle = report.feeds_detail[0];
+  ASSERT_EQ(idle.feed, "idle");
+  EXPECT_TRUE(idle.evicted);
+  EXPECT_EQ(idle.stream.windows_published, 1u);
+  EXPECT_EQ(idle.stream.trajectories_published, 3u);
+  EXPECT_NEAR(idle.stream.epsilon_spent, 1.0, 1e-9);  // charged once
+  ASSERT_EQ(capture.feeds.count("idle"), 1u);
+  ASSERT_EQ(capture.feeds.at("idle").reports.size(), 1u);
+  EXPECT_EQ(capture.feeds.at("idle").reports[0].close_reason,
+            WindowClose::kFinal);
+  EXPECT_EQ(capture.feeds.at("idle").ids, (std::vector<TrajId>{0, 1, 2}));
+  EXPECT_EQ(capture.feeds.at("busy").reports.size(), 120u);
+}
+
+TEST(ServiceTest, NextWindowRunsWhileThePreviousOneSinks) {
+  // One feed, as frt_stream runs it, four windows. Window 0's sink holds
+  // the dispatcher until every arrival is queued, so the later windows
+  // close from the queue, mostly long before their predecessor's job
+  // ends. When window k's sink starts with window k+1 already closed (its
+  // "assemble" span is in the trace), window k+1 was closed when k's job
+  // was absorbed, so it must have been submitted before k is published:
+  // the sink then waits, for at most 10 s, until window k+1's anonymize
+  // span shows. A dispatcher that published first would only submit
+  // window k+1 after the sink, and the wait would time out.
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
+  ASSERT_TRUE(recorder.Start(obs::TraceRecorder::Options{}));
+  const auto spans = [&recorder](const char* name) {
+    size_t n = 0;
+    for (const obs::TraceEvent& e : recorder.Peek().events) {
+      if (e.name == name && e.feed == "solo") ++n;
+    }
+    return n;
+  };
+  std::vector<Trajectory> trajs = SyntheticTrajectories(160);
+  ServiceCapture capture;
+  ServiceSink capture_sink = capture.MakeSink();
+  std::atomic<bool> all_offered{false};
+  size_t overlap_checks = 0;
+  size_t overlaps = 0;
+  ServiceConfig config = SmallServiceConfig(40);
+  config.max_backlog_windows = 1;
+  ServiceDispatcher service(
+      config, [&](const std::string& feed, const Dataset& published,
+                  const WindowReport& report) {
+        const auto give_up =
+            std::chrono::steady_clock::now() + milliseconds(10000);
+        const auto wait_for = [&give_up](const auto& done) {
+          while (!done() && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(milliseconds(1));
+          }
+          return done();
+        };
+        const size_t next = report.index + 1;
+        if (report.index == 0) {
+          wait_for([&all_offered] { return all_offered.load(); });
+        } else if (spans("assemble") > next) {
+          ++overlap_checks;
+          if (wait_for([&] { return spans("anonymize") > next; })) {
+            ++overlaps;
+          }
+        }
+        return capture_sink(feed, published, report);
+      });
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  for (Trajectory& t : trajs) ASSERT_TRUE(service.Offer("solo", std::move(t)));
+  all_offered = true;
+  ASSERT_TRUE(service.Finish().ok());
+  recorder.Stop();
+
+  EXPECT_GE(overlap_checks, 1u);
+  EXPECT_EQ(overlaps, overlap_checks)
+      << "a closed next window did not run during its predecessor's sink";
+  const ServiceCapture::Feed& solo = capture.feeds.at("solo");
+  ASSERT_EQ(solo.reports.size(), 4u);
+  for (size_t w = 0; w < 4; ++w) EXPECT_EQ(solo.reports[w].index, w);
+  ASSERT_EQ(solo.ids.size(), 160u);
+  for (int i = 0; i < 160; ++i) EXPECT_EQ(solo.ids[i], i);
 }
 
 TEST(ServiceTest, PerObjectBudgetAloneSelectsThePerObjectLedger) {

@@ -200,4 +200,32 @@ for flag in --listen --listen-conns --connect; do
     || fail "frt_stream did not reject $flag as a transport flag"
 done
 
-echo "PASS: frt_stream == one-feed frt_serve; bad lines publish only complete windows; CRLF blanks and indented comments skipped in --feeds; invalid feed ids, unreadable inputs, out-of-range --threads, --listen-conns without --listen, retired flags and transport flags rejected"
+# ---- Reproducibility: each per-feed --output-dir file is the same bytes
+# in two runs at one --seed. The merged --output writes windows in the
+# order they complete, which depends on timing, so two runs are compared
+# as sorted rows, and they hold exactly the per-feed files' rows. ----
+awk '{ printf "f%d,%s\n", int((NR - 1) / 30) % 4, $0 }' "$WORK/raw.csv" \
+  > "$WORK/repro_feeds.csv"
+for run in 1 2; do
+  mkdir -p "$WORK/repro_dir$run"
+  "$SERVE" --feeds "$WORK/repro_feeds.csv" --output-dir "$WORK/repro_dir$run" \
+    --window 20 --m 3 --shards 2 --seed 11 2> "$WORK/repro_dir$run.log" \
+    || fail "frt_serve --output-dir run $run exited $?"
+  "$SERVE" --feeds "$WORK/repro_feeds.csv" --output "$WORK/repro_merged$run.csv" \
+    --window 20 --m 3 --shards 2 --seed 11 2> "$WORK/repro_merged$run.log" \
+    || fail "frt_serve --output run $run exited $?"
+done
+for feed in f0 f1 f2 f3; do
+  [[ -s "$WORK/repro_dir1/$feed.csv" ]] || fail "frt_serve published nothing for $feed"
+  cmp "$WORK/repro_dir1/$feed.csv" "$WORK/repro_dir2/$feed.csv" \
+    || fail "--output-dir $feed.csv differs between two runs at one --seed"
+  grep -v '^#' "$WORK/repro_dir1/$feed.csv" | sed "s/^/$feed,/"
+done | LC_ALL=C sort > "$WORK/repro_dir_rows.txt"
+for run in 1 2; do
+  grep -v '^#' "$WORK/repro_merged$run.csv" | LC_ALL=C sort \
+    > "$WORK/repro_merged_rows$run.txt"
+  cmp "$WORK/repro_dir_rows.txt" "$WORK/repro_merged_rows$run.txt" \
+    || fail "--output run $run does not hold the --output-dir rows"
+done
+
+echo "PASS: frt_stream == one-feed frt_serve; --output-dir files reproduce byte for byte and --output as sorted rows; bad lines publish only complete windows; CRLF blanks and indented comments skipped in --feeds; invalid feed ids, unreadable inputs, out-of-range --threads, --listen-conns without --listen, retired flags and transport flags rejected"

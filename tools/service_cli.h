@@ -185,9 +185,13 @@ inline FlagTable ServeFlags(ServeArgs* args) {
       "          (--output FILE|- | --output-dir DIR) [options]",
       LocalFeedFlags(&args->local)};
   table.Add({
-      {"--output", "FILE|-", "merged multi-feed CSV output",
+      {"--output", "FILE|-",
+       "merged multi-feed CSV output; windows in completion\n"
+       "order, so runs at one --seed match only as sorted rows",
        Text(&args->output)},
-      {"--output-dir", "DIR", "one <feed>.csv per feed (DIR must exist)",
+      {"--output-dir", "DIR",
+       "one <feed>.csv per feed (DIR must exist); the\n"
+       "files are byte-identical across runs at one --seed",
        Text(&args->output_dir)},
       {"--evict-idle-ms", "N",
        "flush + evict sessions idle for N ms (default 0 = never)",
