@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "core/modifier.h"
 #include "core/pipeline.h"
 #include "index/search_context.h"
@@ -260,15 +261,18 @@ const AuditWorkload& TaxiRelease() {
 }
 
 // The window audit of that release, serial. range(0) = 1 runs the
-// one-part RunWindowAudit (vertex table first, then one k=1 search per
-// distinct remaining coordinate); 4 runs it over four parts, one per
-// quarter of the input trajectories, as a 4-shard batch builds them
-// (the part builds are timed too); 0 runs the index-only reference: a k=1
-// search for every published point over an input-order HG+ build. All
-// three report the same displacement (the reference sums in another order,
-// so its sum may differ in the last bits); CI asserts vertex_hit_frac >=
-// 0.5, fewer evals_per_point on the fast path than index-only, and equal
-// points and displacement_sum on the 4-part and 1-part arms.
+// one-part RunWindowAudit (vertex table first, then one nearest-segment
+// search of the part's tree per distinct remaining coordinate); 4 runs it
+// over four parts, one per quarter of the input trajectories, as a
+// 4-shard batch builds them (the part builds are timed too); 0 runs the
+// index-only reference: a k=1 search for every published point over an
+// input-order HG+ build. All three report the same displacement (the
+// reference sums in another order, so its sum may differ in the last
+// bits); CI asserts vertex_hit_frac >= 0.5, fewer evals_per_point on the
+// fast path than index-only, and equal points and displacement_sum on the
+// 4-part and 1-part arms. build_ns_per_segment is the part builds (tree
+// and vertex table; WindowAuditReport::build_seconds) or the HG+ build
+// (entries and Build) per original segment.
 void BM_WindowAudit(benchmark::State& state) {
   const int parts = static_cast<int>(state.range(0));
   const AuditWorkload& w = TaxiRelease();
@@ -279,6 +283,7 @@ void BM_WindowAudit(benchmark::State& state) {
   uint64_t evals = 0;
   uint64_t hits = 0;
   double displacement_sum = 0.0;
+  double build_seconds = 0.0;
   for (auto _ : state) {
     ++runs;
     if (parts > 0) {
@@ -295,10 +300,12 @@ void BM_WindowAudit(benchmark::State& state) {
       points += report.points_audited;
       evals += report.distance_evaluations;
       hits += report.vertex_hits;
+      build_seconds += report.build_seconds;
       displacement_sum = report.mean_displacement *
                          static_cast<double>(report.points_audited);
       continue;
     }
+    Stopwatch build_watch;
     std::vector<SegmentEntry> entries;
     BBox region = BBox::Empty();
     for (const Trajectory& t : w.original.trajectories()) {
@@ -309,9 +316,10 @@ void BM_WindowAudit(benchmark::State& state) {
         region.Extend(s.b);
       }
     }
-    auto index = MakeSegmentIndex(config.strategy,
-                                  GridSpec(region, config.index_levels));
+    auto index = MakeSegmentIndex(SearchStrategy::kBottomUpDown,
+                                  GridSpec(region, 10));
     (void)index->Build(entries);
+    build_seconds += build_watch.ElapsedSeconds();
     SearchContext ctx;
     SearchOptions options;
     options.k = 1;
@@ -341,6 +349,14 @@ void BM_WindowAudit(benchmark::State& state) {
       static_cast<double>(points) /
       static_cast<double>(std::max<uint64_t>(runs, 1)));
   state.counters["displacement_sum"] = benchmark::Counter(displacement_sum);
+  size_t segments = 0;
+  for (const Trajectory& t : w.original.trajectories()) {
+    segments += t.NumSegments();
+  }
+  state.counters["build_ns_per_segment"] = benchmark::Counter(
+      build_seconds * 1e9 /
+      (static_cast<double>(std::max<uint64_t>(runs, 1)) *
+       static_cast<double>(std::max<size_t>(segments, 1))));
 }
 
 void StrategySizes(benchmark::internal::Benchmark* b) {

@@ -30,11 +30,13 @@ inline uint32_t SpreadBits(uint32_t v) {
 }
 
 /// Z-order key of a segment's midpoint on a 2^16 x 2^16 lattice over
-/// `region`. Midpoints outside the region are clamped onto its border.
+/// `region`. Midpoints outside the region are clamped onto its border; a
+/// NaN lattice position (non-finite geometry) maps to the low border.
 inline uint32_t MortonKey(const Segment& s, const BBox& region) {
   const auto lattice = [](double v, double lo, double span) {
     const double f = span > 0.0 ? (v - lo) / span : 0.0;
-    return static_cast<uint32_t>(std::clamp(f, 0.0, 1.0) * 65535.0);
+    return static_cast<uint32_t>(
+        (f > 0.0 ? std::min(f, 1.0) : 0.0) * 65535.0);
   };
   const uint32_t x =
       lattice(0.5 * (s.a.x + s.b.x), region.min_x, region.Width());

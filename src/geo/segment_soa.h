@@ -51,21 +51,30 @@ struct SegmentGeomBlock {
   BBox box;
 };
 
-/// \brief True when no live lane of `block` can have a kernel distance²
-/// from q at or below `thr2`, so the block may be skipped.
+/// \brief True when no segment inside `box` can have a kernel distance²
+/// from q at or below `thr2`, so everything the box bounds may be skipped.
 ///
 /// The box bound is exact geometry, but the kernel rounds: a lane at true
-/// distance g can come out a few ulps of (g + block extent) below g. The
+/// distance g can come out a few ulps of (g + segment length) below g. The
 /// bound is therefore deflated relatively by 1e-12 and absolutely by
 /// 1e-17 x the squared box diagonal (together they cover that error with
 /// room to spare), so a lane that ties the threshold is never dropped.
-inline bool BlockBeyond(const Point& q, const SegmentGeomBlock& block,
-                        double thr2) {
-  const double w = block.box.max_x - block.box.min_x;
-  const double h = block.box.max_y - block.box.min_y;
-  return MinDist2PointBBox(q, block.box) * (1.0 - 1e-12) -
+/// Any box that holds a segment may stand for it: a larger box has a
+/// smaller MINdist and a larger diagonal, so its bound is only lower. A
+/// box with an infinite or NaN extent never prunes.
+inline bool BoxBeyond(const Point& q, const BBox& box, double thr2) {
+  const double w = box.max_x - box.min_x;
+  const double h = box.max_y - box.min_y;
+  return MinDist2PointBBox(q, box) * (1.0 - 1e-12) -
              1e-17 * (w * w + h * h) >
          thr2;
+}
+
+/// \brief True when no live lane of `block` can have a kernel distance²
+/// from q at or below `thr2` (BoxBeyond on the block's box).
+inline bool BlockBeyond(const Point& q, const SegmentGeomBlock& block,
+                        double thr2) {
+  return BoxBeyond(q, block.box, thr2);
 }
 
 /// \brief Evaluates the squared distance from q to every lane of `block`,
@@ -98,7 +107,9 @@ inline void PointSegmentDistance2Batch(const Point& q,
 /// Maintained in lockstep with the owning cell's SegmentEntry vector:
 /// PushBack mirrors push_back, SwapRemove mirrors the swap-erase removal
 /// idiom, so geometry lane i always belongs to entry i. Blocks keep their
-/// capacity across clear() for the arena's free-list slot reuse.
+/// capacity across clear() for the arena's free-list slot reuse. (The
+/// window audit's static tree fills one with PushBack alone, with no
+/// entry vector beside it.)
 ///
 /// Block boxes: PushBack extends the box of the block it writes (starting
 /// afresh at lane 0, when the block holds nothing live), SwapRemove

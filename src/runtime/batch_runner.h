@@ -50,7 +50,7 @@ struct BatchRunnerConfig {
   /// one after another on the calling thread; the output is the same.
   WorkStealingPool* pool = nullptr;
   /// Post-publish displacement audit (runtime/window_audit.h). When
-  /// enabled, each shard's task builds the audit part (segment index and
+  /// enabled, each shard's task builds the audit part (segment tree and
   /// vertex table) over its own input range after its pipeline run, and
   /// one audit run then fans `pool` (when set) out over the parts
   /// read-only.

@@ -9,8 +9,7 @@
 
 #include "common/stopwatch.h"
 #include "geo/morton.h"
-#include "index/search_context.h"
-#include "index/segment_index.h"
+#include "geo/segment_soa.h"
 
 namespace frt {
 
@@ -63,56 +62,123 @@ void SortByHighWord(std::vector<uint64_t>* order) {
   }
 }
 
-/// Index entries for every segment of `original` trajectories [range),
-/// with handles numbered in input order but stored in Morton order of the
-/// segment midpoints, so the residents of a cell — and with them each
-/// 8-lane block — are spatially tight and block skipping prunes well. Only
-/// (key, handle) pairs are sorted; the entries are materialized once,
-/// already in order. Sets `*region` to the box of all segment endpoints.
-std::vector<SegmentEntry> CollectEntries(const Dataset& original,
-                                         ShardRange range, BBox* region) {
-  const std::vector<Trajectory>& trajs = original.trajectories();
-  // first[t]: handle of trajectory range.begin + t's first segment;
-  // first.back(): total.
-  std::vector<uint64_t> first(range.size() + 1, 0);
-  *region = BBox::Empty();
-  for (size_t t = 0; t < range.size(); ++t) {
-    const Trajectory& traj = trajs[range.begin + t];
-    const size_t segments = traj.NumSegments();
-    first[t + 1] = first[t] + segments;
-    for (size_t i = 0; i < segments; ++i) {
-      const Segment s = traj.SegmentAt(i);
-      region->Extend(s.a);
-      region->Extend(s.b);
+/// The original segments of one part as a static packed tree. The leaves
+/// are 8-lane blocks of SoA geometry (geo/segment_soa.h) written straight
+/// from the trajectories in Morton order of the segment midpoints, so each
+/// block is spatially tight; the last block is padded with copies of its
+/// last live lane, which leave every minimum unchanged. Above them sits
+/// one contiguous box array per level: level 0 holds each block's box,
+/// and each box of the next level bounds eight boxes of the one below, up
+/// to one root box. A search reads a block's lanes only after its box
+/// passed, so the boxes it tests sit side by side in memory.
+///
+/// Nearest lowers a squared threshold to the smallest kernel distance² of
+/// any segment below it. Children are visited nearest box first, and a
+/// subtree is skipped when BoxBeyond says none of its lanes can reach the
+/// threshold — the exactness argument of the blocks applies to every
+/// level, since each box holds all the lanes beneath it. A lane whose
+/// kernel is NaN (non-finite geometry) never compares below the threshold,
+/// so it never counts. The result is the minimum over the lanes whatever
+/// the visiting order or the starting threshold.
+class SegmentTree {
+ public:
+  SegmentTree(const Dataset& original, ShardRange range) {
+    const std::vector<Trajectory>& trajs = original.trajectories();
+    // starts[h]: segment h's start point, in input order; the next point
+    // of the same trajectory is its end.
+    std::vector<const TimedPoint*> starts;
+    BBox region = BBox::Empty();
+    for (size_t t = range.begin; t < range.end; ++t) {
+      const std::vector<TimedPoint>& points = trajs[t].points();
+      for (size_t i = 0; i + 1 < points.size(); ++i) {
+        starts.push_back(&points[i]);
+        region.Extend(points[i].p);
+      }
+      if (points.size() >= 2) region.Extend(points.back().p);
     }
-  }
-  // (key << 32 | handle), pushed in handle order: a stable sort on the key
-  // orders by key, then input order. Handles fit 32 bits (2^32 segments
-  // would be ~200 GB of input).
-  std::vector<uint64_t> order;
-  order.reserve(first.back());
-  for (size_t t = 0; t < range.size(); ++t) {
-    const Trajectory& traj = trajs[range.begin + t];
-    for (size_t i = 0; i < traj.NumSegments(); ++i) {
-      const uint64_t key = MortonKey(traj.SegmentAt(i), *region);
-      order.push_back((key << 32) | (first[t] + i));
+    lanes_ = starts.size();
+    if (lanes_ == 0) return;
+    // (key << 32 | handle), pushed in handle order: a stable sort on the
+    // key orders by key, then input order. Handles fit 32 bits (2^32
+    // segments would be ~200 GB of input).
+    const auto segment = [&](size_t h) {
+      return Segment{starts[h]->p, starts[h][1].p};
+    };
+    std::vector<uint64_t> order(lanes_);
+    for (size_t h = 0; h < lanes_; ++h) {
+      order[h] = (uint64_t{MortonKey(segment(h), region)} << 32) | h;
     }
-  }
-  SortByHighWord(&order);
+    SortByHighWord(&order);
+    geom_.Reserve(lanes_ + kDistLanes - 1);
+    for (const uint64_t key : order) geom_.PushBack(segment(key & 0xffffffffu));
+    const Segment last = segment(order.back() & 0xffffffffu);
+    while (geom_.size() % kDistLanes != 0) geom_.PushBack(last);
 
-  std::vector<SegmentEntry> entries;
-  entries.reserve(order.size());
-  for (const uint64_t key : order) {
-    const SegmentHandle handle = key & 0xffffffffu;
-    const size_t t = static_cast<size_t>(
-        std::upper_bound(first.begin(), first.end(), handle) -
-        first.begin() - 1);
-    const Trajectory& traj = trajs[range.begin + t];
-    entries.push_back(
-        SegmentEntry{handle, traj.id(), traj.SegmentAt(handle - first[t])});
+    std::vector<BBox> blocks(geom_.size() / kDistLanes);
+    for (size_t b = 0; b < blocks.size(); ++b) blocks[b] = geom_.block(b).box;
+    levels_.push_back(std::move(blocks));
+    while (levels_.back().size() > 1) {
+      const std::vector<BBox>& below = levels_.back();
+      std::vector<BBox> level((below.size() + kFanOut - 1) / kFanOut);
+      for (size_t c = 0; c < below.size(); ++c) {
+        level[c / kFanOut].Extend(below[c]);
+      }
+      levels_.push_back(std::move(level));
+    }
   }
-  return entries;
-}
+
+  bool empty() const { return lanes_ == 0; }
+
+  /// Lowers *best2 to the smallest kernel distance² from q to a segment
+  /// of the tree when that is below it, adding the live lanes the kernel
+  /// evaluated to *evals.
+  void Nearest(const Point& q, double* best2, uint64_t* evals) const {
+    if (empty() || BoxBeyond(q, levels_.back()[0], *best2)) return;
+    Descend(q, levels_.size() - 1, 0, best2, evals);
+  }
+
+ private:
+  static constexpr size_t kFanOut = 8;
+
+  /// Searches below box `node` of `level`, whose box has passed.
+  void Descend(const Point& q, size_t level, size_t node, double* best2,
+               uint64_t* evals) const {
+    if (level == 0) {
+      double d2[kDistLanes];
+      PointSegmentDistance2Batch(q, geom_.block(node), d2);
+      *evals += std::min(kDistLanes, lanes_ - node * kDistLanes);
+      double best = *best2;
+      for (const double d : d2) best = d < best ? d : best;
+      *best2 = best;
+      return;
+    }
+    // Children by MINdist to their boxes, nearest first (insertion sort).
+    const std::vector<BBox>& below = levels_[level - 1];
+    const size_t first = node * kFanOut;
+    const size_t n = std::min(kFanOut, below.size() - first);
+    size_t child[kFanOut];
+    double dist2[kFanOut];
+    for (size_t i = 0; i < n; ++i) {
+      const double d = MinDist2PointBBox(q, below[first + i]);
+      size_t j = i;
+      for (; j > 0 && d < dist2[j - 1]; --j) {
+        child[j] = child[j - 1];
+        dist2[j] = dist2[j - 1];
+      }
+      child[j] = first + i;
+      dist2[j] = d;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (BoxBeyond(q, below[child[i]], *best2)) continue;
+      Descend(q, level - 1, child[i], best2, evals);
+    }
+  }
+
+  SegmentGeomSoA geom_;
+  size_t lanes_ = 0;
+  /// levels_[0]: the blocks' boxes; levels_.back(): the root box alone.
+  std::vector<std::vector<BBox>> levels_;
+};
 
 /// The vertex table: an open-addressed set (linear probing, at most
 /// two-thirds full, one flat array) of the original vertices where a
@@ -123,10 +189,9 @@ std::vector<SegmentEntry> CollectEntries(const Dataset& original,
 /// trajectory's last vertex `b` when PointSegmentDistance2(b, last
 /// segment) is exactly 0.0 (the kernel's t may round below 1 there, so
 /// this is checked, not assumed). Keys compare with Point's operator==,
-/// so -0.0 and 0.0 are one key; a NaN x marks an empty slot. Sized below
-/// the part's entries (16 B per slot, at most 3 slots per key and at most
-/// one key per segment plus one per trajectory, vs a 48 B entry per
-/// segment), which are freed first.
+/// so -0.0 and 0.0 are one key; a NaN x marks an empty slot. 16 B per
+/// slot, at most 3 slots per key, and at most one key per segment plus
+/// one per trajectory.
 class VertexTable {
  public:
   VertexTable(const Dataset& original, ShardRange range) {
@@ -199,14 +264,15 @@ class QueryTable {
     queries_.reserve(max_keys);
   }
 
-  /// Index of `q` in queries(), appended on first sight. A point with a
-  /// NaN coordinate is appended every time.
+  /// Index of `q` in queries(), appended on first sight.
   uint32_t Intern(const Point& q) {
-    if (std::isnan(q.x) || std::isnan(q.y)) return Append(q);
     const uint64_t x = Bits(q.x);
     const uint64_t y = Bits(q.y);
     for (size_t i = HashBits(x, y) & mask_;; i = (i + 1) & mask_) {
-      if (slots_[i] == kNone) return slots_[i] = Append(q);
+      if (slots_[i] == kNone) {
+        queries_.push_back(q);
+        return slots_[i] = static_cast<uint32_t>(queries_.size() - 1);
+      }
       const Point& held = queries_[slots_[i]];
       if (Bits(held.x) == x && Bits(held.y) == y) return slots_[i];
     }
@@ -217,14 +283,16 @@ class QueryTable {
  private:
   static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-  uint32_t Append(const Point& q) {
-    queries_.push_back(q);
-    return static_cast<uint32_t>(queries_.size() - 1);
-  }
-
   std::vector<uint32_t> slots_;
   size_t mask_ = 0;
   std::vector<Point> queries_;
+};
+
+/// A point left to search, with the live part its trajectory came from
+/// (searched first).
+struct Searched {
+  Point p;
+  uint32_t home;
 };
 
 /// One published range through the three steps: the vertex hits and the
@@ -232,24 +300,16 @@ class QueryTable {
 /// the distinct coordinates (step 2).
 struct RangeScan {
   uint64_t vertex_hits = 0;
-  std::vector<Point> searched;
+  std::vector<Searched> searched;
   std::vector<uint32_t> query_of;
-};
-
-/// The nearest-segment distance of one distinct coordinate; found=false
-/// when no part returned a hit.
-struct QueryResult {
-  double dist = 0.0;
-  bool found = false;
 };
 
 }  // namespace
 
 struct WindowAuditPart::State {
-  /// Null when the range holds no segment.
-  std::unique_ptr<SegmentIndex> index;
+  ShardRange range;
+  SegmentTree tree;
   VertexTable vertices;
-  Status built;
   double build_seconds = 0.0;
 };
 
@@ -260,23 +320,12 @@ WindowAuditPart& WindowAuditPart::operator=(WindowAuditPart&&) noexcept =
     default;
 
 WindowAuditPart::WindowAuditPart(const Dataset& original, ShardRange range,
-                                 const WindowAuditConfig& config) {
+                                 const WindowAuditConfig& /*config*/) {
   Stopwatch build_watch;
-  BBox region;
-  std::vector<SegmentEntry> entries =
-      CollectEntries(original, range, &region);
-  std::unique_ptr<SegmentIndex> index;
-  Status built = Status::OK();
-  if (!entries.empty()) {
-    index = MakeSegmentIndex(config.strategy,
-                             GridSpec(region, config.index_levels));
-    built = index->Build(Span<const SegmentEntry>(entries));
-  }
-  // The index holds its own copies: free the entries before the table
-  // allocates, so the two never coexist.
-  std::vector<SegmentEntry>().swap(entries);
-  state_.reset(new State{std::move(index), VertexTable(original, range),
-                         std::move(built), 0.0});
+  // The tree's build buffers are freed before the table allocates.
+  SegmentTree tree(original, range);
+  state_.reset(new State{range, std::move(tree), VertexTable(original, range),
+                         0.0});
   state_->build_seconds = build_watch.ElapsedSeconds();
 }
 
@@ -288,97 +337,117 @@ WindowAuditReport RunWindowAudit(Span<const WindowAuditPart> parts,
   if (!config.enabled || published.empty()) return report;
   // The parts that hold segments; the others can neither hit nor answer.
   std::vector<const WindowAuditPart::State*> live;
-  bool built = true;
+  size_t original_size = 0;
   for (const WindowAuditPart& part : parts) {
     const WindowAuditPart::State* state = part.state_.get();
     if (state == nullptr) continue;
     report.build_seconds += state->build_seconds;
-    built = built && state->built.ok();
-    if (state->index != nullptr) live.push_back(state);
+    original_size += state->range.size();
+    if (!state->tree.empty()) live.push_back(state);
   }
-  if (!built || live.empty()) return report;
+  if (live.empty()) return report;
 
-  // Step 1: classify each range's points against every vertex table.
+  // A release that keeps the input's trajectories in order (as every FRT
+  // release does) maps published trajectory t to the part whose range
+  // holds t: most of its points are that part's vertices, or lie nearest
+  // its segments, so that part is checked and searched first. Otherwise
+  // (or when t's part holds no segment) parts go in order.
+  const bool own_first = published.size() == original_size;
+  const auto home_of = [&](size_t t) -> uint32_t {
+    for (uint32_t i = 0; own_first && i < live.size(); ++i) {
+      if (live[i]->range.begin <= t && t < live[i]->range.end) return i;
+    }
+    return 0;
+  };
+
+  // Step 1: classify each range's points against the vertex tables, the
+  // home part's first.
   const std::vector<ShardRange> ranges =
       PlanShards(published.size(), config.ranges);
   std::vector<RangeScan> scans(ranges.size());
   RunTasks(pool, ranges.size(), [&](size_t r) {
     RangeScan& scan = scans[r];
     for (size_t t = ranges[r].begin; t < ranges[r].end; ++t) {
+      const uint32_t home = home_of(t);
       for (const TimedPoint& tp : published[t].points()) {
-        const bool hit = std::any_of(
-            live.begin(), live.end(),
-            [&](const WindowAuditPart::State* s) {
-              return s->vertices.Contains(tp.p);
-            });
+        bool hit = live[home]->vertices.Contains(tp.p);
+        for (uint32_t i = 0; !hit && i < live.size(); ++i) {
+          hit = i != home && live[i]->vertices.Contains(tp.p);
+        }
         if (hit) {
           ++scan.vertex_hits;
         } else {
-          scan.searched.push_back(tp.p);
+          scan.searched.push_back({tp.p, home});
         }
       }
     }
   });
 
-  // Step 2: intern the searched points across all ranges, then search
-  // each distinct coordinate once, in every part.
+  // Step 2: intern the searched points across all ranges (a coordinate
+  // keeps the home of its first point), then search each distinct
+  // coordinate once: its home part first, then the others, each from the
+  // best distance² so far.
   size_t searched = 0;
   for (const RangeScan& scan : scans) searched += scan.searched.size();
   QueryTable table(searched);
+  std::vector<uint32_t> homes;
+  homes.reserve(searched);
   for (RangeScan& scan : scans) {
     scan.query_of.reserve(scan.searched.size());
-    for (const Point& p : scan.searched) {
-      scan.query_of.push_back(table.Intern(p));
+    for (const Searched& s : scan.searched) {
+      const uint32_t q = table.Intern(s.p);
+      if (q == homes.size()) homes.push_back(s.home);
+      scan.query_of.push_back(q);
     }
-    std::vector<Point>().swap(scan.searched);
+    std::vector<Searched>().swap(scan.searched);
   }
   const std::vector<Point>& queries = table.queries();
-  std::vector<QueryResult> results(queries.size());
-  uint64_t evals_before = 0;
-  for (const WindowAuditPart::State* s : live) {
-    evals_before += s->index->distance_evaluations();
+  // Tasks take the coordinates in Morton order, so consecutive searches
+  // walk the same paths of the trees.
+  BBox extent = BBox::Empty();
+  for (const Point& p : queries) extent.Extend(p);
+  std::vector<uint64_t> order(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    order[q] =
+        (uint64_t{MortonKey(Segment{queries[q], queries[q]}, extent)} << 32) |
+        q;
   }
+  SortByHighWord(&order);
+  std::vector<double> results(queries.size());
   const size_t tasks = (queries.size() + kQueriesPerTask - 1) /
                        kQueriesPerTask;
+  std::vector<uint64_t> task_evals(tasks, 0);
   RunTasks(pool, tasks, [&](size_t task) {
-    SearchOptions options;
-    options.k = 1;
-    options.group_by = GroupBy::kSegment;
-    SearchContext ctx;
     const size_t end = std::min(queries.size(), (task + 1) * kQueriesPerTask);
-    for (size_t q = task * kQueriesPerTask; q < end; ++q) {
-      QueryResult& result = results[q];
-      for (const WindowAuditPart::State* s : live) {
-        const Span<const Neighbor> hits =
-            s->index->KNearest(queries[q], options, &ctx);
-        if (hits.empty()) continue;
-        // A NaN distance (a NaN query) is never replaced, as in one index.
-        if (!result.found || hits[0].dist < result.dist) {
-          result.dist = hits[0].dist;
-        }
-        result.found = true;
+    for (size_t i = task * kQueriesPerTask; i < end; ++i) {
+      const size_t q = order[i] & 0xffffffffu;
+      const Point& p = queries[q];
+      // Every kernel distance from a NaN coordinate is NaN.
+      if (std::isnan(p.x) || std::isnan(p.y)) {
+        results[q] = std::numeric_limits<double>::quiet_NaN();
+        continue;
       }
+      double best2 = std::numeric_limits<double>::infinity();
+      live[homes[q]]->tree.Nearest(p, &best2, &task_evals[task]);
+      for (uint32_t i = 0; i < live.size(); ++i) {
+        if (i != homes[q]) live[i]->tree.Nearest(p, &best2, &task_evals[task]);
+      }
+      results[q] = std::sqrt(best2);
     }
   });
-  for (const WindowAuditPart::State* s : live) {
-    report.distance_evaluations += s->index->distance_evaluations();
-  }
-  report.distance_evaluations -= evals_before;
+  for (const uint64_t evals : task_evals) report.distance_evaluations += evals;
 
   // Step 3: each range sums its points in order, and the ranges merge in
   // range order, so every aggregate is independent of the scheduling.
   report.ran = true;
   for (const RangeScan& scan : scans) {
-    uint64_t points = scan.vertex_hits;
     double sum = 0.0;
     double max = 0.0;
     for (const uint32_t q : scan.query_of) {
-      if (!results[q].found) continue;
-      ++points;
-      sum += results[q].dist;
-      max = std::max(max, results[q].dist);
+      sum += results[q];
+      max = std::max(max, results[q]);
     }
-    report.points_audited += points;
+    report.points_audited += scan.vertex_hits + scan.query_of.size();
     report.vertex_hits += scan.vertex_hits;
     report.mean_displacement += sum;
     report.max_displacement = std::max(report.max_displacement, max);

@@ -1,19 +1,29 @@
-// Window audit: a read-only displacement report over one publishing window,
-// and the runtime consumer of the shared-index concurrency contract.
+// Window audit: a read-only displacement report over one publishing window.
 //
 // After a window is anonymized, the audit measures how far the published
 // points moved: for every point of every published trajectory it finds the
-// nearest original segment (a k=1 KNearest over the segments of the
-// *input* dataset) and aggregates mean / max displacement. This is a pure
-// utility diagnostic — it reads both datasets and writes nothing.
+// nearest original segment (the minimum point-segment distance over the
+// segments of the *input* dataset) and aggregates mean / max displacement.
+// This is a pure utility diagnostic — it reads both datasets and writes
+// nothing.
 //
-// Parts. The original segments are indexed in parts: a WindowAuditPart
-// holds the segment index and the vertex table of one trajectory range of
+// Parts. The original segments are held in parts: a WindowAuditPart holds
+// a static segment tree and the vertex table of one trajectory range of
 // the input. BatchRunner builds one part per shard inside the shard's
 // task, right after the shard's pipeline run, so the builds run in the
 // parallel shard phase instead of serially after it; the one-part
 // RunWindowAudit(original, ...) builds a single part over the whole input.
 // A part is read-only once built, so any number of threads search it.
+//
+// The tree. A part packs its segments into 8-lane SoA blocks
+// (geo/segment_soa.h) straight from the trajectories, in Morton (Z-order)
+// order of the segment midpoints, so each block is spatially tight. Above
+// the blocks sits one contiguous box array per level, each box bounding
+// eight boxes of the level below, up to one root box. A search descends
+// nearest box first and skips a box when BoxBeyond puts everything in it
+// beyond the best distance² so far; the deflated bound never drops a lane
+// that ties it, at any level. The order only changes the work, never the
+// report.
 //
 // An audit run over the parts works in three steps:
 //   1. Classify (one pool task per published range): a point that any
@@ -21,30 +31,31 @@
 //      collected.
 //   2. Search: the collected points are deduplicated by the bit pattern of
 //      their coordinates, and each distinct coordinate is searched once
-//      (tasks over the pool, each with its own SearchContext): k=1 in every
-//      part, and its distance is the minimum over the parts. A point with
-//      a NaN coordinate is searched on its own, once per point.
+//      (tasks over the pool, in Morton order of the coordinates), in every
+//      part, each part starting from the best distance² so far. A point
+//      with a NaN coordinate is NaN from every segment and is not searched.
 //   3. Aggregate: the published points are summed per range, in point
 //      order, by lookup, and the per-range partials are merged in range
 //      order.
-// A k=1 distance is a pure function of the query and the segment set (ties
-// break by (dist², handle), index/README.md), and the minimum over
-// disjoint parts is the minimum over their union, so points_audited,
-// vertex_hits, the mean and the max are bit-identical to one search per
-// point over one index of all segments — at every part count, range count
-// and pool size. Only distance_evaluations depends on the parts. (Where the
-// distance kernel is NaN — non-finite or overflowing input geometry — the
-// kNN result is not order-independent in the first place.)
+// Home part first. When the release has as many trajectories as the
+// parts' ranges cover (every FRT release keeps the input's trajectories,
+// in order), published trajectory t's points are checked against, and
+// searched in, the part whose range holds t first: most of them are that
+// part's vertices or lie nearest its segments, so the other parts are
+// mostly pruned at their upper levels. Otherwise the parts go in order.
 //
-// Each part's index is bulk-built from entries stored in Morton (Z-order)
-// order of their segment midpoints, so each cell's 8-lane blocks are
-// spatially tight and the grid's block skipping (index/README.md) prunes
-// most of the coarse cells every query visits. The order only changes the
-// work, never the report.
+// A point's distance is the square root of the minimum kernel distance²
+// over all segments (geo/segment.h), where a NaN kernel value —
+// non-finite input geometry — never counts (as std::min over the
+// distances skips it); +inf when no value counts. That minimum does not
+// depend on the parts, their order or the visiting order, so
+// points_audited, vertex_hits, the mean and the max are bit-identical to
+// a brute-force scan at every part count, range count and pool size. Only
+// distance_evaluations depends on the parts.
 //
 // Vertex fast path. FRT inserts and deletes occurrences of signature
 // locations, so most published points are original vertices left as they
-// were. Beside its index each part keeps a flat, read-only vertex table
+// were. Beside its tree each part keeps a flat, read-only vertex table
 // (one open-addressed array) of the vertices where some segment's kernel
 // is exactly 0:
 //   - the start point `a` of every segment of its range whose kernel is
@@ -54,13 +65,13 @@
 //   - each trajectory's last vertex `b` whose PointSegmentDistance2 to
 //     the trajectory's last segment is exactly 0.0. The kernel's t may
 //     round below 1 at `b`, leaving a tiny nonzero distance, so the table
-//     evaluates the kernel there (the one the index evaluates, bit for
+//     evaluates the kernel there (the one the tree evaluates, bit for
 //     bit) and keeps `b` only when it is 0.
 // A published point q equal to a table key (q.x == k.x && q.y == k.y) is
 // counted with displacement exactly 0 and not searched. That is the
 // number the search would return, since no distance is below 0. A last
-// vertex whose kernel is not 0 and a NaN coordinate (never equal) are
-// still searched.
+// vertex whose kernel is not 0 and a NaN coordinate (never equal) go on
+// to step 2.
 
 #ifndef FRT_RUNTIME_WINDOW_AUDIT_H_
 #define FRT_RUNTIME_WINDOW_AUDIT_H_
@@ -78,13 +89,15 @@ namespace frt {
 
 /// Configuration of the per-window displacement audit.
 struct WindowAuditConfig {
-  /// Audits run only when enabled (they cost the part builds plus one k=1
-  /// query per part for each distinct published coordinate that is not an
-  /// original vertex).
+  /// Audits run only when enabled (they cost the part builds plus one
+  /// nearest-segment search for each distinct published coordinate that
+  /// is not an original vertex).
   bool enabled = false;
-  /// kNN strategy of the audit index.
+  /// Unused: the audit searches its own segment tree, not a SegmentIndex.
+  /// Kept only because perfbench/src/layers.cc still sets it; delete it
+  /// with that line.
   SearchStrategy strategy = SearchStrategy::kBottomUpDown;
-  /// Dyadic levels of each part's index grid (512x512 finest by default).
+  /// Unused, like `strategy`, and kept for the same reason.
   int index_levels = 10;
   /// Number of trajectory ranges the published dataset is split into.
   /// Fixed (not derived from the worker count) so aggregates are
@@ -103,8 +116,8 @@ struct WindowAuditReport {
   /// Published points answered by a vertex table, without a search.
   /// Counted in points_audited.
   uint64_t vertex_hits = 0;
-  /// Wall seconds spent collecting, ordering and indexing the original
-  /// segments and building the vertex tables, summed over the parts (the
+  /// Wall seconds spent ordering and packing the original segments into
+  /// the trees and building the vertex tables, summed over the parts (the
   /// parts of a batch are built concurrently, so this can exceed the wall
   /// time they took).
   double build_seconds = 0.0;
@@ -112,20 +125,22 @@ struct WindowAuditReport {
   /// segment (meters in the paper's datasets). 0 when no points audited.
   double mean_displacement = 0.0;
   double max_displacement = 0.0;
-  /// Exact distance evaluations of the audit's searches, summed over the
-  /// parts. They run once per distinct coordinate the vertex tables did
-  /// not answer (once per point for a NaN coordinate).
+  /// Live segment lanes the distance kernel evaluated in the audit's
+  /// searches, summed over the parts (a block's padding lanes are not
+  /// counted). The searches run once per distinct coordinate the vertex
+  /// tables did not answer.
   uint64_t distance_evaluations = 0;
 };
 
 /// \brief The audit's read-only structures over one trajectory range of a
-/// window's input: a Morton-ordered segment index and a vertex table.
+/// window's input: a static segment tree and a vertex table.
 class WindowAuditPart {
  public:
   /// A part with no segments.
   WindowAuditPart();
   /// Builds the part over `original` trajectories [range.begin,
-  /// range.end). Does not keep a reference to `original`.
+  /// range.end). Does not keep a reference to `original`. `config` is
+  /// not read.
   WindowAuditPart(const Dataset& original, ShardRange range,
                   const WindowAuditConfig& config);
   ~WindowAuditPart();
@@ -147,8 +162,7 @@ class WindowAuditPart {
 /// `pool` supplies the workers that share the parts; pass nullptr to run
 /// every task serially on the calling thread (results are identical).
 /// Returns a report with ran=false when the config disables the audit,
-/// `published` is empty, no part holds a segment, or a part failed to
-/// build.
+/// `published` is empty, or no part holds a segment.
 WindowAuditReport RunWindowAudit(Span<const WindowAuditPart> parts,
                                  const Dataset& published,
                                  const WindowAuditConfig& config,

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -392,6 +393,65 @@ TEST(SegmentGeomSoATest, BlockBeyondNeverDropsATiedLane) {
       EXPECT_TRUE(BlockBeyond(q, block, 0.5 * bound2));
     }
   }
+}
+
+TEST(SegmentGeomSoATest, BoxBeyondNeverDropsATiedLaneAtAnUpperLevel) {
+  // The window audit's tree prunes whole subtrees with BoxBeyond on boxes
+  // that bound many blocks. Sixty-four segments far from the origin (so
+  // the kernel's rounding is large in absolute terms) fill eight blocks;
+  // a lane whose kernel distance² is the threshold must survive the check
+  // on its block's box, on the union of its block with a neighbour (the
+  // next level up) and on the union of all eight (the root), for query
+  // points anywhere and right beside the segment.
+  Rng rng(29);
+  SegmentGeomSoA soa;
+  std::vector<Segment> segments;
+  for (int i = 0; i < 64; ++i) {
+    const Point a{rng.Uniform(4.0e6, 4.0e6 + 500.0),
+                  rng.Uniform(-3.0e6, -3.0e6 + 500.0)};
+    const Point b{a.x + rng.Uniform(-300.0, 300.0),
+                  a.y + rng.Uniform(-300.0, 300.0)};
+    segments.push_back({a, b});
+    soa.PushBack(segments.back());
+  }
+  const size_t blocks = soa.size() / kDistLanes;
+  BBox root = BBox::Empty();
+  for (size_t b = 0; b < blocks; ++b) root.Extend(soa.block(b).box);
+  for (int i = 0; i < 2000; ++i) {
+    const size_t lane = rng.UniformInt(uint64_t{segments.size()});
+    const Segment& s = segments[lane];
+    const double t = rng.Uniform();
+    const Point on{s.a.x + (s.b.x - s.a.x) * t, s.a.y + (s.b.y - s.a.y) * t};
+    const Point q = i % 2 == 0
+                        ? Point{on.x + rng.Uniform(-1e-6, 1e-6),
+                                on.y + rng.Uniform(-1e-6, 1e-6)}
+                        : Point{rng.Uniform(3.9e6, 4.1e6),
+                                rng.Uniform(-3.1e6, -2.9e6)};
+    const size_t b = lane / kDistLanes;
+    double d2[kDistLanes];
+    PointSegmentDistance2Batch(q, soa.block(b), d2);
+    const double tie = d2[lane % kDistLanes];
+    ASSERT_EQ(tie, PointSegmentDistance2(q, s));
+    BBox pair = soa.block(b).box;
+    pair.Extend(soa.block(b ^ 1).box);
+    EXPECT_FALSE(BlockBeyond(q, soa.block(b), tie));
+    EXPECT_FALSE(BoxBeyond(q, pair, tie));
+    EXPECT_FALSE(BoxBeyond(q, root, tie));
+  }
+  // ...while a root clearly beyond the threshold is skipped.
+  const Point far{0.0, 0.0};
+  EXPECT_TRUE(BoxBeyond(far, root, 0.5 * MinDist2PointBBox(far, root)));
+}
+
+TEST(SegmentGeomSoATest, BoxWithInfiniteExtentNeverPrunes) {
+  // A segment with an infinite endpoint has a NaN kernel everywhere; its
+  // box must never be skipped on the strength of an overflowing bound.
+  const double inf = std::numeric_limits<double>::infinity();
+  const BBox box{0.0, 0.0, inf, 1.0};
+  EXPECT_FALSE(BoxBeyond(Point{-5.0, 0.5}, box, 1.0));
+  EXPECT_FALSE(BoxBeyond(Point{-5.0, 0.5}, box, 0.0));
+  const BBox beyond{inf, 0.0, inf, 1.0};
+  EXPECT_FALSE(BoxBeyond(Point{-5.0, 0.5}, beyond, 1.0));
 }
 
 }  // namespace

@@ -367,16 +367,14 @@ inline bool MakeStreamConfig(const StreamArgs& args,
   config->batch.pipeline = pipeline;
   config->batch.shards = pipeline_args.shards;
   config->batch.audit.enabled = true;
-  config->batch.audit.strategy = pipeline.strategy;
-  config->batch.audit.index_levels = pipeline.index_levels;
   return true;
 }
 
 /// One-line per-run summary of a window audit, for the tools' stderr
 /// reports ("displacement" = published point to nearest original segment).
 /// "shared-index=on builds=1" are fixed tokens, kept so log parsers see a
-/// stable format (the audit builds one index per part, one part per
-/// shard); build= is the sum of the part builds.
+/// stable format (the audit builds one segment tree per part, one part
+/// per shard); build= is the sum of the part builds.
 inline void PrintAuditReport(const WindowAuditReport& audit) {
   if (!audit.ran) return;
   std::fprintf(stderr,

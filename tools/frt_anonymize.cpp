@@ -55,8 +55,6 @@ int main(int argc, char** argv) {
   frt::RandomizerReport report;
   frt::WindowAuditConfig audit_config;
   audit_config.enabled = true;
-  audit_config.strategy = config.strategy;
-  audit_config.index_levels = config.index_levels;
   if (args.pipeline.shards > 1) {
     frt::WorkStealingPool pool(args.pipeline.threads);
     frt::BatchRunnerConfig batch_config;
