@@ -293,7 +293,7 @@ void BM_WindowAudit(benchmark::State& state) {
       } else {
         std::vector<WindowAuditPart> built;
         for (const ShardRange& range : PlanShards(w.original.size(), parts)) {
-          built.emplace_back(w.original, range, config);
+          built.emplace_back(w.original, range);
         }
         report = RunWindowAudit(built, w.published, config, nullptr);
       }

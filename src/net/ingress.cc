@@ -1,9 +1,5 @@
 #include "net/ingress.h"
 
-#include <poll.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <unordered_set>
 #include <utility>
@@ -90,60 +86,25 @@ IngressServer::Stats IngressServer::stats() const {
 }
 
 void IngressServer::Stop() {
+  // One atomic store, so a signal handler may call it: the accept loop's
+  // poll timeout notices it, and readers between frames.
   stop_.store(true, std::memory_order_relaxed);
-  // Wakes a blocking accept(); readers notice stop_ between frames. The
-  // lock orders this against the accept thread's Close(): shutdown(2)
-  // reaches either the live listener or nothing, never a reused fd.
-  std::lock_guard<std::mutex> lock(listener_mu_);
-  listener_.ShutdownBoth();
 }
 
 void IngressServer::AcceptLoop() {
   obs::SetTraceThreadName("ingress-accept");
   size_t accepted = 0;
-  int backoff_ms = 1;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    // Poll with a timeout so a Stop() that raced the shutdown() wakeup is
-    // still noticed promptly.
-    pollfd pfd{listener_.fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
-    if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0) continue;
-    bool transient = false;
-    auto conn = Accept(listener_, &transient);
-    if (!conn.ok()) {
-      if (transient) {
-        // An aborted handshake or fd exhaustion must not kill the
-        // listener while N-1 healthy edges are still connecting: retry
-        // with bounded backoff (the sleep also lets fds drain under
-        // EMFILE) and leave an audit trail in the registry.
-        accept_retries_->Inc();
-        FRT_LOG(Warning) << "ingress accept failed (retrying in "
-                         << backoff_ms
-                         << " ms): " << conn.status().message();
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-        backoff_ms = std::min(backoff_ms * 2, 200);
-        continue;
-      }
-      FRT_LOG(Warning) << "ingress accept failed: "
-                       << conn.status().message();
-      break;
-    }
-    if (!conn->valid()) break;  // listener shut down
-    backoff_ms = 1;
-    const size_t index = ++accepted;
-    connections_total_->Inc();
-    readers_.emplace_back(&IngressServer::ReadConnection, this,
-                          std::move(conn).value(), index);
-    if (options_.max_connections != 0 &&
-        accepted >= options_.max_connections) {
-      break;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(listener_mu_);
-    listener_.Close();
-  }
+  ServeAccepts(listener_, stop_, accept_retries_, "ingress",
+               [this, &accepted](Socket conn) {
+                 const size_t index = ++accepted;
+                 connections_total_->Inc();
+                 readers_.emplace_back(&IngressServer::ReadConnection, this,
+                                       std::move(conn), index);
+                 return options_.max_connections == 0 ||
+                        accepted < options_.max_connections;
+               });
+  // The accept thread owns the listener: nothing else touches its fd.
+  listener_.Close();
   UnlinkIfUnix(options_.endpoint);
 }
 

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,8 +93,11 @@ class IngressServer {
   /// a per-connection error — those became quarantine reports.
   void Wait();
 
-  /// \brief Asynchronously stops accepting and unblocks Wait(). In-flight
-  /// readers finish their current frame and exit.
+  /// \brief Asynchronously stops accepting and unblocks Wait(): the
+  /// accept loop notices within its 200 ms poll timeout. In-flight readers
+  /// finish their current frame and exit. One atomic store, so it is
+  /// async-signal-safe (frt_serve calls it from its SIGINT/SIGTERM
+  /// handler).
   void Stop();
 
   /// Read from the counters; exact after Wait().
@@ -108,10 +110,8 @@ class IngressServer {
   Options options_;
   OfferFn offer_;
   QuarantineFn quarantine_;
+  /// Owned by the accept thread once Start() spawned it.
   Socket listener_;
-  /// Guards listener_'s fd between Stop()'s shutdown and the accept
-  /// thread's Close(); the accept thread's own reads need no lock.
-  std::mutex listener_mu_;
   std::thread accept_thread_;
   std::vector<std::thread> readers_;
   std::atomic<bool> stop_{false};

@@ -5,9 +5,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <netdb.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
+#include <thread>
+#include <utility>
+
+#include "common/logging.h"
 
 namespace frt::net {
 
@@ -184,6 +192,41 @@ Result<Socket> Accept(const Socket& listener, bool* transient) {
     if (errno == EINVAL || errno == EBADF) return Socket();
     if (transient != nullptr) *transient = IsTransientAcceptError(errno);
     return Status::IOError(Errno("accept"));
+  }
+}
+
+void ServeAccepts(const Socket& listener, const std::atomic<bool>& stop,
+                  obs::Counter* retries, std::string_view label,
+                  const std::function<bool(Socket)>& on_conn) {
+  int backoff_ms = 1;
+  while (!stop.load(std::memory_order_relaxed)) {
+    pollfd pfd{listener.fd(), POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
+    if (ready < 0 && errno != EINTR) return;
+    if (ready <= 0 || stop.load(std::memory_order_relaxed)) continue;
+    bool transient = false;
+    Result<Socket> conn = Accept(listener, &transient);
+    if (!conn.ok()) {
+      if (!transient) {
+        FRT_LOG(Warning) << label
+                         << " accept failed: " << conn.status().message();
+        return;
+      }
+      // An aborted handshake or fd exhaustion must not kill the listener
+      // while healthy peers are still connecting: retry with bounded
+      // backoff (the sleep also lets fds drain under EMFILE) and leave an
+      // audit trail in the registry.
+      retries->Inc();
+      FRT_LOG(Warning) << label << " accept failed (retrying in "
+                       << backoff_ms
+                       << " ms): " << conn.status().message();
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+      backoff_ms = std::min(backoff_ms * 2, 200);
+      continue;
+    }
+    if (!conn->valid()) return;  // listener shut down
+    backoff_ms = 1;
+    if (!on_conn(*std::move(conn))) return;
   }
 }
 

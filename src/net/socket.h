@@ -21,11 +21,15 @@
 #ifndef FRT_NET_SOCKET_H_
 #define FRT_NET_SOCKET_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
+#include "obs/registry.h"
 
 namespace frt::net {
 
@@ -82,6 +86,18 @@ bool IsTransientAcceptError(int err);
 /// IOError, `transient` (when non-null) is set to whether the condition
 /// is retryable per IsTransientAcceptError.
 Result<Socket> Accept(const Socket& listener, bool* transient = nullptr);
+
+/// \brief The accept loop of a listening server, run on its accept
+/// thread. Accepts connections on `listener` and hands each to `on_conn`
+/// until `stop` is set, the listener is shut down, accept fails for good,
+/// or `on_conn` returns false. It polls with a 200 ms timeout, so a store
+/// to `stop` alone ends it within that time. A transient accept failure
+/// (IsTransientAcceptError) is retried after a backoff that doubles from
+/// 1 ms up to 200 ms, counted in `retries` and logged as "`label` accept
+/// failed".
+void ServeAccepts(const Socket& listener, const std::atomic<bool>& stop,
+                  obs::Counter* retries, std::string_view label,
+                  const std::function<bool(Socket)>& on_conn);
 
 /// \brief Connects to `endpoint` (blocking).
 Result<Socket> ConnectTo(const Endpoint& endpoint);

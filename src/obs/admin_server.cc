@@ -1,12 +1,10 @@
 #include "obs/admin_server.h"
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstring>
 
 #include "common/logging.h"
@@ -202,34 +200,11 @@ void AdminServer::Stop() {
 
 void AdminServer::AcceptLoop() {
   SetTraceThreadName("admin");
-  int backoff_ms = 1;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listener_.fd();
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, 200);
-    if (stop_.load(std::memory_order_relaxed)) break;
-    if (ready <= 0) continue;
-    bool transient = false;
-    auto conn = net::Accept(listener_, &transient);
-    if (!conn.ok()) {
-      if (transient) {
-        accept_retries_->Inc();
-        FRT_LOG(Warning) << "admin accept failed (retrying in "
-                         << backoff_ms
-                         << " ms): " << conn.status().message();
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-        backoff_ms = std::min(backoff_ms * 2, 200);
-        continue;
-      }
-      FRT_LOG(Warning) << "admin accept failed: "
-                       << conn.status().message();
-      break;
-    }
-    if (!conn->valid()) break;  // listener shut down
-    backoff_ms = 1;
-    ServeConnection(*std::move(conn));
-  }
+  net::ServeAccepts(listener_, stop_, accept_retries_, "admin",
+                    [this](net::Socket conn) {
+                      ServeConnection(std::move(conn));
+                      return true;
+                    });
 }
 
 void AdminServer::ServeConnection(net::Socket conn) {

@@ -51,8 +51,18 @@ const char* SpanCategoryName(SpanCategory category) {
 }
 
 /// Per-slot seqlock: odd seq = write in progress. The single writer
-/// bumps seq odd, stores the payload words, then bumps it even with
-/// release; a reader that sees an odd or changed seq skips the slot.
+/// bumps seq odd, stores the payload words with release, then bumps seq
+/// even with release. A reader loads seq with acquire, the words with
+/// acquire, then seq again, and skips the slot when seq was odd or moved.
+/// The order rides on the atomics themselves, with no fence: a reader
+/// whose acquire load of any word returns a newer write's value
+/// synchronizes with that release store, so the newer write's odd seq
+/// store, sequenced before it, happens before the reader's re-read of
+/// seq; coherence then makes that re-read return the odd value or a
+/// later one, never the seq the reader started from, and the torn slot
+/// is skipped. A reader that re-reads the same even seq therefore holds
+/// exactly the words of the write that stored it. On x86 every one of
+/// these loads and stores is a plain move.
 struct Slot {
   std::atomic<uint32_t> seq{0};
   std::atomic<uint64_t> words[kSlotWords] = {};
@@ -167,11 +177,10 @@ void TraceRecorder::Emit(const char* name, SpanCategory category,
   Slot& slot = buffer.slots[head % buffer.capacity];
   const uint32_t seq = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq + 1, std::memory_order_relaxed);  // odd: writing
-  std::atomic_thread_fence(std::memory_order_release);
   uint64_t words[kSlotWords];
   std::memcpy(words, &event, sizeof(event));
   for (size_t i = 0; i < kSlotWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
+    slot.words[i].store(words[i], std::memory_order_release);
   }
   slot.seq.store(seq + 2, std::memory_order_release);
   buffer.head.store(head + 1, std::memory_order_release);
@@ -184,9 +193,8 @@ bool ReadSlot(const Slot& slot, PackedEvent* out) {
   if ((seq_before & 1u) != 0) return false;  // writer mid-flight
   uint64_t words[kSlotWords];
   for (size_t i = 0; i < kSlotWords; ++i) {
-    words[i] = slot.words[i].load(std::memory_order_relaxed);
+    words[i] = slot.words[i].load(std::memory_order_acquire);
   }
-  std::atomic_thread_fence(std::memory_order_acquire);
   if (slot.seq.load(std::memory_order_relaxed) != seq_before) return false;
   std::memcpy(out, words, sizeof(*out));
   return true;

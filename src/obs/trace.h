@@ -16,9 +16,11 @@
 // Concurrency. Each ring has exactly one writer (its owning thread).
 // Stop() may race with in-flight writers, so every slot is a miniature
 // seqlock over atomic words: a reader that observes a torn slot skips it
-// and counts it as dropped instead of reporting garbage. All shared
-// accesses are std::atomic, so the recorder is clean under
-// ThreadSanitizer. Events emitted after Stop() began draining a ring may
+// and counts it as dropped instead of reporting garbage. The seqlock is
+// ordered by release stores and acquire loads of the words and the
+// sequence themselves, with no standalone fence, and every shared access
+// is std::atomic, so the recorder is clean under ThreadSanitizer and GCC's
+// -Wtsan. Events emitted after Stop() began draining a ring may
 // be lost; quiesce the workload before stopping for a complete trace.
 //
 // Timestamps are steady_clock, reported as nanoseconds since Start().

@@ -66,7 +66,7 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
     // The shard's audit part, built here in the parallel phase and after
     // the copy is gone, so the two never coexist.
     if (config_.audit.enabled && shard_outputs[i].ok()) {
-      audit_parts[i] = WindowAuditPart(input, plan[i], config_.audit);
+      audit_parts[i] = WindowAuditPart(input, plan[i]);
     }
   };
   if (config_.pool != nullptr) {

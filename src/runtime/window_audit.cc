@@ -319,8 +319,7 @@ WindowAuditPart::WindowAuditPart(WindowAuditPart&&) noexcept = default;
 WindowAuditPart& WindowAuditPart::operator=(WindowAuditPart&&) noexcept =
     default;
 
-WindowAuditPart::WindowAuditPart(const Dataset& original, ShardRange range,
-                                 const WindowAuditConfig& /*config*/) {
+WindowAuditPart::WindowAuditPart(const Dataset& original, ShardRange range) {
   Stopwatch build_watch;
   // The tree's build buffers are freed before the table allocates.
   SegmentTree tree(original, range);
@@ -463,8 +462,7 @@ WindowAuditReport RunWindowAudit(const Dataset& original,
                                  const WindowAuditConfig& config,
                                  WorkStealingPool* pool) {
   if (!config.enabled || original.empty() || published.empty()) return {};
-  const WindowAuditPart part(original, ShardRange{0, original.size()},
-                             config);
+  const WindowAuditPart part(original, ShardRange{0, original.size()});
   return RunWindowAudit(Span<const WindowAuditPart>(&part, 1), published,
                         config, pool);
 }

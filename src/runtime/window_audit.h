@@ -139,10 +139,8 @@ class WindowAuditPart {
   /// A part with no segments.
   WindowAuditPart();
   /// Builds the part over `original` trajectories [range.begin,
-  /// range.end). Does not keep a reference to `original`. `config` is
-  /// not read.
-  WindowAuditPart(const Dataset& original, ShardRange range,
-                  const WindowAuditConfig& config);
+  /// range.end). Does not keep a reference to `original`.
+  WindowAuditPart(const Dataset& original, ShardRange range);
   ~WindowAuditPart();
   WindowAuditPart(WindowAuditPart&&) noexcept;
   WindowAuditPart& operator=(WindowAuditPart&&) noexcept;

@@ -234,10 +234,6 @@ void ServiceDispatcher::Route(Arrival&& arrival,
     ++active_sessions_;
     peak_active_sessions_ = std::max(peak_active_sessions_, active_sessions_);
   }
-  if (!slot.in_live_order) {
-    slot.in_live_order = true;
-    live_order_.push_back(arrival.feed);
-  }
   const std::string feed = arrival.feed;
   slot.session->set_evict_when_drained(false);  // the feed is live again
   slot.session->Offer(std::move(arrival.trajectory), now);
@@ -320,6 +316,11 @@ bool ServiceDispatcher::CloseSessionWindow(const std::string& feed,
     return false;
   }
   ++backlog_windows_;
+  // An idle session's first closed window makes the feed ready; a busy
+  // one rejoins ready_ when its completion lands (AbsorbCompletion).
+  if (!slot.session->busy() && slot.session->backlog_size() == 1) {
+    ready_.push_back(feed);
+  }
   ctr_windows_closed_->Inc();
   if (reason == WindowClose::kDeadline) ctr_windows_deadline_closed_->Inc();
   return true;
@@ -360,7 +361,6 @@ void ServiceDispatcher::RetireSession(FeedSlot* slot) {
   slot->carry = slot->session->Carry();
   slot->session.reset();
   slot->armed_deadline = SteadyClock::time_point::max();
-  live_order_dirty_ = true;
   ledger_dirty_ = true;
   --active_sessions_;
 }
@@ -382,53 +382,12 @@ void ServiceDispatcher::RetireIfDrained(FeedSlot* slot) {
 
 void ServiceDispatcher::SubmitReady() {
   if (aborted_) return;
-  // The running counter makes the no-work case O(1): with no closed
-  // window waiting anywhere there is nothing to submit, no refusal to
-  // notice, and no refusal-drained session to evict (those are handled
-  // where their last job lands, in FlushPublishes), so the per-feed scan
-  // below — O(live feeds) — is skipped entirely. Arrivals on one hot
-  // feed no longer pay for thousands of dormant siblings.
-  if (backlog_windows_ == 0) return;
-  // Lazy compaction: drop entries whose session died (evicted or
-  // quarantined) since the last scan, so the scan length tracks LIVE
-  // feeds — a service that has seen 10k feeds but serves 20 pays for 20.
-  if (live_order_dirty_) {
-    // Keep the rotation anchored on the same feed across the compaction.
-    const std::string anchor =
-        live_order_.empty() ? std::string()
-                            : live_order_[submit_rr_ % live_order_.size()];
-    live_order_.erase(
-        std::remove_if(live_order_.begin(), live_order_.end(),
-                       [this](const std::string& name) {
-                         FeedSlot& slot = feeds_.at(name);
-                         if (slot.session) return false;
-                         slot.in_live_order = false;
-                         return true;
-                       }),
-        live_order_.end());
-    live_order_dirty_ = false;
-    submit_rr_ = 0;
-    for (size_t i = 0; i < live_order_.size(); ++i) {
-      if (live_order_[i] == anchor) {
-        submit_rr_ = i;
-        break;
-      }
-    }
-  }
-  if (live_order_.empty()) return;
-  // The scan starts where the last one granted its final slot: feeds that
-  // were served rotate to the back, so scarce in-flight slots cycle
-  // round-robin over the backlogged feeds instead of re-serving the
-  // front of the list every call.
-  const size_t n = live_order_.size();
-  size_t last_granted = submit_rr_;
-  bool granted = false;
-  for (size_t k = 0; k < n; ++k) {
-    if (in_flight_ >= config_.max_in_flight) break;
-    const size_t pos = (submit_rr_ + k) % n;
-    const std::string& name = live_order_[pos];
-    FeedSlot& slot = feeds_.at(name);
-    if (!slot.session) continue;  // died mid-scan
+  // Each ready feed costs O(1), and a served feed rejoins at the back only
+  // when its job completes, so no feed can lap the others.
+  while (in_flight_ < config_.max_in_flight && !ready_.empty()) {
+    FeedSlot& slot = feeds_.at(ready_.front());
+    ready_.pop_front();
+    if (!slot.session) continue;  // a quarantine tore it down meanwhile
     const size_t backlog_before = slot.session->backlog_size();
     const StreamReport before = slot.report;
     std::optional<WindowJob> job = slot.session->NextSubmittable();
@@ -457,8 +416,6 @@ void ServiceDispatcher::SubmitReady() {
       continue;
     }
     ++in_flight_;
-    granted = true;
-    last_granted = pos;
     // The job is self-contained: the worker touches nothing owned by the
     // session (which could be evicted only when drained — and it is busy
     // now, so it cannot drain before this completion lands).
@@ -491,9 +448,6 @@ void ServiceDispatcher::SubmitReady() {
       completions->Push(std::move(completion));
     });
   }
-  // A scan that granted nothing keeps its anchor — rotating on empty
-  // scans would shuffle the order without serving anyone.
-  if (granted) submit_rr_ = (last_granted + 1) % n;
 }
 
 void ServiceDispatcher::AbsorbCompletion(
@@ -537,6 +491,7 @@ void ServiceDispatcher::AbsorbCompletion(
     return;
   }
   ledger_dirty_ = true;  // Complete() charged the accountants
+  if (session.backlog_size() > 0) ready_.push_back(completion->job.feed);
   const double queue_wait_ms =
       std::chrono::duration<double, std::milli>(completion->started_at -
                                                 completion->job.closed_at)
@@ -748,133 +703,81 @@ void ServiceDispatcher::DispatcherLoop() {
   // service runs.
   PublishMetricsNow(started_at_);
   bool input_done = false;
-  while (!input_done) {
-    // Absorb whatever the workers finished, top the pool back up, then
-    // publish (write-ahead checkpoint first): the checkpoint and the sinks
-    // run while the pool works on the windows just submitted.
+  for (;;) {
+    // The round. Absorb whatever the workers finished and serve the due
+    // deadlines (before the submission, so a window a deadline closes
+    // reaches the pool this round), top the pool back up, then publish
+    // (write-ahead checkpoint first): the checkpoint and the sinks run
+    // while the pool works on the windows just submitted.
     std::unique_ptr<Completion> completion;
     while (completions_->TryPop(&completion)) {
       AbsorbCompletion(std::move(completion));
     }
+    const SteadyClock::time_point now = SteadyClock::now();
+    if (!input_done && !aborted_ && !stopping_) ProcessDueDeadlines(now);
     SubmitReady();
     FlushPublishes();
+    if (!input_done) MaybeCheckpoint(now);
+    MaybePublishMetrics(now);
+    if (input_done && in_flight_ == 0) break;
 
-    // Sleep until the next arrival — but no later than the earliest armed
-    // session deadline, and no later than the completion poll when jobs
-    // are in flight. The deadline heap makes this O(1) per iteration
-    // where it used to scan every feed ever seen: the top entry may be
-    // stale (its deadline moved later), which only costs one spurious
-    // wakeup that pops and re-arms it.
-    SteadyClock::time_point deadline = SteadyClock::time_point::max();
-    bool timed = false;
-    if (!aborted_ && !deadlines_.empty()) {
-      deadline = deadlines_.top().when;
-      timed = true;
-    }
-    // Housekeeping deadlines: the next snapshot tick (unconditional — the
-    // board must stay fresh whoever reads it), and the interval checkpoint
-    // for dirty ledgers that have no publish to ride on.
-    deadline = std::min(
-        deadline,
+    // The wait: never past the next snapshot tick (the board stays fresh
+    // whoever reads it, through the drain too), nor, until input ends,
+    // past the earliest armed session deadline or the interval checkpoint
+    // of a dirty ledger with no publish to ride on. The deadline heap's
+    // top may be stale (its deadline moved later), which only costs one
+    // spurious wakeup that pops and re-arms it.
+    SteadyClock::time_point wake =
         last_metrics_ + std::chrono::milliseconds(metrics_interval_ms_.load(
-                            std::memory_order_relaxed)));
-    timed = true;
-    if (store_.has_value() && ledger_dirty_ && !aborted_) {
-      deadline = std::min(
-          deadline,
-          last_checkpoint_ + std::chrono::milliseconds(std::max<int64_t>(
-                                 config_.checkpoint_interval_ms, 1)));
-      timed = true;
+                            std::memory_order_relaxed));
+    if (!input_done && !aborted_) {
+      if (!stopping_ && !deadlines_.empty()) {
+        wake = std::min(wake, deadlines_.top().when);
+      }
+      if (store_.has_value() && ledger_dirty_) {
+        wake = std::min(wake, last_checkpoint_ +
+                                  std::chrono::milliseconds(std::max<int64_t>(
+                                      config_.checkpoint_interval_ms, 1)));
+      }
     }
-
-    if (!aborted_ && backlog_windows_ >= config_.max_backlog_windows) {
-      // The pool is the bottleneck: pause ingress (arrivals pile into the
-      // bounded queue until Offer blocks — end-to-end backpressure) and
-      // wait directly for a completion to drain the backlog. A session
-      // with backlog is busy or about to be, so a completion is coming.
-      std::unique_ptr<Completion> completion;
-      const SteadyClock::time_point wait_until =
-          std::min(deadline, SteadyClock::now() + kCompletionPoll * 20);
-      if (completions_->PopUntil(wait_until, &completion) ==
-          QueuePop::kItem) {
+    if (input_done ||
+        (!aborted_ && backlog_windows_ >= config_.max_backlog_windows)) {
+      // Only a completion moves the run on. With the backlog at its cap the
+      // pool is the bottleneck, so ingress pauses: arrivals pile into the
+      // bounded queue until Offer blocks (end-to-end backpressure). A
+      // session with backlog is busy or about to be, so a completion is
+      // coming.
+      if (completions_->PopUntil(wake, &completion) == QueuePop::kItem) {
         AbsorbCompletion(std::move(completion));
       }
-      SubmitReady();
-      FlushPublishes();
-      const SteadyClock::time_point now = SteadyClock::now();
-      if (!aborted_ && !stopping_) ProcessDueDeadlines(now);
-      MaybeCheckpoint(now);
-      MaybePublishMetrics(now);
       continue;
     }
     if (in_flight_ > 0) {
-      deadline = std::min(deadline, SteadyClock::now() + kCompletionPoll);
-      timed = true;
+      wake = std::min(wake, SteadyClock::now() + kCompletionPoll);
     }
-
     Arrival arrival;
-    QueuePop popped;
-    if (timed) {
-      popped = arrivals_->PopUntil(deadline, &arrival);
-    } else {
-      std::optional<Arrival> item = arrivals_->Pop();
-      if (item.has_value()) {
-        arrival = std::move(*item);
-        popped = QueuePop::kItem;
-      } else {
-        popped = QueuePop::kClosed;
-      }
-    }
-    const SteadyClock::time_point now = SteadyClock::now();
-    switch (popped) {
-      case QueuePop::kItem:
-        // After an abort or a stop_when_exhausted trip the remaining
-        // ingress is drained and discarded.
-        if (!aborted_ && !stopping_) {
-          if (arrival.quarantine) {
-            QuarantineFeed(arrival.feed, std::move(arrival.reason),
-                           /*drain=*/true);
-          } else {
-            Route(std::move(arrival), now);
-          }
+    const QueuePop popped = arrivals_->PopUntil(wake, &arrival);
+    input_done = popped == QueuePop::kClosed;
+    // After an abort or a stop_when_exhausted trip the remaining ingress is
+    // drained and discarded, and no trailing partial window closes.
+    if (aborted_ || stopping_ || popped == QueuePop::kTimeout) continue;
+    const SteadyClock::time_point arrived = SteadyClock::now();
+    if (input_done) {
+      // Ingress finished: close every session's trailing partial window. A
+      // closure failure (duplicate object id in it) quarantines that feed;
+      // the siblings still drain and publish.
+      for (const auto& name : feed_order_) {
+        FeedSlot& slot = feeds_.at(name);
+        if (slot.session && !slot.quarantined &&
+            slot.session->uncovered() > 0) {
+          (void)CloseSessionWindow(name, slot, WindowClose::kFinal, arrived);
         }
-        break;
-      case QueuePop::kTimeout:
-        break;
-      case QueuePop::kClosed:
-        input_done = true;
-        break;
-    }
-    if (!aborted_ && !stopping_) ProcessDueDeadlines(now);
-    MaybeCheckpoint(now);
-    MaybePublishMetrics(now);
-  }
-
-  // Ingress finished: flush every session's trailing partial window, then
-  // drain the backlog and the in-flight jobs to zero. A stop_when_exhausted
-  // trip skips the flush — the run ends at the refusal.
-  if (!aborted_ && !stopping_) {
-    const SteadyClock::time_point now = SteadyClock::now();
-    for (const auto& name : feed_order_) {
-      FeedSlot& slot = feeds_.at(name);
-      if (slot.session && !slot.quarantined &&
-          slot.session->uncovered() > 0) {
-        // A final-flush closure failure (duplicate object id in the
-        // trailing partial window) quarantines that feed; the siblings
-        // still drain and publish.
-        (void)CloseSessionWindow(name, slot, WindowClose::kFinal, now);
       }
+    } else if (arrival.quarantine) {
+      QuarantineFeed(arrival.feed, std::move(arrival.reason), /*drain=*/true);
+    } else {
+      Route(std::move(arrival), arrived);
     }
-  }
-  SubmitReady();
-  while (in_flight_ > 0) {
-    std::optional<std::unique_ptr<Completion>> completion =
-        completions_->Pop();
-    if (!completion.has_value()) break;  // defensive; queue is not closed
-    AbsorbCompletion(std::move(*completion));
-    SubmitReady();
-    FlushPublishes();
-    MaybePublishMetrics(SteadyClock::now());
   }
   pool_->WaitIdle();
   completions_->Close();

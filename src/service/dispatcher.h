@@ -29,6 +29,18 @@
 // hand results back through the completion queue, whose capacity equals
 // the in-flight cap, so a worker never blocks on it.
 //
+// The dispatcher thread runs one round, then one wait, until input has
+// ended and no job is in flight. The round absorbs every finished job,
+// serves due deadlines (until input ends), submits ready windows,
+// publishes, takes the interval checkpoint (until input ends) and ticks
+// the snapshot board. The wait blocks on the completion queue when ingress
+// is paused (the backlog is at max_backlog_windows) or input has ended,
+// and otherwise on the arrival queue, routing what it pops; it never
+// sleeps past the next snapshot tick, so the board stays fresh while the
+// last windows drain. Feeds that hold a closed window and have no job in
+// flight wait in a FIFO: a submission pops its front in O(1), and a feed
+// rejoins at the back only when its job completes, so none laps another.
+//
 // Ordering and determinism. Windows of ONE feed execute strictly one at a
 // time, in close order: admission always sees the predecessor's recorded
 // spend, sinks observe each feed in window order, and the per-feed RNG
@@ -39,11 +51,11 @@
 // bit-identical between a solo run and any multiplexed run at the same
 // seed, which is also what makes per-feed budget isolation testable.
 //
-// Publishing is off the window's critical path. Each dispatcher round
-// absorbs finished jobs (charging their spend), submits the admissible
-// next windows, and only then publishes the absorbed outputs: one
-// write-ahead checkpoint, then the sinks. So window N's checkpoint and
-// sink overlap window N+1's anonymization on the pool, while admission
+// Publishing is off the window's critical path. Each round absorbs
+// finished jobs (charging their spend), submits the admissible next
+// windows, and only then publishes the absorbed outputs: one write-ahead
+// checkpoint, then the sinks. So window N's checkpoint and sink overlap
+// window N+1's anonymization on the pool, while admission
 // of N+1 still sees N's charged spend and N still reaches the sink
 // before N+1. A completed window waiting for its sink keeps its session
 // from draining, so an idle eviction can never discard it. Across feeds,
@@ -77,6 +89,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -254,8 +267,6 @@ class ServiceDispatcher {
     /// revived.
     bool quarantined = false;
     std::string quarantine_reason;
-    /// Membership flag for live_order_ (lazy compaction).
-    bool in_live_order = false;
     /// Earliest deadline currently pushed on the heap for this feed
     /// (time_point::max() when none): a new deadline only pushes when it
     /// beats this, so the heap never grows faster than one entry per
@@ -291,6 +302,8 @@ class ServiceDispatcher {
     WindowReport report;
   };
 
+  /// The dispatcher thread: rounds and waits (see file comment), then the
+  /// final checkpoint and the final tick.
   void DispatcherLoop();
   /// Routes one arrival into its session (reviving evicted feeds;
   /// dropping arrivals of quarantined feeds). A window-closure failure is
@@ -308,8 +321,8 @@ class ServiceDispatcher {
   /// entries are discarded.
   void ProcessDueDeadlines(std::chrono::steady_clock::time_point now);
   /// Closes one window on `slot`'s session, keeping the running backlog
-  /// counter. A closure failure (duplicate object id, ...) quarantines
-  /// the feed; returns false in that case.
+  /// counter and ready_. A closure failure (duplicate object id, ...)
+  /// quarantines the feed; returns false in that case.
   bool CloseSessionWindow(const std::string& feed, FeedSlot& slot,
                           WindowClose reason,
                           std::chrono::steady_clock::time_point now);
@@ -321,16 +334,19 @@ class ServiceDispatcher {
   /// Idempotent. Never touches sibling feeds.
   void QuarantineFeed(const std::string& feed, std::string reason,
                       bool drain);
-  /// Submits admissible backlog windows while in-flight capacity lasts.
+  /// Pops ready_ while in-flight capacity lasts, submitting each feed's
+  /// next admissible window; a feed whose backlog drained through
+  /// admission refusals instead is retired if it waited on that drain.
   void SubmitReady();
-  /// Absorbs one finished job: charges budgets, samples latency, and
-  /// queues the output for FlushPublishes. Does NOT sink.
+  /// Absorbs one finished job: charges budgets, samples latency, queues
+  /// the output for FlushPublishes and returns a feed with backlog left
+  /// to ready_. Does NOT sink.
   void AbsorbCompletion(std::unique_ptr<Completion> completion);
   /// Publishes every pending window: one durable checkpoint covering all
   /// their spend (state_dir set), then the sink calls, then the
-  /// drained-session evictions. Every absorb site runs SubmitReady first,
-  /// so the pool works on the next windows while the checkpoint and the
-  /// sinks run here; absorbing already charged the spend admission reads.
+  /// drained-session evictions. The round runs SubmitReady first, so the
+  /// pool works on the next windows while the checkpoint and the sinks run
+  /// here; absorbing already charged the spend admission reads.
   /// A session whose window waits in pending_ is not drained
   /// (FeedSession::Drained), so no retirement in between can discard it.
   void FlushPublishes();
@@ -365,12 +381,12 @@ class ServiceDispatcher {
   // Dispatcher-thread state.
   std::unordered_map<std::string, FeedSlot> feeds_;
   std::vector<std::string> feed_order_;  ///< first-seen order (reports)
-  /// Feeds with a live session — the only ones SubmitReady scans. Entries
-  /// whose session died (evicted or quarantined) are compacted out lazily
-  /// at the next scan (live_order_dirty_), so a long-lived service that
-  /// has seen N feeds but serves k pays O(k), not O(N), per scan.
-  std::vector<std::string> live_order_;
-  bool live_order_dirty_ = false;
+  /// Feeds whose session holds a closed window and has no job in flight,
+  /// in the order they became so: a feed joins when it closes a window
+  /// while idle or when its completion leaves backlog behind, and
+  /// SubmitReady pops the front. An entry whose session a quarantine tore
+  /// down is skipped at pop (a quarantined feed never rejoins).
+  std::deque<std::string> ready_;
   /// Lazy min-heap over every live feed's next deadline (see
   /// DeadlineEntry) — replaces the per-iteration scan of all feeds.
   std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
@@ -384,11 +400,6 @@ class ServiceDispatcher {
   size_t peak_active_sessions_ = 0;
   size_t feeds_recovered_ = 0;
   size_t in_flight_ = 0;
-  /// Start of the next SubmitReady scan: rotated to just past the last
-  /// feed that actually got a submission slot, so with more backlogged
-  /// feeds than slots the grant cycles round-robin instead of re-serving
-  /// the scan's front-runners every call.
-  size_t submit_rr_ = 0;
   bool aborted_ = false;
   /// stream.stop_when_exhausted tripped: ingress is closed and discarded,
   /// closed windows drain, and the run ends cleanly (not an error).

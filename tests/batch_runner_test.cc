@@ -146,11 +146,10 @@ void ExpectReportEquals(const WindowAuditReport& report,
 
 /// The audit split into `count` parts over `original`, one per
 /// PlanShards range, as BatchRunner splits its input into shards.
-std::vector<WindowAuditPart> BuildParts(const Dataset& original, int count,
-                                        const WindowAuditConfig& config) {
+std::vector<WindowAuditPart> BuildParts(const Dataset& original, int count) {
   std::vector<WindowAuditPart> parts;
   for (const ShardRange& range : PlanShards(original.size(), count)) {
-    parts.emplace_back(original, range, config);
+    parts.emplace_back(original, range);
   }
   return parts;
 }
@@ -433,8 +432,7 @@ TEST(WindowAuditTest, ReportDoesNotDependOnInputOrder) {
   }
   for (const int count : {1, 2, 3, 4, 5}) {
     SCOPED_TRACE(count);
-    const std::vector<WindowAuditPart> parts =
-        BuildParts(permuted, count, config);
+    const std::vector<WindowAuditPart> parts = BuildParts(permuted, count);
     ExpectSameAggregates(RunWindowAudit(parts, *published, config, nullptr),
                          audit);
   }
@@ -728,8 +726,7 @@ TEST(WindowAuditTest, PartedAuditMatchesBruteForceAndOnePart) {
     // (120,0) and (-40,-70) are last vertices whose kernel is exactly 0.
     EXPECT_EQ(one_part.vertex_hits, 14u);
     for (const int count : {1, 2, 4, 7}) {
-      const std::vector<WindowAuditPart> parts =
-          BuildParts(original, count, config);
+      const std::vector<WindowAuditPart> parts = BuildParts(original, count);
       for (WorkStealingPool* pool : {static_cast<WorkStealingPool*>(nullptr),
                                      &one, &four}) {
         SCOPED_TRACE(::testing::Message()
@@ -839,7 +836,7 @@ TEST(WindowAuditTest, RandomPartedFixturesMatchBruteForce) {
           RunWindowAudit(f.original, f.published, config, nullptr);
       for (const int count : {1, 2, 3, 4, 5}) {
         const std::vector<WindowAuditPart> parts =
-            BuildParts(f.original, count, config);
+            BuildParts(f.original, count);
         for (WorkStealingPool* pool :
              {static_cast<WorkStealingPool*>(nullptr), &four}) {
           SCOPED_TRACE(::testing::Message()
@@ -879,8 +876,7 @@ TEST(WindowAuditTest, PartedAuditSearchesNanPointsLikeOnePart) {
   WorkStealingPool four(4);
   for (const int count : {1, 2, 4, 7}) {
     SCOPED_TRACE(count);
-    const std::vector<WindowAuditPart> parts =
-        BuildParts(original, count, config);
+    const std::vector<WindowAuditPart> parts = BuildParts(original, count);
     ExpectSameAggregates(RunWindowAudit(parts, published, config, nullptr),
                          one_part);
     ExpectSameAggregates(RunWindowAudit(parts, published, config, &four),
@@ -902,8 +898,7 @@ TEST(WindowAuditTest, PartedReleaseAuditMatchesOnePart) {
   WorkStealingPool four(4);
   for (const int count : {2, 4, 7}) {
     SCOPED_TRACE(count);
-    const std::vector<WindowAuditPart> parts =
-        BuildParts(input, count, config);
+    const std::vector<WindowAuditPart> parts = BuildParts(input, count);
     ExpectSameAggregates(RunWindowAudit(parts, *published, config, &four),
                          one_part);
   }

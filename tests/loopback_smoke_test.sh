@@ -15,6 +15,10 @@
 #     with eps_remaining non-increasing across scrapes and the
 #     quarantined feed visible in /feedz.
 #
+# A last run checks that SIGINT stops an aggregator started without
+# --listen-conns cleanly (exit 0, socket file removed) and that its output
+# equals a --listen-conns 1 run of the same edge stream.
+#
 # Usage: loopback_smoke_test.sh /path/to/frt_serve /path/to/frt_edge
 
 set -u
@@ -228,4 +232,63 @@ BETA_LINES=$(grep -c "^beta," "$WORK/merged.csv" || true)
     --require frame_read,frame_decode \
   || fail "trace is missing ingress spans"
 
-echo "PASS: loopback smoke (quarantine contained to beta; alpha complete)"
+# ---- SIGINT stop: without --listen-conns the aggregator accepts until
+# SIGINT/SIGTERM. Once a clean edge's stream has been read in full, a
+# SIGINT must end the run cleanly: exit 0, the same output as a
+# --listen-conns 1 run of that edge, and no socket file left behind. ----
+wait_for_socket() {
+  for _ in $(seq 50); do
+    [[ -S "$1" ]] && return 0
+    sleep 0.1
+  done
+  fail "aggregator never bound $1"
+}
+
+SIG_SOCK="$WORK/sig.sock"
+ADMIN_SOCK="$WORK/sig_admin.sock"
+"$SERVE" --listen "unix:$SIG_SOCK" --output "$WORK/sig.csv" \
+         --admin-listen "unix:$ADMIN_SOCK" "${FLAGS[@]}" \
+         2> "$WORK/serve.log" &
+SERVE_PID=$!
+wait_for_socket "$SIG_SOCK"
+wait_for_socket "$ADMIN_SOCK"
+"$EDGE" --feeds "$WORK/a.csv" --connect "unix:$SIG_SOCK" --hello edge-sig \
+        "${FLAGS[@]}" 2> "$WORK/edge_a.log" \
+  || fail "clean edge exited $?, want 0 (SIGINT run)"
+# hello + 8 trajectories + bye: with every frame read, every trajectory
+# has been offered to the service.
+FRAMES=""
+for _ in $(seq 50); do
+  FRAMES="$(admin_get /metrics 2>/dev/null \
+            | awk '$1 == "frt_ingress_frames_total" { print $2 }')"
+  [[ "$FRAMES" == 10 ]] && break
+  sleep 0.1
+done
+[[ "$FRAMES" == 10 ]] || fail "aggregator read '$FRAMES' frames, want 10"
+kill -INT "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_EXIT=$?
+SERVE_PID=""
+[[ "$SERVE_EXIT" -eq 0 ]] \
+  || fail "aggregator exited $SERVE_EXIT after SIGINT, want 0"
+[[ ! -e "$SIG_SOCK" ]] || fail "SIGINT left the socket file $SIG_SOCK"
+
+REF_SOCK="$WORK/ref.sock"
+"$SERVE" --listen "unix:$REF_SOCK" --listen-conns 1 \
+         --output "$WORK/ref.csv" "${FLAGS[@]}" 2> "$WORK/serve.log" &
+SERVE_PID=$!
+wait_for_socket "$REF_SOCK"
+"$EDGE" --feeds "$WORK/a.csv" --connect "unix:$REF_SOCK" --hello edge-sig \
+        "${FLAGS[@]}" 2> "$WORK/edge_a.log" \
+  || fail "clean edge exited $?, want 0 (--listen-conns 1 run)"
+wait "$SERVE_PID"
+SERVE_EXIT=$?
+SERVE_PID=""
+[[ "$SERVE_EXIT" -eq 0 ]] \
+  || fail "--listen-conns 1 aggregator exited $SERVE_EXIT, want 0"
+[[ -s "$WORK/ref.csv" ]] || fail "--listen-conns 1 run wrote no output"
+cmp -s "$WORK/sig.csv" "$WORK/ref.csv" \
+  || fail "SIGINT-stopped output differs from the --listen-conns 1 run"
+
+echo "PASS: loopback smoke (quarantine contained to beta; alpha complete;"\
+     "SIGINT stops cleanly)"

@@ -205,11 +205,10 @@ TEST(ServiceTest, IdleEvictionWaitsForThePendingPublish) {
   // A dispatcher round absorbs finished windows, submits the next ones and
   // only then publishes. Feed "idle" goes quiet after a partial window,
   // which its idle eviction closes and submits while feed "busy" keeps a
-  // deep backlog (a slow sink holds each of its windows for 2 ms). So in
-  // the round that absorbs idle's window, busy's backlog makes SubmitReady
-  // scan idle — whose backlog is empty and whose job just completed —
-  // before that round's publish. The pending publish must keep idle's
-  // session from counting as drained: the window is published and
+  // deep backlog (a slow sink holds each of its windows for 2 ms). Between
+  // the absorb of idle's window and that round's publish, idle's backlog
+  // is empty and its job has completed. The pending publish must keep
+  // idle's session from counting as drained: the window is published and
   // charged exactly once, and the session is evicted after it.
   const std::vector<Trajectory> trajs = SyntheticTrajectories(600);
   ServiceCapture capture;
@@ -627,6 +626,76 @@ TEST(ServiceTest, RotationSurvivesQuarantineCompaction) {
       EXPECT_EQ(feed.stream.trajectories_published, 12u) << feed.feed;
     }
   }
+}
+
+TEST(ServiceTest, QuarantinedFeedRetiresWhenRefusalsDrainItsBacklog) {
+  // Wholesale budget 1.0 at eps 1.0 per window. Windows 1 and 2 close, and
+  // the quarantine marker lands, while window 0 runs; once window 0's
+  // spend is charged, both are refused on the budget. Those refusals
+  // drain the backlog without a job, so no completion will ever fire for
+  // them: the quarantined session must retire in the round that refused
+  // them, and nothing after window 0 is published.
+  const std::vector<Trajectory> trajs = SyntheticTrajectories(35);
+  ServiceCapture capture;
+  ServiceConfig config = SmallServiceConfig(10);
+  config.stream.total_budget = 1.0;
+  ServiceDispatcher service(config, capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("q", t));
+  ASSERT_TRUE(service.OfferQuarantine("q", "fault after window 2"));
+  ASSERT_TRUE(service.Finish().ok());
+
+  EXPECT_EQ(service.session("q"), nullptr);
+  const ServiceSnapshot& report = service.report();
+  EXPECT_EQ(report.windows_published, 1u);
+  EXPECT_EQ(report.windows_refused, 2u);
+  EXPECT_EQ(report.trajectories_refused, 20u);
+  ASSERT_EQ(report.feeds_detail.size(), 1u);
+  const ServiceSnapshot::Feed& feed = report.feeds_detail[0];
+  EXPECT_TRUE(feed.quarantined);
+  EXPECT_EQ(feed.stream.windows_closed, 3u);  // the 5-arrival tail dropped
+  EXPECT_EQ(feed.stream.windows_refused, 2u);
+  EXPECT_NEAR(feed.stream.epsilon_spent, 1.0, 1e-9);
+  const ServiceCapture::Feed& published = capture.feeds.at("q");
+  ASSERT_EQ(published.reports.size(), 1u);
+  EXPECT_EQ(published.reports[0].index, 0u);
+  ASSERT_EQ(published.ids.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(published.ids[i], i);
+}
+
+TEST(ServiceTest, SnapshotBoardTicksWhileTheLastWindowDrains) {
+  // Fewer arrivals than window_size: the only window closes inside
+  // Finish(), and its audited job spans many 1 ms snapshot intervals. The
+  // board must keep ticking while that job drains, so a watcher polling
+  // Introspect() sees at least two distinct snapshots with the window in
+  // flight and the run not yet finished.
+  const std::vector<Trajectory> trajs = SyntheticTrajectories(400);
+  ServiceCapture capture;
+  ServiceConfig config = SmallServiceConfig(1000);
+  config.metrics_interval_ms = 1;
+  config.stream.batch.audit.enabled = true;
+  ServiceDispatcher service(config, capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("tail", t));
+  std::atomic<bool> finished{false};
+  std::vector<uint64_t> draining_seqs;
+  std::thread watcher([&] {
+    while (!finished.load()) {
+      const std::shared_ptr<const ServiceSnapshot> s = service.Introspect();
+      if (s->in_flight == 1 && !s->finished &&
+          (draining_seqs.empty() || draining_seqs.back() != s->seq)) {
+        draining_seqs.push_back(s->seq);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  const Status st = service.Finish();
+  finished = true;
+  watcher.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(service.report().windows_published, 1u);
+  EXPECT_GE(draining_seqs.size(), 2u)
+      << "the snapshot board stalled while the last window drained";
 }
 
 TEST(ServiceTest, QuarantineOfUnknownFeedStillCountsInReport) {

@@ -63,8 +63,9 @@
 
 namespace {
 
-/// The ingress server a SIGINT/SIGTERM should stop (Stop() is one atomic
-/// store plus a shutdown(2) — both async-signal-safe).
+/// The ingress server a SIGINT/SIGTERM should stop. Stop() is one
+/// relaxed atomic store, which is async-signal-safe; the accept loop
+/// notices it within its 200 ms poll timeout.
 std::atomic<frt::net::IngressServer*> g_ingress{nullptr};
 
 void StopIngressOnSignal(int) {
