@@ -1,50 +1,22 @@
-// bench_serve — multi-feed serving layer scaling study (google-benchmark).
+// bench_serve — serving-layer studies that nothing else measures
+// (google-benchmark). tools/bench_report.py records them into
+// BENCH_serve.json:
 //
-// Three claims, machine-checkable from the emitted counters (recorded into
-// BENCH_serve.json via tools/bench_report.py):
-//
-//   ServeMultiplexedFeeds/N   N in {2,4,8,16} feeds multiplexed through
-//                             one shared pool: throughput
-//                             (items_per_second = published trajectories)
-//                             and per-iteration window counts. `feeds`
-//                             documents the concurrency level.
-//   ServeIsolationCheck/8     1 hog feed (recycling ids, exhausts its
-//                             per-object budget) + 7 victims. Every feed's
-//                             multiplexed output is compared bit-for-bit
-//                             against its SOLO run at the same master
-//                             seed: isolation_bit_identical must be 1 and
-//                             hog_windows_refused > 0 (the hog really ran
-//                             dry while the victims noticed nothing).
-//   ServeDeadlineClose/8      8 trickle feeds that never fill a
-//                             count-based window; --close-after-ms style
-//                             deadline closure must bound the close-wait
-//                             tail: deadline_met is 1 iff
-//                             close_wait_p99_ms < deadline_ms.
-//   ServeCheckpoint           every iteration runs the same 8-feed
-//                             workload twice — durable budget ledgers off,
-//                             then on (write-ahead snapshot + fsync before
-//                             every publish flush) — and reports the
-//                             paired throughput ratio
-//                             (checkpoint_throughput_ratio) plus
-//                             checkpoints_per_iter. The acceptance claim
-//                             is ratio >= 0.9: checkpointing costs at
-//                             most 10% at production window sizes.
-//   ServeTraceOverhead        the same paired design for span tracing:
-//                             recorder disarmed, then armed (dump drained
-//                             and discarded). trace_throughput_ratio is
-//                             the armed/disarmed throughput ratio; the
-//                             disarmed half doubles as the compiled-in-
-//                             but-disabled neutrality figure against the
-//                             committed baseline (claim: ratio >= 0.97).
-//   ServeAdminScrapeOverhead  the same ABBA-paired design for the admin
-//                             introspection plane: a 16-feed run with no
-//                             admin listener vs the same run scraped at
-//                             10 Hz (GET /metrics + GET /feedz) over a
-//                             Unix socket. admin_scrape_throughput_ratio
-//                             is scraped/unscraped throughput; the claim
-//                             is ratio >= 0.99 — handlers only read
-//                             registry atomics and snapshot copies, so a
-//                             live scraper must be throughput-neutral.
+//   ServeCheckpoint           an 8-feed workload of 100-trajectory windows
+//                             with durable budget ledgers off, then on
+//                             (write-ahead snapshot + fsync before every
+//                             publish flush): checkpoint_throughput_ratio
+//                             is on/off throughput (claim: >= 0.9) and
+//                             checkpoints_per_iter shows the durable half
+//                             really checkpointed.
+//   ServeAdminScrapeOverhead  a 16-feed workload with no admin listener,
+//                             then scraped at 10 Hz (GET /metrics and GET
+//                             /feedz in turn) over a Unix socket:
+//                             admin_scrape_throughput_ratio is
+//                             scraped/unscraped throughput (claim:
+//                             >= 0.99 — handlers only read registry
+//                             atomics and snapshot copies), plus
+//                             scrapes_per_iter and failed_scrapes_per_iter.
 //   DispatcherWakeup/N        N in {16,256,2048} dormant feeds each hold
 //                             an armed (never-due) close deadline while
 //                             one hot feed drives 40 windows through the
@@ -59,8 +31,18 @@
 //                             live dispatcher: end-to-end framed ingest
 //                             throughput scaling with edge count.
 //
-// The container may be single-core: throughput numbers are modest there,
-// but the isolation and deadline claims are scheduling-independent.
+// Both overhead studies run through RunPairedStudy: one untimed warm-up
+// run, then kPairs ABBA pairs (off, on, on, off), each iteration one
+// pair. The ratio is the median of the per-pair ratios, with the lowest
+// and highest as pair_ratio_min / pair_ratio_max.
+//
+// Measured elsewhere, so not here: multi-feed serving throughput
+// (perfbench's serve_16f_open, on the shipped frt_serve); per-feed budget
+// isolation (service_isolation_test's HogExhaustionNeverTouchesOtherFeeds);
+// deadline closure (ServiceTest.DeadlineClosesPartialWindowBeforeInputEnds,
+// StreamDeadlineTest, and perfbench's service.close_wait_p99_ms and
+// service.windows_deadline_closed); span tracing (CI's trace smoke step
+// and perfbench's trace.overhead_frac).
 
 #include <benchmark/benchmark.h>
 
@@ -68,13 +50,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <map>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,26 +66,27 @@
 #include "net/socket.h"
 #include "obs/admin_server.h"
 #include "obs/registry.h"
-#include "obs/trace.h"
 #include "service/dispatcher.h"
-#include "stream/ingest.h"
 #include "traj/trajectory.h"
 
 namespace {
 
 constexpr uint64_t kSeed = 42;
 
-/// Deterministic arrivals; ids recycle modulo `distinct_ids` when > 0.
-std::vector<frt::Trajectory> FeedArrivals(int arrivals, int distinct_ids) {
+/// ABBA pairs per overhead study. A constant, so an overhead figure is
+/// always the median of the same number of pairs.
+constexpr int kPairs = 9;
+
+/// Deterministic arrivals with unique ids.
+std::vector<frt::Trajectory> FeedArrivals(int arrivals) {
   std::vector<frt::Trajectory> out;
   out.reserve(arrivals);
   for (int i = 0; i < arrivals; ++i) {
-    const int id = distinct_ids > 0 ? i % distinct_ids : i;
     const int points = 24 + (i * 7) % 13;
     double x = 200.0 + (i * 137) % 1700;
     double y = 300.0 + (i * 251) % 1500;
     int64_t t = 1000 + i;
-    frt::Trajectory traj(id);
+    frt::Trajectory traj(i);
     for (int j = 0; j < points; ++j) {
       traj.Append(frt::Point{x, y}, t);
       x += 35.0 + (j * 11) % 20;
@@ -134,391 +117,147 @@ frt::ServiceSink CountingSink(size_t* trajectories) {
   };
 }
 
-void BM_ServeMultiplexedFeeds(benchmark::State& state) {
-  const int feeds = static_cast<int>(state.range(0));
-  const int arrivals_per_feed = 60;
-  const std::vector<frt::Trajectory> arrivals =
-      FeedArrivals(arrivals_per_feed, 0);
-  std::vector<std::string> names;
-  names.reserve(feeds);
-  for (int f = 0; f < feeds; ++f) {
-    names.push_back("feed" + std::to_string(f));
-  }
-  size_t published = 0;
-  size_t windows = 0;
-  for (auto _ : state) {
-    frt::ServiceDispatcher service(BaseConfig(), CountingSink(&published));
-    if (!service.Start(kSeed).ok()) {
-      state.SkipWithError("service failed to start");
-      return;
-    }
-    for (const frt::Trajectory& t : arrivals) {
-      for (const std::string& name : names) {
-        if (!service.Offer(name, t)) {
-          state.SkipWithError("offer rejected");
-          return;
-        }
-      }
-    }
-    if (!service.Finish().ok()) {
-      state.SkipWithError("service run failed");
-      return;
-    }
-    windows += service.report().windows_published;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(published));
-  state.counters["feeds"] = static_cast<double>(feeds);
-  state.counters["pool_workers"] = 4.0;
-  state.counters["windows_per_iter"] =
-      benchmark::Counter(static_cast<double>(windows),
-                         benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_ServeMultiplexedFeeds)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+/// Runs on the on-half's service before its clock starts; what it returns
+/// runs after Finish, outside the clock.
+using AttachFn =
+    std::function<std::function<void()>(frt::ServiceDispatcher& service)>;
 
-/// Minimal bit-level capture: feed -> flat list of (id, points).
-struct Capture {
-  std::map<std::string,
-           std::vector<std::pair<frt::TrajId,
-                                 std::vector<frt::TimedPoint>>>>
-      feeds;
-  frt::ServiceSink MakeSink() {
-    return [this](const std::string& feed, const frt::Dataset& published,
-                  const frt::WindowReport&) -> frt::Status {
-      auto& rows = feeds[feed];
-      for (const auto& t : published.trajectories()) {
-        rows.emplace_back(t.id(), t.points());
-      }
-      return frt::Status::OK();
-    };
-  }
+/// An off/on overhead study: `feeds` feeds, each offered the same
+/// `arrivals_per_feed` trajectories in windows of 100 (m = 5). The off
+/// half runs `off`; the on half runs `on` with `attach` around it.
+struct PairedStudy {
+  int feeds = 0;
+  int arrivals_per_feed = 0;
+  frt::ServiceConfig off;
+  frt::ServiceConfig on;
+  AttachFn attach;
 };
 
-void BM_ServeIsolationCheck(benchmark::State& state) {
-  const int feeds = static_cast<int>(state.range(0));
+frt::ServiceConfig PairedConfig() {
   frt::ServiceConfig config = BaseConfig();
-  config.stream.window_size = 5;
-  config.stream.per_object_budget = 2.0;
-
-  std::vector<std::string> names = {"hog"};
-  std::vector<std::vector<frt::Trajectory>> arrivals;
-  arrivals.push_back(FeedArrivals(30, 5));  // ids recycle 6x: runs dry
-  for (int f = 1; f < feeds; ++f) {
-    names.push_back("victim" + std::to_string(f));
-    arrivals.push_back(FeedArrivals(30, 0));
-  }
-
-  double identical = 1.0;
-  double hog_refused = 0.0;
-  for (auto _ : state) {
-    // Solo baselines.
-    std::vector<Capture> solo(feeds);
-    for (int f = 0; f < feeds; ++f) {
-      frt::ServiceDispatcher service(config, solo[f].MakeSink());
-      if (!service.Start(kSeed).ok()) {
-        state.SkipWithError("solo start failed");
-        return;
-      }
-      for (const frt::Trajectory& t : arrivals[f]) {
-        service.Offer(names[f], t);
-      }
-      if (!service.Finish().ok()) {
-        state.SkipWithError("solo run failed");
-        return;
-      }
-    }
-    // Multiplexed, round-robin interleaved.
-    Capture multi;
-    frt::ServiceDispatcher service(config, multi.MakeSink());
-    if (!service.Start(kSeed).ok()) {
-      state.SkipWithError("multiplexed start failed");
-      return;
-    }
-    for (size_t i = 0; i < arrivals[0].size(); ++i) {
-      for (int f = 0; f < feeds; ++f) {
-        service.Offer(names[f], arrivals[f][i]);
-      }
-    }
-    if (!service.Finish().ok()) {
-      state.SkipWithError("multiplexed run failed");
-      return;
-    }
-    for (int f = 0; f < feeds; ++f) {
-      if (multi.feeds[names[f]] != solo[f].feeds[names[f]]) {
-        identical = 0.0;
-      }
-    }
-    for (const auto& feed : service.report().feeds_detail) {
-      if (feed.feed == "hog") {
-        hog_refused = static_cast<double>(feed.stream.windows_refused);
-      }
-    }
-  }
-  state.counters["feeds"] = static_cast<double>(feeds);
-  state.counters["isolation_bit_identical"] = identical;
-  state.counters["hog_windows_refused"] = hog_refused;
+  config.stream.window_size = 100;
+  config.stream.batch.pipeline.m = 5;
+  return config;
 }
-BENCHMARK(BM_ServeIsolationCheck)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
-void BM_ServeDeadlineClose(benchmark::State& state) {
-  const int feeds = static_cast<int>(state.range(0));
-  const int64_t deadline_ms = 150;
-  frt::ServiceConfig config = BaseConfig();
-  config.stream.window_size = 1000;  // count closure never fires
-  config.stream.close_after_ms = deadline_ms;
-
-  const std::vector<frt::Trajectory> arrivals = FeedArrivals(32, 0);
-  std::vector<std::string> names;
-  for (int f = 0; f < feeds; ++f) {
-    names.push_back("live" + std::to_string(f));
-  }
-  double p50 = 0.0, p99 = 0.0, worst = 0.0, deadline_windows = 0.0;
-  for (auto _ : state) {
-    size_t published = 0;
-    frt::ServiceDispatcher service(config, CountingSink(&published));
-    if (!service.Start(kSeed).ok()) {
-      state.SkipWithError("service failed to start");
-      return;
-    }
-    // Trickle: one arrival per feed every 10 ms — a window would need
-    // 10 s to fill by count, so only the deadline can close it.
+/// Times one service run from Start to Finish; adds its published
+/// trajectories to `*published`. Returns wall seconds, or < 0 on failure.
+double TimedRun(const frt::ServiceConfig& config,
+                const std::vector<std::string>& feeds,
+                const std::vector<frt::Trajectory>& arrivals,
+                const AttachFn& attach, size_t* published) {
+  frt::ServiceDispatcher service(config, CountingSink(published));
+  const std::function<void()> detach =
+      attach ? attach(service) : std::function<void()>();
+  double elapsed = -1.0;
+  const auto start = std::chrono::steady_clock::now();
+  if (service.Start(kSeed).ok()) {
+    bool offered = true;
     for (const frt::Trajectory& t : arrivals) {
-      for (const std::string& name : names) {
-        service.Offer(name, t);
+      for (const std::string& feed : feeds) {
+        offered = offered && service.Offer(feed, t);
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    if (!service.Finish().ok()) {
-      state.SkipWithError("service run failed");
-      return;
+    if (service.Finish().ok() && offered) {
+      elapsed = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
     }
-    const frt::ServiceSnapshot& report = service.report();
-    const frt::StageSummary& close_wait = report.stages[frt::kStageCloseWait];
-    p50 = close_wait.p50_ms;
-    p99 = close_wait.p99_ms;
-    worst = close_wait.max_ms;
-    deadline_windows =
-        static_cast<double>(report.windows_deadline_closed);
   }
-  state.counters["feeds"] = static_cast<double>(feeds);
-  state.counters["deadline_ms"] = static_cast<double>(deadline_ms);
-  state.counters["close_wait_p50_ms"] = p50;
-  state.counters["close_wait_p99_ms"] = p99;
-  state.counters["close_wait_max_ms"] = worst;
-  state.counters["windows_deadline_closed"] = deadline_windows;
-  state.counters["deadline_met"] =
-      (p99 > 0.0 && p99 < static_cast<double>(deadline_ms)) ? 1.0 : 0.0;
+  if (detach) detach();
+  return elapsed;
 }
-BENCHMARK(BM_ServeDeadlineClose)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+
+/// Runs `study` as kPairs ABBA pairs (off, on, on, off) after one untimed
+/// warm-up run, which pays the one-off costs (thread spawn, allocator
+/// growth, page faults) that would bias whichever half ran first. The
+/// mirrored order cancels linear drift (frequency throttling, cache
+/// state) inside a pair, and the median keeps one disturbed pair from
+/// moving the figure. Reports `ratio_counter` = median on/off throughput.
+void RunPairedStudy(benchmark::State& state, const PairedStudy& study,
+                    const char* ratio_counter) {
+  const std::vector<frt::Trajectory> arrivals =
+      FeedArrivals(study.arrivals_per_feed);
+  std::vector<std::string> feeds;
+  for (int f = 0; f < study.feeds; ++f) {
+    feeds.push_back("feed" + std::to_string(f));
+  }
+  size_t warmup_published = 0;
+  if (TimedRun(study.off, feeds, arrivals, nullptr, &warmup_published) <
+      0.0) {
+    state.SkipWithError("service warm-up run failed");
+    return;
+  }
+  std::vector<double> ratios;
+  double seconds[2] = {0.0, 0.0};
+  size_t published[2] = {0, 0};
+  for (auto _ : state) {
+    double pair_seconds[2] = {0.0, 0.0};
+    size_t pair_published[2] = {0, 0};
+    for (const bool on : {false, true, true, false}) {
+      const double elapsed =
+          TimedRun(on ? study.on : study.off, feeds, arrivals,
+                   on ? study.attach : nullptr, &pair_published[on]);
+      if (elapsed < 0.0) {
+        state.SkipWithError("service run failed");
+        return;
+      }
+      pair_seconds[on] += elapsed;
+    }
+    ratios.push_back((pair_published[1] / pair_seconds[1]) /
+                     (pair_published[0] / pair_seconds[0]));
+    for (const int half : {0, 1}) {
+      seconds[half] += pair_seconds[half];
+      published[half] += pair_published[half];
+    }
+  }
+  std::sort(ratios.begin(), ratios.end());
+  state.SetItemsProcessed(static_cast<int64_t>(published[0] + published[1]));
+  state.counters["feeds"] = static_cast<double>(study.feeds);
+  state.counters["throughput_off_per_s"] = published[0] / seconds[0];
+  state.counters["throughput_on_per_s"] = published[1] / seconds[1];
+  state.counters[ratio_counter] = ratios[ratios.size() / 2];
+  state.counters["pair_ratio_min"] = ratios.front();
+  state.counters["pair_ratio_max"] = ratios.back();
+}
 
 void BM_ServeCheckpoint(benchmark::State& state) {
-  const int feeds = 8;
   // Production-shaped windows (100 trajectories; the CLI default is
-  // --window 1000, the scaling study above uses 10-trajectory
-  // micro-windows): the write-ahead fsync is a fixed cost per publish
+  // --window 1000): the write-ahead fsync is a fixed cost per publish
   // flush, so the overhead claim is stated at a window size where real
   // deployments run, not at a size that is all fsync.
-  const int arrivals_per_feed = 200;
-  const std::vector<frt::Trajectory> arrivals =
-      FeedArrivals(arrivals_per_feed, 0);
-  std::vector<std::string> names;
-  names.reserve(feeds);
-  for (int f = 0; f < feeds; ++f) {
-    names.push_back("feed" + std::to_string(f));
-  }
-
-  // A fresh state dir per durable run: recovery is NOT part of the
-  // measured path, only the write-ahead snapshot+fsync on every publish
-  // flush.
   std::string templ = "/tmp/frt_bench_ckpt_XXXXXX";
   if (mkdtemp(templ.data()) == nullptr) {
     state.SkipWithError("mkdtemp failed");
     return;
   }
   const std::string state_dir = templ;
+  const std::string ledger = state_dir + "/budget_ledgers.ckpt";
 
-  // One service run; returns wall seconds, or < 0 on failure.
+  PairedStudy study;
+  study.feeds = 8;
+  study.arrivals_per_feed = 200;
+  study.off = PairedConfig();
+  study.on = PairedConfig();
+  study.on.state_dir = state_dir;
+  study.on.checkpoint_interval_ms = 50;
   size_t checkpoints = 0;
-  auto run_once = [&](bool durable, size_t* published) -> double {
-    frt::ServiceConfig config = BaseConfig();
-    config.stream.window_size = 100;
-    config.stream.batch.pipeline.m = 5;
-    if (durable) {
-      // Start cold every time (first boot, no recovery).
-      ::unlink((state_dir + "/budget_ledgers.ckpt").c_str());
-      config.state_dir = state_dir;
-      config.checkpoint_interval_ms = 50;
-    }
-    frt::ServiceDispatcher service(config, CountingSink(published));
-    const auto start = std::chrono::steady_clock::now();
-    if (!service.Start(kSeed).ok()) return -1.0;
-    for (const frt::Trajectory& t : arrivals) {
-      for (const std::string& name : names) {
-        if (!service.Offer(name, t)) return -1.0;
-      }
-    }
-    if (!service.Finish().ok()) return -1.0;
-    checkpoints += service.report().checkpoints_written;
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
+  study.attach = [&](frt::ServiceDispatcher& service) {
+    // Start cold every time (first boot, no recovery): recovery is not
+    // part of the measured path, only the write-ahead snapshot + fsync.
+    ::unlink(ledger.c_str());
+    return std::function<void()>([&checkpoints, &service] {
+      checkpoints += service.report().checkpoints_written;
+    });
   };
-
-  // Paired off/on halves inside every iteration: scheduling drift on a
-  // shared host moves both halves together, so the ratio is stable even
-  // when absolute throughput wobbles run to run.
-  double off_seconds = 0.0, on_seconds = 0.0;
-  size_t off_published = 0, on_published = 0;
-  for (auto _ : state) {
-    const double off = run_once(false, &off_published);
-    const double on = run_once(true, &on_published);
-    if (off < 0.0 || on < 0.0) {
-      state.SkipWithError("service run failed");
-      return;
-    }
-    off_seconds += off;
-    on_seconds += on;
-  }
-  ::unlink((state_dir + "/budget_ledgers.ckpt").c_str());
+  RunPairedStudy(state, study, "checkpoint_throughput_ratio");
+  ::unlink(ledger.c_str());
   ::rmdir(state_dir.c_str());
-  state.SetItemsProcessed(
-      static_cast<int64_t>(off_published + on_published));
-  const double off_rate =
-      off_seconds > 0.0 ? static_cast<double>(off_published) / off_seconds
-                        : 0.0;
-  const double on_rate =
-      on_seconds > 0.0 ? static_cast<double>(on_published) / on_seconds
-                       : 0.0;
-  state.counters["feeds"] = static_cast<double>(feeds);
-  state.counters["throughput_off_per_s"] = off_rate;
-  state.counters["throughput_on_per_s"] = on_rate;
-  state.counters["checkpoint_throughput_ratio"] =
-      off_rate > 0.0 ? on_rate / off_rate : 0.0;
-  state.counters["checkpoints_per_iter"] =
-      benchmark::Counter(static_cast<double>(checkpoints),
-                         benchmark::Counter::kAvgIterations);
+  state.counters["checkpoints_per_iter"] = benchmark::Counter(
+      static_cast<double>(checkpoints), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_ServeCheckpoint)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_ServeTraceOverhead(benchmark::State& state) {
-  const int feeds = 8;
-  // Same production-shaped workload as the checkpoint study: the span
-  // emit sites fire per window stage, so overhead is stated where the
-  // window-to-span ratio matches real deployments.
-  const int arrivals_per_feed = 200;
-  const std::vector<frt::Trajectory> arrivals =
-      FeedArrivals(arrivals_per_feed, 0);
-  std::vector<std::string> names;
-  names.reserve(feeds);
-  for (int f = 0; f < feeds; ++f) {
-    names.push_back("feed" + std::to_string(f));
-  }
-
-  auto run_once = [&](size_t* published) -> double {
-    frt::ServiceConfig config = BaseConfig();
-    config.stream.window_size = 100;
-    config.stream.batch.pipeline.m = 5;
-    frt::ServiceDispatcher service(config, CountingSink(published));
-    const auto start = std::chrono::steady_clock::now();
-    if (!service.Start(kSeed).ok()) return -1.0;
-    for (const frt::Trajectory& t : arrivals) {
-      for (const std::string& name : names) {
-        if (!service.Offer(name, t)) return -1.0;
-      }
-    }
-    if (!service.Finish().ok()) return -1.0;
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
-
-  // Mirrored pairs per iteration (off,on then on,off — see
-  // BM_ServeCheckpoint for the paired rationale): a single ~100 ms
-  // service run is noisy enough (thread spawn, scheduler) to swamp the
-  // span cost, and always running the armed half second would fold any
-  // monotone drift (frequency throttling, cache state) into the ratio.
-  // The ABBA order cancels linear drift exactly. The disabled halves
-  // also document that the compiled-in instrumentation is free — compare
-  // their throughput against the committed pre-obs baseline via
-  // bench_report.py's speedup_vs_baseline.
-  double off_seconds = 0.0, on_seconds = 0.0;
-  size_t off_published = 0, on_published = 0;
-  size_t spans = 0, dropped = 0;
-  {
-    // Untimed warmup: the first service run pays one-off costs (thread
-    // spawn, allocator growth, page faults) that would bias whichever
-    // half runs first.
-    size_t warmup_published = 0;
-    if (run_once(&warmup_published) < 0.0) {
-      state.SkipWithError("service warmup run failed");
-      return;
-    }
-  }
-  for (auto _ : state) {
-    double off = 0.0, on = 0.0;
-    bool failed = false;
-    for (const bool armed : {false, true, true, false}) {
-      if (armed) {
-        frt::obs::TraceRecorder::Options trace_options;
-        // Production arms once per process; this study arms per ~0.2 s
-        // run with freshly spawned threads, so the rings are faulted in
-        // inside the timed region every time. Size them to the run's
-        // actual per-thread span load (~2k spans/run total, zero drops
-        // observed at 1024/thread) so the measured ratio is the
-        // steady-state emit cost, not the one-off 4 MiB/thread
-        // default-ring page-in that a long-lived service amortizes to
-        // zero.
-        trace_options.buffer_events = 1024;
-        frt::obs::TraceRecorder::Get().Start(trace_options);
-      }
-      const double elapsed =
-          run_once(armed ? &on_published : &off_published);
-      if (armed) {
-        const frt::obs::TraceDump dump =
-            frt::obs::TraceRecorder::Get().Stop();
-        spans += dump.events.size();
-        dropped += dump.dropped;
-      }
-      if (elapsed < 0.0) failed = true;
-      (armed ? on : off) += elapsed;
-    }
-    if (failed) {
-      state.SkipWithError("service run failed");
-      return;
-    }
-    off_seconds += off;
-    on_seconds += on;
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(off_published + on_published));
-  const double off_rate =
-      off_seconds > 0.0 ? static_cast<double>(off_published) / off_seconds
-                        : 0.0;
-  const double on_rate =
-      on_seconds > 0.0 ? static_cast<double>(on_published) / on_seconds
-                       : 0.0;
-  state.counters["feeds"] = static_cast<double>(feeds);
-  state.counters["throughput_off_per_s"] = off_rate;
-  state.counters["throughput_on_per_s"] = on_rate;
-  state.counters["trace_throughput_ratio"] =
-      off_rate > 0.0 ? on_rate / off_rate : 0.0;
-  state.counters["spans_per_iter"] = benchmark::Counter(
-      static_cast<double>(spans), benchmark::Counter::kAvgIterations);
-  state.counters["spans_dropped_per_iter"] = benchmark::Counter(
-      static_cast<double>(dropped), benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_ServeTraceOverhead)
+BENCHMARK(BM_ServeCheckpoint)
+    ->Iterations(kPairs)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -546,144 +285,67 @@ bool AdminGet(const frt::net::Endpoint& endpoint,
 
 void BM_ServeAdminScrapeOverhead(benchmark::State& state) {
   // The admin plane's core contract quantified: handlers only read
-  // registry atomics and SnapshotBoard copies, so a live 10 Hz scraper
-  // (a Prometheus server plus a curl-happy operator) must not move
-  // serving throughput. 16 feeds through one shared pool, ABBA-mirrored
-  // unscraped/scraped halves per iteration (see BM_ServeTraceOverhead
-  // for the pairing rationale).
-  const int feeds = 16;
-  const int arrivals_per_feed = 100;
-  const std::vector<frt::Trajectory> arrivals =
-      FeedArrivals(arrivals_per_feed, 0);
-  std::vector<std::string> names;
-  names.reserve(feeds);
-  for (int f = 0; f < feeds; ++f) {
-    names.push_back("feed" + std::to_string(f));
-  }
-
+  // registry atomics and SnapshotBoard copies, so a live scraper (a
+  // Prometheus server plus a curl-happy operator) must not move serving
+  // throughput. A run lasts ~0.6 s on 4 CPUs, so each scraped run takes
+  // several /metrics + /feedz pairs, not one.
+  PairedStudy study;
+  study.feeds = 16;
+  study.arrivals_per_feed = 2500;
+  study.off = PairedConfig();
+  study.off.metrics_interval_ms = 100;  // live snapshot board ticks
+  study.on = study.off;
   int round = 0;
   size_t scrapes = 0, failed_scrapes = 0;
-  auto run_once = [&](bool scraped, size_t* published) -> double {
-    frt::ServiceConfig config = BaseConfig();
-    config.stream.window_size = 100;
-    config.stream.batch.pipeline.m = 5;
-    config.metrics_interval_ms = 100;  // live snapshot board ticks
-    frt::ServiceDispatcher service(config, CountingSink(published));
-
-    std::unique_ptr<frt::obs::AdminServer> admin;
-    std::thread scraper;
-    std::atomic<bool> stop_scraper{false};
+  study.attach = [&](frt::ServiceDispatcher& service) {
     frt::net::Endpoint endpoint;
-    if (scraped) {
-      endpoint.kind = frt::net::Endpoint::Kind::kUnix;
-      endpoint.path = "/tmp/frt_bench_admin_" +
-                      std::to_string(::getpid()) + "_" +
-                      std::to_string(round++) + ".sock";
-      // The handlers the CLIs ship: /metrics renders the dispatcher's own
-      // registry, /feedz its snapshot board through RenderFeedz.
-      frt::obs::AdminServer::Options options;
-      options.endpoint = endpoint;
-      options.registry = service.config().registry;
-      admin = std::make_unique<frt::obs::AdminServer>(options);
-      frt::ServiceDispatcher* service_ptr = &service;
-      admin->Handle(
-          "GET", "/feedz",
-          [service_ptr](const frt::obs::HttpRequest&) {
-            frt::obs::HttpResponse response;
-            response.content_type = "application/json";
-            const auto snapshot = service_ptr->Introspect();
-            if (snapshot == nullptr) {
-              response.status = 503;
-              response.body = "{\"error\":\"starting\"}\n";
-              return response;
-            }
-            response.body = frt::RenderFeedz(*snapshot);
-            return response;
-          });
-      if (!admin->Start().ok()) return -1.0;
-      scraper = std::thread([&endpoint, &stop_scraper, &scrapes,
-                             &failed_scrapes] {
-        // 10 Hz alternating /metrics and /feedz — both endpoints every
-        // 200 ms, the cadence a Prometheus scrape_interval of a few
-        // seconds would comfortably exceed.
-        while (!stop_scraper.load(std::memory_order_relaxed)) {
-          ++scrapes;
-          if (!AdminGet(endpoint, "/metrics")) ++failed_scrapes;
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-          if (stop_scraper.load(std::memory_order_relaxed)) break;
-          ++scrapes;
-          if (!AdminGet(endpoint, "/feedz")) ++failed_scrapes;
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
-      });
+    endpoint.kind = frt::net::Endpoint::Kind::kUnix;
+    endpoint.path = "/tmp/frt_bench_admin_" + std::to_string(::getpid()) +
+                    "_" + std::to_string(round++) + ".sock";
+    // The handlers the CLIs ship: /metrics renders the dispatcher's own
+    // registry, /feedz its snapshot board through RenderFeedz.
+    frt::obs::AdminServer::Options options;
+    options.endpoint = endpoint;
+    options.registry = service.config().registry;
+    auto admin = std::make_shared<frt::obs::AdminServer>(options);
+    admin->Handle("GET", "/feedz",
+                  [&service](const frt::obs::HttpRequest&) {
+                    frt::obs::HttpResponse response;
+                    response.content_type = "application/json";
+                    const auto snapshot = service.Introspect();
+                    if (snapshot == nullptr) {
+                      response.status = 503;
+                      response.body = "{\"error\":\"starting\"}\n";
+                      return response;
+                    }
+                    response.body = frt::RenderFeedz(*snapshot);
+                    return response;
+                  });
+    if (!admin->Start().ok()) {
+      ++failed_scrapes;  // no scrape can succeed; CI requires none failed
+      return std::function<void()>();
     }
-
-    const auto start = std::chrono::steady_clock::now();
-    double elapsed = -1.0;
-    if (service.Start(kSeed).ok()) {
-      bool offered = true;
-      for (const frt::Trajectory& t : arrivals) {
-        for (const std::string& name : names) {
-          if (!service.Offer(name, t)) {
-            offered = false;
-            break;
-          }
+    auto stop = std::make_shared<std::atomic<bool>>(false);
+    auto scraper = std::make_shared<std::thread>([=, &scrapes,
+                                                  &failed_scrapes] {
+      // 10 Hz, alternating /metrics and /feedz: both endpoints every
+      // 200 ms, a cadence a Prometheus scrape_interval of a few seconds
+      // would comfortably exceed.
+      for (int n = 0; !stop->load(std::memory_order_relaxed); ++n) {
+        ++scrapes;
+        if (!AdminGet(endpoint, n % 2 == 0 ? "/metrics" : "/feedz")) {
+          ++failed_scrapes;
         }
-        if (!offered) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
       }
-      if (offered && service.Finish().ok()) {
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-      }
-    }
-    if (scraped) {
-      stop_scraper.store(true, std::memory_order_relaxed);
-      scraper.join();
+    });
+    return std::function<void()>([admin, stop, scraper] {
+      stop->store(true, std::memory_order_relaxed);
+      scraper->join();
       admin->Stop();
-    }
-    return elapsed;
+    });
   };
-
-  {
-    // Untimed warmup (see BM_ServeTraceOverhead).
-    size_t warmup_published = 0;
-    if (run_once(false, &warmup_published) < 0.0) {
-      state.SkipWithError("service warmup run failed");
-      return;
-    }
-  }
-  double off_seconds = 0.0, on_seconds = 0.0;
-  size_t off_published = 0, on_published = 0;
-  for (auto _ : state) {
-    double off = 0.0, on = 0.0;
-    bool failed = false;
-    for (const bool scraped : {false, true, true, false}) {
-      const double elapsed =
-          run_once(scraped, scraped ? &on_published : &off_published);
-      if (elapsed < 0.0) failed = true;
-      (scraped ? on : off) += elapsed;
-    }
-    if (failed) {
-      state.SkipWithError("service run failed");
-      return;
-    }
-    off_seconds += off;
-    on_seconds += on;
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(off_published + on_published));
-  const double off_rate =
-      off_seconds > 0.0 ? static_cast<double>(off_published) / off_seconds
-                        : 0.0;
-  const double on_rate =
-      on_seconds > 0.0 ? static_cast<double>(on_published) / on_seconds
-                       : 0.0;
-  state.counters["feeds"] = static_cast<double>(feeds);
-  state.counters["throughput_off_per_s"] = off_rate;
-  state.counters["throughput_on_per_s"] = on_rate;
-  state.counters["admin_scrape_throughput_ratio"] =
-      off_rate > 0.0 ? on_rate / off_rate : 0.0;
+  RunPairedStudy(state, study, "admin_scrape_throughput_ratio");
   state.counters["scrapes_per_iter"] = benchmark::Counter(
       static_cast<double>(scrapes), benchmark::Counter::kAvgIterations);
   state.counters["failed_scrapes_per_iter"] = benchmark::Counter(
@@ -691,6 +353,7 @@ void BM_ServeAdminScrapeOverhead(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ServeAdminScrapeOverhead)
+    ->Iterations(kPairs)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -708,8 +371,8 @@ void BM_DispatcherWakeup(benchmark::State& state) {
   // Armed on every dormant feed; never due during the run.
   config.stream.close_after_ms = 60 * 1000;
   const std::vector<frt::Trajectory> hot =
-      FeedArrivals(hot_windows * 10, 0);
-  const frt::Trajectory dormant_arrival = FeedArrivals(1, 0)[0];
+      FeedArrivals(hot_windows * 10);
+  const frt::Trajectory dormant_arrival = FeedArrivals(1)[0];
   std::vector<std::string> dormant_names;
   dormant_names.reserve(dormant_feeds);
   for (int f = 0; f < dormant_feeds; ++f) {
@@ -786,7 +449,7 @@ void BM_EdgeAggregator(benchmark::State& state) {
   const int edges = static_cast<int>(state.range(0));
   const int trajs_per_edge = 200;
   const std::vector<frt::Trajectory> arrivals =
-      FeedArrivals(trajs_per_edge, 0);
+      FeedArrivals(trajs_per_edge);
   // Encode each edge's whole wire stream once, outside the timed loop:
   // the aggregator side is the system under test.
   std::vector<std::string> wires(static_cast<size_t>(edges));

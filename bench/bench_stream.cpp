@@ -1,24 +1,19 @@
-// bench_stream — streaming runtime study in two parts, both on a one-feed
-// ServiceDispatcher: the configuration frt_stream runs.
+// bench_stream — budget-accountant A/B on a one-feed ServiceDispatcher,
+// the configuration frt_stream runs: wholesale ledger vs per-object
+// ledgers on a feed whose object-ids recycle. With an identical feed,
+// budget, and seed, the wholesale ledger bills every window against one
+// sum and runs dry after budget/(eps_G+eps_L) windows; the per-object
+// accountant caps each object's own cumulative spend, so windows full of
+// objects that have not yet spent their budget keep publishing — strictly
+// more windows under the identical per-object end-to-end guarantee.
 //
-// Part 1, streaming throughput/latency: the full ingest -> window ->
-// anonymize -> emit service over an in-memory CSV feed, reporting
-// windows/s, trajectories/s, and per-window latency. Each window's shards
-// and audit fan out over the service's shared pool.
+// Streaming throughput and latency on the shipped CLI are perfbench's
+// stream_w1000_8k workload.
 //
-// Part 2, budget-accountant A/B: wholesale ledger vs per-object ledgers on
-// a feed whose object-ids recycle. With an identical feed, budget, and
-// seed, the wholesale ledger bills every window against one sum and runs
-// dry after budget/(eps_G+eps_L) windows; the per-object accountant caps
-// each object's own cumulative spend, so windows full of objects that
-// have not yet spent their budget keep publishing — strictly more windows
-// under the identical per-object end-to-end guarantee.
-//
-//   FRT_SCALE=full  -> 10,000-trajectory feed (default 2,000).
+//   FRT_SCALE=full  -> 8,000 arrivals over 2,000 ids (default 2,000 / 500).
 //   FRT_SEED=<n>    -> master seed (default 42).
-//   FRT_THREADS=<n> -> pool workers for both parts (default 6).
+//   FRT_THREADS=<n> -> pool workers (default 6).
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -26,14 +21,13 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/stopwatch.h"
 #include "service/dispatcher.h"
 #include "stream/ingest.h"
 #include "traj/io.h"
 
 namespace {
 
-// Pool workers for both parts.
+// Pool workers.
 unsigned StudyThreads() {
   const char* env = std::getenv("FRT_THREADS");
   if (env != nullptr) {
@@ -43,25 +37,21 @@ unsigned StudyThreads() {
   return 6;
 }
 
-double MedianSeconds(std::vector<double>& runs) {
-  std::sort(runs.begin(), runs.end());
-  return runs[runs.size() / 2];
-}
-
 /// Streams `csv` through a one-feed dispatcher (feed "stream") the way
-/// frt_stream does; `sink` sees every published window. Returns the
-/// service report (its final snapshot), or the first error.
+/// frt_stream does, discarding what it publishes. Returns the service
+/// report (its final snapshot), or the first error.
 frt::Result<frt::ServiceSnapshot> RunOneFeed(const frt::StreamConfig& stream,
                                            unsigned threads,
                                            const std::string& csv,
-                                           uint64_t seed,
-                                           frt::ServiceSink sink) {
+                                           uint64_t seed) {
   frt::ServiceConfig config;
   config.stream = stream;
   config.pool_threads = threads;
   config.arrival_queue_capacity = 2 * stream.window_size;
   config.max_backlog_windows = 1;
-  frt::ServiceDispatcher service(config, std::move(sink));
+  frt::ServiceDispatcher service(
+      config, [](const std::string&, const frt::Dataset&,
+                 const frt::WindowReport&) { return frt::Status::OK(); });
   FRT_RETURN_IF_ERROR(service.Start(seed));
   std::istringstream in(csv);
   frt::TrajectoryReader reader(in);
@@ -71,7 +61,7 @@ frt::Result<frt::ServiceSnapshot> RunOneFeed(const frt::StreamConfig& stream,
   return service.report();
 }
 
-// Part-2 feed: `arrivals` trajectories whose ids recycle modulo
+// The feed: `arrivals` trajectories whose ids recycle modulo
 // `distinct_ids`, so every object reappears arrivals/distinct_ids times
 // across the stream — the reappearance pattern that separates wholesale
 // from per-object accounting. Ids stay unique within any window of up to
@@ -102,74 +92,13 @@ int main() {
   const uint64_t seed = frt::bench::MasterSeed();
   const unsigned threads = StudyThreads();
 
-  // ---------------------------------------------------------------- Part 1
-  const int num_taxis = full ? 10000 : 2000;
-  const size_t window = full ? 1000 : 250;
-  std::printf("bench_stream part 1: streaming service, |D|=%d, window=%zu, "
-              "shards=16, %u pool workers\n",
-              num_taxis, window, threads);
-
-  frt::Stopwatch gen_watch;
-  frt::Workload workload = frt::bench::BuildWorkload(num_taxis, 40, seed);
-  std::ostringstream csv;
-  if (auto st = frt::WriteDatasetCsv(workload.dataset, csv); !st.ok()) {
-    std::fprintf(stderr, "serialize: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  std::printf("feed: %zu trajectories, %zu points, %.1f MB CSV (%.1fs)\n",
-              workload.dataset.size(), workload.dataset.TotalPoints(),
-              static_cast<double>(csv.str().size()) / 1e6,
-              gen_watch.ElapsedSeconds());
-
-  std::printf("\n%10s %10s %12s %14s %16s\n", "wall_s", "windows",
-              "windows/s", "trajs/s", "win_lat med/max s");
-  {
-    frt::StreamConfig config;
-    config.window_size = window;
-    config.batch.shards = 16;
-    config.batch.pipeline.m = 5;
-    std::vector<double> latencies;
-    auto sink = [&](const std::string&, const frt::Dataset&,
-                    const frt::WindowReport& w) -> frt::Status {
-      latencies.push_back(w.batch.wall_seconds);
-      return frt::Status::OK();
-    };
-    auto report = RunOneFeed(config, threads, csv.str(), seed, sink);
-    if (!report.ok()) {
-      std::fprintf(stderr, "stream run failed: %s\n",
-                   report.status().ToString().c_str());
-      return 1;
-    }
-    const double med = latencies.empty() ? 0.0 : MedianSeconds(latencies);
-    const double worst =
-        latencies.empty() ? 0.0
-                          : *std::max_element(latencies.begin(),
-                                              latencies.end());
-    const double wall = static_cast<double>(report->uptime_ms) / 1000.0;
-    std::printf("%10.2f %10zu %12.2f %14.0f %8.3f/%.3f\n", wall,
-                report->windows_published,
-                wall > 0.0 ? static_cast<double>(report->windows_published) /
-                                 wall
-                           : 0.0,
-                wall > 0.0
-                    ? static_cast<double>(report->trajectories_published) /
-                          wall
-                    : 0.0,
-                med, worst);
-  }
-  std::printf("\nwindows publish incrementally; each fans its shards out "
-              "over the service's shared pool, and the cross-window ledger "
-              "composes sequentially (here unbounded, so nothing was "
-              "refused).\n");
-
-  // ---------------------------------------------------------------- Part 2
   const int ab_arrivals = full ? 8000 : 2000;
   const int ab_distinct = full ? 2000 : 500;
   const size_t ab_window = full ? 1000 : 250;
   const double ab_budget = 6.0;  // per-window eps is 1.0 (0.5 + 0.5)
   const size_t ab_total_windows =
       static_cast<size_t>(ab_arrivals) / ab_window;
-  std::printf("\nbench_stream part 2: accountant A/B, %d arrivals over %d "
+  std::printf("bench_stream: accountant A/B, %d arrivals over %d "
               "distinct object-ids (each reappears %dx), window=%zu, "
               "budget=%.1f, eps 1.0/window\n",
               ab_arrivals, ab_distinct, ab_arrivals / ab_distinct, ab_window,
@@ -187,11 +116,7 @@ int main() {
     (per_object ? config.per_object_budget : config.total_budget) = ab_budget;
     config.batch.shards = 4;
     config.batch.pipeline.m = 3;
-    auto sink = [](const std::string&, const frt::Dataset&,
-                   const frt::WindowReport&) -> frt::Status {
-      return frt::Status::OK();
-    };
-    auto service_report = RunOneFeed(config, threads, ab_csv, seed, sink);
+    auto service_report = RunOneFeed(config, threads, ab_csv, seed);
     if (!service_report.ok()) {
       std::fprintf(stderr, "A/B run failed: %s\n",
                    service_report.status().ToString().c_str());

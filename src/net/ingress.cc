@@ -211,6 +211,11 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
       }
     }
   }
+  if (fatal.empty() && !clean_bye) {
+    // Stop() landed between frames: like a disconnect without kBye, the
+    // feeds this connection delivered may be missing trajectories.
+    fatal = "ingress stopped before bye from '" + peer + "'";
+  }
 
   if (!fatal.empty()) {
     // Framing-level fault: the stream offset is untrustworthy, so every

@@ -15,9 +15,11 @@
 #     with eps_remaining non-increasing across scrapes and the
 #     quarantined feed visible in /feedz.
 #
-# A last run checks that SIGINT stops an aggregator started without
-# --listen-conns cleanly (exit 0, socket file removed) and that its output
-# equals a --listen-conns 1 run of the same edge stream.
+# The last runs check that SIGINT stops an aggregator started without
+# --listen-conns cleanly once an edge's stream has ended (exit 0, socket
+# file removed, output equal to a --listen-conns 1 run of the same edge
+# stream), and that a SIGINT in the middle of an edge's stream quarantines
+# that edge's feed instead of publishing its truncated tail (exit 3).
 #
 # Usage: loopback_smoke_test.sh /path/to/frt_serve /path/to/frt_edge
 
@@ -30,9 +32,11 @@ HERE="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 TRACE_SUMMARY="$HERE/../tools/trace_summary.py"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/frt_loopback_XXXXXX")"
 SERVE_PID=""
+EDGE_PID=""
 
 cleanup() {
   [[ -n "$SERVE_PID" ]] && kill -9 "$SERVE_PID" 2>/dev/null
+  [[ -n "$EDGE_PID" ]] && kill -9 "$EDGE_PID" 2>/dev/null
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -290,5 +294,55 @@ SERVE_PID=""
 cmp -s "$WORK/sig.csv" "$WORK/ref.csv" \
   || fail "SIGINT-stopped output differs from the --listen-conns 1 run"
 
+# ---- SIGINT mid-stream: the edge is still sending when the aggregator
+# stops, so its feed lacks the trajectories after the cut. Like a
+# disconnect without bye, that quarantines the feed (exit 3 and a
+# quarantine line) rather than publishing a truncated final window. No
+# budget here, so the quarantine is the only way to exit 3. ----
+awk 'BEGIN {
+  for (i = 0; i < 30000; i++) {
+    x = 100 + (i * 113) % 900; y = 200 + (i * 211) % 700; t = 100 + i
+    for (j = 0; j < 4; j++) {
+      printf "delta,%d,%f,%f,%d\n", i, x, y, t
+      x += 17 + j; y += 13 + j; t += 30
+    }
+  }
+}' > "$WORK/d.csv"
+CUT_FLAGS=(--window 7 --epsilon-global 0.5 --epsilon-local 0.5 --shards 2
+           --seed 17)
+CUT_SOCK="$WORK/cut.sock"
+ADMIN_SOCK="$WORK/cut_admin.sock"
+"$SERVE" --listen "unix:$CUT_SOCK" --output "$WORK/cut.csv" \
+         --admin-listen "unix:$ADMIN_SOCK" "${CUT_FLAGS[@]}" \
+         2> "$WORK/serve.log" &
+SERVE_PID=$!
+wait_for_socket "$CUT_SOCK"
+wait_for_socket "$ADMIN_SOCK"
+"$EDGE" --feeds "$WORK/d.csv" --connect "unix:$CUT_SOCK" --hello edge-cut \
+        "${CUT_FLAGS[@]}" 2> "$WORK/edge_a.log" &
+EDGE_PID=$!
+FRAMES=0
+for _ in $(seq 100); do
+  FRAMES="$(admin_get /metrics 2>/dev/null \
+            | awk '$1 == "frt_ingress_frames_total" { print $2 }')"
+  [[ "${FRAMES:-0}" -ge 100 ]] && break
+  sleep 0.05
+done
+[[ "${FRAMES:-0}" -ge 100 ]] || fail "aggregator read '$FRAMES' frames, want >= 100"
+kill -INT "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_EXIT=$?
+SERVE_PID=""
+# The edge sees the cut as a failed write (exit 1); only the aggregator's
+# view is asserted.
+wait "$EDGE_PID"
+EDGE_PID=""
+grep -q "^ingress: .* 30000 trajectories" "$WORK/serve.log" \
+  && fail "the edge finished its stream before the SIGINT"
+[[ "$SERVE_EXIT" -eq 3 ]] \
+  || fail "aggregator exited $SERVE_EXIT after a mid-stream SIGINT, want 3"
+grep -q "^quarantine: feed delta: .*before bye" "$WORK/serve.log" \
+  || fail "missing quarantine report for the feed cut mid-stream"
+
 echo "PASS: loopback smoke (quarantine contained to beta; alpha complete;"\
-     "SIGINT stops cleanly)"
+     "SIGINT stops cleanly after bye, quarantines mid-stream)"

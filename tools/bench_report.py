@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Machine-readable perf trail for the index micro-benchmarks.
+"""Machine-readable perf trail for the google-benchmark binaries.
 
 Runs a google-benchmark binary (or ingests an existing
 --benchmark_format=json capture), validates it, and emits a compact
 BENCH_*.json report, optionally annotated with speedups against a baseline
-report. CI runs this as the bench smoke step and uploads the artifact;
-PRs that change the hot path commit the refreshed BENCH_index.json so the
-repo carries its own perf history.
+report. bench_index_micro's trail is BENCH_index.json and bench_serve's is
+BENCH_serve.json, whose paired overhead ratios are also lifted to top-level
+checkpoint_overhead / admin_overhead entries. CI runs this as the bench
+smoke step and uploads the artifacts; PRs that change a measured path
+commit the refreshed trail so the repo carries its own perf history.
 
 Usage:
   tools/bench_report.py --bench build/bench/bench_index_micro \
@@ -42,8 +44,7 @@ def run_bench(bench, min_time, bench_filter):
 
 # google-benchmark bookkeeping keys that are not user counters; everything
 # numeric outside this set (dist_evals*, items_per_second, the serve
-# study's feeds/isolation/deadline counters, ...) is carried into the
-# report verbatim.
+# study's overhead ratios, ...) is carried into the report verbatim.
 _GBENCH_BOOKKEEPING = {
     "family_index", "per_family_instance_index", "repetitions",
     "repetition_index", "threads", "iterations", "real_time", "cpu_time",
@@ -75,64 +76,28 @@ def compact(raw):
     return out
 
 
-def derive_checkpoint_overhead(benchmarks):
-    """Surfaces the serve study's paired checkpoint overhead measurement.
-
-    BM_ServeCheckpoint runs the same workload with durable ledgers off and
-    on inside every iteration and reports the paired throughput ratio as a
-    counter. Returns {"throughput_ratio": on/off, "source": name} or None
-    when the report has no such entry. The acceptance claim is
-    ratio >= 0.9 (checkpointing costs at most 10%).
-    """
-    for name, entry in benchmarks.items():
-        if "ServeCheckpoint" in name and "checkpoint_throughput_ratio" in entry:
-            return {
-                "throughput_ratio": round(
-                    entry["checkpoint_throughput_ratio"], 3),
-                "source": name,
-            }
-    return None
+# bench_serve's paired overhead studies: report key -> (benchmark name,
+# ratio counter). Each ratio is on/off throughput, the median over a fixed
+# number of ABBA pairs; the claims are checkpointing >= 0.9 and a live
+# admin scraper >= 0.99.
+_OVERHEADS = {
+    "checkpoint_overhead": ("ServeCheckpoint", "checkpoint_throughput_ratio"),
+    "admin_overhead": ("ServeAdminScrapeOverhead",
+                       "admin_scrape_throughput_ratio"),
+}
 
 
-def derive_trace_overhead(benchmarks):
-    """Surfaces the serve study's paired span-tracing overhead measurement.
-
-    BM_ServeTraceOverhead runs the same workload with the trace recorder
-    disarmed and armed inside every iteration. Returns
-    {"throughput_ratio": armed/disarmed, "source": name} or None when the
-    report has no such entry. The acceptance claim is ratio >= 0.97
-    (recording spans costs at most ~3%); compiled-in-but-DISABLED tracing
-    is covered separately by speedup_vs_baseline on the disarmed half.
-    """
-    for name, entry in benchmarks.items():
-        if "ServeTraceOverhead" in name and "trace_throughput_ratio" in entry:
-            return {
-                "throughput_ratio": round(
-                    entry["trace_throughput_ratio"], 3),
-                "source": name,
-            }
-    return None
-
-
-def derive_admin_overhead(benchmarks):
-    """Surfaces the serve study's paired admin-scrape overhead measurement.
-
-    BM_ServeAdminScrapeOverhead runs the same 16-feed workload with no
-    admin listener and with a 10 Hz /metrics + /feedz scraper inside every
-    iteration. Returns {"throughput_ratio": scraped/unscraped, "source":
-    name} or None when the report has no such entry. The acceptance claim
-    is ratio >= 0.99: admin handlers only read registry atomics and
-    snapshot copies, so a live scraper is throughput-neutral.
-    """
-    for name, entry in benchmarks.items():
-        if ("ServeAdminScrapeOverhead" in name
-                and "admin_scrape_throughput_ratio" in entry):
-            return {
-                "throughput_ratio": round(
-                    entry["admin_scrape_throughput_ratio"], 3),
-                "source": name,
-            }
-    return None
+def derive_overheads(benchmarks):
+    """Returns {report key: {"throughput_ratio", "source"}} for each paired
+    overhead study present in the report."""
+    out = {}
+    for key, (study, counter) in _OVERHEADS.items():
+        for name, entry in benchmarks.items():
+            if study in name and counter in entry:
+                out[key] = {"throughput_ratio": round(entry[counter], 3),
+                            "source": name}
+                break
+    return out
 
 
 def main():
@@ -168,17 +133,7 @@ def main():
         "benchmarks": compact(raw),
     }
 
-    checkpoint = derive_checkpoint_overhead(report["benchmarks"])
-    if checkpoint is not None:
-        report["checkpoint_overhead"] = checkpoint
-
-    trace = derive_trace_overhead(report["benchmarks"])
-    if trace is not None:
-        report["trace_overhead"] = trace
-
-    admin = derive_admin_overhead(report["benchmarks"])
-    if admin is not None:
-        report["admin_overhead"] = admin
+    report.update(derive_overheads(report["benchmarks"]))
 
     if args.baseline:
         with open(args.baseline) as f:
