@@ -117,8 +117,8 @@ frt::ServiceSink CountingSink(size_t* trajectories) {
   };
 }
 
-/// Runs on the on-half's service before its clock starts; what it returns
-/// runs after Finish, outside the clock.
+/// Runs on the on-half's started service before its clock starts; what it
+/// returns runs after Finish, outside the clock.
 using AttachFn =
     std::function<std::function<void()>(frt::ServiceDispatcher& service)>;
 
@@ -140,29 +140,29 @@ frt::ServiceConfig PairedConfig() {
   return config;
 }
 
-/// Times one service run from Start to Finish; adds its published
-/// trajectories to `*published`. Returns wall seconds, or < 0 on failure.
+/// Times one started service run from the first Offer to Finish; adds its
+/// published trajectories to `*published`. Returns wall seconds, or < 0
+/// on failure.
 double TimedRun(const frt::ServiceConfig& config,
                 const std::vector<std::string>& feeds,
                 const std::vector<frt::Trajectory>& arrivals,
                 const AttachFn& attach, size_t* published) {
   frt::ServiceDispatcher service(config, CountingSink(published));
+  if (!service.Start(kSeed).ok()) return -1.0;
   const std::function<void()> detach =
       attach ? attach(service) : std::function<void()>();
   double elapsed = -1.0;
   const auto start = std::chrono::steady_clock::now();
-  if (service.Start(kSeed).ok()) {
-    bool offered = true;
-    for (const frt::Trajectory& t : arrivals) {
-      for (const std::string& feed : feeds) {
-        offered = offered && service.Offer(feed, t);
-      }
+  bool offered = true;
+  for (const frt::Trajectory& t : arrivals) {
+    for (const std::string& feed : feeds) {
+      offered = offered && service.Offer(feed, t);
     }
-    if (service.Finish().ok() && offered) {
-      elapsed = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    }
+  }
+  if (service.Finish().ok() && offered) {
+    elapsed = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
   }
   if (detach) detach();
   return elapsed;
@@ -243,15 +243,14 @@ void BM_ServeCheckpoint(benchmark::State& state) {
   study.on.checkpoint_interval_ms = 50;
   size_t checkpoints = 0;
   study.attach = [&](frt::ServiceDispatcher& service) {
-    // Start cold every time (first boot, no recovery): recovery is not
+    // Every on-run starts cold (first boot, no recovery): recovery is not
     // part of the measured path, only the write-ahead snapshot + fsync.
-    ::unlink(ledger.c_str());
-    return std::function<void()>([&checkpoints, &service] {
+    return std::function<void()>([&checkpoints, &service, &ledger] {
       checkpoints += service.report().checkpoints_written;
+      ::unlink(ledger.c_str());
     });
   };
   RunPairedStudy(state, study, "checkpoint_throughput_ratio");
-  ::unlink(ledger.c_str());
   ::rmdir(state_dir.c_str());
   state.counters["checkpoints_per_iter"] = benchmark::Counter(
       static_cast<double>(checkpoints), benchmark::Counter::kAvgIterations);
@@ -308,19 +307,10 @@ void BM_ServeAdminScrapeOverhead(benchmark::State& state) {
     options.endpoint = endpoint;
     options.registry = service.config().registry;
     auto admin = std::make_shared<frt::obs::AdminServer>(options);
-    admin->Handle("GET", "/feedz",
-                  [&service](const frt::obs::HttpRequest&) {
-                    frt::obs::HttpResponse response;
-                    response.content_type = "application/json";
-                    const auto snapshot = service.Introspect();
-                    if (snapshot == nullptr) {
-                      response.status = 503;
-                      response.body = "{\"error\":\"starting\"}\n";
-                      return response;
-                    }
-                    response.body = frt::RenderFeedz(*snapshot);
-                    return response;
-                  });
+    admin->Handle("GET", "/feedz", [&service](const frt::obs::HttpRequest&) {
+      return frt::obs::HttpResponse{200, "application/json",
+                                    frt::RenderFeedz(*service.Introspect())};
+    });
     if (!admin->Start().ok()) {
       ++failed_scrapes;  // no scrape can succeed; CI requires none failed
       return std::function<void()>();

@@ -1,5 +1,7 @@
 #include "net/ingress.h"
 
+#include <sys/socket.h>
+
 #include <chrono>
 #include <unordered_set>
 #include <utility>
@@ -86,16 +88,22 @@ IngressServer::Stats IngressServer::stats() const {
 }
 
 void IngressServer::Stop() {
-  // One atomic store, so a signal handler may call it: the accept loop's
-  // poll timeout notices it, and readers between frames.
-  stop_.store(true, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  stop_.store(true);
+  listener_.ShutdownBoth();
+  for (const int fd : live_fds_) ::shutdown(fd, SHUT_RD);
 }
 
 void IngressServer::AcceptLoop() {
   obs::SetTraceThreadName("ingress-accept");
   size_t accepted = 0;
-  ServeAccepts(listener_, stop_, accept_retries_, "ingress",
+  ServeAccepts(listener_, accept_retries_, "ingress",
                [this, &accepted](Socket conn) {
+                 {
+                   std::lock_guard<std::mutex> lock(mu_);
+                   if (stop_.load()) return false;  // Stop() never saw it
+                   live_fds_.insert(conn.fd());
+                 }
                  const size_t index = ++accepted;
                  connections_total_->Inc();
                  readers_.emplace_back(&IngressServer::ReadConnection, this,
@@ -103,7 +111,7 @@ void IngressServer::AcceptLoop() {
                  return options_.max_connections == 0 ||
                         accepted < options_.max_connections;
                });
-  // The accept thread owns the listener: nothing else touches its fd.
+  std::lock_guard<std::mutex> lock(mu_);
   listener_.Close();
   UnlinkIfUnix(options_.endpoint);
 }
@@ -129,8 +137,7 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
     quarantine_(feed, reason);
   };
 
-  while (!clean_bye && fatal.empty() &&
-         !stop_.load(std::memory_order_relaxed)) {
+  while (!clean_bye && fatal.empty() && !stop_.load()) {
     const auto read_start = std::chrono::steady_clock::now();
     auto got_header = ReadFull(conn.fd(), header_buf, kFrameHeaderSize);
     if (!got_header.ok()) {
@@ -211,9 +218,10 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
       }
     }
   }
-  if (fatal.empty() && !clean_bye) {
-    // Stop() landed between frames: like a disconnect without kBye, the
-    // feeds this connection delivered may be missing trajectories.
+  if (!clean_bye && stop_.load()) {
+    // Stop() ended the stream, between frames or by the shutdown(2) that
+    // cut a read short: like a disconnect without kBye, the feeds this
+    // connection delivered may be missing trajectories.
     fatal = "ingress stopped before bye from '" + peer + "'";
   }
 
@@ -226,6 +234,8 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
       quarantine_one(feed, "connection from '" + peer + "': " + fatal);
     }
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  live_fds_.erase(conn.fd());
   conn.Close();
 }
 

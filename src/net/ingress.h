@@ -35,8 +35,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -93,11 +95,9 @@ class IngressServer {
   /// a per-connection error — those became quarantine reports.
   void Wait();
 
-  /// \brief Asynchronously stops accepting and unblocks Wait(): the
-  /// accept loop notices within its 200 ms poll timeout. In-flight readers
-  /// finish their current frame and exit. One atomic store, so it is
-  /// async-signal-safe (frt_serve calls it from its SIGINT/SIGTERM
-  /// handler).
+  /// \brief Stops accepting and unblocks Wait(): shuts down the listener
+  /// and the read side of every live connection, so a reader blocked on a
+  /// silent edge wakes too. Takes a lock, so not for signal handlers.
   void Stop();
 
   /// Read from the counters; exact after Wait().
@@ -110,11 +110,13 @@ class IngressServer {
   Options options_;
   OfferFn offer_;
   QuarantineFn quarantine_;
-  /// Owned by the accept thread once Start() spawned it.
+  /// Guards the fds Stop() shuts down (closed only under it) and stop_.
+  std::mutex mu_;
   Socket listener_;
+  std::unordered_set<int> live_fds_;
   std::thread accept_thread_;
   std::vector<std::thread> readers_;
-  std::atomic<bool> stop_{false};
+  std::atomic<bool> stop_{false};  ///< readers also check it per frame
   bool started_ = false;
   /// Backs options_.registry when the caller passed none.
   std::unique_ptr<obs::Registry> owned_registry_;

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <netdb.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -195,15 +194,11 @@ Result<Socket> Accept(const Socket& listener, bool* transient) {
   }
 }
 
-void ServeAccepts(const Socket& listener, const std::atomic<bool>& stop,
-                  obs::Counter* retries, std::string_view label,
+void ServeAccepts(const Socket& listener, obs::Counter* retries,
+                  std::string_view label,
                   const std::function<bool(Socket)>& on_conn) {
   int backoff_ms = 1;
-  while (!stop.load(std::memory_order_relaxed)) {
-    pollfd pfd{listener.fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
-    if (ready < 0 && errno != EINTR) return;
-    if (ready <= 0 || stop.load(std::memory_order_relaxed)) continue;
+  for (;;) {
     bool transient = false;
     Result<Socket> conn = Accept(listener, &transient);
     if (!conn.ok()) {

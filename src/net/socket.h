@@ -21,7 +21,6 @@
 #ifndef FRT_NET_SOCKET_H_
 #define FRT_NET_SOCKET_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -88,15 +87,15 @@ bool IsTransientAcceptError(int err);
 Result<Socket> Accept(const Socket& listener, bool* transient = nullptr);
 
 /// \brief The accept loop of a listening server, run on its accept
-/// thread. Accepts connections on `listener` and hands each to `on_conn`
-/// until `stop` is set, the listener is shut down, accept fails for good,
-/// or `on_conn` returns false. It polls with a 200 ms timeout, so a store
-/// to `stop` alone ends it within that time. A transient accept failure
+/// thread. Blocks in accept(2) on `listener` and hands each connection to
+/// `on_conn` until the listener is shut down (the one way to stop it:
+/// shutdown(2) wakes the blocked accept), accept fails for good, or
+/// `on_conn` returns false. A transient accept failure
 /// (IsTransientAcceptError) is retried after a backoff that doubles from
 /// 1 ms up to 200 ms, counted in `retries` and logged as "`label` accept
 /// failed".
-void ServeAccepts(const Socket& listener, const std::atomic<bool>& stop,
-                  obs::Counter* retries, std::string_view label,
+void ServeAccepts(const Socket& listener, obs::Counter* retries,
+                  std::string_view label,
                   const std::function<bool(Socket)>& on_conn);
 
 /// \brief Connects to `endpoint` (blocking).

@@ -182,7 +182,7 @@ Status AdminServer::Start() {
       bound_port_ = *port;
     }
   }
-  stop_.store(false, std::memory_order_relaxed);
+  stopping_ = false;
   thread_ = std::thread([this] { AcceptLoop(); });
   started_ = true;
   return Status::OK();
@@ -190,8 +190,12 @@ Status AdminServer::Start() {
 
 void AdminServer::Stop() {
   if (!started_) return;
-  stop_.store(true, std::memory_order_relaxed);
-  listener_.ShutdownBoth();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+    listener_.ShutdownBoth();
+    serving_.ShutdownBoth();
+  }
   if (thread_.joinable()) thread_.join();
   listener_.Close();
   net::UnlinkIfUnix(options_.endpoint);
@@ -200,14 +204,21 @@ void AdminServer::Stop() {
 
 void AdminServer::AcceptLoop() {
   SetTraceThreadName("admin");
-  net::ServeAccepts(listener_, stop_, accept_retries_, "admin",
+  net::ServeAccepts(listener_, accept_retries_, "admin",
                     [this](net::Socket conn) {
-                      ServeConnection(std::move(conn));
+                      {
+                        std::lock_guard<std::mutex> lock(mu_);
+                        if (stopping_) return false;  // Stop() never saw it
+                        serving_ = std::move(conn);
+                      }
+                      ServeConnection(serving_);
+                      std::lock_guard<std::mutex> lock(mu_);
+                      serving_.Close();
                       return true;
                     });
 }
 
-void AdminServer::ServeConnection(net::Socket conn) {
+void AdminServer::ServeConnection(const net::Socket& conn) {
   SetIoTimeouts(conn.fd(), options_.io_timeout_ms);
 
   // ---- Read the header block (request line + headers). ----

@@ -31,10 +31,10 @@
 #ifndef FRT_OBS_ADMIN_SERVER_H_
 #define FRT_OBS_ADMIN_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -87,7 +87,8 @@ class AdminServer {
   /// Binds the endpoint and spawns the accept thread.
   Status Start();
 
-  /// Shuts the listener down and joins the accept thread. Idempotent.
+  /// Shuts down the listener and the connection being served, so a silent
+  /// client cannot hold it, and joins the accept thread. Idempotent.
   void Stop();
 
   /// Port actually bound (tcp:HOST:0 picks one); 0 for unix endpoints
@@ -96,7 +97,7 @@ class AdminServer {
 
  private:
   void AcceptLoop();
-  void ServeConnection(net::Socket conn);
+  void ServeConnection(const net::Socket& conn);
 
   Options options_;
   std::map<std::string, std::map<std::string, Handler>> routes_;
@@ -105,7 +106,10 @@ class AdminServer {
   net::Socket listener_;
   uint16_t bound_port_ = 0;
   std::thread thread_;
-  std::atomic<bool> stop_{false};
+  /// Guards serving_ (closed only under it) and stopping_.
+  std::mutex mu_;
+  net::Socket serving_;
+  bool stopping_ = false;
   bool started_ = false;
 };
 

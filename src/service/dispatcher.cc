@@ -164,6 +164,12 @@ Status ServiceDispatcher::Start(uint64_t seed) {
   completions_ = std::make_unique<BoundedQueue<std::unique_ptr<Completion>>>(
       config_.max_in_flight);
   started_ = true;
+  started_at_ = SteadyClock::now();
+  last_checkpoint_ = started_at_;
+  last_metrics_ = started_at_;
+  // The first snapshot is on the board before the thread exists, so
+  // Introspect() is never null once Start() returns.
+  PublishMetricsNow(started_at_);
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
   return Status::OK();
 }
@@ -696,12 +702,6 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
 
 void ServiceDispatcher::DispatcherLoop() {
   obs::SetTraceThreadName("dispatcher");
-  started_at_ = SteadyClock::now();
-  last_checkpoint_ = started_at_;
-  last_metrics_ = started_at_;
-  // An immediate first snapshot: the board is never empty once the
-  // service runs.
-  PublishMetricsNow(started_at_);
   bool input_done = false;
   for (;;) {
     // The round. Absorb whatever the workers finished and serve the due

@@ -180,10 +180,10 @@ class ServiceDispatcher {
   ServiceDispatcher(const ServiceDispatcher&) = delete;
   ServiceDispatcher& operator=(const ServiceDispatcher&) = delete;
 
-  /// \brief Spawns the shared pool and the dispatcher thread. `seed` is
-  /// the master seed every per-feed RNG stream derives from.
-  /// InvalidArgument when the stream config sets both budgets, or
-  /// evict_exhausted without a per-object budget.
+  /// \brief Publishes the first snapshot, then spawns the shared pool and
+  /// the dispatcher thread. `seed` is the master seed every per-feed RNG
+  /// stream derives from. InvalidArgument when the stream config sets
+  /// both budgets, or evict_exhausted without a per-object budget.
   Status Start(uint64_t seed);
 
   /// \brief Hands one arrival to the service, blocking when the arrival
@@ -219,9 +219,9 @@ class ServiceDispatcher {
 
   const ServiceConfig& config() const { return config_; }
 
-  /// \brief Latest service snapshot (nullptr before Start()), rebuilt on
-  /// the dispatcher thread every metrics_interval_ms and always at start
-  /// and shutdown. Safe from any thread at any time; never blocks the
+  /// \brief Latest service snapshot (nullptr until Start() returns OK),
+  /// rebuilt on the dispatcher thread every metrics_interval_ms and at
+  /// shutdown. Safe from any thread at any time; never blocks the
   /// dispatcher (see obs::SnapshotBoard). After Finish() it is the final
   /// snapshot.
   std::shared_ptr<const ServiceSnapshot> Introspect() const {
@@ -405,8 +405,8 @@ class ServiceDispatcher {
   /// closed windows drain, and the run ends cleanly (not an error).
   bool stopping_ = false;
   Status error_ = Status::OK();
-  // Durability + metrics (dispatcher thread only, except store_ creation
-  // and recovery, which Start() runs before the thread spawns).
+  // Durability + metrics (dispatcher thread only, except what Start()
+  // runs before the thread spawns: store_, recovery, the first snapshot).
   std::optional<CheckpointStore> store_;
   std::vector<PendingPublish> pending_;
   uint64_t checkpoint_seq_ = 0;  ///< resumes from the recovered snapshot

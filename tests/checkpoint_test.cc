@@ -13,9 +13,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -32,13 +34,25 @@ using frt::testing::SyntheticCsv;
 
 constexpr uint64_t kSeed = 20260807;
 
-/// Fresh unique directory under the test temp root.
-std::string MakeStateDir() {
-  std::string templ = ::testing::TempDir() + "frt_ckpt_XXXXXX";
-  char* made = mkdtemp(templ.data());
-  EXPECT_NE(made, nullptr);
-  return templ;
-}
+/// A fresh unique directory under the test temp root, removed with all
+/// it holds when the test that made it ends.
+class StateDir {
+ public:
+  StateDir() : path_(::testing::TempDir() + "frt_ckpt_XXXXXX") {
+    EXPECT_NE(mkdtemp(path_.data()), nullptr);
+  }
+  ~StateDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  StateDir(const StateDir&) = delete;
+  StateDir& operator=(const StateDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -157,7 +171,8 @@ TEST(CheckpointFormatTest, RejectsDuplicateFeedsAndBadValues) {
 // Atomic persistence.
 
 TEST(CheckpointStoreTest, LoadOnFreshDirIsEmpty) {
-  auto store = CheckpointStore::Open(MakeStateDir());
+  const StateDir dir;
+  auto store = CheckpointStore::Open(dir.path());
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   auto loaded = store->Load();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -165,14 +180,15 @@ TEST(CheckpointStoreTest, LoadOnFreshDirIsEmpty) {
 }
 
 TEST(CheckpointStoreTest, OpenCreatesMissingDirectory) {
-  const std::string dir = MakeStateDir() + "/nested/state";
-  auto store = CheckpointStore::Open(dir);
+  const StateDir dir;
+  auto store = CheckpointStore::Open(dir.path() + "/nested/state");
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_TRUE(store->Write(SampleCheckpoint()).ok());
 }
 
 TEST(CheckpointStoreTest, WriteLoadRoundTripAndOverwrite) {
-  auto store = CheckpointStore::Open(MakeStateDir());
+  const StateDir dir;
+  auto store = CheckpointStore::Open(dir.path());
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ServiceCheckpoint image = SampleCheckpoint();
   ASSERT_TRUE(store->Write(image).ok());
@@ -198,7 +214,8 @@ TEST(CheckpointStoreTest, SyncDirFailurePropagatesAsIOError) {
   // it used to be silently discarded. Deleting the state dir out from
   // under the store makes the dir open (the first SyncDir step) fail
   // deterministically.
-  const std::string dir = MakeStateDir();
+  const StateDir state;
+  const std::string& dir = state.path();
   auto store = CheckpointStore::Open(dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_TRUE(store->SyncDir().ok());
@@ -212,7 +229,8 @@ TEST(CheckpointStoreTest, SyncDirFailurePropagatesAsIOError) {
 }
 
 TEST(CheckpointStoreTest, LoadRejectsCorruptSnapshot) {
-  const std::string dir = MakeStateDir();
+  const StateDir state;
+  const std::string& dir = state.path();
   auto store = CheckpointStore::Open(dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_TRUE(store->Write(SampleCheckpoint()).ok());
@@ -254,7 +272,8 @@ std::vector<Trajectory> Arrivals(int n, int distinct_ids = 0) {
 }
 
 TEST(CheckpointRecoveryTest, WholesaleSpendCarriesAcrossRestart) {
-  const std::string dir = MakeStateDir();
+  const StateDir state;
+  const std::string& dir = state.path();
   const std::vector<Trajectory> trajs = Arrivals(60);  // 3 windows of 20
   const std::vector<std::string> feeds = {"alpha", "beta"};
 
@@ -325,7 +344,8 @@ TEST(CheckpointRecoveryTest, WholesaleSpendCarriesAcrossRestart) {
 }
 
 TEST(CheckpointRecoveryTest, PerObjectFloorCarriesAcrossRestart) {
-  const std::string dir = MakeStateDir();
+  const StateDir state;
+  const std::string& dir = state.path();
   // Ids recycle every window: each window holds objects 0..19, so each
   // object's cumulative spend grows by 1.0 per published window.
   const std::vector<Trajectory> trajs = Arrivals(60, 20);
@@ -369,7 +389,8 @@ TEST(CheckpointRecoveryTest, PerObjectFloorCarriesAcrossRestart) {
 }
 
 TEST(CheckpointRecoveryTest, StartRefusesCorruptSnapshot) {
-  const std::string dir = MakeStateDir();
+  const StateDir state;
+  const std::string& dir = state.path();
   {
     auto store = CheckpointStore::Open(dir);
     ASSERT_TRUE(store.ok());
@@ -403,7 +424,8 @@ struct FakeSnapshotSource {
 };
 
 TEST(MetricsExporterTest, EmitsMachineReadableLines) {
-  const std::string path = MakeStateDir() + "/metrics.log";
+  const StateDir dir;
+  const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   options.interval_ms = 10;
@@ -447,7 +469,8 @@ TEST(MetricsExporterTest, EmitsMachineReadableLines) {
 }
 
 TEST(MetricsExporterTest, EmitsOneStageLinePerStageWithoutAnyOption) {
-  const std::string path = MakeStateDir() + "/metrics.log";
+  const StateDir dir;
+  const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   options.interval_ms = 60000;  // only Stop()'s final flush writes
@@ -481,7 +504,8 @@ TEST(MetricsExporterTest, EmitsOneStageLinePerStageWithoutAnyOption) {
 }
 
 TEST(MetricsExporterTest, PerFeedLinesAbsentByDefault) {
-  const std::string path = MakeStateDir() + "/metrics.log";
+  const StateDir dir;
+  const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   options.interval_ms = 10;
@@ -504,7 +528,8 @@ TEST(MetricsExporterTest, PerFeedLinesAbsentByDefault) {
 }
 
 TEST(MetricsExporterTest, NothingIsWrittenBeforeTheFirstSnapshot) {
-  const std::string path = MakeStateDir() + "/metrics.log";
+  const StateDir dir;
+  const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   options.interval_ms = 5;
@@ -518,7 +543,8 @@ TEST(MetricsExporterTest, NothingIsWrittenBeforeTheFirstSnapshot) {
 }
 
 TEST(MetricsExporterTest, StopFlushesFinalPartialIntervalSnapshot) {
-  const std::string path = MakeStateDir() + "/metrics.log";
+  const StateDir dir;
+  const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   // An interval far longer than the test: the loop never fires, so any
@@ -551,7 +577,8 @@ TEST(MetricsExporterTest, StopFlushesFinalPartialIntervalSnapshot) {
 }
 
 TEST(MetricsExporterTest, SetIntervalMsRetunesTheCadence) {
-  const std::string path = MakeStateDir() + "/metrics.log";
+  const StateDir dir;
+  const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   options.interval_ms = 60000;

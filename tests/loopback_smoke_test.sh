@@ -18,8 +18,10 @@
 # The last runs check that SIGINT stops an aggregator started without
 # --listen-conns cleanly once an edge's stream has ended (exit 0, socket
 # file removed, output equal to a --listen-conns 1 run of the same edge
-# stream), and that a SIGINT in the middle of an edge's stream quarantines
-# that edge's feed instead of publishing its truncated tail (exit 3).
+# stream), that a client which connects and stays silent does not hold the
+# aggregator open past a SIGINT (exit 0 within 2 s, socket file removed),
+# and that a SIGINT in the middle of an edge's stream quarantines that
+# edge's feed instead of publishing its truncated tail (exit 3).
 #
 # Usage: loopback_smoke_test.sh /path/to/frt_serve /path/to/frt_edge
 
@@ -294,6 +296,48 @@ SERVE_PID=""
 cmp -s "$WORK/sig.csv" "$WORK/ref.csv" \
   || fail "SIGINT-stopped output differs from the --listen-conns 1 run"
 
+# ---- SIGINT with a silent client: it connects and never sends a byte.
+# Stop() shuts the connection's read side down, so the SIGINT ends the
+# run at once instead of waiting for the client to close. ----
+SILENT_SOCK="$WORK/silent.sock"
+ADMIN_SOCK="$WORK/silent_admin.sock"
+"$SERVE" --listen "unix:$SILENT_SOCK" --output "$WORK/silent.csv" \
+         --admin-listen "unix:$ADMIN_SOCK" "${FLAGS[@]}" \
+         2> "$WORK/serve.log" &
+SERVE_PID=$!
+wait_for_socket "$SILENT_SOCK"
+wait_for_socket "$ADMIN_SOCK"
+"$PYTHON" - "$SILENT_SOCK" <<'PY' &
+import socket, sys, time
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+time.sleep(10)
+PY
+EDGE_PID=$!
+CONNS=""
+for _ in $(seq 50); do
+  CONNS="$(admin_get /metrics 2>/dev/null \
+           | awk '$1 == "frt_ingress_connections_total" { print $2 }')"
+  [[ "$CONNS" == 1 ]] && break
+  sleep 0.1
+done
+[[ "$CONNS" == 1 ]] || fail "aggregator accepted '$CONNS' connections, want 1"
+STOP_START_NS="$(date +%s%N)"
+kill -INT "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_EXIT=$?
+SERVE_PID=""
+STOP_MS=$(( ($(date +%s%N) - STOP_START_NS) / 1000000 ))
+kill "$EDGE_PID" 2>/dev/null
+wait "$EDGE_PID" 2>/dev/null
+EDGE_PID=""
+[[ "$SERVE_EXIT" -eq 0 ]] \
+  || fail "aggregator exited $SERVE_EXIT after SIGINT with a silent client, want 0"
+[[ "$STOP_MS" -le 2000 ]] \
+  || fail "SIGINT with a silent client took $STOP_MS ms, want <= 2000"
+[[ ! -e "$SILENT_SOCK" ]] \
+  || fail "SIGINT with a silent client left the socket file $SILENT_SOCK"
+
 # ---- SIGINT mid-stream: the edge is still sending when the aggregator
 # stops, so its feed lacks the trajectories after the cut. Like a
 # disconnect without bye, that quarantines the feed (exit 3 and a
@@ -345,4 +389,5 @@ grep -q "^quarantine: feed delta: .*before bye" "$WORK/serve.log" \
   || fail "missing quarantine report for the feed cut mid-stream"
 
 echo "PASS: loopback smoke (quarantine contained to beta; alpha complete;"\
-     "SIGINT stops cleanly after bye, quarantines mid-stream)"
+     "SIGINT stops cleanly after bye and past a silent client,"\
+     "quarantines mid-stream)"

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <set>
 #include <string>
@@ -22,6 +25,7 @@
 
 #include "net/ingress.h"
 #include "net/socket.h"
+#include "obs/admin_server.h"
 #include "stream/ingest.h"
 #include "traj/trajectory.h"
 
@@ -597,6 +601,92 @@ TEST(IngressTest, StopUnblocksWaitWithoutConnections) {
   stopper.join();
   EXPECT_EQ(server.stats().connections, 0u);
   EXPECT_TRUE(harness.offered.empty());
+}
+
+// ------------------------------------------- stopping with silent peers
+
+/// Runs `stop` on a helper thread and returns whether it finished within
+/// `limit`. If it did not, `unblock` (the peer closing its socket) lets it
+/// finish, so a stop that waits on its peers fails the test instead of
+/// hanging it.
+bool FinishesWithin(std::chrono::milliseconds limit,
+                    const std::function<void()>& stop,
+                    const std::function<void()>& unblock) {
+  std::future<void> done = std::async(std::launch::async, stop);
+  const bool in_time = done.wait_for(limit) == std::future_status::ready;
+  if (!in_time) unblock();
+  done.get();
+  return in_time;
+}
+
+TEST(IngressTest, StopEndsASilentEdgeAndQuarantinesItsFeeds) {
+  Endpoint endpoint;
+  endpoint.kind = Endpoint::Kind::kUnix;
+  endpoint.path = TestSocketPath("silent");
+  IngressHarness harness;
+  IngressServer::Options options;
+  options.endpoint = endpoint;  // max_connections = 0: accept until Stop
+  IngressServer server(options, harness.offer(), harness.quarantine());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Hello and one trajectory, then silence: no bye, no close.
+  auto edge = ConnectTo(endpoint);
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  std::string wire;
+  AppendFrame(&wire, FrameType::kHello, "silent-edge");
+  AppendFrame(&wire, FrameType::kTrajectory,
+              EncodeTrajectoryPayload("s", MakeTrajectory(1, 3)));
+  ASSERT_TRUE(WriteAll(edge->fd(), wire.data(), wire.size()).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(harness.mu);
+      if (!harness.offered.empty()) break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the trajectory frame never reached the offer callback";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  EXPECT_TRUE(FinishesWithin(
+      std::chrono::seconds(1),
+      [&] {
+        server.Stop();
+        server.Wait();
+      },
+      [&] { edge->Close(); }))
+      << "Stop() + Wait() waited for the silent edge";
+  ASSERT_EQ(harness.quarantined.size(), 1u);
+  EXPECT_EQ(harness.quarantined[0].first, "s");
+  EXPECT_NE(harness.quarantined[0].second.find("before bye"),
+            std::string::npos)
+      << harness.quarantined[0].second;
+}
+
+TEST(AdminStopTest, StopDoesNotWaitForASilentClient) {
+  obs::Registry registry;
+  obs::AdminServer::Options options;
+  options.endpoint.kind = Endpoint::Kind::kTcp;
+  options.endpoint.host = "127.0.0.1";  // port 0: kernel-assigned
+  options.registry = &registry;
+  ASSERT_EQ(options.io_timeout_ms, 2000);
+  obs::AdminServer admin(options);
+  ASSERT_TRUE(admin.Start().ok());
+
+  Endpoint target = options.endpoint;
+  target.port = admin.bound_port();
+  auto client = ConnectTo(target);  // connects, then never sends a byte
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  // Lets the accept thread take the connection and block reading it. If
+  // it has not yet, Stop() drops the connection unserved, which is fast
+  // too.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  EXPECT_TRUE(FinishesWithin(
+      std::chrono::milliseconds(500), [&] { admin.Stop(); },
+      [&] { client->Close(); }))
+      << "AdminServer::Stop() waited for the silent client";
 }
 
 }  // namespace

@@ -676,6 +676,9 @@ TEST(ServiceTest, SnapshotBoardTicksWhileTheLastWindowDrains) {
   config.stream.batch.audit.enabled = true;
   ServiceDispatcher service(config, capture.MakeSink());
   ASSERT_TRUE(service.Start(kSeed).ok());
+  // Start() returns with the first snapshot on the board: the watcher
+  // below may read it before the dispatcher thread has run at all.
+  ASSERT_NE(service.Introspect(), nullptr);
   for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("tail", t));
   std::atomic<bool> finished{false};
   std::vector<uint64_t> draining_seqs;

@@ -13,7 +13,9 @@
 // malformed or corrupt frame quarantines the feeds on that connection
 // (their output stops at the fault; exit code 3) without disturbing any
 // other feed. --listen-conns N exits cleanly after N edge streams end;
-// otherwise stop ingest with SIGINT/SIGTERM and the service drains.
+// otherwise SIGINT/SIGTERM (blocked in every thread, taken by sigwait)
+// stops ingress, silent edges included, and the service drains; a feed
+// whose edge had not said bye is quarantined.
 //
 // Each feed gets its own session: its own window assembler, its own
 // wholesale/per-object budget ledgers, and its own deterministic RNG
@@ -47,7 +49,8 @@
 // or was quarantined on a malformed stream; 1 = runtime error; 2 = usage
 // error.
 
-#include <atomic>
+#include <signal.h>
+
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -55,27 +58,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "frt.h"
 #include "net/ingress.h"
 #include "service_cli.h"
-
-namespace {
-
-/// The ingress server a SIGINT/SIGTERM should stop. Stop() is one
-/// relaxed atomic store, which is async-signal-safe; the accept loop
-/// notices it within its 200 ms poll timeout.
-std::atomic<frt::net::IngressServer*> g_ingress{nullptr};
-
-void StopIngressOnSignal(int) {
-  if (frt::net::IngressServer* ingress =
-          g_ingress.load(std::memory_order_acquire)) {
-    ingress->Stop();
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::ios::sync_with_stdio(false);
@@ -109,6 +97,12 @@ int main(int argc, char** argv) {
   }
   config.max_in_flight = args.max_in_flight;
   config.idle_evict_ms = args.evict_idle_ms;
+  // Blocked before any thread starts, so only the sigwait below takes them.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  if (!args.listen.empty()) pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
 
   frt::cli::StartTracing(args.common.obs);
 
@@ -217,13 +211,15 @@ int main(int argc, char** argv) {
                  args.listen.c_str(), args.listen_conns > 0
                      ? ""
                      : " (stop with SIGINT/SIGTERM)");
-    g_ingress.store(&ingress, std::memory_order_release);
-    std::signal(SIGINT, StopIngressOnSignal);
-    std::signal(SIGTERM, StopIngressOnSignal);
+    std::thread stopper([&] {
+      int sig = 0;
+      sigwait(&stop_signals, &sig);
+      ingress.Stop();
+    });
     ingress.Wait();
-    std::signal(SIGINT, SIG_DFL);
-    std::signal(SIGTERM, SIG_DFL);
-    g_ingress.store(nullptr, std::memory_order_release);
+    // Wakes the waiter when --listen-conns, not a signal, ended ingress.
+    pthread_kill(stopper.native_handle(), SIGTERM);
+    stopper.join();
     const frt::net::IngressServer::Stats stats = ingress.stats();
     std::fprintf(stderr,
                  "ingress: %llu connection(s), %llu frame(s), %llu "

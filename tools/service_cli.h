@@ -391,9 +391,9 @@ inline void FinishObservability(const ObservabilityArgs& obs_args,
 /// \brief Starts the pull plane of a started service: the --metrics
 /// exporter and, on --admin-listen, the admin plane — the registry's
 /// /metrics, plus /healthz, /readyz and /feedz read from the service's
-/// snapshot board and POST /control (tracing, log level, metrics
-/// cadence). Neither touches dispatcher state, but both reference
-/// `service`: destroy them before it.
+/// snapshot board (never empty once Start() returned) and POST /control
+/// (tracing, log level, metrics cadence). Neither touches dispatcher
+/// state, but both reference `service`: destroy them before it.
 inline Status StartObservability(const ServiceArgs& args,
                                  ServiceDispatcher& service,
                                  std::unique_ptr<MetricsExporter>* metrics,
@@ -414,7 +414,7 @@ inline Status StartObservability(const ServiceArgs& args,
   auto stale_after_ms = std::make_shared<std::atomic<int64_t>>(
       std::max<int64_t>(5 * args.durability.metrics_interval_ms, 5000));
   // Age of the snapshot board when it is past the staleness threshold (a
-  // wedged dispatcher stops republishing it).
+  // wedged dispatcher stops republishing it); the final board never is.
   const auto stale_age =
       [stale_after_ms](
           const ServiceSnapshot& intro) -> std::optional<double> {
@@ -422,7 +422,8 @@ inline Status StartObservability(const ServiceArgs& args,
                               std::chrono::steady_clock::now() -
                               intro.published_at)
                               .count();
-    if (age_ms <= static_cast<double>(
+    if (intro.finished ||
+        age_ms <= static_cast<double>(
                       stale_after_ms->load(std::memory_order_relaxed))) {
       return std::nullopt;
     }
@@ -432,11 +433,7 @@ inline Status StartObservability(const ServiceArgs& args,
       "GET", "/healthz", [&service, stale_age](const obs::HttpRequest&) {
         obs::HttpResponse r;
         const auto intro = service.Introspect();
-        if (intro == nullptr) {
-          r.status = 503;
-          r.body = "starting\n";
-        } else if (const auto age = intro->finished ? std::nullopt
-                                                    : stale_age(*intro)) {
+        if (const auto age = stale_age(*intro)) {
           r.status = 503;
           r.body = StrFormat(
               "stale: snapshot board is %.0f ms old (seq %llu)\n",
@@ -451,9 +448,7 @@ inline Status StartObservability(const ServiceArgs& args,
         obs::HttpResponse r;
         r.status = 503;
         const auto intro = service.Introspect();
-        if (intro == nullptr) {
-          r.body = "starting\n";
-        } else if (intro->aborted || intro->finished) {
+        if (intro->aborted || intro->finished) {
           r.body = intro->aborted ? "aborted\n" : "finished\n";
         } else if (stale_age(*intro).has_value()) {
           r.body = "stale\n";
@@ -464,16 +459,8 @@ inline Status StartObservability(const ServiceArgs& args,
         return r;
       });
   (*admin)->Handle("GET", "/feedz", [&service](const obs::HttpRequest&) {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    const auto intro = service.Introspect();
-    if (intro == nullptr) {
-      r.status = 503;
-      r.body = "{\"error\":\"starting\"}\n";
-      return r;
-    }
-    r.body = RenderFeedz(*intro);
-    return r;
+    return obs::HttpResponse{200, "application/json",
+                             RenderFeedz(*service.Introspect())};
   });
   obs::ControlHooks hooks;
   hooks.trace_out = args.obs.trace_out;
