@@ -49,7 +49,6 @@
 #include "runtime/work_stealing_pool.h"
 
 // Streaming runtime (windowed ingest-to-publish service)
-#include "common/bounded_queue.h"
 #include "service/dispatcher.h"
 #include "stream/ingest.h"
 #include "stream/stream_types.h"

@@ -221,8 +221,15 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
   if (!clean_bye && stop_.load()) {
     // Stop() ended the stream, between frames or by the shutdown(2) that
     // cut a read short: like a disconnect without kBye, the feeds this
-    // connection delivered may be missing trajectories.
-    fatal = "ingress stopped before bye from '" + peer + "'";
+    // connection delivered may be missing trajectories. A connection that
+    // delivered none lost nothing, so it is a clean stop.
+    if (feeds_seen.empty()) {
+      FRT_LOG(Info) << "ingress: stopped connection from '" << peer
+                    << "' before it delivered a feed";
+      fatal.clear();
+    } else {
+      fatal = "ingress stopped before bye from '" + peer + "'";
+    }
   }
 
   if (!fatal.empty()) {

@@ -2,7 +2,7 @@
 //
 // Accepts framed edge connections (net/frame.h) on one listen endpoint and
 // pumps every decoded trajectory into the service through an OfferFn —
-// normally ServiceDispatcher::Offer, whose bounded arrival queue is the
+// normally ServiceDispatcher::Offer, whose bounded arrival lane is the
 // backpressure: when the dispatcher falls behind, Offer blocks, the reader
 // thread stops draining its socket, the kernel buffers fill, and the edge's
 // WriteAll blocks in turn. No acks, no windowed flow control protocol.

@@ -9,7 +9,7 @@
 //
 // Backpressure is the kernel's: WriteAll blocks once the peer's socket
 // buffer fills, which is exactly how an aggregator's bounded arrival
-// queue (dispatcher Offer blocking) propagates upstream to every edge —
+// lane (dispatcher Offer blocking) propagates upstream to every edge —
 // no application-level flow control protocol needed.
 //
 // SIGPIPE never fires from here: WriteAll sends with MSG_NOSIGNAL, so a

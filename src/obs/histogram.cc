@@ -52,6 +52,7 @@ double Histogram::BucketMidMs(size_t index) {
 
 void Histogram::RecordN(double ms, uint64_t n) {
   if (n == 0) return;
+  if (counts_.empty()) counts_.resize(kNumBuckets, 0);
   counts_[BucketIndex(TicksFromMs(ms))] += n;
   const double v = ms > 0.0 ? ms : 0.0;
   if (count_ == 0 || v < min_ms_) min_ms_ = v;
@@ -62,6 +63,7 @@ void Histogram::RecordN(double ms, uint64_t n) {
 
 void Histogram::Merge(const Histogram& other) {
   if (other.count_ == 0) return;
+  if (counts_.empty()) counts_.resize(kNumBuckets, 0);
   for (size_t i = 0; i < kNumBuckets; ++i) counts_[i] += other.counts_[i];
   if (count_ == 0 || other.min_ms_ < min_ms_) min_ms_ = other.min_ms_;
   if (other.max_ms_ > max_ms_) max_ms_ = other.max_ms_;

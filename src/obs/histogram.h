@@ -10,7 +10,10 @@
 // within ~1.6% of the true sample — comfortably inside the 5% acceptance
 // bound. Memory is a fixed ~15 KiB counts array per histogram, O(1) in
 // the number of recorded samples, which is what lets the service keep one
-// per (feed, stage) where the old sorted-sample ring could not.
+// per (feed, stage) where the old sorted-sample ring could not. The array
+// is allocated by the first sample (RecordN, or a Merge of a non-empty
+// histogram), so an empty histogram — a feed that never completed a
+// window — costs nothing.
 //
 // Counts are exact (every Record lands in exactly one bucket); min, max,
 // sum and count are tracked exactly on the side, so mean() is exact and
@@ -42,7 +45,8 @@ class Histogram {
   static constexpr size_t kNumBuckets =
       (64 - kSubBucketBits) * kSubBucketCount;
 
-  Histogram() : counts_(kNumBuckets, 0) {}
+  /// Empty; allocates no buckets until the first sample.
+  Histogram() = default;
 
   /// \brief Rebuilds a histogram from externally maintained parts —
   /// `bucket_counts` must hold kNumBuckets entries laid out by
@@ -88,6 +92,7 @@ class Histogram {
   static double BucketMidMs(size_t index);
 
  private:
+  /// kNumBuckets entries once a sample landed; empty before.
   std::vector<uint64_t> counts_;
   uint64_t count_ = 0;
   double min_ms_ = 0.0;

@@ -14,12 +14,6 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-/// How often the dispatcher checks the completion queue while jobs are in
-/// flight and no arrival wakes it sooner. Window jobs are tens of
-/// milliseconds, so a 1 ms poll adds negligible latency and negligible
-/// load to the single consumer thread.
-constexpr std::chrono::milliseconds kCompletionPoll(1);
-
 /// Summary of one latency histogram (exact count, ~1.6% quantile error).
 StageSummary Summarize(const obs::Histogram& h) {
   return {h.count(), h.Quantile(0.50), h.Quantile(0.99), h.max_ms(),
@@ -157,12 +151,9 @@ Status ServiceDispatcher::Start(uint64_t seed) {
     }
   }
   pool_ = std::make_unique<WorkStealingPool>(config_.pool_threads);
-  arrivals_ =
-      std::make_unique<BoundedQueue<Arrival>>(config_.arrival_queue_capacity);
-  // Capacity == the in-flight cap, so a worker delivering a completion can
-  // never block: at most max_in_flight completions exist at once.
-  completions_ = std::make_unique<BoundedQueue<std::unique_ptr<Completion>>>(
-      config_.max_in_flight);
+  inbox_ = std::make_unique<
+      DispatcherInbox<Arrival, std::unique_ptr<Completion>>>(
+      config_.arrival_queue_capacity);
   started_ = true;
   started_at_ = SteadyClock::now();
   last_checkpoint_ = started_at_;
@@ -184,27 +175,29 @@ bool ServiceDispatcher::Offer(std::string feed, Trajectory t) {
   Arrival arrival;
   arrival.feed = std::move(feed);
   arrival.trajectory = std::move(t);
-  return arrivals_->Push(std::move(arrival));
+  return inbox_->Offer(std::move(arrival));
 }
 
 bool ServiceDispatcher::OfferQuarantine(std::string feed,
                                         std::string reason) {
   if (!started_) return false;
-  // Rides the arrival queue so it lands on the dispatcher thread in order
+  // Rides the arrival lane so it lands on the dispatcher thread in order
   // with the producer's earlier Offer() calls — the feed's already-queued
   // good arrivals are still routed before the fault takes effect.
   Arrival arrival;
   arrival.feed = std::move(feed);
   arrival.quarantine = true;
   arrival.reason = std::move(reason);
-  return arrivals_->Push(std::move(arrival));
+  return inbox_->Offer(std::move(arrival));
 }
 
 Status ServiceDispatcher::Finish() {
   if (!started_) return Status::FailedPrecondition("service never started");
   if (finished_) return error_;
-  arrivals_->Close();
+  inbox_->Close();
   dispatcher_.join();
+  // The last job was delivered; let its worker leave the task too.
+  pool_->WaitIdle();
   finished_ = true;
   return error_;
 }
@@ -215,7 +208,7 @@ void ServiceDispatcher::Abort(Status status) {
   error_ = std::move(status);
   // Fail ingress fast: producers blocked in Offer() observe the close and
   // stop; arrivals already queued are drained and discarded.
-  arrivals_->Close();
+  inbox_->Close();
 }
 
 void ServiceDispatcher::Route(Arrival&& arrival,
@@ -413,7 +406,7 @@ void ServiceDispatcher::SubmitReady() {
       // End service at the first refusal: stop ingesting, drain what
       // already closed, finish cleanly.
       stopping_ = true;
-      arrivals_->Close();
+      inbox_->Close();
     }
     if (!job.has_value()) {
       // The backlog may have just drained through admission refusals (no
@@ -430,9 +423,8 @@ void ServiceDispatcher::SubmitReady() {
     // The job fans its shards and its audit out over the pool it runs on;
     // output depends only on (rng, shard count), never on the workers.
     batch_config.pool = pool_.get();
-    BoundedQueue<std::unique_ptr<Completion>>* completions =
-        completions_.get();
-    pool_->Submit([shared_job, completions, batch_config] {
+    auto* inbox = inbox_.get();
+    pool_->Submit([shared_job, inbox, batch_config] {
       auto completion = std::make_unique<Completion>();
       const SteadyClock::time_point started = SteadyClock::now();
       // close -> pickup is the pool scheduling delay this feed paid.
@@ -451,7 +443,7 @@ void ServiceDispatcher::SubmitReady() {
       completion->batch = runner.report();
       completion->job = std::move(*shared_job);
       completion->job.window = Dataset();  // the copy has served its purpose
-      completions->Push(std::move(completion));
+      inbox->Deliver(std::move(completion));
     });
   }
 }
@@ -634,7 +626,7 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
   s->aborted = aborted_;
   s->feeds = feed_order_.size();
   s->active_sessions = active_sessions_;
-  s->queue_depth = arrivals_->size();
+  s->queue_depth = inbox_->queued();
   s->in_flight = in_flight_;
   s->backlog_windows = backlog_windows_;
   const double budget = config_.stream.per_object()
@@ -703,16 +695,17 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
 void ServiceDispatcher::DispatcherLoop() {
   obs::SetTraceThreadName("dispatcher");
   bool input_done = false;
+  std::vector<std::unique_ptr<Completion>> finished;
   for (;;) {
-    // The round. Absorb whatever the workers finished and serve the due
+    // The round. Absorb what the workers finished and serve the due
     // deadlines (before the submission, so a window a deadline closes
     // reaches the pool this round), top the pool back up, then publish
     // (write-ahead checkpoint first): the checkpoint and the sinks run
     // while the pool works on the windows just submitted.
-    std::unique_ptr<Completion> completion;
-    while (completions_->TryPop(&completion)) {
+    for (std::unique_ptr<Completion>& completion : finished) {
       AbsorbCompletion(std::move(completion));
     }
+    finished.clear();
     const SteadyClock::time_point now = SteadyClock::now();
     if (!input_done && !aborted_ && !stopping_) ProcessDueDeadlines(now);
     SubmitReady();
@@ -740,27 +733,22 @@ void ServiceDispatcher::DispatcherLoop() {
                                       config_.checkpoint_interval_ms, 1)));
       }
     }
-    if (input_done ||
-        (!aborted_ && backlog_windows_ >= config_.max_backlog_windows)) {
-      // Only a completion moves the run on. With the backlog at its cap the
-      // pool is the bottleneck, so ingress pauses: arrivals pile into the
-      // bounded queue until Offer blocks (end-to-end backpressure). A
-      // session with backlog is busy or about to be, so a completion is
-      // coming.
-      if (completions_->PopUntil(wake, &completion) == QueuePop::kItem) {
-        AbsorbCompletion(std::move(completion));
-      }
-      continue;
-    }
-    if (in_flight_ > 0) {
-      wake = std::min(wake, SteadyClock::now() + kCompletionPoll);
-    }
+    // A finished job always ends the wait. Arrivals are taken until input
+    // ends, unless ingress is paused: with the backlog at its cap the pool
+    // is the bottleneck, so arrivals pile into the bounded lane until
+    // Offer blocks (end-to-end backpressure). A session with backlog is
+    // busy or about to be, so a finished job is coming.
+    const bool take_arrivals =
+        !input_done &&
+        (aborted_ || backlog_windows_ < config_.max_backlog_windows);
     Arrival arrival;
-    const QueuePop popped = arrivals_->PopUntil(wake, &arrival);
-    input_done = popped == QueuePop::kClosed;
+    const InboxTake took =
+        inbox_->Wait(wake, take_arrivals, &finished, &arrival);
+    if (took == InboxTake::kNone) continue;
+    input_done = took == InboxTake::kClosed;
     // After an abort or a stop_when_exhausted trip the remaining ingress is
     // drained and discarded, and no trailing partial window closes.
-    if (aborted_ || stopping_ || popped == QueuePop::kTimeout) continue;
+    if (aborted_ || stopping_) continue;
     const SteadyClock::time_point arrived = SteadyClock::now();
     if (input_done) {
       // Ingress finished: close every session's trailing partial window. A
@@ -779,8 +767,6 @@ void ServiceDispatcher::DispatcherLoop() {
       Route(std::move(arrival), arrived);
     }
   }
-  pool_->WaitIdle();
-  completions_->Close();
   // Clean-shutdown snapshot: the final generations/window counters become
   // durable even when the tail had no publish to ride on. After an abort
   // the attempt is still made (recording MORE spend is always safe), but

@@ -3,7 +3,7 @@
 // One dispatcher multiplexes many independent trajectory feeds through one
 // shared WorkStealingPool:
 //
-//   ingest threads --Offer--> [arrival BoundedQueue]      (backpressure)
+//   ingest threads --Offer-->  [inbox: arrival lane]    (backpressure)
 //                                   |
 //                         dispatcher thread
 //                 route -> FeedSession -> close windows
@@ -13,33 +13,34 @@
 //                                   |
 //                  pool.Submit(window anonymization job)
 //                                   |
-//            workers --> [completion BoundedQueue] --> dispatcher
+//          workers --Deliver--> [inbox: finished lane] --> dispatcher
 //        charge budgets -> submit next windows -> checkpoint -> sink
 //                        (per-feed window order)
 //
 // Threading model. Offer() is called from any number of ingest threads and
-// blocks on the bounded arrival queue — that is the service's ingress
-// backpressure. ONE dispatcher thread owns every feed (session, assembler,
-// accountants, report), so budget accounting needs no locks; the only
-// work it delegates is the pure (window, rng) -> published-dataset batch
-// job, which runs on the shared pool with per-window state it owns
+// blocks on the inbox's bounded arrival lane — that is the service's
+// ingress backpressure. ONE dispatcher thread owns every feed (session,
+// assembler, accountants, report), so budget accounting needs no locks;
+// the only work it delegates is the pure (window, rng) -> published-dataset
+// batch job, which runs on the shared pool with per-window state it owns
 // outright. A job fans its shards and its audit out over that same pool
 // (WorkStealingPool::Run nests inside a submitted task), so one feed's
 // window uses every worker and many feeds' windows share them. Workers
-// hand results back through the completion queue, whose capacity equals
-// the in-flight cap, so a worker never blocks on it.
+// hand results back through the inbox's finished lane, which has no
+// capacity to block on (see service/inbox.h).
 //
 // The dispatcher thread runs one round, then one wait, until input has
 // ended and no job is in flight. The round absorbs every finished job,
 // serves due deadlines (until input ends), submits ready windows,
 // publishes, takes the interval checkpoint (until input ends) and ticks
-// the snapshot board. The wait blocks on the completion queue when ingress
-// is paused (the backlog is at max_backlog_windows) or input has ended,
-// and otherwise on the arrival queue, routing what it pops; it never
-// sleeps past the next snapshot tick, so the board stays fresh while the
-// last windows drain. Feeds that hold a closed window and have no job in
-// flight wait in a FIFO: a submission pops its front in O(1), and a feed
-// rejoins at the back only when its job completes, so none laps another.
+// the snapshot board. The wait is the thread's one blocking call,
+// DispatcherInbox::Wait: a finished job always wakes it, and an arrival
+// wakes it (and is routed) unless ingress is paused (the backlog is at
+// max_backlog_windows) or input has ended. It never sleeps past the next
+// snapshot tick, so the board stays fresh while the last windows drain.
+// Feeds that hold a closed window and have no job in flight wait in a
+// FIFO: a submission pops its front in O(1), and a feed rejoins at the
+// back only when its job completes, so none laps another.
 //
 // Ordering and determinism. Windows of ONE feed execute strictly one at a
 // time, in close order: admission always sees the predecessor's recorded
@@ -79,7 +80,7 @@
 // One feed is a stream. frt_stream runs a one-feed dispatcher (feed key
 // "stream") with max_backlog_windows = 1, which bounds its buffering to
 // the window being published, the window in flight, the next closed
-// window, and the arrival queue.
+// window, and the arrival lane.
 
 #ifndef FRT_SERVICE_DISPATCHER_H_
 #define FRT_SERVICE_DISPATCHER_H_
@@ -101,13 +102,13 @@
 
 #include <atomic>
 
-#include "common/bounded_queue.h"
 #include "common/result.h"
 #include "obs/histogram.h"
 #include "obs/registry.h"
 #include "runtime/work_stealing_pool.h"
 #include "service/checkpoint.h"
 #include "service/feed_session.h"
+#include "service/inbox.h"
 #include "service/service_snapshot.h"
 #include "stream/ingest.h"
 #include "stream/stream_types.h"
@@ -129,13 +130,13 @@ struct ServiceConfig {
   /// Concurrent window jobs across all feeds; backpressure on submission.
   /// 0 means 2x pool workers.
   size_t max_in_flight = 0;
-  /// Arrival queue capacity, in trajectories; the ingress backpressure
+  /// Arrival lane capacity, in trajectories; the ingress backpressure
   /// bound. 0 means 4x window_size.
   size_t arrival_queue_capacity = 0;
   /// Closed-but-not-yet-executed windows held across all sessions before
   /// the dispatcher pauses ingress (arrivals then pile into the bounded
-  /// queue and Offer blocks — end-to-end backpressure when feeds outrun
-  /// the pool). 0 means 4x max_in_flight.
+  /// arrival lane and Offer blocks — end-to-end backpressure when feeds
+  /// outrun the pool). 0 means 4x max_in_flight.
   size_t max_backlog_windows = 0;
   /// Sessions with no arrival for this long are flushed and evicted
   /// (budget state carries into any successor). 0 disables eviction.
@@ -187,7 +188,7 @@ class ServiceDispatcher {
   Status Start(uint64_t seed);
 
   /// \brief Hands one arrival to the service, blocking when the arrival
-  /// queue is full (ingress backpressure). Thread-safe. Returns false once
+  /// lane is full (ingress backpressure). Thread-safe. Returns false once
   /// the service is finishing or aborted — the producer should stop.
   bool Offer(std::string feed, Trajectory t);
 
@@ -198,7 +199,7 @@ class ServiceDispatcher {
   /// never published or charged; its further arrivals are refused. Every
   /// other feed is untouched. Thread-safe and idempotent; ordered with
   /// Offer() calls from the same producer thread (both ride the arrival
-  /// queue). Returns false once the service is finishing or aborted.
+  /// lane). Returns false once the service is finishing or aborted.
   bool OfferQuarantine(std::string feed, std::string reason);
 
   /// \brief Closes ingress, drains every session (final partial windows
@@ -372,8 +373,8 @@ class ServiceDispatcher {
   ServiceSink sink_;
   uint64_t master_seed_ = 0;
   std::unique_ptr<WorkStealingPool> pool_;
-  std::unique_ptr<BoundedQueue<Arrival>> arrivals_;
-  std::unique_ptr<BoundedQueue<std::unique_ptr<Completion>>> completions_;
+  std::unique_ptr<DispatcherInbox<Arrival, std::unique_ptr<Completion>>>
+      inbox_;
   std::thread dispatcher_;
   bool started_ = false;
   bool finished_ = false;

@@ -3,6 +3,8 @@
 // allocations, for every strategy and both grouping modes; and so must the
 // local stage's whole per-trajectory cycle on a warm index (Reset, Build,
 // KNearest), as long as no set is larger than one the index has held.
+// The same counter checks that an empty obs::Histogram (one per feed and
+// stage in the service) holds no bucket array until its first sample.
 //
 // Counting is done by replacing the global operator new/delete with
 // malloc-backed versions that bump a counter. Under ASan/MSan the runtime
@@ -21,6 +23,7 @@
 #include "common/rng.h"
 #include "index/search_context.h"
 #include "index/segment_index.h"
+#include "obs/histogram.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define FRT_ALLOC_COUNTING_DISABLED 1
@@ -175,6 +178,28 @@ TEST(IndexAllocTest, WarmResetBuildQueryCycleIsAllocationFree) {
         << "warm Reset + Build + KNearest allocated on the heap";
 #endif
   }
+}
+
+TEST(HistogramAllocTest, BucketsAreAllocatedByTheFirstSample) {
+#ifdef FRT_ALLOC_COUNTING_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  const uint64_t before = g_allocations;
+  obs::Histogram h;
+  const obs::Histogram empty;
+  EXPECT_EQ(h.Quantile(0.5), 0.0);
+  EXPECT_EQ(h.Quantile(0.99), 0.0);
+  EXPECT_EQ(h.mean_ms(), 0.0);
+  h.Merge(empty);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.Quantile(0.5), 0.0);
+  EXPECT_EQ(h.mean_ms(), 0.0);
+  EXPECT_EQ(g_allocations, before) << "an empty histogram allocated";
+  h.Record(2.0);
+  EXPECT_GT(g_allocations, before) << "the first sample allocated nothing";
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.Quantile(0.5), 2.0);  // clamped into [min, max]
+#endif
 }
 
 }  // namespace

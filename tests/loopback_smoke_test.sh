@@ -19,7 +19,8 @@
 # --listen-conns cleanly once an edge's stream has ended (exit 0, socket
 # file removed, output equal to a --listen-conns 1 run of the same edge
 # stream), that a client which connects and stays silent does not hold the
-# aggregator open past a SIGINT (exit 0 within 2 s, socket file removed),
+# aggregator open past a SIGINT (exit 0 within 2 s, socket file removed,
+# no frame error logged),
 # and that a SIGINT in the middle of an edge's stream quarantines that
 # edge's feed instead of publishing its truncated tail (exit 3).
 #
@@ -337,6 +338,10 @@ EDGE_PID=""
   || fail "SIGINT with a silent client took $STOP_MS ms, want <= 2000"
 [[ ! -e "$SILENT_SOCK" ]] \
   || fail "SIGINT with a silent client left the socket file $SILENT_SOCK"
+# The client delivered no feed, so nothing was cut short: a clean stop,
+# not a frame error.
+! grep -q "fatal frame error" "$WORK/serve.log" \
+  || fail "SIGINT with a silent client logged a fatal frame error"
 
 # ---- SIGINT mid-stream: the edge is still sending when the aggregator
 # stops, so its feed lacks the trajectories after the cut. Like a

@@ -547,12 +547,15 @@ TEST(ServiceTest, OfferQuarantinePublishesClosedWindowsAndDropsTheTail) {
 }
 
 TEST(ServiceTest, SubmitRotationStaysFairAcrossFeeds) {
-  // With one worker and one in-flight slot, window submission is the
-  // round-robin scan in SubmitReady. No feed may lap the others: at every
-  // prefix of the global publish sequence the per-feed publish counts stay
-  // within a small constant of each other (a starvation bug — e.g. the
-  // scan always restarting at slot 0 — would let one feed publish its
-  // whole backlog first).
+  // With one worker and one in-flight slot, SubmitReady submits one window
+  // at a time from the front of the ready FIFO, and a served feed rejoins
+  // at the back only when its job completes. No feed may lap the others:
+  // at every prefix of the global publish sequence the per-feed publish
+  // counts stay within a small constant of each other (a starvation bug —
+  // e.g. a served feed rejoining at the front — would let one feed publish
+  // its whole backlog first). The 1-worker pool runs each job inline on
+  // the dispatcher thread, so its completion lands in the inbox without a
+  // wait to wake.
   const std::vector<std::string> feed_names = {"f0", "f1", "f2", "f3",
                                                "f4", "f5", "f6", "f7"};
   const std::vector<Trajectory> trajs = SyntheticTrajectories(16);

@@ -9,15 +9,19 @@
 # indented comments in --feeds are skipped. An unreadable input (a
 # directory) exits 1, an out-of-range --threads exits 2, and so do
 # --listen-conns without --listen, the retired --strategy and
-# --pool-threads flags and, in frt_stream, the transport flags (--listen,
+# --pool-threads flags, a second --input feed on stdin (frt_serve and
+# frt_edge) and, in frt_stream, the transport flags (--listen,
 # --listen-conns, --connect).
 #
-# Usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve
+# Usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve \
+#            /path/to/frt_edge
 
 set -u
 
-STREAM="${1:?usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve}"
-SERVE="${2:?usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve}"
+USAGE="usage: stream_cli_test.sh FRT_STREAM FRT_SERVE FRT_EDGE"
+STREAM="${1:?$USAGE}"
+SERVE="${2:?$USAGE}"
+EDGE="${3:?$USAGE}"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/frt_stream_cli_XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
@@ -167,6 +171,23 @@ code=$?
 grep -q -- "--listen-conns requires --listen" "$WORK/conns.log" \
   || fail "frt_serve did not say --listen-conns requires --listen"
 [[ ! -e "$WORK/conns.csv" ]] || fail "frt_serve --listen-conns without --listen wrote output"
+
+# ---- One stdin, one reader: two --input feeds on - would tear each
+# other's lines, so the second is a usage error (exit 2) before anything
+# is read, in both CLIs that take --input feeds. ----
+for tool in "$SERVE" "$EDGE"; do
+  case "$tool" in
+    "$SERVE") sink=(--output-dir "$WORK/dir_out") ;;
+    *) sink=(--connect "unix:$WORK/never.sock") ;;
+  esac
+  "$tool" --input a=- --input b=- "${sink[@]}" --window 100 --m 3 --seed 7 \
+    < "$WORK/raw.csv" 2> "$WORK/two_stdin.log"
+  code=$?
+  [[ "$code" == "2" ]] \
+    || fail "$(basename "$tool") with two --input feeds on - exited $code, want 2"
+  grep -q -- "only one feed can read stdin" "$WORK/two_stdin.log" \
+    || fail "$(basename "$tool") did not say only one feed can read stdin"
+done
 
 # ---- Retired flags are unknown flags (exit 2), not silently ignored. ----
 for flag in --strategy --pool-threads; do

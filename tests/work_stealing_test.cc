@@ -1,23 +1,20 @@
-// Unit tests for runtime/work_stealing_pool.h and common/bounded_queue.h:
+// Unit tests for runtime/work_stealing_pool.h:
 // completeness (every index exactly once), no deadlock on degenerate
 // workloads (no items, one item, more workers than items or cores), the
 // 1-worker pool as an in-order loop on the caller, pool reuse,
 // re-entrancy (Runs nested in submitted tasks and in other Runs,
 // concurrent Runs from many threads), scheduling-independent results,
-// BatchRunner equivalence across pool sizes, and queue
-// FIFO/backpressure/close semantics.
+// and BatchRunner equivalence across pool sizes.
 
 #include "runtime/work_stealing_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "common/bounded_queue.h"
 #include "runtime/batch_runner.h"
 #include "synth/workload.h"
 
@@ -273,90 +270,6 @@ TEST(WorkStealingPoolTest, BatchRunnerReportsShardSkew) {
     sum += s;
   }
   EXPECT_NEAR(report.shard_wall_mean, sum / 4.0, 1e-12);
-}
-
-TEST(BoundedQueueTest, FifoOrderSingleThread) {
-  BoundedQueue<int> queue(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(queue.Push(i));
-  queue.Close();
-  for (int i = 0; i < 5; ++i) {
-    auto v = queue.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(BoundedQueueTest, PushAfterCloseFails) {
-  BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.Push(1));
-  queue.Close();
-  EXPECT_FALSE(queue.Push(2));
-  auto v = queue.Pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 1);
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(BoundedQueueTest, BackpressureBlocksProducerUntilConsumed) {
-  BoundedQueue<int> queue(2);
-  std::atomic<int> pushed{0};
-  std::thread producer([&] {
-    for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(queue.Push(i));
-      pushed.fetch_add(1);
-    }
-  });
-  // The producer can buffer at most `capacity` items ahead of the consumer.
-  while (pushed.load() < 2) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_LE(pushed.load(), 3);  // 2 queued + possibly 1 in flight
-  for (int i = 0; i < 6; ++i) {
-    auto v = queue.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  producer.join();
-  EXPECT_EQ(pushed.load(), 6);
-}
-
-TEST(BoundedQueueTest, CloseUnblocksWaitingConsumer) {
-  BoundedQueue<int> queue(4);
-  std::thread consumer([&] { EXPECT_FALSE(queue.Pop().has_value()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  queue.Close();
-  consumer.join();
-}
-
-TEST(BoundedQueueTest, ManyProducersManyConsumers) {
-  BoundedQueue<int> queue(16);
-  constexpr int kProducers = 4;
-  constexpr int kItemsEach = 250;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kItemsEach; ++i) {
-        ASSERT_TRUE(queue.Push(p * kItemsEach + i));
-      }
-    });
-  }
-  std::atomic<long long> total{0};
-  std::atomic<int> count{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (auto v = queue.Pop()) {
-        total.fetch_add(*v);
-        count.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  queue.Close();
-  for (auto& t : consumers) t.join();
-  const int n = kProducers * kItemsEach;
-  EXPECT_EQ(count.load(), n);
-  EXPECT_EQ(total.load(), static_cast<long long>(n) * (n - 1) / 2);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // With --listen the service becomes the aggregator of the distributed
 // ingress tier (src/net): frt_edge processes connect over a Unix or TCP
 // socket and stream framed trajectories in. Backpressure is the
-// dispatcher's bounded arrival queue — a slow aggregator blocks the
+// dispatcher's bounded arrival lane — a slow aggregator blocks the
 // reader, fills the kernel buffers, and stalls the edge's writes. A
 // malformed or corrupt frame quarantines the feeds on that connection
 // (their output stops at the fault; exit code 3) without disturbing any

@@ -19,6 +19,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cli_common.h"
@@ -115,12 +116,19 @@ inline std::vector<Flag> LocalFeedFlags(LocalFeeds* args) {
   };
 }
 
-/// Rejects invalid (IsValidFeedId) and duplicate feed names (reported):
-/// two readers racing arrivals into one session would make window
-/// composition depend on thread interleaving.
+/// Rejects invalid (IsValidFeedId) and duplicate feed names, and a second
+/// feed on stdin (reported): two readers racing arrivals into one session
+/// would make window composition depend on thread interleaving, and two
+/// readers on one stdin would tear its lines.
 inline bool ValidateInputFeeds(const std::vector<InputFeed>& inputs) {
   std::set<std::string> seen;
+  bool stdin_taken = false;
   for (const InputFeed& input : inputs) {
+    if (input.path == "-" && std::exchange(stdin_taken, true)) {
+      std::fprintf(stderr, "--input %s=-: only one feed can read stdin\n",
+                   input.feed.c_str());
+      return false;
+    }
     if (!IsValidFeedId(input.feed)) {
       std::fprintf(stderr, "%s for --input %s; use NAME=FILE\n",
                    kFeedIdRule, input.path.c_str());
