@@ -299,7 +299,7 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
       }
     }
   }
-  std::sort(order.begin(), order.end());
+  SortByHighWord(&order);
   // Sorted by key; the stable sort keeps the gather order within a key,
   // i.e. slot order, and each trajectory's nodes in walk order.
   std::stable_sort(occurrences.begin(), occurrences.end(),

@@ -3,21 +3,23 @@
 // Mechanisms register their spend; the accountant enforces an optional total
 // budget and reports the consumed epsilon. The paper's GL pipeline composes
 // the global (epsilon_G) and local (epsilon_L) mechanisms sequentially, so
-// its guarantee is epsilon = epsilon_G + epsilon_L.
+// its guarantee is epsilon = epsilon_G + epsilon_L. This is the ledger of
+// one pipeline run; a stream's cross-window ledger is
+// ObjectBudgetAccountant (dp/object_accountant.h).
 
 #ifndef FRT_DP_ACCOUNTANT_H_
 #define FRT_DP_ACCOUNTANT_H_
 
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 
 namespace frt {
 
-/// \brief Ledger of sequentially composed epsilon spends.
+/// \brief Running total of sequentially composed epsilon spends.
 class PrivacyAccountant {
  public:
   /// Unbounded accountant (tracks but never rejects).
@@ -28,8 +30,8 @@ class PrivacyAccountant {
       : total_budget_(total_budget), enforce_(true) {}
 
   /// Registers a spend. Fails without recording when the budget would be
-  /// exceeded (enforcing accountants only).
-  Status Spend(double epsilon, std::string label) {
+  /// exceeded (enforcing accountants only); the refusal names `label`.
+  Status Spend(double epsilon, std::string_view label) {
     if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
       return Status::InvalidArgument(
           "epsilon spend must be positive and finite");
@@ -37,33 +39,11 @@ class PrivacyAccountant {
     if (enforce_ && spent_ + epsilon > total_budget_ + 1e-12) {
       return Status::FailedPrecondition(
           "privacy budget exhausted: spent " + std::to_string(spent_) +
-          " + requested " + std::to_string(epsilon) + " > total " +
-          std::to_string(total_budget_));
+          " + requested " + std::to_string(epsilon) + " for " +
+          std::string(label) + " > total " + std::to_string(total_budget_));
     }
     spent_ += epsilon;
-    ledger_.push_back({epsilon, std::move(label)});
-    TrimLedger();
     return Status::OK();
-  }
-
-  /// Caps the retained ledger entries (oldest dropped first); `spent()`
-  /// and enforcement stay exact. Long-running services set this so the
-  /// ledger does not grow without bound. 0 (default) keeps everything.
-  void set_max_ledger_entries(size_t n) { max_ledger_entries_ = n; }
-
-  /// \brief Preloads spend carried over from a predecessor ledger — e.g. a
-  /// serving session resuming a feed whose evicted session already spent
-  /// part of the budget.
-  ///
-  /// Bypasses enforcement (the carried amount was admitted by the
-  /// predecessor when it was spent) and may leave the ledger over budget,
-  /// in which case every further Spend is refused — the correct fate of a
-  /// feed that exhausted its budget before the hand-off.
-  void PreloadSpent(double epsilon, std::string label) {
-    if (!(epsilon > 0.0)) return;
-    spent_ += epsilon;
-    ledger_.push_back({epsilon, std::move(label)});
-    TrimLedger();
   }
 
   /// Total epsilon consumed so far (sequential composition).
@@ -76,28 +56,11 @@ class PrivacyAccountant {
   }
 
   bool enforcing() const { return enforce_; }
-  double total_budget() const { return total_budget_; }
-
-  struct Entry {
-    double epsilon;
-    std::string label;
-  };
-  /// Retained entries, oldest first (a deque: the over-cap trim pops the
-  /// front in O(1), where a vector erase would shift every entry on every
-  /// spend of a long-running feed).
-  const std::deque<Entry>& ledger() const { return ledger_; }
 
  private:
-  void TrimLedger() {
-    if (max_ledger_entries_ == 0) return;
-    while (ledger_.size() > max_ledger_entries_) ledger_.pop_front();
-  }
-
   double total_budget_ = 0.0;
   double spent_ = 0.0;
   bool enforce_ = false;
-  size_t max_ledger_entries_ = 0;
-  std::deque<Entry> ledger_;
 };
 
 }  // namespace frt

@@ -1,4 +1,4 @@
-// Per-object privacy accounting for streaming publication.
+// Cross-window privacy accounting for streaming publication.
 //
 // The paper's guarantee (Theorem 1) is per moving object: the GL pipeline
 // is (eps_G + eps_L)-DP with respect to datasets differing in ONE object's
@@ -6,15 +6,14 @@
 // releases compose sequentially, but objects that never co-occur do not
 // add up — so the end-to-end guarantee of a windowed stream is
 //
-//   max over objects o of  sum over windows containing o of eps_window,
+//   max over objects o of  sum over windows containing o of eps_window.
 //
-// not the sum over all windows. PrivacyAccountant (the PR 2 wholesale
-// ledger) charges the latter, which is sound but pessimistic: a feed of
-// ever-fresh objects is refused after budget/(eps_G+eps_L) windows even
-// though no single object ever spent more than one window's epsilon.
-// ObjectBudgetAccountant charges the former: a hash-keyed ledger per
-// object-id, a window admitted iff the *maximum-spent* id in it can still
-// afford the window's epsilon.
+// ObjectBudgetAccountant enforces exactly that: a hash-keyed ledger per
+// object id, a window admitted iff the *maximum-spent* id in it can still
+// afford the window's epsilon. It is a stream's only cross-window ledger.
+// A wholesale budget is the same ledger over one object: a caller that
+// cannot trust ids keys every window on one feed-wide id, so every
+// window's spend sums against the budget (src/dp/README.md).
 //
 // Bounded retention: on an unbounded id space the map cannot grow forever.
 // When the tracked-id cap is exceeded, the ids with the LOWEST spend are
@@ -22,19 +21,18 @@
 // found in the map is assumed to have already spent `evicted_floor()`
 // (the maximum spend ever evicted). Unknown ids are thus over-charged,
 // never under-charged, so enforcement stays sound — only utility (windows
-// admitted) degrades, and only once the cap is actually hit. Aggregate
-// counters (max spent over all objects, total window admissions, spend
-// events) are maintained exactly regardless of eviction.
+// admitted) degrades, and only once the cap is actually hit. The maximum
+// spent over all objects is maintained exactly regardless of eviction.
 //
-// Like PrivacyAccountant, this class is not thread-safe; the streaming
-// runner drives it from the single window-closing thread. "Atomic" below
-// means transactional: a SpendWindow either records every id's spend or
-// records nothing.
+// This class is not thread-safe; the service drives it from its single
+// dispatcher thread. "Atomic" below means transactional: a SpendWindow
+// either records every id's spend or records nothing.
 
 #ifndef FRT_DP_OBJECT_ACCOUNTANT_H_
 #define FRT_DP_OBJECT_ACCOUNTANT_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -47,7 +45,7 @@
 
 namespace frt {
 
-/// \brief Hash-keyed per-object sequential ledgers with an exact aggregate.
+/// \brief Hash-keyed per-object sequential ledgers with an exact maximum.
 class ObjectBudgetAccountant {
  public:
   /// Unbounded accountant (tracks but never rejects).
@@ -56,12 +54,6 @@ class ObjectBudgetAccountant {
   /// Accountant enforcing a hard per-object budget.
   explicit ObjectBudgetAccountant(double per_object_budget)
       : per_object_budget_(per_object_budget), enforce_(true) {}
-
-  /// One object's sequential ledger: cumulative epsilon and release count.
-  struct ObjectLedger {
-    double spent = 0.0;
-    uint32_t windows = 0;
-  };
 
   /// \brief Atomically admits or refuses a whole window.
   ///
@@ -72,8 +64,9 @@ class ObjectBudgetAccountant {
   /// duplicates (one trajectory per object per window — the same contract
   /// the window's parallel-composition argument needs).
   Status SpendWindow(const std::vector<TrajId>& ids, double epsilon) {
-    if (!(epsilon > 0.0)) {
-      return Status::InvalidArgument("epsilon spend must be positive");
+    if (!(epsilon > 0.0) || !std::isfinite(epsilon)) {
+      return Status::InvalidArgument(
+          "epsilon spend must be positive and finite");
     }
     if (enforce_) {
       double worst = 0.0;
@@ -94,8 +87,6 @@ class ObjectBudgetAccountant {
       }
     }
     for (const TrajId id : ids) Charge(id, epsilon);
-    ++windows_admitted_;
-    aggregate_epsilon_ += epsilon * static_cast<double>(ids.size());
     MaybeEvict();
     return Status::OK();
   }
@@ -118,7 +109,7 @@ class ObjectBudgetAccountant {
   /// conservative eviction floor.
   double spent(TrajId id) const {
     auto it = ledgers_.find(id);
-    return it != ledgers_.end() ? it->second.spent : evicted_floor_;
+    return it != ledgers_.end() ? it->second : evicted_floor_;
   }
 
   /// Remaining budget of `id`; +inf when not enforcing.
@@ -138,12 +129,13 @@ class ObjectBudgetAccountant {
   /// \brief Raises the conservative floor directly: every id not tracked
   /// exactly is assumed to have already spent at least `floor`.
   ///
-  /// The serving layer uses this when a feed session is idle-evicted and
-  /// later resumes: the evicted session's exact ledgers are gone, so the
-  /// fresh accountant starts every object at the old session's maximum
-  /// spend — over-charging, never under-charging, exactly like bounded
-  /// retention. The floor only ever rises. Also raises max_spent(): the
-  /// carried guarantee must not shrink across the hand-off.
+  /// The serving layer uses this when a feed session resumes after idle
+  /// eviction or a restart: the predecessor's exact ledgers are gone, so
+  /// the fresh accountant starts every object at the predecessor's
+  /// maximum spend — over-charging, never under-charging, exactly like
+  /// bounded retention. The floor only ever rises. Also raises
+  /// max_spent(): the carried guarantee must not shrink across the
+  /// hand-off.
   void PreloadFloor(double floor) {
     if (floor <= evicted_floor_) return;
     evicted_floor_ = floor;
@@ -157,39 +149,21 @@ class ObjectBudgetAccountant {
   /// stream's end-to-end guarantee. Monotone, unaffected by eviction.
   double max_spent() const { return max_spent_; }
 
-  /// Exact count of windows admitted (SpendWindow transactions recorded).
-  size_t windows_admitted() const { return windows_admitted_; }
-
-  /// Exact sum over admitted windows of epsilon * |ids| — the total
-  /// object-release volume, unaffected by eviction.
-  double aggregate_epsilon() const { return aggregate_epsilon_; }
-
   /// Ids currently tracked exactly (<= max_tracked_objects when bounded).
   size_t tracked_objects() const { return ledgers_.size(); }
-
-  /// Ids folded into the floor so far.
-  size_t evicted_objects() const { return evicted_objects_; }
 
   /// Spend assumed for any id not in the map (max spend ever evicted).
   double evicted_floor() const { return evicted_floor_; }
 
-  const std::unordered_map<TrajId, ObjectLedger>& ledgers() const {
-    return ledgers_;
-  }
-
  private:
-  // Matches PrivacyAccountant's enforcement slack so the wholesale and
-  // per-object modes agree on exact-budget boundary cases.
+  // PrivacyAccountant's enforcement slack: an exact-budget spend fits.
   static constexpr double kTolerance = 1e-12;
 
   void Charge(TrajId id, double epsilon) {
-    ObjectLedger& ledger = ledgers_[id];  // starts at the floor if unseen
-    if (ledger.windows == 0 && ledger.spent == 0.0) {
-      ledger.spent = evicted_floor_;
-    }
-    ledger.spent += epsilon;
-    ++ledger.windows;
-    max_spent_ = std::max(max_spent_, ledger.spent);
+    // An unseen id starts at the floor.
+    double& spent = ledgers_.try_emplace(id, evicted_floor_).first->second;
+    spent += epsilon;
+    max_spent_ = std::max(max_spent_, spent);
   }
 
   // Evicts the lowest spenders down to the cap: their spends are the
@@ -203,28 +177,22 @@ class ObjectBudgetAccountant {
     }
     std::vector<std::pair<double, TrajId>> by_spend;
     by_spend.reserve(ledgers_.size());
-    for (const auto& [id, ledger] : ledgers_) {
-      by_spend.push_back({ledger.spent, id});
-    }
+    for (const auto& [id, spent] : ledgers_) by_spend.push_back({spent, id});
     const size_t excess = ledgers_.size() - max_tracked_objects_;
     std::nth_element(by_spend.begin(), by_spend.begin() + excess - 1,
                      by_spend.end());
     for (size_t i = 0; i < excess; ++i) {
       evicted_floor_ = std::max(evicted_floor_, by_spend[i].first);
       ledgers_.erase(by_spend[i].second);
-      ++evicted_objects_;
     }
   }
 
   double per_object_budget_ = 0.0;
   bool enforce_ = false;
   size_t max_tracked_objects_ = 0;
-  std::unordered_map<TrajId, ObjectLedger> ledgers_;
+  std::unordered_map<TrajId, double> ledgers_;  // id -> cumulative spend
   double evicted_floor_ = 0.0;
-  size_t evicted_objects_ = 0;
   double max_spent_ = 0.0;
-  size_t windows_admitted_ = 0;
-  double aggregate_epsilon_ = 0.0;
 };
 
 }  // namespace frt

@@ -6,13 +6,16 @@
 // and a search skips most blocks of the coarse cells it must visit. Both
 // bulk builds that are ordered this way — the window audit's index over the
 // original segments and the global edit's index over the whole dataset —
-// use this one key.
+// use this one key, and one order over it: SortByHighWord on
+// `(key << 32) | index` words.
 
 #ifndef FRT_GEO_MORTON_H_
 #define FRT_GEO_MORTON_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "geo/bbox.h"
 #include "geo/segment.h"
@@ -43,6 +46,23 @@ inline uint32_t MortonKey(const Segment& s, const BBox& region) {
   const uint32_t y =
       lattice(0.5 * (s.a.y + s.b.y), region.min_y, region.Height());
   return SpreadBits(x) | (SpreadBits(y) << 1);
+}
+
+/// \brief Stable LSD radix sort of `order` by its high 32 bits, one 8-bit
+/// digit per pass. Values with equal high bits keep their relative order.
+///
+/// Callers pack `(MortonKey << 32) | i` pushed in index order, so the
+/// result is Morton order with ties in index order — the same order a
+/// full sort of the words gives, in four linear passes.
+inline void SortByHighWord(std::vector<uint64_t>* order) {
+  std::vector<uint64_t> scratch(order->size());
+  for (int shift = 32; shift < 64; shift += 8) {
+    size_t next[257] = {};
+    for (const uint64_t v : *order) ++next[((v >> shift) & 0xff) + 1];
+    for (size_t d = 1; d < 257; ++d) next[d] += next[d - 1];
+    for (const uint64_t v : *order) scratch[next[(v >> shift) & 0xff]++] = v;
+    order->swap(scratch);
+  }
 }
 
 }  // namespace frt

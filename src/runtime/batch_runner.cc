@@ -15,9 +15,6 @@ std::string BatchRunner::name() const {
 
 Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
   report_ = BatchReport{};
-  const double total_budget =
-      config_.pipeline.epsilon_global + config_.pipeline.epsilon_local;
-  accountant_ = PrivacyAccountant(total_budget);
   if (input.empty()) return Status::InvalidArgument("empty dataset");
 
   Stopwatch wall;
@@ -103,17 +100,11 @@ Result<Dataset> BatchRunner::Anonymize(const Dataset& input, Rng& rng) {
     report_.combined.global.total_abs_tf_change += r.global.total_abs_tf_change;
     report_.combined.global.points_perturbed += r.global.points_perturbed;
     report_.combined.candidate_set_size += r.candidate_set_size;
+    // Every object appears in exactly one shard, so the dataset-level
+    // spend is the per-shard maximum (parallel composition), not the sum.
     report_.epsilon_spent = std::max(report_.epsilon_spent, r.epsilon_spent);
   }
   report_.combined.epsilon_spent = report_.epsilon_spent;
-
-  // Every object appears in exactly one shard, so the dataset-level spend is
-  // the per-shard maximum (parallel composition), not the sum.
-  if (report_.epsilon_spent > 0.0) {
-    FRT_RETURN_IF_ERROR(accountant_.Spend(
-        report_.epsilon_spent, "parallel composition over " +
-                                   std::to_string(k) + " shards"));
-  }
   if (config_.audit.enabled) {
     // The shards' parts together index the whole input, so this reports
     // what the one-part RunWindowAudit(input, merged) would. It reuses the

@@ -15,7 +15,7 @@
 // Privacy: each moving object's trajectory lives in exactly one shard, and
 // each shard's pipeline is (eps_G + eps_L)-DP on its partition, so by
 // parallel composition the published dataset satisfies the same
-// eps_G + eps_L guarantee as a single-shot run — the accountant records the
+// eps_G + eps_L guarantee as a single-shot run — the report records the
 // maximum across shards, not the sum.
 //
 // Utility: signatures and the candidate set P are computed per shard, so the
@@ -32,7 +32,6 @@
 
 #include "core/anonymizer.h"
 #include "core/pipeline.h"
-#include "dp/accountant.h"
 #include "runtime/shard_plan.h"
 #include "runtime/window_audit.h"
 #include "runtime/work_stealing_pool.h"
@@ -73,8 +72,8 @@ struct BatchReport {
   /// Object-ids anonymized by each shard, in shard order. Every object in
   /// the input appears in exactly one shard (the parallel-composition
   /// argument), and shard i's release cost its objects
-  /// per_shard[i].epsilon_spent. The streaming runtime's per-object
-  /// accountant consumes this to charge exactly the ids a window released.
+  /// per_shard[i].epsilon_spent. A stream session's per-object ledger
+  /// consumes this to charge exactly the ids a window released.
   std::vector<std::vector<TrajId>> shard_object_ids;
   /// Wall seconds of each shard's pipeline run, in shard order — the skew
   /// profile the pool's dynamic index claiming absorbs.
@@ -106,16 +105,11 @@ class BatchRunner : public Anonymizer {
   /// Diagnostics of the most recent Anonymize call.
   const BatchReport& report() const { return report_; }
 
-  /// Dataset-level privacy ledger of the most recent Anonymize call
-  /// (parallel composition across shards).
-  const PrivacyAccountant& accountant() const { return accountant_; }
-
   const BatchRunnerConfig& config() const { return config_; }
 
  private:
   BatchRunnerConfig config_;
   BatchReport report_;
-  PrivacyAccountant accountant_;
 };
 
 }  // namespace frt

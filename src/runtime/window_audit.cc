@@ -49,19 +49,6 @@ void RunTasks(WorkStealingPool* pool, size_t n, const Task& task) {
   }
 }
 
-/// Stable LSD radix sort of `order` by its high 32 bits, one 8-bit digit
-/// per pass. Values with equal high bits keep their relative order.
-void SortByHighWord(std::vector<uint64_t>* order) {
-  std::vector<uint64_t> scratch(order->size());
-  for (int shift = 32; shift < 64; shift += 8) {
-    size_t next[257] = {};
-    for (const uint64_t v : *order) ++next[((v >> shift) & 0xff) + 1];
-    for (size_t d = 1; d < 257; ++d) next[d] += next[d - 1];
-    for (const uint64_t v : *order) scratch[next[(v >> shift) & 0xff]++] = v;
-    order->swap(scratch);
-  }
-}
-
 /// The original segments of one part as a static packed tree. The leaves
 /// are 8-lane blocks of SoA geometry (geo/segment_soa.h) written straight
 /// from the trajectories in Morton order of the segment midpoints, so each

@@ -1,21 +1,21 @@
 // Durable budget-ledger checkpoints for the serving layer.
 //
 // The paper's guarantee (Theorem 1, sequential composition) only holds if
-// spent epsilon is never forgotten: a service that loses its
-// PrivacyAccountant / ObjectBudgetAccountant state on restart silently
-// re-grants budget that was already spent — a privacy bug, not an ops gap.
-// This module makes the per-feed ledgers durable:
+// spent epsilon is never forgotten: a service that loses its ledger state
+// on restart silently re-grants budget that was already spent — a privacy
+// bug, not an ops gap. This module makes the per-feed ledgers durable:
 //
 //   - ServiceCheckpoint / FeedCheckpoint: the snapshot image. Per feed it
 //     carries exactly the state FeedBudgetCarry already hands across idle
-//     eviction — the wholesale spent total, the conservative per-object
-//     floor (the maximum per-object spend; every object of a recovered
-//     feed is assumed to have spent it, via
-//     ObjectBudgetAccountant::PreloadFloor), the cumulative window count,
-//     and the session-generation counter. Recovery therefore flows through
-//     the SAME conservative-carry path eviction uses
-//     (PrivacyAccountant::PreloadSpent / PreloadFloor): a crash can only
-//     under-grant remaining budget, never over-grant.
+//     eviction — the wholesale spent total, the ledger's maximum spend
+//     (per_object_floor), the cumulative window count, and the
+//     session-generation counter. Recovery therefore flows through the
+//     SAME conservative-carry path eviction uses: the successor session
+//     floors its one ledger (ObjectBudgetAccountant::PreloadFloor) at
+//     FeedBudgetCarry::LedgerFloor — per_object_floor under a per-object
+//     budget, wholesale_spent otherwise — so every key of a recovered
+//     feed is assumed to have spent it, and a crash can only under-grant
+//     remaining budget, never over-grant.
 //
 //   - Encode/Decode: a versioned, line-oriented text format ending in an
 //     FNV-1a 64 checksum line. Decoding is strict — wrong magic, missing
@@ -60,11 +60,12 @@ struct FeedCheckpoint {
   uint64_t generations = 0;
   /// Windows closed across all generations (window indices keep rising).
   uint64_t windows_closed = 0;
-  /// Exact wholesale ledger total (PrivacyAccountant::spent()).
+  /// Exact sum of every window's spend — the floor of a recovered feed
+  /// without a per-object budget.
   double wholesale_spent = 0.0;
-  /// Maximum per-object cumulative spend
-  /// (ObjectBudgetAccountant::max_spent()) — the conservative floor every
-  /// object of the recovered feed starts at.
+  /// The ledger's maximum cumulative spend
+  /// (ObjectBudgetAccountant::max_spent()) — the floor every object of a
+  /// feed recovered under a per-object budget starts at.
   double per_object_floor = 0.0;
 };
 

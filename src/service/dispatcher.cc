@@ -131,8 +131,8 @@ Status ServiceDispatcher::Start(uint64_t seed) {
         feed_order_.push_back(feed.feed);
         // The recovered feed looks exactly like an idle-evicted one: its
         // first arrival opens the next session generation, whose
-        // constructor preloads this carry through PreloadSpent /
-        // PreloadFloor — recovery can only under-grant, never over-grant.
+        // constructor floors its ledger at this carry (LedgerFloor) —
+        // recovery can only under-grant, never over-grant.
         slot.generations = feed.generations;
         slot.carry.wholesale_spent = feed.wholesale_spent;
         slot.carry.per_object_floor = feed.per_object_floor;
@@ -140,11 +140,10 @@ Status ServiceDispatcher::Start(uint64_t seed) {
             static_cast<size_t>(feed.windows_closed);
         slot.ever_evicted = true;
         // Surface the carried spend in reports even if the feed stays
-        // dormant this run (a revived session recomputes the same values
-        // from its preloaded accountants).
-        slot.report.epsilon_spent = config_.stream.per_object()
-                                        ? feed.per_object_floor
-                                        : feed.wholesale_spent;
+        // dormant this run (a revived session reports the same values
+        // from its floored ledger).
+        slot.report.epsilon_spent =
+            slot.carry.LedgerFloor(config_.stream.per_object());
         slot.report.epsilon_wholesale_equivalent = feed.wholesale_spent;
       }
       feeds_recovered_ = snapshot->feeds.size();
@@ -488,7 +487,7 @@ void ServiceDispatcher::AbsorbCompletion(
                    /*drain=*/false);
     return;
   }
-  ledger_dirty_ = true;  // Complete() charged the accountants
+  ledger_dirty_ = true;  // Complete() charged the ledger
   if (session.backlog_size() > 0) ready_.push_back(completion->job.feed);
   const double queue_wait_ms =
       std::chrono::duration<double, std::milli>(completion->started_at -
@@ -629,9 +628,7 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
   s->queue_depth = inbox_->queued();
   s->in_flight = in_flight_;
   s->backlog_windows = backlog_windows_;
-  const double budget = config_.stream.per_object()
-                            ? config_.stream.per_object_budget
-                            : config_.stream.total_budget;
+  const double budget = config_.stream.budget();
   s->feeds_detail.reserve(feed_order_.size());
   for (const auto& name : feed_order_) {
     const FeedSlot& slot = feeds_.at(name);

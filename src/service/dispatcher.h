@@ -20,7 +20,7 @@
 // Threading model. Offer() is called from any number of ingest threads and
 // blocks on the inbox's bounded arrival lane — that is the service's
 // ingress backpressure. ONE dispatcher thread owns every feed (session,
-// assembler, accountants, report), so budget accounting needs no locks;
+// assembler, ledger, report), so budget accounting needs no locks;
 // the only work it delegates is the pure (window, rng) -> published-dataset
 // batch job, which runs on the shared pool with per-window state it owns
 // outright. A job fans its shards and its audit out over that same pool
@@ -143,7 +143,7 @@ struct ServiceConfig {
   int64_t idle_evict_ms = 0;
   /// Durable budget ledgers: when non-empty, per-feed ledger snapshots are
   /// checkpointed into this directory and recovered from it on Start()
-  /// through the conservative PreloadSpent/PreloadFloor carry path. The
+  /// through the conservative carry path idle eviction uses. The
   /// write-ahead rule: a snapshot covering a window's spend is made
   /// durable BEFORE that window reaches the sink, so a crash can only
   /// under-grant remaining budget, never over-grant (see
@@ -212,7 +212,7 @@ class ServiceDispatcher {
   /// object Introspect() returns after Finish(). Empty before Finish().
   const ServiceSnapshot& report() const { return *report_; }
 
-  /// \brief The live session of `feed` — its accountants — or
+  /// \brief The live session of `feed` — its ledger — or
   /// nullptr when the feed was never seen, idle-evicted or quarantined.
   /// Valid only after Finish(): the dispatcher thread owns every session
   /// while the service runs.

@@ -9,10 +9,9 @@
 
 namespace frt {
 
-// Memory bounds: ids tracked exactly (the rest fold into a conservative
-// floor) and wholesale ledger entries kept (the spent total stays exact).
+// Memory bound: ids tracked exactly (the rest fold into a conservative
+// floor).
 constexpr size_t kMaxTrackedObjects = size_t{1} << 20;
-constexpr size_t kMaxLedgerEntries = 64;
 
 FeedSession::FeedSession(std::string feed, const StreamConfig& config,
                          uint64_t master_seed, uint64_t generation,
@@ -23,27 +22,15 @@ FeedSession::FeedSession(std::string feed, const StreamConfig& config,
       next_index_(carry.windows_closed),
       assembler_(config.window_size, config.window_stride),
       rng_(FeedStreamSeed(master_seed, feed_, generation)),
+      wholesale_spent_(carry.wholesale_spent),
       report_(*report) {
-  accountant_ = config_.total_budget > 0.0
-                    ? PrivacyAccountant(config_.total_budget)
-                    : PrivacyAccountant();
-  accountant_.set_max_ledger_entries(kMaxLedgerEntries);
-  object_accountant_ =
-      config_.per_object()
-          ? ObjectBudgetAccountant(config_.per_object_budget)
-          : ObjectBudgetAccountant();
-  object_accountant_.set_max_tracked_objects(kMaxTrackedObjects);
-  if (carry.wholesale_spent > 0.0) {
-    accountant_.PreloadSpent(carry.wholesale_spent,
-                             "carried from evicted session");
+  if (config_.budget() > 0.0) {
+    ledger_ = ObjectBudgetAccountant(config_.budget());
   }
-  if (carry.per_object_floor > 0.0) {
-    object_accountant_.PreloadFloor(carry.per_object_floor);
-  }
-  report_.epsilon_spent = config_.per_object()
-                              ? object_accountant_.max_spent()
-                              : accountant_.spent();
-  report_.epsilon_wholesale_equivalent = accountant_.spent();
+  ledger_.set_max_tracked_objects(kMaxTrackedObjects);
+  ledger_.PreloadFloor(carry.LedgerFloor(config_.per_object()));
+  report_.epsilon_spent = ledger_.max_spent();
+  report_.epsilon_wholesale_equivalent = wholesale_spent_;
 }
 
 void FeedSession::Offer(Trajectory t,
@@ -101,42 +88,39 @@ Status FeedSession::CloseWindow(WindowClose reason,
 bool FeedSession::Admit(WindowJob* job) {
   const double window_epsilon = config_.batch.pipeline.epsilon_global +
                                 config_.batch.pipeline.epsilon_local;
+  if (!ledger_.enforcing()) return true;
   Dataset& window = job->window;
-  if (!config_.per_object()) {
-    if (!accountant_.enforcing() ||
-        accountant_.remaining() + 1e-12 >= window_epsilon) {
-      return true;
-    }
-    ++report_.windows_refused;
-    report_.trajectories_refused += window.size();
-    FRT_LOG(Warning) << "feed " << feed_
-                     << ": privacy budget exhausted: refusing window #"
-                     << job->index << " (" << window.size()
-                     << " trajectories); spent " << accountant_.spent()
-                     << " of " << accountant_.total_budget()
-                     << ", next window needs " << window_epsilon;
-    return false;
+  std::vector<TrajId> keys = {kFeedWideObject};
+  if (config_.per_object()) {
+    keys.clear();
+    keys.reserve(window.size());
+    for (const auto& t : window.trajectories()) keys.push_back(t.id());
   }
-  if (!object_accountant_.enforcing()) return true;
-  std::vector<TrajId> ids;
-  ids.reserve(window.size());
-  for (const auto& t : window.trajectories()) ids.push_back(t.id());
   std::vector<TrajId> admissible, exhausted;
-  object_accountant_.FilterAdmissible(ids, window_epsilon, &admissible,
-                                      &exhausted);
+  ledger_.FilterAdmissible(keys, window_epsilon, &admissible, &exhausted);
   if (exhausted.empty()) return true;
+  // Without per-object keys nothing is admissible: the window is refused.
   if (!config_.evict_exhausted || admissible.empty()) {
     ++report_.windows_refused;
     report_.trajectories_refused += window.size();
-    FRT_LOG(Warning) << "feed " << feed_
-                     << ": per-object budget exhausted: refusing window #"
-                     << job->index << " (" << window.size()
-                     << " trajectories, " << exhausted.size()
-                     << " exhausted object(s); object " << exhausted.front()
-                     << " spent "
-                     << object_accountant_.spent(exhausted.front()) << " of "
-                     << object_accountant_.per_object_budget()
-                     << ", next window needs " << window_epsilon << ")";
+    const double spent = ledger_.spent(exhausted.front());
+    if (config_.per_object()) {
+      FRT_LOG(Warning) << "feed " << feed_
+                       << ": per-object budget exhausted: refusing window #"
+                       << job->index << " (" << window.size()
+                       << " trajectories, " << exhausted.size()
+                       << " exhausted object(s); object " << exhausted.front()
+                       << " spent " << spent << " of "
+                       << ledger_.per_object_budget() << ", next window needs "
+                       << window_epsilon << ")";
+    } else {
+      FRT_LOG(Warning) << "feed " << feed_
+                       << ": privacy budget exhausted: refusing window #"
+                       << job->index << " (" << window.size()
+                       << " trajectories); spent " << spent << " of "
+                       << ledger_.per_object_budget()
+                       << ", next window needs " << window_epsilon;
+    }
     return false;
   }
   std::unordered_set<TrajId> drop(exhausted.begin(), exhausted.end());
@@ -153,8 +137,8 @@ bool FeedSession::Admit(WindowJob* job) {
                    << " exhausted object(s) from window #" << job->index
                    << " (" << window.size() << " remain; object "
                    << exhausted.front() << " spent "
-                   << object_accountant_.spent(exhausted.front()) << " of "
-                   << object_accountant_.per_object_budget() << ")";
+                   << ledger_.spent(exhausted.front()) << " of "
+                   << ledger_.per_object_budget() << ")";
   return true;
 }
 
@@ -188,30 +172,27 @@ Result<WindowReport> FeedSession::Complete(const WindowJob& job,
   // diagnostics.
   window_report.batch.shard_object_ids.clear();
   if (window_report.epsilon_spent > 0.0) {
+    // Charge the window's ledger keys (per object: exactly the ids the
+    // batch consumed) at the window's spend (max over shards; uniform
+    // per-shard epsilons make it exact). SpendWindow re-verifies
+    // admission transactionally.
+    std::vector<TrajId> keys = {kFeedWideObject};
     if (config_.per_object()) {
-      // Charge exactly the ids the batch consumed, at the window's spend
-      // (max over shards; uniform per-shard epsilons make it exact).
-      // SpendWindow re-verifies admission transactionally.
-      std::vector<TrajId> released;
-      released.reserve(published.size());
+      keys.clear();
+      keys.reserve(published.size());
       for (const auto& shard_ids : batch.shard_object_ids) {
-        released.insert(released.end(), shard_ids.begin(), shard_ids.end());
+        keys.insert(keys.end(), shard_ids.begin(), shard_ids.end());
       }
-      FRT_RETURN_IF_ERROR(object_accountant_.SpendWindow(
-          released, window_report.epsilon_spent));
     }
-    // The wholesale ledger tracks in both modes so per-object feeds can
-    // report the pessimism gap.
-    FRT_RETURN_IF_ERROR(accountant_.Spend(
-        window_report.epsilon_spent,
-        "feed " + feed_ + " window " + std::to_string(job.index) +
-            " (sequential composition)"));
+    FRT_RETURN_IF_ERROR(
+        ledger_.SpendWindow(keys, window_report.epsilon_spent));
+    // Summed in both modes so per-object feeds can report the pessimism
+    // gap.
+    wholesale_spent_ += window_report.epsilon_spent;
   }
-  window_report.epsilon_total = config_.per_object()
-                                    ? object_accountant_.max_spent()
-                                    : accountant_.spent();
+  window_report.epsilon_total = ledger_.max_spent();
   report_.epsilon_spent = window_report.epsilon_total;
-  report_.epsilon_wholesale_equivalent = accountant_.spent();
+  report_.epsilon_wholesale_equivalent = wholesale_spent_;
   awaiting_publish_ = true;
   return window_report;
 }
@@ -226,8 +207,8 @@ void FeedSession::RecordPublished(const WindowReport& window_report) {
 
 FeedBudgetCarry FeedSession::Carry() const {
   FeedBudgetCarry carry;
-  carry.wholesale_spent = accountant_.spent();
-  carry.per_object_floor = object_accountant_.max_spent();
+  carry.wholesale_spent = wholesale_spent_;
+  carry.per_object_floor = ledger_.max_spent();
   carry.windows_closed = next_index_;
   return carry;
 }

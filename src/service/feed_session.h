@@ -5,8 +5,11 @@
 // therefore owns everything whose sharing would couple feeds:
 //
 //   - its ring-buffer WindowAssembler (stream/window_assembler.h),
-//   - its PrivacyAccountant / ObjectBudgetAccountant pair (wholesale or
-//     per-object cross-window accounting, per feed),
+//   - its one ObjectBudgetAccountant ledger (cross-window accounting, per
+//     feed): keyed by object id under a per-object budget, and on the one
+//     feed-wide key kFeedWideObject otherwise — a wholesale budget is the
+//     per-object ledger over a feed whose trajectories are all one object,
+//     so one admission predicate and one charge serve both modes,
 //   - its RNG stream, derived deterministically from (master seed, feed
 //     id, session generation) — NOT from arrival interleaving — so a
 //     feed's published windows are bit-identical whether it is served solo
@@ -21,15 +24,16 @@
 // thread-safe. Anonymization itself happens elsewhere (a WindowJob on the
 // shared pool); the session hands jobs out (NextSubmittable, which is
 // where admission control runs) and absorbs their results (Complete,
-// which charges the accountants and finalizes the WindowReport).
+// which charges the ledger and finalizes the WindowReport).
 //
 // Sessions are evictable: when a feed goes idle its session can be torn
 // down to reclaim the assembler and ledger memory, and a later arrival
 // opens a fresh session (next generation). Budget state survives the
-// hand-off conservatively — the wholesale spend is carried exactly, and
-// every object of the resumed feed starts at the evicted session's
-// maximum per-object spend (ObjectBudgetAccountant::PreloadFloor), so
-// eviction can only over-charge, never leak budget.
+// hand-off conservatively: the successor's ledger starts every key at the
+// evicted session's maximum spend (FeedBudgetCarry::LedgerFloor through
+// ObjectBudgetAccountant::PreloadFloor) — the per-object maximum, or the
+// exact feed-wide total under a wholesale budget — so eviction can only
+// over-charge, never leak budget.
 
 #ifndef FRT_SERVICE_FEED_SESSION_H_
 #define FRT_SERVICE_FEED_SESSION_H_
@@ -44,7 +48,6 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "dp/accountant.h"
 #include "dp/object_accountant.h"
 #include "stream/stream_types.h"
 #include "stream/window_assembler.h"
@@ -91,11 +94,22 @@ struct WindowJob {
 
 /// State carried from an evicted session into its successor.
 struct FeedBudgetCarry {
-  double wholesale_spent = 0.0;   ///< exact ledger total at eviction
-  double per_object_floor = 0.0;  ///< max per-object spend at eviction
+  /// Exact sum of every window's spend — what a wholesale budget charges.
+  double wholesale_spent = 0.0;
+  /// The ledger's maximum spend at eviction: the per-object maximum, or
+  /// the feed-wide total when the ledger has one key.
+  double per_object_floor = 0.0;
   /// Windows the feed closed across all prior generations, so window
   /// indices keep counting up instead of restarting at 0 per session.
   size_t windows_closed = 0;
+
+  /// The spend a successor's ledger starts every key at. A per-object
+  /// ledger floors at the per-object maximum; a feed-wide one at the
+  /// exact wholesale total, so a wholesale checkpoint whose
+  /// per_object_floor reads 0.0 still recovers its whole spend.
+  double LedgerFloor(bool per_object) const {
+    return per_object ? per_object_floor : wholesale_spent;
+  }
 };
 
 /// \brief Per-feed session state machine (see file comment). Driven only
@@ -135,8 +149,8 @@ class FeedSession {
   /// admission always sees the predecessor's spend).
   std::optional<WindowJob> NextSubmittable();
 
-  /// \brief Absorbs a finished job: charges the accountants with the ids
-  /// the batch actually consumed, finalizes the WindowReport, and frees
+  /// \brief Absorbs a finished job: charges the ledger with the ids the
+  /// batch actually consumed, finalizes the WindowReport, and frees
   /// the session for its next submission. The window then awaits its
   /// publish (RecordPublished) and keeps the session from draining.
   /// `publish_latency_ms` is close -> completion-handled.
@@ -182,17 +196,21 @@ class FeedSession {
   bool evict_when_drained() const { return evict_when_drained_; }
   void set_evict_when_drained(bool v) { evict_when_drained_ = v; }
 
-  const ObjectBudgetAccountant& object_accountant() const {
-    return object_accountant_;
-  }
-  const PrivacyAccountant& accountant() const { return accountant_; }
+  /// The one ledger key of a feed without a per-object budget: every
+  /// trajectory of the feed is this one object.
+  static constexpr TrajId kFeedWideObject = 0;
+
+  /// The feed's ledger: per object id under a per-object budget, on
+  /// kFeedWideObject otherwise.
+  const ObjectBudgetAccountant& ledger() const { return ledger_; }
 
  private:
-  /// \brief Budget admission control for one closed window. Under a
-  /// wholesale budget the whole window is admitted or refused against the
-  /// ledger; per-object with evict_exhausted, exhausted objects may
-  /// instead be evicted from the window in place (counted in
-  /// job->evicted). Refusals and evictions are counted in the feed's
+  /// \brief Budget admission control for one closed window: the window's
+  /// ledger keys are filtered against the budget. A window with an
+  /// exhausted key is refused, unless evict_exhausted drops the exhausted
+  /// objects from it in place (counted in job->evicted) and some remain.
+  /// Under a wholesale budget the one key is the whole window, so the
+  /// window is refused. Refusals and evictions are counted in the feed's
   /// report and logged. True when the (possibly shrunk) window may run.
   bool Admit(WindowJob* job);
 
@@ -204,8 +222,10 @@ class FeedSession {
   size_t next_index_ = 0;
   WindowAssembler assembler_;
   Rng rng_;
-  PrivacyAccountant accountant_;
-  ObjectBudgetAccountant object_accountant_;
+  ObjectBudgetAccountant ledger_;
+  /// Sum of every window's spend: the report's
+  /// epsilon_wholesale_equivalent and the carry's wholesale_spent.
+  double wholesale_spent_ = 0.0;
   std::deque<WindowJob> backlog_;
   StreamReport& report_;
   bool busy_ = false;

@@ -9,23 +9,24 @@
 // exactly one shard, so the window costs eps_G + eps_L by parallel
 // composition. Across windows the same object-id space may reappear (the
 // stream is a feed, not a partition), so an object's releases compose
-// SEQUENTIALLY. Which budget is set selects the accountant that enforces
-// that (setting both is an error):
+// SEQUENTIALLY. One ledger enforces that, an ObjectBudgetAccountant per
+// feed; which budget is set selects what it counts as one object (setting
+// both is an error):
 //
-//   wholesale   — every window's spend is summed against `total_budget`
-//                 regardless of which objects it contained. Sound but
-//                 pessimistic (objects that never reappear are billed as
-//                 if they did). With neither budget set the ledger only
-//                 tracks.
-//   per-object  — `per_object_budget` > 0: ObjectBudgetAccountant, a
-//                 per-object-id ledger enforcing the budget on each
-//                 object's own cumulative spend, which is exactly the
-//                 paper's per-object guarantee. A window is refused only
-//                 when it contains an object that cannot afford it — and
-//                 with `evict_exhausted` the exhausted objects are evicted
+//   wholesale   — the whole feed is one object: every window's spend is
+//                 summed against `total_budget` regardless of which
+//                 objects it contained. Sound but pessimistic (objects
+//                 that never reappear are billed as if they did). With
+//                 neither budget set the ledger only tracks.
+//   per-object  — `per_object_budget` > 0: the ledger is keyed by object
+//                 id, enforcing the budget on each object's own
+//                 cumulative spend, which is exactly the paper's
+//                 per-object guarantee. A window is refused only when it
+//                 contains an object that cannot afford it — and with
+//                 `evict_exhausted` the exhausted objects are evicted
 //                 from the window while the rest still publishes.
 //
-// Each session admits its closed windows against its own ledgers
+// Each session admits its closed windows against its own ledger
 // (FeedSession, service/feed_session.h). Refused windows (and evicted
 // trajectories) are counted and dropped, never published with a weaker
 // guarantee.
@@ -83,8 +84,8 @@ struct StreamConfig {
   /// enforcement: the ledger still tracks, but no window is ever refused.
   double total_budget = 0.0;
   /// Per-object: epsilon budget each object-id may cumulatively spend
-  /// across the windows that contain it. > 0 selects the per-object
-  /// accountant (and then total_budget must be 0).
+  /// across the windows that contain it. > 0 keys the ledger by object id
+  /// (and then total_budget must be 0).
   double per_object_budget = 0.0;
   /// Per-object only: when a window contains exhausted objects, evict just
   /// those trajectories and publish the rest, instead of refusing the
@@ -109,9 +110,14 @@ struct StreamConfig {
   /// (default) disables: windows close on count or end of stream only.
   int64_t close_after_ms = 0;
 
-  /// True when the per-object accountant enforces the cross-window
-  /// guarantee (see file comment).
+  /// True when the ledger is keyed by object id (see file comment).
   bool per_object() const { return per_object_budget > 0.0; }
+
+  /// The budget the ledger enforces on each of its keys; 0 when it only
+  /// tracks. At most one budget is set (ServiceDispatcher::Start).
+  double budget() const {
+    return per_object() ? per_object_budget : total_budget;
+  }
 };
 
 /// Diagnostics of one published window.

@@ -295,8 +295,7 @@ TEST(BatchRunnerTest, ParallelCompositionAccounting) {
     auto out = runner.Anonymize(input, rng);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_DOUBLE_EQ(runner.report().epsilon_spent, 1.0) << shards;
-    EXPECT_DOUBLE_EQ(runner.accountant().spent(), 1.0) << shards;
-    EXPECT_EQ(runner.accountant().ledger().size(), 1u) << shards;
+    EXPECT_DOUBLE_EQ(runner.report().combined.epsilon_spent, 1.0) << shards;
     ASSERT_EQ(runner.report().per_shard.size(),
               static_cast<size_t>(runner.report().shards_run));
     for (const auto& shard_report : runner.report().per_shard) {

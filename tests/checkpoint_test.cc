@@ -343,6 +343,51 @@ TEST(CheckpointRecoveryTest, WholesaleSpendCarriesAcrossRestart) {
   }
 }
 
+TEST(CheckpointRecoveryTest, WholesaleImageWithZeroFloorRecoversItsSpend) {
+  // A wholesale service used to record its spend in wholesale_spent only,
+  // leaving per_object_floor at 0.0. Recovering such an image under a
+  // wholesale budget floors the feed-wide ledger at wholesale_spent, so
+  // 3.0 of 4.0 spent leaves room for exactly one more window per feed.
+  const StateDir state;
+  const std::string& dir = state.path();
+  {
+    auto store = CheckpointStore::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ServiceCheckpoint image;
+    image.sequence = 7;
+    image.total_budget = 4.0;
+    for (const char* name : {"alpha", "beta"}) {
+      FeedCheckpoint feed;
+      feed.feed = name;
+      feed.generations = 1;
+      feed.windows_closed = 3;
+      feed.wholesale_spent = 3.0;
+      feed.per_object_floor = 0.0;
+      image.feeds.push_back(feed);
+    }
+    ASSERT_TRUE(store->Write(image).ok());
+  }
+  ServiceConfig config = DurableConfig(dir);
+  config.stream.total_budget = 4.0;
+  ServiceCapture capture;
+  ServiceDispatcher service(config, capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  for (const Trajectory& t : Arrivals(60)) {  // 3 windows of 20 per feed
+    for (const char* feed : {"alpha", "beta"}) {
+      ASSERT_TRUE(service.Offer(feed, t));
+    }
+  }
+  ASSERT_TRUE(service.Finish().ok());
+  const ServiceSnapshot& report = service.report();
+  EXPECT_EQ(report.feeds_recovered, 2u);
+  EXPECT_EQ(report.windows_published, 2u);  // one per feed
+  EXPECT_EQ(report.windows_refused, 4u);    // two per feed
+  for (const auto& feed : report.feeds_detail) {
+    EXPECT_EQ(feed.stream.windows_published, 1u) << feed.feed;
+    EXPECT_DOUBLE_EQ(feed.stream.epsilon_spent, 4.0) << feed.feed;
+  }
+}
+
 TEST(CheckpointRecoveryTest, PerObjectFloorCarriesAcrossRestart) {
   const StateDir state;
   const std::string& dir = state.path();

@@ -14,6 +14,14 @@
 #     start and at the bend. A dwell's location is represented by the
 #     centroid of its fixes, which lies off every original segment, so the
 #     edits that insert it show in the audit's displacement.
+# Two more frt_stream cases run under a budget, so they exit 3 and pin
+# what is refused as well as what is published: a wholesale --budget run
+# on the straight input (golden_budget_stream*) and a --per-object-budget
+# --evict-exhausted run on an input whose ids recur across windows
+# (golden_object_budget_stream*). Besides the release, each pins its
+# summary lines (windows published and refused, trajectories evicted, the
+# refusal and eviction warnings less their timestamp prefix) in
+# *_summary.txt.
 # The CLIs search with HG+ only; that every strategy publishes this same
 # release is checked in-process by strategy_release_test. A change that
 # alters a release on purpose (noise derivation, tie order, number
@@ -74,8 +82,43 @@ run_case() {
   done
 }
 
+# run_budget_case NAME RAW FLAGS...: publishes RAW with frt_stream under
+# FLAGS, requires exit 3 (something refused or evicted on budget), and
+# compares the release and summary lines with $DATA/NAME{.csv,_summary.txt}.
+run_budget_case() {
+  local name="$1" raw="$2" status file
+  shift 2
+  "$STREAM" --input "$raw" --output "$WORK/$name.csv" --shards 2 --m 3 \
+    --seed 7 "$@" 2> "$WORK/$name.log"
+  status=$?
+  [[ $status -eq 3 ]] \
+    || fail "frt_stream $* on $raw exited $status, want 3: $(cat "$WORK/$name.log")"
+  sed -n -e 's/^stream done in [0-9.]*s: /stream done: /p' \
+    -e '/^per-object accounting: /p' -e '/^budget exhausted: /p' \
+    -e 's/^\[WARN [^]]*\] //p' "$WORK/$name.log" > "$WORK/${name}_summary.txt"
+  if [[ -n "$REGEN_DIR" ]]; then
+    cp "$WORK/$name.csv" "$WORK/${name}_summary.txt" "$REGEN_DIR/"
+  fi
+  for file in "$name.csv" "${name}_summary.txt"; do
+    [[ -s "$WORK/$file" ]] || fail "$file: empty release or no summary"
+    if ! cmp "$WORK/$file" "$DATA/$file"; then
+      diff "$DATA/$file" "$WORK/$file" | head -20 >&2
+      fail "$file differs from tests/data/$file"
+    fi
+    echo "ok: $file ($(wc -l < "$WORK/$file") lines)"
+  done
+}
+
+# 28 trajectories whose ids recur: windows of 5 hold each id at most once,
+# and ids 0-2 come back until they exhaust a per-object budget of 2.
+awk 'BEGIN { n = split("0 1 2 3 4 0 1 5 6 7 0 1 2 8 9 0 1 2 5 6 0 1 2 3 4 0 1 2", ids, " "); for (k = 1; k <= n; ++k) { x = 200 + k * 137; y = 300 + k * 251; t = 1000 + k * 2000; for (j = 0; j < 20; ++j) { printf "%d,%.1f,%.1f,%d\n", ids[k], x, y, t; x += 40; y += 30; t += 60 } } }' \
+  > "$WORK/recur.csv"
+
 run_case golden_ "$WORK/raw.csv"
 run_case golden_bent_ "$DATA/bent_raw.csv"
+run_budget_case golden_budget_stream "$WORK/raw.csv" --window 2 --budget 3
+run_budget_case golden_object_budget_stream "$WORK/recur.csv" --window 5 \
+  --per-object-budget 2 --evict-exhausted
 [[ -n "$REGEN_DIR" ]] && echo "regenerated goldens in $REGEN_DIR"
 
 echo "PASS: the releases and their audits match the goldens"

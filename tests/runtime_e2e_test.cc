@@ -130,7 +130,7 @@ TEST_F(RuntimeE2ETest, BatchRunnerMatchesConcatenatedShardOutputs) {
 
   // Epsilon accounting is identical to the single-shot run.
   EXPECT_DOUBLE_EQ(runner.report().epsilon_spent, 1.0);
-  EXPECT_DOUBLE_EQ(runner.accountant().spent(), 1.0);
+  EXPECT_DOUBLE_EQ(runner.report().combined.epsilon_spent, 1.0);
 }
 
 TEST_F(RuntimeE2ETest, BatchDeterminismAcrossRuns) {

@@ -7,7 +7,7 @@
 //
 // Why this holds by construction: a FeedSession derives its RNG stream
 // from (master seed, feed id, generation) and forks per window in close
-// order, its accountants are private, and windows of one feed execute
+// order, its ledger is private, and windows of one feed execute
 // strictly sequentially — so nothing a hog feed does (exhaust budgets,
 // hold workers busy, interleave arrivals) can reach another feed's
 // bytes. This suite is the regression lock on that argument.

@@ -329,7 +329,7 @@ TEST(ServiceTest, PerObjectBudgetAloneSelectsThePerObjectLedger) {
   EXPECT_NEAR(stream.epsilon_spent, 1.0, 1e-9);  // max per-object spend
   const FeedSession* session = service.session("taxi");
   ASSERT_NE(session, nullptr);
-  EXPECT_TRUE(session->object_accountant().enforcing());
+  EXPECT_TRUE(session->ledger().enforcing());
 }
 
 TEST(ServiceTest, StartRefusesContradictoryBudgets) {

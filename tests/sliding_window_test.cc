@@ -147,7 +147,7 @@ TEST(SlidingWindowTest, PerObjectPublishesStrictlyMoreWindowsThanWholesale) {
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
     *capture = std::move(result.published);
     *report = result.report;
-    *max_object_eps = result.object_accountant.max_spent();
+    *max_object_eps = result.ledger.max_spent();
   };
 
   frt::testing::ServiceCapture::Feed wholesale_capture, per_object_capture;
@@ -208,7 +208,7 @@ TEST(SlidingWindowTest, EvictExhaustedDropsOnlyTheExhaustedObject) {
     *capture = std::move(result.published);
     *report = result.report;
     // Whatever the mode, object 0 never exceeds its budget.
-    EXPECT_LE(result.object_accountant.spent(0), kBudget + 1e-9) << label;
+    EXPECT_LE(result.ledger.spent(0), kBudget + 1e-9) << label;
   };
 
   frt::testing::ServiceCapture::Feed refusing_capture, evicting_capture;
@@ -260,10 +260,10 @@ TEST(SlidingWindowTest, SlidingWindowsChargePerAppearance) {
     for (const TrajId id : window) tally[id] += 1.0;
   }
   for (const auto& [id, spent] : tally) {
-    EXPECT_NEAR(run.object_accountant.spent(id), spent, 1e-9)
+    EXPECT_NEAR(run.ledger.spent(id), spent, 1e-9)
         << "object " << id;
   }
-  EXPECT_NEAR(run.object_accountant.max_spent(), 2.0, 1e-9);
+  EXPECT_NEAR(run.ledger.max_spent(), 2.0, 1e-9);
   EXPECT_EQ(run.report.windows_refused, 0u);
 }
 

@@ -60,12 +60,16 @@ TEST(StreamE2ETest, TenThousandTrajectoriesWindowed) {
   }
   EXPECT_EQ(emptied, 0u);
 
-  // The ledger sums eps_G + eps_L per window, sequentially.
+  // The ledger sums eps_G + eps_L per window, sequentially: each of the
+  // 10 windows charged the one feed-wide key once.
   EXPECT_NEAR(report.epsilon_spent, 10.0, 1e-9);
-  EXPECT_EQ(run.accountant.ledger().size(), 10u);
+  EXPECT_EQ(run.ledger.tracked_objects(), 1u);
+  EXPECT_NEAR(run.ledger.spent(FeedSession::kFeedWideObject), 10.0, 1e-9);
   ASSERT_EQ(run.published.reports.size(), 10u);
-  for (const auto& w : run.published.reports) {
+  for (size_t i = 0; i < run.published.reports.size(); ++i) {
+    const WindowReport& w = run.published.reports[i];
     EXPECT_NEAR(w.epsilon_spent, 1.0, 1e-9);
+    EXPECT_NEAR(w.epsilon_total, static_cast<double>(i + 1), 1e-9);
     EXPECT_EQ(w.trajectories, 1000u);
     EXPECT_EQ(w.batch.shards_run, 4);
   }
@@ -85,7 +89,7 @@ TEST(StreamE2ETest, BudgetExhaustionRefusesLaterWindows) {
   EXPECT_EQ(report.trajectories_published, 200u);
   EXPECT_EQ(report.trajectories_refused, 300u);
   EXPECT_NEAR(report.epsilon_spent, 2.0, 1e-9);
-  EXPECT_NEAR(run.accountant.remaining(), 0.5, 1e-9);
+  EXPECT_NEAR(run.ledger.remaining(FeedSession::kFeedWideObject), 0.5, 1e-9);
   // Only the first two windows' trajectories were published.
   ASSERT_EQ(run.published.ids.size(), 200u);
   EXPECT_EQ(run.published.ids.front(), 0);
@@ -118,7 +122,7 @@ TEST(StreamE2ETest, ExactBudgetPublishesEveryWindow) {
   ASSERT_TRUE(run.status.ok()) << run.status.ToString();
   EXPECT_EQ(run.report.windows_published, 3u);
   EXPECT_EQ(run.report.windows_refused, 0u);
-  EXPECT_NEAR(run.accountant.remaining(), 0.0, 1e-9);
+  EXPECT_NEAR(run.ledger.remaining(FeedSession::kFeedWideObject), 0.0, 1e-9);
 }
 
 TEST(StreamE2ETest, DeterministicAcrossThreadCountsAndRepeats) {

@@ -168,10 +168,9 @@ struct OneFeedRun {
   StreamReport report;
   bool quarantined = false;
   std::string quarantine_reason;
-  /// The feed's ledgers after the run; default-constructed when its
-  /// session was retired (quarantine).
-  PrivacyAccountant accountant;
-  ObjectBudgetAccountant object_accountant;
+  /// The feed's ledger after the run (FeedSession::ledger());
+  /// default-constructed when its session was retired (quarantine).
+  ObjectBudgetAccountant ledger;
   ServiceCapture::Feed published;
 };
 
@@ -192,8 +191,7 @@ inline OneFeedRun RunOneFeed(const ServiceConfig& config, std::istream& in,
     run.quarantine_reason = feed.quarantine_reason;
   }
   if (const FeedSession* session = service.session("stream")) {
-    run.accountant = session->accountant();
-    run.object_accountant = session->object_accountant();
+    run.ledger = session->ledger();
   }
   run.published = std::move(capture.feeds["stream"]);
   return run;

@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
   frt::cli::StartTracing(args.common.obs);
 
   const bool per_object = config.stream.per_object();
-  const double budget = per_object ? config.stream.per_object_budget
-                                   : config.stream.total_budget;
+  const double budget = config.stream.budget();
   const std::string budget_note =
       budget > 0.0 ? " of " + std::to_string(budget) : "";
   bool wrote_header = false;
@@ -171,7 +170,7 @@ int main(int argc, char** argv) {
                  "tracked, %zu evicted from windows)\n",
                  stream.epsilon_spent, stream.epsilon_wholesale_equivalent,
                  session != nullptr
-                     ? session->object_accountant().tracked_objects()
+                     ? session->ledger().tracked_objects()
                      : size_t{0},
                  stream.trajectories_evicted);
   }
