@@ -1,8 +1,9 @@
-// Small string helpers shared by CSV I/O and bench table printers.
+// Small string helpers shared by CSV I/O, bench table printers and hashing.
 
 #ifndef FRT_COMMON_STRINGS_H_
 #define FRT_COMMON_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -32,6 +33,18 @@ Result<int64_t> ParseInt64(std::string_view s);
 
 /// True when `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// \brief FNV-1a 64 from offset basis 1469598103934665603, one digit short
+/// of the published one, so not the reference values. Pinned: it seeds
+/// feed RNG streams (FeedStreamSeed) and checksums checkpoints.
+inline uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -40,6 +40,8 @@
 #define FRT_OBS_REGISTRY_H_
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -148,17 +150,28 @@ class Registry {
 
 /// Single-writer publication point for an arbitrary snapshot object; any
 /// number of readers. The only critical section is one shared_ptr
-/// assignment — never held across I/O or allocation of the snapshot
+/// assignment and version bump — never I/O or allocation of the snapshot
 /// itself — so a wedged reader (a slow admin scrape) can never block the
 /// publisher (the dispatcher), and a reader always sees a complete,
-/// immutable snapshot. This is the TSan-clean equivalent of a seqlock
-/// over non-trivially-copyable data.
+/// immutable snapshot: the TSan-clean equivalent of a seqlock over
+/// non-trivially-copyable data. WaitNewer serves a reader that must see
+/// every snapshot (the metrics exporter) without polling.
 template <typename T>
 class SnapshotBoard {
  public:
+  /// A snapshot and its version: the count of Publish calls so far.
+  struct Versioned {
+    std::shared_ptr<const T> snapshot;
+    uint64_t version = 0;
+  };
+
   void Publish(std::shared_ptr<const T> snapshot) {
-    std::lock_guard<std::mutex> lock(mu_);
-    latest_ = std::move(snapshot);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      latest_ = std::move(snapshot);
+      ++version_;
+    }
+    newer_.notify_all();
   }
 
   /// Latest published snapshot; nullptr before the first Publish.
@@ -167,9 +180,33 @@ class SnapshotBoard {
     return latest_;
   }
 
+  /// \brief Returns the latest once its version is not `seen`, `deadline`
+  /// passed, or `stop()` holds (make it true through Notify).
+  template <typename Clock, typename Duration, typename Stop>
+  Versioned WaitNewer(uint64_t seen,
+                      std::chrono::time_point<Clock, Duration> deadline,
+                      Stop stop) const {
+    std::unique_lock<std::mutex> lock(mu_);
+    newer_.wait_until(lock, deadline,
+                      [&] { return version_ != seen || stop(); });
+    return {latest_, version_};
+  }
+
+  /// Runs `change` (making a `stop` true) under the lock, then wakes all.
+  template <typename Change>
+  void Notify(Change change) const {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      change();
+    }
+    newer_.notify_all();
+  }
+
  private:
   mutable std::mutex mu_;
+  mutable std::condition_variable newer_;
   std::shared_ptr<const T> latest_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace frt::obs

@@ -25,15 +25,6 @@ constexpr char kMagic[] = "frt-checkpoint";
 constexpr int kVersion = 1;
 constexpr char kSnapshotFile[] = "budget_ledgers.ckpt";
 
-uint64_t Fnv1a64(std::string_view bytes) {
-  uint64_t h = 1469598103934665603ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// %.17g survives a text round trip bit-exactly for every finite double.
 std::string FormatDouble(double v) { return StrFormat("%.17g", v); }
 

@@ -44,8 +44,7 @@ ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
   if (config_.max_backlog_windows == 0) {
     config_.max_backlog_windows = 4 * config_.max_in_flight;
   }
-  metrics_interval_ms_.store(std::max<int64_t>(config_.metrics_interval_ms, 1),
-                             std::memory_order_relaxed);
+  SetMetricsIntervalMs(config_.metrics_interval_ms);
   if (config_.registry == nullptr) {
     owned_registry_ = std::make_unique<obs::Registry>();
     config_.registry = owned_registry_.get();
@@ -605,10 +604,12 @@ void ServiceDispatcher::MaybeCheckpoint(SteadyClock::time_point now) {
 
 void ServiceDispatcher::MaybePublishMetrics(SteadyClock::time_point now) {
   // The board must tick even with nobody pulling from it yet: /healthz
-  // staleness detection and /feedz read it.
-  if (now - last_metrics_ <
-      std::chrono::milliseconds(
-          metrics_interval_ms_.load(std::memory_order_relaxed))) {
+  // staleness detection and /feedz read it. A retune publishes at once,
+  // or a lengthened interval would read as stale before the next tick.
+  const int64_t interval =
+      metrics_interval_ms_.load(std::memory_order_relaxed);
+  if (interval == last_metrics_interval_ms_ &&
+      now - last_metrics_ < std::chrono::milliseconds(interval)) {
     return;
   }
   PublishMetricsNow(now);
@@ -621,6 +622,8 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
                      now - started_at_)
                      .count();
   s->published_at = now;
+  s->metrics_interval_ms =
+      metrics_interval_ms_.load(std::memory_order_relaxed);
   s->finished = final_tick_;
   s->aborted = aborted_;
   s->feeds = feed_order_.size();
@@ -685,8 +688,9 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
   g_feeds_->Set(static_cast<double>(s->feeds));
   g_eps_spent_max_->Set(s->epsilon_spent_max);
   if (final_tick_) report_ = s;
-  snapshots_.Publish(std::move(s));
   last_metrics_ = now;
+  last_metrics_interval_ms_ = s->metrics_interval_ms;
+  snapshots_.Publish(std::move(s));
 }
 
 void ServiceDispatcher::DispatcherLoop() {
@@ -718,8 +722,7 @@ void ServiceDispatcher::DispatcherLoop() {
     // top may be stale (its deadline moved later), which only costs one
     // spurious wakeup that pops and re-arms it.
     SteadyClock::time_point wake =
-        last_metrics_ + std::chrono::milliseconds(metrics_interval_ms_.load(
-                            std::memory_order_relaxed));
+        last_metrics_ + std::chrono::milliseconds(last_metrics_interval_ms_);
     if (!input_done && !aborted_) {
       if (!stopping_ && !deadlines_.empty()) {
         wake = std::min(wake, deadlines_.top().when);

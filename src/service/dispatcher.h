@@ -116,6 +116,9 @@
 
 namespace frt {
 
+/// Longest snapshot cadence (a day): a longer one would overflow deadlines.
+inline constexpr int64_t kMaxMetricsIntervalMs = 24 * 60 * 60 * 1000;
+
 /// Configuration of the multi-feed service.
 struct ServiceConfig {
   /// Per-feed streaming behavior: window geometry, budgets/accounting,
@@ -229,11 +232,18 @@ class ServiceDispatcher {
     return snapshots_.Read();
   }
 
-  /// \brief Retunes the snapshot cadence at runtime (admin /control).
-  /// Thread-safe; takes effect at the next dispatcher wakeup.
+  /// The board Introspect() reads (the metrics exporter waits on it).
+  const obs::SnapshotBoard<ServiceSnapshot>& snapshots() const {
+    return snapshots_;
+  }
+
+  /// \brief Retunes the one metrics clock (admin /control; thread-safe):
+  /// the dispatcher wakes and publishes under the new interval at once.
   void SetMetricsIntervalMs(int64_t ms) {
-    metrics_interval_ms_.store(std::max<int64_t>(ms, 1),
-                               std::memory_order_relaxed);
+    metrics_interval_ms_.store(
+        std::clamp<int64_t>(ms, 1, kMaxMetricsIntervalMs),
+        std::memory_order_relaxed);
+    if (started_) inbox_->Wake();
   }
 
  private:
@@ -356,7 +366,7 @@ class ServiceDispatcher {
   Status WriteCheckpointNow();
   /// Interval snapshot for dirty ledgers with no publish to ride on.
   void MaybeCheckpoint(std::chrono::steady_clock::time_point now);
-  /// Publishes a ServiceSnapshot when the metrics interval elapsed.
+  /// Publishes a ServiceSnapshot when the interval elapsed or was retuned.
   void MaybePublishMetrics(std::chrono::steady_clock::time_point now);
   void PublishMetricsNow(std::chrono::steady_clock::time_point now);
   /// Records a fatal error once and stops admitting new work.
@@ -417,6 +427,8 @@ class ServiceDispatcher {
   std::chrono::steady_clock::time_point started_at_{};
   std::chrono::steady_clock::time_point last_checkpoint_{};
   std::chrono::steady_clock::time_point last_metrics_{};
+  /// The interval the board's latest snapshot carries.
+  int64_t last_metrics_interval_ms_ = 0;
   uint64_t metrics_seq_ = 0;
   /// The final tick's snapshot once the loop exited (see report()).
   std::shared_ptr<const ServiceSnapshot> report_ =

@@ -48,6 +48,7 @@
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "dp/object_accountant.h"
 #include "stream/stream_types.h"
 #include "stream/window_assembler.h"
@@ -61,13 +62,8 @@ namespace frt {
 /// of the solo-vs-multiplexed bit-identity guarantee.
 inline uint64_t FeedStreamSeed(uint64_t master_seed, const std::string& feed,
                                uint64_t generation) {
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a 64 over the feed id
-  for (const char c : feed) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
   uint64_t s = master_seed;
-  uint64_t mixed = SplitMix64(s) ^ h;
+  uint64_t mixed = SplitMix64(s) ^ Fnv1a64(feed);
   mixed += generation * 0x9e3779b97f4a7c15ULL;
   return SplitMix64(mixed);
 }

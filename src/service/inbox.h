@@ -79,6 +79,16 @@ class DispatcherInbox {
     if (wake) wake_.notify_one();
   }
 
+  /// Ends the consumer's current (or next) Wait() as if `wake` passed
+  /// (a snapshot-cadence retune).
+  void Wake() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      woken_ = true;
+    }
+    wake_.notify_one();
+  }
+
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -90,15 +100,15 @@ class DispatcherInbox {
 
   /// \brief Blocks until a finished job is queued, or — with
   /// `take_arrivals` — an arrival is queued or the lane is closed, or until
-  /// `wake`. Appends every finished job to `*finished`, then, with
-  /// `take_arrivals`, pops at most one arrival into `*arrival`.
+  /// `wake` or a Wake(). Appends every finished job to `*finished`, then,
+  /// with `take_arrivals`, pops at most one arrival into `*arrival`.
   template <typename Clock, typename Duration>
   InboxTake Wait(std::chrono::time_point<Clock, Duration> wake,
                  bool take_arrivals, std::vector<Done>* finished,
                  Arrival* arrival) {
     std::unique_lock<std::mutex> lock(mu_);
     const auto ready = [&] {
-      return !finished_.empty() ||
+      return woken_ || !finished_.empty() ||
              (take_arrivals && (!arrivals_.empty() || closed_));
     };
     if (!ready()) {
@@ -106,6 +116,7 @@ class DispatcherInbox {
       wake_.wait_until(lock, wake, ready);
       waiting_ = Waiting::kNo;
     }
+    woken_ = false;
     for (Done& done : finished_) finished->push_back(std::move(done));
     finished_.clear();
     if (!take_arrivals) return InboxTake::kNone;
@@ -136,6 +147,7 @@ class DispatcherInbox {
   std::deque<Arrival> arrivals_;
   std::vector<Done> finished_;
   Waiting waiting_ = Waiting::kNo;
+  bool woken_ = false;  ///< a Wake() the consumer has not returned for
   bool closed_ = false;
 };
 

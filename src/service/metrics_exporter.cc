@@ -20,11 +20,9 @@ int64_t UnixMillis() {
 
 }  // namespace
 
-MetricsExporter::MetricsExporter(Options options, SnapshotSource source)
-    : options_(std::move(options)), source_(std::move(source)) {
-  if (options_.interval_ms < 1) options_.interval_ms = 1;
-  interval_ms_.store(options_.interval_ms, std::memory_order_relaxed);
-}
+MetricsExporter::MetricsExporter(
+    Options options, const obs::SnapshotBoard<ServiceSnapshot>& board)
+    : options_(std::move(options)), board_(board) {}
 
 MetricsExporter::~MetricsExporter() { Stop(); }
 
@@ -47,76 +45,40 @@ Status MetricsExporter::Start() {
     owns_out_ = true;
   }
   started_ = true;
-  stop_ = false;
+  stop_.store(false);
   thread_ = std::thread([this] { Loop(); });
   return Status::OK();
 }
 
 void MetricsExporter::Stop() {
   if (!started_) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
+  board_.Notify([this] { stop_.store(true); });
   thread_.join();
   started_ = false;
-  // Final flush: the loop never emits on the stop wakeup, so the last
-  // partial interval is written here, after the join, from whatever the
-  // source holds now — after Finish(), the dispatcher's final snapshot.
-  EmitLatest();
   if (owns_out_ && out_ != nullptr) std::fclose(out_);
   out_ = nullptr;
 }
 
-void MetricsExporter::SetIntervalMs(int64_t ms) {
-  {
-    // Under mu_ so the generation bump cannot slip between the loop's
-    // predicate check and its wait (a lost wake-up).
-    std::lock_guard<std::mutex> lock(mu_);
-    interval_ms_.store(std::max<int64_t>(ms, 1), std::memory_order_relaxed);
-    ++interval_generation_;
-  }
-  cv_.notify_all();
-}
-
-size_t MetricsExporter::waits_begun() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return waits_begun_;
-}
-
-size_t MetricsExporter::lines_written() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lines_written_;
-}
-
 void MetricsExporter::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
+  auto wake = std::chrono::steady_clock::time_point::max();
   for (;;) {
-    // Re-read every iteration: /control may retune the cadence mid-run.
-    // A retune wakes the wait and restarts it with the new interval.
-    const auto interval = std::chrono::milliseconds(
-        interval_ms_.load(std::memory_order_relaxed));
-    const uint64_t generation = interval_generation_;
-    ++waits_begun_;
-    const bool woken = cv_.wait_for(lock, interval, [&] {
-      return stop_ || interval_generation_ != generation;
-    });
-    if (stop_) return;  // the final line is emitted by Stop(), post-join
-    if (woken) continue;  // retuned: wait out the new interval instead
-    // Pull and write outside the lock: a slow disk never blocks a
-    // retune or Stop().
-    lock.unlock();
-    EmitLatest();
-    lock.lock();
+    const auto latest = board_.WaitNewer(written_version_, wake,
+                                         [this] { return stop_.load(); });
+    // Stopping, the final snapshot is still written on the way out.
+    const bool unwritten = latest.version != written_version_;
+    if (!unwritten && stop_.load()) return;
+    const ServiceSnapshot& s = *latest.snapshot;
+    const auto now = std::chrono::steady_clock::now();
+    if (unwritten || now > StaleAfter(s)) Emit(s);  // stale: seq repeats
+    written_version_ = latest.version;
+    // Wake when it turns stale, then once per interval while it stays so.
+    wake = std::max(StaleAfter(s),
+                    now + std::chrono::milliseconds(s.metrics_interval_ms));
   }
 }
 
-void MetricsExporter::EmitLatest() {
+void MetricsExporter::Emit(const ServiceSnapshot& s) {
   if (!writable_) return;
-  const std::shared_ptr<const ServiceSnapshot> snapshot = source_();
-  if (snapshot == nullptr) return;
-  const ServiceSnapshot& s = *snapshot;
   const int64_t ts = UnixMillis();
   // Delta throughput between consecutive snapshots; 0 until two distinct
   // uptimes have been seen.
@@ -180,8 +142,7 @@ void MetricsExporter::EmitLatest() {
     writable_ = false;
     return;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++lines_written_;
+  lines_written_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace frt

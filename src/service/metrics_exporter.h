@@ -1,15 +1,14 @@
-// Interval metrics exporter for the serving layer.
+// Metrics exporter for the serving layer: one line set per snapshot.
 //
-// Follows the LDMS sampler / storage-policy split, pull style: the
-// dispatcher thread SAMPLES — it publishes one immutable ServiceSnapshot
-// per tick to its SnapshotBoard and knows nothing about exporters — and a
-// dedicated exporter thread STORES: every interval it pulls the latest
-// snapshot from a SnapshotSource (normally ServiceDispatcher::Introspect),
-// formats it as machine-readable key=value lines, and appends them to a
-// file or stderr. A slow disk therefore never backpressures the
-// dispatcher, and a wedged dispatcher is still visible (the board keeps
-// returning the last snapshot, re-emitted with a fresh timestamp, so
-// consumers can alert on a stale `seq`).
+// LDMS sampler / storage-policy split: the dispatcher thread SAMPLES — it
+// publishes one immutable ServiceSnapshot per tick to its SnapshotBoard —
+// and the exporter thread STORES: it waits on the board and appends one
+// key=value line set per snapshot to a file or stderr, so a slow disk
+// never backpressures the dispatcher. The dispatcher's tick is the only
+// metrics clock, so `seq` strictly increases down the file. It repeats,
+// with a fresh `ts_ms`, only while the board is stale by StaleAfter
+// (service_snapshot.h), the rule /healthz answers 503 by: the dispatcher
+// has wedged, and the exporter re-emits once per interval.
 //
 // Line format (stable, parse-with-awk friendly; one record per line):
 //
@@ -43,42 +42,35 @@
 #define FRT_SERVICE_METRICS_EXPORTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 
 #include "common/result.h"
+#include "obs/registry.h"
 #include "service/service_snapshot.h"
 
 namespace frt {
 
-/// Where the exporter pulls snapshots from; nullptr = nothing published
-/// yet. Must be callable from the exporter thread.
-using SnapshotSource = std::function<std::shared_ptr<const ServiceSnapshot>()>;
-
-/// \brief Interval exporter thread (see file comment). Start() spawns it,
-/// Stop() joins it and flushes a final line.
+/// \brief Exporter thread (see file comment). Start() spawns it, Stop()
+/// joins it.
 class MetricsExporter {
  public:
   struct Options {
     /// Output: a file path (appended, created if missing) or "-" for
     /// stderr.
     std::string path;
-    /// Emission interval.
-    int64_t interval_ms = 1000;
-    /// Also emit one `frt_feed` line per feed each interval. Off by
+    /// Also emit one `frt_feed` line per feed per snapshot. Off by
     /// default: with tens of thousands of feeds the per-feed lines
     /// dominate the file.
     bool per_feed = false;
   };
 
-  MetricsExporter(Options options, SnapshotSource source);
+  /// `board` (ServiceDispatcher::snapshots()) must outlive the exporter.
+  MetricsExporter(Options options,
+                  const obs::SnapshotBoard<ServiceSnapshot>& board);
   ~MetricsExporter();
 
   MetricsExporter(const MetricsExporter&) = delete;
@@ -87,53 +79,35 @@ class MetricsExporter {
   /// \brief Opens the output and spawns the exporter thread.
   Status Start();
 
-  /// \brief Joins the exporter thread, then synchronously emits one final
-  /// line set for the source's latest snapshot. Called after
+  /// \brief Stops the exporter thread, which first writes the board's
+  /// latest snapshot unless it already has. Called after
   /// ServiceDispatcher::Finish(), that is the final board snapshot — the
   /// very object a shutdown /feedz scrape renders — so the file ends with
-  /// the end-of-run state even when it landed mid-interval. Idempotent.
+  /// the end-of-run state, once. Idempotent.
   void Stop();
 
-  /// Milliseconds between emitted lines.
-  int64_t interval_ms() const {
-    return interval_ms_.load(std::memory_order_relaxed);
+  /// Line sets written so far (tests).
+  size_t lines_written() const {
+    return lines_written_.load(std::memory_order_relaxed);
   }
-
-  /// \brief Changes the emission interval at runtime (admin /control).
-  /// Cuts the wait in progress short: the next line comes one new
-  /// interval after the retune, not at the old deadline.
-  void SetIntervalMs(int64_t ms);
-
-  /// Lines written so far (tests).
-  size_t lines_written() const;
-
-  /// Interval waits the exporter thread has entered (tests: once this is
-  /// positive, the thread is asleep on — or past — its first interval).
-  size_t waits_begun() const;
 
  private:
   void Loop();
-  /// Pulls the latest snapshot and appends one line set for it (nothing
-  /// before the first snapshot or after a write error). A write error is
-  /// reported once to stderr; the exporter then stops writing but never
-  /// takes the service down — metrics are diagnostics, not data. Never
-  /// called with mu_ held.
-  void EmitLatest();
+  /// Appends one line set for `s` (nothing after a write error). A write
+  /// error is reported once to stderr; the exporter then stops writing
+  /// but never takes the service down — metrics are diagnostics, not
+  /// data.
+  void Emit(const ServiceSnapshot& s);
 
   Options options_;
-  SnapshotSource source_;
-  std::atomic<int64_t> interval_ms_{1000};
+  const obs::SnapshotBoard<ServiceSnapshot>& board_;
   std::FILE* out_ = nullptr;
   bool owns_out_ = false;
+  std::atomic<bool> stop_{false};
+  std::atomic<size_t> lines_written_{0};
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  uint64_t interval_generation_ = 0;  ///< bumped by SetIntervalMs
-  size_t waits_begun_ = 0;
-  size_t lines_written_ = 0;
-
-  // Exporter-thread state (Stop() touches it only after the join).
+  // Exporter-thread state.
+  uint64_t written_version_ = 0;  ///< the board version last handled
   bool writable_ = true;  ///< cleared after the first write error
   bool have_prev_ = false;
   size_t prev_published_ = 0;

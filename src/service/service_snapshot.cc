@@ -1,9 +1,17 @@
 #include "service/service_snapshot.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "obs/admin_server.h"
 
 namespace frt {
+
+std::chrono::steady_clock::time_point StaleAfter(const ServiceSnapshot& s) {
+  if (s.finished) return std::chrono::steady_clock::time_point::max();
+  return s.published_at + std::chrono::milliseconds(std::max<int64_t>(
+                              5 * s.metrics_interval_ms, 5000));
+}
 
 std::string RenderFeedz(const ServiceSnapshot& s) {
   std::string out = StrFormat(

@@ -4,9 +4,9 @@
 // start and shutdown) and publishes it through an obs::SnapshotBoard.
 // Every point-in-time rendering reads that board: the metrics exporter's
 // `frt_metrics`/`frt_feed`/`frt_stage` lines, the admin plane's /feedz
-// (RenderFeedz below) and /healthz /readyz. The snapshot of the final tick
-// is also the end-of-run report (ServiceDispatcher::report()) the CLIs
-// print. Every value has one owner: service-wide totals are the
+// (RenderFeedz below) and /healthz /readyz (StaleAfter). The snapshot of
+// the final tick is also the end-of-run report (ServiceDispatcher::report())
+// the CLIs print. Every value has one owner: service-wide totals are the
 // dispatcher's registry counters and stage-latency cells (what /metrics
 // scrapes), and per-feed values are the feed slot's StreamReport.
 
@@ -58,6 +58,8 @@ struct ServiceSnapshot {
   int64_t uptime_ms = 0;
   /// When this view was built (steady clock) — readers derive staleness.
   std::chrono::steady_clock::time_point published_at{};
+  /// The tick cadence in force (metrics_interval_ms, as last retuned).
+  int64_t metrics_interval_ms = 1000;
   /// The dispatcher loop has exited (final view).
   bool finished = false;
   /// The run hit a fatal error (error surfaces through Finish()).
@@ -135,6 +137,12 @@ struct ServiceSnapshot {
 inline bool ServiceHadRefusals(const ServiceSnapshot& snapshot) {
   return snapshot.windows_refused > 0 || snapshot.trajectories_evicted > 0;
 }
+
+/// \brief The one staleness rule (/healthz, /readyz, the metrics exporter):
+/// `snapshot` is stale past published_at + max(5 x metrics_interval_ms,
+/// 5 s), a dispatcher that stopped ticking, and never once finished.
+std::chrono::steady_clock::time_point StaleAfter(
+    const ServiceSnapshot& snapshot);
 
 /// \brief /feedz JSON body. The epsilon fields are strings with the exact
 /// `frt_feed` line formats (eps_spent %.6f, eps_remaining %g), so a scrape

@@ -3,7 +3,8 @@
 // truncated snapshots, atomic CheckpointStore persistence, in-process
 // crash/recover through ServiceDispatcher (the conservative-carry
 // invariant: recovery can only under-grant, never over-grant), and the
-// interval metrics exporter.
+// metrics exporter (one line set per published snapshot, re-emission
+// only when the board is stale).
 
 #include "service/checkpoint.h"
 
@@ -11,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -456,27 +458,48 @@ TEST(CheckpointRecoveryTest, StartRefusesCorruptSnapshot) {
 // Metrics exporter.
 
 /// Stands in for the dispatcher: a snapshot board the test publishes into
-/// and the exporter pulls from.
-struct FakeSnapshotSource {
+/// and the exporter waits on. Publish stamps each snapshot as just built,
+/// so it is fresh by StaleAfter.
+struct FakeBoard {
   obs::SnapshotBoard<ServiceSnapshot> board;
 
-  void Publish(const ServiceSnapshot& snapshot) {
-    board.Publish(std::make_shared<ServiceSnapshot>(snapshot));
-  }
-  SnapshotSource source() {
-    return [this] { return board.Read(); };
+  void Publish(ServiceSnapshot snapshot) {
+    snapshot.published_at = std::chrono::steady_clock::now();
+    board.Publish(std::make_shared<ServiceSnapshot>(std::move(snapshot)));
   }
 };
+
+/// The seq of every frt_metrics line of `log`, in file order.
+std::vector<uint64_t> MetricsSeqs(const std::string& log) {
+  std::vector<uint64_t> seqs;
+  std::istringstream in(log);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("frt_metrics ", 0) != 0) continue;
+    const size_t at = line.find(" seq=");
+    seqs.push_back(std::stoull(line.substr(at + 5)));
+  }
+  return seqs;
+}
+
+/// Waits (bounded) until `exporter` has written `n` line sets.
+bool WaitForLines(const MetricsExporter& exporter, size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (exporter.lines_written() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
 
 TEST(MetricsExporterTest, EmitsMachineReadableLines) {
   const StateDir dir;
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
-  options.interval_ms = 10;
   options.per_feed = true;
-  FakeSnapshotSource fake;
-  MetricsExporter exporter(options, fake.source());
+  FakeBoard fake;
+  MetricsExporter exporter(options, fake.board);
   ASSERT_TRUE(exporter.Start().ok());
 
   ServiceSnapshot snapshot;
@@ -496,10 +519,10 @@ TEST(MetricsExporterTest, EmitsMachineReadableLines) {
   snapshot.feeds_detail.push_back(feed);
   fake.Publish(snapshot);
 
-  // The exporter re-emits on every interval even without new snapshots.
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  // The exporter thread writes the snapshot as soon as it is published.
+  ASSERT_TRUE(WaitForLines(exporter, 1));
   exporter.Stop();
-  EXPECT_GE(exporter.lines_written(), 1u);
+  EXPECT_EQ(exporter.lines_written(), 1u);
 
   const std::string log = ReadFile(path);
   EXPECT_NE(log.find("frt_metrics "), std::string::npos);
@@ -513,14 +536,76 @@ TEST(MetricsExporterTest, EmitsMachineReadableLines) {
   EXPECT_NE(log.find("eps_remaining=7.2"), std::string::npos);
 }
 
+TEST(MetricsExporterTest, WritesEachPublishedSnapshotOnce) {
+  // One clock: K snapshots published, K line sets written, seq strictly
+  // increasing. A fresh board is never re-emitted, and Stop() after the
+  // thread wrote the last snapshot adds nothing.
+  const StateDir dir;
+  const std::string path = dir.path() + "/metrics.log";
+  MetricsExporter::Options options;
+  options.path = path;
+  FakeBoard fake;
+  MetricsExporter exporter(options, fake.board);
+  ASSERT_TRUE(exporter.Start().ok());
+  constexpr size_t kSnapshots = 20;
+  for (size_t k = 1; k <= kSnapshots; ++k) {
+    ServiceSnapshot snapshot;
+    snapshot.seq = 100 + k;
+    snapshot.metrics_interval_ms = 1;
+    fake.Publish(snapshot);
+    ASSERT_TRUE(WaitForLines(exporter, k)) << k;
+  }
+  // Many 1 ms intervals pass with the board fresh: no line.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(exporter.lines_written(), kSnapshots);
+  exporter.Stop();
+  EXPECT_EQ(exporter.lines_written(), kSnapshots);
+  const std::vector<uint64_t> seqs = MetricsSeqs(ReadFile(path));
+  ASSERT_EQ(seqs.size(), kSnapshots);
+  for (size_t i = 0; i < seqs.size(); ++i) EXPECT_EQ(seqs[i], 101 + i);
+}
+
+TEST(MetricsExporterTest, ReEmitsOnlyAStaleBoard) {
+  // A snapshot published 6 s ago under a 1 ms cadence is past
+  // max(5 x 1 ms, 5 s): the dispatcher is wedged, and the exporter
+  // repeats its seq once per interval, as /healthz turns 503.
+  const StateDir dir;
+  const std::string path = dir.path() + "/metrics.log";
+  MetricsExporter::Options options;
+  options.path = path;
+  FakeBoard fake;
+  MetricsExporter exporter(options, fake.board);
+  ASSERT_TRUE(exporter.Start().ok());
+  auto wedged = std::make_shared<ServiceSnapshot>();
+  wedged->seq = 4;
+  wedged->metrics_interval_ms = 1;
+  wedged->published_at =
+      std::chrono::steady_clock::now() - std::chrono::seconds(6);
+  ASSERT_GT(std::chrono::steady_clock::now(), StaleAfter(*wedged));
+  fake.board.Publish(wedged);
+  ASSERT_TRUE(WaitForLines(exporter, 3));
+  // The final snapshot is never stale, however old: one line, no repeats.
+  auto final_snapshot = std::make_shared<ServiceSnapshot>(*wedged);
+  final_snapshot->seq = 5;
+  final_snapshot->finished = true;
+  fake.board.Publish(final_snapshot);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  exporter.Stop();
+  const std::vector<uint64_t> seqs = MetricsSeqs(ReadFile(path));
+  ASSERT_GE(seqs.size(), 4u);
+  EXPECT_EQ(seqs.back(), 5u);
+  EXPECT_EQ(std::count(seqs.begin(), seqs.end(), 5u), 1);
+  EXPECT_EQ(std::count(seqs.begin(), seqs.end(), 4u),
+            static_cast<long>(seqs.size()) - 1);
+}
+
 TEST(MetricsExporterTest, EmitsOneStageLinePerStageWithoutAnyOption) {
   const StateDir dir;
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
-  options.interval_ms = 60000;  // only Stop()'s final flush writes
-  FakeSnapshotSource fake;
-  MetricsExporter exporter(options, fake.source());
+  FakeBoard fake;
+  MetricsExporter exporter(options, fake.board);
   ASSERT_TRUE(exporter.Start().ok());
 
   ServiceSnapshot snapshot;
@@ -553,9 +638,8 @@ TEST(MetricsExporterTest, PerFeedLinesAbsentByDefault) {
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
-  options.interval_ms = 10;
-  FakeSnapshotSource fake;
-  MetricsExporter exporter(options, fake.source());
+  FakeBoard fake;
+  MetricsExporter exporter(options, fake.board);
   ASSERT_TRUE(exporter.Start().ok());
 
   ServiceSnapshot snapshot;
@@ -565,7 +649,6 @@ TEST(MetricsExporterTest, PerFeedLinesAbsentByDefault) {
   snapshot.feeds_detail.push_back(feed);
   fake.Publish(snapshot);
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
   exporter.Stop();
   const std::string log = ReadFile(path);
   EXPECT_NE(log.find("frt_metrics "), std::string::npos);
@@ -577,9 +660,8 @@ TEST(MetricsExporterTest, NothingIsWrittenBeforeTheFirstSnapshot) {
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
-  options.interval_ms = 5;
-  FakeSnapshotSource fake;  // never published into
-  MetricsExporter exporter(options, fake.source());
+  FakeBoard fake;  // never published into
+  MetricsExporter exporter(options, fake.board);
   ASSERT_TRUE(exporter.Start().ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   exporter.Stop();
@@ -587,17 +669,16 @@ TEST(MetricsExporterTest, NothingIsWrittenBeforeTheFirstSnapshot) {
   EXPECT_EQ(ReadFile(path), "");
 }
 
-TEST(MetricsExporterTest, StopFlushesFinalPartialIntervalSnapshot) {
+TEST(MetricsExporterTest, StopWritesTheLatestSnapshot) {
+  // Two snapshots published back to back, then Stop(): whatever the
+  // thread got to, the file ends with the latest one, written once.
   const StateDir dir;
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
-  // An interval far longer than the test: the loop never fires, so any
-  // output must come from Stop()'s final flush.
-  options.interval_ms = 60000;
   options.per_feed = true;
-  FakeSnapshotSource fake;
-  MetricsExporter exporter(options, fake.source());
+  FakeBoard fake;
+  MetricsExporter exporter(options, fake.board);
   ASSERT_TRUE(exporter.Start().ok());
 
   ServiceSnapshot snapshot;
@@ -613,62 +694,28 @@ TEST(MetricsExporterTest, StopFlushesFinalPartialIntervalSnapshot) {
   fake.Publish(snapshot);
   exporter.Stop();
 
-  // The final (latest) snapshot made it out, not the first.
-  EXPECT_GE(exporter.lines_written(), 1u);
   const std::string log = ReadFile(path);
-  EXPECT_NE(log.find("seq=2"), std::string::npos);
+  const std::vector<uint64_t> seqs = MetricsSeqs(log);
+  ASSERT_FALSE(seqs.empty());
+  EXPECT_EQ(seqs.back(), 2u);
+  EXPECT_EQ(std::count(seqs.begin(), seqs.end(), 2u), 1);
+  EXPECT_EQ(exporter.lines_written(), seqs.size());
   EXPECT_NE(log.find("windows_published=9"), std::string::npos);
   EXPECT_NE(log.find("feed=alpha"), std::string::npos);
-}
-
-TEST(MetricsExporterTest, SetIntervalMsRetunesTheCadence) {
-  const StateDir dir;
-  const std::string path = dir.path() + "/metrics.log";
-  MetricsExporter::Options options;
-  options.path = path;
-  options.interval_ms = 60000;
-  FakeSnapshotSource fake;
-  MetricsExporter exporter(options, fake.source());
-  ASSERT_TRUE(exporter.Start().ok());
-  EXPECT_EQ(exporter.interval_ms(), 60000);
-
-  ServiceSnapshot snapshot;
-  snapshot.seq = 1;
-  fake.Publish(snapshot);
-  // Wait until the exporter thread is asleep on the 60 s interval, so the
-  // retune below always lands mid-wait (the case a lost wake-up breaks):
-  // waits_begun is bumped under the lock the wait then releases, and
-  // SetIntervalMs takes that lock.
-  while (exporter.waits_begun() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Retune from one-a-minute to 5 ms: the sleeping loop must pick the
-  // new cadence up and start emitting well before the old deadline.
-  exporter.SetIntervalMs(5);
-  EXPECT_EQ(exporter.interval_ms(), 5);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (exporter.lines_written() < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(exporter.lines_written(), 2u);
-  exporter.Stop();
 }
 
 TEST(MetricsExporterTest, StopIsIdempotentAndStderrPathWorks) {
   MetricsExporter::Options options;
   options.path = "-";
-  options.interval_ms = 1000;
-  FakeSnapshotSource fake;
-  MetricsExporter exporter(options, fake.source());
+  FakeBoard fake;
+  MetricsExporter exporter(options, fake.board);
   ASSERT_TRUE(exporter.Start().ok());
   ServiceSnapshot snapshot;
   snapshot.seq = 1;
   fake.Publish(snapshot);
   exporter.Stop();
   exporter.Stop();
-  EXPECT_GE(exporter.lines_written(), 1u);
+  EXPECT_EQ(exporter.lines_written(), 1u);
 }
 
 }  // namespace

@@ -109,6 +109,17 @@ TEST(CliFlagsTest, ThreadsSizesTheServicePool) {
   EXPECT_EQ(defaults.pool_threads, 0u);
 }
 
+TEST(CliFlagsTest, MetricsIntervalSetsTheDispatcherClock) {
+  // --metrics-interval-ms is the dispatcher's snapshot cadence, the one
+  // metrics clock: the exporter options carry no interval of their own.
+  ServiceArgs args;
+  ASSERT_TRUE(Parse(Family(ServiceFlags(&args)),
+                    {"--metrics", "-", "--metrics-interval-ms", "250"}));
+  ServiceConfig config;
+  ASSERT_TRUE(MakeServiceConfig(args, &config));
+  EXPECT_EQ(config.metrics_interval_ms, 250);
+}
+
 TEST(CliFlagsTest, RetiredExecutionFlagsAreUnknown) {
   // The kNN strategy and a second pool-size spelling are no flags any
   // more (spelled in pieces so a grep for the flags finds no live use);
@@ -287,7 +298,6 @@ TEST(CliFlagsTest, DurabilityFlagsParseAndValidate) {
   EXPECT_TRUE(args.metrics_per_feed);
   MetricsExporter::Options options = MakeMetricsOptions(args);
   EXPECT_EQ(options.path, "-");
-  EXPECT_EQ(options.interval_ms, 250);
   EXPECT_TRUE(options.per_feed);
   // Flags of other families are not this family's.
   EXPECT_FALSE(Parse(table, {"--window", "40"}));

@@ -269,6 +269,15 @@ TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
 }
 
+TEST(StringsTest, Fnv1a64IsPinned) {
+  // Feed seeds and checkpoint checksums depend on these exact values. The
+  // offset basis is not the published one (see strings.h), so these are
+  // not the reference FNV-1a vectors (which start 0xcbf29ce484222325).
+  EXPECT_EQ(Fnv1a64(""), 1469598103934665603ULL);
+  EXPECT_EQ(Fnv1a64("a"), 4953267810257967366ULL);
+  EXPECT_EQ(Fnv1a64("foobar"), 9870438755804841970ULL);
+}
+
 TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("RSC-0.5", "RSC"));
   EXPECT_FALSE(StartsWith("SC", "RSC"));

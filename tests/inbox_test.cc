@@ -3,7 +3,8 @@
 // close, the consumer drains what was queued), the timed Wait outcomes,
 // the shutdown races the dispatcher leans on, and the finished lane's
 // wakeups: a finished job wakes the consumer whatever it waits for, an
-// arrival only while it takes arrivals.
+// arrival only while it takes arrivals, and a Wake() whatever it waits
+// for, once.
 
 #include "service/inbox.h"
 
@@ -291,6 +292,32 @@ TEST(InboxTest, OneWaitTakesEveryFinishedJobAndOneArrival) {
   EXPECT_EQ(Take(inbox, &out), InboxTake::kArrival);
   EXPECT_EQ(out, 2);
   EXPECT_EQ(Take(inbox, &out), InboxTake::kClosed);
+}
+
+TEST(InboxTest, WakeEndsTheWaitInProgressOrTheNextOneOnce) {
+  // The cadence retune: a paused consumer parked on a far wake time
+  // returns at once, with nothing taken.
+  Inbox inbox(4);
+  std::thread tuner([&] {
+    std::this_thread::sleep_for(milliseconds(10));
+    inbox.Wake();
+  });
+  std::vector<int> finished;
+  int out = -1;
+  const auto start = steady_clock::now();
+  EXPECT_EQ(inbox.Wait(start + seconds(10), false, &finished, &out),
+            InboxTake::kNone);
+  EXPECT_LT(steady_clock::now() - start, seconds(5));
+  EXPECT_TRUE(finished.empty());
+  tuner.join();
+  // A Wake() with nobody waiting ends the next wait, and only that one.
+  inbox.Wake();
+  const auto again = steady_clock::now();
+  EXPECT_EQ(inbox.Wait(again + seconds(10), true, &finished, &out),
+            InboxTake::kNone);
+  EXPECT_LT(steady_clock::now() - again, seconds(5));
+  EXPECT_EQ(Take(inbox, &out, milliseconds(30)), InboxTake::kNone);
+  EXPECT_EQ(out, -1);
 }
 
 }  // namespace

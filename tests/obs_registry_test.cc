@@ -5,8 +5,11 @@
 
 #include "obs/registry.h"
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -214,6 +217,56 @@ TEST(SnapshotBoardTest, ReadSeesLatestCompleteSnapshot) {
   // The old snapshot stays valid for readers still holding it.
   EXPECT_EQ(first->at(0), 1);
   EXPECT_EQ(board.Read()->size(), 1u);
+}
+
+TEST(SnapshotBoardTest, VersionCountsPublishes) {
+  SnapshotBoard<int> board;
+  const auto now = std::chrono::steady_clock::now();
+  const auto never = [] { return false; };
+  EXPECT_EQ(board.WaitNewer(0, now, never).version, 0u);
+  EXPECT_EQ(board.WaitNewer(0, now, never).snapshot, nullptr);
+  board.Publish(std::make_shared<const int>(7));
+  board.Publish(std::make_shared<const int>(8));
+  const auto latest = board.WaitNewer(2, now, never);
+  EXPECT_EQ(latest.version, 2u);
+  ASSERT_NE(latest.snapshot, nullptr);
+  EXPECT_EQ(*latest.snapshot, 8);
+}
+
+TEST(SnapshotBoardTest, WaitNewerWakesOnPublishTimeoutOrStop) {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  SnapshotBoard<int> board;
+  const auto never = [] { return false; };
+  // Nothing newer than version 0: the wait runs out.
+  const auto start = steady_clock::now();
+  auto got = board.WaitNewer(0, start + milliseconds(20), never);
+  EXPECT_GE(steady_clock::now() - start, milliseconds(20));
+  EXPECT_EQ(got.version, 0u);
+  // A publish ends a long wait at once, with the new snapshot.
+  std::thread publisher([&] {
+    std::this_thread::sleep_for(milliseconds(10));
+    board.Publish(std::make_shared<const int>(1));
+  });
+  got = board.WaitNewer(0, steady_clock::now() + std::chrono::seconds(10),
+                        never);
+  publisher.join();
+  EXPECT_EQ(got.version, 1u);
+  ASSERT_NE(got.snapshot, nullptr);
+  EXPECT_EQ(*got.snapshot, 1);
+  // An older `seen` returns at once.
+  EXPECT_EQ(board.WaitNewer(0, steady_clock::time_point::max(), never).version,
+            1u);
+  // A stop made true through Notify ends a wait with no deadline.
+  std::atomic<bool> stop{false};
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(milliseconds(10));
+    board.Notify([&] { stop.store(true); });
+  });
+  got = board.WaitNewer(1, steady_clock::time_point::max(),
+                        [&] { return stop.load(); });
+  stopper.join();
+  EXPECT_EQ(got.version, 1u);
 }
 
 }  // namespace

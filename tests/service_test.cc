@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -792,9 +793,8 @@ TEST(ServiceTelemetryTest, ShutdownRenderingsShareOneSource) {
   std::remove(path.c_str());
   MetricsExporter::Options options;
   options.path = path;
-  options.interval_ms = 20;
   options.per_feed = true;
-  MetricsExporter exporter(options, [&service] { return service.Introspect(); });
+  MetricsExporter exporter(options, service.snapshots());
   ASSERT_TRUE(exporter.Start().ok());
 
   const std::vector<Trajectory> trajs = SyntheticTrajectories(30);
@@ -944,6 +944,164 @@ TEST(ServiceTelemetryTest, DefaultConfigDispatchersKeepTheirOwnTelemetry) {
     EXPECT_EQ(StageCell(registry, kStagePublish).count(),
               report.windows_published);
   }
+}
+
+// ---- One metrics clock, one staleness rule: the exporter writes each
+// snapshot the dispatcher publishes, and StaleAgeMs decides staleness for
+// the exporter, /healthz and /readyz alike.
+
+/// Polls `done` every millisecond for up to 10 s.
+template <typename Pred>
+bool Eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  return true;
+}
+
+/// The seq of every frt_metrics line of the file at `path`, in order.
+std::vector<uint64_t> MetricsSeqs(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<uint64_t> seqs;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("frt_metrics ", 0) == 0) {
+      seqs.push_back(std::stoull(Field(line, "seq")));
+    }
+  }
+  return seqs;
+}
+
+/// Index of the first seq that does not exceed its predecessor, or
+/// seqs.size() when they strictly increase.
+size_t FirstNonIncreasing(const std::vector<uint64_t>& seqs) {
+  for (size_t i = 1; i < seqs.size(); ++i) {
+    if (seqs[i] <= seqs[i - 1]) return i;
+  }
+  return seqs.size();
+}
+
+TEST(SnapshotStalenessTest, StaleOnlyPastFiveIntervalsOrFiveSeconds) {
+  using std::chrono::seconds;
+  ServiceSnapshot s;
+  s.published_at = std::chrono::steady_clock::now();
+  const auto stale_at = [&](std::chrono::steady_clock::duration age) {
+    return s.published_at + age > StaleAfter(s);
+  };
+  // Fresh, then stale past max(5 x 1 s, 5 s) = 5 s.
+  s.metrics_interval_ms = 1000;
+  EXPECT_FALSE(stale_at(seconds(0)));
+  EXPECT_FALSE(stale_at(seconds(5)));
+  EXPECT_TRUE(stale_at(milliseconds(5001)));
+  // A fast cadence still gets the 5 s floor.
+  s.metrics_interval_ms = 5;
+  EXPECT_FALSE(stale_at(seconds(5)));
+  EXPECT_TRUE(stale_at(milliseconds(5001)));
+  // A slow one is fresh for five of its intervals.
+  s.metrics_interval_ms = 4000;
+  EXPECT_FALSE(stale_at(seconds(20)));
+  EXPECT_TRUE(stale_at(milliseconds(20001)));
+  // The final snapshot never goes stale.
+  s.finished = true;
+  EXPECT_FALSE(stale_at(seconds(3600)));
+  EXPECT_EQ(StaleAfter(s), std::chrono::steady_clock::time_point::max());
+}
+
+TEST(SnapshotStalenessTest, ARetunedIntervalIsVisibleThroughTheNextSnapshot) {
+  // Lengthening the cadence must reach the board at once: a board still
+  // carrying 5 ms would read stale 5 s on, long before the next 60 s tick.
+  ServiceCapture capture;
+  ServiceConfig config = SmallServiceConfig(10);
+  config.metrics_interval_ms = 5;
+  ServiceDispatcher service(config, capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  EXPECT_EQ(service.Introspect()->metrics_interval_ms, 5);
+  service.SetMetricsIntervalMs(60000);
+  ASSERT_TRUE(Eventually(
+      [&] { return service.Introspect()->metrics_interval_ms == 60000; }));
+  const std::shared_ptr<const ServiceSnapshot> slow = service.Introspect();
+  EXPECT_EQ(StaleAfter(*slow), slow->published_at + std::chrono::seconds(300));
+  // /control takes any positive value; the clock clamps it to a day, so
+  // its deadlines stay in range.
+  service.SetMetricsIntervalMs(std::numeric_limits<int64_t>::max());
+  ASSERT_TRUE(Eventually([&] {
+    return service.Introspect()->metrics_interval_ms == kMaxMetricsIntervalMs;
+  }));
+  EXPECT_EQ(StaleAfter(*service.Introspect()),
+            service.Introspect()->published_at +
+                5 * std::chrono::milliseconds(kMaxMetricsIntervalMs));
+  service.SetMetricsIntervalMs(5);
+  ASSERT_TRUE(Eventually(
+      [&] { return service.Introspect()->metrics_interval_ms == 5; }));
+  ASSERT_TRUE(service.Finish().ok());
+  EXPECT_EQ(service.report().metrics_interval_ms, 5);
+}
+
+TEST(ServiceTelemetryTest, SetMetricsIntervalMsRetunesTheExporterCadence) {
+  // Retune from one tick a minute to 5 ms on the dispatcher alone: the
+  // exporter follows its snapshots, so lines come long before 60 s.
+  ServiceCapture capture;
+  ServiceConfig config = SmallServiceConfig(10);
+  config.metrics_interval_ms = 60000;
+  ServiceDispatcher service(config, capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  const std::string path =
+      ::testing::TempDir() + "frt_service_retune_metrics.log";
+  std::remove(path.c_str());
+  MetricsExporter::Options options;
+  options.path = path;
+  MetricsExporter exporter(options, service.snapshots());
+  ASSERT_TRUE(exporter.Start().ok());
+  // The start snapshot, then nothing for a minute.
+  ASSERT_TRUE(Eventually([&] { return exporter.lines_written() == 1; }));
+  service.SetMetricsIntervalMs(5);
+  EXPECT_TRUE(Eventually([&] { return exporter.lines_written() >= 4; }))
+      << "the retune did not reach the exporter's cadence";
+  ASSERT_TRUE(service.Finish().ok());
+  exporter.Stop();
+  const std::vector<uint64_t> seqs = MetricsSeqs(path);
+  EXPECT_EQ(FirstNonIncreasing(seqs), seqs.size());
+  ASSERT_FALSE(seqs.empty());
+  EXPECT_EQ(seqs.back(), service.report().seq);
+}
+
+TEST(ServiceTelemetryTest, ExporterNeverRepeatsASeqAtAFiveMsCadence) {
+  // A healthy dispatcher under load at a 5 ms cadence: every line shows a
+  // new snapshot (a repeated seq is the wedged-dispatcher signal), and
+  // the file ends with the final one.
+  ServiceCapture capture;
+  ServiceConfig config = SmallServiceConfig(10);
+  config.metrics_interval_ms = 5;
+  config.stream.batch.audit.enabled = true;
+  ServiceDispatcher service(config, capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  const std::string path =
+      ::testing::TempDir() + "frt_service_five_ms_metrics.log";
+  std::remove(path.c_str());
+  MetricsExporter::Options options;
+  options.path = path;
+  MetricsExporter exporter(options, service.snapshots());
+  ASSERT_TRUE(exporter.Start().ok());
+  const std::vector<Trajectory> trajs = SyntheticTrajectories(200);
+  for (const Trajectory& t : trajs) {
+    for (int f = 0; f < 8; ++f) {
+      ASSERT_TRUE(service.Offer("feed" + std::to_string(f), t));
+    }
+  }
+  // Idle ticks too: the board keeps ticking with nothing to publish.
+  std::this_thread::sleep_for(milliseconds(200));
+  ASSERT_TRUE(service.Finish().ok());
+  exporter.Stop();
+  const std::vector<uint64_t> seqs = MetricsSeqs(path);
+  ASSERT_GE(seqs.size(), 20u);
+  const size_t bad = FirstNonIncreasing(seqs);
+  EXPECT_EQ(bad, seqs.size())
+      << "seq " << seqs[bad] << " after " << seqs[bad - 1] << " (line "
+      << bad << " of " << seqs.size() << ")";
+  EXPECT_EQ(seqs.back(), service.report().seq);
+  EXPECT_EQ(exporter.lines_written(), seqs.size());
 }
 
 // ---- Single-feed time-based closure: frt_stream's --close-after-ms path,

@@ -430,7 +430,6 @@ inline MetricsExporter::Options MakeMetricsOptions(
     const DurabilityArgs& args) {
   MetricsExporter::Options options;
   options.path = args.metrics;
-  options.interval_ms = args.metrics_interval_ms;
   options.per_feed = args.metrics_per_feed;
   return options;
 }

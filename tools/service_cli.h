@@ -9,13 +9,11 @@
 #define FRT_TOOLS_SERVICE_CLI_H_
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -408,8 +406,7 @@ inline Status StartObservability(const ServiceArgs& args,
                                  std::unique_ptr<obs::AdminServer>* admin) {
   if (!args.durability.metrics.empty()) {
     *metrics = std::make_unique<MetricsExporter>(
-        MakeMetricsOptions(args.durability),
-        [&service] { return service.Introspect(); });
+        MakeMetricsOptions(args.durability), service.snapshots());
     FRT_RETURN_IF_ERROR((*metrics)->Start());
   }
   if (args.obs.admin_listen.empty()) return Status::OK();
@@ -417,55 +414,38 @@ inline Status StartObservability(const ServiceArgs& args,
   FRT_ASSIGN_OR_RETURN(admin_options.endpoint,
                        net::ParseEndpoint(args.obs.admin_listen));
   *admin = std::make_unique<obs::AdminServer>(admin_options);
-  // Staleness threshold for /healthz and /readyz; follows the metrics
-  // interval when /control retunes it.
-  auto stale_after_ms = std::make_shared<std::atomic<int64_t>>(
-      std::max<int64_t>(5 * args.durability.metrics_interval_ms, 5000));
-  // Age of the snapshot board when it is past the staleness threshold (a
-  // wedged dispatcher stops republishing it); the final board never is.
-  const auto stale_age =
-      [stale_after_ms](
-          const ServiceSnapshot& intro) -> std::optional<double> {
-    const double age_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() -
-                              intro.published_at)
-                              .count();
-    if (intro.finished ||
-        age_ms <= static_cast<double>(
-                      stale_after_ms->load(std::memory_order_relaxed))) {
-      return std::nullopt;
+  // /healthz and /readyz judge the board by StaleAfter, the rule the
+  // exporter re-emits by: a wedged dispatcher stops republishing it.
+  (*admin)->Handle("GET", "/healthz", [&service](const obs::HttpRequest&) {
+    obs::HttpResponse r;
+    const auto intro = service.Introspect();
+    const auto now = std::chrono::steady_clock::now();
+    if (now > StaleAfter(*intro)) {
+      r.status = 503;
+      r.body = StrFormat(
+          "stale: snapshot board is %.0f ms old (seq %llu)\n",
+          std::chrono::duration<double, std::milli>(now - intro->published_at)
+              .count(),
+          static_cast<unsigned long long>(intro->seq));
+    } else {
+      r.body = "ok\n";
     }
-    return age_ms;
-  };
-  (*admin)->Handle(
-      "GET", "/healthz", [&service, stale_age](const obs::HttpRequest&) {
-        obs::HttpResponse r;
-        const auto intro = service.Introspect();
-        if (const auto age = stale_age(*intro)) {
-          r.status = 503;
-          r.body = StrFormat(
-              "stale: snapshot board is %.0f ms old (seq %llu)\n",
-              *age, static_cast<unsigned long long>(intro->seq));
-        } else {
-          r.body = "ok\n";
-        }
-        return r;
-      });
-  (*admin)->Handle(
-      "GET", "/readyz", [&service, stale_age](const obs::HttpRequest&) {
-        obs::HttpResponse r;
-        r.status = 503;
-        const auto intro = service.Introspect();
-        if (intro->aborted || intro->finished) {
-          r.body = intro->aborted ? "aborted\n" : "finished\n";
-        } else if (stale_age(*intro).has_value()) {
-          r.body = "stale\n";
-        } else {
-          r.status = 200;
-          r.body = "ready\n";
-        }
-        return r;
-      });
+    return r;
+  });
+  (*admin)->Handle("GET", "/readyz", [&service](const obs::HttpRequest&) {
+    obs::HttpResponse r;
+    r.status = 503;
+    const auto intro = service.Introspect();
+    if (intro->aborted || intro->finished) {
+      r.body = intro->aborted ? "aborted\n" : "finished\n";
+    } else if (std::chrono::steady_clock::now() > StaleAfter(*intro)) {
+      r.body = "stale\n";
+    } else {
+      r.status = 200;
+      r.body = "ready\n";
+    }
+    return r;
+  });
   (*admin)->Handle("GET", "/feedz", [&service](const obs::HttpRequest&) {
     return obs::HttpResponse{200, "application/json",
                              RenderFeedz(*service.Introspect())};
@@ -473,12 +453,10 @@ inline Status StartObservability(const ServiceArgs& args,
   obs::ControlHooks hooks;
   hooks.trace_out = args.obs.trace_out;
   hooks.trace_buffer_events = static_cast<size_t>(args.obs.trace_buffer_events);
-  hooks.set_metrics_interval_ms = [&service, exporter = metrics->get(),
-                                   stale_after_ms](int64_t ms) {
+  // The dispatcher's tick is the one metrics clock: the exporter and the
+  // staleness threshold follow the snapshot it publishes on a retune.
+  hooks.set_metrics_interval_ms = [&service](int64_t ms) {
     service.SetMetricsIntervalMs(ms);
-    if (exporter != nullptr) exporter->SetIntervalMs(ms);
-    stale_after_ms->store(std::max<int64_t>(5 * ms, 5000),
-                          std::memory_order_relaxed);
     return true;
   };
   (*admin)->Handle("POST", "/control",
