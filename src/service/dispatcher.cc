@@ -44,6 +44,8 @@ ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
   if (config_.max_backlog_windows == 0) {
     config_.max_backlog_windows = 4 * config_.max_in_flight;
   }
+  config_.checkpoint_interval_ms =
+      std::max<int64_t>(config_.checkpoint_interval_ms, 1);
   SetMetricsIntervalMs(config_.metrics_interval_ms);
   if (config_.registry == nullptr) {
     owned_registry_ = std::make_unique<obs::Registry>();
@@ -154,8 +156,7 @@ Status ServiceDispatcher::Start(uint64_t seed) {
       config_.arrival_queue_capacity);
   started_ = true;
   started_at_ = SteadyClock::now();
-  last_checkpoint_ = started_at_;
-  last_metrics_ = started_at_;
+  checkpoint_due_ = DueAfter(started_at_, config_.checkpoint_interval_ms);
   // The first snapshot is on the board before the thread exists, so
   // Introspect() is never null once Start() returns.
   PublishMetricsNow(started_at_);
@@ -241,27 +242,15 @@ void ServiceDispatcher::Route(Arrival&& arrival,
   ArmDeadline(feed, slot);
 }
 
-std::optional<SteadyClock::time_point> ServiceDispatcher::EffectiveDeadline(
-    const FeedSlot& slot) const {
-  if (!slot.session || slot.quarantined) return std::nullopt;
-  std::optional<SteadyClock::time_point> deadline =
-      slot.session->CloseDeadline();
-  if (config_.idle_evict_ms > 0 && !slot.session->evict_when_drained()) {
-    const SteadyClock::time_point idle_at =
-        slot.session->last_arrival() +
-        std::chrono::milliseconds(config_.idle_evict_ms);
-    deadline = deadline.has_value() ? std::min(*deadline, idle_at) : idle_at;
-  }
-  return deadline;
-}
-
 void ServiceDispatcher::ArmDeadline(const std::string& feed,
                                     FeedSlot& slot) {
-  const std::optional<SteadyClock::time_point> deadline =
-      EffectiveDeadline(slot);
-  if (!deadline.has_value() || *deadline >= slot.armed_deadline) return;
-  slot.armed_deadline = *deadline;
-  deadlines_.push(DeadlineEntry{*deadline, feed});
+  if (!slot.session || slot.quarantined) return;
+  const SteadyClock::time_point deadline =
+      std::min(slot.session->CloseDeadline(),
+               slot.session->IdleDeadline(config_.idle_evict_ms));
+  if (deadline >= slot.armed_deadline) return;
+  slot.armed_deadline = deadline;
+  deadlines_.push(DeadlineEntry{deadline, feed});
 }
 
 void ServiceDispatcher::ProcessDueDeadlines(SteadyClock::time_point now) {
@@ -275,32 +264,23 @@ void ServiceDispatcher::ProcessDueDeadlines(SteadyClock::time_point now) {
     // superseded by a smaller push and that smaller entry will serve the
     // feed.
     if (entry.when != slot.armed_deadline) continue;
-    slot.armed_deadline = SteadyClock::time_point::max();
+    slot.armed_deadline = kNever;
     if (!slot.session || slot.quarantined) continue;
-    if (config_.stream.close_after_ms > 0) {
-      const auto close_deadline = slot.session->CloseDeadline();
-      if (close_deadline.has_value() && now >= *close_deadline) {
-        if (!CloseSessionWindow(entry.feed, slot, WindowClose::kDeadline,
-                                now)) {
-          continue;
-        }
-      }
+    if (now >= slot.session->CloseDeadline() &&
+        !CloseSessionWindow(entry.feed, slot, WindowClose::kDeadline, now)) {
+      continue;
     }
-    if (config_.idle_evict_ms > 0 && !slot.session->evict_when_drained() &&
-        now - slot.session->last_arrival() >=
-            std::chrono::milliseconds(config_.idle_evict_ms)) {
+    if (now >= slot.session->IdleDeadline(config_.idle_evict_ms)) {
       // Flush the trailing partial window first — eviction publishes, it
       // never drops.
-      if (slot.session->uncovered() > 0) {
-        if (!CloseSessionWindow(entry.feed, slot, WindowClose::kFinal,
-                                now)) {
-          continue;
-        }
+      if (slot.session->uncovered() > 0 &&
+          !CloseSessionWindow(entry.feed, slot, WindowClose::kFinal, now)) {
+        continue;
       }
       slot.session->set_evict_when_drained(true);
       RetireIfDrained(&slot);
     }
-    if (slot.session && !slot.quarantined) ArmDeadline(entry.feed, slot);
+    ArmDeadline(entry.feed, slot);
   }
 }
 
@@ -332,7 +312,7 @@ void ServiceDispatcher::QuarantineFeed(const std::string& feed,
     slot.quarantined = true;
     slot.quarantine_reason = std::move(reason);
     ctr_feeds_quarantined_->Inc();
-    slot.armed_deadline = SteadyClock::time_point::max();
+    slot.armed_deadline = kNever;
     FRT_LOG(Warning) << "service: quarantined feed '" << feed
                      << "': " << slot.quarantine_reason;
   }
@@ -357,7 +337,7 @@ void ServiceDispatcher::QuarantineFeed(const std::string& feed,
 void ServiceDispatcher::RetireSession(FeedSlot* slot) {
   slot->carry = slot->session->Carry();
   slot->session.reset();
-  slot->armed_deadline = SteadyClock::time_point::max();
+  slot->armed_deadline = kNever;
   ledger_dirty_ = true;
   --active_sessions_;
 }
@@ -435,9 +415,7 @@ void ServiceDispatcher::SubmitReady() {
       obs::EmitSpan("anonymize", obs::SpanCategory::kAnonymize,
                     shared_job->feed, started, ended);
       completion->started_at = started;
-      completion->run_ms =
-          std::chrono::duration<double, std::milli>(ended - started)
-              .count();
+      completion->run_ms = MillisBetween(started, ended);
       completion->batch = runner.report();
       completion->job = std::move(*shared_job);
       completion->job.window = Dataset();  // the copy has served its purpose
@@ -471,10 +449,7 @@ void ServiceDispatcher::AbsorbCompletion(
     return;
   }
   const SteadyClock::time_point now = SteadyClock::now();
-  const double publish_ms =
-      std::chrono::duration<double, std::milli>(now -
-                                                completion->job.closed_at)
-          .count();
+  const double publish_ms = MillisBetween(completion->job.closed_at, now);
   // The whole close -> published interval, attributed to the feed.
   obs::EmitSpan("publish", obs::SpanCategory::kPublish,
                 completion->job.feed, completion->job.closed_at, now);
@@ -489,9 +464,7 @@ void ServiceDispatcher::AbsorbCompletion(
   ledger_dirty_ = true;  // Complete() charged the ledger
   if (session.backlog_size() > 0) ready_.push_back(completion->job.feed);
   const double queue_wait_ms =
-      std::chrono::duration<double, std::milli>(completion->started_at -
-                                                completion->job.closed_at)
-          .count();
+      MillisBetween(completion->job.closed_at, completion->started_at);
   stage_cells_[kStageCloseWait]->Record(completion->job.close_wait_ms);
   stage_cells_[kStagePublish]->Record(publish_ms);
   stage_cells_[kStageQueueWait]->Record(queue_wait_ms);
@@ -544,10 +517,7 @@ void ServiceDispatcher::FlushPublishes() {
     const SteadyClock::time_point sink_end = SteadyClock::now();
     obs::EmitSpan("sink", obs::SpanCategory::kPublish, pending.feed,
                   sink_start, sink_end);
-    const double sink_ms =
-        std::chrono::duration<double, std::milli>(sink_end - sink_start)
-            .count();
-    stage_cells_[kStageSink]->Record(sink_ms);
+    stage_cells_[kStageSink]->Record(MillisBetween(sink_start, sink_end));
     ctr_windows_published_->Inc();
     ctr_trajectories_published_->Inc(pending.report.trajectories);
     slot.session->RecordPublished(pending.report);
@@ -585,34 +555,28 @@ Status ServiceDispatcher::WriteCheckpointNow() {
   ctr_checkpoints_written_->Inc();
   ledger_dirty_ = false;
   last_checkpoint_ = SteadyClock::now();
-  const double write_ms = std::chrono::duration<double, std::milli>(
-                              last_checkpoint_ - write_start)
-                              .count();
-  stage_cells_[kStageCheckpoint]->Record(write_ms);
+  checkpoint_due_ = DueAfter(last_checkpoint_, config_.checkpoint_interval_ms);
+  stage_cells_[kStageCheckpoint]->Record(
+      MillisBetween(write_start, last_checkpoint_));
   return Status::OK();
 }
 
 void ServiceDispatcher::MaybeCheckpoint(SteadyClock::time_point now) {
-  if (!store_.has_value() || !ledger_dirty_ || aborted_) return;
-  if (now - last_checkpoint_ <
-      std::chrono::milliseconds(std::max<int64_t>(
-          config_.checkpoint_interval_ms, 1))) {
-    return;
+  if (store_.has_value() && ledger_dirty_ && !aborted_ &&
+      now >= checkpoint_due_) {
+    if (Status st = WriteCheckpointNow(); !st.ok()) Abort(st);
   }
-  if (Status st = WriteCheckpointNow(); !st.ok()) Abort(st);
 }
 
 void ServiceDispatcher::MaybePublishMetrics(SteadyClock::time_point now) {
   // The board must tick even with nobody pulling from it yet: /healthz
   // staleness detection and /feedz read it. A retune publishes at once,
   // or a lengthened interval would read as stale before the next tick.
-  const int64_t interval =
-      metrics_interval_ms_.load(std::memory_order_relaxed);
-  if (interval == last_metrics_interval_ms_ &&
-      now - last_metrics_ < std::chrono::milliseconds(interval)) {
-    return;
+  if (now >= metrics_due_ ||
+      metrics_interval_ms_.load(std::memory_order_relaxed) !=
+          last_metrics_interval_ms_) {
+    PublishMetricsNow(now);
   }
-  PublishMetricsNow(now);
 }
 
 void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
@@ -676,9 +640,7 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
   s->checkpoints_written = ctr_checkpoints_written_->value();
   s->checkpoint_errors = ctr_checkpoint_errors_->value();
   if (store_.has_value() && s->checkpoints_written > 0) {
-    s->checkpoint_age_ms =
-        std::chrono::duration<double, std::milli>(now - last_checkpoint_)
-            .count();
+    s->checkpoint_age_ms = MillisBetween(last_checkpoint_, now);
   }
   // The registry gauges render this snapshot for /metrics.
   g_active_sessions_->Set(static_cast<double>(s->active_sessions));
@@ -688,7 +650,7 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
   g_feeds_->Set(static_cast<double>(s->feeds));
   g_eps_spent_max_->Set(s->epsilon_spent_max);
   if (final_tick_) report_ = s;
-  last_metrics_ = now;
+  metrics_due_ = DueAfter(now, s->metrics_interval_ms);
   last_metrics_interval_ms_ = s->metrics_interval_ms;
   snapshots_.Publish(std::move(s));
 }
@@ -721,16 +683,13 @@ void ServiceDispatcher::DispatcherLoop() {
     // of a dirty ledger with no publish to ride on. The deadline heap's
     // top may be stale (its deadline moved later), which only costs one
     // spurious wakeup that pops and re-arms it.
-    SteadyClock::time_point wake =
-        last_metrics_ + std::chrono::milliseconds(last_metrics_interval_ms_);
+    SteadyClock::time_point wake = metrics_due_;
     if (!input_done && !aborted_) {
       if (!stopping_ && !deadlines_.empty()) {
         wake = std::min(wake, deadlines_.top().when);
       }
       if (store_.has_value() && ledger_dirty_) {
-        wake = std::min(wake, last_checkpoint_ +
-                                  std::chrono::milliseconds(std::max<int64_t>(
-                                      config_.checkpoint_interval_ms, 1)));
+        wake = std::min(wake, checkpoint_due_);
       }
     }
     // A finished job always ends the wait. Arrivals are taken until input

@@ -102,6 +102,7 @@
 
 #include <atomic>
 
+#include "common/deadline.h"
 #include "common/result.h"
 #include "obs/histogram.h"
 #include "obs/registry.h"
@@ -116,7 +117,7 @@
 
 namespace frt {
 
-/// Longest snapshot cadence (a day): a longer one would overflow deadlines.
+/// Longest snapshot cadence (a day): keeps StaleAfter's 5x product in range.
 inline constexpr int64_t kMaxMetricsIntervalMs = 24 * 60 * 60 * 1000;
 
 /// Configuration of the multi-feed service.
@@ -141,8 +142,8 @@ struct ServiceConfig {
   /// arrival lane and Offer blocks — end-to-end backpressure when feeds
   /// outrun the pool). 0 means 4x max_in_flight.
   size_t max_backlog_windows = 0;
-  /// Sessions with no arrival for this long are flushed and evicted
-  /// (budget state carries into any successor). 0 disables eviction.
+  /// Sessions silent this long are flushed and evicted (budget state
+  /// carries into any successor). 0 or past the clock's range: never.
   int64_t idle_evict_ms = 0;
   /// Durable budget ledgers: when non-empty, per-feed ledger snapshots are
   /// checkpointed into this directory and recovered from it on Start()
@@ -152,9 +153,9 @@ struct ServiceConfig {
   /// under-grant remaining budget, never over-grant (see
   /// service/checkpoint.h). Empty disables checkpointing.
   std::string state_dir;
-  /// Cadence (ms) for interval snapshots covering ledger changes with no
-  /// publish to ride on (session revivals, evictions). Publish-driven
-  /// write-ahead snapshots ignore this — they are mandatory.
+  /// Cadence (ms, at least 1; past the clock's range: never) for interval
+  /// snapshots of ledger changes with no publish to ride on (revivals,
+  /// evictions). Publish-driven write-ahead snapshots ignore it.
   int64_t checkpoint_interval_ms = 1000;
   /// Cadence of the service snapshot (see Introspect()).
   int64_t metrics_interval_ms = 1000;
@@ -279,12 +280,11 @@ class ServiceDispatcher {
     bool quarantined = false;
     std::string quarantine_reason;
     /// Earliest deadline currently pushed on the heap for this feed
-    /// (time_point::max() when none): a new deadline only pushes when it
+    /// (kNever when none): a new deadline only pushes when it
     /// beats this, so the heap never grows faster than one entry per
     /// arrival batch. Reset on eviction/quarantine so a revived session
     /// re-arms from scratch.
-    std::chrono::steady_clock::time_point armed_deadline =
-        std::chrono::steady_clock::time_point::max();
+    std::chrono::steady_clock::time_point armed_deadline = kNever;
     /// Per-feed latency histograms, surviving across generations.
     obs::Histogram close_wait_hist;
     obs::Histogram publish_hist;
@@ -320,12 +320,9 @@ class ServiceDispatcher {
   /// dropping arrivals of quarantined feeds). A window-closure failure is
   /// a per-feed fault — the feed is quarantined, the service survives.
   void Route(Arrival&& arrival, std::chrono::steady_clock::time_point now);
-  /// Earliest future moment `slot` needs attention: its close_after_ms
-  /// window deadline or its idle-eviction time, whichever comes first.
-  std::optional<std::chrono::steady_clock::time_point> EffectiveDeadline(
-      const FeedSlot& slot) const;
-  /// Pushes `slot`'s effective deadline onto the heap if it beats the
-  /// entry already armed for it.
+  /// Pushes `slot`'s next deadline (window close or idle eviction,
+  /// whichever comes first; kNever never pushes) onto the heap if it
+  /// beats the entry already armed for it.
   void ArmDeadline(const std::string& feed, FeedSlot& slot);
   /// Pops every due heap entry and services it: deadline window closure,
   /// then idle eviction, then re-arm. O(log feeds) per wakeup; stale
@@ -426,7 +423,9 @@ class ServiceDispatcher {
   bool ledger_dirty_ = false;
   std::chrono::steady_clock::time_point started_at_{};
   std::chrono::steady_clock::time_point last_checkpoint_{};
-  std::chrono::steady_clock::time_point last_metrics_{};
+  /// DueAfter due times: the round's check and the wait bound read them.
+  std::chrono::steady_clock::time_point checkpoint_due_{};
+  std::chrono::steady_clock::time_point metrics_due_{};
   /// The interval the board's latest snapshot carries.
   int64_t last_metrics_interval_ms_ = 0;
   uint64_t metrics_seq_ = 0;

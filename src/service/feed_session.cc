@@ -41,14 +41,6 @@ void FeedSession::Offer(Trajectory t,
   ++report_.trajectories_in;
 }
 
-std::optional<std::chrono::steady_clock::time_point>
-FeedSession::CloseDeadline() const {
-  if (config_.close_after_ms <= 0 || assembler_.uncovered() == 0) {
-    return std::nullopt;
-  }
-  return oldest_uncovered_at_ + CloseTimerDelay(config_.close_after_ms);
-}
-
 Status FeedSession::CloseWindow(WindowClose reason,
                                 std::chrono::steady_clock::time_point now) {
   const std::chrono::steady_clock::time_point oldest = oldest_uncovered_at_;
@@ -75,8 +67,7 @@ Status FeedSession::CloseWindow(WindowClose reason,
   job.rng = rng_.Fork();
   job.oldest_arrival = oldest;
   job.closed_at = now;
-  job.close_wait_ms =
-      std::chrono::duration<double, std::milli>(now - oldest).count();
+  job.close_wait_ms = MillisBetween(oldest, now);
   // The window's assembly phase: oldest uncovered arrival -> close.
   obs::EmitSpan("assemble", obs::SpanCategory::kWindow, feed_, oldest, now);
   ++report_.windows_closed;

@@ -46,6 +46,7 @@
 #include <string>
 #include <utility>
 
+#include "common/deadline.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -128,9 +129,23 @@ class FeedSession {
   bool WindowReady() const { return assembler_.WindowReady(); }
 
   /// Deadline at which the buffered partial window must close
-  /// (close_after_ms armed via CloseTimerDelay); nullopt when nothing is
+  /// (close_after_ms armed via CloseTimerDelay); kNever when nothing is
   /// pending or time-based closure is off.
-  std::optional<std::chrono::steady_clock::time_point> CloseDeadline() const;
+  std::chrono::steady_clock::time_point CloseDeadline() const {
+    return config_.close_after_ms > 0 && assembler_.uncovered() > 0
+               ? DueAfter(oldest_uncovered_at_,
+                          CloseTimerDelay(config_.close_after_ms))
+               : kNever;
+  }
+
+  /// Moment this session has been silent for `idle_evict_ms`; kNever
+  /// when eviction is off (<= 0) or already pending.
+  std::chrono::steady_clock::time_point IdleDeadline(
+      int64_t idle_evict_ms) const {
+    return idle_evict_ms > 0 && !evict_when_drained_
+               ? DueAfter(last_arrival_, idle_evict_ms)
+               : kNever;
+  }
 
   /// \brief Closes the next window over the buffer and appends it to the
   /// backlog. Fails (InvalidArgument naming the per-feed window index)
@@ -181,14 +196,9 @@ class FeedSession {
   /// Budget state a successor session must inherit if this one is evicted.
   FeedBudgetCarry Carry() const;
 
-  const std::string& feed() const { return feed_; }
-  uint64_t generation() const { return generation_; }
   bool busy() const { return busy_; }
   size_t backlog_size() const { return backlog_.size(); }
   size_t uncovered() const { return assembler_.uncovered(); }
-  std::chrono::steady_clock::time_point last_arrival() const {
-    return last_arrival_;
-  }
   bool evict_when_drained() const { return evict_when_drained_; }
   void set_evict_when_drained(bool v) { evict_when_drained_ = v; }
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/deadline.h"
 #include "common/strings.h"
 
 namespace frt {
@@ -60,7 +61,7 @@ void MetricsExporter::Stop() {
 }
 
 void MetricsExporter::Loop() {
-  auto wake = std::chrono::steady_clock::time_point::max();
+  auto wake = kNever;
   for (;;) {
     const auto latest = board_.WaitNewer(written_version_, wake,
                                          [this] { return stop_.load(); });
@@ -72,8 +73,7 @@ void MetricsExporter::Loop() {
     if (unwritten || now > StaleAfter(s)) Emit(s);  // stale: seq repeats
     written_version_ = latest.version;
     // Wake when it turns stale, then once per interval while it stays so.
-    wake = std::max(StaleAfter(s),
-                    now + std::chrono::milliseconds(s.metrics_interval_ms));
+    wake = std::max(StaleAfter(s), DueAfter(now, s.metrics_interval_ms));
   }
 }
 

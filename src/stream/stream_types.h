@@ -35,7 +35,6 @@
 #define FRT_STREAM_STREAM_TYPES_H_
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
@@ -51,18 +50,16 @@ enum class WindowClose {
   kFinal,     ///< end of stream: the trailing partial window
 };
 
-/// \brief Delay before a close_after_ms timer fires.
+/// \brief Delay (ms) before a close_after_ms timer fires.
 ///
 /// The deadline is an SLO — the window must be CLOSED by then — so the
 /// timer is armed a guard margin (an eighth of the deadline, at most
 /// 25 ms) early; the close plus its scheduler wake-up slack then lands
 /// before the deadline instead of straddling it, even on a loaded host.
-inline std::chrono::steady_clock::duration CloseTimerDelay(
-    int64_t close_after_ms) {
+inline int64_t CloseTimerDelay(int64_t close_after_ms) {
   const int64_t guard_ms =
       std::min<int64_t>(close_after_ms / 8 + 1, 25);
-  return std::chrono::milliseconds(
-      close_after_ms > guard_ms ? close_after_ms - guard_ms : 0);
+  return close_after_ms > guard_ms ? close_after_ms - guard_ms : 0;
 }
 
 /// Per-feed streaming configuration: every session of a service applies
@@ -107,7 +104,8 @@ struct StreamConfig {
   /// timer is armed a small guard early, see CloseTimerDelay). This is the
   /// latency-SLO lever for trickle feeds, where count-based closure alone
   /// would hold arrivals hostage until the feed fills a window. 0
-  /// (default) disables: windows close on count or end of stream only.
+  /// (default) disables: windows close on count or end of stream only,
+  /// and so does a value past the clock's range (DueAfter: "never").
   int64_t close_after_ms = 0;
 
   /// True when the ledger is keyed by object id (see file comment).

@@ -15,11 +15,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -33,28 +31,9 @@ namespace {
 
 using frt::testing::ServiceCapture;
 using frt::testing::SyntheticCsv;
+using frt::testing::TempDirectory;
 
 constexpr uint64_t kSeed = 20260807;
-
-/// A fresh unique directory under the test temp root, removed with all
-/// it holds when the test that made it ends.
-class StateDir {
- public:
-  StateDir() : path_(::testing::TempDir() + "frt_ckpt_XXXXXX") {
-    EXPECT_NE(mkdtemp(path_.data()), nullptr);
-  }
-  ~StateDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(path_, ignored);
-  }
-  StateDir(const StateDir&) = delete;
-  StateDir& operator=(const StateDir&) = delete;
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -173,7 +152,7 @@ TEST(CheckpointFormatTest, RejectsDuplicateFeedsAndBadValues) {
 // Atomic persistence.
 
 TEST(CheckpointStoreTest, LoadOnFreshDirIsEmpty) {
-  const StateDir dir;
+  const TempDirectory dir;
   auto store = CheckpointStore::Open(dir.path());
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   auto loaded = store->Load();
@@ -182,14 +161,14 @@ TEST(CheckpointStoreTest, LoadOnFreshDirIsEmpty) {
 }
 
 TEST(CheckpointStoreTest, OpenCreatesMissingDirectory) {
-  const StateDir dir;
+  const TempDirectory dir;
   auto store = CheckpointStore::Open(dir.path() + "/nested/state");
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_TRUE(store->Write(SampleCheckpoint()).ok());
 }
 
 TEST(CheckpointStoreTest, WriteLoadRoundTripAndOverwrite) {
-  const StateDir dir;
+  const TempDirectory dir;
   auto store = CheckpointStore::Open(dir.path());
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ServiceCheckpoint image = SampleCheckpoint();
@@ -216,7 +195,7 @@ TEST(CheckpointStoreTest, SyncDirFailurePropagatesAsIOError) {
   // it used to be silently discarded. Deleting the state dir out from
   // under the store makes the dir open (the first SyncDir step) fail
   // deterministically.
-  const StateDir state;
+  const TempDirectory state;
   const std::string& dir = state.path();
   auto store = CheckpointStore::Open(dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -231,7 +210,7 @@ TEST(CheckpointStoreTest, SyncDirFailurePropagatesAsIOError) {
 }
 
 TEST(CheckpointStoreTest, LoadRejectsCorruptSnapshot) {
-  const StateDir state;
+  const TempDirectory state;
   const std::string& dir = state.path();
   auto store = CheckpointStore::Open(dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -274,7 +253,7 @@ std::vector<Trajectory> Arrivals(int n, int distinct_ids = 0) {
 }
 
 TEST(CheckpointRecoveryTest, WholesaleSpendCarriesAcrossRestart) {
-  const StateDir state;
+  const TempDirectory state;
   const std::string& dir = state.path();
   const std::vector<Trajectory> trajs = Arrivals(60);  // 3 windows of 20
   const std::vector<std::string> feeds = {"alpha", "beta"};
@@ -350,7 +329,7 @@ TEST(CheckpointRecoveryTest, WholesaleImageWithZeroFloorRecoversItsSpend) {
   // leaving per_object_floor at 0.0. Recovering such an image under a
   // wholesale budget floors the feed-wide ledger at wholesale_spent, so
   // 3.0 of 4.0 spent leaves room for exactly one more window per feed.
-  const StateDir state;
+  const TempDirectory state;
   const std::string& dir = state.path();
   {
     auto store = CheckpointStore::Open(dir);
@@ -391,7 +370,7 @@ TEST(CheckpointRecoveryTest, WholesaleImageWithZeroFloorRecoversItsSpend) {
 }
 
 TEST(CheckpointRecoveryTest, PerObjectFloorCarriesAcrossRestart) {
-  const StateDir state;
+  const TempDirectory state;
   const std::string& dir = state.path();
   // Ids recycle every window: each window holds objects 0..19, so each
   // object's cumulative spend grows by 1.0 per published window.
@@ -436,7 +415,7 @@ TEST(CheckpointRecoveryTest, PerObjectFloorCarriesAcrossRestart) {
 }
 
 TEST(CheckpointRecoveryTest, StartRefusesCorruptSnapshot) {
-  const StateDir state;
+  const TempDirectory state;
   const std::string& dir = state.path();
   {
     auto store = CheckpointStore::Open(dir);
@@ -493,7 +472,7 @@ bool WaitForLines(const MetricsExporter& exporter, size_t n) {
 }
 
 TEST(MetricsExporterTest, EmitsMachineReadableLines) {
-  const StateDir dir;
+  const TempDirectory dir;
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
@@ -540,7 +519,7 @@ TEST(MetricsExporterTest, WritesEachPublishedSnapshotOnce) {
   // One clock: K snapshots published, K line sets written, seq strictly
   // increasing. A fresh board is never re-emitted, and Stop() after the
   // thread wrote the last snapshot adds nothing.
-  const StateDir dir;
+  const TempDirectory dir;
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
@@ -569,7 +548,7 @@ TEST(MetricsExporterTest, ReEmitsOnlyAStaleBoard) {
   // A snapshot published 6 s ago under a 1 ms cadence is past
   // max(5 x 1 ms, 5 s): the dispatcher is wedged, and the exporter
   // repeats its seq once per interval, as /healthz turns 503.
-  const StateDir dir;
+  const TempDirectory dir;
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
@@ -600,7 +579,7 @@ TEST(MetricsExporterTest, ReEmitsOnlyAStaleBoard) {
 }
 
 TEST(MetricsExporterTest, EmitsOneStageLinePerStageWithoutAnyOption) {
-  const StateDir dir;
+  const TempDirectory dir;
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
@@ -634,7 +613,7 @@ TEST(MetricsExporterTest, EmitsOneStageLinePerStageWithoutAnyOption) {
 }
 
 TEST(MetricsExporterTest, PerFeedLinesAbsentByDefault) {
-  const StateDir dir;
+  const TempDirectory dir;
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
@@ -656,7 +635,7 @@ TEST(MetricsExporterTest, PerFeedLinesAbsentByDefault) {
 }
 
 TEST(MetricsExporterTest, NothingIsWrittenBeforeTheFirstSnapshot) {
-  const StateDir dir;
+  const TempDirectory dir;
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
@@ -672,7 +651,7 @@ TEST(MetricsExporterTest, NothingIsWrittenBeforeTheFirstSnapshot) {
 TEST(MetricsExporterTest, StopWritesTheLatestSnapshot) {
   // Two snapshots published back to back, then Stop(): whatever the
   // thread got to, the file ends with the latest one, written once.
-  const StateDir dir;
+  const TempDirectory dir;
   const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;

@@ -4,14 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/flat_map.h"
 #include "common/flat_table.h"
 #include "common/function_ref.h"
@@ -479,6 +482,30 @@ TEST(LoggingTest, ParseLogLevelRejectsWhatAtoiSilentlyZeroed) {
                                                  << "'";
   }
   EXPECT_FALSE(ParseLogLevel(nullptr).has_value());
+}
+
+TEST(DeadlineTest, DueAfterAddsMillisecondsAndSaturatesAtNever) {
+  using std::chrono::milliseconds;
+  using TimePoint = std::chrono::steady_clock::time_point;
+  const TimePoint never = TimePoint::max();
+  const TimePoint now = std::chrono::steady_clock::now();
+  EXPECT_EQ(DueAfter(now, 0), now);
+  EXPECT_EQ(DueAfter(now, -5), now);
+  EXPECT_EQ(DueAfter(now, 1), now + milliseconds(1));
+  EXPECT_EQ(DueAfter(TimePoint{}, 1), TimePoint{} + milliseconds(1));
+  // Past the clock's range (about 292 years of nanoseconds): "never",
+  // not a wrapped time in the past.
+  const int64_t int64_max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(DueAfter(now, int64_max), never);
+  EXPECT_EQ(DueAfter(TimePoint{}, int64_max), never);
+  // Near the end of the range: exact up to max(), saturated beyond it.
+  const TimePoint late = never - milliseconds(1500);
+  EXPECT_EQ(DueAfter(late, 1), late + milliseconds(1));
+  EXPECT_EQ(DueAfter(late, 1500), never);
+  EXPECT_EQ(DueAfter(late, 1501), never);
+  EXPECT_EQ(DueAfter(late, int64_max), never);
+  EXPECT_EQ(DueAfter(never, 0), never);
+  EXPECT_EQ(DueAfter(never, 1), never);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -32,6 +31,7 @@ namespace {
 
 using frt::testing::ServiceCapture;
 using frt::testing::SyntheticCsv;
+using frt::testing::TempDirectory;
 using std::chrono::milliseconds;
 
 constexpr uint64_t kSeed = 20260730;
@@ -788,9 +788,8 @@ TEST(ServiceTelemetryTest, ShutdownRenderingsShareOneSource) {
   ServiceDispatcher service(config, capture.MakeSink());
   ASSERT_TRUE(service.Start(kSeed).ok());
   obs::Registry& registry = *service.config().registry;
-  const std::string path =
-      ::testing::TempDir() + "frt_service_telemetry_metrics.log";
-  std::remove(path.c_str());
+  const TempDirectory dir;
+  const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   options.per_feed = true;
@@ -1007,6 +1006,11 @@ TEST(SnapshotStalenessTest, StaleOnlyPastFiveIntervalsOrFiveSeconds) {
   s.finished = true;
   EXPECT_FALSE(stale_at(seconds(3600)));
   EXPECT_EQ(StaleAfter(s), std::chrono::steady_clock::time_point::max());
+  // Nor, by saturation, does one published near the end of the clock's
+  // range.
+  s.finished = false;
+  s.published_at = std::chrono::steady_clock::time_point::max() - seconds(1);
+  EXPECT_EQ(StaleAfter(s), std::chrono::steady_clock::time_point::max());
 }
 
 TEST(SnapshotStalenessTest, ARetunedIntervalIsVisibleThroughTheNextSnapshot) {
@@ -1047,9 +1051,8 @@ TEST(ServiceTelemetryTest, SetMetricsIntervalMsRetunesTheExporterCadence) {
   config.metrics_interval_ms = 60000;
   ServiceDispatcher service(config, capture.MakeSink());
   ASSERT_TRUE(service.Start(kSeed).ok());
-  const std::string path =
-      ::testing::TempDir() + "frt_service_retune_metrics.log";
-  std::remove(path.c_str());
+  const TempDirectory dir;
+  const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   MetricsExporter exporter(options, service.snapshots());
@@ -1077,9 +1080,8 @@ TEST(ServiceTelemetryTest, ExporterNeverRepeatsASeqAtAFiveMsCadence) {
   config.stream.batch.audit.enabled = true;
   ServiceDispatcher service(config, capture.MakeSink());
   ASSERT_TRUE(service.Start(kSeed).ok());
-  const std::string path =
-      ::testing::TempDir() + "frt_service_five_ms_metrics.log";
-  std::remove(path.c_str());
+  const TempDirectory dir;
+  const std::string path = dir.path() + "/metrics.log";
   MetricsExporter::Options options;
   options.path = path;
   MetricsExporter exporter(options, service.snapshots());

@@ -11,7 +11,9 @@
 # --listen-conns without --listen, the retired --strategy and
 # --pool-threads flags, a second --input feed on stdin (frt_serve and
 # frt_edge) and, in frt_stream, the transport flags (--listen,
-# --listen-conns, --connect).
+# --listen-conns, --connect). A timer knob past the clock's range
+# (--close-after-ms, --evict-idle-ms, --checkpoint-interval-ms at
+# INT64_MAX) means "never": the release equals the knob's off state.
 #
 # Usage: stream_cli_test.sh /path/to/frt_stream /path/to/frt_serve \
 #            /path/to/frt_edge
@@ -57,6 +59,52 @@ run_pair shards1 --shards 1
 run_pair shards4 --shards 4
 run_pair stride50 --shards 4 --stride 50
 run_pair per_object --shards 4 --per-object-budget 2 --evict-exhausted
+
+# ---- A duration past the clock's range means "never": each timer knob
+# at INT64_MAX publishes the bytes, window count and ledger of the knob
+# left off (a large finite interval for the checkpoint cadence), not a
+# window per arrival. ----
+NEVER=9223372036854775807
+
+serve_only() {
+  local name="$1"
+  shift
+  mkdir -p "$WORK/$name"
+  "$SERVE" --input "stream=$WORK/raw.csv" --output-dir "$WORK/$name" \
+    --window 100 --m 3 --seed 7 "$@" 2> "$WORK/$name/serve.log" \
+    || fail "$name: frt_serve exited $?"
+}
+
+# Window count and ledger, session evictions and checkpoints of one log.
+release_counts() {
+  grep -o -e '[0-9]* windows published.*eps ledger [0-9.]*' \
+    -e '[0-9]* sessions (peak [0-9]* active, [0-9]* evicted)' \
+    -e 'wrote [0-9]* checkpoint(s)' "$1"
+}
+
+# same_release BASE NAME LOG: NAME published BASE's bytes, and its LOG
+# reads BASE's release counts.
+same_release() {
+  cmp "$WORK/$1/stream.csv" "$WORK/$2/stream.csv" \
+    || fail "$2: release differs from $1's"
+  local want got
+  want="$(release_counts "$WORK/$1/$3")"
+  got="$(release_counts "$WORK/$2/$3")"
+  [[ -n "$want" && "$got" == "$want" ]] \
+    || fail "$2 $3: '${got//$'\n'/; }', want '${want//$'\n'/; }' as in $1"
+  echo "ok: $2 $3 == $1"
+}
+
+run_pair close_never --shards 1 --close-after-ms "$NEVER"
+same_release shards1 close_never stream.log
+same_release shards1 close_never serve.log
+serve_only idle_never --shards 1 --evict-idle-ms "$NEVER"
+same_release shards1 idle_never serve.log
+for interval in 100000 "$NEVER"; do
+  serve_only "ckpt_$interval" --shards 1 --checkpoint-interval-ms "$interval" \
+    --state-dir "$WORK/ckpt_$interval/state"
+done
+same_release ckpt_100000 "ckpt_$NEVER" serve.log
 
 # ---- A malformed line after 150 good trajectories (window 100). ----
 awk 'BEGIN { for (i = 0; i < 150; ++i) { x = 200 + (i * 137) % 1700; y = 300 + (i * 251) % 1500; t = 1000 + i; for (j = 0; j < 30; ++j) { printf "%d,%.1f,%.1f,%d\n", i, x, y, t; x += 40; y += 30; t += 60 } } print "150,not_a_number,2.0,3" }' \
@@ -249,4 +297,4 @@ for run in 1 2; do
     || fail "--output run $run does not hold the --output-dir rows"
 done
 
-echo "PASS: frt_stream == one-feed frt_serve; --output-dir files reproduce byte for byte and --output as sorted rows; bad lines publish only complete windows; CRLF blanks and indented comments skipped in --feeds; invalid feed ids, unreadable inputs, out-of-range --threads, --listen-conns without --listen, retired flags and transport flags rejected"
+echo "PASS: frt_stream == one-feed frt_serve; INT64_MAX timer knobs mean never; --output-dir files reproduce byte for byte and --output as sorted rows; bad lines publish only complete windows; CRLF blanks and indented comments skipped in --feeds; invalid feed ids, unreadable inputs, out-of-range --threads, --listen-conns without --listen, retired flags and transport flags rejected"

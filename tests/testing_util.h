@@ -11,12 +11,15 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <istream>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -258,6 +261,27 @@ class BlockingFeed {
 
   Buf buf_;
   std::istream stream_;
+};
+
+/// A fresh unique directory under the test temp root, removed with all
+/// it holds when the test that made it ends: concurrent test processes
+/// that share one temp root never touch each other's files.
+class TempDirectory {
+ public:
+  TempDirectory() : path_(::testing::TempDir() + "frt_test_XXXXXX") {
+    EXPECT_NE(mkdtemp(path_.data()), nullptr);
+  }
+  ~TempDirectory() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  TempDirectory(const TempDirectory&) = delete;
+  TempDirectory& operator=(const TempDirectory&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
 };
 
 }  // namespace frt::testing

@@ -328,7 +328,8 @@ inline std::vector<Flag> StreamFlags(StreamArgs* args) {
       {"--close-after-ms", "N",
        "wall-clock closure SLO: publish a non-empty window\n"
        "no later than N ms after its oldest pending\n"
-       "arrival, even if short of --window (default 0 = off)",
+       "arrival, even if short of --window (default 0 = off;\n"
+       "N past the clock's range = never)",
        Integer(&args->close_after_ms, int64_t{0})},
   };
 }
@@ -408,7 +409,8 @@ inline std::vector<Flag> DurabilityFlags(DurabilityArgs* args) {
        Text(&args->state_dir)},
       {"--checkpoint-interval-ms", "N",
        "cadence for interval snapshots of ledger changes\n"
-       "with no publish to ride on (default 1000)",
+       "with no publish to ride on (default 1000; N past\n"
+       "the clock's range = never)",
        Integer(&args->checkpoint_interval_ms, int64_t{1})},
       {"--metrics", "PATH",
        "append one frt_metrics line and one frt_stage latency\n"

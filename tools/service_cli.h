@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cli_common.h"
+#include "common/deadline.h"
 #include "common/strings.h"
 #include "net/socket.h"
 #include "obs/admin_server.h"
@@ -200,7 +201,8 @@ inline FlagTable ServeFlags(ServeArgs* args) {
        "files are byte-identical across runs at one --seed",
        Text(&args->output_dir)},
       {"--evict-idle-ms", "N",
-       "flush + evict sessions idle for N ms (default 0 = never)",
+       "flush + evict sessions idle for N ms (default 0 = never,\n"
+       "and so is N past the clock's range)",
        Integer(&args->evict_idle_ms, int64_t{0})},
       {"--max-in-flight", "N",
        "concurrent window jobs across feeds (default 0 = 2x pool)",
@@ -424,8 +426,7 @@ inline Status StartObservability(const ServiceArgs& args,
       r.status = 503;
       r.body = StrFormat(
           "stale: snapshot board is %.0f ms old (seq %llu)\n",
-          std::chrono::duration<double, std::milli>(now - intro->published_at)
-              .count(),
+          MillisBetween(intro->published_at, now),
           static_cast<unsigned long long>(intro->seq));
     } else {
       r.body = "ok\n";
